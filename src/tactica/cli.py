@@ -12,22 +12,20 @@ import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import exports
 from .expr import ExpressionError
-from .games import (ConfigurationError, DivergenceError, SimulationError,
-                    check_indeterminate_invariants, coalition_simulate, simulate)
+from .games import ConfigurationError, SimulationError, check_indeterminate_invariants
 from .prediction import DataError, strategic_pipeline, unravel_by_filtering
 from .repdyn import (StrandedClassError, integrate_repdyn, integrate_scalar_reference,
                      run_tactical_repdyn, solve_inverse_problem)
 from .scenario import COMMANDS, Scenario, ScenarioError, load_scenario
 from .tactics import run_commented_game, tactical_interaction, tactical_synthesis
-from .verbalization import (DomainError, RecurrenceMap, detect_partition, fit_recurrence,
-                            verify_recurrence, windows_from_trajectory)
+from .verbalization import (DomainError, detect_partition, fit_recurrence, verify_recurrence,
+                            windows_from_trajectory)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -49,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed recorded in the run report")
     parser.add_argument("--batch", default=None,
-                        help="comma-separated scenario files run concurrently, "
+                        help="comma-separated scenario files run one after another, "
                              "each into its own subdirectory of --out")
     return parser
 
@@ -61,14 +59,8 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     if args.batch is not None:
         paths = [p.strip() for p in args.batch.split(",") if p.strip()]
-        out_root = Path(args.out)
-
-        def one(path: str) -> int:
-            return run_command(args.command, path, out_root / Path(path).stem,
-                               args.dt, args.seed)
-
-        with ThreadPoolExecutor(max_workers=min(4, max(1, len(paths)))) as pool:
-            codes = list(pool.map(one, paths))
+        codes = [run_command(args.command, path, Path(args.out) / Path(path).stem, args.dt,
+                             args.seed) for path in paths]
         return max(codes) if codes else EXIT_VALIDATION
     return run_command(args.command, args.scenario, Path(args.out), args.dt, args.seed)
 
@@ -77,7 +69,7 @@ def run_command(command: str, scenario_path, out_dir: Path, dt_override: float |
                 seed: int) -> int:
     started = time.perf_counter()
     try:
-        scenario = load_scenario(scenario_path)
+        scenario = load_scenario(scenario_path, dt=dt_override)
     except ScenarioError as exc:
         for line in exc.errors:
             print(f"validation: {line}", file=sys.stderr)
@@ -90,7 +82,6 @@ def run_command(command: str, scenario_path, out_dir: Path, dt_override: float |
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dt = dt_override if dt_override is not None else scenario.run.dt
     tolerance = scenario.tolerance if scenario.tolerance is not None else 1e-9
     env_tol = os.environ.get(TOLERANCE_ENV)
     if env_tol is not None:
@@ -102,29 +93,26 @@ def run_command(command: str, scenario_path, out_dir: Path, dt_override: float |
         "scenario": scenario.title,
         "digest": hashlib.sha256(Path(scenario_path).read_bytes()).hexdigest(),
         "seed": seed,
-        "dt": dt,
+        "dt": scenario.run.dt,
         "tolerance": tolerance,
         "summaries": {},
         "checks": [],
     }
-    runner = _RUNNERS[command]
-    exit_code = EXIT_OK
     try:
-        exit_code = runner(scenario, out_dir, dt, tolerance, report) or EXIT_OK
+        exit_code = _RUNNERS[command](scenario, out_dir, tolerance, report)
     except StrandedClassError as exc:
         print(f"insolvable: {exc}", file=sys.stderr)
         return EXIT_INSOLVABLE
-    except DivergenceError as exc:
-        print(f"runtime: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (ConfigurationError, SimulationError, DataError, DomainError,
-            ExpressionError, ScenarioError) as exc:
-        print(f"runtime: {exc}", file=sys.stderr)
+    # Arithmetic faults come from compiled expressions; LinAlgError from the projection.
+    except (ConfigurationError, SimulationError, DataError, DomainError, ExpressionError,
+            ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"runtime: {scenario.title}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     exports.write_json(report, out_dir / "report.json")
     duration = time.perf_counter() - started
     checks = report["checks"]
-    status = "ok" if all(c["passed"] for c in checks) else "checks failed"
+    status = ("insolvable" if exit_code == EXIT_INSOLVABLE else
+              "ok" if all(c["passed"] for c in checks) else "checks failed")
     print(f"{command} {scenario.title}: {status} "
           f"({len(checks)} checks, {duration:.3f}s, artifacts in {out_dir})")
     return exit_code
@@ -143,14 +131,9 @@ def _add_check(report: dict, name: str, value: float, tol: float) -> None:
 # Command runners
 # ---------------------------------------------------------------------------
 
-def _run_simulate(scenario: Scenario, out: Path, dt: float, tolerance: float,
-                  report: dict) -> int:
-    system, initial, slow = scenario.build_system()
-    run = scenario.run
-    if system.coalitions:
-        traj = coalition_simulate(system, initial, run.t0, run.t1, dt, slow=slow)
-    else:
-        traj = simulate(system, initial, run.t0, run.t1, dt, slow=slow)
+def _run_simulate(scenario: Scenario, out: Path, tolerance: float, report: dict) -> int:
+    system, _, _ = scenario.build_system()
+    traj = scenario.simulate()
     exports.write_trajectory_csv(traj, out / "trajectory.csv")
     exports.write_trajectory_json(traj, out / "trajectory.json")
     report["summaries"]["final_state"] = traj.phi[-1]
@@ -165,11 +148,8 @@ def _run_simulate(scenario: Scenario, out: Path, dt: float, tolerance: float,
     return EXIT_OK
 
 
-def _run_verbalize(scenario: Scenario, out: Path, dt: float, tolerance: float,
-                   report: dict) -> int:
-    system, initial, slow = scenario.build_system()
-    run = scenario.run
-    traj = simulate(system, initial, run.t0, run.t1, dt, slow=slow)
+def _run_verbalize(scenario: Scenario, out: Path, tolerance: float, report: dict) -> int:
+    traj = scenario.simulate()
     plan = scenario.verbalization_plan()
     records = windows_from_trajectory(traj, plan.grid, plan.omega_functionals,
                                       plan.v_functionals, plan.cells)
@@ -180,40 +160,30 @@ def _run_verbalize(scenario: Scenario, out: Path, dt: float, tolerance: float,
     if plan.cells is not None:
         transitions = detect_partition(traj.t, traj.eps, plan.cells)
         report["summaries"]["transitions"] = transitions
+    tol = plan.recurrence_tol
     if plan.recurrence is not None:
-        rec = plan.recurrence
-        tol = float(rec.get("tol", 1e-6))
-        if rec["family"] == "declared":
-            from .expr import compile_vector
-            dim_omega = len(np.atleast_1d(records[0].omega))
-            dim_v = len(np.atleast_1d(records[0].v))
-            fn = compile_vector(rec["expression"], scalars=(),
-                                vectors={"omega": dim_omega, "v": dim_v})
-            rmap = RecurrenceMap(family="declared",
-                                 form=lambda om, v, window, _f=fn: _f.fn(om, v))
-            result = verify_recurrence(records, rmap, tol)
-            report["summaries"]["recurrence"] = {
-                "family": "declared", "residuals": result.residuals}
-            _add_check(report, "recurrence residual", result.max_residual, tol)
-        else:
-            k = int(rec["fit_windows"])
-            fitted = fit_recurrence(records[:k])
-            holdout = verify_recurrence(records[k - 1:], fitted, tol)
-            report["summaries"]["recurrence"] = {
-                "family": "fitted-affine",
-                "coeff_omega": fitted.coeff_omega,
-                "coeff_v": fitted.coeff_v,
-                "intercept": fitted.intercept,
-                "rank_deficient": fitted.rank_deficient,
-                "fit_residual": fitted.fit_residual,
-                "holdout_residuals": holdout.residuals,
-            }
-            _add_check(report, "recurrence holdout residual", holdout.max_residual, tol)
+        result = verify_recurrence(records, plan.recurrence, tol)
+        report["summaries"]["recurrence"] = {
+            "family": "declared", "residuals": result.residuals}
+        _add_check(report, "recurrence residual", result.max_residual, tol)
+    if plan.fit_windows is not None:
+        k = plan.fit_windows
+        fitted = fit_recurrence(records[:k])
+        holdout = verify_recurrence(records[k - 1:], fitted, tol)
+        report["summaries"]["recurrence"] = {
+            "family": "fitted-affine",
+            "coeff_omega": fitted.coeff_omega,
+            "coeff_v": fitted.coeff_v,
+            "intercept": fitted.intercept,
+            "rank_deficient": fitted.rank_deficient,
+            "fit_residual": fitted.fit_residual,
+            "holdout_residuals": holdout.residuals,
+        }
+        _add_check(report, "recurrence holdout residual", holdout.max_residual, tol)
     return EXIT_OK
 
 
-def _run_tactics(scenario: Scenario, out: Path, dt: float, tolerance: float,
-                 report: dict) -> int:
+def _run_tactics(scenario: Scenario, out: Path, tolerance: float, report: dict) -> int:
     plan = scenario.tactics_plan()
     if plan.mode == "commented":
         runs = [run_commented_game(plan.games[0])]
@@ -235,11 +205,10 @@ def _run_tactics(scenario: Scenario, out: Path, dt: float, tolerance: float,
     return EXIT_OK
 
 
-def _run_predict(scenario: Scenario, out: Path, dt: float, tolerance: float,
-                 report: dict) -> int:
-    system, initial, slow = scenario.build_system()
+def _run_predict(scenario: Scenario, out: Path, tolerance: float, report: dict) -> int:
+    system, initial, _ = scenario.build_system()
     run = scenario.run
-    traj = simulate(system, initial, run.t0, run.t1, dt, slow=slow)
+    traj = scenario.simulate()
     plan = scenario.prediction_plan()
     exports.write_trajectory_csv(traj, out / "trajectory.csv")
     if plan.filter is not None:
@@ -255,13 +224,12 @@ def _run_predict(scenario: Scenario, out: Path, dt: float, tolerance: float,
             summary["coefficients"] = result.estimate.coefficients
             summary["fit_residual_norm"] = result.estimate.residual_norm
         report["summaries"]["unravel"] = summary
-    if plan.pipeline is not None:
-        prognosis = strategic_pipeline(system, initial, run.t0, run.t1, dt,
-                                       plan.pipeline.assumed_eps,
-                                       plan.pipeline.horizon, truth=traj)
+    if plan.assumed_eps is not None:
+        prognosis = strategic_pipeline(system, initial, run.t0, run.t1, run.dt,
+                                       plan.assumed_eps, plan.horizon, truth=traj)
         exports.write_prognosis_json(prognosis, out / "prognosis.json")
         report["summaries"]["pipeline"] = {
-            "horizon": plan.pipeline.horizon,
+            "horizon": plan.horizon,
             "mean_long_error": float(np.mean(prognosis.long_error)),
             "mean_blended_error": float(np.mean(prognosis.blended_error)),
             "max_blended_error": float(np.max(prognosis.blended_error)),
@@ -269,12 +237,11 @@ def _run_predict(scenario: Scenario, out: Path, dt: float, tolerance: float,
     return EXIT_OK
 
 
-def _run_repdyn(scenario: Scenario, out: Path, dt: float, tolerance: float,
-                report: dict) -> int:
+def _run_repdyn(scenario: Scenario, out: Path, tolerance: float, report: dict) -> int:
     plan = scenario.repdyn_plan()
     run = scenario.run
     if plan.mode == "integrate":
-        result = integrate_repdyn(plan.spec, plan.control, run.t0, run.t1, dt)
+        result = integrate_repdyn(plan.spec, plan.control, run.t0, run.t1, run.dt)
         exports.write_residuals_csv(result.times, result.residuals,
                                     out / "residuals.csv")
         exports.write_json({
@@ -297,7 +264,7 @@ def _run_repdyn(scenario: Scenario, out: Path, dt: float, tolerance: float,
                   file=sys.stderr)
             return EXIT_INSOLVABLE
         return EXIT_OK
-    result = run_tactical_repdyn(plan.tactical, plan.windows, dt)
+    result = run_tactical_repdyn(plan.tactical, plan.windows, run.dt)
     exports.write_residuals_csv(result.times, result.residuals, out / "residuals.csv")
     exports.write_comments_jsonl(result.class_stream, out / "comments.jsonl",
                                  delta_label=plan.tactical.delta.label)
@@ -315,8 +282,7 @@ def _run_repdyn(scenario: Scenario, out: Path, dt: float, tolerance: float,
     return EXIT_OK
 
 
-def _run_invert(scenario: Scenario, out: Path, dt: float, tolerance: float,
-                report: dict) -> int:
+def _run_invert(scenario: Scenario, out: Path, tolerance: float, report: dict) -> int:
     plan = scenario.invert_plan()
     run = scenario.run
     construction = solve_inverse_problem(
@@ -324,9 +290,9 @@ def _run_invert(scenario: Scenario, out: Path, dt: float, tolerance: float,
         designated_slot=plan.designated_slot, lift_constants=plan.lift_constants,
         tolerance=tolerance)
     schedule = construction.control_schedule(plan.u_schedule)
-    result = integrate_repdyn(construction.spec, schedule, run.t0, run.t1, dt)
+    result = integrate_repdyn(construction.spec, schedule, run.t0, run.t1, run.dt)
     times, reference = integrate_scalar_reference(plan.rhs, plan.x0, plan.u_schedule,
-                                                  run.t0, run.t1, dt,
+                                                  run.t0, run.t1, run.dt,
                                                   control_dim=plan.control_dim)
     slot = construction.designated_slot
     slots = np.array([[T.matrices[i][slot, slot].real for i in range(len(plan.rhs))]

@@ -344,8 +344,8 @@ class NCPoly:
     def __truediv__(self, other):
         other = _as_poly(other)
         value = other.scalar_value()
-        if value is None:
-            raise ExpressionError("division by a non-scalar polynomial")
+        if value is None or value == 0:
+            raise ExpressionError("division by zero or by a non-scalar polynomial")
         return NCPoly({w: c / value for w, c in self.terms.items()})
 
     def __pow__(self, exponent):

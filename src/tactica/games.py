@@ -36,6 +36,14 @@ class DivergenceError(SimulationError):
 _EMPTY = np.zeros(0)
 
 
+def whole_steps(t0: float, t1: float, dt: float) -> int | None:
+    """The number of ``dt`` steps spanning [t0, t1], or None unless it is a positive
+    whole number (to 1e-9 relative to ``t1``)."""
+    ratio = (t1 - t0) / dt
+    n = int(round(ratio)) if abs(ratio) < 2.0 ** 53 else 0
+    return n if n >= 1 and abs(t0 + n * dt - t1) <= 1e-9 * max(1.0, abs(t1)) else None
+
+
 @dataclass(frozen=True)
 class PureControlPolicy:
     """Independent control signal of one player."""
@@ -76,25 +84,17 @@ class FeedbackCoupling:
     ``known_form(t, u0, phi, derivs, eps, lam)`` -> control vector.
     ``derivative_order`` 0 or 1; order 1 is evaluated by substituting the
     vector field for the state derivative (one substitution pass, seeded with
-    a zero derivative).  ``inverse_form(t, u, phi, derivs)`` recovers the pure
-    control for couplings declared with the inverse direction; it must be a
-    closed form supplied by the scenario author.
+    a zero derivative).
     """
 
     known_form: Callable
     derivative_order: int = 0
-    direction: str = "forward"
-    inverse_form: Callable | None = None
 
     def __post_init__(self):
         if self.derivative_order not in (0, 1):
             raise ConfigurationError(
                 f"derivative order {self.derivative_order} exceeds the supported "
                 "substitution depth (max 1)")
-        if self.direction not in ("forward", "inverse"):
-            raise ConfigurationError(f"unknown coupling direction {self.direction!r}")
-        if self.direction == "inverse" and self.inverse_form is None:
-            raise ConfigurationError("inverse-direction coupling requires inverse_form")
 
 
 def identity_coupling() -> FeedbackCoupling:
@@ -173,7 +173,6 @@ class SlowControl:
     """External slow parameter; continuous map of time or a held step schedule."""
 
     schedule: Callable[[float], Sequence[float]] | tuple[tuple[int, tuple], ...]
-    owner: str = "external"
 
     def __post_init__(self):
         if not callable(self.schedule):
@@ -313,8 +312,8 @@ def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, d
         raise ConfigurationError("t0 must be strictly below t1")
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    n_steps = int(round((t1 - t0) / dt))
-    if n_steps < 1 or abs(t0 + n_steps * dt - t1) > 1e-9 * max(1.0, abs(t1)):
+    n_steps = whole_steps(t0, t1, dt)
+    if n_steps is None:
         raise ConfigurationError("t1 - t0 must be an integer number of steps")
 
     phi = np.asarray(initial, dtype=float)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .expr import compile_expression
 from .games import (ConfigurationError, InteractiveSystem, Player, PureControlPolicy,
-                    StateTrajectory, associated_ordinary_game, simulate)
+                    StateTrajectory, associated_ordinary_game, simulate, whole_steps)
 
 
 class DataError(ValueError):
@@ -303,8 +303,8 @@ def strategic_pipeline(system: InteractiveSystem, initial, t0: float, t1: float,
     short = np.full_like(truth.phi, np.nan)
     mask = np.zeros(n, dtype=bool)
     if horizon > 0:
-        steps_per_window = int(round(horizon / dt))
-        if steps_per_window < 1 or abs(steps_per_window * dt - horizon) > 1e-9:
+        steps_per_window = whole_steps(0.0, horizon, dt)
+        if steps_per_window is None:
             raise ConfigurationError("horizon must be a positive multiple of dt")
         n_slots = len(truth.eps_dims)
         base_idx = 0

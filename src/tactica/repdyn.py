@@ -19,7 +19,7 @@ from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple,
                       WeylSymbol, WeylTerm, commutative_presentation, poly_eval,
                       relation_residual, weyl_eval_tuple)
 from .expr import NCPoly, nc_evaluate
-from .games import ConfigurationError, SimulationError
+from .games import ConfigurationError, SimulationError, whole_steps
 from .tactics import CommentState, DialecticalObject, TransitionRule
 from .verbalization import WindowRecord
 
@@ -183,8 +183,8 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
         raise ConfigurationError("t0 must be strictly below t1")
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    n_steps = int(round((t1 - t0) / dt))
-    if n_steps < 1 or abs(t0 + n_steps * dt - t1) > 1e-9 * max(1.0, abs(t1)):
+    n_steps = whole_steps(t0, t1, dt)
+    if n_steps is None:
         raise ConfigurationError("t1 - t0 must be an integer number of steps")
 
     def a_at(t: float) -> np.ndarray | None:
@@ -479,9 +479,13 @@ TUPLE_MAPS: dict[str, Callable[..., Callable[[MatrixTuple], MatrixTuple]]] = {}
 
 
 def tuple_map(name: str, *args) -> Callable[[MatrixTuple], MatrixTuple]:
-    if name not in TUPLE_MAPS:
+    factory = TUPLE_MAPS.get(name) if isinstance(name, str) else None
+    if factory is None:
         raise ConfigurationError(f"unknown tuple embedding {name!r}")
-    return TUPLE_MAPS[name](*args)
+    if len(args) != factory.__code__.co_argcount:
+        raise ConfigurationError(f"tuple embedding {name!r} takes "
+                                 f"{factory.__code__.co_argcount} arguments, got {len(args)}")
+    return factory(*args)
 
 
 def _register(name: str):
@@ -501,6 +505,8 @@ def _append_commutator(i: int, j: int):
     """Append [X_i, X_j] (1-based slots) as a new generator image."""
 
     def apply(X: MatrixTuple) -> MatrixTuple:
+        if not (1 <= i <= X.m and 1 <= j <= X.m):
+            raise ConfigurationError(f"append_commutator({i}, {j}) needs slots of a tuple of {X.m}")
         a, b = X.matrices[i - 1], X.matrices[j - 1]
         return MatrixTuple(matrices=X.matrices + (a @ b - b @ a,), time=X.time)
 
@@ -564,7 +570,7 @@ class TacticalRepdynResult:
     final: MatrixTuple
 
 
-def _window_summaries(times, residuals, norms, a_values) -> tuple[np.ndarray, np.ndarray]:
+def _window_summaries(residuals, norms, a_values) -> tuple[np.ndarray, np.ndarray]:
     omega = np.array([float(np.max(residuals)), float(np.mean(norms))])
     v = np.mean(a_values, axis=0) if len(a_values) else np.zeros(0)
     return omega, np.atleast_1d(v)
@@ -636,7 +642,7 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
             t_cursor = float(result.times[-1])
             if t_cursor >= t_b:
                 break
-        omega_n, v_n = _window_summaries(None, window_res, window_norms, window_a)
+        omega_n, v_n = _window_summaries(window_res, window_norms, window_a)
         for rule in game.delta.transitions:
             if rule.from_class == label and callable(rule.trigger):
                 if rule.trigger(eta, omega_n, v_n, {"window": n}):

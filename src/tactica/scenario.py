@@ -1,13 +1,14 @@
 """Scenario files: a YAML key/value tree describing one run.
 
-Closed-form signals, couplings and dynamics are expression strings over the
-fixed grammar (see :mod:`tactica.expr`); every context has a declared variable
-set.  Loading validates the whole tree and reports **all** errors in one pass,
-not just the first.
+Closed-form signals, couplings and dynamics are expression strings over the fixed
+grammar (see :mod:`tactica.expr`); every context has a declared variable set.  Loading
+walks each section once, recording **all** problems with their paths while it compiles
+the section's plan; facts that depend on the step are checked under the effective step.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -16,21 +17,27 @@ import numpy as np
 import yaml
 
 from . import expr
-from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple,
-                      WeylSymbol, WeylTerm, default_registry)
-from .expr import ExpressionError
+from .algebra import (MAX_GENERATORS, AlgebraClassRegistry, AlgebraPresentation, MatrixTuple,
+                      WeylSymbol, WeylTerm, default_registry, parse_relation)
+from .expr import ExpressionError, VectorExpression
 from .games import (Coalition, ConfigurationError, EpsilonProcess, FeedbackCoupling,
                     InteractiveSystem, InvariantConstraint, Player, PureControlPolicy,
-                    SlowControl, zero_epsilon)
+                    SlowControl, StateTrajectory, coalition_simulate, simulate, whole_steps,
+                    zero_epsilon)
 from .prediction import FilterSpec
-from .repdyn import ClassDynamics, TacticalRepDyn, tuple_map
+from .repdyn import ClassDynamics, RepDynSpec, TacticalRepDyn, tuple_map
 from .tactics import (CommentRule, CommentedGame, DialecticalObject, InteractionTerm,
                       SynthesisRule, TransitionRule)
-from .verbalization import (Cell, CellComplex, CellCondition, WindowFunctional)
+from .verbalization import Cell, CellComplex, CellCondition, RecurrenceMap, WindowFunctional
 
 SCHEMA_VERSION = 1
 
 COMMANDS = ("simulate", "verbalize", "tactics", "predict", "repdyn", "invert")
+
+# The sections each command runs; a scenario supports a command that finds them all.
+_NEEDS = {"simulate": ("system",), "verbalize": ("system", "verbalization"),
+          "tactics": ("system", "verbalization", "tactics"),
+          "predict": ("system", "prediction"), "repdyn": ("repdyn",), "invert": ("invert",)}
 
 
 class ScenarioError(ValueError):
@@ -39,6 +46,16 @@ class ScenarioError(ValueError):
     def __init__(self, errors: Sequence[str]):
         super().__init__("scenario validation failed:\n  " + "\n  ".join(errors))
         self.errors = list(errors)
+
+
+def _is_number(value) -> bool:
+    """A finite int or float as YAML reads it (booleans excluded)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _length(value) -> int:
+    return len(value) if isinstance(value, list) else 0
 
 
 class _Check:
@@ -50,116 +67,63 @@ class _Check:
     def add(self, path: str, message: str):
         self.errors.append(f"{path}: {message}")
 
-    def expression(self, path: str, source, scalars=(), vectors=None) -> bool:
-        if not isinstance(source, str):
-            self.add(path, f"expected an expression string, got {type(source).__name__}")
-            return False
-        try:
-            expr.validate(source, scalars, vectors or {})
-            return True
-        except ExpressionError as exc:
-            self.add(path, str(exc))
-            return False
+    def require(self, path: str, ok, message: str) -> bool:
+        """Record ``message`` at ``path`` unless ``ok``; return whether it held."""
+        if not ok:
+            self.add(path, message)
+        return bool(ok)
 
-    def expressions(self, path: str, sources, scalars=(), vectors=None) -> bool:
-        if not isinstance(sources, list) or not sources:
-            self.add(path, "expected a nonempty list of expression strings")
-            return False
-        ok = True
-        for k, src in enumerate(sources):
-            ok &= self.expression(f"{path}[{k}]", src, scalars, vectors)
-        return ok
+    def build(self, path: str, make: Callable, *args, **kwargs):
+        """Call a library constructor; record its complaint (or arithmetic fault) at ``path``."""
+        try:
+            return make(*args, **kwargs)
+        except (ConfigurationError, ExpressionError, ArithmeticError) as exc:
+            self.add(path, str(exc))
+            return None
+
+    def mapping(self, path: str, value) -> bool:
+        return self.require(path, isinstance(value, dict), "expected a mapping")
+
+    def entries(self, path: str, value) -> list[tuple[int, str, dict]]:
+        """(index, path, item) for each mapping of a list; anything else is recorded."""
+        if not self.require(path, isinstance(value, list), "expected a list of mappings"):
+            return []
+        return [(k, f"{path}[{k}]", item) for k, item in enumerate(value)
+                if self.mapping(f"{path}[{k}]", item)]
+
+    def expression(self, path: str, source, scalars=(), vectors=None) -> bool:
+        """Whether ``source`` is an expression over the context's variables."""
+        return self.require(path, isinstance(source, str), "expected an expression string, "
+                            f"got {type(source).__name__}") and self.build(
+            path, lambda: expr.validate(source, scalars, vectors or {}) or True) is True
+
+    def expressions(self, path: str, sources, scalars=(),
+                    vectors=None) -> VectorExpression | None:
+        """Validate a nonempty list of expression strings and compile it."""
+        if not self.require(path, isinstance(sources, list) and sources,
+                            "expected a nonempty list of expression strings"):
+            return None
+        ok = all([self.expression(f"{path}[{k}]", src, scalars, vectors)
+                  for k, src in enumerate(sources)])
+        return expr.compile_vector(sources, scalars, vectors) if ok else None
 
     def number(self, path: str, value, positive=False) -> bool:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            self.add(path, f"expected a number, got {value!r}")
+        if not self.require(path, _is_number(value), f"expected a number, got {value!r}"):
             return False
-        if positive and value <= 0:
-            self.add(path, f"must be positive, got {value!r}")
-            return False
-        return True
+        return not positive or self.require(path, value > 0, f"must be positive, got {value!r}")
+
+    def integer(self, path: str, value, low=1) -> bool:
+        kind = "positive" if low == 1 else "nonnegative"
+        return self.require(path, isinstance(value, int) and not isinstance(value, bool)
+                            and value >= low, f"expected a {kind} integer, got {value!r}")
 
     def vector(self, path: str, value, dim=None) -> bool:
-        if not isinstance(value, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
-            self.add(path, "expected a list of numbers")
+        if not self.require(path, isinstance(value, list) and all(map(_is_number, value)),
+                            "expected a list of numbers"):
             return False
-        if dim is not None and len(value) != dim:
-            self.add(path, f"expected {dim} components, got {len(value)}")
-            return False
-        return True
+        return dim is None or self.require(path, len(value) == dim,
+                                           f"expected {dim} components, got {len(value)}")
 
-
-def _as_grid(spec, path: str, check: _Check) -> list[float] | None:
-    if isinstance(spec, list):
-        if not check.vector(path, spec):
-            return None
-        if len(spec) < 2 or any(b <= a for a, b in zip(spec, spec[1:])):
-            check.add(path, "window grid must be strictly increasing with >= 2 points")
-            return None
-        return [float(x) for x in spec]
-    if isinstance(spec, dict):
-        ok = check.number(f"{path}.start", spec.get("start"))
-        ok &= check.number(f"{path}.stop", spec.get("stop"))
-        count = spec.get("count")
-        if not isinstance(count, int) or count < 1:
-            check.add(f"{path}.count", f"expected a positive integer, got {count!r}")
-            ok = False
-        if not ok:
-            return None
-        if spec["stop"] <= spec["start"]:
-            check.add(path, "stop must exceed start")
-            return None
-        return list(np.linspace(spec["start"], spec["stop"], count + 1))
-    check.add(path, "expected a list of times or {start, stop, count}")
-    return None
-
-
-def _parse_complex(value, path: str, check: _Check) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
-        return complex(value[0], value[1])
-    check.add(path, f"expected a number or [re, im] pair, got {value!r}")
-    return 0j
-
-
-def _parse_matrix(value, path: str, check: _Check) -> np.ndarray | None:
-    if not isinstance(value, list) or not value:
-        check.add(path, "expected a nested list matrix")
-        return None
-    n = len(value)
-    out = np.zeros((n, n), dtype=complex)
-    for r, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != n:
-            check.add(f"{path}[{r}]", f"expected a row of {n} entries")
-            return None
-        for c, cell in enumerate(row):
-            out[r, c] = _parse_complex(cell, f"{path}[{r}][{c}]", check)
-    return out
-
-
-def _functionals(spec, path: str, check: _Check) -> tuple[WindowFunctional, ...] | None:
-    if not isinstance(spec, list) or not spec:
-        check.add(path, "expected a nonempty list of {kind, source} entries")
-        return None
-    out = []
-    for k, item in enumerate(spec):
-        if not isinstance(item, dict):
-            check.add(f"{path}[{k}]", "expected a {kind, source} mapping")
-            continue
-        try:
-            out.append(WindowFunctional(kind=item.get("kind", ""),
-                                        source=item.get("source", "")))
-        except ConfigurationError as exc:
-            check.add(f"{path}[{k}]", str(exc))
-    return tuple(out) if len(out) == len(spec) else None
-
-
-# ---------------------------------------------------------------------------
-# Section schemas
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RunParams:
@@ -167,246 +131,19 @@ class RunParams:
     t1: float
     dt: float
 
+    def on_grid(self, time: float) -> bool:
+        """Whether ``time`` is a sample of the run, as ``StateTrajectory.index_of`` finds it."""
+        idx = int(round((time - self.t0) / ((self.t0 + self.dt) - self.t0)))
+        return (0 <= idx <= whole_steps(self.t0, self.t1, self.dt)
+                and abs(self.t0 + idx * self.dt - time) <= 1e-9 * max(1.0, abs(time)))
+
 
 @dataclass
-class Scenario:
-    """A validated scenario file plus builders for the runnable objects."""
-
-    path: Path
-    raw: dict
-    title: str
-    run: RunParams
-    tolerance: float | None = None
-
-    def section(self, name: str) -> dict | None:
-        value = self.raw.get(name)
-        return value if isinstance(value, dict) else None
-
-    def supports(self, command: str) -> bool:
-        if command in ("simulate", "verbalize", "tactics", "predict"):
-            has_system = self.section("system") is not None
-            if command == "simulate":
-                return has_system
-            if command == "verbalize":
-                return has_system and self.section("verbalization") is not None
-            if command == "tactics":
-                return (has_system and self.section("verbalization") is not None
-                        and self.section("tactics") is not None)
-            return has_system and self.section("prediction") is not None
-        if command == "repdyn":
-            return self.section("repdyn") is not None
-        if command == "invert":
-            return self.section("invert") is not None
-        return False
-
-    def supported_commands(self) -> list[str]:
-        return [c for c in COMMANDS if self.supports(c)]
-
-    # -- system ------------------------------------------------------------
-
-    def build_system(self) -> tuple[InteractiveSystem, np.ndarray, SlowControl | None]:
-        sys_spec = self.section("system")
-        dim = sys_spec["dim"]
-        lambda_dim = _system_lambda_dim(self.raw)
-        omega_dim = int(sys_spec.get("omega_dim", 0))
-        players = []
-        for k, p in enumerate(sys_spec["players"]):
-            players.append(_build_player(k, p, dim, lambda_dim))
-        coalitions = []
-        for c in sys_spec.get("coalitions", []):
-            coalitions.append(_build_coalition(c, sys_spec["players"], dim, lambda_dim))
-        u_dim = _system_u_dim(sys_spec)
-        dyn_fn = expr.compile_vector(
-            sys_spec["dynamics"], scalars=("t",),
-            vectors={"phi": dim, "u": u_dim, "lambda": lambda_dim, "omega": omega_dim})
-
-        def dynamics(t, phi, controls, lam, omega):
-            flat = [x for slot in controls for x in np.atleast_1d(slot)]
-            return dyn_fn.fn(t, phi, flat, lam, omega)
-
-        dims = _system_trace_dims(sys_spec)
-        invariants = []
-        for k, inv in enumerate(sys_spec.get("invariants", [])):
-            invariants.append(_build_invariant(inv, k, dims))
-        system = InteractiveSystem(dim=dim, dynamics=dynamics, players=tuple(players),
-                                   coalitions=tuple(coalitions),
-                                   invariant_constraints=tuple(invariants))
-        slow = None
-        if "slow" in sys_spec:
-            slow = _build_slow(sys_spec["slow"])
-        return system, np.asarray(sys_spec["initial"], dtype=float), slow
-
-    # -- verbalization -----------------------------------------------------
-
-    def verbalization_plan(self) -> "VerbalizationPlan":
-        spec = self.section("verbalization")
-        grid = _as_grid(spec["windows"], "verbalization.windows", _Check())
-        omega_fns = _functionals(spec["omega"], "verbalization.omega", _Check())
-        v_fns = _functionals(spec["v"], "verbalization.v", _Check())
-        cells = _build_cells(spec["cells"]) if "cells" in spec else None
-        return VerbalizationPlan(grid=tuple(grid), omega_functionals=omega_fns,
-                                 v_functionals=v_fns, cells=cells,
-                                 recurrence=spec.get("recurrence"))
-
-    # -- tactics -----------------------------------------------------------
-
-    def tactics_plan(self) -> "TacticsPlan":
-        spec = self.section("tactics")
-        verb = self.verbalization_plan()
-        system, initial, _ = self.build_system()
-        mode = spec.get("mode", "commented")
-        dims = _tactics_dims(self.raw)
-
-        def game_for(theta0, rule_sources) -> CommentedGame:
-            rule_fn = expr.compile_vector(
-                rule_sources, scalars=(),
-                vectors={"theta": dims["theta"], "omega": dims["omega"], "v": dims["v"]})
-            rule = CommentRule(update=lambda th, om, v: rule_fn.fn(th, om, v))
-            return CommentedGame(system=system, initial=initial, dt=self.run.dt,
-                                 omega_functionals=verb.omega_functionals,
-                                 v_functionals=verb.v_functionals, rule=rule,
-                                 theta0=np.asarray(theta0, dtype=float),
-                                 window_grid=verb.grid)
-
-        if mode == "commented":
-            return TacticsPlan(mode=mode, games=[game_for(spec["theta0"], spec["rule"])])
-        if mode == "interaction":
-            games = []
-            terms = []
-            for g in spec["games"]:
-                games.append(game_for(g["theta0"], g["rule"]))
-                term_fn = expr.compile_vector(
-                    g["interaction"], scalars=(),
-                    vectors={"theta": dims["theta"], "other": dims["theta"],
-                             "omega": dims["omega"], "v": dims["v"]})
-                terms.append(InteractionTerm(
-                    form=lambda own, other, om, v, _f=term_fn: _f.fn(own, other, om, v)))
-            return TacticsPlan(mode=mode, games=games, terms=terms)
-        # synthesis
-        games = []
-        forms = []
-        masks = []
-        n_games = len(spec["games"])
-        for g in spec["games"]:
-            games.append(game_for(g["theta0"], spec["games"][0].get("rule", ["0"])
-                                  if "rule" not in g else g["rule"]))
-            mask = frozenset(int(i) - 1 for i in g["mask"])
-            masks.append(mask)
-            vectors = {}
-            for idx in range(1, n_games + 1):
-                vectors[f"theta{idx}"] = dims["theta"]
-                vectors[f"omega{idx}"] = dims["omega"]
-                vectors[f"v{idx}"] = dims["v"]
-            form_fn = expr.compile_vector(g["form"], scalars=(), vectors=vectors)
-
-            def form(thetas, omegas, vs, _f=form_fn, _n=n_games, _mask=mask):
-                args = []
-                zero_t = np.zeros(dims["theta"])
-                zero_o = np.zeros(dims["omega"])
-                zero_v = np.zeros(dims["v"])
-                for idx in range(_n):
-                    inside = idx in _mask
-                    args.append(thetas[idx] if inside else zero_t)
-                    args.append(omegas[idx] if inside else zero_o)
-                    args.append(vs[idx] if inside else zero_v)
-                return _f.fn(*args)
-
-            forms.append(form)
-        rule = SynthesisRule(forms=tuple(forms), masks=tuple(masks))
-        return TacticsPlan(mode="synthesis", games=games, synthesis=rule)
-
-    # -- prediction ----------------------------------------------------------
-
-    def prediction_plan(self) -> "PredictionPlan":
-        spec = self.section("prediction")
-        filter_spec = None
-        if "filter" in spec:
-            f = spec["filter"]
-            filter_spec = FilterSpec(kind=f.get("kind", "lowpass"),
-                                     cutoff=f.get("cutoff"),
-                                     bands=tuple(f.get("bands", ())),
-                                     band_halfwidth=f.get("band_halfwidth"))
-        family = tuple(spec.get("family", ()))
-        pipeline = None
-        if "pipeline" in spec:
-            p = spec["pipeline"]
-            signals = []
-            for sources in p["assumed_eps"]:
-                vec = expr.compile_vector(sources, scalars=("t",))
-                signals.append(lambda t, _v=vec: np.asarray(_v.fn(t), dtype=float))
-            pipeline = PipelinePlan(horizon=float(p["horizon"]), assumed_eps=signals)
-        return PredictionPlan(filter=filter_spec, family=family, pipeline=pipeline)
-
-    # -- repdyn --------------------------------------------------------------
-
-    def repdyn_plan(self) -> "RepdynPlan":
-        spec = self.section("repdyn")
-        registry = _build_registry(spec.get("classes", {}))
-        tolerance = float(spec.get("tolerance", self.tolerance or 1e-9))
-        threshold = float(spec.get("threshold", 1e-5))
-        control_sources = spec.get("control")
-        control = None
-        control_dim = 0
-        if control_sources:
-            vec = expr.compile_vector(control_sources, scalars=("t",))
-            control = lambda t: np.asarray(vec.fn(t), dtype=float)  # noqa: E731
-            control_dim = len(control_sources)
-        initial = _build_tuple(spec["tuple"])
-        mode = spec.get("mode", "integrate")
-        if mode == "integrate":
-            constants = {name: _parse_matrix(mat, f"repdyn.constants.{name}", _Check())
-                         for name, mat in spec.get("constants", {}).items()}
-            symbols = _build_symbols(spec["symbols"])
-            if "presentation" in spec:
-                pres = AlgebraPresentation.from_strings(
-                    spec["presentation"].get("label", "scenario"),
-                    spec["presentation"]["generators"],
-                    spec["presentation"].get("relations", []))
-            else:
-                pres = registry.presentation(spec["class"], initial.m)
-            from .repdyn import RepDynSpec
-            rd = RepDynSpec(symbols=symbols, initial=initial, presentation=pres,
-                            constants=constants, control_dim=control_dim,
-                            tolerance=tolerance, insolvable_threshold=threshold)
-            return RepdynPlan(mode="integrate", spec=rd, control=control,
-                              registry=registry)
-        # tactical
-        class_dynamics = {}
-        for label, decl in spec["class_dynamics"].items():
-            constants = {name: _parse_matrix(mat, "repdyn.class_dynamics", _Check())
-                         for name, mat in decl.get("constants", {}).items()}
-            class_dynamics[label] = ClassDynamics(symbols=_build_symbols(decl["symbols"]),
-                                                  constants=constants)
-        transitions = []
-        for t in spec.get("transitions", []):
-            mapper = None
-            if "embed" in t:
-                mapper = tuple_map(t["embed"]["name"], *t["embed"].get("args", []))
-            transitions.append(TransitionRule(from_class=t["from"], trigger=t["trigger"],
-                                              to_class=t["to"], tuple_map=mapper))
-        delta = DialecticalObject(label=spec.get("delta_label", "scenario"),
-                                  transitions=tuple(transitions))
-        game = TacticalRepDyn(registry=registry, class_dynamics=class_dynamics,
-                              initial_class=spec["initial_class"], initial=initial,
-                              eta0=np.asarray(spec.get("eta0", [0.0]), dtype=float),
-                              delta=delta, control_dim=control_dim, control=control,
-                              tolerance=tolerance, insolvable_threshold=threshold)
-        grid = _as_grid(spec["windows"], "repdyn.windows", _Check())
-        return RepdynPlan(mode="tactical", tactical=game, windows=tuple(grid),
-                          registry=registry, control=control)
-
-    # -- invert ---------------------------------------------------------------
-
-    def invert_plan(self) -> "InvertPlan":
-        spec = self.section("invert")
-        control_dim = int(spec.get("control_dim", 1))
-        vec = expr.compile_vector(spec["control"], scalars=("t",))
-        return InvertPlan(
-            rhs=tuple(spec["rhs"]), x0=tuple(float(x) for x in spec["x0"]),
-            control_dim=control_dim, matrix_dim=int(spec.get("matrix_dim", 2)),
-            designated_slot=int(spec.get("designated_slot", 0)),
-            lift_constants=bool(spec.get("lift_constants", False)),
-            u_schedule=lambda t: np.asarray(vec.fn(t), dtype=float))
+class SystemPlan:
+    system: InteractiveSystem
+    initial: np.ndarray
+    slow: SlowControl | None
+    integrate: Callable     # simulate, or coalition_simulate when coalitions are declared
 
 
 @dataclass
@@ -415,7 +152,9 @@ class VerbalizationPlan:
     omega_functionals: tuple[WindowFunctional, ...]
     v_functionals: tuple[WindowFunctional, ...]
     cells: CellComplex | None
-    recurrence: dict | None
+    recurrence: RecurrenceMap | None = None     # a declared closed form
+    fit_windows: int | None = None              # or: fit on this many windows
+    recurrence_tol: float = 1e-6
 
 
 @dataclass
@@ -427,23 +166,17 @@ class TacticsPlan:
 
 
 @dataclass
-class PipelinePlan:
-    horizon: float
-    assumed_eps: list[Callable]
-
-
-@dataclass
 class PredictionPlan:
     filter: FilterSpec | None
     family: tuple[str, ...]
-    pipeline: PipelinePlan | None
+    assumed_eps: list[Callable] | None = None   # the pipeline's, with its horizon
+    horizon: float = 0.0
 
 
 @dataclass
 class RepdynPlan:
     mode: str
-    registry: AlgebraClassRegistry
-    spec: object | None = None
+    spec: RepDynSpec | None = None
     tactical: TacticalRepDyn | None = None
     windows: tuple[float, ...] = ()
     control: Callable | None = None
@@ -460,219 +193,64 @@ class InvertPlan:
     u_schedule: Callable
 
 
-# ---------------------------------------------------------------------------
-# Builders (run after validation has passed)
-# ---------------------------------------------------------------------------
+@dataclass
+class Scenario:
+    """A loaded scenario: its run and the plans compiled from its sections."""
 
-def _system_lambda_dim(raw: dict) -> int:
-    sys_spec = raw.get("system", {})
-    if not isinstance(sys_spec, dict):
-        return 0
-    if "lambda_dim" in sys_spec:
-        return int(sys_spec["lambda_dim"])
-    tactics = raw.get("tactics")
-    if isinstance(tactics, dict):
-        theta0 = tactics.get("theta0")
-        games = tactics.get("games")
-        if theta0 is None and isinstance(games, list) and games \
-                and isinstance(games[0], dict):
-            theta0 = games[0].get("theta0")
-        if isinstance(theta0, list):
-            return len(theta0)
-    slow = sys_spec.get("slow", {})
-    if isinstance(slow, dict) and isinstance(slow.get("schedule"), list):
-        return len(slow["schedule"])
-    return 0
+    path: Path
+    title: str
+    run: RunParams
+    tolerance: float | None = None
+    plans: dict = field(default_factory=dict)
 
+    def supports(self, command: str) -> bool:
+        return command in _NEEDS and all(s in self.plans for s in _NEEDS[command])
 
-def _system_u_dim(sys_spec: dict) -> int:
-    try:
-        if sys_spec.get("coalitions"):
-            return sum(len(c["coupling"]) for c in sys_spec["coalitions"])
-        return sum(len(p["coupling"]) for p in sys_spec["players"])
-    except (KeyError, TypeError):
-        return 0
+    def supported_commands(self) -> list[str]:
+        return [c for c in COMMANDS if self.supports(c)]
 
+    def build_system(self) -> tuple[InteractiveSystem, np.ndarray, SlowControl | None]:
+        plan = self.plans["system"]
+        return plan.system, plan.initial, plan.slow
 
-def _build_player(index: int, spec: dict, dim: int, lambda_dim: int) -> Player:
-    signal_fn = expr.compile_vector(spec["signal"], scalars=("t",))
-    u0_dim = len(spec["signal"])
-    eps_spec = spec.get("epsilon")
-    if eps_spec and eps_spec.get("truth"):
-        eps_dim = len(eps_spec["truth"])
-        truth_fn = expr.compile_vector(eps_spec["truth"], scalars=("t",),
-                                       vectors={"u0": u0_dim, "phi": dim})
-        epsilon = EpsilonProcess(
-            form=lambda t, u0, phi, derivs, _f=truth_fn: _f.fn(t, u0, phi),
-            dim=eps_dim)
-    else:
-        eps_dim = 0
-        epsilon = zero_epsilon()
-    coupling_fn = expr.compile_vector(
-        spec["coupling"], scalars=("t",),
-        vectors={"u0": u0_dim, "phi": dim, "eps": eps_dim, "lambda": lambda_dim})
-    coupling = FeedbackCoupling(
-        known_form=lambda t, u0, phi, derivs, eps, lam, _f=coupling_fn:
-            _f.fn(t, u0, phi, eps, lam))
-    return Player(
-        policy=PureControlPolicy(player_index=index + 1,
-                                 signal=lambda t, _f=signal_fn: _f.fn(t),
-                                 description=spec.get("description", "")),
-        coupling=coupling, epsilon=epsilon)
+    def simulate(self) -> StateTrajectory:
+        """Integrate the declared system over the run, on the slots it declares."""
+        plan, run = self.plans["system"], self.run
+        return plan.integrate(plan.system, plan.initial, run.t0, run.t1, run.dt,
+                              slow=plan.slow)
+
+    def verbalization_plan(self) -> VerbalizationPlan:
+        return self.plans["verbalization"]
+
+    def tactics_plan(self) -> TacticsPlan:
+        return self.plans["tactics"]
+
+    def prediction_plan(self) -> PredictionPlan:
+        return self.plans["prediction"]
+
+    def repdyn_plan(self) -> RepdynPlan:
+        return self.plans["repdyn"]
+
+    def invert_plan(self) -> InvertPlan:
+        return self.plans["invert"]
 
 
-def _build_coalition(spec: dict, players: list, dim: int, lambda_dim: int) -> Coalition:
-    members = tuple(int(m) for m in spec["members"])
-    member_u0_dim = sum(len(players[m - 1]["signal"]) for m in members)
-    eps_spec = spec.get("epsilon")
-    if eps_spec and eps_spec.get("truth"):
-        eps_dim = len(eps_spec["truth"])
-        truth_fn = expr.compile_vector(eps_spec["truth"], scalars=("t",),
-                                       vectors={"u0": member_u0_dim, "phi": dim})
-        epsilon = EpsilonProcess(
-            form=lambda t, u0s, phi, derivs, _f=truth_fn:
-                _f.fn(t, [x for u in u0s for x in np.atleast_1d(u)], phi),
-            dim=eps_dim)
-    else:
-        eps_dim = 0
-        epsilon = zero_epsilon()
-    coupling_fn = expr.compile_vector(
-        spec["coupling"], scalars=("t",),
-        vectors={"u0": member_u0_dim, "phi": dim, "eps": eps_dim,
-                 "lambda": lambda_dim})
+@dataclass
+class _Context:
+    """What the section walks share: the run, the trace dimensions and earlier plans."""
 
-    def coupling(t, u0s, phi, derivs, eps, lam, _f=coupling_fn):
-        flat = [x for u in u0s for x in np.atleast_1d(u)]
-        return _f.fn(t, flat, phi, eps, lam)
-
-    return Coalition(members=members, coupling=coupling, epsilon=epsilon)
+    run: RunParams | None       # None when the run section is malformed
+    tolerance: float | None
+    sections: frozenset[str]
+    dims: dict = field(default_factory=dict)
+    plans: dict = field(default_factory=dict)
 
 
-def _system_trace_dims(sys_spec: dict) -> dict[str, int]:
-    """Flat trace dimensions of a system's recorded runs, for invariant contexts."""
-    dim = int(sys_spec["dim"])
-    slots = sys_spec.get("coalitions") or sys_spec["players"]
-    return {
-        "u": sum(len(s["coupling"]) for s in slots),
-        "u0": sum(len(p["signal"]) for p in sys_spec["players"]),
-        "eps": sum(len((s.get("epsilon") or {}).get("truth", []) or []) for s in slots),
-        "phi": dim,
-        "dphi": dim,
-    }
+def load_scenario(path, dt: float | None = None) -> Scenario:
+    """Parse a scenario file, validating and compiling every section in one walk.
 
-
-def _build_invariant(spec: dict, index: int, dims: dict[str, int]) -> InvariantConstraint:
-    fn = expr.compile_vector([spec["expression"]], scalars=("t",), vectors=dims)
-    required = int(spec.get("required_order", 0))
-
-    def evaluate(t, u, u0, eps, phi, dphi, _f=fn):
-        return _f.fn(t, u, u0, eps, phi,
-                     dphi if dphi is not None else np.zeros(0))[0]
-
-    return InvariantConstraint(fn=evaluate, label=spec.get("label", f"F{index}"),
-                               required_order=required)
-
-
-def _build_slow(spec: dict) -> SlowControl:
-    if "schedule" in spec:
-        vec = expr.compile_vector(spec["schedule"], scalars=("t",))
-        return SlowControl(schedule=lambda t, _f=vec: _f.fn(t),
-                           owner=spec.get("owner", "external"))
-    steps = tuple((int(s), tuple(float(x) for x in v)) for s, v in spec["steps"])
-    return SlowControl(schedule=steps, owner=spec.get("owner", "external"))
-
-
-def _build_cells(spec: dict) -> CellComplex:
-    cells = []
-    for c in spec["cells"]:
-        conditions = tuple(CellCondition(expression=cond["expr"], op=cond["op"])
-                           for cond in c["conditions"])
-        cells.append(Cell(label=c["label"], conditions=conditions))
-    box = tuple((float(lo), float(hi)) for lo, hi in spec["box"])
-    return CellComplex(dim=int(spec["dim"]), cells=tuple(cells), box=box)
-
-
-def _build_registry(classes: dict) -> AlgebraClassRegistry:
-    merged = dict(default_registry().classes)
-    for label, decl in classes.items():
-        if decl == "builtin":
-            continue
-        merged[label] = (AlgebraPresentation.from_strings(
-            label, decl["generators"], decl.get("relations", [])),)
-    return AlgebraClassRegistry(classes=merged)
-
-
-def _build_tuple(spec: list) -> MatrixTuple:
-    check = _Check()
-    mats = [_parse_matrix(m, f"repdyn.tuple[{k}]", check) for k, m in enumerate(spec)]
-    if check.errors:
-        raise ScenarioError(check.errors)
-    return MatrixTuple(matrices=tuple(mats))
-
-
-def _build_symbols(spec: list) -> tuple[WeylSymbol, ...]:
-    symbols = []
-    check = _Check()
-    for k, terms in enumerate(spec):
-        built = []
-        for j, term in enumerate(terms):
-            word = []
-            for letter in term.get("word", []):
-                if isinstance(letter, str) and letter.startswith("x") and letter[1:].isdigit():
-                    word.append(int(letter[1:]) - 1)
-                else:
-                    word.append(str(letter))
-            built.append(WeylTerm(
-                coefficient=_parse_complex(term.get("coeff", 1.0),
-                                           f"repdyn.symbols[{k}][{j}].coeff", check),
-                word=tuple(word), control=term.get("control")))
-        symbols.append(WeylSymbol(terms=tuple(built)))
-    if check.errors:
-        raise ScenarioError(check.errors)
-    return tuple(symbols)
-
-
-def _tactics_dims(raw: dict) -> dict:
-    verb = raw.get("verbalization", {})
-    system = raw.get("system", {})
-    if not isinstance(verb, dict) or not isinstance(system, dict):
-        return {"theta": 1, "omega": 1, "v": 1}
-    dim = system.get("dim") if isinstance(system.get("dim"), int) else 1
-    players = system.get("players") if isinstance(system.get("players"), list) else []
-    players = [p for p in players if isinstance(p, dict)]
-    eps_dim = sum(len((p.get("epsilon") or {}).get("truth", []) or []) for p in players)
-    u0_dim = sum(len(p.get("signal") or []) for p in players)
-    u_dim = _system_u_dim(system) if players else 0
-
-    def block_dim(functionals) -> int:
-        if not isinstance(functionals, list):
-            return 0
-        total = 0
-        for f in functionals:
-            source = f.get("source") if isinstance(f, dict) else None
-            total += {"eps": eps_dim, "u0": u0_dim, "u": u_dim, "state": dim}.get(source, 0)
-        return total
-
-    tactics = raw.get("tactics") if isinstance(raw.get("tactics"), dict) else {}
-    theta0 = tactics.get("theta0")
-    games = tactics.get("games")
-    if theta0 is None and isinstance(games, list) and games and isinstance(games[0], dict):
-        theta0 = games[0].get("theta0")
-    return {
-        "theta": len(theta0) if isinstance(theta0, list) else 1,
-        "omega": block_dim(verb.get("omega", [])),
-        "v": block_dim(verb.get("v", [])),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-def load_scenario(path) -> Scenario:
-    """Parse and fully validate a scenario file.
-
-    Raises :class:`ScenarioError` carrying every validation problem found.
+    ``dt`` overrides the declared step; facts that depend on the step are checked
+    under the effective one.  Raises :class:`ScenarioError` with every problem found.
     """
     path = Path(path)
     if not path.exists():
@@ -685,405 +263,553 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError([f"{path}: parse error: {where}{exc}"])
     if not isinstance(raw, dict):
         raise ScenarioError([f"{path}: scenario must be a key/value tree"])
-
     check = _Check()
-    schema = raw.get("schema")
-    if schema != SCHEMA_VERSION:
-        check.add("schema", f"unrecognized schema version {schema!r}; "
-                            f"expected {SCHEMA_VERSION}")
-    run = raw.get("run")
-    t0, t1, dt = 0.0, 1.0, 1e-3
-    if not isinstance(run, dict):
-        check.add("run", "required section {t0, t1, dt} is missing")
-    else:
-        if check.number("run.t0", run.get("t0", 0.0)):
-            t0 = float(run.get("t0", 0.0))
-        if check.number("run.t1", run.get("t1")):
-            t1 = float(run["t1"])
-        if check.number("run.dt", run.get("dt"), positive=True):
-            dt = float(run["dt"])
-        if t1 <= t0:
-            check.add("run", f"t1 ({t1!r}) must exceed t0 ({t0!r})")
-
-    if "system" in raw:
-        _validate_system(raw, check)
-    if "verbalization" in raw:
-        _validate_verbalization(raw, check)
-    if "tactics" in raw:
-        _validate_tactics(raw, check)
-    if "prediction" in raw:
-        _validate_prediction(raw, check)
-    if "repdyn" in raw:
-        _validate_repdyn(raw, check)
-    if "invert" in raw:
-        _validate_invert(raw, check)
-    if not any(s in raw for s in ("system", "repdyn", "invert")):
-        check.add("scenario", "no runnable section (system, repdyn or invert) declared")
-
+    check.require("schema", raw.get("schema") == SCHEMA_VERSION,
+                  f"unrecognized schema version {raw.get('schema')!r}; "
+                  f"expected {SCHEMA_VERSION}")
+    tolerance = raw.get("tolerance")
+    if tolerance is not None and not check.number("tolerance", tolerance, positive=True):
+        tolerance = None
+    ctx = _Context(run=_run(raw.get("run"), dt, check), tolerance=tolerance,
+                   sections=frozenset(k for k in raw if k in _WALKS))
+    # The comment dimension: the length of the first declared theta0.
+    tactics = raw.get("tactics") if isinstance(raw.get("tactics"), dict) else {}
+    games = tactics.get("games") if isinstance(tactics.get("games"), list) else []
+    first = games[0] if tactics.get("theta0") is None and games else tactics
+    theta0 = first.get("theta0") if isinstance(first, dict) else None
+    ctx.dims["theta"] = len(theta0) if isinstance(theta0, list) else None
+    for name, walk in _WALKS.items():
+        needs_system = name in ("verbalization", "tactics", "prediction")
+        if name not in raw or not check.mapping(name, raw[name]) or needs_system and not (
+                check.require(name, "system" in raw, "needs a system section")
+                and "phi" in ctx.dims):     # else the system section's own errors stand
+            continue
+        ctx.plans[name] = walk(raw[name], ctx, check)
+    check.require("scenario", ctx.sections & {"system", "repdyn", "invert"},
+                  "no runnable section (system, repdyn or invert) declared")
     if check.errors:
         raise ScenarioError([f"{path.name}: {e}" for e in check.errors])
-    tolerance = raw.get("tolerance")
-    return Scenario(path=path, raw=raw, title=str(raw.get("title", path.stem)),
-                    run=RunParams(t0=t0, t1=t1, dt=dt),
-                    tolerance=float(tolerance) if tolerance is not None else None)
+    return Scenario(path=path, title=str(raw.get("title", path.stem)), run=ctx.run,
+                    tolerance=float(tolerance) if tolerance is not None else None,
+                    plans=ctx.plans)
 
 
-def _validate_system(raw: dict, check: _Check) -> None:
-    spec = raw["system"]
-    if not isinstance(spec, dict):
-        check.add("system", "expected a mapping")
-        return
-    dim = spec.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        check.add("system.dim", f"expected a positive integer, got {dim!r}")
-        return
+def _run(spec, dt, check: _Check) -> RunParams | None:
+    """The run interval at the effective step (the declared one unless ``dt`` is given)."""
+    if not check.require("run", isinstance(spec, dict), "required section {t0, t1, dt} is missing"):
+        return None
+    t0, t1 = spec.get("t0", 0.0), spec.get("t1")
+    ok = check.number("run.t0", t0) & check.number("run.t1", t1)
+    ok &= check.number("run.dt", spec.get("dt"), positive=True)
+    if not ok or dt is not None and not check.number("--dt", dt, positive=True):
+        return None
+    run = RunParams(t0=float(t0), t1=float(t1), dt=float(spec["dt"] if dt is None else dt))
+    if not check.require("run", run.t1 > run.t0, f"t1 ({run.t1!r}) must exceed t0 ({run.t0!r})"):
+        return None
+    return run if check.require("run.dt", whole_steps(run.t0, run.t1, run.dt),
+                                f"t1 - t0 = {run.t1 - run.t0!r} is not a whole number of "
+                                f"steps of dt {run.dt!r}") else None
+
+
+def _as_grid(spec, path: str, check: _Check) -> list[float] | None:
+    if isinstance(spec, list):
+        if not check.vector(path, spec) or not check.require(
+                path, len(spec) >= 2 and all(b > a for a, b in zip(spec, spec[1:])),
+                "window grid must be strictly increasing with >= 2 points"):
+            return None
+        return [float(x) for x in spec]
+    if not check.require(path, isinstance(spec, dict),
+                         "expected a list of times or {start, stop, count}"):
+        return None
+    start, stop, count = spec.get("start"), spec.get("stop"), spec.get("count")
+    ok = check.number(f"{path}.start", start) & check.number(f"{path}.stop", stop)
+    if not check.integer(f"{path}.count", count) or not ok \
+            or not check.require(path, stop > start, "stop must exceed start"):
+        return None
+    return list(np.linspace(start, stop, count + 1))
+
+
+def _parse_complex(value, path: str, check: _Check) -> complex:
+    pair = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+    if check.require(path, pair or _is_number(value),
+                     f"expected a number or [re, im] pair, got {value!r}"):
+        return complex(*value) if pair else complex(value)
+    return 0j
+
+
+def _parse_matrix(value, path: str, check: _Check) -> np.ndarray | None:
+    if not check.require(path, isinstance(value, list) and value, "expected a nested list matrix"):
+        return None
+    start, n = len(check.errors), len(value)
+    out = np.zeros((n, n), dtype=complex)
+    for r, row in enumerate(value):
+        if not check.require(f"{path}[{r}]", isinstance(row, list) and len(row) == n,
+                             f"expected a row of {n} entries"):
+            return None
+        for c, cell in enumerate(row):
+            out[r, c] = _parse_complex(cell, f"{path}[{r}][{c}]", check)
+    return out if len(check.errors) == start else None
+
+
+def _functionals(spec, path: str, check: _Check) -> tuple[WindowFunctional, ...] | None:
+    if not check.require(path, isinstance(spec, list) and spec,
+                         "expected a nonempty list of {kind, source} entries"):
+        return None
+    out = tuple(check.build(base, WindowFunctional, kind=item.get("kind", ""),
+                            source=item.get("source", ""))
+                for _, base, item in check.entries(path, spec))
+    return out if None not in out and len(out) == len(spec) else None
+
+
+def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
+    """Walk the system section; record the trace dimensions of its runs in ``ctx.dims``."""
+    start, dim, players = len(check.errors), spec.get("dim"), spec.get("players")
+    if not check.integer("system.dim", dim):
+        return None
     check.vector("system.initial", spec.get("initial"), dim)
-    players = spec.get("players")
-    if not isinstance(players, list) or not players:
-        check.add("system.players", "at least one player is required")
-        return
-    lambda_dim = _system_lambda_dim(raw)
-    for k, p in enumerate(players):
-        base = f"system.players[{k}]"
-        if not isinstance(p, dict):
-            check.add(base, "expected a mapping")
-            continue
-        check.expressions(f"{base}.signal", p.get("signal"), scalars=("t",))
-        u0_dim = len(p.get("signal") or [1])
-        eps_dim = 0
-        eps_spec = p.get("epsilon")
-        if eps_spec is not None:
-            if not isinstance(eps_spec, dict):
-                check.add(f"{base}.epsilon", "expected a mapping")
-            else:
-                check.expressions(f"{base}.epsilon.truth", eps_spec.get("truth"),
-                                  scalars=("t",), vectors={"u0": u0_dim, "phi": dim})
-                eps_dim = len(eps_spec.get("truth") or [])
-                if "box" in eps_spec:
-                    box = eps_spec["box"]
-                    if (not isinstance(box, list) or len(box) != eps_dim
-                            or not all(isinstance(b, list) and len(b) == 2 for b in box)):
-                        check.add(f"{base}.epsilon.box",
-                                  "expected one [lo, hi] pair per component")
-        check.expressions(f"{base}.coupling", p.get("coupling"), scalars=("t",),
-                          vectors={"u0": u0_dim, "phi": dim, "eps": eps_dim,
-                                   "lambda": lambda_dim})
-    for k, c in enumerate(spec.get("coalitions", [])):
-        base = f"system.coalitions[{k}]"
+    if not check.require("system.players", isinstance(players, list) and players,
+                         "at least one player is required"):
+        return None
+    slow, lam = _slow(spec["slow"], check) if "slow" in spec else (None, 0)
+    # A declared lambda_dim wins; else a commented run feeds its comment as slow parameter.
+    lam = spec.get("lambda_dim", lam if ctx.dims["theta"] is None else ctx.dims["theta"])
+    lam = lam if check.integer("system.lambda_dim", lam, low=0) else 0
+    u0_dims = [_length(p.get("signal")) if isinstance(p, dict) else 0 for p in players]
+    built, player_slots = [], []
+    for k, base, p in check.entries("system.players", players):
+        signal = check.expressions(f"{base}.signal", p.get("signal"), ("t",))
+        truth, coupling, slot = _slot(base, p, u0_dims[k], dim, lam, check)
+        player_slots.append(slot)
+        if signal and coupling:
+            built.append(Player(
+                PureControlPolicy(k + 1, lambda t, _f=signal.fn: _f(t)),
+                FeedbackCoupling(lambda t, u0, phi, derivs, eps, lam, _f=coupling.fn:
+                                 _f(t, u0, phi, eps, lam)),
+                zero_epsilon() if truth is None else EpsilonProcess(
+                    lambda t, u0, phi, derivs, _f=truth.fn: _f(t, u0, phi), truth.dim)))
+    coalitions, by_players = spec.get("coalitions", []), ctx.sections & {"tactics", "prediction"}
+    check.require("system.coalitions", not (coalitions and by_players),
+                  f"coalitions cannot be combined with a {' or '.join(sorted(by_players))} "
+                  "section, which integrates player slots")
+    built_coalitions, coalition_slots = [], []
+    for k, base, c in check.entries("system.coalitions", coalitions):
         members = c.get("members")
-        if not isinstance(members, list) or not members:
-            check.add(f"{base}.members", "expected a nonempty list of player indices")
+        if not check.require(f"{base}.members", isinstance(members, list) and members and all(
+                isinstance(m, int) and 1 <= m <= len(players) for m in members),
+                f"expected a nonempty list of player indices in [1..{len(players)}]"):
             continue
-        for m in members:
-            if not isinstance(m, int) or not 1 <= m <= len(players):
-                check.add(f"{base}.members", f"player index {m!r} outside [1..{len(players)}]")
-        member_u0 = sum(len(players[m - 1].get("signal", [])) for m in members
-                        if isinstance(m, int) and 1 <= m <= len(players))
-        eps_dim = len((c.get("epsilon") or {}).get("truth", []) or [])
-        check.expressions(f"{base}.coupling", c.get("coupling"), scalars=("t",),
-                          vectors={"u0": member_u0, "phi": dim, "eps": eps_dim,
-                                   "lambda": lambda_dim})
-    u_dim = _system_u_dim(spec) if all(
-        isinstance(p, dict) and isinstance(p.get("coupling"), list) for p in players) else 1
-    omega_dim = int(spec.get("omega_dim", 0))
-    check.expressions("system.dynamics", spec.get("dynamics"), scalars=("t",),
-                      vectors={"phi": dim, "u": u_dim, "lambda": lambda_dim,
-                               "omega": omega_dim})
-    if len(spec.get("dynamics") or []) not in (0, dim):
-        check.add("system.dynamics", f"expected {dim} component expressions")
-    try:
-        trace_dims = _system_trace_dims(spec)
-    except (KeyError, TypeError):
-        trace_dims = {"u": 64, "u0": 64, "eps": 64, "phi": dim, "dphi": dim}
-    for k, inv in enumerate(spec.get("invariants", [])):
-        check.expression(f"system.invariants[{k}].expression", inv.get("expression"),
-                         scalars=("t",), vectors=trace_dims)
-    if "slow" in spec:
-        slow = spec["slow"]
-        if "schedule" in slow:
-            check.expressions("system.slow.schedule", slow.get("schedule"), scalars=("t",))
-        elif "steps" not in slow:
-            check.add("system.slow", "needs either a schedule or steps")
+        truth, coupling, slot = _slot(base, c, sum(u0_dims[m - 1] for m in members), dim,
+                                      lam, check)
+        coalition_slots.append(slot)
+        if coupling:
+            # Coalition forms see their members' pure controls as one flat vector.
+            built_coalitions.append(Coalition(
+                tuple(members), lambda t, u0s, phi, derivs, eps, lam, _f=coupling.fn:
+                    _f(t, [x for u in u0s for x in np.atleast_1d(u)], phi, eps, lam),
+                zero_epsilon() if truth is None else EpsilonProcess(
+                    lambda t, u0s, phi, derivs, _f=truth.fn:
+                        _f(t, [x for u in u0s for x in np.atleast_1d(u)], phi), truth.dim)))
+    slots, dims = coalition_slots if coalitions else player_slots, ctx.dims
+    dims.update(u=sum(u for u, _ in slots), u0=sum(u0_dims), eps=sum(e for _, e in slots),
+                phi=dim)
+    dyn = check.expressions("system.dynamics", spec.get("dynamics"), ("t",),
+                            {"phi": dim, "u": dims["u"], "lambda": lam, "omega": 0})
+    check.require("system.dynamics", dyn is None or dyn.dim == dim,
+                  f"expected {dim} component expressions")
+    trace = {"u": dims["u"], "u0": dims["u0"], "eps": dims["eps"], "phi": dim, "dphi": dim}
+    invariants = []
+    for k, base, inv in check.entries("system.invariants", spec.get("invariants", [])):
+        order, src = inv.get("required_order", 0), inv.get("expression")
+        check.integer(f"{base}.required_order", order, low=0)
+        if check.expression(f"{base}.expression", src, ("t",), trace):
+            fn = expr.compile_expression(src, ("t",), trace)
+            invariants.append(InvariantConstraint(
+                fn=lambda t, u, u0, eps, phi, dphi, _f=fn:
+                    _f(t, u, u0, eps, phi, dphi if dphi is not None else np.zeros(0)),
+                label=inv.get("label", f"F{k}"), required_order=order))
+    if len(check.errors) > start:
+        return None
+
+    def dynamics(t, phi, controls, lam, omega, _f=dyn.fn):
+        flat = [x for slot in controls for x in np.atleast_1d(slot)]
+        return _f(t, phi, flat, lam, omega)
+
+    system = check.build("system", InteractiveSystem, dim=dim, dynamics=dynamics,
+                         players=tuple(built), coalitions=tuple(built_coalitions),
+                         invariant_constraints=tuple(invariants))
+    integrate = coalition_simulate if coalitions else simulate
+    return system and SystemPlan(system=system, slow=slow, integrate=integrate,
+                                 initial=np.asarray(spec["initial"], dtype=float))
 
 
-def _validate_verbalization(raw: dict, check: _Check) -> None:
-    spec = raw["verbalization"]
-    if not isinstance(spec, dict):
-        check.add("verbalization", "expected a mapping")
-        return
-    _as_grid(spec.get("windows"), "verbalization.windows", check)
+def _slot(path: str, spec: dict, u0_dim: int, dim: int, lam: int, check: _Check):
+    """A player's or coalition's compiled truth and coupling, and (control, eps) sizes."""
+    eps, truth, eps_dim = spec.get("epsilon"), None, 0
+    if eps is not None and check.mapping(f"{path}.epsilon", eps):
+        truth = check.expressions(f"{path}.epsilon.truth", eps.get("truth"), ("t",),
+                                  {"u0": u0_dim, "phi": dim})
+        eps_dim = _length(eps.get("truth"))
+    coupling = check.expressions(f"{path}.coupling", spec.get("coupling"), ("t",),
+                                 {"u0": u0_dim, "phi": dim, "eps": eps_dim, "lambda": lam})
+    return truth, coupling, (_length(spec.get("coupling")), eps_dim)
+
+
+def _slow(spec, check: _Check) -> tuple[SlowControl | None, int]:
+    """The external slow parameter and the dimension its schedule implies."""
+    if isinstance(spec, dict) and "schedule" in spec:
+        vec = check.expressions("system.slow.schedule", spec["schedule"], ("t",))
+        return vec and SlowControl(schedule=lambda t, _f=vec.fn: _f(t)), _length(spec["schedule"])
+    steps = spec.get("steps") if isinstance(spec, dict) else None
+    if not check.require("system.slow", isinstance(steps, list) and all(
+            isinstance(s, list) and len(s) == 2 and isinstance(s[0], int)
+            and isinstance(s[1], list) and all(map(_is_number, s[1])) for s in steps),
+            "needs either a schedule or steps [[index, [values]], ...]"):
+        return None, 0
+    schedule = tuple((int(s), tuple(float(x) for x in v)) for s, v in steps)
+    return check.build("system.slow.steps", SlowControl, schedule=schedule), 0
+
+
+def _verbalization(spec: dict, ctx: _Context, check: _Check) -> VerbalizationPlan | None:
+    """Walk the verbalization section; record the window summary sizes in ``ctx.dims``."""
+    start, run, dims = len(check.errors), ctx.run, ctx.dims
+    grid = _as_grid(spec.get("windows"), "verbalization.windows", check)
+    off_grid = [float(x) for x in grid or () if run is not None and not run.on_grid(x)]
+    check.require("verbalization.windows", not off_grid, f"window points {off_grid} are "
+                  f"not samples of the run at dt {run and run.dt!r}")
     omega = _functionals(spec.get("omega"), "verbalization.omega", check)
-    _functionals(spec.get("v"), "verbalization.v", check)
-    if "cells" in spec:
-        cells = spec["cells"]
-        if not isinstance(cells, dict):
-            check.add("verbalization.cells", "expected a mapping")
-        else:
-            dim = cells.get("dim")
-            if not isinstance(dim, int) or dim < 1:
-                check.add("verbalization.cells.dim", f"expected a positive integer, got {dim!r}")
-            box = cells.get("box")
-            if not isinstance(box, list) or (isinstance(dim, int) and len(box) != dim):
-                check.add("verbalization.cells.box", "expected one [lo, hi] pair per axis")
-            for k, c in enumerate(cells.get("cells", [])):
-                base = f"verbalization.cells.cells[{k}]"
-                if not isinstance(c.get("label"), str):
-                    check.add(f"{base}.label", "expected a string label")
-                for j, cond in enumerate(c.get("conditions", [])):
-                    if cond.get("op") not in ("<", "<=", ">", ">="):
-                        check.add(f"{base}.conditions[{j}].op",
-                                  f"unknown comparison {cond.get('op')!r}")
-                    check.expression(f"{base}.conditions[{j}].expr", cond.get("expr"),
-                                     vectors={"eps": dim if isinstance(dim, int) else 64})
-            if isinstance(cells.get("cells"), list) and isinstance(dim, int):
-                try:
-                    built = _build_cells(cells)
-                    for problem in built.coverage_errors(points_per_axis=5):
-                        check.add("verbalization.cells", problem)
-                except (ConfigurationError, ExpressionError, KeyError, TypeError):
-                    pass  # structural errors already recorded above
-    if "recurrence" in spec:
-        rec = spec["recurrence"]
-        family = rec.get("family")
-        if family not in ("declared", "fit"):
-            check.add("verbalization.recurrence.family",
-                      f"expected 'declared' or 'fit', got {family!r}")
-        if family == "declared":
-            dims = _tactics_dims(raw)
-            check.expressions("verbalization.recurrence.expression", rec.get("expression"),
-                              vectors={"omega": dims["omega"], "v": dims["v"]})
-        if family == "fit" and omega is not None:
-            if not isinstance(rec.get("fit_windows"), int):
-                check.add("verbalization.recurrence.fit_windows", "expected an integer")
+    v = _functionals(spec.get("v"), "verbalization.v", check)
+    sizes = {"eps": dims["eps"], "u0": dims["u0"], "u": dims["u"], "state": dims["phi"]}
+    dims.update(omega=sum(sizes[f.source] for f in omega or ()),
+                v=sum(sizes[f.source] for f in v or ()))
+    cells = _cells(spec["cells"], check) if "cells" in spec else None
+    recurrence, rec = {}, spec.get("recurrence")
+    if "recurrence" in spec and check.mapping("verbalization.recurrence", rec):
+        recurrence = _recurrence(rec, dims, len(grid or ()) - 1, check)
+    if len(check.errors) > start:
+        return None
+    return VerbalizationPlan(grid=tuple(grid), omega_functionals=omega, v_functionals=v,
+                             cells=cells, **recurrence)
 
 
-def _validate_tactics(raw: dict, check: _Check) -> None:
-    spec = raw["tactics"]
-    if not isinstance(spec, dict):
-        check.add("tactics", "expected a mapping")
-        return
-    if "verbalization" not in raw:
-        check.add("tactics", "a tactics scenario needs a verbalization section")
-        return
-    mode = spec.get("mode", "commented")
-    if mode not in ("commented", "interaction", "synthesis"):
-        check.add("tactics.mode", f"unknown mode {mode!r}")
-        return
-    dims = _tactics_dims(raw)
-    rule_vectors = {"theta": dims["theta"], "omega": dims["omega"], "v": dims["v"]}
-    if mode == "commented":
-        check.vector("tactics.theta0", spec.get("theta0"))
-        check.expressions("tactics.rule", spec.get("rule"), vectors=rule_vectors)
-        if isinstance(spec.get("theta0"), list) and isinstance(spec.get("rule"), list):
-            if len(spec["rule"]) != len(spec["theta0"]):
-                check.add("tactics.rule", "one expression per comment component")
-        return
-    games = spec.get("games")
-    if not isinstance(games, list) or len(games) < 2:
-        check.add("tactics.games", "expected at least two game declarations")
-        return
-    if mode == "interaction" and len(games) != 2:
-        check.add("tactics.games", "interaction couples exactly two games")
-        return
-    for k, g in enumerate(games):
-        base = f"tactics.games[{k}]"
-        check.vector(f"{base}.theta0", g.get("theta0"))
-        if mode == "interaction":
-            check.expressions(f"{base}.rule", g.get("rule"), vectors=rule_vectors)
-            check.expressions(f"{base}.interaction", g.get("interaction"),
-                              vectors=dict(rule_vectors, other=rule_vectors["theta"]))
-        else:
+def _recurrence(spec: dict, dims: dict, n_windows: int, check: _Check) -> dict:
+    path, tol, family = "verbalization.recurrence", spec.get("tol", 1e-6), spec.get("family")
+    if not check.number(f"{path}.tol", tol, positive=True) or not check.require(
+            f"{path}.family", family in ("declared", "fit"),
+            f"expected 'declared' or 'fit', got {family!r}"):
+        return {}
+    if family == "declared":
+        fn = check.expressions(f"{path}.expression", spec.get("expression"), (),
+                               {"omega": dims["omega"], "v": dims["v"]})
+        return fn and {"recurrence_tol": float(tol), "recurrence": RecurrenceMap(
+            family="declared", form=lambda om, v, window, _f=fn.fn: _f(om, v))} or {}
+    k, low = spec.get("fit_windows"), dims["omega"] + dims["v"] + 1
+    check.require(f"{path}.fit_windows", isinstance(k, int) and low <= k < n_windows,
+                  f"expected an integer in [{low}..{n_windows - 1}]: one window per fitted "
+                  f"coefficient, and two left to verify, got {k!r}")
+    return {"fit_windows": k, "recurrence_tol": float(tol)}
+
+
+def _cells(spec, check: _Check) -> CellComplex | None:
+    path = "verbalization.cells"
+    if not check.mapping(path, spec):
+        return None
+    start, dim, box = len(check.errors), spec.get("dim"), spec.get("box")
+    dim_ok = check.integer(f"{path}.dim", dim)
+    check.require(f"{path}.box", isinstance(box, list) and (not dim_ok or len(box) == dim)
+                  and all(isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
+                          for b in box), "expected one [lo, hi] pair per axis")
+    cells = []
+    for _, base, c in check.entries(f"{path}.cells", spec.get("cells")):
+        check.require(f"{base}.label", isinstance(c.get("label"), str), "expected a string label")
+        conditions = []
+        for _, where, cond in check.entries(f"{base}.conditions", c.get("conditions", [])):
+            op = cond.get("op")
+            op_ok = check.require(f"{where}.op", op in ("<", "<=", ">", ">="),
+                                  f"unknown comparison {op!r}")
+            if dim_ok and check.expression(f"{where}.expr", cond.get("expr"),
+                                           vectors={"eps": dim}) and op_ok:
+                conditions.append(CellCondition(expression=cond["expr"], op=op))
+        cells.append(Cell(label=c.get("label"), conditions=tuple(conditions)))
+    if len(check.errors) > start:
+        return None
+    complex_ = check.build(path, CellComplex, dim=dim, cells=tuple(cells),
+                           box=tuple((float(lo), float(hi)) for lo, hi in box))
+    for problem in complex_ and check.build(path, complex_.coverage_errors, 5) or ():
+        check.add(path, problem)
+    return complex_
+
+
+def _tactics(spec: dict, ctx: _Context, check: _Check) -> TacticsPlan | None:
+    mode, games, dims = spec.get("mode", "commented"), spec.get("games"), ctx.dims
+    n = 1 if mode == "commented" else _length(games)
+    if not (check.require("tactics", "verbalization" in ctx.sections,
+                          "a tactics scenario needs a verbalization section")
+            and check.require("tactics.mode", mode in ("commented", "interaction", "synthesis"),
+                              f"unknown mode {mode!r}")
+            and check.require("tactics.games", mode == "commented" or n >= 2,
+                              "expected at least two game declarations")
+            and check.require("tactics.games", mode != "interaction" or n == 2,
+                              "interaction couples exactly two games")):
+        return None
+    start = len(check.errors)
+    entries = check.entries("tactics.games", games) if n > 1 else [(0, "tactics", spec)]
+    theta, omega, v = dims["theta"] or 0, dims.get("omega", 0), dims.get("v", 0)
+    rule_vectors = {"theta": theta, "omega": omega, "v": v}
+    form_vectors = {f"{name}{i}": rule_vectors[name]
+                    for i in range(1, n + 1) for name in ("theta", "omega", "v")}
+    rules, terms, forms = [], [], []
+    for _, base, g in entries:
+        check.vector(f"{base}.theta0", g.get("theta0"), dims["theta"])
+        if mode == "synthesis":
+            # A game's synthesis form may read only the games of its mask.
             mask = g.get("mask")
-            if not isinstance(mask, list) or not mask:
-                check.add(f"{base}.mask", "expected a list of 1-based game indices")
-                continue
-            for idx in mask:
-                if not isinstance(idx, int) or not 1 <= idx <= len(games):
-                    check.add(f"{base}.mask", f"game index {idx!r} outside [1..{len(games)}]")
-            vectors = {}
-            for idx in range(1, len(games) + 1):
-                vectors[f"theta{idx}"] = rule_vectors["theta"]
-                vectors[f"omega{idx}"] = rule_vectors["omega"]
-                vectors[f"v{idx}"] = rule_vectors["v"]
-            if check.expressions(f"{base}.form", g.get("form"), vectors=vectors):
-                allowed = {int(i) for i in mask if isinstance(i, int)}
-                for src in g["form"]:
-                    for name, _ in expr.variables(src):
-                        idx = int("".join(ch for ch in name if ch.isdigit()) or 0)
-                        if idx not in allowed:
-                            check.add(f"{base}.form",
-                                      f"variable {name!r} reads game {idx}, outside "
-                                      f"the declared mask {sorted(allowed)}")
-
-
-def _validate_prediction(raw: dict, check: _Check) -> None:
-    spec = raw["prediction"]
-    if not isinstance(spec, dict):
-        check.add("prediction", "expected a mapping")
-        return
-    if "filter" in spec:
-        f = spec["filter"]
-        kind = f.get("kind", "lowpass")
-        if kind not in ("lowpass", "bands"):
-            check.add("prediction.filter.kind", f"unknown kind {kind!r}")
-        if kind == "lowpass":
-            check.number("prediction.filter.cutoff", f.get("cutoff"), positive=True)
-        if kind == "bands" and not f.get("bands"):
-            check.add("prediction.filter.bands", "expected a finite frequency set")
-    system = raw.get("system", {})
-    dim = system.get("dim", 1) if isinstance(system, dict) else 1
-    for k, src in enumerate(spec.get("family", [])):
-        check.expression(f"prediction.family[{k}]", src,
-                         vectors={"phi": dim if isinstance(dim, int) else 64, "u0": 64})
-    if "pipeline" in spec:
-        p = spec["pipeline"]
-        check.number("prediction.pipeline.horizon", p.get("horizon"))
-        assumed = p.get("assumed_eps")
-        if not isinstance(assumed, list) or not assumed:
-            check.add("prediction.pipeline.assumed_eps",
-                      "expected one signal declaration per hidden-parameter slot")
-        else:
-            for k, sources in enumerate(assumed):
-                check.expressions(f"prediction.pipeline.assumed_eps[{k}]", sources,
-                                  scalars=("t",))
-
-
-def _validate_repdyn(raw: dict, check: _Check) -> None:
-    spec = raw["repdyn"]
-    if not isinstance(spec, dict):
-        check.add("repdyn", "expected a mapping")
-        return
-    known_classes = set(default_registry().labels())
-    for label, decl in (spec.get("classes") or {}).items():
-        if decl == "builtin":
-            if label not in known_classes:
-                check.add(f"repdyn.classes.{label}", "not a builtin class")
+            form = check.require(f"{base}.mask", isinstance(mask, list) and mask and all(
+                isinstance(i, int) and 1 <= i <= n for i in mask),
+                f"expected a list of 1-based game indices in [1..{n}]") and check.expressions(
+                f"{base}.form", g.get("form"), (), form_vectors)
+            forms.append(form)
+            for name, _ in sorted(set().union(*map(expr.variables, g["form"])), key=str) \
+                    if form else ():
+                idx = int("".join(ch for ch in name if ch.isdigit()) or 0)
+                check.require(f"{base}.form", idx in mask, f"variable {name!r} reads game "
+                              f"{idx}, outside the declared mask {sorted(set(mask))}")
             continue
-        if not isinstance(decl, dict) or not isinstance(decl.get("generators"), int):
-            check.add(f"repdyn.classes.{label}", "expected {generators, relations}")
-            continue
-        known_classes.add(label)
-        for k, rel in enumerate(decl.get("relations", [])):
-            try:
-                from .algebra import parse_relation
-                parse_relation(rel, decl["generators"])
-            except (ExpressionError, ConfigurationError) as exc:
-                check.add(f"repdyn.classes.{label}.relations[{k}]", str(exc))
-    if not isinstance(spec.get("tuple"), list) or not spec["tuple"]:
-        check.add("repdyn.tuple", "expected a list of matrices")
-    else:
-        for k, m in enumerate(spec["tuple"]):
-            _parse_matrix(m, f"repdyn.tuple[{k}]", check)
-    mode = spec.get("mode", "integrate")
-    if mode not in ("integrate", "tactical"):
-        check.add("repdyn.mode", f"unknown mode {mode!r}")
-        return
+        rules.append(check.expressions(f"{base}.rule", g.get("rule"), (), rule_vectors))
+        check.require(f"{base}.rule", _length(g.get("rule")) in (0, theta),
+                      "one expression per comment component")
+        if mode == "interaction":
+            other = {"theta": theta, "other": theta, "omega": omega, "v": v}
+            terms.append(check.expressions(f"{base}.interaction", g.get("interaction"), (), other))
+    system, verb, run = ctx.plans.get("system"), ctx.plans.get("verbalization"), ctx.run
+    if len(check.errors) > start or system is None or verb is None or run is None:
+        return None
+    # A synthesis rule advances its games; they carry no comment rule of their own.
+    plays = [CommentedGame(system=system.system, initial=system.initial, dt=run.dt,
+                           omega_functionals=verb.omega_functionals,
+                           v_functionals=verb.v_functionals, window_grid=verb.grid,
+                           rule=rule and CommentRule(update=lambda th, om, v, _f=rule.fn:
+                                                     _f(th, om, v)),
+                           theta0=np.asarray(g["theta0"], dtype=float))
+             for (_, _, g), rule in zip(entries, rules or [None] * n)]
+    if mode != "synthesis":
+        return TacticsPlan(mode=mode, games=plays, terms=[
+            InteractionTerm(form=lambda own, other, om, v, _f=t.fn: _f(own, other, om, v))
+            for t in terms])
+    zeros = (np.zeros(theta), np.zeros(omega), np.zeros(v))
+    masks = tuple(frozenset(i - 1 for i in g["mask"]) for _, _, g in entries)
+    # A form reads (theta, omega, v) of each game in its mask, and zeros for the others.
+    rule = check.build("tactics.games", SynthesisRule, masks=masks, forms=tuple(
+        lambda th, om, vs, _f=f.fn, _m=m: _f(*[x[i] if i in _m else zero for i in range(n)
+                                               for x, zero in zip((th, om, vs), zeros)])
+        for f, m in zip(forms, masks)))
+    return rule and TacticsPlan(mode=mode, games=plays, synthesis=rule)
+
+
+def _prediction(spec: dict, ctx: _Context, check: _Check) -> PredictionPlan | None:
+    start, dims, run, filter_spec = len(check.errors), ctx.dims, ctx.run, None
+    f, family = spec.get("filter"), spec.get("family", [])
+    if "filter" in spec and check.mapping("prediction.filter", f):
+        cutoff, half, bands = f.get("cutoff"), f.get("band_halfwidth"), f.get("bands", [])
+        ok = cutoff is None or check.number("prediction.filter.cutoff", cutoff, positive=True)
+        ok &= check.vector("prediction.filter.bands", bands) and (
+            half is None or check.number("prediction.filter.band_halfwidth", half, True))
+        filter_spec = ok and check.build("prediction.filter", FilterSpec, cutoff=cutoff,
+                                         kind=f.get("kind", "lowpass"), bands=tuple(bands),
+                                         band_halfwidth=half)
+    if not check.require("prediction.family", isinstance(family, list),
+                         "expected a list of expression strings"):
+        family = []
+    for k, src in enumerate(family):
+        # Regressors read the state and the filtered controls, one per control column.
+        check.expression(f"prediction.family[{k}]", src, (), {"phi": dims["phi"], "u0": dims["u"]})
+    pipe, path, horizon, signals = spec.get("pipeline"), "prediction.pipeline", 0.0, None
+    if "pipeline" in spec and check.mapping(path, pipe):
+        horizon, assumed, system = pipe.get("horizon"), pipe.get("assumed_eps"), ctx.plans["system"]
+        if check.number(f"{path}.horizon", horizon) and horizon > 0 and run is not None:
+            check.require(f"{path}.horizon", whole_steps(0.0, horizon, run.dt),
+                          f"horizon {horizon!r} is not a whole number of steps of dt {run.dt!r}")
+        slots = len(system.system.players) if system is not None else _length(assumed)
+        if check.require(f"{path}.assumed_eps", isinstance(assumed, list) and assumed and len(
+                assumed) == slots, "expected one signal declaration per hidden-parameter slot"):
+            signals = [check.expressions(f"{path}.assumed_eps[{k}]", sources, ("t",))
+                       for k, sources in enumerate(assumed)]
+    if len(check.errors) > start:
+        return None
+    return PredictionPlan(filter=filter_spec or None, family=tuple(family), horizon=float(horizon),
+                          assumed_eps=signals and [lambda t, _v=vec: np.asarray(_v.fn(t), dtype=float)
+                                                   for vec in signals])
+
+
+def _repdyn(spec: dict, ctx: _Context, check: _Check) -> RepdynPlan | None:
+    start, mode = len(check.errors), spec.get("mode", "integrate")
+    registry = _registry(spec.get("classes", {}), check)
+    mats, initial = spec.get("tuple"), None
+    if check.require("repdyn.tuple", isinstance(mats, list) and mats,
+                     "expected a list of matrices"):
+        parsed = [_parse_matrix(m, f"repdyn.tuple[{k}]", check) for k, m in enumerate(mats)]
+        if all(m is not None for m in parsed):
+            initial = check.build("repdyn.tuple", MatrixTuple, matrices=tuple(parsed))
+    if not check.require("repdyn.mode", mode in ("integrate", "tactical"),
+                         f"unknown mode {mode!r}"):
+        return None
+    control, control_dim = None, _length(spec.get("control"))
     if "control" in spec:
-        check.expressions("repdyn.control", spec.get("control"), scalars=("t",))
-
-    def check_constants(path, constants):
-        for name, mat in (constants or {}).items():
-            _parse_matrix(mat, f"{path}.{name}", check)
-
-    def check_symbols(path, symbols):
-        if not isinstance(symbols, list) or not symbols:
-            check.add(path, "expected one term list per tuple slot")
-            return
-        for k, terms in enumerate(symbols):
-            if not isinstance(terms, list):
-                check.add(f"{path}[{k}]", "expected a list of terms")
-                continue
-            for j, term in enumerate(terms):
-                if not isinstance(term, dict):
-                    check.add(f"{path}[{k}][{j}]", "expected a term mapping")
-                    continue
-                word = term.get("word", [])
-                if not isinstance(word, list) or len(word) > 3:
-                    check.add(f"{path}[{k}][{j}].word",
-                              "expected a letter list of degree <= 3")
-                control = term.get("control")
-                if control is not None and (not isinstance(control, int) or control < 0
-                                            or control >= len(spec.get("control") or [])):
-                    check.add(f"{path}[{k}][{j}].control",
-                              f"control index {control!r} outside the declared schedule")
-
+        vec = check.expressions("repdyn.control", spec["control"], ("t",))
+        control = vec and (lambda t, _v=vec: np.asarray(_v.fn(t), dtype=float))
+    tol, threshold = spec.get("tolerance", ctx.tolerance or 1e-9), spec.get("threshold", 1e-5)
+    if check.number("repdyn.tolerance", tol, True) & check.number("repdyn.threshold", threshold,
+                                                                   True):
+        tol, threshold = float(tol), float(threshold)
+    limits = {"control_dim": control_dim, "tolerance": tol, "insolvable_threshold": threshold}
     if mode == "integrate":
-        check_symbols("repdyn.symbols", spec.get("symbols"))
-        check_constants("repdyn.constants", spec.get("constants"))
+        dynamics, pres = _dynamics(spec, "repdyn", control_dim, check), None
+        decl = spec.get("presentation")
         if "presentation" in spec:
-            pres = spec["presentation"]
-            if not isinstance(pres.get("generators"), int):
-                check.add("repdyn.presentation.generators", "expected an integer")
-            else:
-                for k, rel in enumerate(pres.get("relations", [])):
-                    try:
-                        from .algebra import parse_relation
-                        parse_relation(rel, pres["generators"])
-                    except (ExpressionError, ConfigurationError) as exc:
-                        check.add(f"repdyn.presentation.relations[{k}]", str(exc))
-        elif "class" in spec:
-            if spec["class"] not in known_classes:
-                check.add("repdyn.class", f"unresolved class label {spec['class']!r}")
-        else:
-            check.add("repdyn", "integrate mode needs a presentation or class")
-        return
-    # tactical
-    if spec.get("initial_class") not in known_classes:
-        check.add("repdyn.initial_class",
-                  f"unresolved class label {spec.get('initial_class')!r}")
-    dynamics = spec.get("class_dynamics")
-    if not isinstance(dynamics, dict) or not dynamics:
-        check.add("repdyn.class_dynamics", "expected per-class symbol declarations")
-    else:
-        if spec.get("initial_class") not in dynamics:
-            check.add("repdyn.class_dynamics",
-                      f"no dynamics declared for the initial class "
-                      f"{spec.get('initial_class')!r}")
-        for label, decl in dynamics.items():
-            if label not in known_classes:
-                check.add(f"repdyn.class_dynamics.{label}", "unresolved class label")
-            check_symbols(f"repdyn.class_dynamics.{label}.symbols",
-                          (decl or {}).get("symbols"))
-            check_constants(f"repdyn.class_dynamics.{label}.constants",
-                            (decl or {}).get("constants"))
-    for k, t in enumerate(spec.get("transitions", [])):
-        base = f"repdyn.transitions[{k}]"
+            label = decl.get("label", "scenario") if isinstance(decl, dict) else None
+            pres = _presentation(decl, "repdyn.presentation", label, check)
+        elif check.require("repdyn", "class" in spec,
+                           "integrate mode needs a presentation or class") and initial:
+            pres = check.build("repdyn.class", registry.presentation, str(spec["class"]),
+                               initial.m)
+        if len(check.errors) > start:
+            return None
+        made = check.build("repdyn", RepDynSpec, symbols=dynamics.symbols, initial=initial,
+                           presentation=pres, constants=dynamics.constants, **limits)
+        return made and RepdynPlan(mode=mode, spec=made, control=control)
+
+    class_dynamics, declared = {}, spec.get("class_dynamics")
+    for label, decl in declared.items() if check.mapping("repdyn.class_dynamics",
+                                                         declared) else ():
+        path = f"repdyn.class_dynamics.{label}"
+        check.require(path, label in registry.labels(), "unresolved class label")
+        class_dynamics[label] = _dynamics(decl, path, control_dim, check)
+    transitions = _transitions(spec.get("transitions", []), check)
+    eta0, run = spec.get("eta0", [0.0]), ctx.run
+    check.vector("repdyn.eta0", eta0)
+    grid = _as_grid(spec.get("windows"), "repdyn.windows", check)
+    bad = [(float(a), float(b)) for a, b in zip(grid or (), (grid or ())[1:])
+           if run is not None and not whole_steps(a, b, run.dt)]
+    check.require("repdyn.windows", not bad, f"windows {bad} do not span whole steps of dt "
+                  f"{run and run.dt!r}")
+    if len(check.errors) > start:
+        return None
+    delta = check.build("repdyn.transitions", DialecticalObject,
+                        label=spec.get("delta_label", "scenario"), transitions=transitions)
+    game = delta and check.build(
+        "repdyn", TacticalRepDyn, registry=registry, class_dynamics=class_dynamics,
+        initial_class=spec.get("initial_class"), initial=initial, delta=delta,
+        eta0=np.asarray(eta0, dtype=float), control=control, **limits)
+    return game and RepdynPlan(mode=mode, tactical=game, windows=tuple(grid), control=control)
+
+
+def _registry(spec, check: _Check) -> AlgebraClassRegistry:
+    """The builtin algebra classes plus the scenario's own; a malformed class is left out."""
+    classes = dict(default_registry().classes)
+    for label, decl in spec.items() if check.mapping("repdyn.classes", spec) else ():
+        if decl == "builtin":
+            check.require(f"repdyn.classes.{label}", label in classes, "not a builtin class")
+        elif pres := _presentation(decl, f"repdyn.classes.{label}", label, check):
+            classes[label] = (pres,)
+    return AlgebraClassRegistry(classes=classes)
+
+
+def _presentation(decl, path: str, label, check: _Check) -> AlgebraPresentation | None:
+    gens = decl.get("generators") if isinstance(decl, dict) else None
+    relations = decl.get("relations", []) if isinstance(decl, dict) else None
+    if not check.require(f"{path}.generators", isinstance(gens, int)
+                         and 1 <= gens <= MAX_GENERATORS,
+                         f"expected an integer in [1..{MAX_GENERATORS}], got {gens!r}") \
+            or not check.require(f"{path}.relations", isinstance(relations, list) and all(
+                isinstance(r, str) for r in relations), "expected a list of relation strings"):
+        return None
+    polys = [check.build(f"{path}.relations[{k}]", parse_relation, rel, gens)
+             for k, rel in enumerate(relations)]
+    return None if None in polys else check.build(
+        path, AlgebraPresentation, label=label, generators=gens, relations=tuple(polys),
+        relation_sources=tuple(relations))
+
+
+def _dynamics(decl, path: str, control_dim: int, check: _Check) -> ClassDynamics | None:
+    """Weyl symbols, one term list per tuple slot, and the constant matrices they name.
+
+    A term is ``coeff * a[control] * word``; letters ``x<k>`` are tuple slots, others constants.
+    """
+    if not check.mapping(path, decl):
+        return None
+    start, symbols, constants = len(check.errors), decl.get("symbols"), decl.get("constants", {})
+    if not check.require(f"{path}.symbols", isinstance(symbols, list) and symbols,
+                         "expected one term list per tuple slot"):
+        symbols = []
+    built = []
+    for k, terms in enumerate(symbols):
+        made = []
+        for _, where, term in check.entries(f"{path}.symbols[{k}]", terms):
+            word, control = term.get("word", []), term.get("control")
+            if not check.require(f"{where}.word", isinstance(word, list) and len(word) <= 3
+                                 and all(isinstance(x, str) for x in word),
+                                 "expected a letter list of degree <= 3"):
+                continue
+            letters = tuple(int(x[1:]) - 1 if x[:1] == "x" and x[1:].isdecimal() else x
+                            for x in word)
+            check.require(f"{where}.word", -1 not in letters, "generator letters start at x1")
+            check.require(f"{where}.control", control is None or (
+                isinstance(control, int) and 0 <= control < control_dim),
+                f"control index {control!r} outside the declared schedule")
+            coeff = _parse_complex(term.get("coeff", 1.0), f"{where}.coeff", check)
+            made.append(WeylTerm(coefficient=coeff, word=letters, control=control))
+        built.append(WeylSymbol(terms=tuple(made)))
+    matrices = {name: _parse_matrix(mat, f"{path}.constants.{name}", check)
+                for name, mat in (constants.items()
+                                  if check.mapping(f"{path}.constants", constants) else ())}
+    return None if len(check.errors) > start else ClassDynamics(symbols=tuple(built),
+                                                                 constants=matrices)
+
+
+def _transitions(spec, check: _Check) -> tuple[TransitionRule, ...]:
+    out = []
+    for _, base, t in check.entries("repdyn.transitions", spec):
         for key in ("from", "to"):
-            if t.get(key) not in known_classes:
-                check.add(f"{base}.{key}", f"unresolved class label {t.get(key)!r}")
-            elif isinstance(dynamics, dict) and t.get(key) not in dynamics:
-                check.add(f"{base}.{key}",
-                          f"no dynamics declared for class {t.get(key)!r}")
-        if t.get("trigger") != "insolvable":
-            check.add(f"{base}.trigger", "scenario transitions support the "
-                                         "'insolvable' trigger")
-        if "embed" in t:
-            name = t["embed"].get("name")
-            from .repdyn import TUPLE_MAPS
-            if name not in TUPLE_MAPS:
-                check.add(f"{base}.embed.name", f"unknown tuple embedding {name!r}")
-    _as_grid(spec.get("windows"), "repdyn.windows", check)
+            check.require(f"{base}.{key}", isinstance(t.get(key), str),
+                          f"expected a class label, got {t.get(key)!r}")
+        check.require(f"{base}.trigger", t.get("trigger") == "insolvable",
+                      "scenario transitions support the 'insolvable' trigger")
+        mapper, embed = None, t.get("embed")
+        if "embed" in t and check.mapping(f"{base}.embed", embed) and check.require(
+                f"{base}.embed.args", isinstance(embed.get("args", []), list) and all(
+                    isinstance(a, int) and a >= 1 for a in embed.get("args", [])),
+                "expected a list of 1-based slot indices"):
+            mapper = check.build(f"{base}.embed", tuple_map, embed.get("name"),
+                                 *embed.get("args", []))
+        out.append(TransitionRule(from_class=t.get("from"), trigger=t.get("trigger"),
+                                  to_class=t.get("to"), tuple_map=mapper))
+    return tuple(out)
 
 
-def _validate_invert(raw: dict, check: _Check) -> None:
-    spec = raw["invert"]
-    if not isinstance(spec, dict):
-        check.add("invert", "expected a mapping")
-        return
-    rhs = spec.get("rhs")
-    if not isinstance(rhs, list) or not rhs:
-        check.add("invert.rhs", "expected one polynomial per state component")
-        return
-    state_dim = len(rhs)
-    control_dim = spec.get("control_dim", 1)
-    if not isinstance(control_dim, int) or control_dim < 0:
-        check.add("invert.control_dim", f"expected a nonnegative integer, got {control_dim!r}")
-        control_dim = 1
-    scalars = tuple(f"x{i + 1}" for i in range(state_dim)) + \
+def _invert(spec: dict, ctx: _Context, check: _Check) -> InvertPlan | None:
+    start, rhs, control_dim = len(check.errors), spec.get("rhs"), spec.get("control_dim", 1)
+    if not check.require("invert.rhs", isinstance(rhs, list) and rhs,
+                         "expected one polynomial per state component") \
+            or not check.integer("invert.control_dim", control_dim, low=0):
+        return None
+    scalars = tuple(f"x{i + 1}" for i in range(len(rhs))) + \
         tuple(f"u{j + 1}" for j in range(control_dim))
     for k, src in enumerate(rhs):
         check.expression(f"invert.rhs[{k}]", src, scalars=scalars)
-    check.vector("invert.x0", spec.get("x0"), state_dim)
-    check.expressions("invert.control", spec.get("control"), scalars=("t",))
-    if isinstance(spec.get("control"), list) and len(spec["control"]) != control_dim:
-        check.add("invert.control", f"expected {control_dim} control expressions")
+    check.vector("invert.x0", spec.get("x0"), len(rhs))
+    vec = check.expressions("invert.control", spec.get("control"), ("t",))
+    check.require("invert.control", _length(spec.get("control")) in (0, control_dim),
+                  f"expected {control_dim} control expressions")
+    matrix_dim, slot = spec.get("matrix_dim", 2), spec.get("designated_slot", 0)
+    check.integer("invert.matrix_dim", matrix_dim)
+    check.integer("invert.designated_slot", slot, low=0)
+    if len(check.errors) > start:
+        return None
+    return InvertPlan(rhs=tuple(rhs), x0=tuple(float(x) for x in spec["x0"]),
+                      control_dim=control_dim, matrix_dim=matrix_dim, designated_slot=slot,
+                      lift_constants=bool(spec.get("lift_constants", False)),
+                      u_schedule=lambda t: np.asarray(vec.fn(t), dtype=float))
+
+
+# Section walks in dependency order: later walks read the dims and plans of earlier ones.
+_WALKS = {"system": _system, "verbalization": _verbalization, "tactics": _tactics,
+          "prediction": _prediction, "repdyn": _repdyn, "invert": _invert}

@@ -182,7 +182,7 @@ class CommentedGame:
     dt: float
     omega_functionals: tuple[WindowFunctional, ...]
     v_functionals: tuple[WindowFunctional, ...]
-    rule: CommentRule
+    rule: CommentRule | None    # None when a synthesis rule advances the game
     theta0: np.ndarray
     window_grid: tuple[float, ...] | None = None
     feed_omega: bool = False

@@ -134,8 +134,11 @@ class CellCondition:
     def __post_init__(self):
         if self.op not in _COMPARATORS:
             raise ConfigurationError(f"unknown comparison operator {self.op!r}")
+        # Any eps index compiles here; the cell complex bounds them by its dimension.
+        width = 1 + max((i for _, i in expr_variables(self.expression) if i is not None),
+                        default=-1)
         object.__setattr__(self, "_fn",
-                           compile_expression(self.expression, vectors={"eps": 64}))
+                           compile_expression(self.expression, vectors={"eps": width}))
 
     def holds(self, eps) -> bool:
         return _COMPARATORS[self.op](self._fn(eps))

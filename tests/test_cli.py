@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tactica.cli import EXIT_INSOLVABLE, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from tactica.cli import (EXIT_INSOLVABLE, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser,
+                         main)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -107,3 +108,95 @@ def test_floats_round_trip_through_csv(tmp_path):
     traj = simulate(system, initial, scenario.run.t0, scenario.run.t1,
                     scenario.run.dt, slow=slow)
     assert phi[-1] == traj.phi[-1, 0]
+
+
+def test_tactics_honours_dt_override(tmp_path):
+    code = main(["tactics", "--scenario", str(SCENARIOS / "tactics_coupled.yaml"),
+                 "--out", str(tmp_path), "--dt", "0.01"])
+    assert code == EXIT_OK
+    assert len(read_csv_column(tmp_path / "trajectory_1.csv", "t")) == 2001
+
+
+def test_verbalize_integrates_coalition_slots_like_simulate(tmp_path):
+    scenario = tmp_path / "coalition_windows.yaml"
+    scenario.write_text((SCENARIOS / "coalition_pair.yaml").read_text() + """
+verbalization:
+  windows: [0.0, 0.5, 1.0]
+  omega: [{kind: mean, source: eps}]
+  v: [{kind: mean, source: u0}]
+""")
+    for command in ("simulate", "verbalize"):
+        assert main([command, "--scenario", str(scenario), "--out",
+                     str(tmp_path / command)]) == EXIT_OK
+    trajectory = (tmp_path / "verbalize" / "trajectory.csv").read_bytes()
+    assert trajectory.splitlines()[0] == b"t,phi_0,u_0,u_1,eps_0,eps_1,u0_0,u0_1,u0_2"
+    assert trajectory == (tmp_path / "simulate" / "trajectory.csv").read_bytes()
+
+
+SYSTEM = """
+schema: 1
+title: faulty
+run: {{t0: 0.0, t1: 1.0, dt: 0.01}}
+system:
+  dim: 1
+  initial: [0.0]
+  dynamics: ["{dynamics}"]
+  players:
+    - signal: ["0.0"]
+      coupling: ["u0[0]"]
+  {extra}
+"""
+
+# Two noncommuting constant drifts: every raw step leaves the commutative class.
+DRIFT = """
+schema: 1
+title: commutator-drift
+run: {t0: 0.0, t1: 0.002, dt: 0.001}
+repdyn:
+  mode: integrate
+  class: commutative
+  tuple:
+    - [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    - [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+  constants:
+    D1: [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    D2: [[0, 0, 0], [0, 0, 1], [0, 0, 0]]
+  symbols:
+    - [{word: [D1]}]
+    - [{word: [D2]}]
+"""
+
+
+@pytest.mark.parametrize("command, text, expected, message", [
+    ("simulate", SYSTEM.format(dynamics="0.0", extra="coalitions: [5]"), EXIT_VALIDATION,
+     "validation: scenario.yaml: system.coalitions[0]: expected a mapping"),
+    ("simulate", SYSTEM.format(dynamics="0^-1", extra=""), EXIT_RUNTIME,
+     "runtime: faulty: 0.0 cannot be raised to a negative power"),
+    ("simulate", SYSTEM.format(dynamics="exp(exp(exp(100*phi[0]+100)))", extra=""),
+     EXIT_RUNTIME, "runtime: faulty: math range error"),
+    ("repdyn", DRIFT + "  threshold: 1.0e-7\n", EXIT_INSOLVABLE,
+     "insolvable in the declared class at t=0.001"),
+], ids=["validation", "zero-division", "overflow", "insolvable"])
+def test_exit_codes_end_without_traceback(tmp_path, capsys, command, text, expected, message):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text)
+    code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == expected
+    assert message in err
+    assert "Traceback" not in err
+    assert ": ok (" not in out
+
+
+def test_projection_linalg_failure_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    scenario = tmp_path / "drift.yaml"
+    scenario.write_text(DRIFT)
+    code = main(["repdyn", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert "runtime: commutator-drift: SVD did not converge" in err
+    assert "Traceback" not in err

@@ -322,32 +322,6 @@ def test_step_halving_is_fourth_order():
         assert 8.0 <= ratio <= 32.0
 
 
-def test_inverse_direction_coupling_recovers_pure_control():
-    # The author supplies both the forward form and its closed-form inverse;
-    # simulation always uses the forward form, analysis uses the inverse.
-    coupling = FeedbackCoupling(
-        known_form=lambda t, u0, phi, derivs, eps, lam: u0 + eps * phi,
-        direction="inverse",
-        inverse_form=lambda t, u, phi, derivs, eps, lam: u - eps * phi)
-    system = InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
-        players=(Player(
-            policy=PureControlPolicy(1, lambda t: np.array([0.3])),
-            coupling=coupling,
-            epsilon=EpsilonProcess(form=lambda t, u0, phi, derivs: np.array([-0.5]),
-                                   dim=1)),))
-    traj = simulate(system, [1.0], 0.0, 1.0, 0.01, record_tape=False)
-    for k in range(len(traj.t)):
-        recovered = coupling.inverse_form(traj.t[k], traj.u[k], traj.phi[k], (),
-                                          traj.eps[k], np.zeros(0))
-        assert abs(recovered[0] - traj.u0[k, 0]) < 1e-14
-
-
-def test_inverse_direction_requires_closed_form():
-    with pytest.raises(ConfigurationError):
-        FeedbackCoupling(known_form=lambda *a: a, direction="inverse")
-
-
 from hypothesis import given, settings, strategies as st
 
 

@@ -425,3 +425,11 @@ def test_class_stream_causality():
 def test_unknown_tuple_map_rejected():
     with pytest.raises(ConfigurationError):
         tuple_map("unknown_embedding")
+
+
+def test_tuple_map_rejects_bad_arguments_and_slots():
+    with pytest.raises(ConfigurationError):
+        tuple_map("append_commutator", 1)
+    embed = tuple_map("append_commutator", 1, 5)
+    with pytest.raises(ConfigurationError):
+        embed(_zero_pair())

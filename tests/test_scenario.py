@@ -1,7 +1,11 @@
+import copy
+import functools
 import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tactica.scenario import ScenarioError, load_scenario
 
@@ -213,3 +217,89 @@ def test_slow_control_feeds_couplings(tmp_path):
     traj = simulate(system, initial, 0.0, 1.0, 0.01, slow=slow)
     assert abs(traj.phi[-1, 0] - 1.5) < 1e-12
     assert traj.lam.shape[1] == 1
+
+
+def test_pipeline_with_coalitions_rejected_at_coalitions(tmp_path):
+    text = (SCENARIOS / "coalition_pair.yaml").read_text() + """
+prediction:
+  pipeline: {horizon: 0.1, assumed_eps: [["0.0"], ["0.0"], ["0.0"]]}
+"""
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write(tmp_path, text))
+    assert err.value.errors == ["scenario.yaml: system.coalitions: coalitions cannot be "
+                                "combined with a prediction section, which integrates "
+                                "player slots"]
+
+
+WINDOWED = MINIMAL + """
+verbalization:
+  windows: [0.0, 0.505, 1.0]
+  omega: [{kind: mean, source: state}]
+  v: [{kind: mean, source: u0}]
+"""
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (MINIMAL + "  coalitions: [5]\n", [], "system.coalitions[0]: expected a mapping"),
+    (MINIMAL + "  slow: 3\n", [], "system.slow: needs either a schedule or steps"),
+    (MINIMAL.replace("dt: 0.01", "dt: 0.3"), [],
+     "run.dt: t1 - t0 = 1.0 is not a whole number of steps of dt 0.3"),
+    (WINDOWED, [], "verbalization.windows: window points [0.505] are not samples of the "
+                   "run at dt 0.01"),
+    ((SCENARIOS / "linear_decay.yaml").read_text(), ["--dt", "0.3"],
+     "run.dt: t1 - t0 = 1.0 is not a whole number of steps of dt 0.3"),
+    (MINIMAL + "prediction:\n  filter: {kind: lowpass, cutoff: 1.0}\n"
+               "  family: [\"u0[200]\"]\n", [],
+     "prediction.family[0]: index 200 out of range for 'u0' (dimension 1)"),
+], ids=["coalition-not-mapping", "slow-not-mapping", "dt-off-interval", "window-off-grid",
+        "dt-override-off-interval", "family-index-out-of-range"])
+def test_malformed_inputs_exit_1_naming_the_path(tmp_path, capsys, text, argv, message):
+    from tactica.cli import EXIT_VALIDATION, main
+    path = write(tmp_path, text)
+    code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")] + argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert f"validation: scenario.yaml: {message}" in err
+    assert "Traceback" not in err
+
+
+def _node_paths(node, prefix=()):
+    if prefix:
+        yield prefix
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, prefix + (key,))
+
+
+SHIPPED = {path.name: yaml.safe_load(path.read_text())
+           for path in sorted(SCENARIOS.glob("*.yaml"))}
+REPLACEMENTS = st.one_of(
+    st.integers(-3, 30), st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet="x0123 .,+-*/^()[]eptuhiv", max_size=8), st.none(),
+    st.lists(st.integers(-1, 3), max_size=3), st.dictionaries(
+        st.sampled_from(["dim", "t1", "word", "truth"]), st.integers(0, 2), max_size=2))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    tree = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    path = draw(st.sampled_from(list(_node_paths(tree))))
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], tree)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(REPLACEMENTS)
+    return tree
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tree=mutated_scenarios())
+def test_mutated_shipped_scenarios_load_or_raise_scenario_error(tmp_path, tree):
+    path = tmp_path / "mutated.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    try:
+        assert load_scenario(path).supported_commands()
+    except ScenarioError as exc:
+        assert exc.errors
