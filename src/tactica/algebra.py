@@ -115,17 +115,31 @@ def poly_eval(poly: NCPoly, matrices: Sequence[np.ndarray], n: int) -> np.ndarra
     return acc
 
 
+def relation_values(pres: AlgebraPresentation,
+                    stacked: np.ndarray) -> tuple[np.ndarray, float]:
+    """The relations evaluated at an ``(m, n, n)`` tuple: (flat entries, worst Frobenius norm).
+
+    ``stacked`` may also be the sequence of the tuple's matrices.
+    """
+    n = stacked[0].shape[0]
+    values = []
+    worst = 0.0
+    for rel in pres.relations:
+        value = poly_eval(rel, stacked, n)
+        values.append(value.reshape(-1))
+        worst = max(worst, float(np.linalg.norm(value)))
+    if not values:
+        return np.zeros(0, dtype=complex), 0.0
+    return np.concatenate(values), worst
+
+
 def relation_residual(pres: AlgebraPresentation, X: MatrixTuple) -> float:
     """Maximum Frobenius norm of the relation polynomials evaluated at X."""
     if X.m != pres.generators:
         raise ConfigurationError(
             f"tuple has {X.m} matrices, presentation {pres.label!r} expects "
             f"{pres.generators}")
-    worst = 0.0
-    for rel in pres.relations:
-        value = poly_eval(rel, X.matrices, X.n)
-        worst = max(worst, float(np.linalg.norm(value)))
-    return worst
+    return relation_values(pres, X.matrices)[1]
 
 
 def admissible_check(pres: AlgebraPresentation, X: MatrixTuple, tol: float) -> bool:
@@ -236,17 +250,24 @@ def weyl_eval(symbol: WeylSymbol, X: MatrixTuple,
     Words are canonicalized by sorting before the orderings are enumerated, so
     the result is bit-identical under any permutation of a monomial's letters.
     """
-    n = X.n
+    return _weyl_eval(symbol, X.matrices, constants, a)
+
+
+def _weyl_eval(symbol: WeylSymbol, stacked, constants: Mapping[str, np.ndarray] | None,
+               a: np.ndarray | None) -> np.ndarray:
+    """:func:`weyl_eval` over the matrices ``stacked[0..m-1]`` of an ``(m, n, n)`` tuple."""
+    m = len(stacked)
+    n = stacked[0].shape[0]
     constants = constants or {}
     acc = np.zeros((n, n), dtype=complex)
     eye = np.eye(n, dtype=complex)
 
     def resolve(letter) -> np.ndarray:
         if isinstance(letter, int):
-            if not 0 <= letter < X.m:
+            if not 0 <= letter < m:
                 raise ConfigurationError(f"symbol references slot {letter + 1}, "
-                                         f"tuple has {X.m}")
-            return X.matrices[letter]
+                                         f"tuple has {m}")
+            return stacked[letter]
         try:
             return constants[letter]
         except KeyError:
@@ -278,11 +299,11 @@ def weyl_eval(symbol: WeylSymbol, X: MatrixTuple,
     return acc
 
 
-def weyl_eval_tuple(symbols: Sequence[WeylSymbol], X: MatrixTuple,
+def weyl_eval_tuple(symbols: Sequence[WeylSymbol], stacked: np.ndarray,
                     constants: Mapping[str, np.ndarray] | None = None,
                     a: np.ndarray | None = None) -> np.ndarray:
-    """Stacked symmetrized evaluation of one symbol per tuple slot."""
-    return np.stack([weyl_eval(s, X, constants, a) for s in symbols])
+    """Stacked symmetrized evaluation of one symbol per slot of an ``(m, n, n)`` tuple."""
+    return np.stack([_weyl_eval(s, stacked, constants, a) for s in symbols])
 
 
 # ---------------------------------------------------------------------------

@@ -295,8 +295,7 @@ def _run_invert(scenario: Scenario, out: Path, tolerance: float, report: dict) -
                                                   run.t0, run.t1, run.dt,
                                                   control_dim=plan.control_dim)
     slot = construction.designated_slot
-    slots = np.array([[T.matrices[i][slot, slot].real for i in range(len(plan.rhs))]
-                      for T in result.tuples])
+    slots = result.states[:, :, slot, slot].real
     deviation = float(np.max(np.abs(slots - reference)))
     header = ["t"] + [f"slot_{i}" for i in range(len(plan.rhs))] \
         + [f"reference_{i}" for i in range(len(plan.rhs))]

@@ -44,6 +44,27 @@ def whole_steps(t0: float, t1: float, dt: float) -> int | None:
     return n if n >= 1 and abs(t0 + n * dt - t1) <= 1e-9 * max(1.0, abs(t1)) else None
 
 
+def step_count(t0: float, t1: float, dt: float) -> int:
+    """The number of ``dt`` steps spanning [t0, t1]; raises unless it is a whole number."""
+    if not t0 < t1:
+        raise ConfigurationError("t0 must be strictly below t1")
+    if dt <= 0:
+        raise ConfigurationError("dt must be positive")
+    n_steps = whole_steps(t0, t1, dt)
+    if n_steps is None:
+        raise ConfigurationError("t1 - t0 must be an integer number of steps")
+    return n_steps
+
+
+def rk4_step(f: Callable, t: float, y: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:
+    """One classical 4th-order step of ``y' = f(t, y)`` from ``y``, given ``k1 = f(t, y)``."""
+    half = dt / 2.0
+    k2 = f(t + half, y + half * k1)
+    k3 = f(t + half, y + half * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 @dataclass(frozen=True)
 class PureControlPolicy:
     """Independent control signal of one player."""
@@ -251,19 +272,10 @@ class StateTrajectory:
             raise ConfigurationError(f"time {time!r} is not on the sample grid")
         return idx
 
-    def _block(self, data: np.ndarray, dims: tuple[int, ...], slot: int) -> np.ndarray:
-        start = sum(dims[:slot])
-        return data[:, start:start + dims[slot]]
-
-    def u0_of(self, player: int) -> np.ndarray:
-        """Pure-control trace of a player (0-based)."""
-        return self._block(self.u0, self.u0_dims, player)
-
     def eps_of(self, slot: int) -> np.ndarray:
-        return self._block(self.eps, self.eps_dims, slot)
-
-    def u_of(self, slot: int) -> np.ndarray:
-        return self._block(self.u, self.u_dims, slot)
+        """Hidden-parameter trace of a control slot (0-based)."""
+        start = sum(self.eps_dims[:slot])
+        return self.eps[:, start:start + self.eps_dims[slot]]
 
 
 @dataclass(frozen=True)
@@ -308,13 +320,7 @@ def _check_ground_truth(slots: Sequence[_Slot]):
 
 def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, dt,
                slow: SlowControl | None, omega, record_tape: bool) -> StateTrajectory:
-    if not t0 < t1:
-        raise ConfigurationError("t0 must be strictly below t1")
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    n_steps = whole_steps(t0, t1, dt)
-    if n_steps is None:
-        raise ConfigurationError("t1 - t0 must be an integer number of steps")
+    n_steps = step_count(t0, t1, dt)
 
     phi = np.asarray(initial, dtype=float)
     if phi.shape != (system.dim,):
@@ -383,19 +389,15 @@ def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, d
         rec_u[k] = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)) for x in u])
         rec_lam[k] = lam
 
-    half = dt / 2.0
-    sixth = dt / 6.0
+    def derivative(s: float, state: np.ndarray) -> np.ndarray:
+        return stage(s, state, lam_at(s, k))[3]
+
     for k in range(n_steps):
         t = t0 + k * dt
         lam = lam_at(t, k)
         u0s, eps, u, k1 = stage(t, phi, lam)
         record(k, t, phi, u0s, eps, u, k1, lam)
-        lam_mid = lam_at(t + half, k)
-        _, _, _, k2 = stage(t + half, phi + half * k1, lam_mid)
-        _, _, _, k3 = stage(t + half, phi + half * k2, lam_mid)
-        lam_end = lam_at(t + dt, k)
-        _, _, _, k4 = stage(t + dt, phi + dt * k3, lam_end)
-        phi = phi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phi = rk4_step(derivative, t, phi, dt, k1)
         if not np.all(np.isfinite(phi)):
             raise DivergenceError(last_valid_time=t)
 

@@ -16,10 +16,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple,
-                      WeylSymbol, WeylTerm, commutative_presentation, poly_eval,
-                      relation_residual, weyl_eval_tuple)
+                      WeylSymbol, WeylTerm, commutative_presentation, relation_residual,
+                      relation_values, weyl_eval_tuple)
 from .expr import NCPoly, nc_evaluate
-from .games import ConfigurationError, SimulationError, whole_steps
+from .games import ConfigurationError, SimulationError, rk4_step, step_count
 from .tactics import CommentState, DialecticalObject, TransitionRule
 from .verbalization import WindowRecord
 
@@ -94,27 +94,21 @@ class RepDynSpec:
 
 @dataclass
 class RepDynResult:
+    """Accepted samples: ``states[k]`` is the ``(m, n, n)`` tuple at ``times[k]``."""
+
     times: np.ndarray
-    tuples: list[MatrixTuple]
+    states: np.ndarray
     residuals: np.ndarray
     insolvable: InsolvableSignal | None = None
 
     @property
+    def tuples(self) -> list[MatrixTuple]:
+        return [MatrixTuple.from_stacked(state, time=float(t))
+                for t, state in zip(self.times, self.states)]
+
+    @property
     def final(self) -> MatrixTuple:
-        return self.tuples[-1]
-
-
-def _relation_stack(pres: AlgebraPresentation, stacked: np.ndarray,
-                    n: int) -> tuple[np.ndarray, float]:
-    values = []
-    worst = 0.0
-    for rel in pres.relations:
-        value = poly_eval(rel, stacked, n)
-        values.append(value.reshape(-1))
-        worst = max(worst, float(np.linalg.norm(value)))
-    if not values:
-        return np.zeros(0, dtype=complex), 0.0
-    return np.concatenate(values), worst
+        return MatrixTuple.from_stacked(self.states[-1], time=float(self.times[-1]))
 
 
 def _relation_jacobian(pres: AlgebraPresentation, stacked: np.ndarray,
@@ -147,29 +141,27 @@ def _relation_jacobian(pres: AlgebraPresentation, stacked: np.ndarray,
     return jac
 
 
-def project_to_variety(pres: AlgebraPresentation, X: MatrixTuple, tolerance: float,
-                       cap: int = 50) -> tuple[MatrixTuple, float, bool]:
-    """Gauss-Newton projection of the tuple onto the relation variety.
+def project_to_variety(pres: AlgebraPresentation, stacked: np.ndarray, tolerance: float,
+                       cap: int = 50) -> tuple[np.ndarray, float, bool]:
+    """Gauss-Newton projection of an ``(m, n, n)`` tuple onto the relation variety.
 
     Returns (projected tuple, residual, converged).  Each iteration takes the
     minimum-norm least-squares step of the linearized relations in all tuple
     entries.
     """
-    stacked = X.stacked()
-    m, n = X.m, X.n
+    m, n = stacked.shape[0], stacked.shape[1]
     scale = max(1.0, float(np.max(np.abs(stacked))))
-    residual_vec, residual = _relation_stack(pres, stacked, n)
+    residual_vec, residual = relation_values(pres, stacked)
     for _ in range(cap):
         if residual <= tolerance:
-            return MatrixTuple.from_stacked(stacked, time=X.time), residual, True
+            return stacked, residual, True
         jac = _relation_jacobian(pres, stacked, m, n)
         delta, _, _, _ = np.linalg.lstsq(jac, -residual_vec, rcond=None)
         if float(np.max(np.abs(delta))) < 1e-16 * scale:
             break
         stacked = stacked + delta.reshape(m, n, n)
-        residual_vec, residual = _relation_stack(pres, stacked, n)
-    converged = residual <= tolerance
-    return MatrixTuple.from_stacked(stacked, time=X.time), residual, converged
+        residual_vec, residual = relation_values(pres, stacked)
+    return stacked, residual, residual <= tolerance
 
 
 def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float]] | None,
@@ -179,13 +171,7 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     On an insolvable step the result carries the samples accepted so far plus
     the signal; the failing step is not applied.
     """
-    if not t0 < t1:
-        raise ConfigurationError("t0 must be strictly below t1")
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    n_steps = whole_steps(t0, t1, dt)
-    if n_steps is None:
-        raise ConfigurationError("t1 - t0 must be an integer number of steps")
+    n_steps = step_count(t0, t1, dt)
 
     def a_at(t: float) -> np.ndarray | None:
         if control is None:
@@ -199,57 +185,43 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
                 f"{spec.control_dim}")
         return value
 
-    m, n = spec.initial.m, spec.initial.n
-
     def rhs(t: float, stacked: np.ndarray) -> np.ndarray:
-        return weyl_eval_tuple(spec.symbols, MatrixTuple.from_stacked(stacked, time=t),
-                               spec.constants, a_at(t))
+        return weyl_eval_tuple(spec.symbols, stacked, spec.constants, a_at(t))
 
     stacked = spec.initial.stacked()
+    states = np.empty((n_steps + 1,) + stacked.shape, dtype=complex)
+    states[0] = stacked
     times = [t0]
-    tuples = [MatrixTuple.from_stacked(stacked, time=t0)]
-    residuals = [relation_residual(spec.presentation, tuples[0])]
-    half = dt / 2.0
-    sixth = dt / 6.0
+    residuals = [relation_values(spec.presentation, stacked)[1]]
+
+    def result(insolvable: InsolvableSignal | None = None) -> RepDynResult:
+        return RepDynResult(times=np.array(times), states=states[:len(times)],
+                            residuals=np.array(residuals), insolvable=insolvable)
+
     for k in range(n_steps):
         t = t0 + k * dt
-        k1 = rhs(t, stacked)
-        k2 = rhs(t + half, stacked + half * k1)
-        k3 = rhs(t + half, stacked + half * k2)
-        k4 = rhs(t + dt, stacked + dt * k3)
-        candidate = stacked + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        candidate = rk4_step(rhs, t, stacked, dt, rhs(t, stacked))
         t_next = t0 + (k + 1) * dt
-        if not np.all(np.isfinite(candidate.real)) or not np.all(np.isfinite(candidate.imag)):
+        if not np.all(np.isfinite(candidate)):
             raise SimulationError(f"matrix tuple diverged at t={t_next!r}")
-        _, raw_residual = _relation_stack(spec.presentation, candidate, n)
+        _, raw_residual = relation_values(spec.presentation, candidate)
         if raw_residual > spec.insolvable_threshold:
-            return RepDynResult(times=np.array(times), tuples=tuples,
-                                residuals=np.array(residuals),
-                                insolvable=InsolvableSignal(
-                                    time=t_next, residual=raw_residual,
-                                    reason="raw step residual exceeded the "
-                                           "insolvability threshold"))
+            return result(InsolvableSignal(
+                time=t_next, residual=raw_residual,
+                reason="raw step residual exceeded the insolvability threshold"))
         if raw_residual > spec.tolerance:
-            projected, residual, converged = project_to_variety(
-                spec.presentation, MatrixTuple.from_stacked(candidate, time=t_next),
-                spec.tolerance, spec.projection_cap)
+            stacked, residual, converged = project_to_variety(
+                spec.presentation, candidate, spec.tolerance, spec.projection_cap)
             if not converged:
-                return RepDynResult(times=np.array(times), tuples=tuples,
-                                    residuals=np.array(residuals),
-                                    insolvable=InsolvableSignal(
-                                        time=t_next, residual=residual,
-                                        reason="projection did not converge within "
-                                               "the iteration cap"))
-            stacked = projected.stacked()
-            residual_now = residual
+                return result(InsolvableSignal(
+                    time=t_next, residual=residual,
+                    reason="projection did not converge within the iteration cap"))
         else:
-            stacked = candidate
-            residual_now = raw_residual
+            stacked, residual = candidate, raw_residual
         times.append(t_next)
-        tuples.append(MatrixTuple.from_stacked(stacked, time=t_next))
-        residuals.append(residual_now)
-    return RepDynResult(times=np.array(times), tuples=tuples,
-                        residuals=np.array(residuals), insolvable=None)
+        states[k + 1] = stacked
+        residuals.append(residual)
+    return result()
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +272,6 @@ class InverseConstruction:
     coefficient_map: Callable  # a(u, x) -> control vector for the symbols
     designated_slot: int
     symbolic_match: bool
-    rhs_sources: tuple[str, ...]
 
     def control_schedule(self, u_schedule: Callable[[float], Sequence[float]],
                          x_schedule: Callable[[float], Sequence[float]] | None = None
@@ -392,8 +363,7 @@ def solve_inverse_problem(rhs: Sequence[str], x0: Sequence[float], control_dim: 
     return InverseConstruction(spec=spec, control_names=tuple(names),
                                coefficient_map=coefficient_map,
                                designated_slot=designated_slot,
-                               symbolic_match=symbolic_match,
-                               rhs_sources=tuple(rhs))
+                               symbolic_match=symbolic_match)
 
 
 def _verify_symbolic(parsed, symbols, control_entries, constants, lift_constants) -> bool:
@@ -616,13 +586,13 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
                               insolvable_threshold=game.insolvable_threshold,
                               projection_cap=game.projection_cap)
             result = integrate_repdyn(spec, game.control, t_cursor, t_b, dt)
+            norms = [float(np.linalg.norm(state)) for state in result.states]
             start = 1 if result.times[0] == all_times[-1] else 0
-            for k in range(start, len(result.times)):
-                all_times.append(float(result.times[k]))
-                all_residuals.append(float(result.residuals[k]))
-                all_norms.append(float(np.linalg.norm(result.tuples[k].stacked())))
+            all_times.extend(float(t) for t in result.times[start:])
+            all_residuals.extend(float(r) for r in result.residuals[start:])
+            all_norms.extend(norms[start:])
             window_res.extend(result.residuals.tolist())
-            window_norms.extend(float(np.linalg.norm(T.stacked())) for T in result.tuples)
+            window_norms.extend(norms)
             if game.control is not None:
                 window_a.extend(np.atleast_1d(np.asarray(game.control(float(t)), dtype=float))
                                 for t in result.times)
@@ -678,10 +648,11 @@ def _apply_transition(game: TacticalRepDyn, rule: TransitionRule, X: MatrixTuple
     presentation = game.registry.presentation(new_label, X.m)
     post_residual = relation_residual(presentation, X)
     if post_residual > game.tolerance:
-        X, post_residual, converged = project_to_variety(
-            presentation, X, game.tolerance, game.projection_cap)
+        stacked, post_residual, converged = project_to_variety(
+            presentation, X.stacked(), game.tolerance, game.projection_cap)
         if not converged:
             raise StrandedClassError(new_label, window_index, signal.time)
+        X = MatrixTuple.from_stacked(stacked, time=X.time)
     transitions.append(TransitionEvent(time=signal.time, window_index=window_index,
                                        from_class=rule.from_class, to_class=new_label,
                                        residual=post_residual))

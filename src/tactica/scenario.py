@@ -25,7 +25,7 @@ from .games import (Coalition, ConfigurationError, EpsilonProcess, FeedbackCoupl
                     SlowControl, StateTrajectory, coalition_simulate, simulate, whole_steps,
                     zero_epsilon)
 from .prediction import FilterSpec
-from .repdyn import ClassDynamics, RepDynSpec, TacticalRepDyn, tuple_map
+from .repdyn import ClassDynamics, RepDynSpec, TacticalRepDyn, _parse_polynomial_rhs, tuple_map
 from .tactics import (CommentRule, CommentedGame, DialecticalObject, InteractionTerm,
                       SynthesisRule, TransitionRule)
 from .verbalization import Cell, CellComplex, CellCondition, RecurrenceMap, WindowFunctional
@@ -498,6 +498,8 @@ def _recurrence(spec: dict, dims: dict, n_windows: int, check: _Check) -> dict:
             f"expected 'declared' or 'fit', got {family!r}"):
         return {}
     if family == "declared":
+        check.require(path, n_windows != 1, "a declared recurrence is verified between "
+                      "consecutive windows; the window grid has only one")
         fn = check.expressions(f"{path}.expression", spec.get("expression"), (),
                                {"omega": dims["omega"], "v": dims["v"]})
         return fn and {"recurrence_tol": float(tol), "recurrence": RecurrenceMap(
@@ -794,7 +796,8 @@ def _invert(spec: dict, ctx: _Context, check: _Check) -> InvertPlan | None:
     scalars = tuple(f"x{i + 1}" for i in range(len(rhs))) + \
         tuple(f"u{j + 1}" for j in range(control_dim))
     for k, src in enumerate(rhs):
-        check.expression(f"invert.rhs[{k}]", src, scalars=scalars)
+        if check.expression(f"invert.rhs[{k}]", src, scalars=scalars):
+            check.build(f"invert.rhs[{k}]", _parse_polynomial_rhs, [src], len(rhs), control_dim)
     check.vector("invert.x0", spec.get("x0"), len(rhs))
     vec = check.expressions("invert.control", spec.get("control"), ("t",))
     check.require("invert.control", _length(spec.get("control")) in (0, control_dim),

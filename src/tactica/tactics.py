@@ -30,16 +30,6 @@ class CommentState:
     class_label: str | None = None
     eta: np.ndarray | None = None
 
-    @property
-    def is_labeled(self) -> bool:
-        return self.class_label is not None
-
-    def as_parameter(self) -> np.ndarray:
-        if self.vector is None:
-            raise ConfigurationError(
-                "a labeled comment has no vector value to feed as a parameter")
-        return self.vector
-
 
 @dataclass(frozen=True)
 class CommentRule:
@@ -242,6 +232,45 @@ def _window_segment(game: CommentedGame, phi, theta, omega_prev, t_a, t_b):
                     record_tape=False)
 
 
+def _roll(games: Sequence[CommentedGame], grid: tuple[float, ...],
+          advance: Callable) -> list[CommentedRun]:
+    """The window loop shared by every commented run.
+
+    Window n integrates each game under its comment n-1; ``advance(n, thetas,
+    omegas, vs)`` then maps the comments and window summaries of all games to
+    their comments n.
+    """
+    thetas = [np.atleast_1d(np.asarray(g.theta0, dtype=float)) for g in games]
+    phis = [np.asarray(g.initial, dtype=float) for g in games]
+    omegas_prev: list[np.ndarray | None] = [None] * len(games)
+    segments: list[list[StateTrajectory]] = [[] for _ in games]
+    windows: list[list[WindowRecord]] = [[] for _ in games]
+    comments: list[list[CommentState]] = [[] for _ in games]
+
+    for n in range(1, len(grid)):
+        omegas_n = []
+        vs_n = []
+        for j, game in enumerate(games):
+            seg = _window_segment(game, phis[j], thetas[j], omegas_prev[j],
+                                  grid[n - 1], grid[n])
+            omegas_n.append(evaluate_functionals(game.omega_functionals, seg, 0,
+                                                 len(seg.t) - 1))
+            vs_n.append(evaluate_functionals(game.v_functionals, seg, 0, len(seg.t) - 1))
+            segments[j].append(seg)
+            phis[j] = seg.phi[-1]
+        thetas = advance(n, thetas, omegas_n, vs_n)
+        for j in range(len(games)):
+            windows[j].append(WindowRecord(index=n, t_start=grid[n - 1], t_end=grid[n],
+                                           omega=omegas_n[j], v=vs_n[j]))
+            comments[j].append(CommentState(index=n, vector=thetas[j]))
+        omegas_prev = omegas_n
+
+    return [CommentedRun(trajectory=concat_trajectories(segments[j]),
+                         windows=windows[j], comments=comments[j],
+                         theta0=np.atleast_1d(games[j].theta0))
+            for j in range(len(games))]
+
+
 def run_commented_game(game: CommentedGame, t_grid: Sequence[float] | None = None,
                        deltas: Sequence[DialecticalObject] | None = None) -> CommentedRun:
     """Roll the window loop: integrate, summarize, update the comment.
@@ -250,27 +279,11 @@ def run_commented_game(game: CommentedGame, t_grid: Sequence[float] | None = Non
     produced by the rule (with the window's dialectical object when the rule
     has a dialectical slot).
     """
-    grid = _resolve_grid([game], t_grid)
-    theta = np.atleast_1d(np.asarray(game.theta0, dtype=float))
-    phi = np.asarray(game.initial, dtype=float)
-    omega_prev: np.ndarray | None = None
-    segments = []
-    windows = []
-    comments = []
-    for n in range(1, len(grid)):
-        seg = _window_segment(game, phi, theta, omega_prev, grid[n - 1], grid[n])
-        omega_n = evaluate_functionals(game.omega_functionals, seg, 0, len(seg.t) - 1)
-        v_n = evaluate_functionals(game.v_functionals, seg, 0, len(seg.t) - 1)
+    def advance(n, thetas, omegas, vs):
         delta = deltas[n - 1] if deltas is not None else None
-        theta = game.rule.step(theta, delta, omega_n, v_n)
-        segments.append(seg)
-        windows.append(WindowRecord(index=n, t_start=grid[n - 1], t_end=grid[n],
-                                    omega=omega_n, v=v_n))
-        comments.append(CommentState(index=n, vector=theta))
-        phi = seg.phi[-1]
-        omega_prev = omega_n
-    return CommentedRun(trajectory=concat_trajectories(segments), windows=windows,
-                        comments=comments, theta0=np.atleast_1d(game.theta0))
+        return [game.rule.step(thetas[0], delta, omegas[0], vs[0])]
+
+    return _roll([game], _resolve_grid([game], t_grid), advance)[0]
 
 
 @dataclass(frozen=True)
@@ -280,11 +293,10 @@ class CoupledTacticalGame:
     games: tuple[CommentedGame, CommentedGame]
     terms: tuple[InteractionTerm, InteractionTerm]
 
-    def run(self, t_grid: Sequence[float] | None = None,
-            deltas: Sequence[Sequence[DialecticalObject]] | None = None) -> list[CommentedRun]:
+    def run(self, t_grid: Sequence[float] | None = None) -> list[CommentedRun]:
         synthesis = interaction_as_synthesis(self.games[0].rule, self.games[1].rule,
                                              self.terms[0], self.terms[1])
-        return run_synthesized(list(self.games), synthesis, t_grid, deltas)
+        return run_synthesized(list(self.games), synthesis, t_grid)
 
 
 def tactical_interaction(game1: CommentedGame, game2: CommentedGame,
@@ -322,7 +334,7 @@ class SynthesizedTacticalGame:
     rule: SynthesisRule
 
     def run(self, t_grid: Sequence[float] | None = None) -> list[CommentedRun]:
-        return run_synthesized(list(self.games), self.rule, t_grid, None)
+        return run_synthesized(list(self.games), self.rule, t_grid)
 
 
 def tactical_synthesis(games: Sequence[CommentedGame],
@@ -334,42 +346,12 @@ def tactical_synthesis(games: Sequence[CommentedGame],
 
 
 def run_synthesized(games: list[CommentedGame], rule: SynthesisRule,
-                    t_grid: Sequence[float] | None,
-                    deltas: Sequence[Sequence[DialecticalObject]] | None) -> list[CommentedRun]:
+                    t_grid: Sequence[float] | None = None) -> list[CommentedRun]:
     """Advance all games on a shared window grid under a unified recursion."""
     if len(games) != len(rule.forms):
         raise ConfigurationError("one synthesis form per game is required")
-    grid = _resolve_grid(games, t_grid)
-    thetas = [np.atleast_1d(np.asarray(g.theta0, dtype=float)) for g in games]
-    phis = [np.asarray(g.initial, dtype=float) for g in games]
-    omegas_prev: list[np.ndarray | None] = [None] * len(games)
-    segments: list[list[StateTrajectory]] = [[] for _ in games]
-    windows: list[list[WindowRecord]] = [[] for _ in games]
-    comments: list[list[CommentState]] = [[] for _ in games]
-
-    for n in range(1, len(grid)):
-        omegas_n = []
-        vs_n = []
-        for j, game in enumerate(games):
-            seg = _window_segment(game, phis[j], thetas[j], omegas_prev[j],
-                                  grid[n - 1], grid[n])
-            omegas_n.append(evaluate_functionals(game.omega_functionals, seg, 0,
-                                                 len(seg.t) - 1))
-            vs_n.append(evaluate_functionals(game.v_functionals, seg, 0, len(seg.t) - 1))
-            segments[j].append(seg)
-            phis[j] = seg.phi[-1]
-        new_thetas = rule.step(thetas, omegas_n, vs_n)
-        for j in range(len(games)):
-            windows[j].append(WindowRecord(index=n, t_start=grid[n - 1], t_end=grid[n],
-                                           omega=omegas_n[j], v=vs_n[j]))
-            comments[j].append(CommentState(index=n, vector=new_thetas[j]))
-        thetas = new_thetas
-        omegas_prev = omegas_n
-
-    return [CommentedRun(trajectory=concat_trajectories(segments[j]),
-                         windows=windows[j], comments=comments[j],
-                         theta0=np.atleast_1d(games[j].theta0))
-            for j in range(len(games))]
+    return _roll(games, _resolve_grid(games, t_grid),
+                 lambda n, thetas, omegas, vs: rule.step(thetas, omegas, vs))
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,20 @@ repdyn:
     - [{word: [D2]}]
 """
 
+# A cubic symbol with a huge coefficient overflows inside the first RK step.
+OVERFLOW = """
+schema: 1
+title: stage-overflow
+run: {t0: 0, t1: 0.1, dt: 0.01}
+repdyn:
+  mode: integrate
+  class: commutative
+  tuple:
+    - [[1, 0], [0, 2]]
+  symbols:
+    - [{coeff: 1.0e+200, word: [x1, x1, x1]}]
+"""
+
 
 @pytest.mark.parametrize("command, text, expected, message", [
     ("simulate", SYSTEM.format(dynamics="0.0", extra="coalitions: [5]"), EXIT_VALIDATION,
@@ -176,7 +190,9 @@ repdyn:
      EXIT_RUNTIME, "runtime: faulty: math range error"),
     ("repdyn", DRIFT + "  threshold: 1.0e-7\n", EXIT_INSOLVABLE,
      "insolvable in the declared class at t=0.001"),
-], ids=["validation", "zero-division", "overflow", "insolvable"])
+    ("repdyn", OVERFLOW, EXIT_RUNTIME,
+     "runtime: stage-overflow: matrix tuple diverged at t=0.01"),
+], ids=["validation", "zero-division", "overflow", "insolvable", "repdyn-stage-overflow"])
 def test_exit_codes_end_without_traceback(tmp_path, capsys, command, text, expected, message):
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text(text)

@@ -210,10 +210,10 @@ def test_initial_violation_rejected():
 def test_projection_pulls_perturbed_tuple_back():
     perturbed = MatrixTuple((E(1, 2), E(2, 3), E(1, 3) + 1e-3 * E(1, 2)))
     projected, residual, converged = project_to_variety(
-        heisenberg_presentation(), perturbed, tolerance=1e-9)
+        heisenberg_presentation(), perturbed.stacked(), tolerance=1e-9)
     assert converged
     assert residual <= 1e-9
-    assert np.max(np.abs(projected.matrices[2] - E(1, 3))) < 1e-2
+    assert np.max(np.abs(projected[2] - E(1, 3))) < 1e-2
 
 
 def test_projection_stalls_on_infeasible_relations():
@@ -222,7 +222,7 @@ def test_projection_stalls_on_infeasible_relations():
     pres = AlgebraPresentation.from_strings("canonical-pair", 2,
                                             ["x1*x2 - x2*x1 - 1"])
     X = MatrixTuple((E(1, 2, 2), E(2, 1, 2)))
-    _, residual, converged = project_to_variety(pres, X, tolerance=1e-9, cap=50)
+    _, residual, converged = project_to_variety(pres, X.stacked(), tolerance=1e-9, cap=50)
     assert not converged
     assert residual > 1e-3
 

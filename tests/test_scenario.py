@@ -238,6 +238,16 @@ verbalization:
   v: [{kind: mean, source: u0}]
 """
 
+INVERT = """
+schema: 1
+title: inverse
+run: {{t0: 0.0, t1: 1.0, dt: 0.01}}
+invert:
+  rhs: ["{rhs}"]
+  x0: [0.1]
+  control: ["1.0"]
+"""
+
 
 @pytest.mark.parametrize("text, argv, message", [
     (MINIMAL + "  coalitions: [5]\n", [], "system.coalitions[0]: expected a mapping"),
@@ -251,8 +261,18 @@ verbalization:
     (MINIMAL + "prediction:\n  filter: {kind: lowpass, cutoff: 1.0}\n"
                "  family: [\"u0[200]\"]\n", [],
      "prediction.family[0]: index 200 out of range for 'u0' (dimension 1)"),
+    (INVERT.format(rhs="sin(x1)"), [],
+     "invert.rhs[0]: function 'sin' not allowed in polynomial context"),
+    (INVERT.format(rhs="u1*x1^4"), [],
+     "invert.rhs[0]: rhs 'u1*x1^4' has degree 4 in the state; cap is 3"),
+    (MINIMAL + "verbalization:\n  windows: [0.0, 1.0]\n  omega: [{kind: mean, source: state}]\n"
+               "  v: [{kind: mean, source: u0}]\n"
+               "  recurrence: {family: declared, expression: [\"omega[0]\"]}\n", [],
+     "verbalization.recurrence: a declared recurrence is verified between consecutive "
+     "windows; the window grid has only one"),
 ], ids=["coalition-not-mapping", "slow-not-mapping", "dt-off-interval", "window-off-grid",
-        "dt-override-off-interval", "family-index-out-of-range"])
+        "dt-override-off-interval", "family-index-out-of-range", "invert-rhs-not-polynomial",
+        "invert-rhs-degree-above-cap", "declared-recurrence-one-window"])
 def test_malformed_inputs_exit_1_naming_the_path(tmp_path, capsys, text, argv, message):
     from tactica.cli import EXIT_VALIDATION, main
     path = write(tmp_path, text)

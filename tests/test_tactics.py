@@ -209,7 +209,7 @@ def test_three_game_hierarchical_mask():
                lambda th, om, v: th[1] + om[1],
                form3),
         masks=(frozenset({0}), frozenset({1}), frozenset({0, 1, 2})))
-    runs = run_synthesized(games, synthesis, None, None)
+    runs = run_synthesized(games, synthesis)
 
     theta = [np.array([0.0]), np.array([1.0]), np.array([2.0])]
     for n in range(5):
