@@ -99,7 +99,10 @@ def run_command(command: str, scenario_path, out_dir: Path, dt_override: float |
         "checks": [],
     }
     try:
-        exit_code = _RUNNERS[command](scenario, out_dir, tolerance, report)
+        # Numeric faults are reported by the divergence and finiteness checks,
+        # not as numpy warnings on stderr.
+        with np.errstate(all="ignore"):
+            exit_code = _RUNNERS[command](scenario, out_dir, tolerance, report)
     except StrandedClassError as exc:
         print(f"insolvable: {exc}", file=sys.stderr)
         return EXIT_INSOLVABLE

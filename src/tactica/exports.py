@@ -24,6 +24,18 @@ def format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _float_rows(block: np.ndarray, sep: str) -> Iterable[str]:
+    """The rows of a 2-D float block, each as its exported cells joined by ``sep``.
+
+    Finiteness is checked once for the whole block; a non-finite entry raises
+    the error :func:`format_float` gives for the first one in row order.
+    """
+    finite = np.isfinite(block)
+    if not finite.all():
+        format_float(block[~finite][0])
+    return (sep.join(map("{:.17g}".format, row)) for row in block.tolist())
+
+
 def _serialize(value) -> str:
     if value is None:
         return "null"
@@ -38,6 +50,9 @@ def _serialize(value) -> str:
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.ndim in (1, 2):
+            rows = [f"[{row}]" for row in _float_rows(np.atleast_2d(value), ", ")]
+            return rows[0] if value.ndim == 1 else f"[{', '.join(rows)}]"
         return _serialize(value.tolist())
     if isinstance(value, Mapping):
         items = ", ".join(f"{json.dumps(str(k), ensure_ascii=False)}: {_serialize(v)}"
@@ -76,25 +91,20 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 # Trajectories
 # ---------------------------------------------------------------------------
 
-def trajectory_csv_rows(traj: StateTrajectory):
-    header = ["t"]
-    header += [f"phi_{i}" for i in range(traj.phi.shape[1])]
-    header += [f"u_{i}" for i in range(traj.u.shape[1])]
-    header += [f"eps_{i}" for i in range(traj.eps.shape[1])]
-    header += [f"u0_{i}" for i in range(traj.u0.shape[1])]
-    header += [f"lambda_{i}" for i in range(traj.lam.shape[1])]
-
-    def rows():
-        for k in range(len(traj.t)):
-            yield ([traj.t[k]] + list(traj.phi[k]) + list(traj.u[k])
-                   + list(traj.eps[k]) + list(traj.u0[k]) + list(traj.lam[k]))
-
-    return header, rows()
+def _write_float_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Side-by-side 2-D float blocks as CSV, stacked and formatted 256 rows at a time
+    so that neither a copy of the whole table nor its text is held at once."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), 256):
+            chunk = np.hstack([c[start:start + 256] for c in columns])
+            fh.writelines(row + "\n" for row in _float_rows(chunk, ","))
 
 
 def write_trajectory_csv(traj: StateTrajectory, path) -> None:
-    header, rows = trajectory_csv_rows(traj)
-    write_csv(path, header, rows)
+    blocks = {"phi": traj.phi, "u": traj.u, "eps": traj.eps, "u0": traj.u0, "lambda": traj.lam}
+    header = ["t"] + [f"{name}_{i}" for name, b in blocks.items() for i in range(b.shape[1])]
+    _write_float_csv(path, header, [traj.t[:, None], *blocks.values()])
 
 
 def trajectory_to_json(traj: StateTrajectory) -> dict:
@@ -179,8 +189,7 @@ def matrix_tuple_to_json(matrices: Sequence[np.ndarray], time: float) -> dict:
 
 
 def write_residuals_csv(times: np.ndarray, residuals: np.ndarray, path) -> None:
-    write_csv(path, ["t", "residual"],
-              ([times[k], residuals[k]] for k in range(len(times))))
+    _write_float_csv(path, ["t", "residual"], [np.column_stack([times, residuals])])
 
 
 # ---------------------------------------------------------------------------

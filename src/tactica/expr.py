@@ -241,6 +241,15 @@ def _emit(node) -> str:
     return f"({left} {op} {right})"
 
 
+def _compile(body: str, scalars: Sequence[str], vectors: Mapping[str, int]) -> Callable:
+    arglist = ", ".join([f"_v_{n}" for n in scalars] + [f"_v_{n}" for n in vectors])
+    # The body is assembled purely from our validated AST; nothing from the raw
+    # string reaches eval directly.  The function namespace must be the
+    # lambda's globals: it is resolved at call time, not at eval time.
+    namespace = {"__builtins__": {}, **_FUNC_NS}
+    return eval(f"lambda {arglist}: {body}", namespace)  # noqa: S307
+
+
 def compile_expression(src: str, scalars: Sequence[str] = (),
                        vectors: Mapping[str, int] | None = None) -> Callable:
     """Compile ``src`` into a function of the declared variables.
@@ -251,14 +260,7 @@ def compile_expression(src: str, scalars: Sequence[str] = (),
     """
     vectors = vectors or {}
     validate(src, scalars, vectors)
-    body = _emit(parse(src))
-    arglist = ", ".join([f"_v_{n}" for n in scalars] + [f"_v_{n}" for n in vectors])
-    code = f"lambda {arglist}: ({body})" if arglist else f"lambda: ({body})"
-    # The source is assembled purely from our validated AST; nothing from the
-    # raw string reaches eval directly.  The function namespace must be the
-    # lambda's globals: it is resolved at call time, not at eval time.
-    namespace = {"__builtins__": {}, **_FUNC_NS}
-    return eval(code, namespace)  # noqa: S307
+    return _compile(f"({_emit(parse(src))})", scalars, vectors)
 
 
 @dataclass(frozen=True)
@@ -275,12 +277,13 @@ class VectorExpression:
 
 def compile_vector(sources: Sequence[str], scalars: Sequence[str] = (),
                    vectors: Mapping[str, int] | None = None) -> VectorExpression:
-    fns = [compile_expression(s, scalars, vectors) for s in sources]
-
-    def call(*args):
-        return [f(*args) for f in fns]
-
-    return VectorExpression(tuple(sources), call)
+    """Compile ``sources`` into one function returning the list of component values,
+    evaluated left to right exactly as :func:`compile_expression` evaluates each."""
+    vectors = vectors or {}
+    for src in sources:
+        validate(src, scalars, vectors)
+    body = ", ".join(f"({_emit(parse(src))})" for src in sources)
+    return VectorExpression(tuple(sources), _compile(f"[{body}]", scalars, vectors))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -204,19 +205,17 @@ class SlowControl:
     def value(self, t: float, step: int) -> np.ndarray:
         if callable(self.schedule):
             return np.asarray(self.schedule(t), dtype=float)
-        steps = [s for s, _ in self.schedule]
-        pos = bisect.bisect_right(steps, step) - 1
-        if pos < 0:
-            pos = 0
-        return np.asarray(self.schedule[pos][1], dtype=float)
+        pos = bisect.bisect_right(self.schedule, step, key=itemgetter(0)) - 1
+        return np.asarray(self.schedule[max(pos, 0)][1], dtype=float)
 
 
 @dataclass
 class StageTape:
-    """Hidden-parameter values at every integrator stage, in evaluation order."""
+    """Hidden-parameter values at every integrator stage, in evaluation order: per
+    slot, the value its epsilon form produced."""
 
     times: list[float] = field(default_factory=list)
-    values: list[tuple[np.ndarray, ...]] = field(default_factory=list)
+    values: list[tuple] = field(default_factory=list)
 
     def __len__(self):
         return len(self.times)
@@ -280,33 +279,28 @@ class StateTrajectory:
 
 @dataclass(frozen=True)
 class _Slot:
-    """Internal control slot: shared evaluation path for players and coalitions."""
+    """Internal control slot: shared evaluation path for players and coalitions.
+    ``u0_argument`` picks a player's control or the tuple of a coalition's members'."""
 
-    member_players: tuple[int, ...]
+    u0_argument: Callable
     coupling: Callable
     epsilon: EpsilonProcess
     derivative_order: int
-    single_member: bool
-
-    def u0_argument(self, u0s: list):
-        if self.single_member:
-            return u0s[self.member_players[0]]
-        return tuple(u0s[i] for i in self.member_players)
 
 
 def _player_slots(system: InteractiveSystem) -> list[_Slot]:
     return [
-        _Slot(member_players=(i,), coupling=p.coupling.known_form, epsilon=p.epsilon,
-              derivative_order=p.coupling.derivative_order, single_member=True)
+        _Slot(u0_argument=itemgetter(i), coupling=p.coupling.known_form, epsilon=p.epsilon,
+              derivative_order=p.coupling.derivative_order)
         for i, p in enumerate(system.players)
     ]
 
 
 def _coalition_slots(system: InteractiveSystem) -> list[_Slot]:
     return [
-        _Slot(member_players=tuple(m - 1 for m in c.members), coupling=c.coupling,
-              epsilon=c.epsilon, derivative_order=c.derivative_order,
-              single_member=False)
+        _Slot(u0_argument=lambda u0s, _m=tuple(m - 1 for m in c.members):
+              tuple(u0s[i] for i in _m), coupling=c.coupling, epsilon=c.epsilon,
+              derivative_order=c.derivative_order)
         for c in system.coalitions
     ]
 
@@ -328,46 +322,42 @@ def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, d
     if not np.all(np.isfinite(phi)):
         raise ConfigurationError("initial state must be finite")
 
-    policies = [p.policy for p in system.players]
+    signals = [p.policy.signal for p in system.players]
+    picks = [s.u0_argument for s in slots]
+    forms = [s.epsilon.form for s in slots]
+    couplings = [s.coupling for s in slots]
     dynamics = system.dynamics
     max_k = max(s.derivative_order for s in slots)
     omega_vec = _EMPTY if omega is None else np.asarray(omega, dtype=float)
-    zero_deriv = np.zeros(system.dim)
+    pre_derivs = (np.zeros(system.dim),)
     tape = StageTape() if record_tape else None
-
-    def lam_at(t: float, step: int) -> np.ndarray:
-        if slow is None:
-            return _EMPTY
-        return slow.value(t, step)
+    lam_at = (lambda t, step: _EMPTY) if slow is None else slow.value
 
     def stage(t: float, state: np.ndarray, lam: np.ndarray):
-        u0s = [pol(t) for pol in policies]
-        if max_k == 0:
+        try:
+            u0s = [signal(t) for signal in signals]
+            args = [pick(u0s) for pick in picks]
             derivs: tuple = ()
-        else:
-            pre_derivs = (zero_deriv,)
-            eps_pre = [s.epsilon.form(t, s.u0_argument(u0s), state, pre_derivs) for s in slots]
-            u_pre = [s.coupling(t, s.u0_argument(u0s), state, pre_derivs, eps_pre[k], lam)
-                     for k, s in enumerate(slots)]
-            dphi_pre = np.asarray(dynamics(t, state, u_pre, lam, omega_vec), dtype=float)
-            derivs = (dphi_pre,)
-        eps = [s.epsilon.form(t, s.u0_argument(u0s), state, derivs) for s in slots]
-        u = [s.coupling(t, s.u0_argument(u0s), state, derivs, eps[k], lam)
-             for k, s in enumerate(slots)]
-        dphi = np.asarray(dynamics(t, state, u, lam, omega_vec), dtype=float)
+            if max_k:
+                eps = [form(t, a, state, pre_derivs) for form, a in zip(forms, args)]
+                u = [c(t, a, state, pre_derivs, e, lam) for c, a, e in zip(couplings, args, eps)]
+                derivs = (np.asarray(dynamics(t, state, u, lam, omega_vec), dtype=float),)
+            eps = [form(t, a, state, derivs) for form, a in zip(forms, args)]
+            u = [c(t, a, state, derivs, e, lam) for c, a, e in zip(couplings, args, eps)]
+            dphi = np.asarray(dynamics(t, state, u, lam, omega_vec), dtype=float)
+        except ArithmeticError as exc:
+            raise SimulationError(f"{exc} at t={t!r}") from exc
         if tape is not None:
             tape.times.append(t)
-            tape.values.append(tuple(np.asarray(e, dtype=float) for e in eps))
-        return u0s, eps, u, dphi
+            tape.values.append(tuple(eps))
+        return (u0s, eps, u), dphi
 
     # Size the record arrays from a probe evaluation at the initial point.
     # The probe stays on the tape: replay runs perform the same probe, so the
     # stage sequences of the two runs line up one to one.
     lam0 = lam_at(t0, 0)
-    u0s, eps, u, dphi = stage(t0, phi, lam0)
-    u0_dims = tuple(len(np.atleast_1d(np.asarray(x, dtype=float))) for x in u0s)
-    eps_dims = tuple(len(np.atleast_1d(np.asarray(x, dtype=float))) for x in eps)
-    u_dims = tuple(len(np.atleast_1d(np.asarray(x, dtype=float))) for x in u)
+    values, dphi = stage(t0, phi, lam0)
+    u0_dims, eps_dims, u_dims = (tuple(np.size(x) for x in block) for block in values)
 
     n_samples = n_steps + 1
     rec_t = np.empty(n_samples)
@@ -377,34 +367,42 @@ def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, d
     rec_eps = np.empty((n_samples, sum(eps_dims)))
     rec_u = np.empty((n_samples, sum(u_dims)))
     rec_lam = np.empty((n_samples, len(lam0)))
+    # Each slot's value is written into its own column block of the record row.
+    blocks = [(rec, [slice(a - d, a) for d, a in zip(dims, np.cumsum(dims))])
+              for rec, dims in ((rec_u0, u0_dims), (rec_eps, eps_dims), (rec_u, u_dims))]
 
-    def record(k, t, state, u0s, eps, u, dphi, lam):
+    def record(k, t, state, values, dphi, lam):
         rec_t[k] = t
         rec_phi[k] = state
         rec_dphi[k] = dphi
-        rec_u0[k] = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)) for x in u0s]) \
-            if u0_dims else _EMPTY
-        rec_eps[k] = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)) for x in eps]) \
-            if sum(eps_dims) else np.zeros(0)
-        rec_u[k] = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)) for x in u])
         rec_lam[k] = lam
+        for (rec, cols), slot_values in zip(blocks, values):
+            row = rec[k]
+            for col, x in zip(cols, slot_values):
+                row[col] = x
 
     def derivative(s: float, state: np.ndarray) -> np.ndarray:
-        return stage(s, state, lam_at(s, k))[3]
+        return stage(s, state, lam_at(s, k))[1]
 
     for k in range(n_steps):
         t = t0 + k * dt
         lam = lam_at(t, k)
-        u0s, eps, u, k1 = stage(t, phi, lam)
-        record(k, t, phi, u0s, eps, u, k1, lam)
+        values, k1 = stage(t, phi, lam)
+        record(k, t, phi, values, k1, lam)
         phi = rk4_step(derivative, t, phi, dt, k1)
-        if not np.all(np.isfinite(phi)):
+        if not np.isfinite(phi).all():
             raise DivergenceError(last_valid_time=t)
 
     t_end = t0 + n_steps * dt
     lam = lam_at(t_end, n_steps)
-    u0s, eps, u, dphi = stage(t_end, phi, lam)
-    record(n_steps, t_end, phi, u0s, eps, u, dphi, lam)
+    values, dphi = stage(t_end, phi, lam)
+    record(n_steps, t_end, phi, values, dphi, lam)
+    for name, rec in (("u0", rec_u0), ("eps", rec_eps), ("u", rec_u), ("dphi", rec_dphi),
+                      ("lambda", rec_lam)):
+        bad_rows, bad_columns = np.nonzero(~np.isfinite(rec))
+        if len(bad_rows):
+            raise SimulationError(
+                f"non-finite {name}_{bad_columns[0]} at t={float(rec_t[bad_rows[0]])!r}")
 
     return StateTrajectory(t=rec_t, phi=rec_phi, dphi=rec_dphi, u0=rec_u0, eps=rec_eps,
                            u=rec_u, lam=rec_lam, u0_dims=u0_dims, eps_dims=eps_dims,

@@ -214,10 +214,12 @@ class Scenario:
         return plan.system, plan.initial, plan.slow
 
     def simulate(self) -> StateTrajectory:
-        """Integrate the declared system over the run, on the slots it declares."""
+        """Integrate the declared system over the run, on the slots it declares.
+
+        No stage tape is kept: the commands export traces and never replay them."""
         plan, run = self.plans["system"], self.run
         return plan.integrate(plan.system, plan.initial, run.t0, run.t1, run.dt,
-                              slow=plan.slow)
+                              slow=plan.slow, record_tape=False)
 
     def verbalization_plan(self) -> VerbalizationPlan:
         return self.plans["verbalization"]
@@ -382,7 +384,7 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
         player_slots.append(slot)
         if signal and coupling:
             built.append(Player(
-                PureControlPolicy(k + 1, lambda t, _f=signal.fn: _f(t)),
+                PureControlPolicy(k + 1, signal.fn),
                 FeedbackCoupling(lambda t, u0, phi, derivs, eps, lam, _f=coupling.fn:
                                  _f(t, u0, phi, eps, lam)),
                 zero_epsilon() if truth is None else EpsilonProcess(
@@ -405,10 +407,10 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
             # Coalition forms see their members' pure controls as one flat vector.
             built_coalitions.append(Coalition(
                 tuple(members), lambda t, u0s, phi, derivs, eps, lam, _f=coupling.fn:
-                    _f(t, [x for u in u0s for x in np.atleast_1d(u)], phi, eps, lam),
+                    _f(t, np.concatenate(u0s), phi, eps, lam),
                 zero_epsilon() if truth is None else EpsilonProcess(
-                    lambda t, u0s, phi, derivs, _f=truth.fn:
-                        _f(t, [x for u in u0s for x in np.atleast_1d(u)], phi), truth.dim)))
+                    lambda t, u0s, phi, derivs, _f=truth.fn: _f(t, np.concatenate(u0s), phi),
+                    truth.dim)))
     slots, dims = coalition_slots if coalitions else player_slots, ctx.dims
     dims.update(u=sum(u for u, _ in slots), u0=sum(u0_dims), eps=sum(e for _, e in slots),
                 phi=dim)
@@ -430,9 +432,10 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
     if len(check.errors) > start:
         return None
 
+    # The flat control vector keeps numpy float64 elements: the expressions' power,
+    # overflow and negative-base behaviour is that of np.float64, not of float.
     def dynamics(t, phi, controls, lam, omega, _f=dyn.fn):
-        flat = [x for slot in controls for x in np.atleast_1d(slot)]
-        return _f(t, phi, flat, lam, omega)
+        return _f(t, phi, np.concatenate(controls), lam, omega)
 
     system = check.build("system", InteractiveSystem, dim=dim, dynamics=dynamics,
                          players=tuple(built), coalitions=tuple(built_coalitions),

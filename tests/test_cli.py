@@ -181,6 +181,23 @@ repdyn:
 """
 
 
+# One player whose signal and hidden parameter are given; the state stays at 1.
+PLAYER = """
+schema: 1
+title: {title}
+run: {{t0: 0.0, t1: 0.01, dt: 0.001}}
+system:
+  dim: 1
+  initial: [1.0]
+  dynamics: ["u[0]"]
+  players:
+    - signal: ["{signal}"]
+      coupling: ["u0[0]"]
+      epsilon:
+        truth: ["{eps}"]
+"""
+
+
 @pytest.mark.parametrize("command, text, expected, message", [
     ("simulate", SYSTEM.format(dynamics="0.0", extra="coalitions: [5]"), EXIT_VALIDATION,
      "validation: scenario.yaml: system.coalitions[0]: expected a mapping"),
@@ -192,8 +209,16 @@ repdyn:
      "insolvable in the declared class at t=0.001"),
     ("repdyn", OVERFLOW, EXIT_RUNTIME,
      "runtime: stage-overflow: matrix tuple diverged at t=0.01"),
-], ids=["validation", "zero-division", "overflow", "insolvable", "repdyn-stage-overflow"])
-def test_exit_codes_end_without_traceback(tmp_path, capsys, command, text, expected, message):
+    # The signal divides by zero in the k4 stage of the step from t=0.004.
+    ("simulate", PLAYER.format(title="zerodiv", signal="1.0/(t - 0.005)", eps="0.0"),
+     EXIT_RUNTIME, "runtime: zerodiv: float division by zero at t=0.005"),
+    # The hidden parameter overflows to inf while the state stays finite.
+    ("simulate", PLAYER.format(title="eps-overflow", signal="0.0", eps="phi[0]*1e308*10"),
+     EXIT_RUNTIME, "runtime: eps-overflow: non-finite eps_0 at t=0.0"),
+], ids=["validation", "zero-division", "overflow", "insolvable", "repdyn-stage-overflow",
+        "stage-time", "non-finite-eps"])
+def test_exit_codes_end_without_traceback(tmp_path, capsys, recwarn, command, text, expected,
+                                          message):
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text(text)
     code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")])
@@ -202,6 +227,9 @@ def test_exit_codes_end_without_traceback(tmp_path, capsys, command, text, expec
     assert message in err
     assert "Traceback" not in err
     assert ": ok (" not in out
+    # Under pytest warnings are recorded instead of printed, so check both.
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_projection_linalg_failure_is_a_runtime_error(tmp_path, capsys, monkeypatch):

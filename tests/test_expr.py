@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tactica.expr import (ExpressionError, NCPoly, compile_expression, compile_vector,
                           nc_evaluate, parse, variables)
@@ -78,6 +78,39 @@ def test_compile_vector():
 def test_compiled_matches_direct_evaluation(a, b):
     fn = compile_expression("x[0]*x[1] + sin(x[0]) - x[1]^2", vectors={"x": 2})
     assert fn([a, b]) == pytest.approx(a * b + math.sin(a) - b ** 2, nan_ok=False)
+
+
+_LEAVES = st.sampled_from(["t", "phi[0]", "phi[1]", "0", "0.5", "2", "3.25", "1e308"])
+
+
+def _grammar(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/^"), children).map(" ".join).map("({})".format),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "tanh", "abs"]), children)
+        .map(lambda p: f"{p[0]}({p[1]})"),
+        st.tuples(st.sampled_from(["min", "max"]), children, children)
+        .map(lambda p: f"{p[0]}({p[1]}, {p[2]})"),
+        children.map("-{}".format))
+
+
+def _outcome(fn, *args):
+    try:
+        return [repr(v) for v in fn(*args)]
+    except Exception as exc:  # the first failing component decides, in both forms
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(sources=st.lists(st.recursive(_LEAVES, _grammar, max_leaves=8), min_size=1, max_size=4),
+       t=st.floats(-3.0, 3.0), p=st.floats(-3.0, 3.0), as_array=st.booleans())
+def test_compile_vector_matches_component_expressions(sources, t, p, as_array):
+    # repr tells -0.0 from 0.0 and np.float64 from float, so equality is bit-identity.
+    phi = np.array([p, -0.0]) if as_array else [p, -0.0]
+    vectors = {"phi": 2}
+    scalars = [compile_expression(src, ("t",), vectors) for src in sources]
+    with np.errstate(all="ignore"):
+        expected = _outcome(lambda *args: [f(*args) for f in scalars], t, phi)
+        assert _outcome(compile_vector(sources, ("t",), vectors).fn, t, phi) == expected
 
 
 # ---------------------------------------------------------------------------
