@@ -6,13 +6,22 @@ zero matrix under ordinary (non-symmetrized) products.  Dynamics symbols are
 evaluated in Weyl form: every monomial is averaged over all orderings of its
 letters.  Scale caps (generators <= 4, matrix dimension <= 6, degree <= 3)
 keep the symmetrization and the projection Jacobians small.
+
+Both evaluators run on compiled plans, so their loops only multiply and add.
+A presentation compiles its relations into ``(word, coefficient)`` lists
+when it is built.  ``compile_symbols`` turns a symbol tuple into a
+:class:`WeylPlan`: per term the coefficient, the control index and every
+ordering of its sorted letters as indices into the tuple's matrices, the
+constant matrices and one shared identity.  Unknown slots, unknown
+constants and missing control components are rejected there, once, not
+during evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -74,14 +83,28 @@ def parse_relation(source: str, generators: int) -> NCPoly:
     return poly
 
 
+@functools.lru_cache(maxsize=None)
+def identity(n: int) -> np.ndarray:
+    """The read-only complex ``n x n`` identity shared by every evaluation."""
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
 @dataclass(frozen=True)
 class AlgebraPresentation:
-    """Finitely presented associative algebra: generator count plus relations."""
+    """Finitely presented associative algebra: generator count plus relations.
+
+    ``words`` is the compiled form the evaluators read: per relation, its
+    ``(word, coefficient)`` pairs.
+    """
 
     label: str
     generators: int
     relations: tuple[NCPoly, ...] = ()
     relation_sources: tuple[str, ...] = ()
+    words: tuple[tuple[tuple[tuple[int, ...], complex], ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.generators <= MAX_GENERATORS:
@@ -94,6 +117,8 @@ class AlgebraPresentation:
                         raise ConfigurationError(
                             f"presentation {self.label!r}: relation letter {letter!r} "
                             f"outside generators [1..{self.generators}]")
+        object.__setattr__(self, "words",
+                           tuple(tuple(rel.terms.items()) for rel in self.relations))
 
     @classmethod
     def from_strings(cls, label: str, generators: int,
@@ -103,16 +128,24 @@ class AlgebraPresentation:
                    relation_sources=tuple(relations))
 
 
-def poly_eval(poly: NCPoly, matrices: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Evaluate with ordinary matrix products; the empty word is coeff * identity."""
-    acc = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for word, coeff in poly.terms.items():
-        prod = eye
-        for letter in word:
-            prod = prod @ matrices[letter]
-        acc = acc + coeff * prod
-    return acc
+def poly_eval(words: Sequence[Sequence[tuple[tuple[int, ...], complex]]], matrices,
+              eye: np.ndarray) -> np.ndarray:
+    """Evaluate compiled relations with ordinary products, one ``(n, n)`` value each.
+
+    ``words`` holds each relation's ``(word, coefficient)`` pairs and
+    ``matrices`` is an ``(m, n, n)`` tuple or the sequence of its matrices.
+    Every product starts from ``eye``: that leading product turns a ``-0.0``
+    entry into ``+0.0`` and an infinite entry into NaNs, and the residual
+    bytes depend on both.
+    """
+    out = np.zeros((len(words),) + eye.shape, dtype=complex)
+    for acc, terms in zip(out, words):
+        for word, coeff in terms:
+            prod = eye
+            for letter in word:
+                prod = prod @ matrices[letter]
+            acc += coeff * prod
+    return out
 
 
 def relation_values(pres: AlgebraPresentation,
@@ -121,16 +154,11 @@ def relation_values(pres: AlgebraPresentation,
 
     ``stacked`` may also be the sequence of the tuple's matrices.
     """
-    n = stacked[0].shape[0]
-    values = []
+    values = poly_eval(pres.words, stacked, identity(stacked[0].shape[0]))
     worst = 0.0
-    for rel in pres.relations:
-        value = poly_eval(rel, stacked, n)
-        values.append(value.reshape(-1))
+    for value in values:
         worst = max(worst, float(np.linalg.norm(value)))
-    if not values:
-        return np.zeros(0, dtype=complex), 0.0
-    return np.concatenate(values), worst
+    return values.reshape(-1), worst
 
 
 def relation_residual(pres: AlgebraPresentation, X: MatrixTuple) -> float:
@@ -230,80 +258,102 @@ class WeylTerm:
 class WeylSymbol:
     terms: tuple[WeylTerm, ...]
 
-    def max_slot(self) -> int:
-        slots = [l for t in self.terms for l in t.word if isinstance(l, int)]
-        return max(slots) if slots else -1
-
-    def max_control(self) -> int:
-        controls = [t.control for t in self.terms if t.control is not None]
-        return max(controls) if controls else -1
-
     def constant_names(self) -> set[str]:
         return {l for t in self.terms for l in t.word if isinstance(l, str)}
+
+
+@dataclass(frozen=True)
+class WeylPlan:
+    """Weyl symbols compiled for one tuple size, matrix dimension and control dimension.
+
+    ``symbols[k]`` lists the terms of the k-th symbol as ``(coefficient,
+    control, orderings)``.  An ordering is a tuple of indices into the pool
+    ``[*tuple matrices, *fixed]``; ``fixed`` holds the constant matrices the
+    symbols name, then the identity, so an empty word has the identity as
+    its one factor.  A monomial of degree d >= 2 has all d! orderings of its
+    canonically sorted letters, repeats included.
+    """
+
+    shape: tuple[int, int, int]
+    fixed: tuple[np.ndarray, ...]
+    symbols: tuple[tuple[tuple[complex, int | None, tuple[tuple[int, ...], ...]], ...], ...]
+
+
+def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
+                    constants: Mapping[str, np.ndarray] | None = None,
+                    control_dim: int = 0) -> WeylPlan:
+    """Resolve the slots, constants and controls of ``symbols`` against an ``(m, n, n)`` tuple.
+
+    Raises ConfigurationError for a slot beyond the tuple, an unknown or
+    wrongly sized constant, or a control component beyond ``control_dim``.
+    """
+    constants = constants or {}
+    names = sorted({name for sym in symbols for name in sym.constant_names()})
+    for name in names:
+        if name not in constants:
+            raise ConfigurationError(f"symbol references unknown constant {name!r}")
+        if np.shape(constants[name]) != (n, n):
+            raise ConfigurationError(
+                f"constant {name!r} must have the ambient dimension {n}")
+    index = {name: m + k for k, name in enumerate(names)}
+    eye = m + len(names)
+
+    def compile_term(term: WeylTerm):
+        if term.control is not None and term.control >= control_dim:
+            raise ConfigurationError(f"symbol needs control component {term.control}, "
+                                     f"control dimension is {control_dim}")
+        for letter in term.word:
+            if isinstance(letter, int) and not 0 <= letter < m:
+                raise ConfigurationError(f"symbol references slot {letter + 1}, "
+                                         f"tuple has {m}")
+        canonical = [index.get(letter, letter)
+                     for letter in sorted(term.word, key=_letter_key)]
+        orderings = tuple(tuple(canonical[i] for i in order)
+                          for order in itertools.permutations(range(len(canonical))))
+        return complex(term.coefficient), term.control, orderings if canonical else ((eye,),)
+
+    return WeylPlan(shape=(len(symbols), n, n),
+                    fixed=tuple(constants[name] for name in names) + (identity(n),),
+                    symbols=tuple(tuple(compile_term(t) for t in sym.terms)
+                                  for sym in symbols))
+
+
+def weyl_eval_tuple(plan: WeylPlan, stacked, a: np.ndarray | None = None) -> np.ndarray:
+    """Symmetrized evaluation of every symbol of ``plan`` at an ``(m, n, n)`` tuple.
+
+    Each monomial averages the products over all orderings of its letters;
+    ``stacked`` may also be the sequence of the tuple's matrices, and ``a``
+    holds the control components the terms scale by.
+    """
+    pool = [*stacked, *plan.fixed]
+    out = np.zeros(plan.shape, dtype=complex)
+    for acc, terms in zip(out, plan.symbols):
+        for coeff, control, orderings in terms:
+            if control is not None:
+                coeff = coeff * a[control]
+            if len(orderings) == 1:
+                acc += coeff * pool[orderings[0][0]]
+                continue
+            total = 0       # a +0.0 start: a lone -0.0 entry sums to +0.0
+            for first, *rest in orderings:
+                prod = pool[first]
+                for i in rest:
+                    prod = prod @ pool[i]
+                total = total + prod
+            acc += (coeff / len(orderings)) * total
+    return out
 
 
 def weyl_eval(symbol: WeylSymbol, X: MatrixTuple,
               constants: Mapping[str, np.ndarray] | None = None,
               a: np.ndarray | None = None) -> np.ndarray:
-    """Symmetrized evaluation: each monomial averages all orderings of its word.
+    """Symmetrized evaluation of one symbol at X: each monomial averages all orderings.
 
     Words are canonicalized by sorting before the orderings are enumerated, so
     the result is bit-identical under any permutation of a monomial's letters.
     """
-    return _weyl_eval(symbol, X.matrices, constants, a)
-
-
-def _weyl_eval(symbol: WeylSymbol, stacked, constants: Mapping[str, np.ndarray] | None,
-               a: np.ndarray | None) -> np.ndarray:
-    """:func:`weyl_eval` over the matrices ``stacked[0..m-1]`` of an ``(m, n, n)`` tuple."""
-    m = len(stacked)
-    n = stacked[0].shape[0]
-    constants = constants or {}
-    acc = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-
-    def resolve(letter) -> np.ndarray:
-        if isinstance(letter, int):
-            if not 0 <= letter < m:
-                raise ConfigurationError(f"symbol references slot {letter + 1}, "
-                                         f"tuple has {m}")
-            return stacked[letter]
-        try:
-            return constants[letter]
-        except KeyError:
-            raise ConfigurationError(f"symbol references unknown constant {letter!r}")
-
-    for term in symbol.terms:
-        coeff = complex(term.coefficient)
-        if term.control is not None:
-            if a is None or term.control >= len(a):
-                raise ConfigurationError(
-                    f"symbol needs control component {term.control}, "
-                    f"schedule provides {0 if a is None else len(a)}")
-            coeff *= a[term.control]
-        if not term.word:
-            acc = acc + coeff * eye
-            continue
-        canonical = tuple(sorted(term.word, key=_letter_key))
-        mats = [resolve(letter) for letter in canonical]
-        if len(mats) == 1:
-            acc = acc + coeff * mats[0]
-            continue
-        total = np.zeros((n, n), dtype=complex)
-        for order in itertools.permutations(range(len(mats))):
-            prod = mats[order[0]]
-            for idx in order[1:]:
-                prod = prod @ mats[idx]
-            total = total + prod
-        acc = acc + (coeff / math.factorial(len(mats))) * total
-    return acc
-
-
-def weyl_eval_tuple(symbols: Sequence[WeylSymbol], stacked: np.ndarray,
-                    constants: Mapping[str, np.ndarray] | None = None,
-                    a: np.ndarray | None = None) -> np.ndarray:
-    """Stacked symmetrized evaluation of one symbol per slot of an ``(m, n, n)`` tuple."""
-    return np.stack([_weyl_eval(s, stacked, constants, a) for s in symbols])
+    plan = compile_symbols((symbol,), X.m, X.n, constants, 0 if a is None else len(a))
+    return weyl_eval_tuple(plan, X.matrices, a)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,9 @@ def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, d
             eps = [form(t, a, state, derivs) for form, a in zip(forms, args)]
             u = [c(t, a, state, derivs, e, lam) for c, a, e in zip(couplings, args, eps)]
             dphi = np.asarray(dynamics(t, state, u, lam, omega_vec), dtype=float)
-        except ArithmeticError as exc:
+        # A TypeError here is a complex value (a negative base raised to a
+        # fractional power) reaching a real-only function or array.
+        except (ArithmeticError, TypeError) as exc:
             raise SimulationError(f"{exc} at t={t!r}") from exc
         if tape is not None:
             tape.times.append(t)
@@ -376,10 +378,13 @@ def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, d
         rec_phi[k] = state
         rec_dphi[k] = dphi
         rec_lam[k] = lam
-        for (rec, cols), slot_values in zip(blocks, values):
-            row = rec[k]
-            for col, x in zip(cols, slot_values):
-                row[col] = x
+        try:
+            for (rec, cols), slot_values in zip(blocks, values):
+                row = rec[k]
+                for col, x in zip(cols, slot_values):
+                    row[col] = x
+        except TypeError as exc:        # a complex control or hidden-parameter value
+            raise SimulationError(f"{exc} at t={t!r}") from exc
 
     def derivative(s: float, state: np.ndarray) -> np.ndarray:
         return stage(s, state, lam_at(s, k))[1]

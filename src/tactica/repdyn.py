@@ -15,9 +15,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple,
-                      WeylSymbol, WeylTerm, commutative_presentation, relation_residual,
-                      relation_values, weyl_eval_tuple)
+from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple, WeylPlan,
+                      WeylSymbol, WeylTerm, commutative_presentation, compile_symbols,
+                      identity, relation_residual, relation_values, weyl_eval_tuple)
 from .expr import NCPoly, nc_evaluate
 from .games import ConfigurationError, SimulationError, rk4_step, step_count
 from .tactics import CommentState, DialecticalObject, TransitionRule
@@ -49,7 +49,8 @@ class RepDynSpec:
 
     ``insolvable_threshold`` bounds the raw (pre-projection) residual a step
     may produce before the run is declared insolvable in the current class;
-    the projection itself must reach ``tolerance``.
+    the projection itself must reach ``tolerance``.  ``plan`` is the symbols
+    compiled against the tuple shape, the constants and ``control_dim``.
     """
 
     symbols: tuple[WeylSymbol, ...]
@@ -60,6 +61,7 @@ class RepDynSpec:
     tolerance: float = 1e-9
     insolvable_threshold: float = 1e-5
     projection_cap: int = 50
+    plan: WeylPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "constants",
@@ -70,21 +72,8 @@ class RepDynSpec:
                 f"{len(self.symbols)} symbols declared for a tuple of {self.initial.m}")
         if self.presentation.generators != self.initial.m:
             raise ConfigurationError("constraint presentation and tuple size differ")
-        n = self.initial.n
-        for sym in self.symbols:
-            if sym.max_slot() >= self.initial.m:
-                raise ConfigurationError("symbol references a slot beyond the tuple")
-            if sym.max_control() >= self.control_dim:
-                if sym.max_control() >= 0:
-                    raise ConfigurationError(
-                        f"symbol needs control component {sym.max_control()}, "
-                        f"declared control dimension is {self.control_dim}")
-            for name in sym.constant_names():
-                if name not in self.constants:
-                    raise ConfigurationError(f"undeclared constant matrix {name!r}")
-                if self.constants[name].shape != (n, n):
-                    raise ConfigurationError(
-                        f"constant {name!r} must have the ambient dimension {n}")
+        object.__setattr__(self, "plan", compile_symbols(
+            self.symbols, self.initial.m, self.initial.n, self.constants, self.control_dim))
         initial_residual = relation_residual(self.presentation, self.initial)
         if initial_residual > self.tolerance:
             raise ConfigurationError(
@@ -116,15 +105,15 @@ def _relation_jacobian(pres: AlgebraPresentation, stacked: np.ndarray,
     """Complex Jacobian of the stacked relation entries w.r.t. tuple entries.
 
     Relations are holomorphic in the entries, so complex least squares on this
-    Jacobian is equivalent to the stacked real/imaginary problem.
+    Jacobian is equivalent to the stacked real/imaginary problem.  Letter j of
+    a word ``P X_j Q`` contributes ``kron(P, Q.T)`` to its block; the block is
+    viewed as ``(n, n, n, n)`` and takes that Kronecker product as the outer
+    product ``P[i, j] * Q.T[k, l]`` at ``[i, k, j, l]``.
     """
-    n2 = n * n
-    rows = len(pres.relations) * n2
-    jac = np.zeros((rows, m * n2), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for r, rel in enumerate(pres.relations):
-        block = jac[r * n2:(r + 1) * n2]
-        for word, coeff in rel.terms.items():
+    jac = np.zeros((len(pres.words), n, n, m, n, n), dtype=complex)
+    eye = identity(n)
+    for block, words in zip(jac, pres.words):
+        for word, coeff in words:
             if not word:
                 continue
             mats = [stacked[letter] for letter in word]
@@ -135,10 +124,10 @@ def _relation_jacobian(pres: AlgebraPresentation, stacked: np.ndarray,
             for mat in reversed(mats[1:]):
                 suffixes.append(mat @ suffixes[-1])
             suffixes.reverse()
-            for j, letter in enumerate(word):
-                block[:, letter * n2:(letter + 1) * n2] += coeff * np.kron(
-                    prefixes[j], suffixes[j].T)
-    return jac
+            for letter, prefix, suffix in zip(word, prefixes, suffixes):
+                block[:, :, letter] += coeff * (prefix[:, None, :, None]
+                                                * suffix.T[None, :, None, :])
+    return jac.reshape(len(pres.words) * n * n, m * n * n)
 
 
 def project_to_variety(pres: AlgebraPresentation, stacked: np.ndarray, tolerance: float,
@@ -165,34 +154,35 @@ def project_to_variety(pres: AlgebraPresentation, stacked: np.ndarray, tolerance
 
 
 def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float]] | None,
-                     t0: float, t1: float, dt: float) -> RepDynResult:
+                     t0: float, t1: float, dt: float,
+                     start: np.ndarray | None = None) -> RepDynResult:
     """Fixed-step 4th-order integration with per-step projection.
 
-    On an insolvable step the result carries the samples accepted so far plus
-    the signal; the failing step is not applied.
+    The run starts from ``start``, an ``(m, n, n)`` tuple on the variety, or
+    from ``spec.initial`` when none is given.  On an insolvable step the
+    result carries the samples accepted so far plus the signal; the failing
+    step is not applied.
     """
     n_steps = step_count(t0, t1, dt)
-
-    def a_at(t: float) -> np.ndarray | None:
-        if control is None:
-            if spec.control_dim:
-                raise ConfigurationError("spec declares controls but no schedule given")
-            return None
-        value = np.asarray(control(t), dtype=complex)
-        if len(value) != spec.control_dim:
-            raise ConfigurationError(
-                f"control schedule returns {len(value)} components, spec declares "
-                f"{spec.control_dim}")
-        return value
+    plan, control_dim, presentation = spec.plan, spec.control_dim, spec.presentation
+    if control is None and control_dim:
+        raise ConfigurationError("spec declares controls but no schedule given")
 
     def rhs(t: float, stacked: np.ndarray) -> np.ndarray:
-        return weyl_eval_tuple(spec.symbols, stacked, spec.constants, a_at(t))
+        a = None
+        if control is not None:
+            a = np.asarray(control(t), dtype=complex)
+            if len(a) != control_dim:
+                raise ConfigurationError(
+                    f"control schedule returns {len(a)} components, spec declares "
+                    f"{control_dim}")
+        return weyl_eval_tuple(plan, stacked, a)
 
-    stacked = spec.initial.stacked()
+    stacked = spec.initial.stacked() if start is None else start
     states = np.empty((n_steps + 1,) + stacked.shape, dtype=complex)
     states[0] = stacked
     times = [t0]
-    residuals = [relation_values(spec.presentation, stacked)[1]]
+    residuals = [relation_values(presentation, stacked)[1]]
 
     def result(insolvable: InsolvableSignal | None = None) -> RepDynResult:
         return RepDynResult(times=np.array(times), states=states[:len(times)],
@@ -202,16 +192,16 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
         t = t0 + k * dt
         candidate = rk4_step(rhs, t, stacked, dt, rhs(t, stacked))
         t_next = t0 + (k + 1) * dt
-        if not np.all(np.isfinite(candidate)):
+        if not np.isfinite(candidate).all():
             raise SimulationError(f"matrix tuple diverged at t={t_next!r}")
-        _, raw_residual = relation_values(spec.presentation, candidate)
+        _, raw_residual = relation_values(presentation, candidate)
         if raw_residual > spec.insolvable_threshold:
             return result(InsolvableSignal(
                 time=t_next, residual=raw_residual,
                 reason="raw step residual exceeded the insolvability threshold"))
         if raw_residual > spec.tolerance:
             stacked, residual, converged = project_to_variety(
-                spec.presentation, candidate, spec.tolerance, spec.projection_cap)
+                presentation, candidate, spec.tolerance, spec.projection_cap)
             if not converged:
                 return result(InsolvableSignal(
                     time=t_next, residual=residual,
@@ -567,6 +557,9 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
     stream: list[CommentState] = []
     transitions: list[TransitionEvent] = []
     windows: list[WindowRecord] = []
+    # One compiled spec per class and tuple size, built when the run first
+    # enters the class; its initial tuple is the one it was entered with.
+    specs: dict[tuple[str, int], RepDynSpec] = {}
 
     for n in range(1, len(window_grid)):
         t_a, t_b = float(window_grid[n - 1]), float(window_grid[n])
@@ -576,16 +569,15 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
         window_norms: list[float] = []
         window_a: list[np.ndarray] = []
         while True:
-            dynamics = game.class_dynamics[label]
-            spec = RepDynSpec(symbols=dynamics.symbols,
-                              initial=MatrixTuple(X.matrices, time=t_cursor),
-                              presentation=presentation,
-                              constants=dynamics.constants,
-                              control_dim=game.control_dim,
-                              tolerance=game.tolerance,
-                              insolvable_threshold=game.insolvable_threshold,
-                              projection_cap=game.projection_cap)
-            result = integrate_repdyn(spec, game.control, t_cursor, t_b, dt)
+            spec = specs.get((label, X.m))
+            if spec is None:
+                dynamics = game.class_dynamics[label]
+                spec = specs[label, X.m] = RepDynSpec(
+                    symbols=dynamics.symbols, initial=X, presentation=presentation,
+                    constants=dynamics.constants, control_dim=game.control_dim,
+                    tolerance=game.tolerance, insolvable_threshold=game.insolvable_threshold,
+                    projection_cap=game.projection_cap)
+            result = integrate_repdyn(spec, game.control, t_cursor, t_b, dt, start=X.stacked())
             norms = [float(np.linalg.norm(state)) for state in result.states]
             start = 1 if result.times[0] == all_times[-1] else 0
             all_times.extend(float(t) for t in result.times[start:])

@@ -407,9 +407,10 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
             # Coalition forms see their members' pure controls as one flat vector.
             built_coalitions.append(Coalition(
                 tuple(members), lambda t, u0s, phi, derivs, eps, lam, _f=coupling.fn:
-                    _f(t, np.concatenate(u0s), phi, eps, lam),
+                    _f(t, np.concatenate(u0s, dtype=float), phi, eps, lam),
                 zero_epsilon() if truth is None else EpsilonProcess(
-                    lambda t, u0s, phi, derivs, _f=truth.fn: _f(t, np.concatenate(u0s), phi),
+                    lambda t, u0s, phi, derivs, _f=truth.fn:
+                        _f(t, np.concatenate(u0s, dtype=float), phi),
                     truth.dim)))
     slots, dims = coalition_slots if coalitions else player_slots, ctx.dims
     dims.update(u=sum(u for u, _ in slots), u0=sum(u0_dims), eps=sum(e for _, e in slots),
@@ -434,8 +435,9 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
 
     # The flat control vector keeps numpy float64 elements: the expressions' power,
     # overflow and negative-base behaviour is that of np.float64, not of float.
+    # ``dtype=float`` makes a complex control a TypeError instead of a complex vector.
     def dynamics(t, phi, controls, lam, omega, _f=dyn.fn):
-        return _f(t, phi, np.concatenate(controls), lam, omega)
+        return _f(t, phi, np.concatenate(controls, dtype=float), lam, omega)
 
     system = check.build("system", InteractiveSystem, dim=dim, dynamics=dynamics,
                          players=tuple(built), coalitions=tuple(built_coalitions),

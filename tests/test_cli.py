@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -93,6 +94,33 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     for name in ("trajectory.csv", "windows.csv", "windows.json", "report.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+# sha256 of the numeric artifacts of the shipped repdyn and invert scenarios.  The
+# repdyn kernels (Weyl evaluation, relation values, projection Jacobian) keep the
+# products and sums of their plain-loop form, so these bytes stay fixed; a change
+# that moves one of them changes the numerics and must say so.
+REPDYN_DIGESTS = {
+    ("repdyn", "repdyn_heisenberg"): {
+        "residuals.csv": "512f67da09ce29256e0c0aac687f3d0e5f5429f61c31d804e3ce2332e129fff0",
+        "tuples.json": "00d0126e47a985141b1778a96eb6818814249e5127a81f6424588f2276b430c9"},
+    ("repdyn", "repdyn_transition"): {
+        "residuals.csv": "0a57ec8e4d37445bab8565ebf48a9db9049cb53986b1744315688b024c05b460"},
+    ("invert", "invert_lifted"): {
+        "residuals.csv": "345f5bfbd800e9fcd0978dbfa7a31bd372872d3ca78a9bbb26b79ee378e87c7f",
+        "slot_trace.csv": "771fd3ce447cfd3c6104a3aa8aae79bab506dfae9a9580ab32fd811113a2b99c"},
+    ("invert", "invert_logistic"): {
+        "residuals.csv": "21e7f502a1278d5a09d22ee0a784ee61ff3aa68ec194f741e17fec0d75f521a6",
+        "slot_trace.csv": "4089a6fba41064afbe3890b318ceaaa334e01d93053474bd7752b068c48fb6fc"},
+}
+
+
+@pytest.mark.parametrize("command, stem", sorted(REPDYN_DIGESTS), ids=lambda x: x)
+def test_repdyn_artifacts_keep_their_digests(tmp_path, command, stem):
+    code = main([command, "--scenario", str(SCENARIOS / f"{stem}.yaml"), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in REPDYN_DIGESTS[command, stem]} == REPDYN_DIGESTS[command, stem]
 
 
 def test_floats_round_trip_through_csv(tmp_path):
@@ -215,8 +243,12 @@ system:
     # The hidden parameter overflows to inf while the state stays finite.
     ("simulate", PLAYER.format(title="eps-overflow", signal="0.0", eps="phi[0]*1e308*10"),
      EXIT_RUNTIME, "runtime: eps-overflow: non-finite eps_0 at t=0.0"),
+    # A negative float base to a fractional power is complex; the control vector rejects it.
+    ("simulate", PLAYER.format(title="complex-power", signal="(t - 1)^0.5", eps="0.0"),
+     EXIT_RUNTIME, "runtime: complex-power: Cannot cast array data from dtype('complex128') "
+     "to dtype('float64') according to the rule 'same_kind' at t=0.0"),
 ], ids=["validation", "zero-division", "overflow", "insolvable", "repdyn-stage-overflow",
-        "stage-time", "non-finite-eps"])
+        "stage-time", "non-finite-eps", "complex-power"])
 def test_exit_codes_end_without_traceback(tmp_path, capsys, recwarn, command, text, expected,
                                           message):
     scenario = tmp_path / "scenario.yaml"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tactica.algebra import (AlgebraPresentation, MatrixTuple,
-                             WeylSymbol, WeylTerm, admissible_check,
-                             commutative_presentation, default_registry,
-                             equivalence_partition, heisenberg_presentation,
-                             parse_relation, relation_residual, weyl_eval)
+                             WeylSymbol, WeylTerm, admissible_check, commutative_presentation,
+                             compile_symbols, default_registry, equivalence_partition,
+                             heisenberg_presentation, parse_relation, relation_residual,
+                             weyl_eval, weyl_eval_tuple)
 from tactica.games import ConfigurationError
 from tactica.repdyn import (ClassDynamics, RepDynSpec, StrandedClassError, TacticalRepDyn,
-                            integrate_repdyn, integrate_scalar_reference,
+                            _relation_jacobian, integrate_repdyn, integrate_scalar_reference,
                             project_to_variety, run_tactical_repdyn,
                             solve_inverse_problem, tuple_map)
 from tactica.tactics import DialecticalObject, TransitionRule
@@ -21,6 +22,19 @@ def E(i, j, n=3):
     out = np.zeros((n, n), dtype=complex)
     out[i - 1, j - 1] = 1.0
     return out
+
+
+def bits(x):
+    """The raw bytes of a complex array, so signed zeros and NaN payloads count."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def entries(rng, shape):
+    """Complex entries mixing normals with signed zeros, units and tiny values."""
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, -2.5])
+    parts = [np.where(rng.random(shape) < 0.4, rng.choice(pool, shape), rng.normal(size=shape))
+             for _ in range(2)]
+    return parts[0] + 1j * parts[1]
 
 
 HEISENBERG_TUPLE = MatrixTuple((E(1, 2), E(2, 3), E(1, 3)))
@@ -95,6 +109,70 @@ def test_weyl_constant_letters_and_controls():
     assert np.array_equal(value, 6.0 * np.array([[0, 1], [0, 0]]))
     with pytest.raises(ConfigurationError):
         weyl_eval(sym, X, constants={}, a=np.array([3.0]))
+
+
+def weyl_reference(terms, matrices, constants, a, n):
+    """Permutation average of each sorted word, term by term, as a plain loop."""
+    acc = np.zeros((n, n), dtype=complex)
+    for term in terms:
+        coeff = complex(term.coefficient)
+        if term.control is not None:
+            coeff *= a[term.control]
+        if not term.word:
+            acc = acc + coeff * np.eye(n, dtype=complex)
+            continue
+        letters = sorted(term.word, key=lambda x: (0, x, "") if isinstance(x, int) else (1, -1, x))
+        mats = [matrices[x] if isinstance(x, int) else constants[x] for x in letters]
+        if len(mats) == 1:
+            acc = acc + coeff * mats[0]
+            continue
+        total = np.zeros((n, n), dtype=complex)
+        for order in itertools.permutations(mats):
+            prod = order[0]
+            for mat in order[1:]:
+                prod = prod @ mat
+            total = total + prod
+        acc = acc + (coeff / math.factorial(len(mats))) * total
+    return acc
+
+
+@st.composite
+def weyl_cases(draw):
+    m, n, control_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    letters = st.one_of(st.integers(0, m - 1), st.sampled_from(["C", "D"]))
+    term = st.builds(WeylTerm,
+                     coefficient=st.complex_numbers(max_magnitude=1e3, allow_nan=False),
+                     word=st.lists(letters, max_size=3).map(tuple),
+                     control=st.none() if not control_dim
+                     else st.one_of(st.none(), st.integers(0, control_dim - 1)))
+    symbols = draw(st.lists(st.lists(term, max_size=4).map(
+        lambda terms: WeylSymbol(tuple(terms))), min_size=1, max_size=3))
+    return m, n, control_dim, symbols, draw(st.integers(0, 2 ** 31 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(weyl_cases())
+def test_compiled_weyl_matches_permutation_average_bitwise(case):
+    m, n, control_dim, symbols, seed = case
+    rng = np.random.default_rng(seed)
+    stacked = entries(rng, (m, n, n))
+    constants = {"C": entries(rng, (n, n)), "D": entries(rng, (n, n))}
+    a = entries(rng, (control_dim,))
+    plan = compile_symbols(symbols, m, n, constants, control_dim)
+    got = weyl_eval_tuple(plan, stacked, a)
+    expected = np.stack([weyl_reference(sym.terms, stacked, constants, a, n)
+                         for sym in symbols])
+    assert np.array_equal(bits(got), bits(expected))
+
+
+def test_compile_rejects_unknown_slot_constant_and_control():
+    X = MatrixTuple((np.eye(2, dtype=complex),))
+    with pytest.raises(ConfigurationError, match="slot 2, tuple has 1"):
+        compile_symbols((WeylSymbol((WeylTerm(1.0, (1,)),)),), 1, 2)
+    with pytest.raises(ConfigurationError, match="unknown constant 'C'"):
+        compile_symbols((WeylSymbol((WeylTerm(1.0, ("C",)),)),), 1, 2, {"D": X.matrices[0]})
+    with pytest.raises(ConfigurationError, match="control component 1, control dimension is 1"):
+        compile_symbols((WeylSymbol((WeylTerm(1.0, (0,), control=1),)),), 1, 2, None, 1)
 
 
 def test_symbol_degree_cap():
@@ -214,6 +292,39 @@ def test_projection_pulls_perturbed_tuple_back():
     assert converged
     assert residual <= 1e-9
     assert np.max(np.abs(projected[2] - E(1, 3))) < 1e-2
+
+
+def kron_jacobian(pres, stacked):
+    """The Gauss-Newton Jacobian with one ``np.kron(prefix, suffix.T)`` per letter."""
+    m, n = stacked.shape[0], stacked.shape[1]
+    n2 = n * n
+    jac = np.zeros((len(pres.relations) * n2, m * n2), dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    for r, rel in enumerate(pres.relations):
+        for word, coeff in rel.terms.items():
+            for j, letter in enumerate(word):
+                prefix = eye
+                for x in word[:j]:
+                    prefix = prefix @ stacked[x]
+                suffix = eye
+                for x in reversed(word[j + 1:]):
+                    suffix = stacked[x] @ suffix
+                jac[r * n2:(r + 1) * n2, letter * n2:(letter + 1) * n2] += coeff * np.kron(
+                    prefix, suffix.T)
+    return jac
+
+
+@pytest.mark.parametrize("pres", [
+    heisenberg_presentation(), commutative_presentation(2), commutative_presentation(4),
+    AlgebraPresentation.from_strings("cubic", 2, ["x1*x2*x1 - 1.7*x2*x2 + 0.5", "0.3*x2*x1*x1"]),
+], ids=["heisenberg", "commutative-m2", "commutative-m4", "cubic"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_relation_jacobian_equals_kron_reference_bitwise(pres, seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, 3, 4):
+        stacked = entries(rng, (pres.generators, n, n))
+        jac = _relation_jacobian(pres, stacked, pres.generators, n)
+        assert np.array_equal(bits(jac), bits(kron_jacobian(pres, stacked)))
 
 
 def test_projection_stalls_on_infeasible_relations():
