@@ -8,9 +8,9 @@ finitely presented algebra classes, all driven by deterministic scenarios.
 """
 
 from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple,
-                      WeylSymbol, WeylTerm, admissible_check, commutative_presentation,
-                      default_registry, equivalence_partition, heisenberg_presentation,
-                      relation_residual, weyl_eval)
+                      WeylSymbol, WeylTerm, commutative_presentation, default_registry,
+                      equivalence_partition, heisenberg_presentation, relation_residual,
+                      weyl_eval)
 from .games import (Coalition, ConfigurationError, DivergenceError, EpsilonProcess,
                     FeedbackCoupling, InteractiveSystem, InvariantConstraint, Player,
                     PureControlPolicy, SimulationError, SlowControl, StateTrajectory,
@@ -22,8 +22,8 @@ from .prediction import (DataError, FeedbackEstimate, FilterSpec, Prediction,
                          rolling_predictions, strategic_pipeline, unravel_by_filtering)
 from .repdyn import (ClassDynamics, InsolvableSignal, InverseConstruction, RepDynResult,
                      RepDynSpec, StrandedClassError, TacticalRepDyn, TransitionEvent,
-                     integrate_repdyn, integrate_scalar_reference, project_to_variety,
-                     run_tactical_repdyn, solve_inverse_problem, tuple_map)
+                     check_start, integrate_repdyn, integrate_scalar_reference,
+                     project_to_variety, run_tactical_repdyn, solve_inverse_problem, tuple_map)
 from .scenario import Scenario, ScenarioError, load_scenario
 from .tactics import (CommentRule, CommentState, CommentedGame, CommentedRun,
                       DialecticalObject, InteractionTerm, SynthesisRule, TransitionRule,

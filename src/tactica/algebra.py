@@ -36,10 +36,9 @@ MAX_DEGREE = 3
 
 @dataclass(frozen=True)
 class MatrixTuple:
-    """Ordered tuple of same-sized complex square matrices with a time tag."""
+    """Ordered tuple of same-sized complex square matrices."""
 
     matrices: tuple[np.ndarray, ...]
-    time: float = 0.0
 
     def __post_init__(self):
         mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
@@ -69,8 +68,8 @@ class MatrixTuple:
         return np.stack(self.matrices)
 
     @classmethod
-    def from_stacked(cls, stacked: np.ndarray, time: float = 0.0) -> "MatrixTuple":
-        return cls(matrices=tuple(stacked[k] for k in range(stacked.shape[0])), time=time)
+    def from_stacked(cls, stacked: np.ndarray) -> "MatrixTuple":
+        return cls(matrices=tuple(stacked[k] for k in range(stacked.shape[0])))
 
 
 def parse_relation(source: str, generators: int) -> NCPoly:
@@ -102,7 +101,6 @@ class AlgebraPresentation:
     label: str
     generators: int
     relations: tuple[NCPoly, ...] = ()
-    relation_sources: tuple[str, ...] = ()
     words: tuple[tuple[tuple[tuple[int, ...], complex], ...], ...] = field(
         init=False, repr=False, compare=False)
 
@@ -124,8 +122,7 @@ class AlgebraPresentation:
     def from_strings(cls, label: str, generators: int,
                      relations: Sequence[str]) -> "AlgebraPresentation":
         polys = tuple(parse_relation(src, generators) for src in relations)
-        return cls(label=label, generators=generators, relations=polys,
-                   relation_sources=tuple(relations))
+        return cls(label=label, generators=generators, relations=polys)
 
 
 def poly_eval(words: Sequence[Sequence[tuple[tuple[int, ...], complex]]], matrices,
@@ -152,12 +149,15 @@ def relation_values(pres: AlgebraPresentation,
                     stacked: np.ndarray) -> tuple[np.ndarray, float]:
     """The relations evaluated at an ``(m, n, n)`` tuple: (flat entries, worst Frobenius norm).
 
-    ``stacked`` may also be the sequence of the tuple's matrices.
+    ``stacked`` may also be the sequence of the tuple's matrices.  The worst norm is
+    NaN when any is, so a tuple with a NaN or infinite entry never reads as on the variety.
     """
     values = poly_eval(pres.words, stacked, identity(stacked[0].shape[0]))
     worst = 0.0
     for value in values:
-        worst = max(worst, float(np.linalg.norm(value)))
+        norm = float(np.linalg.norm(value))
+        if norm > worst or norm != norm:    # max() would skip a NaN norm
+            worst = norm
     return values.reshape(-1), worst
 
 
@@ -168,10 +168,6 @@ def relation_residual(pres: AlgebraPresentation, X: MatrixTuple) -> float:
             f"tuple has {X.m} matrices, presentation {pres.label!r} expects "
             f"{pres.generators}")
     return relation_values(pres, X.matrices)[1]
-
-
-def admissible_check(pres: AlgebraPresentation, X: MatrixTuple, tol: float) -> bool:
-    return relation_residual(pres, X) <= tol
 
 
 def commutative_presentation(generators: int, label: str = "commutative") -> AlgebraPresentation:
@@ -193,18 +189,12 @@ class AlgebraClassRegistry:
     """Named families of presentations, one member per generator count."""
 
     classes: Mapping[str, tuple[AlgebraPresentation, ...]]
-    order: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "classes", dict(self.classes))
         for label, family in self.classes.items():
             if not family:
                 raise ConfigurationError(f"class {label!r} has an empty family")
-        if not self.order:
-            object.__setattr__(self, "order", tuple(self.classes))
-        for label in self.order:
-            if label not in self.classes:
-                raise ConfigurationError(f"ordering references unknown class {label!r}")
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.classes)
@@ -225,7 +215,7 @@ def default_registry() -> AlgebraClassRegistry:
         "commutative": tuple(commutative_presentation(m, f"commutative-m{m}")
                              for m in range(1, MAX_GENERATORS + 1)),
         "heisenberg": (heisenberg_presentation(),),
-    }, order=("commutative", "heisenberg"))
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -244,14 +244,12 @@ def _run_repdyn(scenario: Scenario, out: Path, tolerance: float, report: dict) -
     plan = scenario.repdyn_plan()
     run = scenario.run
     if plan.mode == "integrate":
-        result = integrate_repdyn(plan.spec, plan.control, run.t0, run.t1, run.dt)
+        result = integrate_repdyn(plan.spec, plan.control, run.t0, run.t1, run.dt, plan.start)
         exports.write_residuals_csv(result.times, result.residuals,
                                     out / "residuals.csv")
         exports.write_json({
-            "initial": exports.matrix_tuple_to_json(plan.spec.initial.matrices,
-                                                    plan.spec.initial.time),
-            "final": exports.matrix_tuple_to_json(result.final.matrices,
-                                                  float(result.times[-1])),
+            "initial": exports.matrix_tuple_to_json(plan.start, run.t0),
+            "final": exports.matrix_tuple_to_json(result.states[-1], float(result.times[-1])),
         }, out / "tuples.json")
         report["summaries"]["max_residual"] = float(np.max(result.residuals))
         _add_check(report, "relation residual", float(np.max(result.residuals)),
@@ -293,7 +291,8 @@ def _run_invert(scenario: Scenario, out: Path, tolerance: float, report: dict) -
         designated_slot=plan.designated_slot, lift_constants=plan.lift_constants,
         tolerance=tolerance)
     schedule = construction.control_schedule(plan.u_schedule)
-    result = integrate_repdyn(construction.spec, schedule, run.t0, run.t1, run.dt)
+    result = integrate_repdyn(construction.spec, schedule, run.t0, run.t1, run.dt,
+                              construction.start)
     times, reference = integrate_scalar_reference(plan.rhs, plan.x0, plan.u_schedule,
                                                   run.t0, run.t1, run.dt,
                                                   control_dim=plan.control_dim)

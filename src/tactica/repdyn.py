@@ -10,6 +10,7 @@ that signal drives class transitions through a configured dialectical object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -17,11 +18,18 @@ import numpy as np
 
 from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple, WeylPlan,
                       WeylSymbol, WeylTerm, commutative_presentation, compile_symbols,
-                      identity, relation_residual, relation_values, weyl_eval_tuple)
+                      identity, relation_values, weyl_eval_tuple)
 from .expr import NCPoly, nc_evaluate
 from .games import ConfigurationError, SimulationError, rk4_step, step_count
 from .tactics import CommentState, DialecticalObject, TransitionRule
 from .verbalization import WindowRecord
+
+# Relative singular-value cutoff of the projection's least-squares step.  Relation
+# Jacobians are rank-deficient (83 of 108 on conjugated dim-6 Heisenberg tuples); numpy's
+# default cutoff keeps their numerically-zero singular values, whose minimum-norm step
+# amplifies rounding noise so the residual stalls above the tolerance.
+PROJECTION_RCOND = 1e-12
+MAX_TRANSITIONS_PER_WINDOW = 8      # more in one window: the scenario does not settle
 
 
 class StrandedClassError(SimulationError):
@@ -45,8 +53,9 @@ class InsolvableSignal:
 
 @dataclass(frozen=True)
 class RepDynSpec:
-    """Dynamics symbols, initial tuple and the representation constraint.
+    """One algebra class's dynamics: Weyl symbols and the representation constraint.
 
+    The tuple has one ``n x n`` matrix per generator of ``presentation``.
     ``insolvable_threshold`` bounds the raw (pre-projection) residual a step
     may produce before the run is declared insolvable in the current class;
     the projection itself must reach ``tolerance``.  ``plan`` is the symbols
@@ -54,31 +63,38 @@ class RepDynSpec:
     """
 
     symbols: tuple[WeylSymbol, ...]
-    initial: MatrixTuple
     presentation: AlgebraPresentation
+    n: int
     constants: Mapping[str, np.ndarray] = field(default_factory=dict)
     control_dim: int = 0
     tolerance: float = 1e-9
     insolvable_threshold: float = 1e-5
-    projection_cap: int = 50
     plan: WeylPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "constants",
                            {k: np.asarray(v, dtype=complex)
                             for k, v in dict(self.constants).items()})
-        if len(self.symbols) != self.initial.m:
-            raise ConfigurationError(
-                f"{len(self.symbols)} symbols declared for a tuple of {self.initial.m}")
-        if self.presentation.generators != self.initial.m:
-            raise ConfigurationError("constraint presentation and tuple size differ")
+        m = self.presentation.generators
+        if len(self.symbols) != m:
+            raise ConfigurationError(f"{len(self.symbols)} symbols declared, presentation "
+                                     f"{self.presentation.label!r} has {m} generators")
         object.__setattr__(self, "plan", compile_symbols(
-            self.symbols, self.initial.m, self.initial.n, self.constants, self.control_dim))
-        initial_residual = relation_residual(self.presentation, self.initial)
-        if initial_residual > self.tolerance:
-            raise ConfigurationError(
-                f"initial tuple violates the constraint: residual "
-                f"{initial_residual:.3e} > tolerance {self.tolerance:.3e}")
+            self.symbols, m, self.n, self.constants, self.control_dim))
+
+
+def check_start(spec: RepDynSpec, stacked: np.ndarray) -> float:
+    """The relation residual of a start tuple, which must be ``(m, n, n)`` and on the variety."""
+    shape = (spec.presentation.generators, spec.n, spec.n)
+    if np.shape(stacked) != shape:
+        raise ConfigurationError(
+            f"initial tuple has shape {np.shape(stacked)}, the presentation needs {shape}")
+    residual = relation_values(spec.presentation, stacked)[1]
+    if not residual <= spec.tolerance:
+        raise ConfigurationError(
+            f"initial tuple violates the constraint: residual "
+            f"{residual:.3e} > tolerance {spec.tolerance:.3e}")
+    return residual
 
 
 @dataclass
@@ -92,12 +108,11 @@ class RepDynResult:
 
     @property
     def tuples(self) -> list[MatrixTuple]:
-        return [MatrixTuple.from_stacked(state, time=float(t))
-                for t, state in zip(self.times, self.states)]
+        return [MatrixTuple.from_stacked(state) for state in self.states]
 
     @property
     def final(self) -> MatrixTuple:
-        return MatrixTuple.from_stacked(self.states[-1], time=float(self.times[-1]))
+        return MatrixTuple.from_stacked(self.states[-1])
 
 
 def _relation_jacobian(pres: AlgebraPresentation, stacked: np.ndarray,
@@ -136,16 +151,16 @@ def project_to_variety(pres: AlgebraPresentation, stacked: np.ndarray, tolerance
 
     Returns (projected tuple, residual, converged).  Each iteration takes the
     minimum-norm least-squares step of the linearized relations in all tuple
-    entries.
+    entries.  An iterate with a non-finite residual stops it unconverged.
     """
     m, n = stacked.shape[0], stacked.shape[1]
     scale = max(1.0, float(np.max(np.abs(stacked))))
     residual_vec, residual = relation_values(pres, stacked)
     for _ in range(cap):
-        if residual <= tolerance:
-            return stacked, residual, True
+        if residual <= tolerance or not math.isfinite(residual):
+            break
         jac = _relation_jacobian(pres, stacked, m, n)
-        delta, _, _, _ = np.linalg.lstsq(jac, -residual_vec, rcond=None)
+        delta, _, _, _ = np.linalg.lstsq(jac, -residual_vec, rcond=PROJECTION_RCOND)
         if float(np.max(np.abs(delta))) < 1e-16 * scale:
             break
         stacked = stacked + delta.reshape(m, n, n)
@@ -154,14 +169,12 @@ def project_to_variety(pres: AlgebraPresentation, stacked: np.ndarray, tolerance
 
 
 def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float]] | None,
-                     t0: float, t1: float, dt: float,
-                     start: np.ndarray | None = None) -> RepDynResult:
+                     t0: float, t1: float, dt: float, start: np.ndarray) -> RepDynResult:
     """Fixed-step 4th-order integration with per-step projection.
 
-    The run starts from ``start``, an ``(m, n, n)`` tuple on the variety, or
-    from ``spec.initial`` when none is given.  On an insolvable step the
-    result carries the samples accepted so far plus the signal; the failing
-    step is not applied.
+    The run starts from ``start``, an ``(m, n, n)`` tuple on the variety.  On
+    an insolvable step the result carries the samples accepted so far plus
+    the signal; the failing step is not applied.
     """
     n_steps = step_count(t0, t1, dt)
     plan, control_dim, presentation = spec.plan, spec.control_dim, spec.presentation
@@ -178,11 +191,11 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
                     f"{control_dim}")
         return weyl_eval_tuple(plan, stacked, a)
 
-    stacked = spec.initial.stacked() if start is None else start
+    residuals = [check_start(spec, start)]
+    stacked = start
     states = np.empty((n_steps + 1,) + stacked.shape, dtype=complex)
     states[0] = stacked
     times = [t0]
-    residuals = [relation_values(presentation, stacked)[1]]
 
     def result(insolvable: InsolvableSignal | None = None) -> RepDynResult:
         return RepDynResult(times=np.array(times), states=states[:len(times)],
@@ -199,9 +212,11 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
             return result(InsolvableSignal(
                 time=t_next, residual=raw_residual,
                 reason="raw step residual exceeded the insolvability threshold"))
-        if raw_residual > spec.tolerance:
+        if not raw_residual <= spec.tolerance:     # a NaN residual is projected, and fails
             stacked, residual, converged = project_to_variety(
-                presentation, candidate, spec.tolerance, spec.projection_cap)
+                presentation, candidate, spec.tolerance)
+            if not math.isfinite(residual):
+                raise SimulationError(f"relation residual turned non-finite at t={t_next!r}")
             if not converged:
                 return result(InsolvableSignal(
                     time=t_next, residual=residual,
@@ -258,26 +273,21 @@ class InverseConstruction:
     """Representative dynamics realizing a polynomial controlled system."""
 
     spec: RepDynSpec
+    start: np.ndarray   # the (m, n, n) diagonal tuple carrying x0
     control_names: tuple[str, ...]
-    coefficient_map: Callable  # a(u, x) -> control vector for the symbols
+    coefficient_map: Callable  # a(u) -> control vector for the symbols
     designated_slot: int
     symbolic_match: bool
 
-    def control_schedule(self, u_schedule: Callable[[float], Sequence[float]],
-                         x_schedule: Callable[[float], Sequence[float]] | None = None
+    def control_schedule(self, u_schedule: Callable[[float], Sequence[float]]
                          ) -> Callable[[float], np.ndarray]:
-        def schedule(t: float) -> np.ndarray:
-            u = np.atleast_1d(np.asarray(u_schedule(t), dtype=complex))
-            x = None if x_schedule is None else np.atleast_1d(np.asarray(x_schedule(t)))
-            return self.coefficient_map(u, x)
-        return schedule
+        return lambda t: self.coefficient_map(u_schedule(t))
 
 
 def solve_inverse_problem(rhs: Sequence[str], x0: Sequence[float], control_dim: int = 1,
                           matrix_dim: int = 2, designated_slot: int = 0,
                           parallel_initial: Sequence[Sequence[float]] | None = None,
                           lift_constants: bool = False,
-                          constant_matrices: Mapping[str, np.ndarray] | None = None,
                           tolerance: float = 1e-9) -> InverseConstruction:
     """Construct the commutative-diagonal representative dynamics of a system.
 
@@ -307,10 +317,7 @@ def solve_inverse_problem(rhs: Sequence[str], x0: Sequence[float], control_dim: 
             if lift_constants and x_word == () and constant_only:
                 value = sum(c for c, _ in contributions)
                 name = f"C{slot}"
-                if constant_matrices and name in constant_matrices:
-                    constants[name] = np.asarray(constant_matrices[name], dtype=complex)
-                else:
-                    constants[name] = value * np.eye(matrix_dim, dtype=complex)
+                constants[name] = value * np.eye(matrix_dim, dtype=complex)
                 terms.append(WeylTerm(coefficient=1.0, word=(name,)))
                 continue
             index = len(control_entries)
@@ -320,7 +327,7 @@ def solve_inverse_problem(rhs: Sequence[str], x0: Sequence[float], control_dim: 
             terms.append(WeylTerm(coefficient=1.0, word=x_word, control=index))
         symbols.append(WeylSymbol(terms=tuple(terms)))
 
-    def coefficient_map(u, x=None) -> np.ndarray:
+    def coefficient_map(u) -> np.ndarray:
         u = np.atleast_1d(np.asarray(u, dtype=complex))
         out = np.zeros(len(control_entries), dtype=complex)
         for k, (_, _, contributions) in enumerate(control_entries):
@@ -342,21 +349,19 @@ def solve_inverse_problem(rhs: Sequence[str], x0: Sequence[float], control_dim: 
     else:
         diagonals = np.repeat(x0[:, None], matrix_dim, axis=1)
     initial = MatrixTuple(matrices=tuple(np.diag(diagonals[i].astype(complex))
-                                         for i in range(state_dim)), time=0.0)
+                                         for i in range(state_dim)))
 
-    spec = RepDynSpec(symbols=tuple(symbols), initial=initial,
-                      presentation=commutative_presentation(state_dim),
-                      constants=constants, control_dim=len(control_entries),
+    spec = RepDynSpec(symbols=tuple(symbols), presentation=commutative_presentation(state_dim),
+                      n=initial.n, constants=constants, control_dim=len(control_entries),
                       tolerance=tolerance)
-    symbolic_match = _verify_symbolic(parsed, symbols, control_entries, constants,
-                                      lift_constants)
-    return InverseConstruction(spec=spec, control_names=tuple(names),
+    symbolic_match = _verify_symbolic(parsed, symbols, control_entries, constants)
+    return InverseConstruction(spec=spec, start=initial.stacked(), control_names=tuple(names),
                                coefficient_map=coefficient_map,
                                designated_slot=designated_slot,
                                symbolic_match=symbolic_match)
 
 
-def _verify_symbolic(parsed, symbols, control_entries, constants, lift_constants) -> bool:
+def _verify_symbolic(parsed, symbols, control_entries, constants) -> bool:
     """Check the constructed symbol reproduces the rhs monomial-by-monomial."""
     for slot, slots in enumerate(parsed):
         reconstructed: dict[tuple, list[tuple[complex, tuple]]] = {}
@@ -371,12 +376,8 @@ def _verify_symbolic(parsed, symbols, control_entries, constants, lift_constants
                 name = term.word[0] if term.word else None
                 if name is None or name not in constants:
                     return False
-                mat = constants[name]
-                value = mat[0, 0]
-                if not np.allclose(mat, value * np.eye(mat.shape[0])):
-                    continue  # non-scalar lift: matches by declaration, not by value
                 reconstructed.setdefault((), []).append(
-                    (term.coefficient * value, ()))
+                    (term.coefficient * constants[name][0, 0], ()))
         expected = {w: sorted((complex(c), uw) for c, uw in v)
                     for w, v in slots.items()}
         got = {w: sorted((complex(c), uw) for c, uw in v)
@@ -435,7 +436,21 @@ def integrate_scalar_reference(rhs: Sequence[str], x0: Sequence[float],
 # Tactical representative dynamics
 # ---------------------------------------------------------------------------
 
-TUPLE_MAPS: dict[str, Callable[..., Callable[[MatrixTuple], MatrixTuple]]] = {}
+def _append_commutator(i: int, j: int):
+    """Append [X_i, X_j] (1-based slots) as a new generator image."""
+
+    def apply(X: MatrixTuple) -> MatrixTuple:
+        if not (1 <= i <= X.m and 1 <= j <= X.m):
+            raise ConfigurationError(f"append_commutator({i}, {j}) needs slots of a tuple of {X.m}")
+        a, b = X.matrices[i - 1], X.matrices[j - 1]
+        return MatrixTuple(matrices=X.matrices + (a @ b - b @ a,))
+
+    return apply
+
+
+# The named tuple embeddings a transition may declare: name -> factory of the map.
+TUPLE_MAPS: dict[str, Callable[..., Callable[[MatrixTuple], MatrixTuple]]] = {
+    "identity": lambda: lambda X: X, "append_commutator": _append_commutator}
 
 
 def tuple_map(name: str, *args) -> Callable[[MatrixTuple], MatrixTuple]:
@@ -448,31 +463,6 @@ def tuple_map(name: str, *args) -> Callable[[MatrixTuple], MatrixTuple]:
     return factory(*args)
 
 
-def _register(name: str):
-    def deco(fn):
-        TUPLE_MAPS[name] = fn
-        return fn
-    return deco
-
-
-@_register("identity")
-def _identity_map():
-    return lambda X: X
-
-
-@_register("append_commutator")
-def _append_commutator(i: int, j: int):
-    """Append [X_i, X_j] (1-based slots) as a new generator image."""
-
-    def apply(X: MatrixTuple) -> MatrixTuple:
-        if not (1 <= i <= X.m and 1 <= j <= X.m):
-            raise ConfigurationError(f"append_commutator({i}, {j}) needs slots of a tuple of {X.m}")
-        a, b = X.matrices[i - 1], X.matrices[j - 1]
-        return MatrixTuple(matrices=X.matrices + (a @ b - b @ a,), time=X.time)
-
-    return apply
-
-
 @dataclass(frozen=True)
 class ClassDynamics:
     """Per-class dynamics symbols (tuple sizes differ between classes)."""
@@ -483,6 +473,12 @@ class ClassDynamics:
 
 @dataclass(frozen=True)
 class TacticalRepDyn:
+    """A tactical run whose ``specs`` hold one compiled spec per class it can reach.
+
+    A rule leaving a reached class, whatever its trigger, reaches its target at
+    the shape its tuple map gives a zero tuple of the source's shape.
+    """
+
     registry: AlgebraClassRegistry
     class_dynamics: Mapping[str, ClassDynamics]
     initial_class: str
@@ -493,8 +489,7 @@ class TacticalRepDyn:
     control: Callable[[float], Sequence[float]] | None = None
     tolerance: float = 1e-9
     insolvable_threshold: float = 1e-5
-    projection_cap: int = 50
-    max_transitions_per_window: int = 8
+    specs: Mapping[str, RepDynSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.initial_class not in self.registry.labels():
@@ -508,6 +503,33 @@ class TacticalRepDyn:
         for label in self.delta.referenced_classes() | {self.initial_class}:
             if label not in self.class_dynamics:
                 raise ConfigurationError(f"no dynamics declared for class {label!r}")
+        specs: dict[str, RepDynSpec] = {}
+        shapes = {self.initial_class: self.initial.stacked().shape}
+        reached = [self.initial_class]
+        for label in reached:       # grows while it is walked
+            m, n, _ = shape = shapes[label]
+            presentation = self.registry.presentation(label, m)    # names the class
+            dynamics = self.class_dynamics[label]
+            try:
+                specs[label] = RepDynSpec(
+                    symbols=dynamics.symbols, presentation=presentation, n=n,
+                    constants=dynamics.constants, control_dim=self.control_dim,
+                    tolerance=self.tolerance, insolvable_threshold=self.insolvable_threshold)
+                if label == self.initial_class:
+                    check_start(specs[label], self.initial.stacked())
+                for rule in self.delta.transitions:
+                    if rule.from_class != label:
+                        continue
+                    target = shape if rule.tuple_map is None else rule.tuple_map(
+                        MatrixTuple.from_stacked(np.zeros(shape, dtype=complex))).stacked().shape
+                    if rule.to_class not in shapes:
+                        reached.append(rule.to_class)
+                    if shapes.setdefault(rule.to_class, target) != target:
+                        raise ConfigurationError(f"class {rule.to_class!r} is also reached "
+                                                 f"with a tuple of shape {target}")
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"class {label!r}: {exc}") from None
+        object.__setattr__(self, "specs", specs)
 
 
 @dataclass(frozen=True)
@@ -523,7 +545,6 @@ class TransitionEvent:
 class TacticalRepdynResult:
     times: np.ndarray
     residuals: np.ndarray
-    frobenius_norms: np.ndarray
     class_stream: list[CommentState]
     transitions: list[TransitionEvent]
     windows: list[WindowRecord]
@@ -542,24 +563,19 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
 
     The comment stream pairs the class label with the auxiliary vector eta,
     one entry per window; window summaries are (max residual, mean tuple norm)
-    and the mean control.
+    and the mean control.  Each class's spec is read from ``game.specs``.
     """
     if len(window_grid) < 2:
         raise ConfigurationError("window grid needs at least two points")
     label = game.initial_class
-    X = game.initial
+    stacked = game.initial.stacked()
     eta = np.atleast_1d(np.asarray(game.eta0, dtype=float))
-    presentation = game.registry.presentation(label, X.m)
 
-    all_times: list[float] = [float(window_grid[0])]
-    all_residuals: list[float] = [relation_residual(presentation, X)]
-    all_norms: list[float] = [float(np.linalg.norm(X.stacked()))]
+    all_times: list[float] = []
+    all_residuals: list[float] = []
     stream: list[CommentState] = []
     transitions: list[TransitionEvent] = []
     windows: list[WindowRecord] = []
-    # One compiled spec per class and tuple size, built when the run first
-    # enters the class; its initial tuple is the one it was entered with.
-    specs: dict[tuple[str, int], RepDynSpec] = {}
 
     for n in range(1, len(window_grid)):
         t_a, t_b = float(window_grid[n - 1]), float(window_grid[n])
@@ -569,38 +585,30 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
         window_norms: list[float] = []
         window_a: list[np.ndarray] = []
         while True:
-            spec = specs.get((label, X.m))
-            if spec is None:
-                dynamics = game.class_dynamics[label]
-                spec = specs[label, X.m] = RepDynSpec(
-                    symbols=dynamics.symbols, initial=X, presentation=presentation,
-                    constants=dynamics.constants, control_dim=game.control_dim,
-                    tolerance=game.tolerance, insolvable_threshold=game.insolvable_threshold,
-                    projection_cap=game.projection_cap)
-            result = integrate_repdyn(spec, game.control, t_cursor, t_b, dt, start=X.stacked())
+            result = integrate_repdyn(game.specs[label], game.control, t_cursor, t_b, dt,
+                                      stacked)
             norms = [float(np.linalg.norm(state)) for state in result.states]
-            start = 1 if result.times[0] == all_times[-1] else 0
+            start = 1 if all_times and result.times[0] == all_times[-1] else 0
             all_times.extend(float(t) for t in result.times[start:])
             all_residuals.extend(float(r) for r in result.residuals[start:])
-            all_norms.extend(norms[start:])
             window_res.extend(result.residuals.tolist())
             window_norms.extend(norms)
             if game.control is not None:
                 window_a.extend(np.atleast_1d(np.asarray(game.control(float(t)), dtype=float))
                                 for t in result.times)
-            X = result.final
+            stacked = result.states[-1]
             if result.insolvable is None:
                 break
             fired += 1
-            if fired > game.max_transitions_per_window:
+            if fired > MAX_TRANSITIONS_PER_WINDOW:
                 raise SimulationError(
-                    f"more than {game.max_transitions_per_window} class transitions "
+                    f"more than {MAX_TRANSITIONS_PER_WINDOW} class transitions "
                     f"inside window {n}; the scenario does not settle")
             rule = game.delta.find(label, "insolvable")
             if rule is None:
                 raise StrandedClassError(label, n, result.insolvable.time)
-            X, eta, presentation, label = _apply_transition(
-                game, rule, X, eta, result.insolvable, transitions, n)
+            stacked, eta, label = _apply_transition(
+                game, rule, stacked, eta, result.insolvable, transitions, n)
             t_cursor = float(result.times[-1])
             if t_cursor >= t_b:
                 break
@@ -610,8 +618,8 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
                 if rule.trigger(eta, omega_n, v_n, {"window": n}):
                     signal = InsolvableSignal(time=t_b, residual=float(omega_n[0]),
                                               reason="window predicate")
-                    X, eta, presentation, label = _apply_transition(
-                        game, rule, X, eta, signal, transitions, n)
+                    stacked, eta, label = _apply_transition(
+                        game, rule, stacked, eta, signal, transitions, n)
                     break
         windows.append(WindowRecord(index=n, t_start=t_a, t_end=t_b,
                                     omega=omega_n, v=v_n, cell_label=label))
@@ -619,33 +627,29 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
 
     return TacticalRepdynResult(times=np.array(all_times),
                                 residuals=np.array(all_residuals),
-                                frobenius_norms=np.array(all_norms),
                                 class_stream=stream, transitions=transitions,
-                                windows=windows, final=X)
+                                windows=windows, final=MatrixTuple.from_stacked(stacked))
 
 
-def _apply_transition(game: TacticalRepDyn, rule: TransitionRule, X: MatrixTuple,
+def _apply_transition(game: TacticalRepDyn, rule: TransitionRule, stacked: np.ndarray,
                       eta: np.ndarray, signal: InsolvableSignal,
                       transitions: list[TransitionEvent], window_index: int):
-    new_label = rule.to_class
-    mapper = rule.tuple_map
-    if isinstance(mapper, str):
-        mapper = tuple_map(mapper)
-    if mapper is not None:
-        X = mapper(X)
+    if rule.tuple_map is not None:
+        stacked = rule.tuple_map(MatrixTuple.from_stacked(stacked)).stacked()
     if rule.eta_update is not None:
         eta = np.atleast_1d(np.asarray(
             rule.eta_update(eta, {"time": signal.time, "residual": signal.residual}),
             dtype=float))
-    presentation = game.registry.presentation(new_label, X.m)
-    post_residual = relation_residual(presentation, X)
-    if post_residual > game.tolerance:
+    spec = game.specs[rule.to_class]
+    post_residual = relation_values(spec.presentation, stacked)[1]
+    if not post_residual <= spec.tolerance:     # a NaN residual is projected, and fails
         stacked, post_residual, converged = project_to_variety(
-            presentation, X.stacked(), game.tolerance, game.projection_cap)
+            spec.presentation, stacked, spec.tolerance)
+        if not math.isfinite(post_residual):
+            raise SimulationError(f"relation residual turned non-finite at t={signal.time!r}")
         if not converged:
-            raise StrandedClassError(new_label, window_index, signal.time)
-        X = MatrixTuple.from_stacked(stacked, time=X.time)
+            raise StrandedClassError(rule.to_class, window_index, signal.time)
     transitions.append(TransitionEvent(time=signal.time, window_index=window_index,
-                                       from_class=rule.from_class, to_class=new_label,
+                                       from_class=rule.from_class, to_class=rule.to_class,
                                        residual=post_residual))
-    return X, eta, presentation, new_label
+    return stacked, eta, rule.to_class

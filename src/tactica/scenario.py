@@ -25,7 +25,8 @@ from .games import (Coalition, ConfigurationError, EpsilonProcess, FeedbackCoupl
                     SlowControl, StateTrajectory, coalition_simulate, simulate, whole_steps,
                     zero_epsilon)
 from .prediction import FilterSpec
-from .repdyn import ClassDynamics, RepDynSpec, TacticalRepDyn, _parse_polynomial_rhs, tuple_map
+from .repdyn import (ClassDynamics, RepDynSpec, TacticalRepDyn, _parse_polynomial_rhs,
+                     check_start, tuple_map)
 from .tactics import (CommentRule, CommentedGame, DialecticalObject, InteractionTerm,
                       SynthesisRule, TransitionRule)
 from .verbalization import Cell, CellComplex, CellCondition, RecurrenceMap, WindowFunctional
@@ -177,6 +178,7 @@ class PredictionPlan:
 class RepdynPlan:
     mode: str
     spec: RepDynSpec | None = None
+    start: np.ndarray | None = None     # the integrate mode's (m, n, n) initial tuple
     tactical: TacticalRepDyn | None = None
     windows: tuple[float, ...] = ()
     control: Callable | None = None
@@ -680,9 +682,12 @@ def _repdyn(spec: dict, ctx: _Context, check: _Check) -> RepdynPlan | None:
                                initial.m)
         if len(check.errors) > start:
             return None
-        made = check.build("repdyn", RepDynSpec, symbols=dynamics.symbols, initial=initial,
-                           presentation=pres, constants=dynamics.constants, **limits)
-        return made and RepdynPlan(mode=mode, spec=made, control=control)
+        made = check.build("repdyn", RepDynSpec, symbols=dynamics.symbols, presentation=pres,
+                           n=initial.n, constants=dynamics.constants, **limits)
+        stacked = initial.stacked()
+        if made is None or check.build("repdyn", check_start, made, stacked) is None:
+            return None
+        return RepdynPlan(mode=mode, spec=made, start=stacked, control=control)
 
     class_dynamics, declared = {}, spec.get("class_dynamics")
     for label, decl in declared.items() if check.mapping("repdyn.class_dynamics",
@@ -732,8 +737,7 @@ def _presentation(decl, path: str, label, check: _Check) -> AlgebraPresentation 
     polys = [check.build(f"{path}.relations[{k}]", parse_relation, rel, gens)
              for k, rel in enumerate(relations)]
     return None if None in polys else check.build(
-        path, AlgebraPresentation, label=label, generators=gens, relations=tuple(polys),
-        relation_sources=tuple(relations))
+        path, AlgebraPresentation, label=label, generators=gens, relations=tuple(polys))
 
 
 def _dynamics(decl, path: str, control_dim: int, check: _Check) -> ClassDynamics | None:

@@ -62,7 +62,7 @@ class TransitionRule:
     trigger: str | Callable  # "insolvable" or predicate (eta, omega, v, diagnostics)
     to_class: str
     eta_update: Callable | None = None      # (eta, diagnostics) -> eta'
-    tuple_map: str | Callable | None = None  # representation embedding, used by repdyn
+    tuple_map: Callable | None = None  # representation embedding, used by repdyn
 
     def trigger_key(self) -> str:
         return self.trigger if isinstance(self.trigger, str) else f"<fn {id(self.trigger)}>"

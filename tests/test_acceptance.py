@@ -199,7 +199,7 @@ def test_criterion_07_representation_conservation():
         scenario = load_scenario(SCENARIOS / "repdyn_heisenberg.yaml")
         plan = scenario.repdyn_plan()
         started = time.perf_counter()
-        result = integrate_repdyn(plan.spec, plan.control, 0.0, 10.0, 1e-3)
+        result = integrate_repdyn(plan.spec, plan.control, 0.0, 10.0, 1e-3, plan.start)
         elapsed = time.perf_counter() - started
         assert result.insolvable is None
         assert np.max(result.residuals) < 1e-8
@@ -219,7 +219,7 @@ def test_criterion_08_inverse_problem_fidelity():
             schedule = construction.control_schedule(plan.u_schedule)
             run = scenario.run
             result = integrate_repdyn(construction.spec, schedule, run.t0, run.t1,
-                                      run.dt)
+                                      run.dt, construction.start)
             _, reference = integrate_scalar_reference(
                 plan.rhs, plan.x0, plan.u_schedule, run.t0, run.t1, run.dt,
                 control_dim=plan.control_dim)

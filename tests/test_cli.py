@@ -1,9 +1,12 @@
 import hashlib
+import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from tactica.cli import (EXIT_INSOLVABLE, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser,
                          main)
@@ -105,7 +108,9 @@ REPDYN_DIGESTS = {
         "residuals.csv": "512f67da09ce29256e0c0aac687f3d0e5f5429f61c31d804e3ce2332e129fff0",
         "tuples.json": "00d0126e47a985141b1778a96eb6818814249e5127a81f6424588f2276b430c9"},
     ("repdyn", "repdyn_transition"): {
-        "residuals.csv": "0a57ec8e4d37445bab8565ebf48a9db9049cb53986b1744315688b024c05b460"},
+        "residuals.csv": "0a57ec8e4d37445bab8565ebf48a9db9049cb53986b1744315688b024c05b460",
+        "windows.csv": "bee061e816fe528be1412ffe228c2398678ff45eefc7bed05bddb18b231527fe",
+        "comments.jsonl": "6742767e9643bff5c2bedad55d7e1f92e7237beb56ef53ec8033dfc3e2e799e6"},
     ("invert", "invert_lifted"): {
         "residuals.csv": "345f5bfbd800e9fcd0978dbfa7a31bd372872d3ca78a9bbb26b79ee378e87c7f",
         "slot_trace.csv": "771fd3ce447cfd3c6104a3aa8aae79bab506dfae9a9580ab32fd811113a2b99c"},
@@ -264,6 +269,31 @@ def test_exit_codes_end_without_traceback(tmp_path, capsys, recwarn, command, te
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_projection_iterate_is_a_runtime_error(tmp_path, capsys, monkeypatch, value):
+    def step(jac, rhs, rcond=None):
+        return np.full(jac.shape[1], value, dtype=complex), None, None, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", step)
+    scenario = tmp_path / "drift.yaml"
+    scenario.write_text(DRIFT)
+    code = main(["repdyn", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert "runtime: commutator-drift: relation residual turned non-finite at t=0.001" in err
+    assert "Traceback" not in err
+
+
+def test_tuples_json_initial_time_is_the_run_start(tmp_path):
+    scenario = tmp_path / "drift.yaml"
+    scenario.write_text(DRIFT.replace("t0: 0.0, t1: 0.002", "t0: 1.0, t1: 1.002"))
+    code = main(["repdyn", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    tuples = json.loads((tmp_path / "out" / "tuples.json").read_text())
+    assert tuples["initial"]["t"] == 1.0
+    assert read_csv_column(tmp_path / "out" / "residuals.csv", "t")[0] == 1.0
+
+
 def test_projection_linalg_failure_is_a_runtime_error(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
@@ -276,3 +306,52 @@ def test_projection_linalg_failure_is_a_runtime_error(tmp_path, capsys, monkeypa
     assert code == EXIT_RUNTIME
     assert "runtime: commutator-drift: SVD did not converge" in err
     assert "Traceback" not in err
+
+
+def conjugated_heisenberg_dim6(seed: int) -> dict:
+    """A dim-6 Heisenberg integrate scenario whose projection Jacobian is rank-deficient.
+
+    The tuple is a block sum of two scaled 3x3 Heisenberg representations
+    conjugated by I + 0.2 N(0, 1); it flows under the derivation
+    X1' = a X1 + b X2, X2' = c X1 + d X2, X3' = (a + d) X3 with the four rates
+    free unit-amplitude sinusoids.  The draws follow the seeded generator of
+    ``perfbench/known_fault.py``, so seed 2 is the input it reproduces.
+    """
+    rng = random.Random(f"known-fault:{seed}")
+    alpha, beta = (round(rng.uniform(0.5, 1.5), 6) for _ in range(2))
+    p = np.eye(6) + 0.2 * np.array([[rng.gauss(0.0, 1.0) for _ in range(6)] for _ in range(6)])
+    for _ in range(6):      # the generator's rotation-rate draws, replaced below
+        rng.uniform(0.0, 1.0)
+    rng.choice((1.0, -1.0))
+    control = [f"sin({rng.uniform(0.5, 2.0)!r}*t + {rng.uniform(0.0, 6.283185)!r})"
+               for _ in range(4)]
+
+    def block_sum(i, j, scale):
+        x = np.zeros((6, 6))
+        x[i, j] = x[i + 3, j + 3] = scale
+        return (p @ x @ np.linalg.inv(p)).tolist()
+
+    def term(letter, control):
+        return {"coeff": 1.0, "word": [letter], "control": control}
+
+    return {"schema": 1, "title": "heisenberg-conjugated",
+            "run": {"t0": 0.0, "t1": 2.0, "dt": 0.05},
+            "repdyn": {"mode": "integrate", "class": "heisenberg",
+                       "tuple": [block_sum(0, 1, alpha), block_sum(1, 2, beta),
+                                 block_sum(0, 2, alpha * beta)],
+                       "control": control,
+                       "symbols": [[term("x1", 0), term("x2", 1)],
+                                   [term("x1", 2), term("x2", 3)],
+                                   [term("x3", 0), term("x3", 3)]],
+                       "tolerance": 1.0e-9, "threshold": 1.0e-5}}
+
+
+def test_rank_deficient_projection_converges(tmp_path):
+    # With numpy's default lstsq cutoff the projection stalls near 1e-8 at t = 1.65
+    # (Jacobian rank 83 of 108) and the run exits 3.
+    scenario = tmp_path / "heisenberg_dim6.yaml"
+    scenario.write_text(yaml.safe_dump(conjugated_heisenberg_dim6(seed=2)))
+    code = main(["repdyn", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert read_csv_column(tmp_path / "out" / "residuals.csv", "t")[-1] == 2.0
+    assert read_csv_column(tmp_path / "out" / "residuals.csv", "residual")[-1] <= 1e-9

@@ -1,21 +1,27 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tactica.algebra import (AlgebraPresentation, MatrixTuple,
-                             WeylSymbol, WeylTerm, admissible_check, commutative_presentation,
+import tactica.repdyn
+from tactica.algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple,
+                             WeylSymbol, WeylTerm, commutative_presentation,
                              compile_symbols, default_registry, equivalence_partition,
                              heisenberg_presentation, parse_relation, relation_residual,
-                             weyl_eval, weyl_eval_tuple)
-from tactica.games import ConfigurationError
+                             relation_values, weyl_eval, weyl_eval_tuple)
+from tactica.games import ConfigurationError, SimulationError
 from tactica.repdyn import (ClassDynamics, RepDynSpec, StrandedClassError, TacticalRepDyn,
-                            _relation_jacobian, integrate_repdyn, integrate_scalar_reference,
+                            _relation_jacobian, check_start, integrate_repdyn,
+                            integrate_scalar_reference,
                             project_to_variety, run_tactical_repdyn,
                             solve_inverse_problem, tuple_map)
+from tactica.scenario import load_scenario
 from tactica.tactics import DialecticalObject, TransitionRule
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def E(i, j, n=3):
@@ -186,21 +192,29 @@ def test_symbol_degree_cap():
 
 def test_heisenberg_triple_is_exact_representation():
     assert relation_residual(heisenberg_presentation(), HEISENBERG_TUPLE) == 0.0
-    assert admissible_check(heisenberg_presentation(), HEISENBERG_TUPLE, tol=1e-12)
+    assert relation_residual(heisenberg_presentation(), HEISENBERG_TUPLE) <= 1e-12
 
 
 def test_perturbed_triple_has_expected_residual():
     perturbed = MatrixTuple((E(1, 2), E(2, 3), E(1, 3) + 0.1 * E(1, 2)))
     # [X1,X2] - X3 = -0.1 E12, Frobenius norm 0.1.
     assert relation_residual(heisenberg_presentation(), perturbed) == pytest.approx(0.1)
-    assert not admissible_check(heisenberg_presentation(), perturbed, tol=1e-3)
+    assert not relation_residual(heisenberg_presentation(), perturbed) <= 1e-3
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_entry_has_nan_residual(value):
+    stacked = HEISENBERG_TUPLE.stacked()
+    stacked[2, 1, 0] = value
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(relation_values(heisenberg_presentation(), stacked)[1])
 
 
 def test_empty_presentation_is_vacuous():
     pres = AlgebraPresentation(label="free", generators=2)
     X = MatrixTuple((E(1, 2), E(2, 1)))
     assert relation_residual(pres, X) == 0.0
-    assert admissible_check(pres, X, tol=0.0)
+    assert relation_residual(pres, X) <= 0.0
 
 
 def test_relation_parsing_respects_caps():
@@ -225,9 +239,9 @@ def test_registry_lookup_by_generator_count():
 # ---------------------------------------------------------------------------
 
 def test_frozen_dynamics_keeps_tuple_constant():
-    spec = RepDynSpec(symbols=(WeylSymbol(()),) * 3, initial=HEISENBERG_TUPLE,
+    spec = RepDynSpec(symbols=(WeylSymbol(()),) * 3, n=3,
                       presentation=heisenberg_presentation())
-    result = integrate_repdyn(spec, None, 0.0, 1.0, 0.01)
+    result = integrate_repdyn(spec, None, 0.0, 1.0, 0.01, HEISENBERG_TUPLE.stacked())
     assert result.insolvable is None
     assert np.array_equal(result.final.matrices[0], HEISENBERG_TUPLE.matrices[0])
     assert np.all(result.residuals == result.residuals[0])
@@ -237,9 +251,9 @@ def test_commutative_diagonal_slots_follow_scalar_logistic():
     diag0 = np.array([0.1, 0.25, 0.5])
     X0 = MatrixTuple((np.diag(diag0).astype(complex),))
     sym = WeylSymbol((WeylTerm(1.0, (0,), control=0), WeylTerm(-1.0, (0, 0), control=0)))
-    spec = RepDynSpec(symbols=(sym,), initial=X0,
+    spec = RepDynSpec(symbols=(sym,), n=3,
                       presentation=commutative_presentation(1), control_dim=1)
-    result = integrate_repdyn(spec, lambda t: [1.0], 0.0, 3.0, 1e-3)
+    result = integrate_repdyn(spec, lambda t: [1.0], 0.0, 3.0, 1e-3, X0.stacked())
     assert result.insolvable is None
     # Fine-step scalar oracle per diagonal slot.
     for slot in range(3):
@@ -254,10 +268,10 @@ def test_heisenberg_scaling_flow_conserves_relations():
                WeylSymbol((WeylTerm(1.0, (1,), control=1),)),
                WeylSymbol((WeylTerm(1.0, (2,), control=0),
                            WeylTerm(1.0, (2,), control=1))))
-    spec = RepDynSpec(symbols=symbols, initial=HEISENBERG_TUPLE,
+    spec = RepDynSpec(symbols=symbols, n=3,
                       presentation=heisenberg_presentation(), control_dim=2)
     control = lambda t: np.array([0.1 * math.sin(t), 0.05 * math.cos(t)])  # noqa: E731
-    result = integrate_repdyn(spec, control, 0.0, 2.0, 1e-3)
+    result = integrate_repdyn(spec, control, 0.0, 2.0, 1e-3, HEISENBERG_TUPLE.stacked())
     assert result.insolvable is None
     assert np.max(result.residuals) < 1e-8
 
@@ -269,11 +283,11 @@ def test_projection_contract_residuals_bounded():
                WeylSymbol((WeylTerm(1.0, (1,), control=0),)))
     X0 = MatrixTuple((np.diag([1.0, 2.0]).astype(complex),
                       np.diag([0.5, 1.5]).astype(complex)))
-    spec = RepDynSpec(symbols=symbols, initial=X0,
+    spec = RepDynSpec(symbols=symbols, n=2,
                       presentation=commutative_presentation(2),
                       constants={"D": np.array([[0.0, 1.0], [0.0, 0.0]])},
                       control_dim=1, tolerance=1e-9, insolvable_threshold=1e-3)
-    result = integrate_repdyn(spec, lambda t: [0.02], 0.0, 1.0, 1e-2)
+    result = integrate_repdyn(spec, lambda t: [0.02], 0.0, 1.0, 1e-2, X0.stacked())
     assert result.insolvable is None
     assert np.max(result.residuals) <= 1e-9
 
@@ -281,8 +295,8 @@ def test_projection_contract_residuals_bounded():
 def test_initial_violation_rejected():
     bad = MatrixTuple((E(1, 2), E(2, 3), E(1, 3) + 0.5 * E(1, 2)))
     with pytest.raises(ConfigurationError, match="initial tuple violates"):
-        RepDynSpec(symbols=(WeylSymbol(()),) * 3, initial=bad,
-                   presentation=heisenberg_presentation())
+        check_start(RepDynSpec(symbols=(WeylSymbol(()),) * 3, n=3,
+                               presentation=heisenberg_presentation()), bad.stacked())
 
 
 def test_projection_pulls_perturbed_tuple_back():
@@ -377,7 +391,7 @@ def test_inverse_linear_scalar_closed_form():
                                          matrix_dim=2)
     assert construction.symbolic_match
     schedule = construction.control_schedule(lambda t: [0.7])
-    result = integrate_repdyn(construction.spec, schedule, 0.0, 2.0, 1e-3)
+    result = integrate_repdyn(construction.spec, schedule, 0.0, 2.0, 1e-3, construction.start)
     slot = result.final.matrices[0][0, 0].real
     assert abs(slot - math.exp(0.7 * 2.0)) < 1e-9
 
@@ -386,7 +400,7 @@ def test_inverse_logistic_matches_direct_integration():
     construction = solve_inverse_problem(["u1*(x1 - x1*x1)"], x0=[0.1],
                                          control_dim=1, matrix_dim=2)
     schedule = construction.control_schedule(lambda t: [1.0])
-    result = integrate_repdyn(construction.spec, schedule, 0.0, 5.0, 1e-3)
+    result = integrate_repdyn(construction.spec, schedule, 0.0, 5.0, 1e-3, construction.start)
     _, ref = integrate_scalar_reference(["u1*(x1 - x1*x1)"], [0.1],
                                         lambda t: [1.0], 0.0, 5.0, 1e-3)
     slots = np.array([T.matrices[0][0, 0].real for T in result.tuples])
@@ -400,7 +414,7 @@ def test_inverse_constant_lift():
     assert np.array_equal(construction.spec.constants["C0"],
                           0.5 * np.eye(2, dtype=complex))
     schedule = construction.control_schedule(lambda t: [0.3])
-    result = integrate_repdyn(construction.spec, schedule, 0.0, 2.0, 1e-3)
+    result = integrate_repdyn(construction.spec, schedule, 0.0, 2.0, 1e-3, construction.start)
     _, ref = integrate_scalar_reference(["0.5 + u1*x1"], [1.0], lambda t: [0.3],
                                         0.0, 2.0, 1e-3)
     slots = np.array([T.matrices[0][0, 0].real for T in result.tuples])
@@ -412,7 +426,7 @@ def test_inverse_parallel_initial_data():
         ["u1*(x1 - x1*x1)"], x0=[0.1], control_dim=1, matrix_dim=3,
         parallel_initial=[[0.1, 0.3, 0.6]])
     schedule = construction.control_schedule(lambda t: [1.0])
-    result = integrate_repdyn(construction.spec, schedule, 0.0, 1.0, 1e-3)
+    result = integrate_repdyn(construction.spec, schedule, 0.0, 1.0, 1e-3, construction.start)
     for slot, x0 in enumerate([0.1, 0.3, 0.6]):
         _, ref = integrate_scalar_reference(["u1*(x1 - x1*x1)"], [x0],
                                             lambda t: [1.0], 0.0, 1.0, 1e-3)
@@ -434,7 +448,7 @@ def test_inverse_two_dimensional_system():
     construction = solve_inverse_problem(rhs, x0=[1.0, 0.0], control_dim=1,
                                          matrix_dim=2)
     schedule = construction.control_schedule(lambda t: [1.0])
-    result = integrate_repdyn(construction.spec, schedule, 0.0, 2.0, 1e-3)
+    result = integrate_repdyn(construction.spec, schedule, 0.0, 2.0, 1e-3, construction.start)
     _, ref = integrate_scalar_reference(rhs, [1.0, 0.0], lambda t: [1.0],
                                         0.0, 2.0, 1e-3)
     for i in range(2):
@@ -544,3 +558,37 @@ def test_tuple_map_rejects_bad_arguments_and_slots():
     embed = tuple_map("append_commutator", 1, 5)
     with pytest.raises(ConfigurationError):
         embed(_zero_pair())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_projection_after_a_transition_is_a_runtime_error(monkeypatch, value):
+    def step(jac, rhs, rcond=None):
+        return np.full(jac.shape[1], value, dtype=complex), None, None, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", step)
+    # The first step is insolvable; the mapped tuple is off the Heisenberg variety.
+    off_variety = DialecticalObject(label="off-variety", transitions=(
+        TransitionRule(from_class="commutative", trigger="insolvable", to_class="heisenberg",
+                       tuple_map=lambda X: MatrixTuple(X.matrices + (E(1, 3),))),))
+    game = TacticalRepDyn(
+        registry=default_registry(),
+        class_dynamics={"commutative": _drift_dynamics(), "heisenberg": _scaling_dynamics()},
+        initial_class="commutative", initial=_zero_pair(), eta0=np.zeros(1),
+        delta=off_variety, insolvable_threshold=1e-7)
+    with pytest.raises(SimulationError, match=r"non-finite at t=0\.001"), \
+            np.errstate(invalid="ignore"):
+        run_tactical_repdyn(game, [0.0, 1.0], 1e-3)
+
+
+def test_tactical_run_compiles_and_looks_up_nothing(monkeypatch):
+    scenario = load_scenario(SCENARIOS / "repdyn_transition.yaml")
+    plan = scenario.repdyn_plan()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a class was compiled or looked up during the run")
+
+    monkeypatch.setattr(tactica.repdyn, "compile_symbols", fail)
+    monkeypatch.setattr(AlgebraClassRegistry, "presentation", fail)
+    result = run_tactical_repdyn(plan.tactical, plan.windows, scenario.run.dt)
+    assert [(e.from_class, e.to_class) for e in result.transitions] == \
+        [("commutative", "heisenberg")]

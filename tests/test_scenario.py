@@ -323,3 +323,30 @@ def test_mutated_shipped_scenarios_load_or_raise_scenario_error(tmp_path, tree):
         assert load_scenario(path).supported_commands()
     except ScenarioError as exc:
         assert exc.errors
+
+
+# Faults in the classes a tactical run can reach, found when the scenario loads.
+@pytest.mark.parametrize("edits, message", [
+    ({("class_dynamics", "heisenberg", "symbols", 0, 0, "word"): ["x4"]},
+     "class 'heisenberg': symbol references slot 4, tuple has 3"),
+    # The threshold is never crossed, so the run would never enter the class.
+    ({("threshold",): 1.0, ("class_dynamics", "heisenberg", "symbols"):
+      [[{"coeff": 0.2, "word": ["x1"]}], [{"coeff": 0.1, "word": ["x2"]}]]},
+     "class 'heisenberg': 2 symbols declared, presentation 'heisenberg' has 3 generators"),
+    ({("tuple", 0, 0, 1): 1, ("tuple", 1, 1, 2): 1},
+     "class 'commutative': initial tuple violates the constraint: residual 1.000e+00"),
+    ({("transitions", 0, "embed", "args"): [1, 5]},
+     "class 'commutative': append_commutator(1, 5) needs slots of a tuple of 2"),
+], ids=["slot-beyond-tuple", "symbol-count-unreached", "initial-off-variety", "embed-slot"])
+def test_reachable_class_faults_exit_1_at_load(tmp_path, capsys, edits, message):
+    from tactica.cli import EXIT_VALIDATION, main
+    tree = copy.deepcopy(SHIPPED["repdyn_transition.yaml"])
+    for path, value in edits.items():
+        functools.reduce(lambda node, key: node[key], path[:-1], tree["repdyn"])[path[-1]] = value
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump(tree))
+    code = main(["repdyn", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert f"validation: scenario.yaml: repdyn: {message}" in err
+    assert "Traceback" not in err
