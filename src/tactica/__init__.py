@@ -2,9 +2,10 @@
 
 Simulation of differential interactive systems with hidden feedback
 parameters, window-based verbalization with identifiable recurrences, comment
-recursions with interaction/synthesis/extension operators, a-posteriori
-prediction and filtering analysis, and constrained matrix dynamics over
-finitely presented algebra classes, all driven by deterministic scenarios.
+recursions that every tactics mode compiles into one synthesis rule, with a
+tactical-extension check, a-posteriori prediction and filtering analysis, and
+constrained matrix dynamics over finitely presented algebra classes, all
+driven by deterministic scenarios.
 """
 
 from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple,
@@ -28,12 +29,11 @@ from .scenario import Scenario, ScenarioError, load_scenario
 from .tactics import (CommentRule, CommentState, CommentedGame, CommentedRun,
                       DialecticalObject, InteractionTerm, SynthesisRule, TransitionRule,
                       interaction_as_synthesis, is_tactical_extension, probe_grid,
-                      run_commented_game, run_synthesized, tactical_interaction,
-                      tactical_synthesis)
+                      run_commented_game, run_synthesized)
 from .verbalization import (Cell, CellComplex, CellCondition, DialogueResult,
                             DialogueSpec, DomainError, IntentionField, RecurrenceMap,
-                            TrajectoryWindow, WindowFunctional, WindowRecord,
-                            detect_partition, fit_recurrence, simulate_dialogue,
-                            verify_recurrence, windows_from_trajectory)
+                            WindowFunctional, WindowRecord, detect_partition,
+                            fit_recurrence, simulate_dialogue, verify_recurrence,
+                            windows_from_trajectory)
 
 __version__ = "0.1.0"

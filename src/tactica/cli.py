@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -23,7 +24,7 @@ from .prediction import DataError, strategic_pipeline, unravel_by_filtering
 from .repdyn import (StrandedClassError, integrate_repdyn, integrate_scalar_reference,
                      run_tactical_repdyn, solve_inverse_problem)
 from .scenario import COMMANDS, Scenario, ScenarioError, load_scenario
-from .tactics import run_commented_game, tactical_interaction, tactical_synthesis
+from .tactics import run_synthesized
 from .verbalization import (DomainError, detect_partition, fit_recurrence, verify_recurrence,
                             windows_from_trajectory)
 
@@ -61,7 +62,10 @@ def main(argv=None) -> int:
         paths = [p.strip() for p in args.batch.split(",") if p.strip()]
         codes = [run_command(args.command, path, Path(args.out) / Path(path).stem, args.dt,
                              args.seed) for path in paths]
-        return max(codes) if codes else EXIT_VALIDATION
+        if not codes:
+            print("validation: --batch: no scenario files given", file=sys.stderr)
+            return EXIT_VALIDATION
+        return max(codes)
     return run_command(args.command, args.scenario, Path(args.out), args.dt, args.seed)
 
 
@@ -80,12 +84,23 @@ def run_command(command: str, scenario_path, out_dir: Path, dt_override: float |
               f"it supports: {supported}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tolerance = scenario.tolerance if scenario.tolerance is not None else 1e-9
     env_tol = os.environ.get(TOLERANCE_ENV)
     if env_tol is not None:
-        tolerance = float(env_tol)
+        try:
+            tolerance = float(env_tol)
+        except ValueError:
+            tolerance = math.nan
+        if not 0.0 < tolerance < math.inf:      # false for NaN too
+            print(f"validation: {TOLERANCE_ENV}: expected a positive finite number, "
+                  f"got {env_tol!r}", file=sys.stderr)
+            return EXIT_VALIDATION
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"validation: --out: {exc.strerror or exc}: {out_dir}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     report = {
         "schema": 1,
@@ -188,15 +203,7 @@ def _run_verbalize(scenario: Scenario, out: Path, tolerance: float, report: dict
 
 def _run_tactics(scenario: Scenario, out: Path, tolerance: float, report: dict) -> int:
     plan = scenario.tactics_plan()
-    if plan.mode == "commented":
-        runs = [run_commented_game(plan.games[0])]
-    elif plan.mode == "interaction":
-        coupled = tactical_interaction(plan.games[0], plan.games[1],
-                                       plan.terms[0], plan.terms[1])
-        runs = coupled.run()
-    else:
-        synthesized = tactical_synthesis(plan.games, plan.synthesis)
-        runs = synthesized.run()
+    runs = run_synthesized(plan.games, plan.rule)
     report["summaries"]["mode"] = plan.mode
     report["summaries"]["games"] = len(runs)
     for j, game_run in enumerate(runs):

@@ -72,7 +72,6 @@ class PureControlPolicy:
 
     player_index: int
     signal: Callable[[float], Sequence[float]]
-    description: str = ""
 
     def __call__(self, t: float):
         return self.signal(t)
@@ -91,12 +90,10 @@ class EpsilonProcess:
     form: Callable
     dim: int
     ground_truth: bool = True
-    description: str = ""
 
 
 def zero_epsilon() -> EpsilonProcess:
-    return EpsilonProcess(form=lambda t, u0, phi, derivs: _EMPTY, dim=0,
-                          description="no hidden parameter")
+    return EpsilonProcess(form=lambda t, u0, phi, derivs: _EMPTY, dim=0)
 
 
 @dataclass(frozen=True)
@@ -252,9 +249,7 @@ class StateTrajectory:
     eps: np.ndarray
     u: np.ndarray
     lam: np.ndarray
-    u0_dims: tuple[int, ...]
     eps_dims: tuple[int, ...]
-    u_dims: tuple[int, ...]
     stage_tape: StageTape | None = None
 
     @property
@@ -410,8 +405,7 @@ def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, d
                 f"non-finite {name}_{bad_columns[0]} at t={float(rec_t[bad_rows[0]])!r}")
 
     return StateTrajectory(t=rec_t, phi=rec_phi, dphi=rec_dphi, u0=rec_u0, eps=rec_eps,
-                           u=rec_u, lam=rec_lam, u0_dims=u0_dims, eps_dims=eps_dims,
-                           u_dims=u_dims, stage_tape=tape)
+                           u=rec_u, lam=rec_lam, eps_dims=eps_dims, stage_tape=tape)
 
 
 def simulate(system: InteractiveSystem, initial, t0: float, t1: float, dt: float,
@@ -472,8 +466,7 @@ def associated_ordinary_game(system: InteractiveSystem,
             dim_j = slot.epsilon.dim
             signal = (lambda d: (lambda t: np.zeros(d)))(dim_j)
         players.append(Player(
-            policy=PureControlPolicy(player_index=n_policies + j + 1, signal=signal,
-                                     description=f"promoted hidden parameter of slot {j}"),
+            policy=PureControlPolicy(player_index=n_policies + j + 1, signal=signal),
             coupling=identity_coupling(),
             epsilon=zero_epsilon()))
 

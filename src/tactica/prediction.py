@@ -44,8 +44,7 @@ def with_assumed_policies(system: InteractiveSystem,
             raise ConfigurationError(f"no player {index} in the system")
         p = players[index - 1]
         players[index - 1] = Player(
-            policy=PureControlPolicy(player_index=index, signal=signal,
-                                     description="assumed by predictor"),
+            policy=PureControlPolicy(player_index=index, signal=signal),
             coupling=p.coupling, epsilon=p.epsilon)
     return InteractiveSystem(dim=system.dim, dynamics=system.dynamics,
                              players=tuple(players), coalitions=system.coalitions,
@@ -243,8 +242,7 @@ class UnravelResult:
 
 
 def unravel_by_filtering(run: StateTrajectory, spec: FilterSpec,
-                         family: Sequence[str] = (),
-                         target_slots: Sequence[int] | None = None) -> UnravelResult:
+                         family: Sequence[str] = ()) -> UnravelResult:
     """Split recorded controls into filtered pure controls plus a residual.
 
     The residual is regressed on the declared family (expressions over
@@ -260,8 +258,7 @@ def unravel_by_filtering(run: StateTrajectory, spec: FilterSpec,
     residual = u - u0
     estimate = None
     if family:
-        cols = residual if target_slots is None else residual[:, list(target_slots)]
-        estimate = fit_feedback_family(cols, family, {"phi": run.phi, "u0": u0})
+        estimate = fit_feedback_family(residual, family, {"phi": run.phi, "u0": u0})
     return UnravelResult(u0=u0, residual=residual, estimate=estimate)
 
 

@@ -613,14 +613,6 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
             if t_cursor >= t_b:
                 break
         omega_n, v_n = _window_summaries(window_res, window_norms, window_a)
-        for rule in game.delta.transitions:
-            if rule.from_class == label and callable(rule.trigger):
-                if rule.trigger(eta, omega_n, v_n, {"window": n}):
-                    signal = InsolvableSignal(time=t_b, residual=float(omega_n[0]),
-                                              reason="window predicate")
-                    stacked, eta, label = _apply_transition(
-                        game, rule, stacked, eta, signal, transitions, n)
-                    break
         windows.append(WindowRecord(index=n, t_start=t_a, t_end=t_b,
                                     omega=omega_n, v=v_n, cell_label=label))
         stream.append(CommentState(index=n, class_label=label, eta=eta))

@@ -28,7 +28,7 @@ from .prediction import FilterSpec
 from .repdyn import (ClassDynamics, RepDynSpec, TacticalRepDyn, _parse_polynomial_rhs,
                      check_start, tuple_map)
 from .tactics import (CommentRule, CommentedGame, DialecticalObject, InteractionTerm,
-                      SynthesisRule, TransitionRule)
+                      SynthesisRule, TransitionRule, interaction_as_synthesis)
 from .verbalization import Cell, CellComplex, CellCondition, RecurrenceMap, WindowFunctional
 
 SCHEMA_VERSION = 1
@@ -162,8 +162,7 @@ class VerbalizationPlan:
 class TacticsPlan:
     mode: str
     games: list[CommentedGame]
-    terms: list[InteractionTerm] = field(default_factory=list)
-    synthesis: SynthesisRule | None = None
+    rule: SynthesisRule         # every mode compiles to one form per game
 
 
 @dataclass
@@ -260,7 +259,11 @@ def load_scenario(path, dt: float | None = None) -> Scenario:
     if not path.exists():
         raise ScenarioError([f"{path}: file does not exist"])
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ScenarioError([f"{path}: cannot be read: {exc.strerror or exc}"])
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"])
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
@@ -510,7 +513,7 @@ def _recurrence(spec: dict, dims: dict, n_windows: int, check: _Check) -> dict:
         fn = check.expressions(f"{path}.expression", spec.get("expression"), (),
                                {"omega": dims["omega"], "v": dims["v"]})
         return fn and {"recurrence_tol": float(tol), "recurrence": RecurrenceMap(
-            family="declared", form=lambda om, v, window, _f=fn.fn: _f(om, v))} or {}
+            family="declared", form=fn.fn)} or {}
     k, low = spec.get("fit_windows"), dims["omega"] + dims["v"] + 1
     check.require(f"{path}.fit_windows", isinstance(k, int) and low <= k < n_windows,
                   f"expected an integer in [{low}..{n_windows - 1}]: one window per fitted "
@@ -592,18 +595,21 @@ def _tactics(spec: dict, ctx: _Context, check: _Check) -> TacticsPlan | None:
     system, verb, run = ctx.plans.get("system"), ctx.plans.get("verbalization"), ctx.run
     if len(check.errors) > start or system is None or verb is None or run is None:
         return None
-    # A synthesis rule advances its games; they carry no comment rule of their own.
+    # The synthesis rule advances the games; they carry no comment rule of their own.
     plays = [CommentedGame(system=system.system, initial=system.initial, dt=run.dt,
                            omega_functionals=verb.omega_functionals,
                            v_functionals=verb.v_functionals, window_grid=verb.grid,
-                           rule=rule and CommentRule(update=lambda th, om, v, _f=rule.fn:
-                                                     _f(th, om, v)),
-                           theta0=np.asarray(g["theta0"], dtype=float))
-             for (_, _, g), rule in zip(entries, rules or [None] * n)]
-    if mode != "synthesis":
-        return TacticsPlan(mode=mode, games=plays, terms=[
-            InteractionTerm(form=lambda own, other, om, v, _f=t.fn: _f(own, other, om, v))
-            for t in terms])
+                           rule=None, theta0=np.asarray(g["theta0"], dtype=float))
+             for _, _, g in entries]
+    if mode == "commented":
+        return TacticsPlan(mode=mode, games=plays, rule=SynthesisRule(
+            forms=(lambda th, om, vs, _f=rules[0].fn: _f(th[0], om[0], vs[0]),),
+            masks=(frozenset({0}),)))
+    if mode == "interaction":
+        rule1, rule2 = (CommentRule(update=r.fn) for r in rules)
+        term12, term21 = (InteractionTerm(form=t.fn) for t in terms)
+        return TacticsPlan(mode=mode, games=plays,
+                           rule=interaction_as_synthesis(rule1, rule2, term12, term21))
     zeros = (np.zeros(theta), np.zeros(omega), np.zeros(v))
     masks = tuple(frozenset(i - 1 for i in g["mask"]) for _, _, g in entries)
     # A form reads (theta, omega, v) of each game in its mask, and zeros for the others.
@@ -611,7 +617,7 @@ def _tactics(spec: dict, ctx: _Context, check: _Check) -> TacticsPlan | None:
         lambda th, om, vs, _f=f.fn, _m=m: _f(*[x[i] if i in _m else zero for i in range(n)
                                                for x, zero in zip((th, om, vs), zeros)])
         for f, m in zip(forms, masks)))
-    return rule and TacticsPlan(mode=mode, games=plays, synthesis=rule)
+    return rule and TacticsPlan(mode=mode, games=plays, rule=rule)
 
 
 def _prediction(spec: dict, ctx: _Context, check: _Check) -> PredictionPlan | None:

@@ -1,11 +1,15 @@
 """Comment recursions over verbalized games.
 
 A commented game feeds its window comments back into the dynamics and the
-feedback couplings as the slow parameter of the next window.  Comments of
-several games can be coupled by additive interaction terms, unified by a
-synthesis rule, or checked to be a conservative extension of a single game's
-recursion.  Dialectical objects are configured class-transition tables that
-may enter the comment recursion.
+feedback couplings as the slow parameter of the next window.  Every tactics
+mode is a synthesis rule, one form per game under an argument mask, and
+:func:`run_synthesized` advances any of them on the games' shared window grid:
+a single commented game is one form with mask ``{0}``, and the additive
+interaction of two games is :func:`interaction_as_synthesis`.  A synthesis
+can be checked to be a conservative extension of one game's recursion.
+Dialectical objects are configured class-transition tables; a comment rule
+with a dialectical slot enters the recursion through
+:func:`run_commented_game`.
 """
 
 from __future__ import annotations
@@ -59,13 +63,10 @@ class TransitionRule:
     """One row of a dialectical object's transition table."""
 
     from_class: str
-    trigger: str | Callable  # "insolvable" or predicate (eta, omega, v, diagnostics)
+    trigger: str            # "insolvable": the class left no admissible step
     to_class: str
     eta_update: Callable | None = None      # (eta, diagnostics) -> eta'
     tuple_map: Callable | None = None  # representation embedding, used by repdyn
-
-    def trigger_key(self) -> str:
-        return self.trigger if isinstance(self.trigger, str) else f"<fn {id(self.trigger)}>"
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class DialecticalObject:
     transitions: tuple[TransitionRule, ...] = ()
 
     def __post_init__(self):
-        keys = [(t.from_class, t.trigger_key()) for t in self.transitions]
+        keys = [(t.from_class, t.trigger) for t in self.transitions]
         if len(set(keys)) != len(keys):
             raise ConfigurationError(
                 f"dialectical object {self.label!r}: transition table keys must be unique")
@@ -147,16 +148,17 @@ class SynthesisRule:
                     raise ConfigurationError(
                         f"synthesis form {j}: mask references absent game index {idx}")
 
+    def value(self, j: int, thetas: Sequence[np.ndarray], omegas: Sequence[np.ndarray],
+              vs: Sequence[np.ndarray]) -> np.ndarray:
+        """Game j's next comment, its form reading the games of its mask only."""
+        mask = self.masks[j]
+        return np.atleast_1d(np.asarray(self.forms[j](
+            _MaskedView(thetas, mask, "comment"), _MaskedView(omegas, mask, "window state"),
+            _MaskedView(vs, mask, "window control")), dtype=float))
+
     def step(self, thetas: Sequence[np.ndarray], omegas: Sequence[np.ndarray],
              vs: Sequence[np.ndarray]) -> list[np.ndarray]:
-        out = []
-        for j, form in enumerate(self.forms):
-            mask = self.masks[j]
-            value = form(_MaskedView(thetas, mask, "comment"),
-                         _MaskedView(omegas, mask, "window state"),
-                         _MaskedView(vs, mask, "window control"))
-            out.append(np.atleast_1d(np.asarray(value, dtype=float)))
-        return out
+        return [self.value(j, thetas, omegas, vs) for j in range(len(self.forms))]
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,7 @@ class CommentedGame:
     v_functionals: tuple[WindowFunctional, ...]
     rule: CommentRule | None    # None when a synthesis rule advances the game
     theta0: np.ndarray
-    window_grid: tuple[float, ...] | None = None
+    window_grid: tuple[float, ...]
     feed_omega: bool = False
 
 
@@ -183,7 +185,6 @@ class CommentedRun:
     trajectory: StateTrajectory
     windows: list[WindowRecord]
     comments: list[CommentState]
-    theta0: np.ndarray
 
     @property
     def theta_values(self) -> np.ndarray:
@@ -201,28 +202,16 @@ def concat_trajectories(segments: Sequence[StateTrajectory]) -> StateTrajectory:
 
     return StateTrajectory(t=merge("t"), phi=merge("phi"), dphi=merge("dphi"),
                            u0=merge("u0"), eps=merge("eps"), u=merge("u"),
-                           lam=merge("lam"), u0_dims=first.u0_dims,
-                           eps_dims=first.eps_dims, u_dims=first.u_dims,
-                           stage_tape=None)
+                           lam=merge("lam"), eps_dims=first.eps_dims, stage_tape=None)
 
 
-def _resolve_grid(games: Sequence[CommentedGame],
-                  t_grid: Sequence[float] | None) -> tuple[float, ...]:
-    declared = [g.window_grid for g in games if g.window_grid is not None]
-    for a, b in itertools.combinations(declared, 2):
-        if len(a) != len(b) or any(x != y for x, y in zip(a, b)):
-            raise ConfigurationError(
-                "games declare mismatched window grids; a shared grid is required "
-                "(no resampling is performed)")
-    if t_grid is not None:
-        grid = tuple(float(x) for x in t_grid)
-        if declared and (len(declared[0]) != len(grid)
-                         or any(x != y for x, y in zip(declared[0], grid))):
-            raise ConfigurationError("explicit grid differs from the declared window grid")
-        return grid
-    if declared:
-        return tuple(declared[0])
-    raise ConfigurationError("no window grid declared or given")
+def _shared_grid(games: Sequence[CommentedGame]) -> tuple[float, ...]:
+    grid = tuple(games[0].window_grid)
+    if any(tuple(g.window_grid) != grid for g in games[1:]):
+        raise ConfigurationError(
+            "games declare mismatched window grids; a shared grid is required "
+            "(no resampling is performed)")
+    return grid
 
 
 def _window_segment(game: CommentedGame, phi, theta, omega_prev, t_a, t_b):
@@ -232,14 +221,14 @@ def _window_segment(game: CommentedGame, phi, theta, omega_prev, t_a, t_b):
                     record_tape=False)
 
 
-def _roll(games: Sequence[CommentedGame], grid: tuple[float, ...],
-          advance: Callable) -> list[CommentedRun]:
+def _roll(games: Sequence[CommentedGame], advance: Callable) -> list[CommentedRun]:
     """The window loop shared by every commented run.
 
     Window n integrates each game under its comment n-1; ``advance(n, thetas,
     omegas, vs)`` then maps the comments and window summaries of all games to
     their comments n.
     """
+    grid = _shared_grid(games)
     thetas = [np.atleast_1d(np.asarray(g.theta0, dtype=float)) for g in games]
     phis = [np.asarray(g.initial, dtype=float) for g in games]
     omegas_prev: list[np.ndarray | None] = [None] * len(games)
@@ -266,14 +255,13 @@ def _roll(games: Sequence[CommentedGame], grid: tuple[float, ...],
         omegas_prev = omegas_n
 
     return [CommentedRun(trajectory=concat_trajectories(segments[j]),
-                         windows=windows[j], comments=comments[j],
-                         theta0=np.atleast_1d(games[j].theta0))
+                         windows=windows[j], comments=comments[j])
             for j in range(len(games))]
 
 
-def run_commented_game(game: CommentedGame, t_grid: Sequence[float] | None = None,
+def run_commented_game(game: CommentedGame,
                        deltas: Sequence[DialecticalObject] | None = None) -> CommentedRun:
-    """Roll the window loop: integrate, summarize, update the comment.
+    """Roll the window loop of one game under its own comment rule.
 
     Window n runs under the parameter value of comment n-1; the new comment is
     produced by the rule (with the window's dialectical object when the rule
@@ -283,26 +271,7 @@ def run_commented_game(game: CommentedGame, t_grid: Sequence[float] | None = Non
         delta = deltas[n - 1] if deltas is not None else None
         return [game.rule.step(thetas[0], delta, omegas[0], vs[0])]
 
-    return _roll([game], _resolve_grid([game], t_grid), advance)[0]
-
-
-@dataclass(frozen=True)
-class CoupledTacticalGame:
-    """Two commented games with interdetermined comments."""
-
-    games: tuple[CommentedGame, CommentedGame]
-    terms: tuple[InteractionTerm, InteractionTerm]
-
-    def run(self, t_grid: Sequence[float] | None = None) -> list[CommentedRun]:
-        synthesis = interaction_as_synthesis(self.games[0].rule, self.games[1].rule,
-                                             self.terms[0], self.terms[1])
-        return run_synthesized(list(self.games), synthesis, t_grid)
-
-
-def tactical_interaction(game1: CommentedGame, game2: CommentedGame,
-                         term12: InteractionTerm,
-                         term21: InteractionTerm) -> CoupledTacticalGame:
-    return CoupledTacticalGame(games=(game1, game2), terms=(term12, term21))
+    return _roll([game], advance)[0]
 
 
 def interaction_as_synthesis(rule1: CommentRule, rule2: CommentRule,
@@ -328,47 +297,31 @@ def interaction_as_synthesis(rule1: CommentRule, rule2: CommentRule,
                          masks=(frozenset({0, 1}), frozenset({0, 1})))
 
 
-@dataclass(frozen=True)
-class SynthesizedTacticalGame:
-    games: tuple[CommentedGame, ...]
-    rule: SynthesisRule
-
-    def run(self, t_grid: Sequence[float] | None = None) -> list[CommentedRun]:
-        return run_synthesized(list(self.games), self.rule, t_grid)
-
-
-def tactical_synthesis(games: Sequence[CommentedGame],
-                       rule: SynthesisRule) -> SynthesizedTacticalGame:
-    if len(games) != len(rule.forms):
-        raise ConfigurationError(
-            f"synthesis rule has {len(rule.forms)} forms for {len(games)} games")
-    return SynthesizedTacticalGame(games=tuple(games), rule=rule)
-
-
-def run_synthesized(games: list[CommentedGame], rule: SynthesisRule,
-                    t_grid: Sequence[float] | None = None) -> list[CommentedRun]:
-    """Advance all games on a shared window grid under a unified recursion."""
+def run_synthesized(games: list[CommentedGame], rule: SynthesisRule) -> list[CommentedRun]:
+    """Advance all games on their shared window grid under a unified recursion."""
     if len(games) != len(rule.forms):
         raise ConfigurationError("one synthesis form per game is required")
-    return _roll(games, _resolve_grid(games, t_grid),
-                 lambda n, thetas, omegas, vs: rule.step(thetas, omegas, vs))
+    return _roll(games, lambda n, thetas, omegas, vs: rule.step(thetas, omegas, vs))
 
 
 # ---------------------------------------------------------------------------
 # Tactical extension
 # ---------------------------------------------------------------------------
 
+# Every probe coordinate ranges over [-1, 1]; a grid holds at most MAX_PROBES tuples.
+PROBE_RANGE = (-1.0, 1.0)
+MAX_PROBES = 20000
+
+
 def probe_grid(theta_dims: Sequence[int], omega_dims: Sequence[int],
-               v_dims: Sequence[int], low: float = -1.0, high: float = 1.0,
-               points: int = 3, extra: Sequence = (),
-               max_probes: int = 20000) -> list[tuple]:
+               v_dims: Sequence[int], points: int = 3) -> list[tuple]:
     """Deterministic grid of (thetas, omegas, vs) probe tuples."""
     dims = list(theta_dims) + list(omega_dims) + list(v_dims)
     total = sum(dims)
-    if points ** total > max_probes:
+    if points ** total > MAX_PROBES:
         raise ConfigurationError(
-            f"probe grid of {points}**{total} points exceeds the cap {max_probes}")
-    axis = np.linspace(low, high, points)
+            f"probe grid of {points}**{total} points exceeds the cap {MAX_PROBES}")
+    axis = np.linspace(*PROBE_RANGE, points)
     probes = []
     for combo in itertools.product(axis, repeat=total):
         values = list(combo)
@@ -383,7 +336,6 @@ def probe_grid(theta_dims: Sequence[int], omega_dims: Sequence[int],
             return out
 
         probes.append((take(theta_dims), take(omega_dims), take(v_dims)))
-    probes.extend(extra)
     return probes
 
 
@@ -396,14 +348,9 @@ def is_tactical_extension(synth: SynthesisRule, original: Callable,
     tuple; returns (True, None) on agreement within ``tol``, otherwise
     (False, witness probe).
     """
-    form = synth.forms[game_index]
-    mask = synth.masks[game_index]
     for probe in probes:
         thetas, omegas, vs = probe
-        unified = np.atleast_1d(np.asarray(
-            form(_MaskedView(thetas, mask, "comment"),
-                 _MaskedView(omegas, mask, "window state"),
-                 _MaskedView(vs, mask, "window control")), dtype=float))
+        unified = synth.value(game_index, thetas, omegas, vs)
         plain = np.atleast_1d(np.asarray(
             original(thetas[game_index], omegas[game_index], vs[game_index]), dtype=float))
         if unified.shape != plain.shape or np.max(np.abs(unified - plain)) > tol:

@@ -82,35 +82,6 @@ def evaluate_functionals(functionals: Sequence[WindowFunctional], traj: StateTra
     return np.concatenate([np.atleast_1d(p) for p in parts])
 
 
-@dataclass(frozen=True)
-class TrajectoryWindow:
-    """View of one window of a recorded run."""
-
-    trajectory: StateTrajectory
-    start: int
-    stop: int
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.trajectory.t[self.start:self.stop + 1]
-
-    @property
-    def state(self) -> np.ndarray:
-        return self.trajectory.phi[self.start:self.stop + 1]
-
-    @property
-    def eps(self) -> np.ndarray:
-        return self.trajectory.eps[self.start:self.stop + 1]
-
-    @property
-    def u0(self) -> np.ndarray:
-        return self.trajectory.u0[self.start:self.stop + 1]
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.trajectory.u[self.start:self.stop + 1]
-
-
 # ---------------------------------------------------------------------------
 # Cell complexes over the hidden-parameter space
 # ---------------------------------------------------------------------------
@@ -203,8 +174,13 @@ class CellComplex:
         return errors
 
 
+# Bisection steps locating a cell change inside its sample pair: 48 halvings of
+# the unit interval resolve the transition time to below one part in 1e14.
+REFINE_ITERATIONS = 48
+
+
 def detect_partition(times: np.ndarray, eps_values: np.ndarray,
-                     complex_: CellComplex, refine_iterations: int = 48) -> list[float]:
+                     complex_: CellComplex) -> list[float]:
     """Times where the containing cell of the parameter trace changes.
 
     Transition times are located inside the bracketing sample pair by
@@ -222,7 +198,7 @@ def detect_partition(times: np.ndarray, eps_values: np.ndarray,
             continue
         left, right = 0.0, 1.0
         a, b = eps_values[k], eps_values[k + 1]
-        for _ in range(refine_iterations):
+        for _ in range(REFINE_ITERATIONS):
             mid = 0.5 * (left + right)
             if complex_.locate(a + mid * (b - a)) == labels[k]:
                 left = mid
@@ -287,7 +263,7 @@ class RecurrenceMap:
     """Window recurrence: declared closed form or fitted affine map."""
 
     family: str
-    form: Callable | None = None
+    form: Callable | None = None        # (omega_prev, v) -> omega
     coeff_omega: np.ndarray | None = None
     coeff_v: np.ndarray | None = None
     intercept: np.ndarray | None = None
@@ -302,11 +278,11 @@ class RecurrenceMap:
         if self.family == "fitted-affine" and self.coeff_omega is None:
             raise ConfigurationError("fitted-affine recurrence needs coefficients")
 
-    def apply(self, omega_prev, v, window: TrajectoryWindow | None = None) -> np.ndarray:
+    def apply(self, omega_prev, v) -> np.ndarray:
         omega_prev = np.atleast_1d(np.asarray(omega_prev, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
         if self.family == "declared":
-            return np.atleast_1d(np.asarray(self.form(omega_prev, v, window), dtype=float))
+            return np.atleast_1d(np.asarray(self.form(omega_prev, v), dtype=float))
         return self.coeff_omega @ omega_prev + self.coeff_v @ v + self.intercept
 
 
@@ -325,18 +301,13 @@ class RecurrenceReport:
 
 
 def verify_recurrence(windows: Sequence[WindowRecord], rmap: RecurrenceMap,
-                      tol: float = 1e-9,
-                      trajectory: StateTrajectory | None = None) -> RecurrenceReport:
+                      tol: float = 1e-9) -> RecurrenceReport:
     """Per-window residual of the recurrence against the recorded summaries."""
     if len(windows) < 2:
         raise ConfigurationError("verification needs at least two windows")
     residuals = []
     for prev, cur in zip(windows, windows[1:]):
-        view = None
-        if trajectory is not None:
-            view = TrajectoryWindow(trajectory, trajectory.index_of(cur.t_start),
-                                    trajectory.index_of(cur.t_end))
-        predicted = rmap.apply(prev.omega, cur.v, view)
+        predicted = rmap.apply(prev.omega, cur.v)
         residuals.append(float(np.linalg.norm(cur.omega - predicted)))
     return RecurrenceReport(residuals=np.array(residuals), tol=tol)
 
@@ -392,7 +363,7 @@ class DialogueSpec:
     players: tuple[Player, ...]
     state_functionals: tuple[WindowFunctional, ...]
     control_functionals: tuple[WindowFunctional, ...]
-    step_map: Callable  # (phi_prev, v, window) -> phi_next
+    step_map: Callable  # (phi_prev, v) -> phi_next
     phi0: np.ndarray
     xi0: np.ndarray
     dt: float
@@ -409,7 +380,6 @@ class DialogueSpec:
 class DialogueResult:
     phi: list[np.ndarray]
     v: list[np.ndarray]
-    xi_trajectory: StateTrajectory
     residuals: np.ndarray
     is_dialogue: bool
     diagnostics: list[str]
@@ -444,9 +414,7 @@ def simulate_dialogue(dialogue: DialogueSpec, t_grid: Sequence[float],
         i0, i1 = indices[n - 1], indices[n]
         phi_n = evaluate_functionals(dialogue.state_functionals, traj, i0, i1)
         v_n = evaluate_functionals(dialogue.control_functionals, traj, i0, i1)
-        window = TrajectoryWindow(traj, i0, i1)
-        expected = np.atleast_1d(np.asarray(
-            dialogue.step_map(phi_seq[-1], v_n, window), dtype=float))
+        expected = np.atleast_1d(np.asarray(dialogue.step_map(phi_seq[-1], v_n), dtype=float))
         residual = float(np.linalg.norm(phi_n - expected))
         residuals.append(residual)
         if residual > tol:
@@ -456,6 +424,5 @@ def simulate_dialogue(dialogue: DialogueSpec, t_grid: Sequence[float],
         phi_seq.append(phi_n)
         v_seq.append(v_n)
 
-    return DialogueResult(phi=phi_seq, v=v_seq, xi_trajectory=traj,
-                          residuals=np.array(residuals),
+    return DialogueResult(phi=phi_seq, v=v_seq, residuals=np.array(residuals),
                           is_dialogue=not diagnostics, diagnostics=diagnostics)

@@ -19,9 +19,8 @@ from tactica.prediction import unravel_by_filtering
 from tactica.repdyn import (integrate_repdyn, integrate_scalar_reference,
                             run_tactical_repdyn, solve_inverse_problem)
 from tactica.scenario import load_scenario
-from tactica.tactics import (CommentRule, CommentedGame, InteractionTerm,
-                             SynthesisRule, run_commented_game, tactical_interaction,
-                             tactical_synthesis)
+from tactica.tactics import (CommentRule, CommentedGame, InteractionTerm, SynthesisRule,
+                             interaction_as_synthesis, run_commented_game, run_synthesized)
 from tactica.verbalization import (WindowFunctional, WindowRecord, detect_partition,
                                    fit_recurrence, verify_recurrence)
 
@@ -143,8 +142,8 @@ def test_criterion_05_tactics_degenerations():
         g2 = CommentedGame(**{**g2.__dict__, "rule": rule2})
 
         # zero interaction == uncoupled, stream-wise exact
-        zero_runs = tactical_interaction(g1, g2, InteractionTerm.zero(),
-                                         InteractionTerm.zero()).run()
+        zero_runs = run_synthesized([g1, g2], interaction_as_synthesis(
+            g1.rule, g2.rule, InteractionTerm.zero(), InteractionTerm.zero()))
         solo1, solo2 = run_commented_game(g1), run_commented_game(g2)
         assert np.array_equal(zero_runs[0].theta_values, solo1.theta_values)
         assert np.array_equal(zero_runs[1].theta_values, solo2.theta_values)
@@ -154,14 +153,15 @@ def test_criterion_05_tactics_degenerations():
             forms=(lambda th, om, v: rule1.update(th[0], om[0], v[0]),
                    lambda th, om, v: rule2.update(th[1], om[1], v[1])),
             masks=(frozenset({0}), frozenset({1})))
-        synth_runs = tactical_synthesis([g1, g2], synthesis).run()
+        synth_runs = run_synthesized([g1, g2], synthesis)
         assert np.array_equal(synth_runs[0].theta_values, solo1.theta_values)
         assert np.array_equal(synth_runs[1].theta_values, solo2.theta_values)
 
         # linear coupled comments vs the matrix-power oracle
         term12 = InteractionTerm(form=lambda own, other, om, v: c12 * other)
         term21 = InteractionTerm(form=lambda own, other, om, v: c21 * other)
-        runs = tactical_interaction(g1, g2, term12, term21).run()
+        runs = run_synthesized([g1, g2], interaction_as_synthesis(
+            g1.rule, g2.rule, term12, term21))
         matrix = np.array([[a1, c12], [c21, a2]])
         theta = np.array([1.0, 2.0])
         for n in range(20):
@@ -266,6 +266,8 @@ COMMANDS = {
     "constant_eps.yaml": "verbalize",
     "verbalize_fit.yaml": "verbalize",
     "tactics_coupled.yaml": "tactics",
+    "tactics_commented.yaml": "tactics",
+    "tactics_synthesis.yaml": "tactics",
     "filter_unravel.yaml": "predict",
     "repdyn_heisenberg.yaml": "repdyn",
     "repdyn_transition.yaml": "repdyn",

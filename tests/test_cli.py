@@ -128,6 +128,40 @@ def test_repdyn_artifacts_keep_their_digests(tmp_path, command, stem):
             for name in REPDYN_DIGESTS[command, stem]} == REPDYN_DIGESTS[command, stem]
 
 
+# sha256 of the per-game traces of the shipped tactics scenarios, one per mode.  Every
+# mode runs through the same window loop, so a change to how a mode is compiled or
+# dispatched must leave these bytes fixed.
+TACTICS_DIGESTS = {
+    "tactics_commented": {
+        "comments.jsonl": "7255884e61e7e04a1db108174a1eca54cbbbc84cd4f4b63679f7af1f015a067a",
+        "trajectory.csv": "7953baa854eb4bc9cf201e9f105bba722937056fec5639cbe47ef52bfce060f7",
+        "windows.csv": "ea915e5b369409c47f07eb9cd08ba6dd8aa92dfbc40fb5be4746c82a5e47a82e"},
+    "tactics_coupled": {
+        "comments_1.jsonl": "3741a5557e5218179b96c4a3c17705d70d0ff22ecfe4871fdecacffcd1c322a1",
+        "comments_2.jsonl": "b22441095dfd86a696f4f3216ac270c7f91df1eede16b0821113cd3d73e18caf",
+        "trajectory_1.csv": "bb246eeda8686aad23f8937e0a31cb7af0551544cb8553cdc2d99d58f659ab59",
+        "trajectory_2.csv": "6383ad1a1220aba7af6676b26b1e3b8b0575da4269409c3243ef8d262db7a981",
+        "windows_1.csv": "5a099b1fadccdbda71b0a6bca515eef5f2a46798e4bcb98c58858a8b3c119b6c",
+        "windows_2.csv": "5a099b1fadccdbda71b0a6bca515eef5f2a46798e4bcb98c58858a8b3c119b6c"},
+    "tactics_synthesis": {
+        "comments_1.jsonl": "0fa31a11c6b2bf427def2dd3d8b4f07e2f57c85d877fcdddf2341374d510354f",
+        "comments_2.jsonl": "0d9d7b85fce9567e3bdfd8d73d4fd16cb3fc52a61e95c64175e17906d0b432a1",
+        "trajectory_1.csv": "89135053a810fabbf172da5fbc665ce9869953654de9559b33dd76df0af2f24e",
+        "trajectory_2.csv": "eba3a3eaf8190f9e4f345c91fc1cf465b72177911e611ba9e8e25b2ab138b68b",
+        "windows_1.csv": "e4288685c89b9fc19c469736dae985c6b7a217b645dab6010c2b10286c24c60f",
+        "windows_2.csv": "7909c9865c62ad161464c51d69097a9e9f1353dbdf6c926c6068e3742632cd50"},
+}
+
+
+@pytest.mark.parametrize("stem", sorted(TACTICS_DIGESTS))
+def test_tactics_artifacts_keep_their_digests(tmp_path, stem):
+    code = main(["tactics", "--scenario", str(SCENARIOS / f"{stem}.yaml"), "--out",
+                 str(tmp_path)])
+    assert code == EXIT_OK
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in TACTICS_DIGESTS[stem]} == TACTICS_DIGESTS[stem]
+
+
 def test_floats_round_trip_through_csv(tmp_path):
     code = main(["simulate", "--scenario", str(SCENARIOS / "logistic_sin.yaml"),
                  "--out", str(tmp_path)])
@@ -231,34 +265,63 @@ system:
 """
 
 
-@pytest.mark.parametrize("command, text, expected, message", [
+@pytest.mark.parametrize("command, text, expected, message, options", [
     ("simulate", SYSTEM.format(dynamics="0.0", extra="coalitions: [5]"), EXIT_VALIDATION,
-     "validation: scenario.yaml: system.coalitions[0]: expected a mapping"),
+     "validation: scenario.yaml: system.coalitions[0]: expected a mapping", {}),
     ("simulate", SYSTEM.format(dynamics="0^-1", extra=""), EXIT_RUNTIME,
-     "runtime: faulty: 0.0 cannot be raised to a negative power"),
+     "runtime: faulty: 0.0 cannot be raised to a negative power", {}),
     ("simulate", SYSTEM.format(dynamics="exp(exp(exp(100*phi[0]+100)))", extra=""),
-     EXIT_RUNTIME, "runtime: faulty: math range error"),
+     EXIT_RUNTIME, "runtime: faulty: math range error", {}),
     ("repdyn", DRIFT + "  threshold: 1.0e-7\n", EXIT_INSOLVABLE,
-     "insolvable in the declared class at t=0.001"),
+     "insolvable in the declared class at t=0.001", {}),
     ("repdyn", OVERFLOW, EXIT_RUNTIME,
-     "runtime: stage-overflow: matrix tuple diverged at t=0.01"),
+     "runtime: stage-overflow: matrix tuple diverged at t=0.01", {}),
     # The signal divides by zero in the k4 stage of the step from t=0.004.
     ("simulate", PLAYER.format(title="zerodiv", signal="1.0/(t - 0.005)", eps="0.0"),
-     EXIT_RUNTIME, "runtime: zerodiv: float division by zero at t=0.005"),
+     EXIT_RUNTIME, "runtime: zerodiv: float division by zero at t=0.005", {}),
     # The hidden parameter overflows to inf while the state stays finite.
     ("simulate", PLAYER.format(title="eps-overflow", signal="0.0", eps="phi[0]*1e308*10"),
-     EXIT_RUNTIME, "runtime: eps-overflow: non-finite eps_0 at t=0.0"),
+     EXIT_RUNTIME, "runtime: eps-overflow: non-finite eps_0 at t=0.0", {}),
     # A negative float base to a fractional power is complex; the control vector rejects it.
     ("simulate", PLAYER.format(title="complex-power", signal="(t - 1)^0.5", eps="0.0"),
      EXIT_RUNTIME, "runtime: complex-power: Cannot cast array data from dtype('complex128') "
-     "to dtype('float64') according to the rule 'same_kind' at t=0.0"),
+     "to dtype('float64') according to the rule 'same_kind' at t=0.0", {}),
+    # Inputs from outside the scenario: the environment and the command line.
+    ("simulate", SYSTEM.format(dynamics="0.0", extra=""), EXIT_VALIDATION,
+     "validation: TACTICA_TOLERANCE: expected a positive finite number, got 'abc'",
+     {"env": {"TACTICA_TOLERANCE": "abc"}}),
+    ("simulate", SYSTEM.format(dynamics="0.0", extra=""), EXIT_VALIDATION,
+     "validation: TACTICA_TOLERANCE: expected a positive finite number, got 'nan'",
+     {"env": {"TACTICA_TOLERANCE": "nan"}}),
+    ("invert", (SCENARIOS / "invert_logistic.yaml").read_text(), EXIT_VALIDATION,
+     "validation: TACTICA_TOLERANCE: expected a positive finite number, got '-1'",
+     {"env": {"TACTICA_TOLERANCE": "-1"}}),
+    ("simulate", None, EXIT_VALIDATION, "scenario.yaml: cannot be read: Is a directory", {}),
+    ("simulate", b"title: \xff\n", EXIT_VALIDATION,
+     "scenario.yaml: not UTF-8 text: invalid start byte at byte 7", {}),
+    ("simulate", SYSTEM.format(dynamics="0.0", extra=""), EXIT_VALIDATION,
+     "validation: --out: File exists", {"out_is_file": True}),
+    ("simulate", SYSTEM.format(dynamics="0.0", extra=""), EXIT_VALIDATION,
+     "validation: --batch: no scenario files given", {"argv": ["--batch", ","]}),
 ], ids=["validation", "zero-division", "overflow", "insolvable", "repdyn-stage-overflow",
-        "stage-time", "non-finite-eps", "complex-power"])
-def test_exit_codes_end_without_traceback(tmp_path, capsys, recwarn, command, text, expected,
-                                          message):
-    scenario = tmp_path / "scenario.yaml"
-    scenario.write_text(text)
-    code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        "stage-time", "non-finite-eps", "complex-power", "tolerance-env-text",
+        "tolerance-env-nan", "tolerance-env-negative", "scenario-directory",
+        "scenario-not-utf8", "out-is-a-file", "empty-batch"])
+def test_exit_codes_end_without_traceback(tmp_path, capsys, recwarn, monkeypatch, command, text,
+                                          expected, message, options):
+    scenario, out_dir = tmp_path / "scenario.yaml", tmp_path / "out"
+    if text is None:
+        scenario.mkdir()
+    elif isinstance(text, bytes):
+        scenario.write_bytes(text)
+    else:
+        scenario.write_text(text)
+    if options.get("out_is_file"):
+        out_dir.write_text("")
+    for name, value in options.get("env", {}).items():
+        monkeypatch.setenv(name, value)
+    argv = options.get("argv", ["--scenario", str(scenario)])
+    code = main([command, *argv, "--out", str(out_dir)])
     out, err = capsys.readouterr()
     assert code == expected
     assert message in err

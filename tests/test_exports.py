@@ -15,8 +15,7 @@ def _trajectory(values) -> StateTrajectory:
     n = len(values)
     column = np.array(values)[:, None]
     return StateTrajectory(t=np.arange(n, dtype=float), phi=column, dphi=column, u0=column,
-                           eps=column, u=column, lam=np.empty((n, 0)), u0_dims=(1,),
-                           eps_dims=(1,), u_dims=(1,))
+                           eps=column, u=column, lam=np.empty((n, 0)), eps_dims=(1,))
 
 
 def test_float_arrays_export_each_value_as_format_float():

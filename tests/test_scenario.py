@@ -8,6 +8,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tactica.scenario import ScenarioError, load_scenario
+from tactica.tactics import SynthesisRule
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -195,6 +196,19 @@ def test_all_shipped_scenarios_validate():
     for path in sorted(SCENARIOS.glob("*.yaml")):
         scenario = load_scenario(path)
         assert scenario.supported_commands(), path.name
+
+
+@pytest.mark.parametrize("name, mode, games", [
+    ("tactics_commented.yaml", "commented", 1),
+    ("tactics_coupled.yaml", "interaction", 2),
+    ("tactics_synthesis.yaml", "synthesis", 2),
+])
+def test_every_tactics_mode_compiles_to_a_synthesis_rule(name, mode, games):
+    plan = load_scenario(SCENARIOS / name).tactics_plan()
+    assert plan.mode == mode
+    assert isinstance(plan.rule, SynthesisRule)
+    assert len(plan.rule.forms) == len(plan.rule.masks) == len(plan.games) == games
+    assert all(game.rule is None for game in plan.games)
 
 
 def test_slow_control_feeds_couplings(tmp_path):

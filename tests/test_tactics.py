@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_player
 from tactica.games import (ConfigurationError, InteractiveSystem, SlowControl, simulate)
 from tactica.tactics import (CommentRule, CommentedGame, DialecticalObject,
                              InteractionTerm, SynthesisRule, interaction_as_synthesis,
                              is_tactical_extension, probe_grid, run_commented_game,
-                             run_synthesized, tactical_interaction, tactical_synthesis)
+                             run_synthesized)
 from tactica.verbalization import WindowFunctional, evaluate_functionals
 
 
@@ -124,8 +125,8 @@ def test_zero_interaction_equals_uncoupled_runs():
     rule1 = CommentRule(update=lambda th, om, v: 0.9 * th + om)
     rule2 = CommentRule(update=lambda th, om, v: 0.8 * th - v)
     g1, g2 = _pair(rule1, rule2, [1.0], [2.0])
-    coupled = tactical_interaction(g1, g2, InteractionTerm.zero(),
-                                   InteractionTerm.zero()).run()
+    coupled = run_synthesized([g1, g2], interaction_as_synthesis(
+        g1.rule, g2.rule, InteractionTerm.zero(), InteractionTerm.zero()))
     solo1, solo2 = run_commented_game(g1), run_commented_game(g2)
     assert np.array_equal(coupled[0].theta_values, solo1.theta_values)
     assert np.array_equal(coupled[1].theta_values, solo2.theta_values)
@@ -135,7 +136,7 @@ def test_pure_exchange_swaps_streams():
     zero = CommentRule(update=lambda th, om, v: np.zeros_like(th))
     g1, g2 = _pair(zero, zero, [1.0], [2.0])
     swap = InteractionTerm(form=lambda own, other, om, v: other)
-    runs = tactical_interaction(g1, g2, swap, swap).run()
+    runs = run_synthesized([g1, g2], interaction_as_synthesis(g1.rule, g2.rule, swap, swap))
     assert [c.vector[0] for c in runs[0].comments] == [2.0, 1.0, 2.0, 1.0, 2.0]
     assert [c.vector[0] for c in runs[1].comments] == [1.0, 2.0, 1.0, 2.0, 1.0]
 
@@ -146,7 +147,7 @@ def test_linear_coupling_matches_matrix_power():
                    CommentRule(update=lambda th, om, v: a2 * th), [1.0], [2.0])
     term12 = InteractionTerm(form=lambda own, other, om, v: c12 * other)
     term21 = InteractionTerm(form=lambda own, other, om, v: c21 * other)
-    runs = tactical_interaction(g1, g2, term12, term21).run()
+    runs = run_synthesized([g1, g2], interaction_as_synthesis(g1.rule, g2.rule, term12, term21))
 
     matrix = np.array([[a1, c12], [c21, a2]])
     theta = np.array([1.0, 2.0])
@@ -162,7 +163,8 @@ def test_mismatched_window_grids_rejected():
     g2 = commented(eps_system(lambda t: 1.0),
                    CommentRule(update=lambda th, om, v: th), [0.0], (0.0, 0.5, 1.0))
     with pytest.raises(ConfigurationError, match="shared grid"):
-        tactical_interaction(g1, g2, InteractionTerm.zero(), InteractionTerm.zero()).run()
+        run_synthesized([g1, g2], interaction_as_synthesis(
+            g1.rule, g2.rule, InteractionTerm.zero(), InteractionTerm.zero()))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +179,7 @@ def test_identity_synthesis_equals_independent_runs():
         forms=(lambda th, om, v: rule1.update(th[0], om[0], v[0]),
                lambda th, om, v: rule2.update(th[1], om[1], v[1])),
         masks=(frozenset({0}), frozenset({1})))
-    runs = tactical_synthesis([g1, g2], synthesis).run()
+    runs = run_synthesized([g1, g2], synthesis)
     solo1, solo2 = run_commented_game(g1), run_commented_game(g2)
     assert np.array_equal(runs[0].theta_values, solo1.theta_values)
     assert np.array_equal(runs[1].theta_values, solo2.theta_values)
@@ -189,9 +191,15 @@ def test_interaction_is_a_synthesis_specialization():
     term12 = InteractionTerm(form=lambda own, other, om, v: 0.1 * other)
     term21 = InteractionTerm(form=lambda own, other, om, v: 0.05 * other)
     g1, g2 = _pair(rule1, rule2, [1.0], [2.0])
-    via_interaction = tactical_interaction(g1, g2, term12, term21).run()
-    synthesis = interaction_as_synthesis(rule1, rule2, term12, term21)
-    via_synthesis = tactical_synthesis([g1, g2], synthesis).run()
+    via_interaction = run_synthesized([g1, g2], interaction_as_synthesis(
+        g1.rule, g2.rule, term12, term21))
+    synthesis = SynthesisRule(
+        forms=(lambda th, om, v: rule1.update(th[0], om[0], v[0])
+               + term12.form(th[0], th[1], om[0], v[0]),
+               lambda th, om, v: rule2.update(th[1], om[1], v[1])
+               + term21.form(th[1], th[0], om[1], v[1])),
+        masks=(frozenset({0, 1}), frozenset({0, 1})))
+    via_synthesis = run_synthesized([g1, g2], synthesis)
     for a, b in zip(via_interaction, via_synthesis):
         assert np.array_equal(a.theta_values, b.theta_values)
 
@@ -228,7 +236,7 @@ def test_form_reading_outside_mask_is_rejected():
                lambda th, om, v: th[1]),
         masks=(frozenset({0}), frozenset({1})))
     with pytest.raises(ConfigurationError, match="outside"):
-        tactical_synthesis([g1, g2], synthesis).run()
+        run_synthesized([g1, g2], synthesis)
 
 
 def test_mask_referencing_absent_game_rejected():
@@ -255,6 +263,42 @@ def test_comment_causality():
     permuted = roll(omegas[:4] + omegas[4:][::-1], vs[:4] + vs[4:][::-1])
     for n in range(4):
         assert np.array_equal(base[n], permuted[n])
+
+
+@st.composite
+def affine_commented_games(draw):
+    """A commented game with an affine rule; comment, omega and v have 1-2 components.
+
+    The state has one component per omega entry and is driven towards ``M theta``;
+    the pure control has one sinusoid per v entry.
+    """
+    d_theta, d_omega, d_v = (draw(st.integers(1, 2)) for _ in range(3))
+
+    def matrix(rows, cols):
+        entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=rows * cols,
+                                max_size=rows * cols))
+        return np.array(entries).reshape(rows, cols)
+
+    p, q, r, c = (matrix(d_theta, d_theta), matrix(d_theta, d_omega),
+                  matrix(d_theta, d_v), matrix(d_theta, 1)[:, 0])
+    m, rates, theta0 = matrix(d_omega, d_theta), 1.0 + matrix(d_v, 1)[:, 0], matrix(d_theta, 1)
+    system = InteractiveSystem(
+        dim=d_omega, dynamics=lambda t, phi, u, lam, om: m @ lam - phi,
+        players=(make_player(1, lambda t: np.sin(rates * t)),))
+    rule = CommentRule(update=lambda th, om, v: p @ th + q @ om + r @ v + c)
+    return commented(system, rule, theta0[:, 0], (0.0, 0.5, 1.0, 1.5), dt=0.05,
+                     omega=(WindowFunctional("mean", "state"),), initial=np.zeros(d_omega))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(affine_commented_games())
+def test_commented_run_equals_its_one_form_synthesis_bitwise(game):
+    solo = run_commented_game(game)
+    one_form = SynthesisRule(forms=(lambda th, om, v: game.rule.update(th[0], om[0], v[0]),),
+                             masks=(frozenset({0}),))
+    (synthesized,) = run_synthesized([game], one_form)
+    assert solo.theta_values.tobytes() == synthesized.theta_values.tobytes()
+    assert solo.trajectory.phi.tobytes() == synthesized.trajectory.phi.tobytes()
 
 
 # ---------------------------------------------------------------------------

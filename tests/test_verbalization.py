@@ -165,7 +165,7 @@ def _affine_windows(a, b, c, v_values, omega0=0.3):
 
 def test_verify_recurrence_by_construction():
     windows = _affine_windows(1.0, 1.0, 0.0, [0.1 * k for k in range(10)])
-    rmap = RecurrenceMap(family="declared", form=lambda om, v, w: om + v)
+    rmap = RecurrenceMap(family="declared", form=lambda om, v: om + v)
     report = verify_recurrence(windows, rmap, tol=1e-12)
     assert report.passed
     assert report.max_residual < 1e-12
@@ -173,7 +173,7 @@ def test_verify_recurrence_by_construction():
 
 def test_verify_recurrence_identity_map_residual_is_v_norm():
     windows = _affine_windows(1.0, 1.0, 0.0, [0.5, 0.25, 0.125])
-    rmap = RecurrenceMap(family="declared", form=lambda om, v, w: om)
+    rmap = RecurrenceMap(family="declared", form=lambda om, v: om)
     report = verify_recurrence(windows, rmap, tol=1e-12)
     assert np.allclose(report.residuals, [0.5, 0.25, 0.125], atol=1e-15)
 
@@ -257,7 +257,7 @@ def _dialogue(eps_of_t, u0_value, phi0, state_kind="mean", control_kind="integra
         field=field, players=players,
         state_functionals=(WindowFunctional(state_kind, "eps"),),
         control_functionals=(WindowFunctional(control_kind, "u0"),),
-        step_map=lambda phi_prev, v, window: phi_prev + v,
+        step_map=lambda phi_prev, v: phi_prev + v,
         phi0=np.array([phi0]), xi0=np.array([0.0]), dt=1e-3)
 
 
@@ -301,7 +301,7 @@ def test_intention_field_drives_windows():
         field=field, players=players,
         state_functionals=(WindowFunctional("endpoint", "state"),),
         control_functionals=(WindowFunctional("mean", "u0"),),
-        step_map=lambda phi_prev, v, window: phi_prev + v,
+        step_map=lambda phi_prev, v: phi_prev + v,
         phi0=np.array([0.0]), xi0=np.array([0.0]), dt=1e-3)
     result = simulate_dialogue(dialogue, [0.0, 1.0, 2.0])
     assert result.phi[1][0] == pytest.approx(1.0, abs=1e-10)
