@@ -8,8 +8,10 @@ letters.  Scale caps (generators <= 4, matrix dimension <= 6, degree <= 3)
 keep the symmetrization and the projection Jacobians small.
 
 Both evaluators run on compiled plans, so their loops only multiply and add.
-A presentation compiles its relations into ``(word, coefficient)`` lists
-when it is built.  ``compile_symbols`` turns a symbol tuple into a
+A presentation compiles its relations into a level-batched
+:class:`RelationPlan` when it is built: one stacked product per letter
+position drives the relation values and the projection Jacobian alike.
+``compile_symbols`` turns a symbol tuple into a
 :class:`WeylPlan`: per term the coefficient, the control index and every
 ordering of its sorted letters as indices into the tuple's matrices, the
 constant matrices and one shared identity.  Unknown slots, unknown
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -91,18 +94,78 @@ def identity(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class RelationPlan:
+    """Relations compiled into level batches; nothing in it depends on the matrix size.
+
+    The words are sorted by length, longest first and in their order otherwise,
+    so ``letters[k]``, the letters at position k, belong to the first words;
+    ``tails[d - 1]`` holds the letter d places from the end of each word longer
+    than d.  The j-th term of relation r goes to row ``(j, r)`` of a ``(depth,
+    relations)`` buffer, at ``slots``; the rows ``(0, r)`` stay zero.  Level j
+    of ``pair_levels`` holds the j-th (word, letter position) pair of every
+    (relation, letter) Jacobian block that has one, as (prefix rows, suffix
+    rows, coefficients, relations, letters); the rows index the prefix and
+    suffix chains (the identity, then the chains of length 1, 2, ...).
+    """
+
+    relations: int
+    letters: tuple[np.ndarray, ...]
+    tails: tuple[np.ndarray, ...]
+    coeffs: np.ndarray              # (words, 1, 1)
+    slots: np.ndarray
+    depth: int
+    pair_levels: tuple[tuple[np.ndarray, ...], ...]
+
+
+def compile_relations(relations: Sequence[NCPoly]) -> RelationPlan:
+    """The :class:`RelationPlan` of ``relations``."""
+    terms = [(r, word, coeff) for r, rel in enumerate(relations)
+             for word, coeff in rel.terms.items()]
+    order = sorted(range(len(terms)), key=lambda k: -len(terms[k][1]))    # stable
+    words = [terms[k][1] for k in order]
+    longest = len(words[0]) if words else 0
+    letters = tuple(np.array([w[k] for w in words if len(w) > k], dtype=np.intp)
+                    for k in range(max(longest, 1)))
+    tails = tuple(np.array([w[-d] for w in words if len(w) > d], dtype=np.intp)
+                  for d in range(1, longest))
+    # Chain level k >= 1 starts at row offsets[k - 1]: one row per word longer than k.
+    offsets = np.cumsum([1] + [len(idx) for idx in letters[1:]])
+    rank = {k: i for i, k in enumerate(order)}
+    seen, slots = [0] * len(relations), []
+    blocks: dict[tuple[int, int], int] = {}     # (relation, letter) -> level of its last pair
+    levels: list[list[tuple]] = []
+    for k, (r, word, coeff) in enumerate(terms):
+        seen[r] += 1
+        slots.append(seen[r] * len(relations) + r)
+        for j, letter in enumerate(word):
+            level = blocks[r, letter] = blocks.get((r, letter), -1) + 1
+            if level == len(levels):
+                levels.append([])
+            tail = len(word) - 1 - j
+            levels[level].append((offsets[j - 1] + rank[k] if j else 0,
+                                  offsets[tail - 1] + rank[k] if tail else 0, coeff, r, letter))
+    return RelationPlan(
+        relations=len(relations), letters=letters, tails=tails,
+        coeffs=np.array([terms[k][2] for k in order], dtype=complex).reshape(-1, 1, 1),
+        slots=np.array([slots[k] for k in order], dtype=np.intp), depth=1 + max(seen, default=0),
+        pair_levels=tuple(
+            (np.array(pre, dtype=np.intp), np.array(suf, dtype=np.intp),
+             np.array(coeff, dtype=complex).reshape(-1, 1, 1, 1, 1),
+             np.array(rel, dtype=np.intp), np.array(let, dtype=np.intp))
+            for pre, suf, coeff, rel, let in (zip(*level) for level in levels)))
+
+
+@dataclass(frozen=True)
 class AlgebraPresentation:
     """Finitely presented associative algebra: generator count plus relations.
 
-    ``words`` is the compiled form the evaluators read: per relation, its
-    ``(word, coefficient)`` pairs.
+    ``plan`` is the compiled form the evaluators read.
     """
 
     label: str
     generators: int
     relations: tuple[NCPoly, ...] = ()
-    words: tuple[tuple[tuple[tuple[int, ...], complex], ...], ...] = field(
-        init=False, repr=False, compare=False)
+    plan: RelationPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.generators <= MAX_GENERATORS:
@@ -115,8 +178,7 @@ class AlgebraPresentation:
                         raise ConfigurationError(
                             f"presentation {self.label!r}: relation letter {letter!r} "
                             f"outside generators [1..{self.generators}]")
-        object.__setattr__(self, "words",
-                           tuple(tuple(rel.terms.items()) for rel in self.relations))
+        object.__setattr__(self, "plan", compile_relations(self.relations))
 
     @classmethod
     def from_strings(cls, label: str, generators: int,
@@ -125,37 +187,41 @@ class AlgebraPresentation:
         return cls(label=label, generators=generators, relations=polys)
 
 
-def poly_eval(words: Sequence[Sequence[tuple[tuple[int, ...], complex]]], matrices,
-              eye: np.ndarray) -> np.ndarray:
-    """Evaluate compiled relations with ordinary products, one ``(n, n)`` value each.
+def poly_eval(plan: RelationPlan, stacked: np.ndarray) -> np.ndarray:
+    """Evaluate compiled relations at an ``(m, n, n)`` tuple, one ``(n, n)`` value each.
 
-    ``words`` holds each relation's ``(word, coefficient)`` pairs and
-    ``matrices`` is an ``(m, n, n)`` tuple or the sequence of its matrices.
-    Every product starts from ``eye``: that leading product turns a ``-0.0``
-    entry into ``+0.0`` and an infinite entry into NaNs, and the residual
-    bytes depend on both.
+    Every product starts from the identity: that leading product turns a
+    ``-0.0`` entry into ``+0.0`` and an infinite entry into NaNs, and the
+    residual bytes depend on both.  Stacked products equal the per-word ones
+    bit for bit, and the terms are added in each relation's order.
     """
-    out = np.zeros((len(words),) + eye.shape, dtype=complex)
-    for acc, terms in zip(out, words):
-        for word, coeff in terms:
-            prod = eye
-            for letter in word:
-                prod = prod @ matrices[letter]
-            acc += coeff * prod
-    return out
+    n = stacked.shape[1]
+    eye = identity(n)
+    lead, *rest = plan.letters
+    products = np.empty((len(plan.coeffs), n, n), dtype=complex)
+    products[len(lead):] = eye      # the empty words
+    products[:len(lead)] = eye @ stacked.take(lead, 0)
+    for idx in rest:
+        products[:len(idx)] = products[:len(idx)] @ stacked.take(idx, 0)
+    buffer = np.zeros((plan.depth * plan.relations, n, n), dtype=complex)
+    buffer[plan.slots] = plan.coeffs * products
+    total, *later = buffer.reshape(plan.depth, plan.relations, n, n)
+    for row in later:   # row by row: np.add.reduce adds four rows and more pairwise
+        total += row
+    return total
 
 
 def relation_values(pres: AlgebraPresentation,
                     stacked: np.ndarray) -> tuple[np.ndarray, float]:
     """The relations evaluated at an ``(m, n, n)`` tuple: (flat entries, worst Frobenius norm).
 
-    ``stacked`` may also be the sequence of the tuple's matrices.  The worst norm is
-    NaN when any is, so a tuple with a NaN or infinite entry never reads as on the variety.
+    The worst norm is NaN when any is, so a tuple with a NaN or infinite entry
+    never reads as on the variety.
     """
-    values = poly_eval(pres.words, stacked, identity(stacked[0].shape[0]))
+    values = poly_eval(pres.plan, stacked)
     worst = 0.0
-    for value in values:
-        norm = float(np.linalg.norm(value))
+    for row in values.reshape(-1, values.shape[-1] ** 2):
+        norm = math.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag))    # as np.linalg.norm
         if norm > worst or norm != norm:    # max() would skip a NaN norm
             worst = norm
     return values.reshape(-1), worst
@@ -167,7 +233,7 @@ def relation_residual(pres: AlgebraPresentation, X: MatrixTuple) -> float:
         raise ConfigurationError(
             f"tuple has {X.m} matrices, presentation {pres.label!r} expects "
             f"{pres.generators}")
-    return relation_values(pres, X.matrices)[1]
+    return relation_values(pres, X.stacked())[1]
 
 
 def commutative_presentation(generators: int, label: str = "commutative") -> AlgebraPresentation:

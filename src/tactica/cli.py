@@ -80,8 +80,9 @@ def run_command(command: str, scenario_path, out_dir: Path, dt_override: float |
         return EXIT_VALIDATION
     if not scenario.supports(command):
         supported = ", ".join(scenario.supported_commands()) or "none"
+        gap = scenario.plans["system"].slow_gap if "system" in scenario.plans else ""
         print(f"usage: scenario {scenario.title!r} does not support {command!r}; "
-              f"it supports: {supported}", file=sys.stderr)
+              f"it supports: {supported}" + (f" ({gap})" if gap else ""), file=sys.stderr)
         return EXIT_VALIDATION
 
     tolerance = scenario.tolerance if scenario.tolerance is not None else 1e-9

@@ -70,7 +70,6 @@ def rk4_step(f: Callable, t: float, y: np.ndarray, dt: float, k1: np.ndarray) ->
 class PureControlPolicy:
     """Independent control signal of one player."""
 
-    player_index: int
     signal: Callable[[float], Sequence[float]]
 
     def __call__(self, t: float):
@@ -466,7 +465,7 @@ def associated_ordinary_game(system: InteractiveSystem,
             dim_j = slot.epsilon.dim
             signal = (lambda d: (lambda t: np.zeros(d)))(dim_j)
         players.append(Player(
-            policy=PureControlPolicy(player_index=n_policies + j + 1, signal=signal),
+            policy=PureControlPolicy(signal=signal),
             coupling=identity_coupling(),
             epsilon=zero_epsilon()))
 

@@ -44,7 +44,7 @@ def with_assumed_policies(system: InteractiveSystem,
             raise ConfigurationError(f"no player {index} in the system")
         p = players[index - 1]
         players[index - 1] = Player(
-            policy=PureControlPolicy(player_index=index, signal=signal),
+            policy=PureControlPolicy(signal=signal),
             coupling=p.coupling, epsilon=p.epsilon)
     return InteractiveSystem(dim=system.dim, dynamics=system.dynamics,
                              players=tuple(players), coalitions=system.coalitions,

@@ -30,6 +30,10 @@ from .verbalization import WindowRecord
 # amplifies rounding noise so the residual stalls above the tolerance.
 PROJECTION_RCOND = 1e-12
 MAX_TRANSITIONS_PER_WINDOW = 8      # more in one window: the scenario does not settle
+# Complex entries per batch of Jacobian outer products (64 KiB).  Larger temporaries pass
+# glibc's default mmap threshold and are faulted in afresh on every call: at n = 6 one
+# batch per level took up to twice the time of the per-word loop.
+JACOBIAN_BATCH_ENTRIES = 4096
 
 
 class StrandedClassError(SimulationError):
@@ -123,39 +127,41 @@ def _relation_jacobian(pres: AlgebraPresentation, stacked: np.ndarray,
     Jacobian is equivalent to the stacked real/imaginary problem.  Letter j of
     a word ``P X_j Q`` contributes ``kron(P, Q.T)`` to its block; the block is
     viewed as ``(n, n, n, n)`` and takes that Kronecker product as the outer
-    product ``P[i, j] * Q.T[k, l]`` at ``[i, k, j, l]``.
+    product ``P[i, j] * Q.T[k, l]`` at ``[i, k, j, l]``.  All words' ``P`` and ``Q``
+    are built with one stacked product per length; each level of ``pair_levels``
+    adds one term to each of its blocks, so every block sums its terms in order.
     """
-    jac = np.zeros((len(pres.words), n, n, m, n, n), dtype=complex)
-    eye = identity(n)
-    for block, words in zip(jac, pres.words):
-        for word, coeff in words:
-            if not word:
-                continue
-            mats = [stacked[letter] for letter in word]
-            prefixes = [eye]
-            for mat in mats[:-1]:
-                prefixes.append(prefixes[-1] @ mat)
-            suffixes = [eye]
-            for mat in reversed(mats[1:]):
-                suffixes.append(mat @ suffixes[-1])
-            suffixes.reverse()
-            for letter, prefix, suffix in zip(word, prefixes, suffixes):
-                block[:, :, letter] += coeff * (prefix[:, None, :, None]
-                                                * suffix.T[None, :, None, :])
-    return jac.reshape(len(pres.words) * n * n, m * n * n)
+    plan, eye = pres.plan, identity(n)[None]
+    prefixes, suffixes = [eye], [eye]
+    for position, longer, tail in zip(plan.letters, plan.letters[1:], plan.tails):
+        count = len(longer)     # the words with a letter after this position
+        prefixes.append(prefixes[-1][:count] @ stacked.take(position[:count], 0))
+        suffixes.append(stacked.take(tail, 0) @ suffixes[-1][:count])
+    prefixes, suffixes = np.concatenate(prefixes), np.concatenate(suffixes).swapaxes(1, 2)
+    jac = np.zeros((plan.relations, n, n, m, n, n), dtype=complex)
+    step = max(1, JACOBIAN_BATCH_ENTRIES // n ** 4)
+    for level in plan.pair_levels:
+        for start in range(0, len(level[0]), step):
+            prefix, suffix, coeffs, relations, letters = (a[start:start + step] for a in level)
+            pre, suf = prefixes.take(prefix, 0), suffixes.take(suffix, 0)
+            jac[relations, :, :, letters] += coeffs * (pre[:, :, None, :, None]
+                                                       * suf[:, None, :, None, :])
+    return jac.reshape(plan.relations * n * n, m * n * n)
 
 
 def project_to_variety(pres: AlgebraPresentation, stacked: np.ndarray, tolerance: float,
-                       cap: int = 50) -> tuple[np.ndarray, float, bool]:
+                       cap: int = 50, values: tuple[np.ndarray, float] | None = None
+                       ) -> tuple[np.ndarray, float, bool]:
     """Gauss-Newton projection of an ``(m, n, n)`` tuple onto the relation variety.
 
     Returns (projected tuple, residual, converged).  Each iteration takes the
     minimum-norm least-squares step of the linearized relations in all tuple
     entries.  An iterate with a non-finite residual stops it unconverged.
+    ``values`` is ``relation_values(pres, stacked)`` when the caller holds it.
     """
     m, n = stacked.shape[0], stacked.shape[1]
     scale = max(1.0, float(np.max(np.abs(stacked))))
-    residual_vec, residual = relation_values(pres, stacked)
+    residual_vec, residual = relation_values(pres, stacked) if values is None else values
     for _ in range(cap):
         if residual <= tolerance or not math.isfinite(residual):
             break
@@ -207,14 +213,15 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
         t_next = t0 + (k + 1) * dt
         if not np.isfinite(candidate).all():
             raise SimulationError(f"matrix tuple diverged at t={t_next!r}")
-        _, raw_residual = relation_values(presentation, candidate)
+        raw = relation_values(presentation, candidate)
+        raw_residual = raw[1]
         if raw_residual > spec.insolvable_threshold:
             return result(InsolvableSignal(
                 time=t_next, residual=raw_residual,
                 reason="raw step residual exceeded the insolvability threshold"))
         if not raw_residual <= spec.tolerance:     # a NaN residual is projected, and fails
             stacked, residual, converged = project_to_variety(
-                presentation, candidate, spec.tolerance)
+                presentation, candidate, spec.tolerance, values=raw)
             if not math.isfinite(residual):
                 raise SimulationError(f"relation residual turned non-finite at t={t_next!r}")
             if not converged:
@@ -233,14 +240,6 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
 # Dynamical inverse problem (commutative-diagonal mode)
 # ---------------------------------------------------------------------------
 
-def _x_letter(i: int) -> tuple:
-    return ("x", i)
-
-
-def _u_letter(j: int) -> tuple:
-    return ("u", j)
-
-
 def _parse_polynomial_rhs(sources: Sequence[str], state_dim: int,
                           control_dim: int) -> list[dict[tuple, list[tuple[complex, tuple]]]]:
     """Expand each rhs into x-monomials with u-dependent coefficients.
@@ -248,11 +247,8 @@ def _parse_polynomial_rhs(sources: Sequence[str], state_dim: int,
     Returns one mapping per state slot: sorted x-word -> list of
     (coefficient, sorted u-word).
     """
-    letters: dict[str, NCPoly] = {}
-    for i in range(state_dim):
-        letters[f"x{i + 1}"] = NCPoly.letter(_x_letter(i))
-    for j in range(control_dim):
-        letters[f"u{j + 1}"] = NCPoly.letter(_u_letter(j))
+    letters = {f"{kind}{i + 1}": NCPoly.letter((kind, i))
+               for kind, dim in (("x", state_dim), ("u", control_dim)) for i in range(dim)}
     out = []
     for src in sources:
         poly = nc_evaluate(src, letters)
@@ -327,19 +323,6 @@ def solve_inverse_problem(rhs: Sequence[str], x0: Sequence[float], control_dim: 
             terms.append(WeylTerm(coefficient=1.0, word=x_word, control=index))
         symbols.append(WeylSymbol(terms=tuple(terms)))
 
-    def coefficient_map(u) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=complex))
-        out = np.zeros(len(control_entries), dtype=complex)
-        for k, (_, _, contributions) in enumerate(control_entries):
-            total = 0j
-            for coeff, u_word in contributions:
-                value = coeff
-                for j in u_word:
-                    value *= u[j]
-                total += value
-            out[k] = total
-        return out
-
     if parallel_initial is not None:
         diagonals = np.asarray(parallel_initial, dtype=float)
         if diagonals.shape != (state_dim, matrix_dim):
@@ -356,9 +339,35 @@ def solve_inverse_problem(rhs: Sequence[str], x0: Sequence[float], control_dim: 
                       tolerance=tolerance)
     symbolic_match = _verify_symbolic(parsed, symbols, control_entries, constants)
     return InverseConstruction(spec=spec, start=initial.stacked(), control_names=tuple(names),
-                               coefficient_map=coefficient_map,
+                               coefficient_map=_compile_coefficient_map(control_entries),
                                designated_slot=designated_slot,
                                symbolic_match=symbolic_match)
+
+
+def _compile_coefficient_map(control_entries) -> Callable[[Sequence[float]], np.ndarray]:
+    """The symbols' control vector as one generated function of ``u``: entry k is
+    ``0j + c1*u[i]*u[j] + c2 ...`` over its contributions, each product and sum in order."""
+    namespace = {"__builtins__": {}, "asarray": np.asarray, "array": np.array, "complex": complex}
+    entries = []
+    for _, _, contributions in control_entries:
+        terms = ["0j"]
+        for coeff, u_word in contributions:
+            name = f"_c{len(namespace)}"
+            namespace[name] = complex(coeff)
+            terms.append("*".join([name, *(f"u[{j}]" for j in u_word)]))
+        entries.append(" + ".join(terms))
+    source = ("def coefficient_map(u):\n"
+              "    u = asarray(u, dtype=complex).ravel().tolist()\n"
+              f"    return array([{', '.join(entries)}], dtype=complex)\n")
+    exec(source, namespace)     # noqa: S102 -- built from parsed words only
+    return namespace["coefficient_map"]
+
+
+def _by_u_word(contributions) -> dict[tuple, complex]:
+    total: dict[tuple, complex] = {}
+    for c, uw in contributions:
+        total[uw] = total.get(uw, 0j) + complex(c)
+    return total
 
 
 def _verify_symbolic(parsed, symbols, control_entries, constants) -> bool:
@@ -366,34 +375,22 @@ def _verify_symbolic(parsed, symbols, control_entries, constants) -> bool:
     for slot, slots in enumerate(parsed):
         reconstructed: dict[tuple, list[tuple[complex, tuple]]] = {}
         for term in symbols[slot].terms:
-            if term.control is not None:
-                src_slot, x_word, contributions = control_entries[term.control]
-                if src_slot != slot or x_word != term.word:
-                    return False
-                reconstructed.setdefault(x_word, []).extend(
-                    (term.coefficient * c, uw) for c, uw in contributions)
-            else:
+            if term.control is None:
                 name = term.word[0] if term.word else None
-                if name is None or name not in constants:
+                if name not in constants:
                     return False
-                reconstructed.setdefault((), []).append(
-                    (term.coefficient * constants[name][0, 0], ()))
-        expected = {w: sorted((complex(c), uw) for c, uw in v)
-                    for w, v in slots.items()}
-        got = {w: sorted((complex(c), uw) for c, uw in v)
-               for w, v in reconstructed.items()}
-        for w, contributions in expected.items():
-            if w not in got:
+                word, contributions = (), ((constants[name][0, 0], ()),)
+            else:
+                src_slot, word, contributions = control_entries[term.control]
+                if (src_slot, word) != (slot, term.word):
+                    return False
+            reconstructed.setdefault(word, []).extend(
+                (term.coefficient * c, uw) for c, uw in contributions)
+        for w, contributions in slots.items():
+            got = _by_u_word(reconstructed.get(w, ()))
+            if w not in reconstructed or any(abs(got.get(uw, 0j) - c) > 1e-12 for uw, c
+                                             in _by_u_word(contributions).items()):
                 return False
-            agg_expected: dict[tuple, complex] = {}
-            for c, uw in contributions:
-                agg_expected[uw] = agg_expected.get(uw, 0j) + c
-            agg_got: dict[tuple, complex] = {}
-            for c, uw in got[w]:
-                agg_got[uw] = agg_got.get(uw, 0j) + c
-            for uw, c in agg_expected.items():
-                if abs(agg_got.get(uw, 0j) - c) > 1e-12:
-                    return False
     return True
 
 
@@ -633,10 +630,11 @@ def _apply_transition(game: TacticalRepDyn, rule: TransitionRule, stacked: np.nd
             rule.eta_update(eta, {"time": signal.time, "residual": signal.residual}),
             dtype=float))
     spec = game.specs[rule.to_class]
-    post_residual = relation_values(spec.presentation, stacked)[1]
+    post = relation_values(spec.presentation, stacked)
+    post_residual = post[1]
     if not post_residual <= spec.tolerance:     # a NaN residual is projected, and fails
         stacked, post_residual, converged = project_to_variety(
-            spec.presentation, stacked, spec.tolerance)
+            spec.presentation, stacked, spec.tolerance, values=post)
         if not math.isfinite(post_residual):
             raise SimulationError(f"relation residual turned non-finite at t={signal.time!r}")
         if not converged:

@@ -145,6 +145,7 @@ class SystemPlan:
     initial: np.ndarray
     slow: SlowControl | None
     integrate: Callable     # simulate, or coalition_simulate when coalitions are declared
+    slow_gap: str = ""      # why system.slow misses lambda; only tactics then runs the system
 
 
 @dataclass
@@ -205,7 +206,9 @@ class Scenario:
     plans: dict = field(default_factory=dict)
 
     def supports(self, command: str) -> bool:
-        return command in _NEEDS and all(s in self.plans for s in _NEEDS[command])
+        needs = _NEEDS.get(command, ("unknown",))
+        return all(s in self.plans for s in needs) and (  # tactics feeds its comment as lambda
+            command == "tactics" or "system" not in needs or not self.plans["system"].slow_gap)
 
     def supported_commands(self) -> list[str]:
         return [c for c in COMMANDS if self.supports(c)]
@@ -377,9 +380,9 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
     if not check.require("system.players", isinstance(players, list) and players,
                          "at least one player is required"):
         return None
-    slow, lam = _slow(spec["slow"], check) if "slow" in spec else (None, 0)
+    slow, implied, fed = _slow(spec["slow"], check) if "slow" in spec else (None, 0, 0)
     # A declared lambda_dim wins; else a commented run feeds its comment as slow parameter.
-    lam = spec.get("lambda_dim", lam if ctx.dims["theta"] is None else ctx.dims["theta"])
+    lam = spec.get("lambda_dim", implied if ctx.dims["theta"] is None else ctx.dims["theta"])
     lam = lam if check.integer("system.lambda_dim", lam, low=0) else 0
     u0_dims = [_length(p.get("signal")) if isinstance(p, dict) else 0 for p in players]
     built, player_slots = [], []
@@ -389,7 +392,7 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
         player_slots.append(slot)
         if signal and coupling:
             built.append(Player(
-                PureControlPolicy(k + 1, signal.fn),
+                PureControlPolicy(signal.fn),
                 FeedbackCoupling(lambda t, u0, phi, derivs, eps, lam, _f=coupling.fn:
                                  _f(t, u0, phi, eps, lam)),
                 zero_epsilon() if truth is None else EpsilonProcess(
@@ -448,8 +451,12 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
                          players=tuple(built), coalitions=tuple(built_coalitions),
                          invariant_constraints=tuple(invariants))
     integrate = coalition_simulate if coalitions else simulate
+    couplings = [src for p in [*players, *coalitions] for src in p["coupling"]]
+    read = max((i + 1 for src in spec["dynamics"] + couplings
+                for name, i in expr.variables(src) if name == "lambda"), default=0)
+    gap = f"system.slow feeds {fed} of the {read} lambda components read" if read > fed else ""
     return system and SystemPlan(system=system, slow=slow, integrate=integrate,
-                                 initial=np.asarray(spec["initial"], dtype=float))
+                                 initial=np.asarray(spec["initial"], dtype=float), slow_gap=gap)
 
 
 def _slot(path: str, spec: dict, u0_dim: int, dim: int, lam: int, check: _Check):
@@ -464,19 +471,22 @@ def _slot(path: str, spec: dict, u0_dim: int, dim: int, lam: int, check: _Check)
     return truth, coupling, (_length(spec.get("coupling")), eps_dim)
 
 
-def _slow(spec, check: _Check) -> tuple[SlowControl | None, int]:
-    """The external slow parameter and the dimension its schedule implies."""
+def _slow(spec, check: _Check) -> tuple[SlowControl | None, int, int]:
+    """The external slow parameter, the lambda dimension its schedule implies (none for
+    steps) and the number of lambda components it feeds."""
     if isinstance(spec, dict) and "schedule" in spec:
         vec = check.expressions("system.slow.schedule", spec["schedule"], ("t",))
-        return vec and SlowControl(schedule=lambda t, _f=vec.fn: _f(t)), _length(spec["schedule"])
+        dim = _length(spec["schedule"])
+        return vec and SlowControl(schedule=lambda t, _f=vec.fn: _f(t)), dim, dim
     steps = spec.get("steps") if isinstance(spec, dict) else None
     if not check.require("system.slow", isinstance(steps, list) and all(
             isinstance(s, list) and len(s) == 2 and isinstance(s[0], int)
             and isinstance(s[1], list) and all(map(_is_number, s[1])) for s in steps),
             "needs either a schedule or steps [[index, [values]], ...]"):
-        return None, 0
+        return None, 0, 0
     schedule = tuple((int(s), tuple(float(x) for x in v)) for s, v in steps)
-    return check.build("system.slow.steps", SlowControl, schedule=schedule), 0
+    return (check.build("system.slow.steps", SlowControl, schedule=schedule), 0,
+            min((len(v) for _, v in schedule), default=0))
 
 
 def _verbalization(spec: dict, ctx: _Context, check: _Check) -> VerbalizationPlan | None:

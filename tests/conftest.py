@@ -4,8 +4,7 @@ from tactica.games import (EpsilonProcess, FeedbackCoupling, InteractiveSystem, 
                            PureControlPolicy, zero_epsilon)
 
 
-def make_player(index, signal, known_form=None, eps_form=None, eps_dim=0,
-                derivative_order=0):
+def make_player(signal, known_form=None, eps_form=None, eps_dim=0, derivative_order=0):
     if known_form is None:
         known_form = lambda t, u0, phi, derivs, eps, lam: u0  # noqa: E731
     if eps_form is None:
@@ -13,7 +12,7 @@ def make_player(index, signal, known_form=None, eps_form=None, eps_dim=0,
     else:
         epsilon = EpsilonProcess(form=eps_form, dim=eps_dim)
     return Player(
-        policy=PureControlPolicy(player_index=index, signal=signal),
+        policy=PureControlPolicy(signal=signal),
         coupling=FeedbackCoupling(known_form=known_form,
                                   derivative_order=derivative_order),
         epsilon=epsilon)
@@ -25,7 +24,7 @@ def linear_decay_system():
         dim=1,
         dynamics=lambda t, phi, u, lam, om: u[0],
         players=(make_player(
-            1, lambda t: np.zeros(1),
+            lambda t: np.zeros(1),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + eps * phi,
             eps_form=lambda t, u0, phi, derivs: np.array([-1.0]), eps_dim=1),))
 
@@ -39,5 +38,5 @@ def logistic_system(eps_form=None, eps_dim=0):
     return InteractiveSystem(
         dim=1,
         dynamics=lambda t, phi, u, lam, om: [u[0][0] * phi[0] * (1.0 - phi[0])],
-        players=(make_player(1, lambda t: np.ones(1), known_form=known,
+        players=(make_player(lambda t: np.ones(1), known_form=known,
                              eps_form=eps_form, eps_dim=eps_dim),))

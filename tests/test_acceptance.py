@@ -117,7 +117,7 @@ def _coupled_pair(grid):
     def trivial():
         return InteractiveSystem(
             dim=1, dynamics=lambda t, phi, u, lam, om: [0.0],
-            players=(make_player(1, lambda t: np.zeros(1)),))
+            players=(make_player(lambda t: np.zeros(1)),))
 
     def game(theta0):
         return CommentedGame(

@@ -303,10 +303,14 @@ system:
      "validation: --out: File exists", {"out_is_file": True}),
     ("simulate", SYSTEM.format(dynamics="0.0", extra=""), EXIT_VALIDATION,
      "validation: --batch: no scenario files given", {"argv": ["--batch", ","]}),
+    # Only tactics feeds lambda (its comment) when no system.slow schedule does.
+    ("simulate", "\n".join(line for line in (SCENARIOS / "tactics_commented.yaml").read_text()
+                           .splitlines() if "slow:" not in line), EXIT_VALIDATION,
+     "it supports: tactics (system.slow feeds 0 of the 1 lambda components read)", {}),
 ], ids=["validation", "zero-division", "overflow", "insolvable", "repdyn-stage-overflow",
         "stage-time", "non-finite-eps", "complex-power", "tolerance-env-text",
         "tolerance-env-nan", "tolerance-env-negative", "scenario-directory",
-        "scenario-not-utf8", "out-is-a-file", "empty-batch"])
+        "scenario-not-utf8", "out-is-a-file", "empty-batch", "slow-schedule-missing"])
 def test_exit_codes_end_without_traceback(tmp_path, capsys, recwarn, monkeypatch, command, text,
                                           expected, message, options):
     scenario, out_dir = tmp_path / "scenario.yaml", tmp_path / "out"

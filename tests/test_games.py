@@ -18,7 +18,7 @@ LOGISTIC_REFERENCE_T5 = 0.9428256185740211
 def test_zero_field_constant_trajectory():
     system = InteractiveSystem(
         dim=2, dynamics=lambda t, phi, u, lam, om: np.zeros(2),
-        players=(make_player(1, lambda t: np.zeros(1)),))
+        players=(make_player(lambda t: np.zeros(1)),))
     traj = simulate(system, [3.0, -1.0], 0.0, 1.0, 0.01)
     assert np.all(traj.phi == [3.0, -1.0])
 
@@ -54,7 +54,7 @@ def test_determinism_bit_identical():
 def test_divergence_carries_last_valid_time():
     system = InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: [phi[0] ** 3],
-        players=(make_player(1, lambda t: np.zeros(1)),))
+        players=(make_player(lambda t: np.zeros(1)),))
     with pytest.raises(DivergenceError) as err:
         simulate(system, [5.0], 0.0, 10.0, 0.1)
     assert 0.0 <= err.value.last_valid_time < 10.0
@@ -67,7 +67,7 @@ def test_grid_must_divide_interval():
 
 def test_estimate_epsilon_rejected_as_truth():
     player = Player(
-        policy=PureControlPolicy(1, lambda t: np.zeros(1)),
+        policy=PureControlPolicy(lambda t: np.zeros(1)),
         coupling=FeedbackCoupling(known_form=lambda t, u0, phi, derivs, eps, lam: u0),
         epsilon=EpsilonProcess(form=lambda t, u0, phi, derivs: np.zeros(1), dim=1,
                                ground_truth=False))
@@ -89,7 +89,7 @@ def test_derivative_substitution_semantics():
     system = InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
         players=(make_player(
-            1, lambda t: np.array([2.0]),
+            lambda t: np.array([2.0]),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + c * derivs[0],
             derivative_order=1),))
     traj = simulate(system, [0.0], 0.0, 0.1, 0.01)
@@ -117,9 +117,9 @@ def test_replay_constant_eps():
 
 def test_associated_game_doubles_control_slots():
     players = (
-        make_player(1, lambda t: np.zeros(1),
+        make_player(lambda t: np.zeros(1),
                     eps_form=lambda t, u0, phi, derivs: np.zeros(1), eps_dim=1),
-        make_player(2, lambda t: np.zeros(1),
+        make_player(lambda t: np.zeros(1),
                     eps_form=lambda t, u0, phi, derivs: np.zeros(1), eps_dim=1),
     )
     system = InteractiveSystem(
@@ -153,7 +153,7 @@ def test_associated_game_rejects_derivative_couplings():
     system = InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
         players=(make_player(
-            1, lambda t: np.zeros(1),
+            lambda t: np.zeros(1),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + derivs[0],
             derivative_order=1),))
     with pytest.raises(ConfigurationError):
@@ -179,7 +179,7 @@ def test_nonconserved_quantity_reports_positive_drift():
     system = InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
         players=(make_player(
-            1, lambda t: np.array([1.0]),
+            lambda t: np.array([1.0]),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + phi),))
     traj = simulate(system, [1.0], 0.0, 1.0, 0.01)
     constraint = InvariantConstraint(
@@ -195,7 +195,7 @@ def test_conserved_quadratic_on_rotation():
         dim=2,
         dynamics=lambda t, phi, u, lam, om: [-u[0][0] * phi[1], u[0][0] * phi[0]],
         players=(make_player(
-            1, lambda t: np.array([1.0]),
+            lambda t: np.array([1.0]),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + eps,
             eps_form=lambda t, u0, phi, derivs: np.array([0.3 * math.sin(2 * t)]),
             eps_dim=1),))
@@ -224,7 +224,7 @@ def test_singleton_coalitions_equal_plain_simulate():
     def eps_form(t, u0, phi, derivs):
         return np.array([-0.5 * u0[0]])
 
-    players = (make_player(1, lambda t: np.array([0.4]), known_form=known,
+    players = (make_player(lambda t: np.array([0.4]), known_form=known,
                            eps_form=eps_form, eps_dim=1),)
     coalition = Coalition(
         members=(1,),
@@ -240,8 +240,8 @@ def test_singleton_coalitions_equal_plain_simulate():
 
 
 def test_grand_coalition_sum_equals_summed_signal():
-    players = (make_player(1, lambda t: np.array([0.3])),
-               make_player(2, lambda t: np.array([0.2 * math.sin(t)])))
+    players = (make_player(lambda t: np.array([0.3])),
+               make_player(lambda t: np.array([0.2 * math.sin(t)])))
     coalition = Coalition(
         members=(1, 2),
         coupling=lambda t, u0s, phi, derivs, eps, lam: u0s[0] + u0s[1])
@@ -251,15 +251,15 @@ def test_grand_coalition_sum_equals_summed_signal():
 
     single = InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
-        players=(make_player(1, lambda t: np.array([0.3 + 0.2 * math.sin(t)])),))
+        players=(make_player(lambda t: np.array([0.3 + 0.2 * math.sin(t)])),))
     reference = simulate(single, [0.0], 0.0, 2.0, 1e-3, record_tape=False)
     assert np.max(np.abs(grouped.phi - reference.phi)) < 1e-12
 
 
 def test_overlapping_coalitions_match_hand_assembled_field():
-    players = (make_player(1, lambda t: np.array([0.4])),
-               make_player(2, lambda t: np.array([0.2 * math.sin(t)])),
-               make_player(3, lambda t: np.array([0.1])))
+    players = (make_player(lambda t: np.array([0.4])),
+               make_player(lambda t: np.array([0.2 * math.sin(t)])),
+               make_player(lambda t: np.array([0.1])))
     coalitions = (
         Coalition(members=(1, 2),
                   coupling=lambda t, u0s, phi, derivs, eps, lam: u0s[0] + u0s[1]),
@@ -279,7 +279,7 @@ def test_overlapping_coalitions_match_hand_assembled_field():
         return [a - b - 0.5 * phi[0]]
 
     reference_system = InteractiveSystem(
-        dim=1, dynamics=direct, players=(make_player(1, lambda t: np.zeros(1)),))
+        dim=1, dynamics=direct, players=(make_player(lambda t: np.zeros(1)),))
     reference = simulate(reference_system, [0.5], 0.0, 1.0, 1e-3, record_tape=False)
     assert np.max(np.abs(grouped.phi - reference.phi)) < 1e-12
 
@@ -288,7 +288,7 @@ def test_coalition_member_out_of_range_rejected():
     with pytest.raises(ConfigurationError):
         InteractiveSystem(
             dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
-            players=(make_player(1, lambda t: np.zeros(1)),),
+            players=(make_player(lambda t: np.zeros(1)),),
             coalitions=(Coalition(members=(2,), coupling=lambda *a: np.zeros(1)),))
 
 
@@ -300,7 +300,7 @@ def test_coalition_replay_round_trip():
                                dim=1))
     system = InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
-        players=(make_player(1, lambda t: np.array([0.5])),),
+        players=(make_player(lambda t: np.array([0.5])),),
         coalitions=(coalition,))
     traj = coalition_simulate(system, [1.0], 0.0, 1.0, 1e-3)
     replayed = replay_with_recorded_eps(system, traj, 0.0, 1.0, 1e-3,
@@ -334,7 +334,7 @@ def test_round_trip_property(gain, phase, initial):
     system = InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
         players=(make_player(
-            1, lambda t: np.array([0.1]),
+            lambda t: np.array([0.1]),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + eps * phi,
             eps_form=lambda t, u0, phi, derivs, g=gain, p=phase:
                 np.array([g * math.sin(t + p) - 0.2 * phi[0]]),

@@ -16,7 +16,7 @@ def drift_system(eps_of_t):
     return InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
         players=(make_player(
-            1, lambda t: np.zeros(1),
+            lambda t: np.zeros(1),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + eps,
             eps_form=lambda t, u0, phi, derivs: np.array([eps_of_t(t)]), eps_dim=1),))
 
@@ -24,7 +24,7 @@ def drift_system(eps_of_t):
 def ordinary_two_player(policy1, policy2):
     return InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: [u[0][0] + u[1][0]],
-        players=(make_player(1, policy1), make_player(2, policy2)))
+        players=(make_player(policy1), make_player(policy2)))
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +103,8 @@ def test_fitted_deviation_matches_gain_gap():
     g_true, g_assumed = 0.5, 0.2
     system = InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: u[0],  # phi ignores player 2
-        players=(make_player(1, lambda t: np.array([math.cos(t)])),
-                 make_player(2, lambda t: np.array([g_true * math.sin(t)]))))
+        players=(make_player(lambda t: np.array([math.cos(t)])),
+                 make_player(lambda t: np.array([g_true * math.sin(t)]))))
     run = simulate(system, [0.0], 0.0, 2.0, 0.01, record_tape=False)  # phi = sin t
     predictions = rolling_predictions(
         system, run, {2: lambda t: np.array([g_assumed * math.sin(t)])},
@@ -199,7 +199,7 @@ def test_unravel_recovers_planted_coefficient():
         dim=2,
         dynamics=lambda t, phi, u, lam, om: [50.0 * phi[1], -50.0 * phi[0]],
         players=(make_player(
-            1, lambda t: np.array([1.0]),
+            lambda t: np.array([1.0]),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + eps * phi[0],
             eps_form=lambda t, u0, phi, derivs: np.array([0.3]), eps_dim=1),))
     run = simulate(system, [0.0, 1.0 / 3.0], 0.0, t1, dt, record_tape=False)

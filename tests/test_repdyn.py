@@ -4,16 +4,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import tactica.algebra
 import tactica.repdyn
 from tactica.algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple,
                              WeylSymbol, WeylTerm, commutative_presentation,
                              compile_symbols, default_registry, equivalence_partition,
-                             heisenberg_presentation, parse_relation, relation_residual,
-                             relation_values, weyl_eval, weyl_eval_tuple)
+                             heisenberg_presentation, parse_relation, poly_eval,
+                             relation_residual, relation_values, weyl_eval, weyl_eval_tuple)
+from tactica.expr import NCPoly
 from tactica.games import ConfigurationError, SimulationError
-from tactica.repdyn import (ClassDynamics, RepDynSpec, StrandedClassError, TacticalRepDyn,
+from tactica.repdyn import (ClassDynamics, InsolvableSignal, RepDynSpec, StrandedClassError,
+                            TacticalRepDyn, _apply_transition, _parse_polynomial_rhs,
                             _relation_jacobian, check_start, integrate_repdyn,
                             integrate_scalar_reference,
                             project_to_variety, run_tactical_repdyn,
@@ -217,6 +220,80 @@ def test_empty_presentation_is_vacuous():
     assert relation_residual(pres, X) <= 0.0
 
 
+def test_stacked_matmul_equals_per_pair_bitwise():
+    # The relation kernel multiplies whole levels at once; its bytes equal the
+    # word-by-word products only because this numpy build's stacked matmul,
+    # broadcast identity included, does per pair what ``@`` does.
+    rng = np.random.default_rng(7)
+    idx = np.array([3, 0, 1, 1, 2])
+    for n in range(1, 7):
+        X, P = entries(rng, (4, n, n)), entries(rng, (5, n, n))
+        eye = np.eye(n, dtype=complex)
+        for stacked, pairs in [
+                (eye @ X[idx], [eye @ X[i] for i in idx]),
+                (eye[None] @ X[idx], [eye @ X[i] for i in idx]),
+                (X[idx] @ eye[None], [X[i] @ eye for i in idx]),
+                (P @ X[idx], [P[k] @ X[i] for k, i in enumerate(idx)]),
+                (X[idx] @ P, [X[i] @ P[k] for k, i in enumerate(idx)])]:
+            assert np.array_equal(bits(stacked), bits(np.stack(pairs)))
+
+
+def loop_relations(pres, stacked):
+    """The relations evaluated word by word from an identity, terms added in order."""
+    n = stacked.shape[1]
+    eye = np.eye(n, dtype=complex)
+    out = np.zeros((len(pres.relations), n, n), dtype=complex)
+    for acc, rel in zip(out, pres.relations):
+        for word, coeff in rel.terms.items():
+            prod = eye
+            for letter in word:
+                prod = prod @ stacked[letter]
+            acc += coeff * prod
+    norms = [float(np.linalg.norm(value)) for value in out]
+    return out, math.nan if any(map(math.isnan, norms)) else max(norms, default=0.0)
+
+
+def nan_bits(x):
+    """``bits`` with every NaN replaced by one NaN.
+
+    numpy's vector and scalar add loops keep the NaN of different operands, so
+    a NaN's sign depends on where its entry falls in the array; a NaN only
+    ever marks a tuple as off the variety.
+    """
+    x = np.array(x, dtype=complex)
+    x.real[np.isnan(x.real)] = np.nan
+    x.imag[np.isnan(x.imag)] = np.nan
+    return bits(x)
+
+
+@st.composite
+def presentations(draw):
+    m = draw(st.integers(1, 4))
+    word = st.lists(st.integers(0, m - 1), max_size=3).map(tuple)
+    coeff = st.sampled_from([1.0, -1.0, 0.5, -0.0 + 2j]) | st.complex_numbers(
+        max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    relation = st.dictionaries(word, coeff, max_size=6).map(NCPoly)
+    return AlgebraPresentation("drawn", m, tuple(draw(st.lists(relation, max_size=4))))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(presentations(), st.integers(1, 6), st.integers(0, 2 ** 31 - 1), st.booleans())
+@example(commutative_presentation(1), 3, 0, True)     # no relations
+@example(AlgebraPresentation.from_strings("short", 1, ["x1*x1 + 1 + x1"]), 1, 1, False)
+def test_relation_plan_equals_the_word_loop(pres, n, seed, special):
+    rng = np.random.default_rng(seed)
+    stacked = entries(rng, (pres.generators, n, n))
+    if special:
+        mask = rng.random(stacked.shape) < 0.1
+        stacked[mask] = rng.choice([np.inf, -np.inf, np.nan], mask.sum())
+    with np.errstate(all="ignore"):
+        values, worst = relation_values(pres, stacked)
+        expected, expected_worst = loop_relations(pres, stacked)
+        assert np.array_equal(nan_bits(poly_eval(pres.plan, stacked)), nan_bits(expected))
+    assert np.array_equal(nan_bits(values), nan_bits(expected.reshape(-1)))
+    assert worst == expected_worst or math.isnan(worst) and math.isnan(expected_worst)
+
+
 def test_relation_parsing_respects_caps():
     with pytest.raises(ConfigurationError):
         parse_relation("x1*x1*x1*x1", 1)
@@ -331,14 +408,65 @@ def kron_jacobian(pres, stacked):
 @pytest.mark.parametrize("pres", [
     heisenberg_presentation(), commutative_presentation(2), commutative_presentation(4),
     AlgebraPresentation.from_strings("cubic", 2, ["x1*x2*x1 - 1.7*x2*x2 + 0.5", "0.3*x2*x1*x1"]),
-], ids=["heisenberg", "commutative-m2", "commutative-m4", "cubic"])
+    AlgebraPresentation.from_strings("cubic-m3", 3, [
+        "x1*x2*x3 - x3*x2*x1 + 0.5*x2", "x3*x3*x1 - 2*x1*x2*x2 + x2*x1*x3 - x3 + 1",
+        "x2*x2*x2 - 0.25*x1*x3"]),
+], ids=["heisenberg", "commutative-m2", "commutative-m4", "cubic", "cubic-m3"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_relation_jacobian_equals_kron_reference_bitwise(pres, seed):
     rng = np.random.default_rng(seed)
-    for n in (1, 3, 4):
+    for n in (1, 3, 4, 6):
         stacked = entries(rng, (pres.generators, n, n))
         jac = _relation_jacobian(pres, stacked, pres.generators, n)
         assert np.array_equal(bits(jac), bits(kron_jacobian(pres, stacked)))
+
+
+def count_relation_work(monkeypatch):
+    counts = {"evaluations": 0, "jacobians": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(tactica.algebra, "poly_eval",
+                        counted(tactica.algebra.poly_eval, "evaluations"))
+    monkeypatch.setattr(tactica.repdyn, "_relation_jacobian",
+                        counted(tactica.repdyn._relation_jacobian, "jacobians"))
+    return counts
+
+
+def test_a_projecting_step_evaluates_the_relations_twice(monkeypatch):
+    # A constant drift moves X1 off the Heisenberg variety; one Gauss-Newton
+    # iteration brings the step back.  The projection reuses the raw check's values.
+    spec = RepDynSpec(symbols=(WeylSymbol((WeylTerm(0.05, ("D",)),)),) + (WeylSymbol(()),) * 2,
+                      n=3, presentation=heisenberg_presentation(), constants={"D": E(2, 1)},
+                      insolvable_threshold=1e-1)
+    counts = count_relation_work(monkeypatch)
+    result = integrate_repdyn(spec, None, 0.0, 0.01, 0.01, HEISENBERG_TUPLE.stacked())
+    assert result.insolvable is None and 0.0 < result.residuals[1] <= 1e-9
+    # The start check, then the step's raw check and its post-projection check.
+    assert counts == {"evaluations": 1 + 2, "jacobians": 1}
+
+
+def test_a_projecting_transition_evaluates_the_relations_twice(monkeypatch):
+    off_variety = TransitionRule(from_class="commutative", trigger="insolvable",
+                                 to_class="heisenberg",
+                                 tuple_map=lambda X: MatrixTuple(X.matrices + (E(1, 3),)))
+    game = TacticalRepDyn(
+        registry=default_registry(),
+        class_dynamics={"commutative": _drift_dynamics(), "heisenberg": _scaling_dynamics()},
+        initial_class="commutative", initial=_zero_pair(), eta0=np.zeros(1),
+        delta=DialecticalObject(label="off-variety", transitions=(off_variety,)))
+    counts = count_relation_work(monkeypatch)
+    transitions = []
+    stacked, _, label = _apply_transition(
+        game, off_variety, _zero_pair().stacked(), np.zeros(1),
+        InsolvableSignal(time=0.5, residual=1.0, reason="test"), transitions, 1)
+    assert label == "heisenberg" and transitions[0].residual <= 1e-9
+    # The post-transition check, then the projection's check after its one iteration.
+    assert counts == {"evaluations": 2, "jacobians": 1}
 
 
 def test_projection_stalls_on_infeasible_relations():
@@ -431,6 +559,53 @@ def test_inverse_parallel_initial_data():
         _, ref = integrate_scalar_reference(["u1*(x1 - x1*x1)"], [x0],
                                             lambda t: [1.0], 0.0, 1.0, 1e-3)
         assert abs(result.final.matrices[0][slot, slot].real - ref[-1, 0]) < 1e-9
+
+
+def loop_coefficients(rhs, control_dim, u, lift_constants):
+    """The symbols' control vector, entry by entry: ``total = 0j`` plus each coefficient
+    times its u letters, in order."""
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    out = []
+    for slots in _parse_polynomial_rhs(rhs, len(rhs), control_dim):
+        for x_word in sorted(slots):
+            contributions = slots[x_word]
+            if lift_constants and x_word == () and all(uw == () for _, uw in contributions):
+                continue
+            total = 0j
+            for coeff, u_word in contributions:
+                value = coeff
+                for j in u_word:
+                    value *= u[j]
+                total += value
+            out.append(total)
+    return np.array(out, dtype=complex)
+
+
+@st.composite
+def polynomial_systems(draw):
+    state_dim, control_dim = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    coeff = st.sampled_from(["1", "-0.5", "2.5", "-3", "0.1", "1e-3", "7e5"])
+    term = st.tuples(coeff, st.lists(st.integers(1, state_dim), max_size=3),
+                     st.lists(st.integers(1, control_dim), max_size=2))
+    rhs = [" + ".join("*".join([f"({c})", *(f"x{i}" for i in xs), *(f"u{j}" for j in us)])
+                      for c, xs, us in terms)
+           for terms in draw(st.lists(st.lists(term, min_size=1, max_size=5),
+                                      min_size=state_dim, max_size=state_dim))]
+    u = draw(st.lists(st.floats(-1e3, 1e3) | st.sampled_from([-0.0, 0.0, 1e-300]),
+                      min_size=control_dim, max_size=control_dim))
+    return rhs, control_dim, u
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(polynomial_systems(), st.booleans())
+def test_compiled_coefficient_map_equals_the_loop_bitwise(system, lift_constants):
+    rhs, control_dim, u = system
+    construction = solve_inverse_problem(rhs, x0=[0.5] * len(rhs), control_dim=control_dim,
+                                         lift_constants=lift_constants)
+    assert construction.symbolic_match
+    expected = loop_coefficients(rhs, control_dim, u, lift_constants)
+    assert np.array_equal(bits(construction.coefficient_map(u)), bits(expected))
+    assert np.array_equal(bits(construction.coefficient_map(np.array(u))), bits(expected))
 
 
 def test_inverse_rejects_non_polynomial_rhs():

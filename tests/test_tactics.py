@@ -19,7 +19,7 @@ def eps_system(eps_of_t, dynamics=None, coupling=None):
     return InteractiveSystem(
         dim=1, dynamics=dynamics,
         players=(make_player(
-            1, lambda t: np.zeros(1), known_form=coupling,
+            lambda t: np.zeros(1), known_form=coupling,
             eps_form=lambda t, u0, phi, derivs: np.array([eps_of_t(t)]), eps_dim=1),))
 
 
@@ -39,7 +39,7 @@ UNIT_GRID = tuple(float(k) for k in range(6))
 def test_frozen_comment_equals_constant_parameter_run():
     system = InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: [-lam[0] * phi[0]],
-        players=(make_player(1, lambda t: np.zeros(1)),))
+        players=(make_player(lambda t: np.zeros(1)),))
     theta0 = [0.7]
     game = commented(system, CommentRule(update=lambda th, om, v: th), theta0,
                      UNIT_GRID, initial=[1.0],
@@ -92,7 +92,7 @@ def test_comment_feeds_couplings_as_parameter():
     system = InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
         players=(make_player(
-            1, lambda t: np.zeros(1),
+            lambda t: np.zeros(1),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + lam),))
     game = commented(system, CommentRule(update=lambda th, om, v: th), [0.5],
                      (0.0, 1.0), omega=(WindowFunctional("mean", "state"),))
@@ -284,7 +284,7 @@ def affine_commented_games(draw):
     m, rates, theta0 = matrix(d_omega, d_theta), 1.0 + matrix(d_v, 1)[:, 0], matrix(d_theta, 1)
     system = InteractiveSystem(
         dim=d_omega, dynamics=lambda t, phi, u, lam, om: m @ lam - phi,
-        players=(make_player(1, lambda t: np.sin(rates * t)),))
+        players=(make_player(lambda t: np.sin(rates * t)),))
     rule = CommentRule(update=lambda th, om, v: p @ th + q @ om + r @ v + c)
     return commented(system, rule, theta0[:, 0], (0.0, 0.5, 1.0, 1.5), dt=0.05,
                      omega=(WindowFunctional("mean", "state"),), initial=np.zeros(d_omega))
@@ -356,7 +356,7 @@ def test_window_tag_feeds_the_dynamics():
     system = InteractiveSystem(
         dim=1, dynamics=dynamics,
         players=(make_player(
-            1, lambda t: np.zeros(1),
+            lambda t: np.zeros(1),
             eps_form=lambda t, u0, phi, derivs: np.array([2.0]), eps_dim=1),))
     game = commented(system, CommentRule(update=lambda th, om, v: th), [0.0],
                      (0.0, 1.0, 2.0), feed_omega=True)

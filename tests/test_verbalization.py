@@ -37,7 +37,7 @@ def eps_driven_system(eps_of_t):
     return InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: [0.0],
         players=(make_player(
-            1, lambda t: np.zeros(1),
+            lambda t: np.zeros(1),
             eps_form=lambda t, u0, phi, derivs: np.array([eps_of_t(t)]), eps_dim=1),))
 
 
@@ -251,7 +251,7 @@ def test_fit_consistency_property(a, b, c):
 def _dialogue(eps_of_t, u0_value, phi0, state_kind="mean", control_kind="integral"):
     field = IntentionField(dim=1, dynamics=lambda t, xi, controls: [0.0])
     players = (make_player(
-        1, lambda t: np.array([u0_value]),
+        lambda t: np.array([u0_value]),
         eps_form=lambda t, u0, phi, derivs: np.array([eps_of_t(t)]), eps_dim=1),)
     return DialogueSpec(
         field=field, players=players,
@@ -296,7 +296,7 @@ def test_inconsistent_dialogue_reports_diagnostic():
 def test_intention_field_drives_windows():
     # xi' = u with u = u0 = 1: xi = t; endpoint functional reads xi.
     field = IntentionField(dim=1, dynamics=lambda t, xi, controls: controls[0])
-    players = (make_player(1, lambda t: np.ones(1)),)
+    players = (make_player(lambda t: np.ones(1)),)
     dialogue = DialogueSpec(
         field=field, players=players,
         state_functionals=(WindowFunctional("endpoint", "state"),),
