@@ -7,16 +7,17 @@ evaluated in Weyl form: every monomial is averaged over all orderings of its
 letters.  Scale caps (generators <= 4, matrix dimension <= 6, degree <= 3)
 keep the symmetrization and the projection Jacobians small.
 
-Both evaluators run on compiled plans, so their loops only multiply and add.
-A presentation compiles its relations into a level-batched
+Both evaluators run on compiled plans, so at run time they only multiply and
+add.  A presentation compiles its relations into a level-batched
 :class:`RelationPlan` when it is built: one stacked product per letter
-position drives the relation values and the projection Jacobian alike.
-``compile_symbols`` turns a symbol tuple into a
-:class:`WeylPlan`: per term the coefficient, the control index and every
-ordering of its sorted letters as indices into the tuple's matrices, the
-constant matrices and one shared identity.  Unknown slots, unknown
-constants and missing control components are rejected there, once, not
-during evaluation.
+position drives the relation values and the projection Jacobian alike, and
+each relation sums its terms through slices of the word products.
+``compile_symbols`` generates one straight-line evaluator per symbol tuple
+(a :class:`WeylPlan`): level j adds the j-th term of every symbol, its
+linear terms as one broadcast product and each higher term's orderings as
+one stacked product per letter position.  Unknown slots, unknown constants
+and missing control components are rejected there, once, not during
+evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -97,46 +99,51 @@ def identity(n: int) -> np.ndarray:
 class RelationPlan:
     """Relations compiled into level batches; nothing in it depends on the matrix size.
 
-    The words are sorted by length, longest first and in their order otherwise,
-    so ``letters[k]``, the letters at position k, belong to the first words;
-    ``tails[d - 1]`` holds the letter d places from the end of each word longer
-    than d.  The j-th term of relation r goes to row ``(j, r)`` of a ``(depth,
-    relations)`` buffer, at ``slots``; the rows ``(0, r)`` stay zero.  Level j
-    of ``pair_levels`` holds the j-th (word, letter position) pair of every
-    (relation, letter) Jacobian block that has one, as (prefix rows, suffix
-    rows, coefficients, relations, letters); the rows index the prefix and
-    suffix chains (the identity, then the chains of length 1, 2, ...).
+    The words are sorted by length, longest first, then by their place in their
+    relation and by relation, so ``letters[k]``, the letters at position k,
+    belong to the first words; ``tails[d - 1]`` holds the letter d places from
+    the end of each word longer than d.  Each of ``runs`` is a slice of the
+    sorted words holding the j-th terms of the relations it names, ordered by
+    j.  Level j of ``pair_levels`` holds the j-th (word, letter position) pair
+    of every (relation, letter) Jacobian block that has one, as (prefix rows,
+    suffix rows, coefficients, relations, letters); the rows index the prefix
+    and suffix chains (the identity, then the chains of length 1, 2, ...).
     """
 
     relations: int
     letters: tuple[np.ndarray, ...]
     tails: tuple[np.ndarray, ...]
     coeffs: np.ndarray              # (words, 1, 1)
-    slots: np.ndarray
-    depth: int
+    runs: tuple[tuple[slice, slice | np.ndarray], ...]
     pair_levels: tuple[tuple[np.ndarray, ...], ...]
 
 
 def compile_relations(relations: Sequence[NCPoly]) -> RelationPlan:
     """The :class:`RelationPlan` of ``relations``."""
-    terms = [(r, word, coeff) for r, rel in enumerate(relations)
-             for word, coeff in rel.terms.items()]
-    order = sorted(range(len(terms)), key=lambda k: -len(terms[k][1]))    # stable
-    words = [terms[k][1] for k in order]
+    terms = [(r, j, word, coeff) for r, rel in enumerate(relations)
+             for j, (word, coeff) in enumerate(rel.terms.items())]
+    order = sorted(range(len(terms)), key=lambda k: (-len(terms[k][2]), terms[k][1], terms[k][0]))
+    words = [terms[k][2] for k in order]
     longest = len(words[0]) if words else 0
     letters = tuple(np.array([w[k] for w in words if len(w) > k], dtype=np.intp)
                     for k in range(max(longest, 1)))
     tails = tuple(np.array([w[-d] for w in words if len(w) > d], dtype=np.intp)
                   for d in range(1, longest))
+    # The j-th terms of one length are consecutive and in relation order: one run each.
+    runs = []
+    for (_, j), group in itertools.groupby(
+            range(len(order)), lambda i: (len(words[i]), terms[order[i]][1])):
+        group = list(group)
+        rel = [terms[order[i]][0] for i in group]
+        contiguous = rel == list(range(rel[0], rel[-1] + 1))
+        runs.append((j, slice(group[0], group[-1] + 1),
+                     slice(rel[0], rel[-1] + 1) if contiguous else np.array(rel, dtype=np.intp)))
     # Chain level k >= 1 starts at row offsets[k - 1]: one row per word longer than k.
     offsets = np.cumsum([1] + [len(idx) for idx in letters[1:]])
     rank = {k: i for i, k in enumerate(order)}
-    seen, slots = [0] * len(relations), []
     blocks: dict[tuple[int, int], int] = {}     # (relation, letter) -> level of its last pair
     levels: list[list[tuple]] = []
-    for k, (r, word, coeff) in enumerate(terms):
-        seen[r] += 1
-        slots.append(seen[r] * len(relations) + r)
+    for k, (r, _, word, coeff) in enumerate(terms):
         for j, letter in enumerate(word):
             level = blocks[r, letter] = blocks.get((r, letter), -1) + 1
             if level == len(levels):
@@ -146,8 +153,8 @@ def compile_relations(relations: Sequence[NCPoly]) -> RelationPlan:
                                   offsets[tail - 1] + rank[k] if tail else 0, coeff, r, letter))
     return RelationPlan(
         relations=len(relations), letters=letters, tails=tails,
-        coeffs=np.array([terms[k][2] for k in order], dtype=complex).reshape(-1, 1, 1),
-        slots=np.array([slots[k] for k in order], dtype=np.intp), depth=1 + max(seen, default=0),
+        coeffs=np.array([terms[k][3] for k in order], dtype=complex).reshape(-1, 1, 1),
+        runs=tuple((words, rel) for _, words, rel in sorted(runs, key=lambda run: run[0])),
         pair_levels=tuple(
             (np.array(pre, dtype=np.intp), np.array(suf, dtype=np.intp),
              np.array(coeff, dtype=complex).reshape(-1, 1, 1, 1, 1),
@@ -193,21 +200,23 @@ def poly_eval(plan: RelationPlan, stacked: np.ndarray) -> np.ndarray:
     Every product starts from the identity: that leading product turns a
     ``-0.0`` entry into ``+0.0`` and an infinite entry into NaNs, and the
     residual bytes depend on both.  Stacked products equal the per-word ones
-    bit for bit, and the terms are added in each relation's order.
+    bit for bit, and each relation adds its terms to a +0.0 start in order.
     """
     n = stacked.shape[1]
+    total = np.zeros((plan.relations, n, n), dtype=complex)
+    if not plan.runs:       # no words: every relation is zero
+        return total
     eye = identity(n)
     lead, *rest = plan.letters
     products = np.empty((len(plan.coeffs), n, n), dtype=complex)
-    products[len(lead):] = eye      # the empty words
-    products[:len(lead)] = eye @ stacked.take(lead, 0)
+    if len(lead) < len(products):
+        products[len(lead):] = eye      # the empty words
+    np.matmul(eye, stacked.take(lead, 0), out=products[:len(lead)])
     for idx in rest:
         products[:len(idx)] = products[:len(idx)] @ stacked.take(idx, 0)
-    buffer = np.zeros((plan.depth * plan.relations, n, n), dtype=complex)
-    buffer[plan.slots] = plan.coeffs * products
-    total, *later = buffer.reshape(plan.depth, plan.relations, n, n)
-    for row in later:   # row by row: np.add.reduce adds four rows and more pairwise
-        total += row
+    np.multiply(plan.coeffs, products, out=products)
+    for words, relations in plan.runs:
+        total[relations] += products[words]
     return total
 
 
@@ -219,12 +228,10 @@ def relation_values(pres: AlgebraPresentation,
     never reads as on the variety.
     """
     values = poly_eval(pres.plan, stacked)
-    worst = 0.0
-    for row in values.reshape(-1, values.shape[-1] ** 2):
-        norm = math.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag))    # as np.linalg.norm
-        if norm > worst or norm != norm:    # max() would skip a NaN norm
-            worst = norm
-    return values.reshape(-1), worst
+    flat = values.reshape(len(values), values.shape[-1] ** 2)
+    squares = np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)  # as row .dot
+    # sqrt is monotone, so the worst norm is the root of the largest square; max() keeps NaN.
+    return values.reshape(-1), math.sqrt(squares.max()) if len(squares) else 0.0
 
 
 def relation_residual(pres: AlgebraPresentation, X: MatrixTuple) -> float:
@@ -257,7 +264,7 @@ class AlgebraClassRegistry:
     classes: Mapping[str, tuple[AlgebraPresentation, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "classes", dict(self.classes))
+        object.__setattr__(self, "classes", MappingProxyType(dict(self.classes)))
         for label, family in self.classes.items():
             if not family:
                 raise ConfigurationError(f"class {label!r} has an empty family")
@@ -275,8 +282,9 @@ class AlgebraClassRegistry:
             f"class {label!r} has no member with {generators} generators")
 
 
+@functools.cache
 def default_registry() -> AlgebraClassRegistry:
-    """Commutative families for 1..4 generators plus the Heisenberg class."""
+    """Commutative families for 1..4 generators plus the Heisenberg class, built once."""
     return AlgebraClassRegistry(classes={
         "commutative": tuple(commutative_presentation(m, f"commutative-m{m}")
                              for m in range(1, MAX_GENERATORS + 1)),
@@ -320,28 +328,27 @@ class WeylSymbol:
 
 @dataclass(frozen=True)
 class WeylPlan:
-    """Weyl symbols compiled for one tuple size, matrix dimension and control dimension.
+    """Weyl symbols compiled for one tuple size, matrix dimension and control dimension:
+    ``evaluate(stacked, a)``, generated by :func:`compile_symbols`, maps an ``(m, n, n)``
+    tuple and the control vector to one ``(n, n)`` value per symbol."""
 
-    ``symbols[k]`` lists the terms of the k-th symbol as ``(coefficient,
-    control, orderings)``.  An ordering is a tuple of indices into the pool
-    ``[*tuple matrices, *fixed]``; ``fixed`` holds the constant matrices the
-    symbols name, then the identity, so an empty word has the identity as
-    its one factor.  A monomial of degree d >= 2 has all d! orderings of its
-    canonically sorted letters, repeats included.
-    """
-
-    shape: tuple[int, int, int]
-    fixed: tuple[np.ndarray, ...]
-    symbols: tuple[tuple[tuple[complex, int | None, tuple[tuple[int, ...], ...]], ...], ...]
+    evaluate: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
 
 
 def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
                     constants: Mapping[str, np.ndarray] | None = None,
                     control_dim: int = 0) -> WeylPlan:
-    """Resolve the slots, constants and controls of ``symbols`` against an ``(m, n, n)`` tuple.
+    """Generate the straight-line evaluator of ``symbols`` at an ``(m, n, n)`` tuple.
 
-    Raises ConfigurationError for a slot beyond the tuple, an unknown or
-    wrongly sized constant, or a control component beyond ``control_dim``.
+    Raises ConfigurationError for a slot beyond the tuple, an unknown or wrongly
+    sized constant, or a control component beyond ``control_dim``.  Letters are
+    sorted canonically and index the pool ``[*tuple, *constants, identity]``.
+    Every symbol starts at +0.0; level j adds the j-th term of every symbol that
+    has one: its terms of degree <= 1 as one broadcast product of their scalars
+    (``coefficient * a[control]``, gathered by ``array``) with their letters, each
+    term of degree d >= 2 as ``scalar / d!`` times ``0 + P1 + P2 ...`` over the d!
+    orderings in permutation order, one stacked matmul per letter position.  A
+    term reading neither the tuple nor a control is a constant computed here.
     """
     constants = constants or {}
     names = sorted({name for sym in symbols for name in sym.constant_names()})
@@ -352,7 +359,7 @@ def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
             raise ConfigurationError(
                 f"constant {name!r} must have the ambient dimension {n}")
     index = {name: m + k for k, name in enumerate(names)}
-    eye = m + len(names)
+    fixed = [constants[name] for name in names] + [identity(n)]
 
     def compile_term(term: WeylTerm):
         if term.control is not None and term.control >= control_dim:
@@ -362,42 +369,88 @@ def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
             if isinstance(letter, int) and not 0 <= letter < m:
                 raise ConfigurationError(f"symbol references slot {letter + 1}, "
                                          f"tuple has {m}")
-        canonical = [index.get(letter, letter)
-                     for letter in sorted(term.word, key=_letter_key)]
-        orderings = tuple(tuple(canonical[i] for i in order)
-                          for order in itertools.permutations(range(len(canonical))))
-        return complex(term.coefficient), term.control, orderings if canonical else ((eye,),)
+        letters = [index.get(letter, letter) for letter in sorted(term.word, key=_letter_key)]
+        return complex(term.coefficient), term.control, letters or [m + len(names)]
 
-    return WeylPlan(shape=(len(symbols), n, n),
-                    fixed=tuple(constants[name] for name in names) + (identity(n),),
-                    symbols=tuple(tuple(compile_term(t) for t in sym.terms)
-                                  for sym in symbols))
+    compiled = [[compile_term(t) for t in sym.terms] for sym in symbols]
+    # ``zero``: added like the scalar 0, without numpy's slower path for Python scalars
+    namespace = {"__builtins__": {}, "array": np.array, "concatenate": np.concatenate,
+                 "zeros": np.zeros, "complex": complex, "zero": np.zeros((), dtype=complex)}
+    shape, sizes = (len(symbols), n, n), {"x": m, "p": m + len(fixed), "out": len(symbols)}
+
+    def const(value) -> str:
+        namespace[key := f"_k{len(namespace)}"] = value
+        return key
+
+    def scalar(coeff, control) -> str:
+        return const(coeff) if control is None else f"{const(coeff)}*a[{control}]"
+
+    def rows(array: str, idx: Sequence[int]) -> str:     # one, all, a slice or a gather
+        if len(idx) == 1 and (sizes[array] > 1 or sizes["out"] > 1):
+            return f"{array}[{idx[0]}]"
+        if list(idx) != list(range(idx[0], idx[0] + len(idx))):
+            return f"{array}[{const(np.array(idx, dtype=np.intp))}]"
+        return array if len(idx) == sizes[array] else f"{array}[{idx[0]}:{idx[-1] + 1}]"
+
+    body, added, reads_fixed = [], [], False
+
+    def add(target: str, value: str) -> None:
+        if target == "out" and not added:       # the first term of every symbol: 0 + t1
+            body.append(f"out = {const(np.zeros(shape, dtype=complex))} + {value}")
+        else:
+            body.append(f"{target} += {value}")
+        added.append(target)
+
+    for level in range(max(map(len, compiled), default=0)):
+        linear, folded = [], []
+        for s, terms in enumerate(compiled):
+            if level >= len(terms):
+                continue
+            coeff, control, letters = terms[level]
+            pool = "p" if max(letters) >= m else "x"
+            if len(letters) == 1 and control is None and pool == "p":
+                with np.errstate(all="ignore"):     # an overflow shows when the run diverges
+                    folded.append((s, coeff * fixed[letters[0] - m]))
+            elif len(letters) == 1:
+                linear.append((s, scalar(coeff, control), letters[0]))
+                reads_fixed |= pool == "p"
+            else:
+                orderings = list(itertools.permutations(letters))
+                unique = list(dict.fromkeys(orderings))
+                factors = (rows(pool, [o[k] for o in unique]) for k in range(len(letters)))
+                total = " + ".join(["zero", *("P" if len(unique) == 1 else f"P[{unique.index(o)}]"
+                                              for o in orderings)])
+                scale = const(coeff / len(orderings)) if control is None \
+                    else f"({scalar(coeff, control)})/{len(orderings)}"
+                body.append(f"P = {' @ '.join(factors)}")
+                add(rows("out", [s]), f"{scale} * ({total})")
+                reads_fixed |= pool == "p"
+        if folded:
+            at, values = zip(*folded)
+            add(rows("out", at), const(np.stack(values) if len(values) > 1 else values[0]))
+        if linear:
+            at, scalars, letters = zip(*linear)
+            scale = scalars[0] if len(linear) == 1 \
+                else f"array([{', '.join(scalars)}])[:, None, None]"
+            add(rows("out", at), f"({scale}) * {rows('p' if max(letters) >= m else 'x', letters)}")
+    lines = ["def evaluate(x, a):"]
+    if reads_fixed:
+        lines.append(f"p = concatenate((x, {const(np.stack(fixed))}))")
+    if added[:1] != ["out"]:
+        lines.append(f"out = zeros({shape}, complex)")
+    lines += [*body, "return out"]
+    exec("\n    ".join(lines), namespace)     # noqa: S102 -- built from compiled indices only
+    return WeylPlan(evaluate=namespace["evaluate"])
 
 
-def weyl_eval_tuple(plan: WeylPlan, stacked, a: np.ndarray | None = None) -> np.ndarray:
+def weyl_eval_tuple(plan: WeylPlan, stacked: np.ndarray,
+                    a: np.ndarray | None = None) -> np.ndarray:
     """Symmetrized evaluation of every symbol of ``plan`` at an ``(m, n, n)`` tuple.
 
     Each monomial averages the products over all orderings of its letters;
-    ``stacked`` may also be the sequence of the tuple's matrices, and ``a``
-    holds the control components the terms scale by.
+    ``a`` holds the control components the terms scale by.
     """
-    pool = [*stacked, *plan.fixed]
-    out = np.zeros(plan.shape, dtype=complex)
-    for acc, terms in zip(out, plan.symbols):
-        for coeff, control, orderings in terms:
-            if control is not None:
-                coeff = coeff * a[control]
-            if len(orderings) == 1:
-                acc += coeff * pool[orderings[0][0]]
-                continue
-            total = 0       # a +0.0 start: a lone -0.0 entry sums to +0.0
-            for first, *rest in orderings:
-                prod = pool[first]
-                for i in rest:
-                    prod = prod @ pool[i]
-                total = total + prod
-            acc += (coeff / len(orderings)) * total
-    return out
+    return plan.evaluate(stacked, a)
 
 
 def weyl_eval(symbol: WeylSymbol, X: MatrixTuple,
@@ -409,7 +462,7 @@ def weyl_eval(symbol: WeylSymbol, X: MatrixTuple,
     the result is bit-identical under any permutation of a monomial's letters.
     """
     plan = compile_symbols((symbol,), X.m, X.n, constants, 0 if a is None else len(a))
-    return weyl_eval_tuple(plan, X.matrices, a)[0]
+    return weyl_eval_tuple(plan, X.stacked(), a)[0]
 
 
 # ---------------------------------------------------------------------------

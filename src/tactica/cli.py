@@ -226,9 +226,8 @@ def _run_predict(scenario: Scenario, out: Path, tolerance: float, report: dict) 
         result = unravel_by_filtering(traj, plan.filter, plan.family)
         header = ["t"] + [f"u0_{i}" for i in range(result.u0.shape[1])] \
             + [f"residual_{i}" for i in range(result.residual.shape[1])]
-        exports.write_csv(out / "unravel.csv", header,
-                          ([traj.t[k]] + list(result.u0[k]) + list(result.residual[k])
-                           for k in range(len(traj.t))))
+        exports.write_float_csv(out / "unravel.csv", header,
+                                [traj.t[:, None], result.u0, result.residual])
         summary: dict = {"max_residual": float(np.max(np.abs(result.residual)))}
         if result.estimate is not None:
             summary["family"] = list(result.estimate.family)
@@ -309,9 +308,7 @@ def _run_invert(scenario: Scenario, out: Path, tolerance: float, report: dict) -
     deviation = float(np.max(np.abs(slots - reference)))
     header = ["t"] + [f"slot_{i}" for i in range(len(plan.rhs))] \
         + [f"reference_{i}" for i in range(len(plan.rhs))]
-    exports.write_csv(out / "slot_trace.csv", header,
-                      ([times[k]] + list(slots[k]) + list(reference[k])
-                       for k in range(len(times))))
+    exports.write_float_csv(out / "slot_trace.csv", header, [times[:, None], slots, reference])
     exports.write_residuals_csv(result.times, result.residuals, out / "residuals.csv")
     report["summaries"]["symbolic_match"] = construction.symbolic_match
     report["summaries"]["control_names"] = list(construction.control_names)

@@ -91,7 +91,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 # Trajectories
 # ---------------------------------------------------------------------------
 
-def _write_float_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+def write_float_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Side-by-side 2-D float blocks as CSV, stacked and formatted 256 rows at a time
     so that neither a copy of the whole table nor its text is held at once."""
     with open(path, "w", newline="") as fh:
@@ -104,7 +104,7 @@ def _write_float_csv(path, header: Sequence[str], columns: Sequence[np.ndarray])
 def write_trajectory_csv(traj: StateTrajectory, path) -> None:
     blocks = {"phi": traj.phi, "u": traj.u, "eps": traj.eps, "u0": traj.u0, "lambda": traj.lam}
     header = ["t"] + [f"{name}_{i}" for name, b in blocks.items() for i in range(b.shape[1])]
-    _write_float_csv(path, header, [traj.t[:, None], *blocks.values()])
+    write_float_csv(path, header, [traj.t[:, None], *blocks.values()])
 
 
 def trajectory_to_json(traj: StateTrajectory) -> dict:
@@ -189,7 +189,7 @@ def matrix_tuple_to_json(matrices: Sequence[np.ndarray], time: float) -> dict:
 
 
 def write_residuals_csv(times: np.ndarray, residuals: np.ndarray, path) -> None:
-    _write_float_csv(path, ["t", "residual"], [np.column_stack([times, residuals])])
+    write_float_csv(path, ["t", "residual"], [np.column_stack([times, residuals])])
 
 
 # ---------------------------------------------------------------------------

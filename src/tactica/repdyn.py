@@ -187,10 +187,12 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     if control is None and control_dim:
         raise ConfigurationError("spec declares controls but no schedule given")
 
+    a_time, a = None, None
+
     def rhs(t: float, stacked: np.ndarray) -> np.ndarray:
-        a = None
-        if control is not None:
-            a = np.asarray(control(t), dtype=complex)
+        nonlocal a_time, a
+        if control is not None and t != a_time:     # the two middle stages share t
+            a_time, a = t, np.asarray(control(t), dtype=complex)
             if len(a) != control_dim:
                 raise ConfigurationError(
                     f"control schedule returns {len(a)} components, spec declares "
@@ -411,7 +413,7 @@ def integrate_scalar_reference(rhs: Sequence[str], x0: Sequence[float],
         args = tuple(x) + tuple(u)
         return np.array([fn(*args) for fn in fns])
 
-    n_steps = int(round((t1 - t0) / dt))
+    n_steps = step_count(t0, t1, dt)
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, state_dim))
     x = np.asarray(x0, dtype=float)

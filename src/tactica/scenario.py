@@ -380,9 +380,9 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
     if not check.require("system.players", isinstance(players, list) and players,
                          "at least one player is required"):
         return None
-    slow, implied, fed = _slow(spec["slow"], check) if "slow" in spec else (None, 0, 0)
+    slow, fed = _slow(spec["slow"], check) if "slow" in spec else (None, 0)
     # A declared lambda_dim wins; else a commented run feeds its comment as slow parameter.
-    lam = spec.get("lambda_dim", implied if ctx.dims["theta"] is None else ctx.dims["theta"])
+    lam = spec.get("lambda_dim", fed if ctx.dims["theta"] is None else ctx.dims["theta"])
     lam = lam if check.integer("system.lambda_dim", lam, low=0) else 0
     u0_dims = [_length(p.get("signal")) if isinstance(p, dict) else 0 for p in players]
     built, player_slots = [], []
@@ -471,22 +471,25 @@ def _slot(path: str, spec: dict, u0_dim: int, dim: int, lam: int, check: _Check)
     return truth, coupling, (_length(spec.get("coupling")), eps_dim)
 
 
-def _slow(spec, check: _Check) -> tuple[SlowControl | None, int, int]:
-    """The external slow parameter, the lambda dimension its schedule implies (none for
-    steps) and the number of lambda components it feeds."""
+def _slow(spec, check: _Check) -> tuple[SlowControl | None, int]:
+    """The external slow parameter and the number of lambda components it feeds: the
+    length of its schedule or of every step's values, and the lambda_dim it implies."""
     if isinstance(spec, dict) and "schedule" in spec:
         vec = check.expressions("system.slow.schedule", spec["schedule"], ("t",))
         dim = _length(spec["schedule"])
-        return vec and SlowControl(schedule=lambda t, _f=vec.fn: _f(t)), dim, dim
+        return vec and SlowControl(schedule=lambda t, _f=vec.fn: _f(t)), dim
     steps = spec.get("steps") if isinstance(spec, dict) else None
     if not check.require("system.slow", isinstance(steps, list) and all(
             isinstance(s, list) and len(s) == 2 and isinstance(s[0], int)
             and isinstance(s[1], list) and all(map(_is_number, s[1])) for s in steps),
             "needs either a schedule or steps [[index, [values]], ...]"):
-        return None, 0, 0
+        return None, 0
     schedule = tuple((int(s), tuple(float(x) for x in v)) for s, v in steps)
-    return (check.build("system.slow.steps", SlowControl, schedule=schedule), 0,
-            min((len(v) for _, v in schedule), default=0))
+    sizes = sorted({len(v) for _, v in schedule})
+    if not check.require("system.slow.steps", len(sizes) <= 1,
+                         f"every step needs the same number of values, got {sizes}"):
+        return None, 0
+    return check.build("system.slow.steps", SlowControl, schedule=schedule), max(sizes, default=0)
 
 
 def _verbalization(spec: dict, ctx: _Context, check: _Check) -> VerbalizationPlan | None:

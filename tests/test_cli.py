@@ -307,10 +307,15 @@ system:
     ("simulate", "\n".join(line for line in (SCENARIOS / "tactics_commented.yaml").read_text()
                            .splitlines() if "slow:" not in line), EXIT_VALIDATION,
      "it supports: tactics (system.slow feeds 0 of the 1 lambda components read)", {}),
+    ("simulate", SYSTEM.format(dynamics="0.0",
+                               extra="slow: {steps: [[0, [1.0]], [50, [2.0, 3.0]]]}"),
+     EXIT_VALIDATION, "validation: scenario.yaml: system.slow.steps: every step needs the "
+     "same number of values, got [1, 2]", {}),
 ], ids=["validation", "zero-division", "overflow", "insolvable", "repdyn-stage-overflow",
         "stage-time", "non-finite-eps", "complex-power", "tolerance-env-text",
         "tolerance-env-nan", "tolerance-env-negative", "scenario-directory",
-        "scenario-not-utf8", "out-is-a-file", "empty-batch", "slow-schedule-missing"])
+        "scenario-not-utf8", "out-is-a-file", "empty-batch", "slow-schedule-missing",
+        "slow-steps-unequal"])
 def test_exit_codes_end_without_traceback(tmp_path, capsys, recwarn, monkeypatch, command, text,
                                           expected, message, options):
     scenario, out_dir = tmp_path / "scenario.yaml", tmp_path / "out"

@@ -14,7 +14,7 @@ from tactica.algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTu
                              heisenberg_presentation, parse_relation, poly_eval,
                              relation_residual, relation_values, weyl_eval, weyl_eval_tuple)
 from tactica.expr import NCPoly
-from tactica.games import ConfigurationError, SimulationError
+from tactica.games import ConfigurationError, SimulationError, rk4_step
 from tactica.repdyn import (ClassDynamics, InsolvableSignal, RepDynSpec, StrandedClassError,
                             TacticalRepDyn, _apply_transition, _parse_polynomial_rhs,
                             _relation_jacobian, check_start, integrate_repdyn,
@@ -147,7 +147,7 @@ def weyl_reference(terms, matrices, constants, a, n):
 
 @st.composite
 def weyl_cases(draw):
-    m, n, control_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    m, n, control_dim = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(0, 2))
     letters = st.one_of(st.integers(0, m - 1), st.sampled_from(["C", "D"]))
     term = st.builds(WeylTerm,
                      coefficient=st.complex_numbers(max_magnitude=1e3, allow_nan=False),
@@ -155,23 +155,48 @@ def weyl_cases(draw):
                      control=st.none() if not control_dim
                      else st.one_of(st.none(), st.integers(0, control_dim - 1)))
     symbols = draw(st.lists(st.lists(term, max_size=4).map(
-        lambda terms: WeylSymbol(tuple(terms))), min_size=1, max_size=3))
-    return m, n, control_dim, symbols, draw(st.integers(0, 2 ** 31 - 1))
+        lambda terms: WeylSymbol(tuple(terms))), min_size=1, max_size=4))
+    return m, n, control_dim, symbols, draw(st.integers(0, 2 ** 31 - 1)), draw(st.booleans())
+
+
+def T(coeff, word, control=None):
+    return WeylTerm(coeff, tuple(word), control)
+
+
+# Every level mixes terms of degree 0-3; constants sit inside words of two and three letters.
+MIXED_SYMBOLS = [
+    WeylSymbol((T(0.5, [0], 0), T(2.0, [1, 0]), T(1.0, []))),
+    WeylSymbol((T(1.5j, [2, 1], 1), T(-1.0, ["C"]), T(0.25, [0, "D"], 0), T(-2.0, [3], 1))),
+    WeylSymbol((T(1.0, [0, 1, 2]), T(3.0, [1], 1), T(0.5, [3, 3]))),
+    WeylSymbol((T(1.0 - 1j, ["C", 0, "D"], 0), T(2.0, [], 1), T(1.0, ["D", "C"]))),
+    WeylSymbol(()),
+]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(weyl_cases())
+@example((2, 3, 0, [WeylSymbol(()), WeylSymbol((T(1.0, [0]),)), WeylSymbol(())], 1, False))
+@example((4, 6, 2, MIXED_SYMBOLS, 2, False))
+@example((4, 3, 2, MIXED_SYMBOLS, 3, True))
+@example((1, 2, 1, [WeylSymbol((T(1.0, [0], 0), T(-1.0, [0, 0], 0)))], 4, True))
 def test_compiled_weyl_matches_permutation_average_bitwise(case):
-    m, n, control_dim, symbols, seed = case
+    m, n, control_dim, symbols, seed, special = case
     rng = np.random.default_rng(seed)
     stacked = entries(rng, (m, n, n))
     constants = {"C": entries(rng, (n, n)), "D": entries(rng, (n, n))}
     a = entries(rng, (control_dim,))
+    if special:     # +-inf and NaN entries in the tuple, the constants and the controls
+        for x in (stacked, *constants.values(), a):
+            mask = rng.random(x.shape) < 0.15
+            x[mask] = rng.choice([np.inf, -np.inf, np.nan], mask.sum())
     plan = compile_symbols(symbols, m, n, constants, control_dim)
-    got = weyl_eval_tuple(plan, stacked, a)
-    expected = np.stack([weyl_reference(sym.terms, stacked, constants, a, n)
-                         for sym in symbols])
-    assert np.array_equal(bits(got), bits(expected))
+    with np.errstate(all="ignore"):
+        got = weyl_eval_tuple(plan, stacked, a)
+        expected = np.stack([weyl_reference(sym.terms, stacked, constants, a, n)
+                             for sym in symbols])
+    assert np.array_equal(nan_bits(got), nan_bits(expected))
+    if not special:
+        assert np.array_equal(bits(got), bits(expected))
 
 
 def test_compile_rejects_unknown_slot_constant_and_control():
@@ -238,6 +263,22 @@ def test_stacked_matmul_equals_per_pair_bitwise():
             assert np.array_equal(bits(stacked), bits(np.stack(pairs)))
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
+def test_vecdot_row_norms_equal_per_row_dot_bitwise(n, rows, seed):
+    # relation_values takes every squared norm with one np.vecdot per part; its bytes equal
+    # the per-row dot products only because this numpy build runs each strided row through
+    # the same dot loop.
+    rng = np.random.default_rng(seed)
+    values = entries(rng, (rows, n * n)) * rng.choice([1e-200, 1e-3, 1.0, 1e3, 1e160],
+                                                      (rows, n * n))
+    with np.errstate(over="ignore"):
+        for part in (values.real, values.imag):
+            expected = np.array([row.dot(row) for row in part])
+            assert np.array_equal(np.vecdot(part, part).view(np.uint64),
+                                  expected.view(np.uint64))
+
+
 def loop_relations(pres, stacked):
     """The relations evaluated word by word from an identity, terms added in order."""
     n = stacked.shape[1]
@@ -292,6 +333,22 @@ def test_relation_plan_equals_the_word_loop(pres, n, seed, special):
         assert np.array_equal(nan_bits(poly_eval(pres.plan, stacked)), nan_bits(expected))
     assert np.array_equal(nan_bits(values), nan_bits(expected.reshape(-1)))
     assert worst == expected_worst or math.isnan(worst) and math.isnan(expected_worst)
+
+
+def test_repdyn_loads_share_the_builtin_classes(tmp_path):
+    text = (SCENARIOS / "repdyn_transition.yaml").read_text()
+    own = tmp_path / "own.yaml"
+    own.write_text(text.replace("  mode: tactical\n", "  mode: tactical\n  classes:\n"
+                                "    mine: {generators: 2, relations: []}\n"))
+    first, second, third = (load_scenario(path).repdyn_plan().tactical.registry
+                            for path in (SCENARIOS / "repdyn_transition.yaml", own,
+                                         SCENARIOS / "repdyn_transition.yaml"))
+    assert "mine" in second.labels() and "mine" not in third.labels()
+    assert first.labels() == third.labels() == default_registry().labels()
+    for label in first.labels():
+        assert first.classes[label] is second.classes[label] is third.classes[label]
+    with pytest.raises(TypeError):
+        default_registry().classes["mine"] = second.classes["mine"]
 
 
 def test_relation_parsing_respects_caps():
@@ -435,6 +492,31 @@ def count_relation_work(monkeypatch):
     monkeypatch.setattr(tactica.repdyn, "_relation_jacobian",
                         counted(tactica.repdyn._relation_jacobian, "jacobians"))
     return counts
+
+
+def test_integrate_evaluates_the_control_once_per_stage_time():
+    times = []
+
+    def control(t):
+        times.append(t)
+        return [math.sin(3 * t), 0.5 - t]
+
+    symbols = (WeylSymbol((T(0.5, [0], 0), T(-0.25j, [0, 1], 1))),
+               WeylSymbol((T(1.0, [1, 1, 0], 0), T(0.1, []))))
+    spec = RepDynSpec(symbols=symbols, presentation=AlgebraPresentation("free", 2), n=2,
+                      control_dim=2)
+    start = 0.1 * entries(np.random.default_rng(3), (2, 2, 2))
+    result = integrate_repdyn(spec, control, 0.0, 0.3, 0.01, start)
+    assert len(result.times) == 31 and len(times) <= 3 * 30
+    assert all(t != u for t, u in zip(times, times[1:]))
+
+    def rhs(t, stacked):    # a fresh control vector at every stage
+        return weyl_eval_tuple(spec.plan, stacked, np.asarray(control(t), dtype=complex))
+
+    stacked = start
+    for k, state in enumerate(result.states[1:]):
+        stacked = rk4_step(rhs, 0.0 + k * 0.01, stacked, 0.01, rhs(0.0 + k * 0.01, stacked))
+        assert np.array_equal(bits(state), bits(stacked))
 
 
 def test_a_projecting_step_evaluates_the_relations_twice(monkeypatch):

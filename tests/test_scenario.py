@@ -215,7 +215,7 @@ def test_every_tactics_mode_compiles_to_a_synthesis_rule(name, mode, games):
     ("lambda[1]", "", False), ("0.0", "", True),
     ("lambda[1]", 'slow: {schedule: ["0.5"]}', False),
     ("lambda[1]", 'slow: {schedule: ["0.5", "1"]}', True),
-    ("lambda[1]", "slow: {steps: [[0, [1.0, 2.0]], [5, [3.0]]]}", False),
+    ("lambda[1]", "slow: {steps: [[0, [1.0]], [5, [3.0]]]}", False),
     ("lambda[1]", "slow: {steps: [[0, [1.0, 2.0]], [5, [3.0, 4.0]]]}", True),
 ], ids=["none", "none-unread", "schedule-short", "schedule", "steps-short", "steps"])
 def test_only_tactics_runs_a_system_whose_slow_schedule_misses_lambda(tmp_path, dynamics, slow,
@@ -224,6 +224,16 @@ def test_only_tactics_runs_a_system_whose_slow_schedule_misses_lambda(tmp_path, 
         'dynamics: ["0.0"]', f'dynamics: ["{dynamics}"]\n  lambda_dim: 2\n  {slow}')))
     assert scenario.supports("simulate") is supported
     assert (scenario.plans["system"].slow_gap == "") is supported
+
+
+def test_slow_steps_imply_their_lambda_dimension(tmp_path):
+    scenario = load_scenario(write(tmp_path, MINIMAL.replace(
+        'dynamics: ["0.0"]',
+        'dynamics: ["lambda[0] - phi[0]"]\n  slow: {steps: [[0, [1.0]], [50, [2.0]]]}')))
+    assert scenario.supports("simulate")
+    lam = scenario.simulate().lam
+    assert lam.shape == (101, 1)
+    assert set(lam[:50, 0]) == {1.0} and set(lam[50:, 0]) == {2.0}
 
 
 def test_slow_control_feeds_couplings(tmp_path):
