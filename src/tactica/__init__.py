@@ -26,10 +26,10 @@ from .repdyn import (ClassDynamics, InsolvableSignal, InverseConstruction, RepDy
                      check_start, integrate_repdyn, integrate_scalar_reference,
                      project_to_variety, run_tactical_repdyn, solve_inverse_problem, tuple_map)
 from .scenario import Scenario, ScenarioError, load_scenario
-from .tactics import (CommentRule, CommentState, CommentedGame, CommentedRun,
-                      DialecticalObject, InteractionTerm, SynthesisRule, TransitionRule,
+from .tactics import (CommentState, CommentedGame, CommentedRun, DialecticalObject,
+                      SynthesisRule, TransitionRule, commented_as_synthesis,
                       interaction_as_synthesis, is_tactical_extension, probe_grid,
-                      run_commented_game, run_synthesized)
+                      run_synthesized)
 from .verbalization import (Cell, CellComplex, CellCondition, DialogueResult,
                             DialogueSpec, DomainError, IntentionField, RecurrenceMap,
                             WindowFunctional, WindowRecord, detect_partition,

@@ -17,8 +17,9 @@ import numpy as np
 import yaml
 
 from . import expr
-from .algebra import (MAX_GENERATORS, AlgebraClassRegistry, AlgebraPresentation, MatrixTuple,
-                      WeylSymbol, WeylTerm, default_registry, parse_relation)
+from .algebra import (MAX_GENERATORS, MAX_MATRIX_DIM, AlgebraClassRegistry,
+                      AlgebraPresentation, MatrixTuple, WeylSymbol, WeylTerm, default_registry,
+                      parse_relation)
 from .expr import ExpressionError, VectorExpression
 from .games import (Coalition, ConfigurationError, EpsilonProcess, FeedbackCoupling,
                     InteractiveSystem, InvariantConstraint, Player, PureControlPolicy,
@@ -27,8 +28,8 @@ from .games import (Coalition, ConfigurationError, EpsilonProcess, FeedbackCoupl
 from .prediction import FilterSpec
 from .repdyn import (ClassDynamics, RepDynSpec, TacticalRepDyn, _parse_polynomial_rhs,
                      check_start, tuple_map)
-from .tactics import (CommentRule, CommentedGame, DialecticalObject, InteractionTerm,
-                      SynthesisRule, TransitionRule, interaction_as_synthesis)
+from .tactics import (CommentedGame, DialecticalObject, SynthesisRule, TransitionRule,
+                      commented_as_synthesis, interaction_as_synthesis)
 from .verbalization import Cell, CellComplex, CellCondition, RecurrenceMap, WindowFunctional
 
 SCHEMA_VERSION = 1
@@ -486,10 +487,13 @@ def _slow(spec, check: _Check) -> tuple[SlowControl | None, int]:
         return None, 0
     schedule = tuple((int(s), tuple(float(x) for x in v)) for s, v in steps)
     sizes = sorted({len(v) for _, v in schedule})
+    # Unequal steps feed as many components as the widest, so that no read of lambda
+    # is reported beside the one fault.
+    fed = max(sizes, default=0)
     if not check.require("system.slow.steps", len(sizes) <= 1,
                          f"every step needs the same number of values, got {sizes}"):
-        return None, 0
-    return check.build("system.slow.steps", SlowControl, schedule=schedule), max(sizes, default=0)
+        return None, fed
+    return check.build("system.slow.steps", SlowControl, schedule=schedule), fed
 
 
 def _verbalization(spec: dict, ctx: _Context, check: _Check) -> VerbalizationPlan | None:
@@ -608,21 +612,16 @@ def _tactics(spec: dict, ctx: _Context, check: _Check) -> TacticsPlan | None:
     system, verb, run = ctx.plans.get("system"), ctx.plans.get("verbalization"), ctx.run
     if len(check.errors) > start or system is None or verb is None or run is None:
         return None
-    # The synthesis rule advances the games; they carry no comment rule of their own.
     plays = [CommentedGame(system=system.system, initial=system.initial, dt=run.dt,
                            omega_functionals=verb.omega_functionals,
                            v_functionals=verb.v_functionals, window_grid=verb.grid,
-                           rule=None, theta0=np.asarray(g["theta0"], dtype=float))
+                           theta0=np.asarray(g["theta0"], dtype=float))
              for _, _, g in entries]
     if mode == "commented":
-        return TacticsPlan(mode=mode, games=plays, rule=SynthesisRule(
-            forms=(lambda th, om, vs, _f=rules[0].fn: _f(th[0], om[0], vs[0]),),
-            masks=(frozenset({0}),)))
+        return TacticsPlan(mode=mode, games=plays, rule=commented_as_synthesis(rules[0].fn))
     if mode == "interaction":
-        rule1, rule2 = (CommentRule(update=r.fn) for r in rules)
-        term12, term21 = (InteractionTerm(form=t.fn) for t in terms)
-        return TacticsPlan(mode=mode, games=plays,
-                           rule=interaction_as_synthesis(rule1, rule2, term12, term21))
+        return TacticsPlan(mode=mode, games=plays, rule=interaction_as_synthesis(
+            rules[0].fn, rules[1].fn, terms[0].fn, terms[1].fn))
     zeros = (np.zeros(theta), np.zeros(omega), np.zeros(v))
     masks = tuple(frozenset(i - 1 for i in g["mask"]) for _, _, g in entries)
     # A form reads (theta, omega, v) of each game in its mask, and zeros for the others.
@@ -827,18 +826,26 @@ def _invert(spec: dict, ctx: _Context, check: _Check) -> InvertPlan | None:
         if check.expression(f"invert.rhs[{k}]", src, scalars=scalars):
             check.build(f"invert.rhs[{k}]", _parse_polynomial_rhs, [src], len(rhs), control_dim)
     check.vector("invert.x0", spec.get("x0"), len(rhs))
-    vec = check.expressions("invert.control", spec.get("control"), ("t",))
-    check.require("invert.control", _length(spec.get("control")) in (0, control_dim),
-                  f"expected {control_dim} control expressions")
+    vec = None
+    # An autonomous system (control_dim 0) needs no control schedule: its control is empty.
+    if control_dim or "control" in spec:
+        vec = check.expressions("invert.control", spec.get("control"), ("t",))
+        check.require("invert.control", _length(spec.get("control")) in (0, control_dim),
+                      f"expected {control_dim} control expressions")
     matrix_dim, slot = spec.get("matrix_dim", 2), spec.get("designated_slot", 0)
-    check.integer("invert.matrix_dim", matrix_dim)
-    check.integer("invert.designated_slot", slot, low=0)
+    dim_ok = check.integer("invert.matrix_dim", matrix_dim) and check.require(
+        "invert.matrix_dim", matrix_dim <= MAX_MATRIX_DIM,
+        f"matrix dimension {matrix_dim} exceeds the desk-scale cap {MAX_MATRIX_DIM}")
+    if check.integer("invert.designated_slot", slot, low=0) and dim_ok:
+        check.require("invert.designated_slot", slot < matrix_dim,
+                      f"slot {slot} is outside the matrix dimension {matrix_dim}")
     if len(check.errors) > start:
         return None
+    schedule = (lambda t: np.asarray(vec.fn(t), dtype=float)) if vec else lambda t: np.zeros(0)
     return InvertPlan(rhs=tuple(rhs), x0=tuple(float(x) for x in spec["x0"]),
                       control_dim=control_dim, matrix_dim=matrix_dim, designated_slot=slot,
                       lift_constants=bool(spec.get("lift_constants", False)),
-                      u_schedule=lambda t: np.asarray(vec.fn(t), dtype=float))
+                      u_schedule=schedule)
 
 
 # Section walks in dependency order: later walks read the dims and plans of earlier ones.

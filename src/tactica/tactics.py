@@ -1,15 +1,15 @@
 """Comment recursions over verbalized games.
 
 A commented game feeds its window comments back into the dynamics and the
-feedback couplings as the slow parameter of the next window.  Every tactics
-mode is a synthesis rule, one form per game under an argument mask, and
+feedback couplings as the slow parameter of the next window.  Every comment
+recursion is a synthesis rule, one form per game under an argument mask, and
 :func:`run_synthesized` advances any of them on the games' shared window grid:
-a single commented game is one form with mask ``{0}``, and the additive
-interaction of two games is :func:`interaction_as_synthesis`.  A synthesis
-can be checked to be a conservative extension of one game's recursion.
-Dialectical objects are configured class-transition tables; a comment rule
-with a dialectical slot enters the recursion through
-:func:`run_commented_game`.
+a single commented game is :func:`commented_as_synthesis`, one form with mask
+``{0}``, and the additive interaction of two games is
+:func:`interaction_as_synthesis`.  A synthesis can be checked to be a
+conservative extension of one game's recursion.  Dialectical objects are
+configured class-transition tables; they drive the class stream of
+:func:`tactica.repdyn.run_tactical_repdyn`.
 """
 
 from __future__ import annotations
@@ -33,29 +33,6 @@ class CommentState:
     vector: np.ndarray | None = None
     class_label: str | None = None
     eta: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class CommentRule:
-    """Recurrence for the comment stream.
-
-    ``update(theta_prev, omega, v)`` is the plain recursion; when the
-    ``dialectical`` slot is present it replaces the plain form for every step
-    and additionally receives the window's dialectical object.
-    """
-
-    update: Callable
-    dialectical: Callable | None = None
-
-    def step(self, theta_prev, delta, omega, v) -> np.ndarray:
-        if self.dialectical is not None:
-            if delta is None:
-                raise ConfigurationError(
-                    "comment rule has a dialectical slot; a dialectical object is "
-                    "required at every step")
-            return np.atleast_1d(np.asarray(
-                self.dialectical(theta_prev, delta, omega, v), dtype=float))
-        return np.atleast_1d(np.asarray(self.update(theta_prev, omega, v), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -94,17 +71,6 @@ class DialecticalObject:
             if t.from_class == from_class and t.trigger == trigger_name:
                 return t
         return None
-
-
-@dataclass(frozen=True)
-class InteractionTerm:
-    """Additive correction coupling one comment stream to another."""
-
-    form: Callable  # (own_theta_prev, other_theta_prev, omega, v) -> correction
-
-    @staticmethod
-    def zero() -> "InteractionTerm":
-        return InteractionTerm(form=lambda own, other, omega, v: np.zeros_like(own))
 
 
 class _MaskedView:
@@ -174,7 +140,6 @@ class CommentedGame:
     dt: float
     omega_functionals: tuple[WindowFunctional, ...]
     v_functionals: tuple[WindowFunctional, ...]
-    rule: CommentRule | None    # None when a synthesis rule advances the game
     theta0: np.ndarray
     window_grid: tuple[float, ...]
     feed_omega: bool = False
@@ -221,13 +186,40 @@ def _window_segment(game: CommentedGame, phi, theta, omega_prev, t_a, t_b):
                     record_tape=False)
 
 
-def _roll(games: Sequence[CommentedGame], advance: Callable) -> list[CommentedRun]:
-    """The window loop shared by every commented run.
+def commented_as_synthesis(update: Callable) -> SynthesisRule:
+    """The one-form rule of a single commented game: ``update(theta_prev, omega, v)``."""
+    return SynthesisRule(forms=(lambda thetas, omegas, vs: update(thetas[0], omegas[0], vs[0]),),
+                         masks=(frozenset({0}),))
 
-    Window n integrates each game under its comment n-1; ``advance(n, thetas,
-    omegas, vs)`` then maps the comments and window summaries of all games to
-    their comments n.
+
+def interaction_as_synthesis(update1: Callable, update2: Callable, term12: Callable,
+                             term21: Callable) -> SynthesisRule:
+    """The synthesis rule of two comment recursions coupled additively.
+
+    Game 1's next comment is ``update1(theta1, omega1, v1) + term12(theta1, theta2,
+    omega1, v1)``, and game 2's the same with the roles exchanged.
     """
+    def coupled(update, term, own, other):
+        def form(thetas, omegas, vs):
+            return (np.atleast_1d(np.asarray(update(thetas[own], omegas[own], vs[own]),
+                                             dtype=float))
+                    + np.atleast_1d(np.asarray(term(thetas[own], thetas[other], omegas[own],
+                                                    vs[own]), dtype=float)))
+        return form
+
+    both = frozenset({0, 1})
+    return SynthesisRule(forms=(coupled(update1, term12, 0, 1), coupled(update2, term21, 1, 0)),
+                         masks=(both, both))
+
+
+def run_synthesized(games: list[CommentedGame], rule: SynthesisRule) -> list[CommentedRun]:
+    """Advance all games on their shared window grid under a unified recursion.
+
+    Window n integrates each game under its comment n-1; the rule then maps the
+    comments and window summaries of all games to their comments n.
+    """
+    if len(games) != len(rule.forms):
+        raise ConfigurationError("one synthesis form per game is required")
     grid = _shared_grid(games)
     thetas = [np.atleast_1d(np.asarray(g.theta0, dtype=float)) for g in games]
     phis = [np.asarray(g.initial, dtype=float) for g in games]
@@ -247,7 +239,7 @@ def _roll(games: Sequence[CommentedGame], advance: Callable) -> list[CommentedRu
             vs_n.append(evaluate_functionals(game.v_functionals, seg, 0, len(seg.t) - 1))
             segments[j].append(seg)
             phis[j] = seg.phi[-1]
-        thetas = advance(n, thetas, omegas_n, vs_n)
+        thetas = rule.step(thetas, omegas_n, vs_n)
         for j in range(len(games)):
             windows[j].append(WindowRecord(index=n, t_start=grid[n - 1], t_end=grid[n],
                                            omega=omegas_n[j], v=vs_n[j]))
@@ -257,51 +249,6 @@ def _roll(games: Sequence[CommentedGame], advance: Callable) -> list[CommentedRu
     return [CommentedRun(trajectory=concat_trajectories(segments[j]),
                          windows=windows[j], comments=comments[j])
             for j in range(len(games))]
-
-
-def run_commented_game(game: CommentedGame,
-                       deltas: Sequence[DialecticalObject] | None = None) -> CommentedRun:
-    """Roll the window loop of one game under its own comment rule.
-
-    Window n runs under the parameter value of comment n-1; the new comment is
-    produced by the rule (with the window's dialectical object when the rule
-    has a dialectical slot).
-    """
-    def advance(n, thetas, omegas, vs):
-        delta = deltas[n - 1] if deltas is not None else None
-        return [game.rule.step(thetas[0], delta, omegas[0], vs[0])]
-
-    return _roll([game], advance)[0]
-
-
-def interaction_as_synthesis(rule1: CommentRule, rule2: CommentRule,
-                             term12: InteractionTerm,
-                             term21: InteractionTerm) -> SynthesisRule:
-    """The synthesis rule whose forms are the interaction-coupled recursions."""
-    if rule1.dialectical is not None or rule2.dialectical is not None:
-        raise ConfigurationError(
-            "interaction couples plain comment recursions; dialectical slots are "
-            "not part of the interaction form")
-
-    def form1(thetas, omegas, vs):
-        return (np.atleast_1d(np.asarray(rule1.update(thetas[0], omegas[0], vs[0]), dtype=float))
-                + np.atleast_1d(np.asarray(term12.form(thetas[0], thetas[1], omegas[0], vs[0]),
-                                           dtype=float)))
-
-    def form2(thetas, omegas, vs):
-        return (np.atleast_1d(np.asarray(rule2.update(thetas[1], omegas[1], vs[1]), dtype=float))
-                + np.atleast_1d(np.asarray(term21.form(thetas[1], thetas[0], omegas[1], vs[1]),
-                                           dtype=float)))
-
-    return SynthesisRule(forms=(form1, form2),
-                         masks=(frozenset({0, 1}), frozenset({0, 1})))
-
-
-def run_synthesized(games: list[CommentedGame], rule: SynthesisRule) -> list[CommentedRun]:
-    """Advance all games on their shared window grid under a unified recursion."""
-    if len(games) != len(rule.forms):
-        raise ConfigurationError("one synthesis form per game is required")
-    return _roll(games, lambda n, thetas, omegas, vs: rule.step(thetas, omegas, vs))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from tactica.prediction import unravel_by_filtering
 from tactica.repdyn import (integrate_repdyn, integrate_scalar_reference,
                             run_tactical_repdyn, solve_inverse_problem)
 from tactica.scenario import load_scenario
-from tactica.tactics import (CommentRule, CommentedGame, InteractionTerm, SynthesisRule,
-                             interaction_as_synthesis, run_commented_game, run_synthesized)
+from tactica.tactics import (CommentedGame, SynthesisRule, commented_as_synthesis,
+                             interaction_as_synthesis, run_synthesized)
 from tactica.verbalization import (WindowFunctional, WindowRecord, detect_partition,
                                    fit_recurrence, verify_recurrence)
 
@@ -124,7 +124,6 @@ def _coupled_pair(grid):
             system=trivial(), initial=np.zeros(1), dt=0.05,
             omega_functionals=(WindowFunctional("mean", "state"),),
             v_functionals=(WindowFunctional("mean", "u0"),),
-            rule=CommentRule(update=lambda th, om, v: th),
             theta0=np.array([theta0]), window_grid=grid)
 
     return game(1.0), game(2.0)
@@ -135,33 +134,33 @@ def test_criterion_05_tactics_degenerations():
                       "coupled comments match the matrix power within 1e-12"):
         grid = tuple(float(k) for k in range(21))
         a1, c12, a2, c21 = 0.9, 0.1, 0.8, 0.05
-        rule1 = CommentRule(update=lambda th, om, v: a1 * th)
-        rule2 = CommentRule(update=lambda th, om, v: a2 * th)
+        rule1 = lambda th, om, v: a1 * th  # noqa: E731
+        rule2 = lambda th, om, v: a2 * th  # noqa: E731
+        zero = lambda own, other, om, v: np.zeros_like(own)  # noqa: E731
         g1, g2 = _coupled_pair(grid)
-        g1 = CommentedGame(**{**g1.__dict__, "rule": rule1})
-        g2 = CommentedGame(**{**g2.__dict__, "rule": rule2})
 
         # zero interaction == uncoupled, stream-wise exact
         zero_runs = run_synthesized([g1, g2], interaction_as_synthesis(
-            g1.rule, g2.rule, InteractionTerm.zero(), InteractionTerm.zero()))
-        solo1, solo2 = run_commented_game(g1), run_commented_game(g2)
+            rule1, rule2, zero, zero))
+        solo1 = run_synthesized([g1], commented_as_synthesis(rule1))[0]
+        solo2 = run_synthesized([g2], commented_as_synthesis(rule2))[0]
         assert np.array_equal(zero_runs[0].theta_values, solo1.theta_values)
         assert np.array_equal(zero_runs[1].theta_values, solo2.theta_values)
 
         # identity synthesis == uncoupled, stream-wise exact
         synthesis = SynthesisRule(
-            forms=(lambda th, om, v: rule1.update(th[0], om[0], v[0]),
-                   lambda th, om, v: rule2.update(th[1], om[1], v[1])),
+            forms=(lambda th, om, v: rule1(th[0], om[0], v[0]),
+                   lambda th, om, v: rule2(th[1], om[1], v[1])),
             masks=(frozenset({0}), frozenset({1})))
         synth_runs = run_synthesized([g1, g2], synthesis)
         assert np.array_equal(synth_runs[0].theta_values, solo1.theta_values)
         assert np.array_equal(synth_runs[1].theta_values, solo2.theta_values)
 
         # linear coupled comments vs the matrix-power oracle
-        term12 = InteractionTerm(form=lambda own, other, om, v: c12 * other)
-        term21 = InteractionTerm(form=lambda own, other, om, v: c21 * other)
+        term12 = lambda own, other, om, v: c12 * other  # noqa: E731
+        term21 = lambda own, other, om, v: c21 * other  # noqa: E731
         runs = run_synthesized([g1, g2], interaction_as_synthesis(
-            g1.rule, g2.rule, term12, term21))
+            rule1, rule2, term12, term21))
         matrix = np.array([[a1, c12], [c21, a2]])
         theta = np.array([1.0, 2.0])
         for n in range(20):

@@ -128,6 +128,16 @@ def test_repdyn_artifacts_keep_their_digests(tmp_path, command, stem):
             for name in REPDYN_DIGESTS[command, stem]} == REPDYN_DIGESTS[command, stem]
 
 
+def test_autonomous_invert_needs_no_control(tmp_path):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text("schema: 1\nrun: {t0: 0.0, t1: 1.0, dt: 0.01}\n"
+                        "invert: {rhs: [\"x1 - x1*x1\"], x0: [0.1], control_dim: 0}\n")
+    code = main(["invert", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+    assert [(c["name"], c["passed"]) for c in checks] == [("slot vs scalar deviation", True)]
+
+
 # sha256 of the per-game traces of the shipped tactics scenarios, one per mode.  Every
 # mode runs through the same window loop, so a change to how a mode is compiled or
 # dispatched must leave these bytes fixed.

@@ -55,7 +55,8 @@ def test_divergence_carries_last_valid_time():
     system = InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam, om: [phi[0] ** 3],
         players=(make_player(lambda t: np.zeros(1)),))
-    with pytest.raises(DivergenceError) as err:
+    # phi**3 overflows to inf on the way out; numpy warns of it.
+    with pytest.raises(DivergenceError) as err, pytest.warns(RuntimeWarning, match="overflow"):
         simulate(system, [5.0], 0.0, 10.0, 0.1)
     assert 0.0 <= err.value.last_valid_time < 10.0
 

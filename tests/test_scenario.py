@@ -208,7 +208,6 @@ def test_every_tactics_mode_compiles_to_a_synthesis_rule(name, mode, games):
     assert plan.mode == mode
     assert isinstance(plan.rule, SynthesisRule)
     assert len(plan.rule.forms) == len(plan.rule.masks) == len(plan.games) == games
-    assert all(game.rule is None for game in plan.games)
 
 
 @pytest.mark.parametrize("dynamics, slow, supported", [
@@ -234,6 +233,19 @@ def test_slow_steps_imply_their_lambda_dimension(tmp_path):
     lam = scenario.simulate().lam
     assert lam.shape == (101, 1)
     assert set(lam[:50, 0]) == {1.0} and set(lam[50:, 0]) == {2.0}
+
+
+def test_unequal_slow_steps_are_the_only_fault_reported(tmp_path, capsys):
+    from tactica.cli import EXIT_VALIDATION, main
+    path = write(tmp_path, MINIMAL.replace(
+        'dynamics: ["0.0"]',
+        'dynamics: ["lambda[0] - phi[0]"]\n  slow: {steps: [[0, [1.0]], [50, [2.0, 3.0]]]}'))
+    code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("validation:")]
+    assert code == EXIT_VALIDATION
+    assert lines == ["validation: scenario.yaml: system.slow.steps: every step needs the "
+                     "same number of values, got [1, 2]"]
 
 
 def test_slow_control_feeds_couplings(tmp_path):
@@ -309,9 +321,14 @@ invert:
                "  recurrence: {family: declared, expression: [\"omega[0]\"]}\n", [],
      "verbalization.recurrence: a declared recurrence is verified between consecutive "
      "windows; the window grid has only one"),
+    (INVERT.format(rhs="u1*x1") + "  matrix_dim: 2\n  designated_slot: 2\n", [],
+     "invert.designated_slot: slot 2 is outside the matrix dimension 2"),
+    (INVERT.format(rhs="u1*x1") + "  matrix_dim: 7\n", [],
+     "invert.matrix_dim: matrix dimension 7 exceeds the desk-scale cap 6"),
 ], ids=["coalition-not-mapping", "slow-not-mapping", "dt-off-interval", "window-off-grid",
         "dt-override-off-interval", "family-index-out-of-range", "invert-rhs-not-polynomial",
-        "invert-rhs-degree-above-cap", "declared-recurrence-one-window"])
+        "invert-rhs-degree-above-cap", "declared-recurrence-one-window",
+        "invert-slot-outside-matrix", "invert-matrix-dim-above-cap"])
 def test_malformed_inputs_exit_1_naming_the_path(tmp_path, capsys, text, argv, message):
     from tactica.cli import EXIT_VALIDATION, main
     path = write(tmp_path, text)
