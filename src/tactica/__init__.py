@@ -10,11 +10,10 @@ driven by deterministic scenarios.
 
 from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple,
                       WeylSymbol, WeylTerm, commutative_presentation, default_registry,
-                      equivalence_partition, heisenberg_presentation, relation_residual,
-                      weyl_eval)
+                      equivalence_partition, heisenberg_presentation)
 from .games import (Coalition, ConfigurationError, DivergenceError, EpsilonProcess,
                     FeedbackCoupling, InteractiveSystem, InvariantConstraint, Player,
-                    PureControlPolicy, SimulationError, SlowControl, StateTrajectory,
+                    SimulationError, SlowControl, StateTrajectory,
                     associated_ordinary_game, check_indeterminate_invariants,
                     coalition_simulate, replay_with_recorded_eps, simulate)
 from .prediction import (DataError, FeedbackEstimate, FilterSpec, Prediction,

@@ -234,15 +234,6 @@ def relation_values(pres: AlgebraPresentation,
     return values.reshape(-1), math.sqrt(squares.max()) if len(squares) else 0.0
 
 
-def relation_residual(pres: AlgebraPresentation, X: MatrixTuple) -> float:
-    """Maximum Frobenius norm of the relation polynomials evaluated at X."""
-    if X.m != pres.generators:
-        raise ConfigurationError(
-            f"tuple has {X.m} matrices, presentation {pres.label!r} expects "
-            f"{pres.generators}")
-    return relation_values(pres, X.stacked())[1]
-
-
 def commutative_presentation(generators: int, label: str = "commutative") -> AlgebraPresentation:
     relations = [f"x{i + 1}*x{j + 1} - x{j + 1}*x{i + 1}"
                  for i in range(generators) for j in range(i + 1, generators)]
@@ -451,18 +442,6 @@ def weyl_eval_tuple(plan: WeylPlan, stacked: np.ndarray,
     ``a`` holds the control components the terms scale by.
     """
     return plan.evaluate(stacked, a)
-
-
-def weyl_eval(symbol: WeylSymbol, X: MatrixTuple,
-              constants: Mapping[str, np.ndarray] | None = None,
-              a: np.ndarray | None = None) -> np.ndarray:
-    """Symmetrized evaluation of one symbol at X: each monomial averages all orderings.
-
-    Words are canonicalized by sorting before the orderings are enumerated, so
-    the result is bit-identical under any permutation of a monomial's letters.
-    """
-    plan = compile_symbols((symbol,), X.m, X.n, constants, 0 if a is None else len(a))
-    return weyl_eval_tuple(plan, X.stacked(), a)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -67,21 +67,11 @@ def rk4_step(f: Callable, t: float, y: np.ndarray, dt: float, k1: np.ndarray) ->
 
 
 @dataclass(frozen=True)
-class PureControlPolicy:
-    """Independent control signal of one player."""
-
-    signal: Callable[[float], Sequence[float]]
-
-    def __call__(self, t: float):
-        return self.signal(t)
-
-
-@dataclass(frozen=True)
 class EpsilonProcess:
     """Hidden feedback parameter as a function of pure control and state.
 
-    ``form(t, u0, phi, derivs)`` returns the parameter vector; for coalition
-    slots ``u0`` is the tuple of member pure controls.  ``ground_truth``
+    ``form(t, u0, phi)`` returns the parameter vector; for coalition slots
+    ``u0`` is the tuple of member pure controls.  ``ground_truth``
     distinguishes the simulation truth from fitted estimates, which must not
     drive a truth run.
     """
@@ -92,7 +82,7 @@ class EpsilonProcess:
 
 
 def zero_epsilon() -> EpsilonProcess:
-    return EpsilonProcess(form=lambda t, u0, phi, derivs: _EMPTY, dim=0)
+    return EpsilonProcess(form=lambda t, u0, phi: _EMPTY, dim=0)
 
 
 @dataclass(frozen=True)
@@ -121,7 +111,10 @@ def identity_coupling() -> FeedbackCoupling:
 
 @dataclass(frozen=True)
 class Player:
-    policy: PureControlPolicy
+    """One player: its independent (pure) control signal ``signal(t)``, the coupling
+    that makes it interactive, and its hidden parameter."""
+
+    signal: Callable[[float], Sequence[float]]
     coupling: FeedbackCoupling
     epsilon: EpsilonProcess
 
@@ -130,14 +123,13 @@ class Player:
 class Coalition:
     """Subset of players whose pure controls feed one coupled control slot.
 
-    ``coupling(t, u0_members, phi, derivs, eps, lam)`` consumes the tuple of
+    The coupling's and the hidden parameter's ``u0`` argument is the tuple of
     member pure controls in member order.
     """
 
     members: tuple[int, ...]
-    coupling: Callable
+    coupling: FeedbackCoupling
     epsilon: EpsilonProcess = field(default_factory=zero_epsilon)
-    derivative_order: int = 0
 
 
 @dataclass(frozen=True)
@@ -157,10 +149,9 @@ class InvariantConstraint:
 class InteractiveSystem:
     """Evolution law with per-player feedback couplings.
 
-    ``dynamics(t, phi, controls, lam, omega)`` maps the state and the list of
-    per-slot interactive control vectors to the state derivative.  ``lam`` is
-    the slow-parameter vector (empty when absent) and ``omega`` the window tag
-    of the enclosing verbalization window (empty outside windowed runs).
+    ``dynamics(t, phi, controls, lam)`` maps the state and the list of per-slot
+    interactive control vectors to the state derivative.  ``lam`` is the
+    slow-parameter vector (empty when absent).
     """
 
     dim: int
@@ -277,24 +268,18 @@ class _Slot:
     ``u0_argument`` picks a player's control or the tuple of a coalition's members'."""
 
     u0_argument: Callable
-    coupling: Callable
+    coupling: FeedbackCoupling
     epsilon: EpsilonProcess
-    derivative_order: int
 
 
 def _player_slots(system: InteractiveSystem) -> list[_Slot]:
-    return [
-        _Slot(u0_argument=itemgetter(i), coupling=p.coupling.known_form, epsilon=p.epsilon,
-              derivative_order=p.coupling.derivative_order)
-        for i, p in enumerate(system.players)
-    ]
+    return [_Slot(itemgetter(i), p.coupling, p.epsilon) for i, p in enumerate(system.players)]
 
 
 def _coalition_slots(system: InteractiveSystem) -> list[_Slot]:
     return [
-        _Slot(u0_argument=lambda u0s, _m=tuple(m - 1 for m in c.members):
-              tuple(u0s[i] for i in _m), coupling=c.coupling, epsilon=c.epsilon,
-              derivative_order=c.derivative_order)
+        _Slot(lambda u0s, _m=tuple(m - 1 for m in c.members): tuple(u0s[i] for i in _m),
+              c.coupling, c.epsilon)
         for c in system.coalitions
     ]
 
@@ -307,7 +292,7 @@ def _check_ground_truth(slots: Sequence[_Slot]):
 
 
 def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, dt,
-               slow: SlowControl | None, omega, record_tape: bool) -> StateTrajectory:
+               slow: SlowControl | None, record_tape: bool) -> StateTrajectory:
     n_steps = step_count(t0, t1, dt)
 
     phi = np.asarray(initial, dtype=float)
@@ -316,13 +301,12 @@ def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, d
     if not np.all(np.isfinite(phi)):
         raise ConfigurationError("initial state must be finite")
 
-    signals = [p.policy.signal for p in system.players]
+    signals = [p.signal for p in system.players]
     picks = [s.u0_argument for s in slots]
     forms = [s.epsilon.form for s in slots]
-    couplings = [s.coupling for s in slots]
+    couplings = [s.coupling.known_form for s in slots]
     dynamics = system.dynamics
-    max_k = max(s.derivative_order for s in slots)
-    omega_vec = _EMPTY if omega is None else np.asarray(omega, dtype=float)
+    max_k = max(s.coupling.derivative_order for s in slots)
     pre_derivs = (np.zeros(system.dim),)
     tape = StageTape() if record_tape else None
     lam_at = (lambda t, step: _EMPTY) if slow is None else slow.value
@@ -331,14 +315,13 @@ def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, d
         try:
             u0s = [signal(t) for signal in signals]
             args = [pick(u0s) for pick in picks]
+            eps = [form(t, a, state) for form, a in zip(forms, args)]
             derivs: tuple = ()
             if max_k:
-                eps = [form(t, a, state, pre_derivs) for form, a in zip(forms, args)]
                 u = [c(t, a, state, pre_derivs, e, lam) for c, a, e in zip(couplings, args, eps)]
-                derivs = (np.asarray(dynamics(t, state, u, lam, omega_vec), dtype=float),)
-            eps = [form(t, a, state, derivs) for form, a in zip(forms, args)]
+                derivs = (np.asarray(dynamics(t, state, u, lam), dtype=float),)
             u = [c(t, a, state, derivs, e, lam) for c, a, e in zip(couplings, args, eps)]
-            dphi = np.asarray(dynamics(t, state, u, lam, omega_vec), dtype=float)
+            dphi = np.asarray(dynamics(t, state, u, lam), dtype=float)
         # A TypeError here is a complex value (a negative base raised to a
         # fractional power) reaching a real-only function or array.
         except (ArithmeticError, TypeError) as exc:
@@ -408,23 +391,22 @@ def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, d
 
 
 def simulate(system: InteractiveSystem, initial, t0: float, t1: float, dt: float,
-             slow: SlowControl | None = None, omega=None,
-             record_tape: bool = True) -> StateTrajectory:
+             slow: SlowControl | None = None, record_tape: bool = True) -> StateTrajectory:
     """Integrate the interactive system, recording phi, u0, eps and u traces."""
     slots = _player_slots(system)
     _check_ground_truth(slots)
-    return _integrate(system, slots, initial, t0, t1, dt, slow, omega, record_tape)
+    return _integrate(system, slots, initial, t0, t1, dt, slow, record_tape)
 
 
 def coalition_simulate(system: InteractiveSystem, initial, t0: float, t1: float,
-                       dt: float, slow: SlowControl | None = None, omega=None,
+                       dt: float, slow: SlowControl | None = None,
                        record_tape: bool = True) -> StateTrajectory:
     """As :func:`simulate`, with control slots filled by the coalition couplings."""
     if not system.coalitions:
         raise ConfigurationError("system declares no coalitions")
     slots = _coalition_slots(system)
     _check_ground_truth(slots)
-    return _integrate(system, slots, initial, t0, t1, dt, slow, omega, record_tape)
+    return _integrate(system, slots, initial, t0, t1, dt, slow, record_tape)
 
 
 def associated_ordinary_game(system: InteractiveSystem,
@@ -439,35 +421,25 @@ def associated_ordinary_game(system: InteractiveSystem,
     """
     slots = _coalition_slots(system) if use_coalitions else _player_slots(system)
     for k, slot in enumerate(slots):
-        if slot.derivative_order != 0:
+        if slot.coupling.derivative_order != 0:
             raise ConfigurationError(
                 f"slot {k}: derivatives must be excluded from feedbacks to form "
                 "the associated ordinary game")
 
     n_policies = system.n_players
-    n_slots = len(slots)
     old_dynamics = system.dynamics
+    couplings = [(slot.u0_argument, slot.coupling.known_form) for slot in slots]
 
-    def assoc_dynamics(t, phi, controls, lam, omega):
+    def assoc_dynamics(t, phi, controls, lam):
         u0s = controls[:n_policies]
-        u = [slot.coupling(t, slot.u0_argument(u0s), phi, (), controls[n_policies + j], lam)
-             for j, slot in enumerate(slots)]
-        return old_dynamics(t, phi, u, lam, omega)
+        u = [c(t, pick(u0s), phi, (), eps, lam)
+             for (pick, c), eps in zip(couplings, controls[n_policies:])]
+        return old_dynamics(t, phi, u, lam)
 
-    players = [
-        Player(policy=p.policy, coupling=identity_coupling(), epsilon=zero_epsilon())
-        for p in system.players
-    ]
-    for j, slot in enumerate(slots):
-        if eps_policies is not None:
-            signal = eps_policies[j]
-        else:
-            dim_j = slot.epsilon.dim
-            signal = (lambda d: (lambda t: np.zeros(d)))(dim_j)
-        players.append(Player(
-            policy=PureControlPolicy(signal=signal),
-            coupling=identity_coupling(),
-            epsilon=zero_epsilon()))
+    if eps_policies is None:
+        eps_policies = [(lambda t, _d=slot.epsilon.dim: np.zeros(_d)) for slot in slots]
+    signals = [p.signal for p in system.players] + [eps_policies[j] for j in range(len(slots))]
+    players = [Player(signal, identity_coupling(), zero_epsilon()) for signal in signals]
 
     return InteractiveSystem(dim=system.dim, dynamics=assoc_dynamics,
                              players=tuple(players),

@@ -8,14 +8,14 @@ long-term / short-term prognosis pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .expr import compile_expression
-from .games import (ConfigurationError, InteractiveSystem, Player, PureControlPolicy,
-                    StateTrajectory, associated_ordinary_game, simulate, whole_steps)
+from .games import (ConfigurationError, InteractiveSystem, StateTrajectory,
+                    associated_ordinary_game, simulate, whole_steps)
 
 
 class DataError(ValueError):
@@ -37,18 +37,13 @@ class Prediction:
 
 def with_assumed_policies(system: InteractiveSystem,
                           assumed: Mapping[int, Callable]) -> InteractiveSystem:
-    """Replace the policies of selected players (1-based indices)."""
+    """Replace the pure control signals of selected players (1-based indices)."""
     players = list(system.players)
     for index, signal in assumed.items():
         if not 1 <= index <= len(players):
             raise ConfigurationError(f"no player {index} in the system")
-        p = players[index - 1]
-        players[index - 1] = Player(
-            policy=PureControlPolicy(signal=signal),
-            coupling=p.coupling, epsilon=p.epsilon)
-    return InteractiveSystem(dim=system.dim, dynamics=system.dynamics,
-                             players=tuple(players), coalitions=system.coalitions,
-                             invariant_constraints=system.invariant_constraints)
+        players[index - 1] = replace(players[index - 1], signal=signal)
+    return replace(system, players=tuple(players))
 
 
 def predict(system: InteractiveSystem, assumed: Mapping[int, Callable],

@@ -421,11 +421,7 @@ def integrate_scalar_reference(rhs: Sequence[str], x0: Sequence[float],
     states[0] = x
     for k in range(n_steps):
         t = t0 + k * dt
-        k1 = f(t, x)
-        k2 = f(t + dt / 2, x + dt / 2 * k1)
-        k3 = f(t + dt / 2, x + dt / 2 * k2)
-        k4 = f(t + dt, x + dt * k3)
-        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = rk4_step(f, t, x, dt, f(t, x))
         times[k + 1] = t0 + (k + 1) * dt
         states[k + 1] = x
     return times, states

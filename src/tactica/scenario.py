@@ -8,6 +8,7 @@ the section's plan; facts that depend on the step are checked under the effectiv
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,9 +23,8 @@ from .algebra import (MAX_GENERATORS, MAX_MATRIX_DIM, AlgebraClassRegistry,
                       parse_relation)
 from .expr import ExpressionError, VectorExpression
 from .games import (Coalition, ConfigurationError, EpsilonProcess, FeedbackCoupling,
-                    InteractiveSystem, InvariantConstraint, Player, PureControlPolicy,
-                    SlowControl, StateTrajectory, coalition_simulate, simulate, whole_steps,
-                    zero_epsilon)
+                    InteractiveSystem, InvariantConstraint, Player, SlowControl,
+                    StateTrajectory, coalition_simulate, simulate, whole_steps, zero_epsilon)
 from .prediction import FilterSpec
 from .repdyn import (ClassDynamics, RepDynSpec, TacticalRepDyn, _parse_polynomial_rhs,
                      check_start, tuple_map)
@@ -382,7 +382,11 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
                          "at least one player is required"):
         return None
     slow, fed = _slow(spec["slow"], check) if "slow" in spec else (None, 0)
-    # A declared lambda_dim wins; else a commented run feeds its comment as slow parameter.
+    read = _lambda_read(spec)
+    # A malformed system.slow is taken to feed every lambda component read, so that its
+    # fault is the only one reported.  A declared lambda_dim wins; else a commented run
+    # feeds its comment as slow parameter.
+    fed = read if fed is None else fed
     lam = spec.get("lambda_dim", fed if ctx.dims["theta"] is None else ctx.dims["theta"])
     lam = lam if check.integer("system.lambda_dim", lam, low=0) else 0
     u0_dims = [_length(p.get("signal")) if isinstance(p, dict) else 0 for p in players]
@@ -393,11 +397,10 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
         player_slots.append(slot)
         if signal and coupling:
             built.append(Player(
-                PureControlPolicy(signal.fn),
+                signal.fn,
                 FeedbackCoupling(lambda t, u0, phi, derivs, eps, lam, _f=coupling.fn:
                                  _f(t, u0, phi, eps, lam)),
-                zero_epsilon() if truth is None else EpsilonProcess(
-                    lambda t, u0, phi, derivs, _f=truth.fn: _f(t, u0, phi), truth.dim)))
+                zero_epsilon() if truth is None else EpsilonProcess(truth.fn, truth.dim)))
     coalitions, by_players = spec.get("coalitions", []), ctx.sections & {"tactics", "prediction"}
     check.require("system.coalitions", not (coalitions and by_players),
                   f"coalitions cannot be combined with a {' or '.join(sorted(by_players))} "
@@ -415,17 +418,17 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
         if coupling:
             # Coalition forms see their members' pure controls as one flat vector.
             built_coalitions.append(Coalition(
-                tuple(members), lambda t, u0s, phi, derivs, eps, lam, _f=coupling.fn:
-                    _f(t, np.concatenate(u0s, dtype=float), phi, eps, lam),
+                tuple(members), FeedbackCoupling(
+                    lambda t, u0s, phi, derivs, eps, lam, _f=coupling.fn:
+                        _f(t, np.concatenate(u0s, dtype=float), phi, eps, lam)),
                 zero_epsilon() if truth is None else EpsilonProcess(
-                    lambda t, u0s, phi, derivs, _f=truth.fn:
-                        _f(t, np.concatenate(u0s, dtype=float), phi),
+                    lambda t, u0s, phi, _f=truth.fn: _f(t, np.concatenate(u0s, dtype=float), phi),
                     truth.dim)))
     slots, dims = coalition_slots if coalitions else player_slots, ctx.dims
     dims.update(u=sum(u for u, _ in slots), u0=sum(u0_dims), eps=sum(e for _, e in slots),
                 phi=dim)
     dyn = check.expressions("system.dynamics", spec.get("dynamics"), ("t",),
-                            {"phi": dim, "u": dims["u"], "lambda": lam, "omega": 0})
+                            {"phi": dim, "u": dims["u"], "lambda": lam})
     check.require("system.dynamics", dyn is None or dyn.dim == dim,
                   f"expected {dim} component expressions")
     trace = {"u": dims["u"], "u0": dims["u0"], "eps": dims["eps"], "phi": dim, "dphi": dim}
@@ -445,19 +448,30 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
     # The flat control vector keeps numpy float64 elements: the expressions' power,
     # overflow and negative-base behaviour is that of np.float64, not of float.
     # ``dtype=float`` makes a complex control a TypeError instead of a complex vector.
-    def dynamics(t, phi, controls, lam, omega, _f=dyn.fn):
-        return _f(t, phi, np.concatenate(controls, dtype=float), lam, omega)
+    def dynamics(t, phi, controls, lam, _f=dyn.fn):
+        return _f(t, phi, np.concatenate(controls, dtype=float), lam)
 
     system = check.build("system", InteractiveSystem, dim=dim, dynamics=dynamics,
                          players=tuple(built), coalitions=tuple(built_coalitions),
                          invariant_constraints=tuple(invariants))
     integrate = coalition_simulate if coalitions else simulate
-    couplings = [src for p in [*players, *coalitions] for src in p["coupling"]]
-    read = max((i + 1 for src in spec["dynamics"] + couplings
-                for name, i in expr.variables(src) if name == "lambda"), default=0)
     gap = f"system.slow feeds {fed} of the {read} lambda components read" if read > fed else ""
     return system and SystemPlan(system=system, slow=slow, integrate=integrate,
                                  initial=np.asarray(spec["initial"], dtype=float), slow_gap=gap)
+
+
+def _lambda_read(spec: dict) -> int:
+    """One past the highest lambda index read by the system's dynamics and couplings;
+    sources that do not parse count for nothing, as their own checks report them."""
+    slots = [s for key in ("players", "coalitions") if isinstance(spec.get(key), list)
+             for s in spec[key] if isinstance(s, dict)]
+    read = 0
+    for group in [spec.get("dynamics"), *(s.get("coupling") for s in slots)]:
+        for src in group if isinstance(group, list) else ():
+            with contextlib.suppress(ExpressionError, TypeError):
+                read = max([read] + [i + 1 for name, i in expr.variables(src)
+                                     if name == "lambda" and i is not None])
+    return read
 
 
 def _slot(path: str, spec: dict, u0_dim: int, dim: int, lam: int, check: _Check):
@@ -472,28 +486,25 @@ def _slot(path: str, spec: dict, u0_dim: int, dim: int, lam: int, check: _Check)
     return truth, coupling, (_length(spec.get("coupling")), eps_dim)
 
 
-def _slow(spec, check: _Check) -> tuple[SlowControl | None, int]:
+def _slow(spec, check: _Check) -> tuple[SlowControl | None, int | None]:
     """The external slow parameter and the number of lambda components it feeds: the
-    length of its schedule or of every step's values, and the lambda_dim it implies."""
+    length of its schedule or of every step's values, and the lambda_dim it implies.
+    A malformed spec feeds None."""
     if isinstance(spec, dict) and "schedule" in spec:
         vec = check.expressions("system.slow.schedule", spec["schedule"], ("t",))
-        dim = _length(spec["schedule"])
-        return vec and SlowControl(schedule=lambda t, _f=vec.fn: _f(t)), dim
+        return (SlowControl(lambda t, _f=vec.fn: _f(t)), vec.dim) if vec else (None, None)
     steps = spec.get("steps") if isinstance(spec, dict) else None
     if not check.require("system.slow", isinstance(steps, list) and all(
             isinstance(s, list) and len(s) == 2 and isinstance(s[0], int)
             and isinstance(s[1], list) and all(map(_is_number, s[1])) for s in steps),
             "needs either a schedule or steps [[index, [values]], ...]"):
-        return None, 0
+        return None, None
     schedule = tuple((int(s), tuple(float(x) for x in v)) for s, v in steps)
     sizes = sorted({len(v) for _, v in schedule})
-    # Unequal steps feed as many components as the widest, so that no read of lambda
-    # is reported beside the one fault.
-    fed = max(sizes, default=0)
     if not check.require("system.slow.steps", len(sizes) <= 1,
                          f"every step needs the same number of values, got {sizes}"):
-        return None, fed
-    return check.build("system.slow.steps", SlowControl, schedule=schedule), fed
+        return None, None
+    return check.build("system.slow.steps", SlowControl, schedule=schedule), max(sizes, default=0)
 
 
 def _verbalization(spec: dict, ctx: _Context, check: _Check) -> VerbalizationPlan | None:

@@ -142,7 +142,6 @@ class CommentedGame:
     v_functionals: tuple[WindowFunctional, ...]
     theta0: np.ndarray
     window_grid: tuple[float, ...]
-    feed_omega: bool = False
 
 
 @dataclass
@@ -179,11 +178,9 @@ def _shared_grid(games: Sequence[CommentedGame]) -> tuple[float, ...]:
     return grid
 
 
-def _window_segment(game: CommentedGame, phi, theta, omega_prev, t_a, t_b):
+def _window_segment(game: CommentedGame, phi, theta, t_a, t_b):
     slow = SlowControl(schedule=lambda t, _theta=theta: _theta)
-    omega = omega_prev if game.feed_omega else None
-    return simulate(game.system, phi, t_a, t_b, game.dt, slow=slow, omega=omega,
-                    record_tape=False)
+    return simulate(game.system, phi, t_a, t_b, game.dt, slow=slow, record_tape=False)
 
 
 def commented_as_synthesis(update: Callable) -> SynthesisRule:
@@ -223,7 +220,6 @@ def run_synthesized(games: list[CommentedGame], rule: SynthesisRule) -> list[Com
     grid = _shared_grid(games)
     thetas = [np.atleast_1d(np.asarray(g.theta0, dtype=float)) for g in games]
     phis = [np.asarray(g.initial, dtype=float) for g in games]
-    omegas_prev: list[np.ndarray | None] = [None] * len(games)
     segments: list[list[StateTrajectory]] = [[] for _ in games]
     windows: list[list[WindowRecord]] = [[] for _ in games]
     comments: list[list[CommentState]] = [[] for _ in games]
@@ -232,8 +228,7 @@ def run_synthesized(games: list[CommentedGame], rule: SynthesisRule) -> list[Com
         omegas_n = []
         vs_n = []
         for j, game in enumerate(games):
-            seg = _window_segment(game, phis[j], thetas[j], omegas_prev[j],
-                                  grid[n - 1], grid[n])
+            seg = _window_segment(game, phis[j], thetas[j], grid[n - 1], grid[n])
             omegas_n.append(evaluate_functionals(game.omega_functionals, seg, 0,
                                                  len(seg.t) - 1))
             vs_n.append(evaluate_functionals(game.v_functionals, seg, 0, len(seg.t) - 1))
@@ -244,7 +239,6 @@ def run_synthesized(games: list[CommentedGame], rule: SynthesisRule) -> list[Com
             windows[j].append(WindowRecord(index=n, t_start=grid[n - 1], t_end=grid[n],
                                            omega=omegas_n[j], v=vs_n[j]))
             comments[j].append(CommentState(index=n, vector=thetas[j]))
-        omegas_prev = omegas_n
 
     return [CommentedRun(trajectory=concat_trajectories(segments[j]),
                          windows=windows[j], comments=comments[j])

@@ -223,13 +223,6 @@ class WindowRecord:
     cell_label: str | None = None
 
 
-def check_windows_tile(windows: Sequence[WindowRecord]) -> None:
-    for a, b in zip(windows, windows[1:]):
-        if a.t_end != b.t_start:
-            raise ConfigurationError(
-                f"windows {a.index} and {b.index} do not abut: {a.t_end!r} vs {b.t_start!r}")
-
-
 def windows_from_trajectory(traj: StateTrajectory, t_grid: Sequence[float],
                             omega_functionals: Sequence[WindowFunctional],
                             v_functionals: Sequence[WindowFunctional],
@@ -372,7 +365,7 @@ class DialogueSpec:
         fld = self.field
         return InteractiveSystem(
             dim=fld.dim,
-            dynamics=lambda t, xi, controls, lam, omega: fld.dynamics(t, xi, controls),
+            dynamics=lambda t, xi, controls, lam: fld.dynamics(t, xi, controls),
             players=self.players)
 
 

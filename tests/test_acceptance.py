@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tactica.algebra import MatrixTuple, WeylSymbol, WeylTerm, weyl_eval
+from conftest import weyl_value
+from tactica.algebra import MatrixTuple, WeylSymbol, WeylTerm
 from tactica.cli import EXIT_INSOLVABLE, main
 from tactica.games import coalition_simulate, replay_with_recorded_eps, simulate
 from tactica.prediction import unravel_by_filtering
@@ -116,7 +117,7 @@ def _coupled_pair(grid):
 
     def trivial():
         return InteractiveSystem(
-            dim=1, dynamics=lambda t, phi, u, lam, om: [0.0],
+            dim=1, dynamics=lambda t, phi, u, lam: [0.0],
             players=(make_player(lambda t: np.zeros(1)),))
 
     def game(theta0):
@@ -178,9 +179,9 @@ def test_criterion_06_weyl_evaluation():
                                   for _ in range(3)))
             degree = int(rng.integers(1, 4))
             word = tuple(int(i) for i in rng.integers(0, 3, size=degree))
-            base = weyl_eval(WeylSymbol((WeylTerm(1.0, word),)), X)
+            base = weyl_value(WeylSymbol((WeylTerm(1.0, word),)), X)
             permuted = tuple(int(i) for i in rng.permutation(word))
-            other = weyl_eval(WeylSymbol((WeylTerm(1.0, permuted),)), X)
+            other = weyl_value(WeylSymbol((WeylTerm(1.0, permuted),)), X)
             assert np.array_equal(base, other)
 
         diag = MatrixTuple(tuple(np.diag(rng.normal(size=3)).astype(complex)
@@ -189,7 +190,7 @@ def test_criterion_06_weyl_evaluation():
         values = [np.diag(m).real for m in diag.matrices]
         pointwise = np.diag(0.4 * values[0] * values[1] * values[2]
                             - 1.2 * values[1] ** 2)
-        assert np.max(np.abs(weyl_eval(sym, diag) - pointwise)) <= 1e-12
+        assert np.max(np.abs(weyl_value(sym, diag) - pointwise)) <= 1e-12
 
 
 def test_criterion_07_representation_conservation():

@@ -128,6 +128,26 @@ def test_repdyn_artifacts_keep_their_digests(tmp_path, command, stem):
             for name in REPDYN_DIGESTS[command, stem]} == REPDYN_DIGESTS[command, stem]
 
 
+# sha256 of the trajectory that `simulate` writes for shipped scenarios covering
+# coalition slots, two players, a time-varying hidden parameter and an invariant.  A
+# change to the integrator stage must leave these bytes fixed.
+SIMULATE_DIGESTS = {
+    "coalition_pair": "f316a22e9302d4f5163b59f92260060e6ddc61f97e21055a92d6ccdf9c3ee107",
+    "logistic_sin": "4571f83ded8e90642534c8a3025eb95b57f57345f477dea10bf2055c46164616",
+    "rotation_invariant": "efe0b3b9f0d5e2ed2062760f86e0496fb0e96500845ae99056afebe32c155df8",
+    "two_player": "f700ffb094346049efdef337948c2a76b06810f2257879ea5a0e60c071e44bbe",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(SIMULATE_DIGESTS))
+def test_simulate_trajectory_keeps_its_digest(tmp_path, stem):
+    code = main(["simulate", "--scenario", str(SCENARIOS / f"{stem}.yaml"),
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
+    assert digest == SIMULATE_DIGESTS[stem]
+
+
 def test_autonomous_invert_needs_no_control(tmp_path):
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text("schema: 1\nrun: {t0: 0.0, t1: 1.0, dt: 0.01}\n"

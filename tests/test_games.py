@@ -6,7 +6,7 @@ import pytest
 from conftest import linear_decay_system, logistic_system, make_player
 from tactica.games import (Coalition, ConfigurationError, DivergenceError,
                            EpsilonProcess, FeedbackCoupling, InteractiveSystem,
-                           InvariantConstraint, Player, PureControlPolicy, SlowControl,
+                           InvariantConstraint, Player, SlowControl,
                            associated_ordinary_game, check_indeterminate_invariants,
                            coalition_simulate, replay_with_recorded_eps, simulate)
 
@@ -17,7 +17,7 @@ LOGISTIC_REFERENCE_T5 = 0.9428256185740211
 
 def test_zero_field_constant_trajectory():
     system = InteractiveSystem(
-        dim=2, dynamics=lambda t, phi, u, lam, om: np.zeros(2),
+        dim=2, dynamics=lambda t, phi, u, lam: np.zeros(2),
         players=(make_player(lambda t: np.zeros(1)),))
     traj = simulate(system, [3.0, -1.0], 0.0, 1.0, 0.01)
     assert np.all(traj.phi == [3.0, -1.0])
@@ -53,7 +53,7 @@ def test_determinism_bit_identical():
 
 def test_divergence_carries_last_valid_time():
     system = InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: [phi[0] ** 3],
+        dim=1, dynamics=lambda t, phi, u, lam: [phi[0] ** 3],
         players=(make_player(lambda t: np.zeros(1)),))
     # phi**3 overflows to inf on the way out; numpy warns of it.
     with pytest.raises(DivergenceError) as err, pytest.warns(RuntimeWarning, match="overflow"):
@@ -68,11 +68,11 @@ def test_grid_must_divide_interval():
 
 def test_estimate_epsilon_rejected_as_truth():
     player = Player(
-        policy=PureControlPolicy(lambda t: np.zeros(1)),
+        signal=lambda t: np.zeros(1),
         coupling=FeedbackCoupling(known_form=lambda t, u0, phi, derivs, eps, lam: u0),
-        epsilon=EpsilonProcess(form=lambda t, u0, phi, derivs: np.zeros(1), dim=1,
+        epsilon=EpsilonProcess(form=lambda t, u0, phi: np.zeros(1), dim=1,
                                ground_truth=False))
-    system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
+    system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam: u[0],
                                players=(player,))
     with pytest.raises(ConfigurationError):
         simulate(system, [1.0], 0.0, 1.0, 0.1)
@@ -88,7 +88,7 @@ def test_derivative_substitution_semantics():
     # phidot_pre = u0, so u = u0*(1 + c) exactly.
     c = 0.25
     system = InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
+        dim=1, dynamics=lambda t, phi, u, lam: u[0],
         players=(make_player(
             lambda t: np.array([2.0]),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + c * derivs[0],
@@ -119,12 +119,12 @@ def test_replay_constant_eps():
 def test_associated_game_doubles_control_slots():
     players = (
         make_player(lambda t: np.zeros(1),
-                    eps_form=lambda t, u0, phi, derivs: np.zeros(1), eps_dim=1),
+                    eps_form=lambda t, u0, phi: np.zeros(1), eps_dim=1),
         make_player(lambda t: np.zeros(1),
-                    eps_form=lambda t, u0, phi, derivs: np.zeros(1), eps_dim=1),
+                    eps_form=lambda t, u0, phi: np.zeros(1), eps_dim=1),
     )
     system = InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: [u[0][0] + u[1][0]],
+        dim=1, dynamics=lambda t, phi, u, lam: [u[0][0] + u[1][0]],
         players=players)
     ordinary = associated_ordinary_game(system)
     assert ordinary.n_players == 4
@@ -134,7 +134,7 @@ def test_associated_game_doubles_control_slots():
 
 def test_replay_logistic_sine_eps():
     system = logistic_system(
-        eps_form=lambda t, u0, phi, derivs: np.array([math.sin(t)]), eps_dim=1)
+        eps_form=lambda t, u0, phi: np.array([math.sin(t)]), eps_dim=1)
     traj = simulate(system, [0.1], 0.0, 5.0, 1e-3)
     replayed = replay_with_recorded_eps(system, traj, 0.0, 5.0, 1e-3)
     assert np.max(np.abs(replayed.phi - traj.phi)) < 1e-12
@@ -143,7 +143,7 @@ def test_replay_logistic_sine_eps():
 def test_replay_state_dependent_eps_is_exact():
     # The eps truth reads the state, so only stage-tape playback can reproduce it.
     system = logistic_system(
-        eps_form=lambda t, u0, phi, derivs: np.array([0.2 * phi[0] - 0.1 * math.cos(t)]),
+        eps_form=lambda t, u0, phi: np.array([0.2 * phi[0] - 0.1 * math.cos(t)]),
         eps_dim=1)
     traj = simulate(system, [0.3], 0.0, 2.0, 1e-3)
     replayed = replay_with_recorded_eps(system, traj, 0.0, 2.0, 1e-3)
@@ -152,7 +152,7 @@ def test_replay_state_dependent_eps_is_exact():
 
 def test_associated_game_rejects_derivative_couplings():
     system = InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
+        dim=1, dynamics=lambda t, phi, u, lam: u[0],
         players=(make_player(
             lambda t: np.zeros(1),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + derivs[0],
@@ -178,7 +178,7 @@ def test_coupling_identity_invariant_has_zero_drift():
 
 def test_nonconserved_quantity_reports_positive_drift():
     system = InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
+        dim=1, dynamics=lambda t, phi, u, lam: u[0],
         players=(make_player(
             lambda t: np.array([1.0]),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + phi),))
@@ -194,11 +194,11 @@ def test_conserved_quadratic_on_rotation():
     # phi' = omega(t) J phi preserves |phi|^2 for any omega(t).
     system = InteractiveSystem(
         dim=2,
-        dynamics=lambda t, phi, u, lam, om: [-u[0][0] * phi[1], u[0][0] * phi[0]],
+        dynamics=lambda t, phi, u, lam: [-u[0][0] * phi[1], u[0][0] * phi[0]],
         players=(make_player(
             lambda t: np.array([1.0]),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + eps,
-            eps_form=lambda t, u0, phi, derivs: np.array([0.3 * math.sin(2 * t)]),
+            eps_form=lambda t, u0, phi: np.array([0.3 * math.sin(2 * t)]),
             eps_dim=1),))
     traj = simulate(system, [1.0, 0.0], 0.0, 4.0, 1e-3)
     constraint = InvariantConstraint(
@@ -218,21 +218,24 @@ def test_constraint_requiring_higher_derivatives_rejected():
 # Coalitions
 # ---------------------------------------------------------------------------
 
-def test_singleton_coalitions_equal_plain_simulate():
+@pytest.mark.parametrize("order", [0, 1])
+def test_singleton_coalitions_equal_plain_simulate(order):
     def known(t, u0, phi, derivs, eps, lam):
-        return u0 + eps * phi
+        # Under order 1, derivs holds the substituted state derivative.
+        return u0 + eps * phi + (0.25 * derivs[0] if derivs else 0.0)
 
-    def eps_form(t, u0, phi, derivs):
+    def eps_form(t, u0, phi):
         return np.array([-0.5 * u0[0]])
 
     players = (make_player(lambda t: np.array([0.4]), known_form=known,
-                           eps_form=eps_form, eps_dim=1),)
+                           eps_form=eps_form, eps_dim=1, derivative_order=order),)
     coalition = Coalition(
         members=(1,),
-        coupling=lambda t, u0s, phi, derivs, eps, lam: known(t, u0s[0], phi, (), eps, lam),
-        epsilon=EpsilonProcess(form=lambda t, u0s, phi, derivs: eps_form(t, u0s[0], phi, ()),
-                               dim=1))
-    system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
+        coupling=FeedbackCoupling(
+            lambda t, u0s, phi, derivs, eps, lam: known(t, u0s[0], phi, derivs, eps, lam),
+            derivative_order=order),
+        epsilon=EpsilonProcess(form=lambda t, u0s, phi: eps_form(t, u0s[0], phi), dim=1))
+    system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam: u[0],
                                players=players, coalitions=(coalition,))
     plain = simulate(system, [1.0], 0.0, 1.0, 1e-3, record_tape=False)
     grouped = coalition_simulate(system, [1.0], 0.0, 1.0, 1e-3, record_tape=False)
@@ -245,13 +248,13 @@ def test_grand_coalition_sum_equals_summed_signal():
                make_player(lambda t: np.array([0.2 * math.sin(t)])))
     coalition = Coalition(
         members=(1, 2),
-        coupling=lambda t, u0s, phi, derivs, eps, lam: u0s[0] + u0s[1])
-    system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
+        coupling=FeedbackCoupling(lambda t, u0s, phi, derivs, eps, lam: u0s[0] + u0s[1]))
+    system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam: u[0],
                                players=players, coalitions=(coalition,))
     grouped = coalition_simulate(system, [0.0], 0.0, 2.0, 1e-3, record_tape=False)
 
     single = InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
+        dim=1, dynamics=lambda t, phi, u, lam: u[0],
         players=(make_player(lambda t: np.array([0.3 + 0.2 * math.sin(t)])),))
     reference = simulate(single, [0.0], 0.0, 2.0, 1e-3, record_tape=False)
     assert np.max(np.abs(grouped.phi - reference.phi)) < 1e-12
@@ -262,19 +265,19 @@ def test_overlapping_coalitions_match_hand_assembled_field():
                make_player(lambda t: np.array([0.2 * math.sin(t)])),
                make_player(lambda t: np.array([0.1])))
     coalitions = (
-        Coalition(members=(1, 2),
-                  coupling=lambda t, u0s, phi, derivs, eps, lam: u0s[0] + u0s[1]),
-        Coalition(members=(2, 3),
-                  coupling=lambda t, u0s, phi, derivs, eps, lam: u0s[0] * u0s[1]),
+        Coalition(members=(1, 2), coupling=FeedbackCoupling(
+            lambda t, u0s, phi, derivs, eps, lam: u0s[0] + u0s[1])),
+        Coalition(members=(2, 3), coupling=FeedbackCoupling(
+            lambda t, u0s, phi, derivs, eps, lam: u0s[0] * u0s[1])),
     )
     system = InteractiveSystem(
         dim=1,
-        dynamics=lambda t, phi, u, lam, om: [u[0][0] - u[1][0] - 0.5 * phi[0]],
+        dynamics=lambda t, phi, u, lam: [u[0][0] - u[1][0] - 0.5 * phi[0]],
         players=players, coalitions=coalitions)
     grouped = coalition_simulate(system, [0.5], 0.0, 1.0, 1e-3, record_tape=False)
 
     # Direct evaluation oracle: assemble the same field without coalitions.
-    def direct(t, phi, u, lam, om):
+    def direct(t, phi, u, lam):
         a = 0.4 + 0.2 * math.sin(t)
         b = 0.2 * math.sin(t) * 0.1
         return [a - b - 0.5 * phi[0]]
@@ -288,19 +291,20 @@ def test_overlapping_coalitions_match_hand_assembled_field():
 def test_coalition_member_out_of_range_rejected():
     with pytest.raises(ConfigurationError):
         InteractiveSystem(
-            dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
+            dim=1, dynamics=lambda t, phi, u, lam: u[0],
             players=(make_player(lambda t: np.zeros(1)),),
-            coalitions=(Coalition(members=(2,), coupling=lambda *a: np.zeros(1)),))
+            coalitions=(Coalition(members=(2,),
+                                  coupling=FeedbackCoupling(lambda *a: np.zeros(1))),))
 
 
 def test_coalition_replay_round_trip():
     coalition = Coalition(
         members=(1,),
-        coupling=lambda t, u0s, phi, derivs, eps, lam: u0s[0] + eps * phi,
-        epsilon=EpsilonProcess(form=lambda t, u0s, phi, derivs: np.array([-phi[0]]),
+        coupling=FeedbackCoupling(lambda t, u0s, phi, derivs, eps, lam: u0s[0] + eps * phi),
+        epsilon=EpsilonProcess(form=lambda t, u0s, phi: np.array([-phi[0]]),
                                dim=1))
     system = InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
+        dim=1, dynamics=lambda t, phi, u, lam: u[0],
         players=(make_player(lambda t: np.array([0.5])),),
         coalitions=(coalition,))
     traj = coalition_simulate(system, [1.0], 0.0, 1.0, 1e-3)
@@ -333,11 +337,11 @@ def test_round_trip_property(gain, phase, initial):
     # Replaying the recorded hidden parameters through the associated
     # ordinary game reproduces the state trace exactly, whatever the truth.
     system = InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
+        dim=1, dynamics=lambda t, phi, u, lam: u[0],
         players=(make_player(
             lambda t: np.array([0.1]),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + eps * phi,
-            eps_form=lambda t, u0, phi, derivs, g=gain, p=phase:
+            eps_form=lambda t, u0, phi, g=gain, p=phase:
                 np.array([g * math.sin(t + p) - 0.2 * phi[0]]),
             eps_dim=1),))
     traj = simulate(system, [initial], 0.0, 0.5, 0.01)

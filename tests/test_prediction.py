@@ -14,16 +14,16 @@ from tactica.prediction import (DataError, FilterSpec, apply_filter,
 def drift_system(eps_of_t):
     """phi' = u0 + eps with a hidden drift process."""
     return InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
+        dim=1, dynamics=lambda t, phi, u, lam: u[0],
         players=(make_player(
             lambda t: np.zeros(1),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + eps,
-            eps_form=lambda t, u0, phi, derivs: np.array([eps_of_t(t)]), eps_dim=1),))
+            eps_form=lambda t, u0, phi: np.array([eps_of_t(t)]), eps_dim=1),))
 
 
 def ordinary_two_player(policy1, policy2):
     return InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: [u[0][0] + u[1][0]],
+        dim=1, dynamics=lambda t, phi, u, lam: [u[0][0] + u[1][0]],
         players=(make_player(policy1), make_player(policy2)))
 
 
@@ -102,7 +102,7 @@ def test_planted_affine_relation_is_exact():
 def test_fitted_deviation_matches_gain_gap():
     g_true, g_assumed = 0.5, 0.2
     system = InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: u[0],  # phi ignores player 2
+        dim=1, dynamics=lambda t, phi, u, lam: u[0],  # phi ignores player 2
         players=(make_player(lambda t: np.array([math.cos(t)])),
                  make_player(lambda t: np.array([g_true * math.sin(t)]))))
     run = simulate(system, [0.0], 0.0, 2.0, 0.01, record_tape=False)  # phi = sin t
@@ -197,11 +197,11 @@ def test_unravel_recovers_planted_coefficient():
     t1 = dt * 8191
     system = InteractiveSystem(
         dim=2,
-        dynamics=lambda t, phi, u, lam, om: [50.0 * phi[1], -50.0 * phi[0]],
+        dynamics=lambda t, phi, u, lam: [50.0 * phi[1], -50.0 * phi[0]],
         players=(make_player(
             lambda t: np.array([1.0]),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + eps * phi[0],
-            eps_form=lambda t, u0, phi, derivs: np.array([0.3]), eps_dim=1),))
+            eps_form=lambda t, u0, phi: np.array([0.3]), eps_dim=1),))
     run = simulate(system, [0.0, 1.0 / 3.0], 0.0, t1, dt, record_tape=False)
     result = unravel_by_filtering(run, FilterSpec(kind="lowpass", cutoff=10.0),
                                   family=["phi[0]"])

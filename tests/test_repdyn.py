@@ -12,7 +12,8 @@ from tactica.algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTu
                              WeylSymbol, WeylTerm, commutative_presentation,
                              compile_symbols, default_registry, equivalence_partition,
                              heisenberg_presentation, parse_relation, poly_eval,
-                             relation_residual, relation_values, weyl_eval, weyl_eval_tuple)
+                             relation_values, weyl_eval_tuple)
+from conftest import weyl_value
 from tactica.expr import NCPoly
 from tactica.games import ConfigurationError, SimulationError, rk4_step
 from tactica.repdyn import (ClassDynamics, InsolvableSignal, RepDynSpec, StrandedClassError,
@@ -56,7 +57,7 @@ HEISENBERG_TUPLE = MatrixTuple((E(1, 2), E(2, 3), E(1, 3)))
 def test_degree_one_symbol_returns_slot():
     X = MatrixTuple((E(1, 2, 2), E(2, 1, 2)))
     sym = WeylSymbol((WeylTerm(1.0, (0,)),))
-    assert np.array_equal(weyl_eval(sym, X), X.matrices[0])
+    assert np.array_equal(weyl_value(sym, X), X.matrices[0])
 
 
 def test_weyl_x1x2_on_elementary_pair():
@@ -64,7 +65,7 @@ def test_weyl_x1x2_on_elementary_pair():
     sym = WeylSymbol((WeylTerm(1.0, (0, 1)),))
     # Explicit 2x2 oracle: (E12@E21 + E21@E12)/2 = I/2.
     oracle = (E(1, 2, 2) @ E(2, 1, 2) + E(2, 1, 2) @ E(1, 2, 2)) / 2.0
-    value = weyl_eval(sym, X)
+    value = weyl_value(sym, X)
     assert np.array_equal(value, oracle)
     assert np.allclose(value, np.eye(2) / 2.0, atol=0)
 
@@ -74,16 +75,16 @@ def test_weyl_on_commuting_diagonals_is_pointwise():
                      np.diag([3.0, 4.0]).astype(complex)))
     sym = WeylSymbol((WeylTerm(1.0, (0, 0, 1)),))
     # Pointwise oracle: x1^2 * x2 on each diagonal entry.
-    assert np.allclose(weyl_eval(sym, X), np.diag([3.0, 16.0]), atol=1e-15)
+    assert np.allclose(weyl_value(sym, X), np.diag([3.0, 16.0]), atol=1e-15)
 
 
 def test_weyl_permutation_invariance_is_exact():
     rng = np.random.default_rng(11)
     X = MatrixTuple(tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
                           for _ in range(3)))
-    base = weyl_eval(WeylSymbol((WeylTerm(1.3 - 0.2j, (0, 1, 2)),)), X)
+    base = weyl_value(WeylSymbol((WeylTerm(1.3 - 0.2j, (0, 1, 2)),)), X)
     for word in [(1, 0, 2), (2, 1, 0), (0, 2, 1), (2, 0, 1), (1, 2, 0)]:
-        other = weyl_eval(WeylSymbol((WeylTerm(1.3 - 0.2j, word),)), X)
+        other = weyl_value(WeylSymbol((WeylTerm(1.3 - 0.2j, word),)), X)
         assert np.array_equal(base, other)
 
 
@@ -93,9 +94,9 @@ def test_weyl_permutation_invariance_property(word, seed):
     rng = np.random.default_rng(seed)
     X = MatrixTuple(tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
                           for _ in range(3)))
-    base = weyl_eval(WeylSymbol((WeylTerm(1.0, tuple(word)),)), X)
+    base = weyl_value(WeylSymbol((WeylTerm(1.0, tuple(word)),)), X)
     permuted = tuple(rng.permutation(word).tolist())
-    other = weyl_eval(WeylSymbol((WeylTerm(1.0, permuted),)), X)
+    other = weyl_value(WeylSymbol((WeylTerm(1.0, permuted),)), X)
     assert np.array_equal(base, other)
 
 
@@ -107,17 +108,17 @@ def test_weyl_commutative_collapse_on_diagonals():
     diag = [np.diag(m).real for m in X.matrices]
     expected = np.diag(0.7 * diag[0] * diag[1] * diag[2] - 0.2 * diag[2] ** 2
                        + 1.1 * diag[1])
-    assert np.max(np.abs(weyl_eval(sym, X) - expected)) < 1e-12
+    assert np.max(np.abs(weyl_value(sym, X) - expected)) < 1e-12
 
 
 def test_weyl_constant_letters_and_controls():
     X = MatrixTuple((np.eye(2, dtype=complex),))
     sym = WeylSymbol((WeylTerm(2.0, ("C",), control=0),))
-    value = weyl_eval(sym, X, constants={"C": np.array([[0, 1], [0, 0]], dtype=complex)},
+    value = weyl_value(sym, X, constants={"C": np.array([[0, 1], [0, 0]], dtype=complex)},
                       a=np.array([3.0]))
     assert np.array_equal(value, 6.0 * np.array([[0, 1], [0, 0]]))
     with pytest.raises(ConfigurationError):
-        weyl_eval(sym, X, constants={}, a=np.array([3.0]))
+        weyl_value(sym, X, constants={}, a=np.array([3.0]))
 
 
 def weyl_reference(terms, matrices, constants, a, n):
@@ -219,15 +220,17 @@ def test_symbol_degree_cap():
 # ---------------------------------------------------------------------------
 
 def test_heisenberg_triple_is_exact_representation():
-    assert relation_residual(heisenberg_presentation(), HEISENBERG_TUPLE) == 0.0
-    assert relation_residual(heisenberg_presentation(), HEISENBERG_TUPLE) <= 1e-12
+    residual = relation_values(heisenberg_presentation(), HEISENBERG_TUPLE.stacked())[1]
+    assert residual == 0.0
+    assert residual <= 1e-12
 
 
 def test_perturbed_triple_has_expected_residual():
     perturbed = MatrixTuple((E(1, 2), E(2, 3), E(1, 3) + 0.1 * E(1, 2)))
     # [X1,X2] - X3 = -0.1 E12, Frobenius norm 0.1.
-    assert relation_residual(heisenberg_presentation(), perturbed) == pytest.approx(0.1)
-    assert not relation_residual(heisenberg_presentation(), perturbed) <= 1e-3
+    residual = relation_values(heisenberg_presentation(), perturbed.stacked())[1]
+    assert residual == pytest.approx(0.1)
+    assert not residual <= 1e-3
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
@@ -241,8 +244,9 @@ def test_non_finite_entry_has_nan_residual(value):
 def test_empty_presentation_is_vacuous():
     pres = AlgebraPresentation(label="free", generators=2)
     X = MatrixTuple((E(1, 2), E(2, 1)))
-    assert relation_residual(pres, X) == 0.0
-    assert relation_residual(pres, X) <= 0.0
+    residual = relation_values(pres, X.stacked())[1]
+    assert residual == 0.0
+    assert residual <= 0.0
 
 
 def test_stacked_matmul_equals_per_pair_bitwise():

@@ -235,17 +235,21 @@ def test_slow_steps_imply_their_lambda_dimension(tmp_path):
     assert set(lam[:50, 0]) == {1.0} and set(lam[50:, 0]) == {2.0}
 
 
-def test_unequal_slow_steps_are_the_only_fault_reported(tmp_path, capsys):
+@pytest.mark.parametrize("slow, fault", [
+    ("{steps: [[0, [1.0]], [50, [2.0, 3.0]]]}",
+     "system.slow.steps: every step needs the same number of values, got [1, 2]"),
+    ("3", "system.slow: needs either a schedule or steps [[index, [values]], ...]"),
+    ("{schedule: 5}", "system.slow.schedule: expected a nonempty list of expression strings"),
+], ids=["unequal-steps", "scalar", "scalar-schedule"])
+def test_unequal_slow_steps_are_the_only_fault_reported(tmp_path, capsys, slow, fault):
     from tactica.cli import EXIT_VALIDATION, main
     path = write(tmp_path, MINIMAL.replace(
-        'dynamics: ["0.0"]',
-        'dynamics: ["lambda[0] - phi[0]"]\n  slow: {steps: [[0, [1.0]], [50, [2.0, 3.0]]]}'))
+        'dynamics: ["0.0"]', f'dynamics: ["lambda[0] - phi[0]"]\n  slow: {slow}'))
     code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
     lines = [line for line in capsys.readouterr().err.splitlines()
              if line.startswith("validation:")]
     assert code == EXIT_VALIDATION
-    assert lines == ["validation: scenario.yaml: system.slow.steps: every step needs the "
-                     "same number of values, got [1, 2]"]
+    assert lines == [f"validation: scenario.yaml: {fault}"]
 
 
 def test_slow_control_feeds_couplings(tmp_path):

@@ -14,22 +14,21 @@ from tactica.verbalization import WindowFunctional, evaluate_functionals
 
 def eps_system(eps_of_t, dynamics=None, coupling=None):
     if dynamics is None:
-        dynamics = lambda t, phi, u, lam, om: [0.0]  # noqa: E731
+        dynamics = lambda t, phi, u, lam: [0.0]  # noqa: E731
     return InteractiveSystem(
         dim=1, dynamics=dynamics,
         players=(make_player(
             lambda t: np.zeros(1), known_form=coupling,
-            eps_form=lambda t, u0, phi, derivs: np.array([eps_of_t(t)]), eps_dim=1),))
+            eps_form=lambda t, u0, phi: np.array([eps_of_t(t)]), eps_dim=1),))
 
 
 def commented(system, theta0, grid, dt=1e-2,
               omega=(WindowFunctional("mean", "eps"),),
-              v=(WindowFunctional("mean", "u0"),), initial=(0.0,),
-              feed_omega=False):
+              v=(WindowFunctional("mean", "u0"),), initial=(0.0,)):
     return CommentedGame(system=system, initial=np.asarray(initial, dtype=float),
                          dt=dt, omega_functionals=tuple(omega), v_functionals=tuple(v),
                          theta0=np.asarray(theta0, dtype=float),
-                         window_grid=tuple(grid), feed_omega=feed_omega)
+                         window_grid=tuple(grid))
 
 
 UNIT_GRID = tuple(float(k) for k in range(6))
@@ -41,7 +40,7 @@ def zero_term(own, other, omega, v):
 
 def test_frozen_comment_equals_constant_parameter_run():
     system = InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: [-lam[0] * phi[0]],
+        dim=1, dynamics=lambda t, phi, u, lam: [-lam[0] * phi[0]],
         players=(make_player(lambda t: np.zeros(1)),))
     theta0 = [0.7]
     game = commented(system, theta0, UNIT_GRID, initial=[1.0],
@@ -62,7 +61,7 @@ def test_additive_comment_is_arithmetic_progression():
 
 def test_gain_scheduling_matches_hand_stepped_evaluation():
     # Phi = -theta*phi; theta increments whenever the window mean of eps > 0.5.
-    def dynamics(t, phi, u, lam, om):
+    def dynamics(t, phi, u, lam):
         return [-lam[0] * phi[0]]
 
     def rule(theta, omega, v):
@@ -90,7 +89,7 @@ def test_gain_scheduling_matches_hand_stepped_evaluation():
 def test_comment_feeds_couplings_as_parameter():
     # The coupling reads lambda: u = u0 + lam[0], Phi = u.
     system = InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: u[0],
+        dim=1, dynamics=lambda t, phi, u, lam: u[0],
         players=(make_player(
             lambda t: np.zeros(1),
             known_form=lambda t, u0, phi, derivs, eps, lam: u0 + lam),))
@@ -270,7 +269,7 @@ def affine_commented_games(draw):
                   matrix(d_theta, d_v), matrix(d_theta, 1)[:, 0])
     m, rates, theta0 = matrix(d_omega, d_theta), 1.0 + matrix(d_v, 1)[:, 0], matrix(d_theta, 1)
     system = InteractiveSystem(
-        dim=d_omega, dynamics=lambda t, phi, u, lam, om: m @ lam - phi,
+        dim=d_omega, dynamics=lambda t, phi, u, lam: m @ lam - phi,
         players=(make_player(lambda t: np.sin(rates * t)),))
     rule = lambda th, om, v: p @ th + q @ om + r @ v + c  # noqa: E731
     return rule, commented(system, theta0[:, 0], (0.0, 0.5, 1.0, 1.5), dt=0.05,
@@ -334,20 +333,3 @@ def test_extension_true_for_symbolically_zero_coupling():
 def test_probe_grid_cap():
     with pytest.raises(ConfigurationError):
         probe_grid(theta_dims=[4, 4], omega_dims=[4, 4], v_dims=[4, 4], points=5)
-
-
-def test_window_tag_feeds_the_dynamics():
-    # With feed_omega on, window n runs under the previous window's summary
-    # (the tag is empty during the first window).
-    def dynamics(t, phi, u, lam, om):
-        return [om[0] if len(om) else 0.0]
-
-    system = InteractiveSystem(
-        dim=1, dynamics=dynamics,
-        players=(make_player(
-            lambda t: np.zeros(1),
-            eps_form=lambda t, u0, phi, derivs: np.array([2.0]), eps_dim=1),))
-    game = commented(system, [0.0], (0.0, 1.0, 2.0), feed_omega=True)
-    run = run_synthesized([game], commented_as_synthesis(lambda th, om, v: th))[0]
-    # window 1: phi' = 0; window 2: phi' = omega_1 = 2.
-    assert run.trajectory.phi[-1, 0] == pytest.approx(2.0, abs=1e-12)

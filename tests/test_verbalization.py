@@ -8,10 +8,17 @@ from conftest import make_player
 from tactica.games import ConfigurationError, InteractiveSystem, simulate
 from tactica.verbalization import (Cell, CellComplex, CellCondition, DialogueSpec,
                                    DomainError, IntentionField, RecurrenceMap,
-                                   WindowFunctional, WindowRecord, check_windows_tile,
-                                   detect_partition,
+                                   WindowFunctional, WindowRecord, detect_partition,
                                    fit_recurrence, simulate_dialogue, verify_recurrence,
                                    windows_from_trajectory)
+
+
+def check_windows_tile(windows):
+    """Raise unless each window starts where the one before it ends."""
+    for a, b in zip(windows, windows[1:]):
+        if a.t_end != b.t_start:
+            raise ConfigurationError(
+                f"windows {a.index} and {b.index} do not abut: {a.t_end!r} vs {b.t_start!r}")
 
 
 def sign_complex(box=((-2.0, 2.0),)):
@@ -35,10 +42,10 @@ def quadrant_complex():
 
 def eps_driven_system(eps_of_t):
     return InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam, om: [0.0],
+        dim=1, dynamics=lambda t, phi, u, lam: [0.0],
         players=(make_player(
             lambda t: np.zeros(1),
-            eps_form=lambda t, u0, phi, derivs: np.array([eps_of_t(t)]), eps_dim=1),))
+            eps_form=lambda t, u0, phi: np.array([eps_of_t(t)]), eps_dim=1),))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +259,7 @@ def _dialogue(eps_of_t, u0_value, phi0, state_kind="mean", control_kind="integra
     field = IntentionField(dim=1, dynamics=lambda t, xi, controls: [0.0])
     players = (make_player(
         lambda t: np.array([u0_value]),
-        eps_form=lambda t, u0, phi, derivs: np.array([eps_of_t(t)]), eps_dim=1),)
+        eps_form=lambda t, u0, phi: np.array([eps_of_t(t)]), eps_dim=1),)
     return DialogueSpec(
         field=field, players=players,
         state_functionals=(WindowFunctional(state_kind, "eps"),),
