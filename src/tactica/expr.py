@@ -221,21 +221,24 @@ _FUNC_NS = {
 }
 
 
-def _emit(node) -> str:
+def _argument(name: str, index: int | None) -> str:
+    return f"_v_{name}" if index is None else f"_v_{name}[{index}]"
+
+
+def _emit(node, read: Callable[[str, int | None], str] = _argument) -> str:
+    """Python source of ``node``; ``read(name, index)`` spells each variable reference."""
     kind = node[0]
     if kind == "num":
         return repr(node[1])
     if kind == "var":
-        if node[2] is None:
-            return f"_v_{node[1]}"
-        return f"_v_{node[1]}[{node[2]}]"
+        return read(node[1], node[2])
     if kind == "neg":
-        return f"(-{_emit(node[1])})"
+        return f"(-{_emit(node[1], read)})"
     if kind == "call":
-        args = ", ".join(_emit(a) for a in node[2])
+        args = ", ".join(_emit(a, read) for a in node[2])
         return f"_f_{node[1]}({args})"
     op = node[1]
-    left, right = _emit(node[2]), _emit(node[3])
+    left, right = _emit(node[2], read), _emit(node[3], read)
     if op == "^":
         return f"({left} ** {right})"
     return f"({left} {op} {right})"
@@ -265,10 +268,12 @@ def compile_expression(src: str, scalars: Sequence[str] = (),
 
 @dataclass(frozen=True)
 class VectorExpression:
-    """A fixed-length vector of compiled component expressions."""
+    """A fixed-length vector of compiled component expressions, declared at ``path``
+    (``system.players[0].signal``, say; component k is ``path[k]``)."""
 
     sources: tuple[str, ...]
     fn: Callable
+    path: str = ""
 
     @property
     def dim(self) -> int:
@@ -276,14 +281,14 @@ class VectorExpression:
 
 
 def compile_vector(sources: Sequence[str], scalars: Sequence[str] = (),
-                   vectors: Mapping[str, int] | None = None) -> VectorExpression:
+                   vectors: Mapping[str, int] | None = None, path: str = "") -> VectorExpression:
     """Compile ``sources`` into one function returning the list of component values,
     evaluated left to right exactly as :func:`compile_expression` evaluates each."""
     vectors = vectors or {}
     for src in sources:
         validate(src, scalars, vectors)
     body = ", ".join(f"({_emit(parse(src))})" for src in sources)
-    return VectorExpression(tuple(sources), _compile(f"[{body}]", scalars, vectors))
+    return VectorExpression(tuple(sources), _compile(f"[{body}]", scalars, vectors), path)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,15 @@ recorded runs can be replayed bit-identically.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .expr import _FUNC_NS, VectorExpression, _emit, parse
 
 
 class ConfigurationError(ValueError):
@@ -57,13 +61,22 @@ def step_count(t0: float, t1: float, dt: float) -> int:
     return n_steps
 
 
+@lru_cache(maxsize=64)
+def _rk4_weights(dt: float) -> tuple[np.ndarray, ...]:
+    """``dt/2``, ``dt``, ``2`` and ``dt/6`` as 0-d arrays: numpy multiplies an array by a
+    0-d array faster than by a Python float, and to the same bits."""
+    return tuple(np.array(w) for w in (dt / 2.0, dt, 2.0, dt / 6.0))
+
+
 def rk4_step(f: Callable, t: float, y: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:
-    """One classical 4th-order step of ``y' = f(t, y)`` from ``y``, given ``k1 = f(t, y)``."""
-    half = dt / 2.0
-    k2 = f(t + half, y + half * k1)
-    k3 = f(t + half, y + half * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical 4th-order step of ``y' = f(t, y)`` from ``y``, given ``k1 = f(t, y)``.
+    Stage times stay Python floats."""
+    half, step, two, sixth = _rk4_weights(dt)
+    mid = t + dt / 2.0
+    k2 = f(mid, y + half * k1)
+    k3 = f(mid, y + half * k2)
+    k4 = f(t + dt, y + step * k3)
+    return y + sixth * (k1 + two * k2 + two * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -71,9 +84,10 @@ class EpsilonProcess:
     """Hidden feedback parameter as a function of pure control and state.
 
     ``form(t, u0, phi)`` returns the parameter vector; for coalition slots
-    ``u0`` is the tuple of member pure controls.  ``ground_truth``
-    distinguishes the simulation truth from fitted estimates, which must not
-    drive a truth run.
+    ``u0`` is the tuple of member pure controls.  A scenario's form is a
+    :class:`VectorExpression` that the stage inlines; its ``u0`` is then the flat
+    vector of the members' controls.  ``ground_truth`` distinguishes the simulation
+    truth from fitted estimates, which must not drive a truth run.
     """
 
     form: Callable
@@ -81,18 +95,23 @@ class EpsilonProcess:
     ground_truth: bool = True
 
 
+def _no_epsilon(t, u0, phi):
+    return _EMPTY
+
+
 def zero_epsilon() -> EpsilonProcess:
-    return EpsilonProcess(form=lambda t, u0, phi: _EMPTY, dim=0)
+    return EpsilonProcess(form=_no_epsilon, dim=0)
 
 
 @dataclass(frozen=True)
 class FeedbackCoupling:
     """Known coupling producing the interactive control.
 
-    ``known_form(t, u0, phi, derivs, eps, lam)`` -> control vector.
-    ``derivative_order`` 0 or 1; order 1 is evaluated by substituting the
-    vector field for the state derivative (one substitution pass, seeded with
-    a zero derivative).
+    ``known_form(t, u0, phi, derivs, eps, lam)`` -> control vector, or a
+    scenario's :class:`VectorExpression` over ``t, u0, phi, eps, lambda``, which
+    the stage inlines.  ``derivative_order`` 0 or 1; order 1 is evaluated by
+    substituting the vector field for the state derivative (one substitution
+    pass, seeded with a zero derivative).
     """
 
     known_form: Callable
@@ -105,14 +124,19 @@ class FeedbackCoupling:
                 "substitution depth (max 1)")
 
 
+def _identity(t, u0, phi, derivs, eps, lam):
+    return u0
+
+
 def identity_coupling() -> FeedbackCoupling:
-    return FeedbackCoupling(known_form=lambda t, u0, phi, derivs, eps, lam: u0)
+    return FeedbackCoupling(known_form=_identity)
 
 
 @dataclass(frozen=True)
 class Player:
-    """One player: its independent (pure) control signal ``signal(t)``, the coupling
-    that makes it interactive, and its hidden parameter."""
+    """One player: its independent (pure) control signal ``signal(t)`` (or a scenario's
+    :class:`VectorExpression` over ``t``), the coupling that makes it interactive, and
+    its hidden parameter."""
 
     signal: Callable[[float], Sequence[float]]
     coupling: FeedbackCoupling
@@ -151,14 +175,19 @@ class InteractiveSystem:
 
     ``dynamics(t, phi, controls, lam)`` maps the state and the list of per-slot
     interactive control vectors to the state derivative.  ``lam`` is the
-    slow-parameter vector (empty when absent).
+    slow-parameter vector (empty when absent).  A scenario's dynamics is a
+    :class:`VectorExpression` over ``t, phi, u, lambda`` with ``u`` the flat control
+    vector, and an associated ordinary game's is an :class:`OrdinaryDynamics`; the
+    stage inlines both.  The stage is compiled at the first run of each slot kind
+    and kept here.
     """
 
     dim: int
-    dynamics: Callable
+    dynamics: Callable | VectorExpression | OrdinaryDynamics
     players: tuple[Player, ...]
     coalitions: tuple[Coalition, ...] = ()
     invariant_constraints: tuple[InvariantConstraint, ...] = ()
+    _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.players)
@@ -263,35 +292,225 @@ class StateTrajectory:
 
 
 @dataclass(frozen=True)
-class _Slot:
-    """Internal control slot: shared evaluation path for players and coalitions.
-    ``u0_argument`` picks a player's control or the tuple of a coalition's members'."""
+class OrdinaryDynamics:
+    """The dynamics of an associated ordinary game.
 
-    u0_argument: Callable
-    coupling: FeedbackCoupling
-    epsilon: EpsilonProcess
+    The game's first ``system.n_players`` controls are the pure controls of
+    ``system``, the others its former hidden parameters, one per slot; ``system``'s
+    couplings make its interactive controls of them, and its dynamics the derivative.
+    """
 
-
-def _player_slots(system: InteractiveSystem) -> list[_Slot]:
-    return [_Slot(itemgetter(i), p.coupling, p.epsilon) for i, p in enumerate(system.players)]
-
-
-def _coalition_slots(system: InteractiveSystem) -> list[_Slot]:
-    return [
-        _Slot(lambda u0s, _m=tuple(m - 1 for m in c.members): tuple(u0s[i] for i in _m),
-              c.coupling, c.epsilon)
-        for c in system.coalitions
-    ]
+    system: InteractiveSystem
+    use_coalitions: bool = False
 
 
-def _check_ground_truth(slots: Sequence[_Slot]):
+# An element as the np.float64 that np.concatenate(..., dtype=float) makes of it: a
+# float64 is kept, a float converted, and anything else concatenated, so that a complex
+# value is the same TypeError.
+_AS_FLOAT64 = ("{0} if {0}.__class__ is _F64 else _F64({0}) if {0}.__class__ is float "
+               "else _floats(([{0}],))[0]")
+
+
+def _floats(vectors) -> np.ndarray:
+    """``np.concatenate(vectors, dtype=float)``.  Not called directly by the stage, which
+    runs without builtins: numpy imports the error of a complex value through them."""
+    return np.concatenate(vectors, dtype=float)
+
+
+def _listed(vector: _Vector) -> str:
+    """``vector`` as an expression: its local, or a list of its elements."""
+    return vector.name or f"[{', '.join(vector.items)}]"
+
+
+def _fault(exc: BaseException, t: float, leaves: dict) -> SimulationError:
+    """The error of a stage fault, naming the leaf evaluated on the failing line."""
+    leaf = leaves.get(exc.__traceback__.tb_lineno)
+    return SimulationError(f"{leaf}: {exc} at t={t!r}" if leaf else f"{exc} at t={t!r}")
+
+
+class _Vector:
+    """A vector the stage computes: the local holding it and, when the stage computes it
+    element by element, the element locals and the leaf each comes from.  An inlined
+    leaf's list gets a local only when a callable reads it whole."""
+
+    def __init__(self, name: str | None, items: list[str] | None = None,
+                 leaves: Sequence[str] = ()):
+        self.name, self.items, self.leaves = name, items, leaves
+
+    def __getitem__(self, i: int) -> str:
+        return f"{self.name}[{i}]" if self.items is None else self.items[i]
+
+
+class _StageSource:
+    """The straight-line source of one stage, and the leaf each of its lines evaluates.
+
+    A scenario leaf (a :class:`VectorExpression`) is inlined one component per line,
+    its grammar variables read from locals; any other callable is called by name.
+    """
+
+    def __init__(self):
+        self.body: list[str] = []
+        self.leaves: dict[int, str] = {}        # line number -> "path 'source'"
+        self.elements: dict[tuple[str, int], str] = {}
+        self.namespace = {"__builtins__": {}, **_FUNC_NS, "_F64": np.float64,
+                          "_asarray": np.asarray, "_floats": _floats, "float": float,
+                          "_EMPTY": _EMPTY, "_faults": (ArithmeticError, TypeError),
+                          "_fault": _fault, "_leaves": self.leaves}
+
+    def line(self, stem: str, value: str, leaf: str = "") -> str:
+        """Append ``<fresh local> = value``; return the local."""
+        name = f"{stem}{len(self.body)}"
+        if leaf:
+            self.leaves[len(self.body) + 3] = leaf      # below the def and try lines
+        self.body.append(f"{name} = {value}")
+        return name
+
+    def ref(self, obj) -> str:
+        name = f"_o{len(self.namespace)}"
+        self.namespace[name] = obj
+        return name
+
+    def element(self, vector: str, i: int) -> str:
+        """``phi[i]`` or ``lam[i]``, read into a local at its first use."""
+        if (vector, i) not in self.elements:
+            self.elements[vector, i] = self.line(vector[0], f"{vector}[{i}]")
+        return self.elements[vector, i]
+
+    def inline(self, leaf: VectorExpression, **vectors: _Vector) -> _Vector:
+        def read(name: str, index: int | None) -> str:
+            if index is None:
+                return "t"
+            if name in ("phi", "lambda"):
+                return self.element("phi" if name == "phi" else "lam", index)
+            return vectors[name][index]
+
+        leaves = [f"{leaf.path}[{k}] {src!r}" for k, src in enumerate(leaf.sources)]
+        items = [self.line("x", _emit(parse(src), read), where)
+                 for src, where in zip(leaf.sources, leaves)]
+        return _Vector(None, items, leaves)
+
+    def whole(self, vector: _Vector) -> str:
+        """The local holding ``vector``, an inlined leaf's list built at its first use."""
+        if vector.name is None:
+            vector.name = self.line("x", _listed(vector))
+        return vector.name
+
+    def flat(self, vectors: Sequence[_Vector], leaf: str) -> _Vector:
+        """The np.float64 elements of ``vectors`` laid end to end, as
+        ``np.concatenate(vectors, dtype=float)`` makes them."""
+        if any(v.items is None for v in vectors):
+            listed = ", ".join(map(self.whole, vectors))
+            return _Vector(self.line("f", f"_floats([{listed}])", leaf))
+        return _Vector("", [self.line("f", _AS_FLOAT64.format(x), where)
+                            for v in vectors for x, where in zip(v.items, v.leaves)])
+
+    def signal(self, k: int, signal) -> _Vector:
+        if isinstance(signal, VectorExpression):
+            return self.inline(signal)
+        return _Vector(self.line("s", f"{self.ref(signal)}(t)", f"players[{k}].signal"))
+
+    def library_u0(self, arg: _Vector | tuple) -> _Vector:
+        """``u0`` as a callable reads it: the control, or a tuple of the members' controls."""
+        if isinstance(arg, _Vector):
+            return arg
+        return _Vector(self.line("a", f"({', '.join(map(self.whole, arg))},)"))
+
+    def scenario_u0(self, arg: _Vector | tuple, leaf: str) -> _Vector:
+        """``u0`` as an expression reads it: the control, or the members' controls as one
+        flat vector."""
+        return arg if isinstance(arg, _Vector) else self.flat(arg, leaf)
+
+    def epsilon(self, where: str, process: EpsilonProcess, arg) -> _Vector:
+        form = process.form
+        if form is _no_epsilon:
+            return _Vector("_EMPTY", [])
+        if isinstance(form, VectorExpression):
+            return self.inline(form, u0=self.scenario_u0(arg, form.path))
+        return _Vector(self.line("e", f"{self.ref(form)}(t, {self.whole(self.library_u0(arg))}, "
+                                      "phi)", f"{where}.epsilon"))
+
+    def coupling(self, where: str, coupling: FeedbackCoupling, arg, eps: _Vector,
+                 derivs: str) -> _Vector:
+        form = coupling.known_form
+        if form is _identity:
+            return self.library_u0(arg)
+        if isinstance(form, VectorExpression):
+            return self.inline(form, u0=self.scenario_u0(arg, form.path), eps=eps)
+        return _Vector(self.line("c", f"{self.ref(form)}(t, {self.whole(self.library_u0(arg))}, "
+                                      f"phi, {derivs}, {self.whole(eps)}, lam)",
+                                 f"{where}.coupling"))
+
+    def slots(self, system: InteractiveSystem, use_coalitions: bool,
+              pure: Sequence[_Vector]) -> list[tuple[str, Player | Coalition, _Vector | tuple]]:
+        """Each slot's name, declaration and ``u0`` argument."""
+        if use_coalitions:
+            return [(f"coalitions[{j}]", c, tuple(pure[m - 1] for m in c.members))
+                    for j, c in enumerate(system.coalitions)]
+        return [(f"players[{k}]", p, pure[k]) for k, p in enumerate(system.players)]
+
+    def controls(self, slots, eps: Sequence[_Vector], derivs: str) -> list[_Vector]:
+        return [self.coupling(where, slot.coupling, arg, e, derivs)
+                for (where, slot, arg), e in zip(slots, eps)]
+
+    def dynamics(self, system: InteractiveSystem, controls: Sequence[_Vector]) -> str:
+        dyn = system.dynamics
+        if isinstance(dyn, OrdinaryDynamics):
+            inner = dyn.system
+            slots = self.slots(inner, dyn.use_coalitions, controls[:inner.n_players])
+            return self.dynamics(inner, self.controls(slots, controls[inner.n_players:], "()"))
+        if isinstance(dyn, VectorExpression):
+            values = self.inline(dyn, u=self.flat(controls, dyn.path))
+            return self.line("d", f"_asarray({_listed(values)}, dtype=float)", dyn.path)
+        listed = ", ".join(map(self.whole, controls))
+        return self.line("d", f"_asarray({self.ref(dyn)}(t, phi, [{listed}], lam), dtype=float)",
+                         "dynamics")
+
+    def function(self, returned: str) -> Callable:
+        source = "\n".join(["def stage(t, phi, lam, values=True):", "    try:",
+                            *(f"        {line}" for line in self.body),
+                            "    except _faults as exc:",
+                            "        raise _fault(exc, t, _leaves) from exc",
+                            f"    return {returned}"])
+        # Built from validated expression trees and generated names only.
+        exec(compile(source, "<stage>", "exec"), self.namespace)     # noqa: S102
+        return self.namespace["stage"]
+
+
+def compile_stage(system: InteractiveSystem, use_coalitions: bool = False) -> Callable:
+    """Generate ``stage(t, phi, lam) -> ((u0s, eps, u), dphi)`` for the system's player
+    (or coalition) slots; ``stage(t, phi, lam, False)`` returns ``dphi`` alone.
+
+    One straight-line function evaluates the chain pure controls -> hidden parameters
+    -> interactive controls -> vector field, each per slot and in slot order.  A
+    player's forms see its signal's raw list; a scenario's coalition forms and
+    dynamics see np.float64 elements, as ``np.concatenate(..., dtype=float)`` gives
+    them.  With an order-1 coupling every coupling runs twice: first seeded with a
+    zero derivative, then with the derivative the dynamics give under the first pass.
+    An ``ArithmeticError`` or ``TypeError`` is raised as a :class:`SimulationError`
+    naming the leaf and the stage time.
+    """
+    out = _StageSource()
+    pure = [out.signal(k, p.signal) for k, p in enumerate(system.players)]
+    slots = out.slots(system, use_coalitions, pure)
+    eps = [out.epsilon(where, slot.epsilon, arg) for where, slot, arg in slots]
+    derivs = "()"
+    if any(slot.coupling.derivative_order for _, slot, _ in slots):
+        seeded = out.controls(slots, eps, out.ref((np.zeros(system.dim),)))
+        derivs = out.line("g", f"({out.dynamics(system, seeded)},)")
+    u = out.controls(slots, eps, derivs)
+    dphi = out.dynamics(system, u)
+    blocks = (", ".join(map(_listed, block)) for block in (pure, eps, u))
+    return out.function("(([{}], [{}], [{}]), {}) if values else {}".format(*blocks, dphi, dphi))
+
+
+def _check_ground_truth(slots: Sequence[Player | Coalition]):
     for k, slot in enumerate(slots):
         if not slot.epsilon.ground_truth:
             raise ConfigurationError(
                 f"slot {k}: hidden-parameter process is an estimate, not simulation truth")
 
 
-def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, dt,
+def _integrate(system: InteractiveSystem, use_coalitions: bool, initial, t0, t1, dt,
                slow: SlowControl | None, record_tape: bool) -> StateTrajectory:
     n_steps = step_count(t0, t1, dt)
 
@@ -301,35 +520,20 @@ def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, d
     if not np.all(np.isfinite(phi)):
         raise ConfigurationError("initial state must be finite")
 
-    signals = [p.signal for p in system.players]
-    picks = [s.u0_argument for s in slots]
-    forms = [s.epsilon.form for s in slots]
-    couplings = [s.coupling.known_form for s in slots]
-    dynamics = system.dynamics
-    max_k = max(s.coupling.derivative_order for s in slots)
-    pre_derivs = (np.zeros(system.dim),)
+    stage = system._stages.get(use_coalitions)
+    if stage is None:
+        stage = system._stages[use_coalitions] = compile_stage(system, use_coalitions)
     tape = StageTape() if record_tape else None
-    lam_at = (lambda t, step: _EMPTY) if slow is None else slow.value
+    if tape is not None:
+        compiled = stage
 
-    def stage(t: float, state: np.ndarray, lam: np.ndarray):
-        try:
-            u0s = [signal(t) for signal in signals]
-            args = [pick(u0s) for pick in picks]
-            eps = [form(t, a, state) for form, a in zip(forms, args)]
-            derivs: tuple = ()
-            if max_k:
-                u = [c(t, a, state, pre_derivs, e, lam) for c, a, e in zip(couplings, args, eps)]
-                derivs = (np.asarray(dynamics(t, state, u, lam), dtype=float),)
-            u = [c(t, a, state, derivs, e, lam) for c, a, e in zip(couplings, args, eps)]
-            dphi = np.asarray(dynamics(t, state, u, lam), dtype=float)
-        # A TypeError here is a complex value (a negative base raised to a
-        # fractional power) reaching a real-only function or array.
-        except (ArithmeticError, TypeError) as exc:
-            raise SimulationError(f"{exc} at t={t!r}") from exc
-        if tape is not None:
+        def stage(t: float, state: np.ndarray, lam: np.ndarray, values: bool = True):
+            out = compiled(t, state, lam)
             tape.times.append(t)
-            tape.values.append(tuple(eps))
-        return (u0s, eps, u), dphi
+            tape.values.append(tuple(out[0][1]))
+            return out if values else out[1]
+
+    lam_at = (lambda t, step: _EMPTY) if slow is None else slow.value
 
     # Size the record arrays from a probe evaluation at the initial point.
     # The probe stays on the tape: replay runs perform the same probe, so the
@@ -342,43 +546,34 @@ def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, d
     rec_t = np.empty(n_samples)
     rec_phi = np.empty((n_samples, system.dim))
     rec_dphi = np.empty((n_samples, system.dim))
-    rec_u0 = np.empty((n_samples, sum(u0_dims)))
-    rec_eps = np.empty((n_samples, sum(eps_dims)))
-    rec_u = np.empty((n_samples, sum(u_dims)))
     rec_lam = np.empty((n_samples, len(lam0)))
-    # Each slot's value is written into its own column block of the record row.
-    blocks = [(rec, [slice(a - d, a) for d, a in zip(dims, np.cumsum(dims))])
-              for rec, dims in ((rec_u0, u0_dims), (rec_eps, eps_dims), (rec_u, u_dims))]
+    # One array per slot of each block; they are joined into the block's columns after
+    # the run.
+    slot_recs = [[np.empty((n_samples, d)) for d in dims] for dims in (u0_dims, eps_dims, u_dims)]
 
-    def record(k, t, state, values, dphi, lam):
+    def derivative(s: float, state: np.ndarray) -> np.ndarray:
+        return stage(s, state, lam_at(s, k), False)
+
+    for k in range(n_samples):
+        t = t0 + k * dt
+        lam = lam_at(t, k)
+        values, dphi = stage(t, phi, lam)
         rec_t[k] = t
-        rec_phi[k] = state
+        rec_phi[k] = phi
         rec_dphi[k] = dphi
         rec_lam[k] = lam
         try:
-            for (rec, cols), slot_values in zip(blocks, values):
-                row = rec[k]
-                for col, x in zip(cols, slot_values):
-                    row[col] = x
+            for recs, slot_values in zip(slot_recs, values):
+                for rec, x in zip(recs, slot_values):
+                    rec[k] = x
         except TypeError as exc:        # a complex control or hidden-parameter value
             raise SimulationError(f"{exc} at t={t!r}") from exc
+        if k < n_steps:
+            phi = rk4_step(derivative, t, phi, dt, dphi)
+            if not all(map(math.isfinite, phi.tolist())):
+                raise DivergenceError(last_valid_time=t)
 
-    def derivative(s: float, state: np.ndarray) -> np.ndarray:
-        return stage(s, state, lam_at(s, k))[1]
-
-    for k in range(n_steps):
-        t = t0 + k * dt
-        lam = lam_at(t, k)
-        values, k1 = stage(t, phi, lam)
-        record(k, t, phi, values, k1, lam)
-        phi = rk4_step(derivative, t, phi, dt, k1)
-        if not np.isfinite(phi).all():
-            raise DivergenceError(last_valid_time=t)
-
-    t_end = t0 + n_steps * dt
-    lam = lam_at(t_end, n_steps)
-    values, dphi = stage(t_end, phi, lam)
-    record(n_steps, t_end, phi, values, dphi, lam)
+    rec_u0, rec_eps, rec_u = (np.concatenate(recs, axis=1) for recs in slot_recs)
     for name, rec in (("u0", rec_u0), ("eps", rec_eps), ("u", rec_u), ("dphi", rec_dphi),
                       ("lambda", rec_lam)):
         bad_rows, bad_columns = np.nonzero(~np.isfinite(rec))
@@ -393,9 +588,8 @@ def _integrate(system: InteractiveSystem, slots: list[_Slot], initial, t0, t1, d
 def simulate(system: InteractiveSystem, initial, t0: float, t1: float, dt: float,
              slow: SlowControl | None = None, record_tape: bool = True) -> StateTrajectory:
     """Integrate the interactive system, recording phi, u0, eps and u traces."""
-    slots = _player_slots(system)
-    _check_ground_truth(slots)
-    return _integrate(system, slots, initial, t0, t1, dt, slow, record_tape)
+    _check_ground_truth(system.players)
+    return _integrate(system, False, initial, t0, t1, dt, slow, record_tape)
 
 
 def coalition_simulate(system: InteractiveSystem, initial, t0: float, t1: float,
@@ -404,9 +598,8 @@ def coalition_simulate(system: InteractiveSystem, initial, t0: float, t1: float,
     """As :func:`simulate`, with control slots filled by the coalition couplings."""
     if not system.coalitions:
         raise ConfigurationError("system declares no coalitions")
-    slots = _coalition_slots(system)
-    _check_ground_truth(slots)
-    return _integrate(system, slots, initial, t0, t1, dt, slow, record_tape)
+    _check_ground_truth(system.coalitions)
+    return _integrate(system, True, initial, t0, t1, dt, slow, record_tape)
 
 
 def associated_ordinary_game(system: InteractiveSystem,
@@ -419,29 +612,19 @@ def associated_ordinary_game(system: InteractiveSystem,
     driven by a free policy (zero unless ``eps_policies`` is given).
     Couplings involving state derivatives are not representable this way.
     """
-    slots = _coalition_slots(system) if use_coalitions else _player_slots(system)
+    slots = system.coalitions if use_coalitions else system.players
     for k, slot in enumerate(slots):
         if slot.coupling.derivative_order != 0:
             raise ConfigurationError(
                 f"slot {k}: derivatives must be excluded from feedbacks to form "
                 "the associated ordinary game")
 
-    n_policies = system.n_players
-    old_dynamics = system.dynamics
-    couplings = [(slot.u0_argument, slot.coupling.known_form) for slot in slots]
-
-    def assoc_dynamics(t, phi, controls, lam):
-        u0s = controls[:n_policies]
-        u = [c(t, pick(u0s), phi, (), eps, lam)
-             for (pick, c), eps in zip(couplings, controls[n_policies:])]
-        return old_dynamics(t, phi, u, lam)
-
     if eps_policies is None:
         eps_policies = [(lambda t, _d=slot.epsilon.dim: np.zeros(_d)) for slot in slots]
     signals = [p.signal for p in system.players] + [eps_policies[j] for j in range(len(slots))]
     players = [Player(signal, identity_coupling(), zero_epsilon()) for signal in signals]
 
-    return InteractiveSystem(dim=system.dim, dynamics=assoc_dynamics,
+    return InteractiveSystem(dim=system.dim, dynamics=OrdinaryDynamics(system, use_coalitions),
                              players=tuple(players),
                              invariant_constraints=system.invariant_constraints)
 

@@ -285,6 +285,8 @@ def strategic_pipeline(system: InteractiveSystem, initial, t0: float, t1: float,
     policies.  Each short-term stage re-anchors at the recorded state of a
     window start and holds the last observed hidden parameters over one
     horizon.  Short-term values replace long-term values where available.
+    All short-term stages run one anchored ordinary game, whose policies read
+    the parameters held for the current window.
     """
     if truth is None:
         truth = simulate(system, initial, t0, t1, dt)
@@ -299,13 +301,14 @@ def strategic_pipeline(system: InteractiveSystem, initial, t0: float, t1: float,
         if steps_per_window is None:
             raise ConfigurationError("horizon must be a positive multiple of dt")
         n_slots = len(truth.eps_dims)
+        held: list = [None] * n_slots     # the parameters held over the current window
+        anchored = associated_ordinary_game(system, eps_policies=[
+            (lambda t, j=j: held[j]) for j in range(n_slots)])
         base_idx = 0
         while base_idx + steps_per_window < n:
             base_t = float(truth.t[base_idx])
             end_t = float(truth.t[base_idx + steps_per_window])
-            held = [np.array(truth.eps_of(j)[base_idx]) for j in range(n_slots)]
-            policies = [(lambda t, v=held[j]: v) for j in range(n_slots)]
-            anchored = associated_ordinary_game(system, eps_policies=policies)
+            held[:] = [np.array(truth.eps_of(j)[base_idx]) for j in range(n_slots)]
             seg = simulate(anchored, truth.phi[base_idx], base_t, end_t, dt,
                            record_tape=False)
             sl = slice(base_idx + 1, base_idx + steps_per_window + 1)

@@ -107,7 +107,7 @@ class _Check:
             return None
         ok = all([self.expression(f"{path}[{k}]", src, scalars, vectors)
                   for k, src in enumerate(sources)])
-        return expr.compile_vector(sources, scalars, vectors) if ok else None
+        return expr.compile_vector(sources, scalars, vectors, path) if ok else None
 
     def number(self, path: str, value, positive=False) -> bool:
         if not self.require(path, _is_number(value), f"expected a number, got {value!r}"):
@@ -396,11 +396,7 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
         truth, coupling, slot = _slot(base, p, u0_dims[k], dim, lam, check)
         player_slots.append(slot)
         if signal and coupling:
-            built.append(Player(
-                signal.fn,
-                FeedbackCoupling(lambda t, u0, phi, derivs, eps, lam, _f=coupling.fn:
-                                 _f(t, u0, phi, eps, lam)),
-                zero_epsilon() if truth is None else EpsilonProcess(truth.fn, truth.dim)))
+            built.append(Player(signal, FeedbackCoupling(coupling), _epsilon(truth)))
     coalitions, by_players = spec.get("coalitions", []), ctx.sections & {"tactics", "prediction"}
     check.require("system.coalitions", not (coalitions and by_players),
                   f"coalitions cannot be combined with a {' or '.join(sorted(by_players))} "
@@ -416,14 +412,8 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
                                       lam, check)
         coalition_slots.append(slot)
         if coupling:
-            # Coalition forms see their members' pure controls as one flat vector.
-            built_coalitions.append(Coalition(
-                tuple(members), FeedbackCoupling(
-                    lambda t, u0s, phi, derivs, eps, lam, _f=coupling.fn:
-                        _f(t, np.concatenate(u0s, dtype=float), phi, eps, lam)),
-                zero_epsilon() if truth is None else EpsilonProcess(
-                    lambda t, u0s, phi, _f=truth.fn: _f(t, np.concatenate(u0s, dtype=float), phi),
-                    truth.dim)))
+            built_coalitions.append(Coalition(tuple(members), FeedbackCoupling(coupling),
+                                              _epsilon(truth)))
     slots, dims = coalition_slots if coalitions else player_slots, ctx.dims
     dims.update(u=sum(u for u, _ in slots), u0=sum(u0_dims), eps=sum(e for _, e in slots),
                 phi=dim)
@@ -444,20 +434,19 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
                 label=inv.get("label", f"F{k}"), required_order=order))
     if len(check.errors) > start:
         return None
-
-    # The flat control vector keeps numpy float64 elements: the expressions' power,
-    # overflow and negative-base behaviour is that of np.float64, not of float.
-    # ``dtype=float`` makes a complex control a TypeError instead of a complex vector.
-    def dynamics(t, phi, controls, lam, _f=dyn.fn):
-        return _f(t, phi, np.concatenate(controls, dtype=float), lam)
-
-    system = check.build("system", InteractiveSystem, dim=dim, dynamics=dynamics,
+    # The stage inlines every expression vector; see games.compile_stage for the types
+    # each one reads.
+    system = check.build("system", InteractiveSystem, dim=dim, dynamics=dyn,
                          players=tuple(built), coalitions=tuple(built_coalitions),
                          invariant_constraints=tuple(invariants))
     integrate = coalition_simulate if coalitions else simulate
     gap = f"system.slow feeds {fed} of the {read} lambda components read" if read > fed else ""
     return system and SystemPlan(system=system, slow=slow, integrate=integrate,
                                  initial=np.asarray(spec["initial"], dtype=float), slow_gap=gap)
+
+
+def _epsilon(truth: VectorExpression | None) -> EpsilonProcess:
+    return zero_epsilon() if truth is None else EpsilonProcess(truth, truth.dim)
 
 
 def _lambda_read(spec: dict) -> int:

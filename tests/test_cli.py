@@ -133,6 +133,7 @@ def test_repdyn_artifacts_keep_their_digests(tmp_path, command, stem):
 # change to the integrator stage must leave these bytes fixed.
 SIMULATE_DIGESTS = {
     "coalition_pair": "f316a22e9302d4f5163b59f92260060e6ddc61f97e21055a92d6ccdf9c3ee107",
+    "linear_decay": "cfcc04de8e084ea9e52303c43cbd274c33cfc62a91e166ff00fb4abb74422e54",
     "logistic_sin": "4571f83ded8e90642534c8a3025eb95b57f57345f477dea10bf2055c46164616",
     "rotation_invariant": "efe0b3b9f0d5e2ed2062760f86e0496fb0e96500845ae99056afebe32c155df8",
     "two_player": "f700ffb094346049efdef337948c2a76b06810f2257879ea5a0e60c071e44bbe",
@@ -190,6 +191,57 @@ def test_tactics_artifacts_keep_their_digests(tmp_path, stem):
     assert code == EXIT_OK
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in TACTICS_DIGESTS[stem]} == TACTICS_DIGESTS[stem]
+
+
+# A pipeline whose hidden parameters follow the state, so that each short-term segment
+# holds different values, and whose assumed parameters are not the truth.
+PIPELINE = """
+schema: 1
+title: held-parameter-pipeline
+run: {t0: 0.0, t1: 0.5, dt: 0.01}
+system:
+  dim: 2
+  initial: [1.0, -0.5]
+  dynamics: ["-1.2*phi[0] + 0.3*phi[1] + u[0]", "0.2*phi[0] - phi[1] + u[1]"]
+  players:
+    - signal: ["0.5*sin(t)"]
+      coupling: ["u0[0] + eps[0]*phi[0]"]
+      epsilon: {truth: ["0.2*cos(3*t) - 0.1*phi[1]"]}
+    - signal: ["0.3"]
+      coupling: ["u0[0] + eps[0]*phi[1]"]
+      epsilon: {truth: ["-0.2 + 0.1*phi[0]^2"]}
+prediction:
+  pipeline: {horizon: 0.05, assumed_eps: [["0.1"], ["-0.2"]]}
+"""
+
+# sha256 of artifacts of the verbalize and predict commands, which integrate the system
+# through the same stage as simulate; None stands for the PIPELINE scenario above.
+ANALYSIS_DIGESTS = {
+    ("verbalize", "sine_partition"): {
+        "trajectory.csv": "312feb46f20c82321202e0f8f707ea8771edaece2241b81fbd124bdcca774dd5",
+        "windows.csv": "f7b53a678735e1a9fd4f9eded25bd236c483839e519f0c0a7727d85d9e6dfed8",
+        "windows.json": "643012225fae3b5328e1b11f5acec71a0f70bedcc9e7989454a2cd9f3ad82454"},
+    ("predict", "filter_unravel"): {
+        "trajectory.csv": "380494957daac9938d952cb75b1a7ea9d4898ba45b8bacf5cb1d3575338bbb67",
+        "unravel.csv": "78804b1848ff891a9aade9927dde10ec776840a86dc6427aab8da3a34f0a42eb"},
+    ("predict", None): {
+        "prognosis.json": "2f6c7295af279c11a1e479379be6833503b8714a551f3e50f9e54c024d8e49ba",
+        "trajectory.csv": "06e9197453f0b941516fa23665c95ccb18894722a7ccde17099f9b4737a0ef05"},
+}
+
+
+@pytest.mark.parametrize("command, stem", list(ANALYSIS_DIGESTS),
+                         ids=["verbalize-sine_partition", "predict-filter_unravel",
+                              "predict-pipeline"])
+def test_analysis_artifacts_keep_their_digests(tmp_path, command, stem):
+    scenario = tmp_path / "pipeline.yaml" if stem is None else SCENARIOS / f"{stem}.yaml"
+    if stem is None:
+        scenario.write_text(PIPELINE)
+    code = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    expected = ANALYSIS_DIGESTS[command, stem]
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in expected} == expected
 
 
 def test_floats_round_trip_through_csv(tmp_path):
@@ -299,23 +351,28 @@ system:
     ("simulate", SYSTEM.format(dynamics="0.0", extra="coalitions: [5]"), EXIT_VALIDATION,
      "validation: scenario.yaml: system.coalitions[0]: expected a mapping", {}),
     ("simulate", SYSTEM.format(dynamics="0^-1", extra=""), EXIT_RUNTIME,
-     "runtime: faulty: 0.0 cannot be raised to a negative power", {}),
+     "runtime: faulty: system.dynamics[0] '0^-1': 0.0 cannot be raised to a negative power "
+     "at t=0.0", {}),
     ("simulate", SYSTEM.format(dynamics="exp(exp(exp(100*phi[0]+100)))", extra=""),
-     EXIT_RUNTIME, "runtime: faulty: math range error", {}),
+     EXIT_RUNTIME, "runtime: faulty: system.dynamics[0] 'exp(exp(exp(100*phi[0]+100)))': "
+     "math range error at t=0.0", {}),
     ("repdyn", DRIFT + "  threshold: 1.0e-7\n", EXIT_INSOLVABLE,
      "insolvable in the declared class at t=0.001", {}),
     ("repdyn", OVERFLOW, EXIT_RUNTIME,
      "runtime: stage-overflow: matrix tuple diverged at t=0.01", {}),
     # The signal divides by zero in the k4 stage of the step from t=0.004.
     ("simulate", PLAYER.format(title="zerodiv", signal="1.0/(t - 0.005)", eps="0.0"),
-     EXIT_RUNTIME, "runtime: zerodiv: float division by zero at t=0.005", {}),
+     EXIT_RUNTIME, "runtime: zerodiv: system.players[0].signal[0] '1.0/(t - 0.005)': float "
+     "division by zero at t=0.005", {}),
     # The hidden parameter overflows to inf while the state stays finite.
     ("simulate", PLAYER.format(title="eps-overflow", signal="0.0", eps="phi[0]*1e308*10"),
      EXIT_RUNTIME, "runtime: eps-overflow: non-finite eps_0 at t=0.0", {}),
-    # A negative float base to a fractional power is complex; the control vector rejects it.
+    # A negative float base to a fractional power is complex; the dynamics, which read
+    # the control as np.float64, reject the coupling's complex value.
     ("simulate", PLAYER.format(title="complex-power", signal="(t - 1)^0.5", eps="0.0"),
-     EXIT_RUNTIME, "runtime: complex-power: Cannot cast array data from dtype('complex128') "
-     "to dtype('float64') according to the rule 'same_kind' at t=0.0", {}),
+     EXIT_RUNTIME, "runtime: complex-power: system.players[0].coupling[0] 'u0[0]': Cannot cast "
+     "array data from dtype('complex128') to dtype('float64') according to the rule "
+     "'same_kind' at t=0.0", {}),
     # Inputs from outside the scenario: the environment and the command line.
     ("simulate", SYSTEM.format(dynamics="0.0", extra=""), EXIT_VALIDATION,
      "validation: TACTICA_TOLERANCE: expected a positive finite number, got 'abc'",
