@@ -18,14 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import exports
-from .expr import ExpressionError
-from .games import ConfigurationError, SimulationError, check_indeterminate_invariants
-from .prediction import DataError, strategic_pipeline, unravel_by_filtering
+from .games import SimulationError, check_indeterminate_invariants
+from .prediction import strategic_pipeline, unravel_by_filtering
 from .repdyn import (StrandedClassError, integrate_repdyn, integrate_scalar_reference,
                      run_tactical_repdyn, solve_inverse_problem)
 from .scenario import COMMANDS, Scenario, ScenarioError, load_scenario
 from .tactics import run_synthesized
-from .verbalization import (DomainError, detect_partition, fit_recurrence, verify_recurrence,
+from .verbalization import (detect_partition, fit_recurrence, verify_recurrence,
                             windows_from_trajectory)
 
 EXIT_OK = 0
@@ -122,9 +121,9 @@ def run_command(command: str, scenario_path, out_dir: Path, dt_override: float |
     except StrandedClassError as exc:
         print(f"insolvable: {exc}", file=sys.stderr)
         return EXIT_INSOLVABLE
-    # Arithmetic faults come from compiled expressions; LinAlgError from the projection.
-    except (ConfigurationError, SimulationError, DataError, DomainError, ExpressionError,
-            ArithmeticError, np.linalg.LinAlgError) as exc:
+    # Every library complaint is a ValueError (LinAlgError from the projection too);
+    # arithmetic faults and math domain errors come from compiled expressions.
+    except (ValueError, ArithmeticError, SimulationError) as exc:
         print(f"runtime: {scenario.title}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     exports.write_json(report, out_dir / "report.json")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
 
@@ -244,8 +244,8 @@ def _emit(node, read: Callable[[str, int | None], str] = _argument) -> str:
     return f"({left} {op} {right})"
 
 
-def _compile(body: str, scalars: Sequence[str], vectors: Mapping[str, int]) -> Callable:
-    arglist = ", ".join([f"_v_{n}" for n in scalars] + [f"_v_{n}" for n in vectors])
+def _compile(body: str, arguments: Sequence[str]) -> Callable:
+    arglist = ", ".join(f"_v_{n}" for n in arguments)
     # The body is assembled purely from our validated AST; nothing from the raw
     # string reaches eval directly.  The function namespace must be the
     # lambda's globals: it is resolved at call time, not at eval time.
@@ -263,32 +263,39 @@ def compile_expression(src: str, scalars: Sequence[str] = (),
     """
     vectors = vectors or {}
     validate(src, scalars, vectors)
-    return _compile(f"({_emit(parse(src))})", scalars, vectors)
+    return _compile(f"({_emit(parse(src))})", (*scalars, *vectors))
 
 
 @dataclass(frozen=True)
 class VectorExpression:
-    """A fixed-length vector of compiled component expressions, declared at ``path``
-    (``system.players[0].signal``, say; component k is ``path[k]``)."""
+    """A fixed-length vector of component expressions over ``arguments`` (the scalars, then
+    the vectors in mapping order), declared at ``path`` (component k is ``path[k]``).  A
+    call returns the component list; the vector compiles itself at its first call."""
 
     sources: tuple[str, ...]
-    fn: Callable
+    arguments: tuple[str, ...]
     path: str = ""
 
     @property
     def dim(self) -> int:
         return len(self.sources)
 
+    @cached_property
+    def _function(self) -> Callable:
+        body = ", ".join(f"({_emit(parse(src))})" for src in self.sources)
+        return _compile(f"[{body}]", self.arguments)
+
+    def __call__(self, *args) -> list:
+        return self._function(*args)
+
 
 def compile_vector(sources: Sequence[str], scalars: Sequence[str] = (),
                    vectors: Mapping[str, int] | None = None, path: str = "") -> VectorExpression:
-    """Compile ``sources`` into one function returning the list of component values,
-    evaluated left to right exactly as :func:`compile_expression` evaluates each."""
+    """Validate ``sources`` as one vector; it evaluates each as :func:`compile_expression`."""
     vectors = vectors or {}
     for src in sources:
         validate(src, scalars, vectors)
-    body = ", ".join(f"({_emit(parse(src))})" for src in sources)
-    return VectorExpression(tuple(sources), _compile(f"[{body}]", scalars, vectors), path)
+    return VectorExpression(tuple(sources), (*scalars, *vectors), path)
 
 
 # ---------------------------------------------------------------------------

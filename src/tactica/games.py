@@ -34,11 +34,21 @@ class DivergenceError(SimulationError):
     """State became non-finite; carries the last time with a finite state."""
 
     def __init__(self, last_valid_time: float):
-        super().__init__(f"state diverged; last finite state at t={last_valid_time!r}")
+        super().__init__(f"state diverged; last finite state at t={float(last_valid_time)!r}")
         self.last_valid_time = last_valid_time
 
 
 _EMPTY = np.zeros(0)
+
+
+def real_array(values, leaf: str, t: float | None = None) -> np.ndarray:
+    """``np.asarray(values, dtype=float)``; a complex value is a :class:`SimulationError`
+    naming ``leaf`` (and the time ``t``, if given) instead of passing as its real part."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        at = "" if t is None else f" at t={float(t)!r}"
+        raise SimulationError(f"{leaf}: complex value {arr.tolist()!r}{at}")
+    return np.asarray(arr, dtype=float)
 
 
 def whole_steps(t0: float, t1: float, dt: float) -> int | None:
@@ -220,7 +230,7 @@ class SlowControl:
 
     def value(self, t: float, step: int) -> np.ndarray:
         if callable(self.schedule):
-            return np.asarray(self.schedule(t), dtype=float)
+            return real_array(self.schedule(t), getattr(self.schedule, "path", "slow"), t)
         pos = bisect.bisect_right(self.schedule, step, key=itemgetter(0)) - 1
         return np.asarray(self.schedule[max(pos, 0)][1], dtype=float)
 
@@ -317,6 +327,19 @@ def _floats(vectors) -> np.ndarray:
     return np.concatenate(vectors, dtype=float)
 
 
+def _real(values, leaves: Sequence[str]) -> np.ndarray:
+    """``np.asarray(values, dtype=float)`` for a derivative that is not float64 already.  A
+    complex value is a TypeError naming its leaf: an inlined vector's first complex
+    component, or the one leaf of a callable's whole derivative."""
+    arr = np.asarray(values)
+    if not np.iscomplexobj(arr):
+        return np.asarray(arr, dtype=float)
+    if len(leaves) < len(arr):
+        raise TypeError(f"{leaves[0]}: complex value {arr.tolist()!r}")
+    k = next(i for i, x in enumerate(values) if np.iscomplexobj(x))
+    raise TypeError(f"{leaves[k]}: complex value {complex(values[k])!r}")
+
+
 def _listed(vector: _Vector) -> str:
     """``vector`` as an expression: its local, or a list of its elements."""
     return vector.name or f"[{', '.join(vector.items)}]"
@@ -324,7 +347,7 @@ def _listed(vector: _Vector) -> str:
 
 def _fault(exc: BaseException, t: float, leaves: dict) -> SimulationError:
     """The error of a stage fault, naming the leaf evaluated on the failing line."""
-    leaf = leaves.get(exc.__traceback__.tb_lineno)
+    leaf, t = leaves.get(exc.__traceback__.tb_lineno), float(t)
     return SimulationError(f"{leaf}: {exc} at t={t!r}" if leaf else f"{exc} at t={t!r}")
 
 
@@ -354,7 +377,8 @@ class _StageSource:
         self.elements: dict[tuple[str, int], str] = {}
         self.namespace = {"__builtins__": {}, **_FUNC_NS, "_F64": np.float64,
                           "_asarray": np.asarray, "_floats": _floats, "float": float,
-                          "_EMPTY": _EMPTY, "_faults": (ArithmeticError, TypeError),
+                          "_F64D": np.dtype(float), "_real": _real, "_EMPTY": _EMPTY,
+                          "_faults": (ArithmeticError, TypeError, ValueError),
                           "_fault": _fault, "_leaves": self.leaves}
 
     def line(self, stem: str, value: str, leaf: str = "") -> str:
@@ -401,8 +425,9 @@ class _StageSource:
         if any(v.items is None for v in vectors):
             listed = ", ".join(map(self.whole, vectors))
             return _Vector(self.line("f", f"_floats([{listed}])", leaf))
-        return _Vector("", [self.line("f", _AS_FLOAT64.format(x), where)
-                            for v in vectors for x, where in zip(v.items, v.leaves)])
+        return _Vector(None, [self.line("f", _AS_FLOAT64.format(x), where)
+                              for v in vectors for x, where in zip(v.items, v.leaves)],
+                       [where for v in vectors for where in v.leaves])
 
     def signal(self, k: int, signal) -> _Vector:
         if isinstance(signal, VectorExpression):
@@ -457,13 +482,25 @@ class _StageSource:
         if isinstance(dyn, OrdinaryDynamics):
             inner = dyn.system
             slots = self.slots(inner, dyn.use_coalitions, controls[:inner.n_players])
-            return self.dynamics(inner, self.controls(slots, controls[inner.n_players:], "()"))
+            # A former hidden parameter reaches the couplings as np.float64 elements, as
+            # from a policy returning np.asarray(..., dtype=float).
+            eps = [e if e.items is None else self.flat([e], "")
+                   for e in controls[inner.n_players:]]
+            return self.dynamics(inner, self.controls(slots, eps, "()"))
         if isinstance(dyn, VectorExpression):
             values = self.inline(dyn, u=self.flat(controls, dyn.path))
-            return self.line("d", f"_asarray({_listed(values)}, dtype=float)", dyn.path)
+            return self.real(_listed(values), values.leaves, dyn.path)
         listed = ", ".join(map(self.whole, controls))
-        return self.line("d", f"_asarray({self.ref(dyn)}(t, phi, [{listed}], lam), dtype=float)",
-                         "dynamics")
+        values = self.line("c", f"{self.ref(dyn)}(t, phi, [{listed}], lam)", "dynamics")
+        return self.real(values, ("dynamics",), "dynamics")
+
+    def real(self, values: str, leaves: Sequence[str], leaf: str) -> str:
+        """``np.asarray(values, dtype=float)``, checked by dtype identity; a complex element
+        of ``values`` fails naming its leaf."""
+        name = self.line("d", f"_asarray({values})", leaf)
+        self.body.append(f"if {name}.dtype is not _F64D: "
+                         f"{name} = _real({values}, {self.ref(tuple(leaves))})")
+        return name
 
     def function(self, returned: str) -> Callable:
         source = "\n".join(["def stage(t, phi, lam, values=True):", "    try:",
@@ -486,8 +523,9 @@ def compile_stage(system: InteractiveSystem, use_coalitions: bool = False) -> Ca
     dynamics see np.float64 elements, as ``np.concatenate(..., dtype=float)`` gives
     them.  With an order-1 coupling every coupling runs twice: first seeded with a
     zero derivative, then with the derivative the dynamics give under the first pass.
-    An ``ArithmeticError`` or ``TypeError`` is raised as a :class:`SimulationError`
-    naming the leaf and the stage time.
+    An ``ArithmeticError``, ``TypeError`` or ``ValueError`` (a math domain error, say) is
+    raised as a :class:`SimulationError` naming the leaf and the stage time; so is a
+    complex derivative.
     """
     out = _StageSource()
     pure = [out.signal(k, p.signal) for k, p in enumerate(system.players)]
@@ -567,7 +605,7 @@ def _integrate(system: InteractiveSystem, use_coalitions: bool, initial, t0, t1,
                 for rec, x in zip(recs, slot_values):
                     rec[k] = x
         except TypeError as exc:        # a complex control or hidden-parameter value
-            raise SimulationError(f"{exc} at t={t!r}") from exc
+            raise SimulationError(f"{exc} at t={float(t)!r}") from exc
         if k < n_steps:
             phi = rk4_step(derivative, t, phi, dt, dphi)
             if not all(map(math.isfinite, phi.tolist())):

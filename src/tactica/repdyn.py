@@ -19,8 +19,8 @@ import numpy as np
 from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple, WeylPlan,
                       WeylSymbol, WeylTerm, commutative_presentation, compile_symbols,
                       identity, relation_values, weyl_eval_tuple)
-from .expr import NCPoly, nc_evaluate
-from .games import ConfigurationError, SimulationError, rk4_step, step_count
+from .expr import NCPoly, VectorExpression, nc_evaluate
+from .games import ConfigurationError, SimulationError, real_array, rk4_step, step_count
 from .tactics import CommentState, DialecticalObject, TransitionRule
 from .verbalization import WindowRecord
 
@@ -192,7 +192,10 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     def rhs(t: float, stacked: np.ndarray) -> np.ndarray:
         nonlocal a_time, a
         if control is not None and t != a_time:     # the two middle stages share t
-            a_time, a = t, np.asarray(control(t), dtype=complex)
+            a_time, a = t, control(t)
+            if isinstance(control, VectorExpression):   # a scenario's control is real
+                a = real_array(a, control.path, t)
+            a = np.asarray(a, dtype=complex)
             if len(a) != control_dim:
                 raise ConfigurationError(
                     f"control schedule returns {len(a)} components, spec declares "
@@ -589,8 +592,9 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
             window_res.extend(result.residuals.tolist())
             window_norms.extend(norms)
             if game.control is not None:
-                window_a.extend(np.atleast_1d(np.asarray(game.control(float(t)), dtype=float))
-                                for t in result.times)
+                window_a.extend(np.atleast_1d(real_array(
+                    game.control(float(t)), getattr(game.control, "path", "control"), t))
+                    for t in result.times)
             stacked = result.states[-1]
             if result.insolvable is None:
                 break

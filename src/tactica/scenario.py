@@ -22,9 +22,9 @@ from .algebra import (MAX_GENERATORS, MAX_MATRIX_DIM, AlgebraClassRegistry,
                       AlgebraPresentation, MatrixTuple, WeylSymbol, WeylTerm, default_registry,
                       parse_relation)
 from .expr import ExpressionError, VectorExpression
-from .games import (Coalition, ConfigurationError, EpsilonProcess, FeedbackCoupling,
-                    InteractiveSystem, InvariantConstraint, Player, SlowControl,
-                    StateTrajectory, coalition_simulate, simulate, whole_steps, zero_epsilon)
+from .games import (Coalition, EpsilonProcess, FeedbackCoupling, InteractiveSystem,
+                    InvariantConstraint, Player, SlowControl, StateTrajectory,
+                    coalition_simulate, simulate, whole_steps, zero_epsilon)
 from .prediction import FilterSpec
 from .repdyn import (ClassDynamics, RepDynSpec, TacticalRepDyn, _parse_polynomial_rhs,
                      check_start, tuple_map)
@@ -76,10 +76,11 @@ class _Check:
         return bool(ok)
 
     def build(self, path: str, make: Callable, *args, **kwargs):
-        """Call a library constructor; record its complaint (or arithmetic fault) at ``path``."""
+        """Call a library constructor; record its complaint (a ValueError) or arithmetic
+        fault at ``path``."""
         try:
             return make(*args, **kwargs)
-        except (ConfigurationError, ExpressionError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             self.add(path, str(exc))
             return None
 
@@ -171,7 +172,7 @@ class TacticsPlan:
 class PredictionPlan:
     filter: FilterSpec | None
     family: tuple[str, ...]
-    assumed_eps: list[Callable] | None = None   # the pipeline's, with its horizon
+    assumed_eps: list[VectorExpression] | None = None   # the pipeline's, with its horizon
     horizon: float = 0.0
 
 
@@ -182,7 +183,7 @@ class RepdynPlan:
     start: np.ndarray | None = None     # the integrate mode's (m, n, n) initial tuple
     tactical: TacticalRepDyn | None = None
     windows: tuple[float, ...] = ()
-    control: Callable | None = None
+    control: VectorExpression | None = None
 
 
 @dataclass
@@ -193,7 +194,7 @@ class InvertPlan:
     matrix_dim: int
     designated_slot: int
     lift_constants: bool
-    u_schedule: Callable
+    u_schedule: VectorExpression
 
 
 @dataclass
@@ -384,11 +385,9 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
     slow, fed = _slow(spec["slow"], check) if "slow" in spec else (None, 0)
     read = _lambda_read(spec)
     # A malformed system.slow is taken to feed every lambda component read, so that its
-    # fault is the only one reported.  A declared lambda_dim wins; else a commented run
-    # feeds its comment as slow parameter.
+    # fault is the only one reported.  A commented run feeds its comment as slow parameter.
     fed = read if fed is None else fed
-    lam = spec.get("lambda_dim", fed if ctx.dims["theta"] is None else ctx.dims["theta"])
-    lam = lam if check.integer("system.lambda_dim", lam, low=0) else 0
+    lam = fed if ctx.dims["theta"] is None else ctx.dims["theta"]
     u0_dims = [_length(p.get("signal")) if isinstance(p, dict) else 0 for p in players]
     built, player_slots = [], []
     for k, base, p in check.entries("system.players", players):
@@ -424,14 +423,13 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
     trace = {"u": dims["u"], "u0": dims["u0"], "eps": dims["eps"], "phi": dim, "dphi": dim}
     invariants = []
     for k, base, inv in check.entries("system.invariants", spec.get("invariants", [])):
-        order, src = inv.get("required_order", 0), inv.get("expression")
-        check.integer(f"{base}.required_order", order, low=0)
+        src = inv.get("expression")
         if check.expression(f"{base}.expression", src, ("t",), trace):
-            fn = expr.compile_expression(src, ("t",), trace)
+            # An invariant that reads dphi is checked against the recorded derivative.
+            reads_dphi = any(name == "dphi" for name, _ in expr.variables(src))
             invariants.append(InvariantConstraint(
-                fn=lambda t, u, u0, eps, phi, dphi, _f=fn:
-                    _f(t, u, u0, eps, phi, dphi if dphi is not None else np.zeros(0)),
-                label=inv.get("label", f"F{k}"), required_order=order))
+                fn=expr.compile_expression(src, ("t",), trace), label=inv.get("label", f"F{k}"),
+                required_order=int(reads_dphi)))
     if len(check.errors) > start:
         return None
     # The stage inlines every expression vector; see games.compile_stage for the types
@@ -477,11 +475,10 @@ def _slot(path: str, spec: dict, u0_dim: int, dim: int, lam: int, check: _Check)
 
 def _slow(spec, check: _Check) -> tuple[SlowControl | None, int | None]:
     """The external slow parameter and the number of lambda components it feeds: the
-    length of its schedule or of every step's values, and the lambda_dim it implies.
-    A malformed spec feeds None."""
+    length of its schedule or of every step's values.  A malformed spec feeds None."""
     if isinstance(spec, dict) and "schedule" in spec:
         vec = check.expressions("system.slow.schedule", spec["schedule"], ("t",))
-        return (SlowControl(lambda t, _f=vec.fn: _f(t)), vec.dim) if vec else (None, None)
+        return (SlowControl(vec), vec.dim) if vec else (None, None)
     steps = spec.get("steps") if isinstance(spec, dict) else None
     if not check.require("system.slow", isinstance(steps, list) and all(
             isinstance(s, list) and len(s) == 2 and isinstance(s[0], int)
@@ -508,7 +505,7 @@ def _verbalization(spec: dict, ctx: _Context, check: _Check) -> VerbalizationPla
     sizes = {"eps": dims["eps"], "u0": dims["u0"], "u": dims["u"], "state": dims["phi"]}
     dims.update(omega=sum(sizes[f.source] for f in omega or ()),
                 v=sum(sizes[f.source] for f in v or ()))
-    cells = _cells(spec["cells"], check) if "cells" in spec else None
+    cells = _cells(spec["cells"], dims["eps"], check) if "cells" in spec else None
     recurrence, rec = {}, spec.get("recurrence")
     if "recurrence" in spec and check.mapping("verbalization.recurrence", rec):
         recurrence = _recurrence(rec, dims, len(grid or ()) - 1, check)
@@ -530,7 +527,7 @@ def _recurrence(spec: dict, dims: dict, n_windows: int, check: _Check) -> dict:
         fn = check.expressions(f"{path}.expression", spec.get("expression"), (),
                                {"omega": dims["omega"], "v": dims["v"]})
         return fn and {"recurrence_tol": float(tol), "recurrence": RecurrenceMap(
-            family="declared", form=fn.fn)} or {}
+            family="declared", form=fn)} or {}
     k, low = spec.get("fit_windows"), dims["omega"] + dims["v"] + 1
     check.require(f"{path}.fit_windows", isinstance(k, int) and low <= k < n_windows,
                   f"expected an integer in [{low}..{n_windows - 1}]: one window per fitted "
@@ -538,12 +535,13 @@ def _recurrence(spec: dict, dims: dict, n_windows: int, check: _Check) -> dict:
     return {"fit_windows": k, "recurrence_tol": float(tol)}
 
 
-def _cells(spec, check: _Check) -> CellComplex | None:
+def _cells(spec, eps_dim: int, check: _Check) -> CellComplex | None:
     path = "verbalization.cells"
     if not check.mapping(path, spec):
         return None
     start, dim, box = len(check.errors), spec.get("dim"), spec.get("box")
-    dim_ok = check.integer(f"{path}.dim", dim)
+    dim_ok = check.integer(f"{path}.dim", dim) and check.require(
+        f"{path}.dim", dim <= eps_dim, f"{dim} exceeds the hidden-parameter width {eps_dim}")
     check.require(f"{path}.box", isinstance(box, list) and (not dim_ok or len(box) == dim)
                   and all(isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
                           for b in box), "expected one [lo, hi] pair per axis")
@@ -618,15 +616,14 @@ def _tactics(spec: dict, ctx: _Context, check: _Check) -> TacticsPlan | None:
                            theta0=np.asarray(g["theta0"], dtype=float))
              for _, _, g in entries]
     if mode == "commented":
-        return TacticsPlan(mode=mode, games=plays, rule=commented_as_synthesis(rules[0].fn))
+        return TacticsPlan(mode=mode, games=plays, rule=commented_as_synthesis(rules[0]))
     if mode == "interaction":
-        return TacticsPlan(mode=mode, games=plays, rule=interaction_as_synthesis(
-            rules[0].fn, rules[1].fn, terms[0].fn, terms[1].fn))
+        return TacticsPlan(mode=mode, games=plays, rule=interaction_as_synthesis(*rules, *terms))
     zeros = (np.zeros(theta), np.zeros(omega), np.zeros(v))
     masks = tuple(frozenset(i - 1 for i in g["mask"]) for _, _, g in entries)
     # A form reads (theta, omega, v) of each game in its mask, and zeros for the others.
     rule = check.build("tactics.games", SynthesisRule, masks=masks, forms=tuple(
-        lambda th, om, vs, _f=f.fn, _m=m: _f(*[x[i] if i in _m else zero for i in range(n)
+        lambda th, om, vs, _f=f, _m=m: _f(*[x[i] if i in _m else zero for i in range(n)
                                                for x, zero in zip((th, om, vs), zeros)])
         for f, m in zip(forms, masks)))
     return rule and TacticsPlan(mode=mode, games=plays, rule=rule)
@@ -658,13 +655,25 @@ def _prediction(spec: dict, ctx: _Context, check: _Check) -> PredictionPlan | No
         slots = len(system.system.players) if system is not None else _length(assumed)
         if check.require(f"{path}.assumed_eps", isinstance(assumed, list) and assumed and len(
                 assumed) == slots, "expected one signal declaration per hidden-parameter slot"):
-            signals = [check.expressions(f"{path}.assumed_eps[{k}]", sources, ("t",))
-                       for k, sources in enumerate(assumed)]
+            widths = [p.epsilon.dim for p in system.system.players] if system else [None] * slots
+            signals = [_assumed_eps(f"{path}.assumed_eps[{k}]", sources, width, check)
+                       for k, (sources, width) in enumerate(zip(assumed, widths))]
     if len(check.errors) > start:
         return None
     return PredictionPlan(filter=filter_spec or None, family=tuple(family), horizon=float(horizon),
-                          assumed_eps=signals and [lambda t, _v=vec: np.asarray(_v.fn(t), dtype=float)
-                                                   for vec in signals])
+                          assumed_eps=signals)
+
+
+def _assumed_eps(path: str, sources, width: int | None,
+                 check: _Check) -> VectorExpression | None:
+    """A slot's assumed hidden parameter: ``width`` expressions of ``t``, or [] for a slot
+    without one.  A width of None (a malformed system) is not checked."""
+    if width == 0 and sources == []:
+        return expr.compile_vector((), ("t",), path=path)
+    vec = check.expressions(path, sources, ("t",))
+    return vec if check.require(path, vec is None or width in (None, vec.dim),
+                                f"expected {width} expressions, one per component of the "
+                                "slot's hidden parameter") else None
 
 
 def _repdyn(spec: dict, ctx: _Context, check: _Check) -> RepdynPlan | None:
@@ -681,8 +690,7 @@ def _repdyn(spec: dict, ctx: _Context, check: _Check) -> RepdynPlan | None:
         return None
     control, control_dim = None, _length(spec.get("control"))
     if "control" in spec:
-        vec = check.expressions("repdyn.control", spec["control"], ("t",))
-        control = vec and (lambda t, _v=vec: np.asarray(_v.fn(t), dtype=float))
+        control = check.expressions("repdyn.control", spec["control"], ("t",))
     tol, threshold = spec.get("tolerance", ctx.tolerance or 1e-9), spec.get("threshold", 1e-5)
     if check.number("repdyn.tolerance", tol, True) & check.number("repdyn.threshold", threshold,
                                                                    True):
@@ -841,11 +849,10 @@ def _invert(spec: dict, ctx: _Context, check: _Check) -> InvertPlan | None:
                       f"slot {slot} is outside the matrix dimension {matrix_dim}")
     if len(check.errors) > start:
         return None
-    schedule = (lambda t: np.asarray(vec.fn(t), dtype=float)) if vec else lambda t: np.zeros(0)
     return InvertPlan(rhs=tuple(rhs), x0=tuple(float(x) for x in spec["x0"]),
                       control_dim=control_dim, matrix_dim=matrix_dim, designated_slot=slot,
                       lift_constants=bool(spec.get("lift_constants", False)),
-                      u_schedule=schedule)
+                      u_schedule=vec or expr.compile_vector((), ("t",), path="invert.control"))
 
 
 # Section walks in dependency order: later walks read the dims and plans of earlier ones.

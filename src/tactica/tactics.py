@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .games import (ConfigurationError, InteractiveSystem, SlowControl,
-                    StateTrajectory, simulate)
+from .games import (ConfigurationError, InteractiveSystem, SlowControl, StateTrajectory,
+                    real_array, simulate)
 from .verbalization import WindowFunctional, WindowRecord, evaluate_functionals
 
 
@@ -116,11 +116,12 @@ class SynthesisRule:
 
     def value(self, j: int, thetas: Sequence[np.ndarray], omegas: Sequence[np.ndarray],
               vs: Sequence[np.ndarray]) -> np.ndarray:
-        """Game j's next comment, its form reading the games of its mask only."""
+        """Game j's next comment, its form reading the games of its mask only; a complex
+        comment is a :class:`SimulationError`."""
         mask = self.masks[j]
-        return np.atleast_1d(np.asarray(self.forms[j](
+        return np.atleast_1d(real_array(self.forms[j](
             _MaskedView(thetas, mask, "comment"), _MaskedView(omegas, mask, "window state"),
-            _MaskedView(vs, mask, "window control")), dtype=float))
+            _MaskedView(vs, mask, "window control")), f"synthesis form {j}"))
 
     def step(self, thetas: Sequence[np.ndarray], omegas: Sequence[np.ndarray],
              vs: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -198,10 +199,9 @@ def interaction_as_synthesis(update1: Callable, update2: Callable, term12: Calla
     """
     def coupled(update, term, own, other):
         def form(thetas, omegas, vs):
-            return (np.atleast_1d(np.asarray(update(thetas[own], omegas[own], vs[own]),
-                                             dtype=float))
+            return (np.atleast_1d(np.asarray(update(thetas[own], omegas[own], vs[own])))
                     + np.atleast_1d(np.asarray(term(thetas[own], thetas[other], omegas[own],
-                                                    vs[own]), dtype=float)))
+                                                    vs[own]))))
         return form
 
     both = frozenset({0, 1})

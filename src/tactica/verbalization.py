@@ -17,7 +17,7 @@ import numpy as np
 from .expr import compile_expression
 from .expr import variables as expr_variables
 from .games import (ConfigurationError, InteractiveSystem, Player, StateTrajectory,
-                    simulate)
+                    real_array, simulate)
 
 
 class DomainError(ValueError):
@@ -167,10 +167,11 @@ class CellComplex:
         mesh = np.meshgrid(*axes, indexing="ij") if axes else []
         errors = []
         grid = np.stack([m.ravel() for m in mesh], axis=-1) if axes else np.zeros((0, 0))
-        for point in grid:
-            hits = sum(1 for c in self.cells if c.contains(point))
-            if hits != 1:
-                errors.append(f"point {point.tolist()} lies in {hits} cells")
+        with np.errstate(all="ignore"):     # a condition's fault is its error, not a warning
+            for point in grid:
+                hits = sum(1 for c in self.cells if c.contains(point))
+                if hits != 1:
+                    errors.append(f"point {point.tolist()} lies in {hits} cells")
         return errors
 
 
@@ -275,7 +276,8 @@ class RecurrenceMap:
         omega_prev = np.atleast_1d(np.asarray(omega_prev, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
         if self.family == "declared":
-            return np.atleast_1d(np.asarray(self.form(omega_prev, v), dtype=float))
+            return np.atleast_1d(real_array(self.form(omega_prev, v),
+                                            getattr(self.form, "path", "recurrence")))
         return self.coeff_omega @ omega_prev + self.coeff_v @ v + self.intercept
 
 

@@ -347,6 +347,10 @@ system:
 """
 
 
+COMMENTED = (SCENARIOS / "tactics_commented.yaml").read_text()
+COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
+
+
 @pytest.mark.parametrize("command, text, expected, message, options", [
     ("simulate", SYSTEM.format(dynamics="0.0", extra="coalitions: [5]"), EXIT_VALIDATION,
      "validation: scenario.yaml: system.coalitions[0]: expected a mapping", {}),
@@ -398,11 +402,47 @@ system:
                                extra="slow: {steps: [[0, [1.0]], [50, [2.0, 3.0]]]}"),
      EXIT_VALIDATION, "validation: scenario.yaml: system.slow.steps: every step needs the "
      "same number of values, got [1, 2]", {}),
+    # A complex derivative or comment fails instead of passing as its real part.
+    ("simulate", SYSTEM.format(dynamics="phi[0]*(0 - 1)^0.5", extra=""), EXIT_RUNTIME,
+     "runtime: faulty: system.dynamics[0] 'phi[0]*(0 - 1)^0.5': complex value 0j at t=0.0", {}),
+    ("tactics", COMMENTED.replace(COMMENT_RULE, "theta[0]*(0 - 1)^0.5"), EXIT_RUNTIME,
+     "runtime: commented-setpoint: synthesis form 0: complex value [(", {}),
+    ("simulate", SYSTEM.format(dynamics="lambda[0]", extra='slow: {schedule: ["(0 - 1)^0.5"]}'),
+     EXIT_RUNTIME, "runtime: faulty: system.slow.schedule: complex value [(", {}),
+    ("repdyn", (SCENARIOS / "repdyn_heisenberg.yaml").read_text().replace(
+        '"0.1*sin(t)"', '"0.1*sin(t)*(0 - 1)^0.5"'), EXIT_RUNTIME,
+     "runtime: heisenberg-scaling-flow: repdyn.control: complex value [0j, (0.05+0j)] at t=0.0",
+     {}),
+    ("verbalize", (SCENARIOS / "verbalize_fit.yaml").read_text().replace(
+        "family: fit\n    fit_windows: 8",
+        'family: declared\n    expression: ["omega[0]*(0 - 1)^0.5"]'),
+     EXIT_RUNTIME, "runtime: exponential-window-recurrence: verbalization.recurrence.expression: "
+     "complex value [(", {}),
+    # sin and cos of an infinite argument are math domain errors.
+    ("simulate", PLAYER.format(title="signal-domain", signal="sin(1e308*10)", eps="0.0"),
+     EXIT_RUNTIME, "runtime: signal-domain: system.players[0].signal[0] 'sin(1e308*10)': math "
+     "domain error at t=0.0", {}),
+    ("simulate", SYSTEM.format(dynamics="lambda[0]",
+                               extra='slow: {schedule: ["cos(1e308*10)"]}'),
+     EXIT_RUNTIME, "runtime: faulty: math domain error", {}),
+    ("tactics", COMMENTED.replace(COMMENT_RULE, "sin(theta[0]*1e308*10)"), EXIT_RUNTIME,
+     "runtime: commented-setpoint: math domain error", {}),
+    # The window grid's times are np.float64; the message prints them as floats.
+    ("tactics", COMMENTED.replace('u[0]"]', 'u[0] + 1e300*max(t - 2.5, 0)*1e300"]'),
+     EXIT_RUNTIME, "runtime: commented-setpoint: state diverged; last finite state at t=2.5",
+     {}),
+    # lambda is as wide as the comment; no key widens it.
+    ("tactics", COMMENTED.replace("lambda[0] - phi[0]", "lambda[1] - phi[0]").replace(
+        "  slow:", "  lambda_dim: 2\n  slow:"), EXIT_VALIDATION,
+     "validation: scenario.yaml: system.dynamics[0]: index 1 out of range for 'lambda' "
+     "(dimension 1)", {}),
 ], ids=["validation", "zero-division", "overflow", "insolvable", "repdyn-stage-overflow",
         "stage-time", "non-finite-eps", "complex-power", "tolerance-env-text",
         "tolerance-env-nan", "tolerance-env-negative", "scenario-directory",
         "scenario-not-utf8", "out-is-a-file", "empty-batch", "slow-schedule-missing",
-        "slow-steps-unequal"])
+        "slow-steps-unequal", "complex-dynamics", "complex-comment", "complex-slow-schedule",
+        "complex-repdyn-control", "complex-recurrence", "signal-domain",
+        "slow-domain", "rule-domain", "window-time", "lambda-wider-than-comment"])
 def test_exit_codes_end_without_traceback(tmp_path, capsys, recwarn, monkeypatch, command, text,
                                           expected, message, options):
     scenario, out_dir = tmp_path / "scenario.yaml", tmp_path / "out"
@@ -426,6 +466,30 @@ def test_exit_codes_end_without_traceback(tmp_path, capsys, recwarn, monkeypatch
     # Under pytest warnings are recorded instead of printed, so check both.
     assert "RuntimeWarning" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("coupling, assumed", [
+    ("u0[0] + tanh(eps[0]^400)", "10.0"), ("u0[0] + 1/(1/eps[0])", "0.0")],
+    ids=["overflow-to-inf", "division-by-zero-to-inf"])
+def test_pipeline_policies_reach_the_couplings_as_float64(tmp_path, coupling, assumed):
+    # A float64 overflows or divides by zero to inf where a Python float raises.
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(PLAYER.format(title="policy-types", signal="0.0", eps="0.1").replace(
+        '"u0[0]"', f'"{coupling}"') + f'prediction:\n  pipeline: {{horizon: 0.005, '
+        f'assumed_eps: [["{assumed}"]]}}\n')
+    assert main(["predict", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) \
+        == EXIT_OK
+
+
+def test_an_invariant_reading_dphi_is_checked_against_the_recorded_derivative(tmp_path):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SYSTEM.format(dynamics="u[0]",
+                                      extra='invariants: [{expression: "dphi[0] - u[0]"}]'))
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) \
+        == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [(c["name"], c["value"], c["passed"]) for c in report["checks"]] == [
+        ("invariant F0", 0.0, True)]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])

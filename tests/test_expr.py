@@ -69,7 +69,7 @@ def test_variables_listing():
 
 def test_compile_vector():
     vec = compile_vector(["t", "2*t"], scalars=("t",))
-    assert vec.fn(3.0) == [3.0, 6.0]
+    assert vec(3.0) == [3.0, 6.0]
     assert vec.dim == 2
 
 
@@ -110,7 +110,7 @@ def test_compile_vector_matches_component_expressions(sources, t, p, as_array):
     scalars = [compile_expression(src, ("t",), vectors) for src in sources]
     with np.errstate(all="ignore"):
         expected = _outcome(lambda *args: [f(*args) for f in scalars], t, phi)
-        assert _outcome(compile_vector(sources, ("t",), vectors).fn, t, phi) == expected
+        assert _outcome(compile_vector(sources, ("t",), vectors), t, phi) == expected
 
 
 # ---------------------------------------------------------------------------

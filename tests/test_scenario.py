@@ -210,6 +210,17 @@ def test_every_tactics_mode_compiles_to_a_synthesis_rule(name, mode, games):
     assert len(plan.rule.forms) == len(plan.rule.masks) == len(plan.games) == games
 
 
+COMMENTED_PAIR = """
+verbalization:
+  windows: [0.0, 0.5, 1.0]
+  omega: [{kind: mean, source: state}]
+  v: [{kind: mean, source: u0}]
+tactics:
+  theta0: [1.0, 2.0]
+  rule: ["theta[0]", "theta[1]"]
+"""
+
+
 @pytest.mark.parametrize("dynamics, slow, supported", [
     ("lambda[1]", "", False), ("0.0", "", True),
     ("lambda[1]", 'slow: {schedule: ["0.5"]}', False),
@@ -219,8 +230,9 @@ def test_every_tactics_mode_compiles_to_a_synthesis_rule(name, mode, games):
 ], ids=["none", "none-unread", "schedule-short", "schedule", "steps-short", "steps"])
 def test_only_tactics_runs_a_system_whose_slow_schedule_misses_lambda(tmp_path, dynamics, slow,
                                                                       supported):
+    # lambda gets its width, 2, from the comment.
     scenario = load_scenario(write(tmp_path, MINIMAL.replace(
-        'dynamics: ["0.0"]', f'dynamics: ["{dynamics}"]\n  lambda_dim: 2\n  {slow}')))
+        'dynamics: ["0.0"]', f'dynamics: ["{dynamics}"]\n  {slow}') + COMMENTED_PAIR))
     assert scenario.supports("simulate") is supported
     assert (scenario.plans["system"].slow_gap == "") is supported
 
@@ -260,7 +272,6 @@ def test_slow_control_feeds_couplings(tmp_path):
       dim: 1
       initial: [0.0]
       dynamics: ["u[0]"]
-      lambda_dim: 1
       slow: {schedule: ["0.5"]}
       players:
         - signal: ["1.0"]
@@ -304,6 +315,11 @@ invert:
 """
 
 
+# MINIMAL with a two-component hidden parameter.
+EPSILON = MINIMAL.replace('coupling: ["u0[0]"]',
+                          'coupling: ["u0[0]"]\n      epsilon: {truth: ["0.1", "0.2"]}')
+
+
 @pytest.mark.parametrize("text, argv, message", [
     (MINIMAL + "  coalitions: [5]\n", [], "system.coalitions[0]: expected a mapping"),
     (MINIMAL + "  slow: 3\n", [], "system.slow: needs either a schedule or steps"),
@@ -329,10 +345,27 @@ invert:
      "invert.designated_slot: slot 2 is outside the matrix dimension 2"),
     (INVERT.format(rhs="u1*x1") + "  matrix_dim: 7\n", [],
      "invert.matrix_dim: matrix dimension 7 exceeds the desk-scale cap 6"),
+    (MINIMAL + "prediction:\n  pipeline: {horizon: 0.1, assumed_eps: [[\"0.5\"]]}\n", [],
+     "prediction.pipeline.assumed_eps[0]: expected 0 expressions, one per component of the "
+     "slot's hidden parameter"),
+    (EPSILON + "prediction:\n  pipeline: {horizon: 0.1, assumed_eps: [[\"0.5\"]]}\n", [],
+     "prediction.pipeline.assumed_eps[0]: expected 2 expressions, one per component of the "
+     "slot's hidden parameter"),
+    (EPSILON + "prediction:\n  pipeline: {horizon: 0.1, assumed_eps: [[\"t\", \"t\", \"t\"]]}\n",
+     [], "prediction.pipeline.assumed_eps[0]: expected 2 expressions"),
+    (EPSILON + "verbalization:\n  windows: [0.0, 1.0]\n  omega: [{kind: mean, source: state}]\n"
+               "  v: [{kind: mean, source: u0}]\n"
+               "  cells: {dim: 3, box: [[-1, 1], [-1, 1], [-1, 1]], cells: [{label: all}]}\n",
+     [], "verbalization.cells.dim: 3 exceeds the hidden-parameter width 2"),
+    ((SCENARIOS / "sine_partition.yaml").read_text().replace(
+        'expr: "eps[0]", op: "<"', 'expr: "sin(eps[0]*1e308*10)", op: "<"'), [],
+     "verbalization.cells: math domain error"),
 ], ids=["coalition-not-mapping", "slow-not-mapping", "dt-off-interval", "window-off-grid",
         "dt-override-off-interval", "family-index-out-of-range", "invert-rhs-not-polynomial",
         "invert-rhs-degree-above-cap", "declared-recurrence-one-window",
-        "invert-slot-outside-matrix", "invert-matrix-dim-above-cap"])
+        "invert-slot-outside-matrix", "invert-matrix-dim-above-cap",
+        "assumed-eps-without-epsilon", "assumed-eps-narrower", "assumed-eps-wider",
+        "cells-wider-than-eps", "cell-condition-domain"])
 def test_malformed_inputs_exit_1_naming_the_path(tmp_path, capsys, text, argv, message):
     from tactica.cli import EXIT_VALIDATION, main
     path = write(tmp_path, text)
@@ -341,6 +374,29 @@ def test_malformed_inputs_exit_1_naming_the_path(tmp_path, capsys, text, argv, m
     assert code == EXIT_VALIDATION
     assert f"validation: scenario.yaml: {message}" in err
     assert "Traceback" not in err
+
+
+def test_a_player_without_epsilon_assumes_none(tmp_path):
+    from tactica.cli import EXIT_OK, main
+    path = write(tmp_path, """
+    schema: 1
+    run: {t0: 0.0, t1: 1.0, dt: 0.01}
+    system:
+      dim: 1
+      initial: [0.0]
+      dynamics: ["u[0] + u[1] - phi[0]"]
+      players:
+        - signal: ["0.3"]
+          coupling: ["u0[0]"]
+        - signal: ["0.0"]
+          coupling: ["u0[0] + eps[0]*eps[1]"]
+          epsilon: {truth: ["0.1", "0.2"]}
+    prediction:
+      pipeline: {horizon: 0.1, assumed_eps: [[], ["0.1", "t"]]}
+    """)
+    plan = load_scenario(path).prediction_plan()
+    assert [vec.dim for vec in plan.assumed_eps] == [0, 2]
+    assert main(["predict", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 def _node_paths(node, prefix=()):

@@ -3,7 +3,9 @@
 ``reference_stage`` evaluates one stage the way the integrator did before the stage
 was generated: each leaf is a separate callable, a scenario's coalition forms and
 dynamics read ``np.concatenate(..., dtype=float)`` of the controls, and an associated
-ordinary game calls the original couplings from inside its dynamics.
+ordinary game calls the original couplings from inside its dynamics.  Its faults are
+the stage's: an arithmetic, type or value error, or a complex derivative, which is a
+type error rather than its real part.
 """
 
 import math
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_expr import _grammar
 
-from tactica import games
+from tactica import expr, games
 from tactica.expr import VectorExpression, compile_vector
 from tactica.games import (Coalition, EpsilonProcess, FeedbackCoupling, InteractiveSystem,
                            OrdinaryDynamics, Player, SimulationError, associated_ordinary_game,
@@ -29,17 +31,13 @@ from conftest import make_player
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def _signal(leaf):
-    return leaf.fn if isinstance(leaf, VectorExpression) else leaf
-
-
 def _epsilon(process, coalition):
     f = process.form
     if not isinstance(f, VectorExpression):
         return f
     if coalition:
-        return lambda t, u0s, phi: f.fn(t, np.concatenate(u0s, dtype=float), phi)
-    return f.fn
+        return lambda t, u0s, phi: f(t, np.concatenate(u0s, dtype=float), phi)
+    return f
 
 
 def _coupling(coupling, coalition):
@@ -47,9 +45,9 @@ def _coupling(coupling, coalition):
     if not isinstance(f, VectorExpression):
         return f
     if coalition:
-        return lambda t, u0s, phi, derivs, eps, lam: f.fn(
+        return lambda t, u0s, phi, derivs, eps, lam: f(
             t, np.concatenate(u0s, dtype=float), phi, eps, lam)
-    return lambda t, u0, phi, derivs, eps, lam: f.fn(t, u0, phi, eps, lam)
+    return lambda t, u0, phi, derivs, eps, lam: f(t, u0, phi, eps, lam)
 
 
 def _picks(system, use_coalitions):
@@ -62,7 +60,7 @@ def _picks(system, use_coalitions):
 def _dynamics(system):
     dyn = system.dynamics
     if isinstance(dyn, VectorExpression):
-        return lambda t, phi, controls, lam: dyn.fn(
+        return lambda t, phi, controls, lam: dyn(
             t, phi, np.concatenate(controls, dtype=float), lam)
     if isinstance(dyn, OrdinaryDynamics):
         inner, n = dyn.system, dyn.system.n_players
@@ -79,9 +77,15 @@ def _dynamics(system):
     return dyn
 
 
+def _derivative(values):
+    if any(np.iscomplexobj(v) for v in values):
+        raise TypeError("complex derivative")
+    return np.asarray(values, dtype=float)
+
+
 def reference_stage(system, use_coalitions=False):
     slots = system.coalitions if use_coalitions else system.players
-    signals = [_signal(p.signal) for p in system.players]
+    signals = [p.signal for p in system.players]
     picks = _picks(system, use_coalitions)
     forms = [_epsilon(s.epsilon, use_coalitions) for s in slots]
     couplings = [_coupling(s.coupling, use_coalitions) for s in slots]
@@ -97,10 +101,10 @@ def reference_stage(system, use_coalitions=False):
             derivs = ()
             if max_k:
                 u = [c(t, a, state, pre_derivs, e, lam) for c, a, e in zip(couplings, args, eps)]
-                derivs = (np.asarray(dynamics(t, state, u, lam), dtype=float),)
+                derivs = (_derivative(dynamics(t, state, u, lam)),)
             u = [c(t, a, state, derivs, e, lam) for c, a, e in zip(couplings, args, eps)]
-            dphi = np.asarray(dynamics(t, state, u, lam), dtype=float)
-        except (ArithmeticError, TypeError) as exc:
+            dphi = _derivative(dynamics(t, state, u, lam))
+        except (ArithmeticError, TypeError, ValueError) as exc:
             raise SimulationError(f"{exc} at t={t!r}") from exc
         return (u0s, eps, u), dphi
     return stage
@@ -237,6 +241,16 @@ def test_a_complex_control_of_a_callable_is_a_simulation_error():
         simulate(system, [1.0], 0.0, 0.1, 0.01)
 
 
+def test_a_complex_component_of_a_callable_derivative_is_a_simulation_error():
+    # The callable's derivative is one leaf; its second component is the complex one.
+    system = InteractiveSystem(
+        dim=2, dynamics=lambda t, phi, u, lam: [phi[0], phi[0] * (-1) ** 0.5],
+        players=(make_player(lambda t: [0.0]),))
+    with pytest.raises(SimulationError, match=r"^dynamics: complex value \[\(1\+0j\), .*\+1j\)\] "
+                                              r"at t=0\.0$"):
+        simulate(system, [1.0, 0.0], 0.0, 0.1, 0.01)
+
+
 # ---------------------------------------------------------------------------
 # One compilation per system
 # ---------------------------------------------------------------------------
@@ -272,3 +286,19 @@ def test_a_synthesized_run_compiles_each_system_once(compiled):
     runs = run_synthesized(plan.games, plan.rule)
     assert sum(len(r.windows) for r in runs) >= 10
     assert len(compiled) == len({id(g.system) for g in plan.games})
+
+
+def test_only_called_expressions_are_compiled(monkeypatch):
+    bodies = []
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile",
+                        lambda body, arguments: bodies.append(body) or compile_(body, arguments))
+    # The stage inlines every system leaf.
+    load_scenario(SCENARIOS / "two_player.yaml").simulate()
+    assert bodies == []
+    # A comment rule is called once per window, and compiled at the first call.
+    plan = load_scenario(SCENARIOS / "tactics_commented.yaml").tactics_plan()
+    assert bodies == []
+    runs = run_synthesized(plan.games, plan.rule)
+    assert len(runs[0].windows) == 5
+    assert len(bodies) == 1 and "_v_theta[0]" in bodies[0]
