@@ -216,7 +216,7 @@ def _run_tactics(scenario: Scenario, out: Path, tolerance: float, report: dict) 
 
 
 def _run_predict(scenario: Scenario, out: Path, tolerance: float, report: dict) -> int:
-    system, initial, _ = scenario.build_system()
+    system, initial, slow = scenario.build_system()
     run = scenario.run
     traj = scenario.simulate()
     plan = scenario.prediction_plan()
@@ -235,7 +235,7 @@ def _run_predict(scenario: Scenario, out: Path, tolerance: float, report: dict) 
         report["summaries"]["unravel"] = summary
     if plan.assumed_eps is not None:
         prognosis = strategic_pipeline(system, initial, run.t0, run.t1, run.dt,
-                                       plan.assumed_eps, plan.horizon, truth=traj)
+                                       plan.assumed_eps, plan.horizon, truth=traj, slow=slow)
         exports.write_prognosis_json(prognosis, out / "prognosis.json")
         report["summaries"]["pipeline"] = {
             "horizon": plan.horizon,
@@ -266,7 +266,6 @@ def _run_repdyn(scenario: Scenario, out: Path, tolerance: float, report: dict) -
                 "residual": result.insolvable.residual,
                 "reason": result.insolvable.reason,
             }
-            exports.write_json(report, out / "report.json")
             print(f"insolvable in the declared class at t={result.insolvable.time!r}",
                   file=sys.stderr)
             return EXIT_INSOLVABLE

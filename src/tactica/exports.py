@@ -45,8 +45,6 @@ def _serialize(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format_float(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return f"[{format_float(value.real)}, {format_float(value.imag)}]"
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, np.ndarray):
@@ -70,21 +68,6 @@ def dumps_json(value) -> str:
 def write_json(value, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(dumps_json(value))
-
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, str):
-                    cells.append(cell)
-                elif isinstance(cell, (int, np.integer)):
-                    cells.append(str(int(cell)))
-                else:
-                    cells.append(format_float(cell))
-            fh.write(",".join(cells) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +110,17 @@ def write_trajectory_json(traj: StateTrajectory, path) -> None:
 # ---------------------------------------------------------------------------
 
 def write_windows_csv(windows: Sequence[WindowRecord], path) -> None:
-    if not windows:
-        write_csv(path, ["n", "t_start", "t_end", "cell_label"], [])
-        return
-    dim_omega = len(np.atleast_1d(windows[0].omega))
-    dim_v = len(np.atleast_1d(windows[0].v))
-    header = (["n", "t_start", "t_end"]
-              + [f"omega_{i}" for i in range(dim_omega)]
-              + [f"v_{i}" for i in range(dim_v)] + ["cell_label"])
-    rows = []
-    for w in windows:
-        rows.append([w.index, w.t_start, w.t_end] + list(np.atleast_1d(w.omega))
-                    + list(np.atleast_1d(w.v)) + [w.cell_label or ""])
-    write_csv(path, header, rows)
+    """n, the window's times, omega and v through the block formatter, then the cell label."""
+    header = ["n", "t_start", "t_end"]
+    if windows:
+        header += ([f"omega_{i}" for i in range(np.size(windows[0].omega))]
+                   + [f"v_{i}" for i in range(np.size(windows[0].v))])
+    block = np.array([[w.index, w.t_start, w.t_end, *np.atleast_1d(w.omega),
+                       *np.atleast_1d(w.v)] for w in windows], dtype=float)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header + ["cell_label"]) + "\n")
+        fh.writelines(f"{row},{w.cell_label or ''}\n"
+                      for row, w in zip(_float_rows(block, ","), windows))
 
 
 def windows_to_json(windows: Sequence[WindowRecord]) -> list:
@@ -178,14 +159,10 @@ def write_comments_jsonl(comments: Sequence[CommentState], path,
 # Representative dynamics
 # ---------------------------------------------------------------------------
 
-def matrix_to_json(matrix: np.ndarray) -> list:
-    matrix = np.asarray(matrix, dtype=complex)
-    return [[[float(matrix[r, c].real), float(matrix[r, c].imag)]
-             for c in range(matrix.shape[1])] for r in range(matrix.shape[0])]
-
-
 def matrix_tuple_to_json(matrices: Sequence[np.ndarray], time: float) -> dict:
-    return {"t": time, "matrices": [matrix_to_json(m) for m in matrices]}
+    """The tuple at ``time``, each complex entry an [re, im] pair."""
+    stacked = np.asarray(matrices, dtype=complex)
+    return {"t": time, "matrices": np.stack([stacked.real, stacked.imag], -1)}
 
 
 def write_residuals_csv(times: np.ndarray, residuals: np.ndarray, path) -> None:

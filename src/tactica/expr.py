@@ -270,7 +270,9 @@ def compile_expression(src: str, scalars: Sequence[str] = (),
 class VectorExpression:
     """A fixed-length vector of component expressions over ``arguments`` (the scalars, then
     the vectors in mapping order), declared at ``path`` (component k is ``path[k]``).  A
-    call returns the component list; the vector compiles itself at its first call."""
+    call returns the component list; the vector compiles itself at its first call.  A
+    failing call is a ValueError naming the first failing component, its source and, when
+    the vector reads ``t``, the time."""
 
     sources: tuple[str, ...]
     arguments: tuple[str, ...]
@@ -286,7 +288,22 @@ class VectorExpression:
         return _compile(f"[{body}]", self.arguments)
 
     def __call__(self, *args) -> list:
-        return self._function(*args)
+        try:
+            return self._function(*args)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ValueError(self._fault(exc, args)) from exc
+
+    def _fault(self, exc: Exception, args) -> str:
+        """The message of a failed call, its component found by evaluating each alone."""
+        where = self.path
+        for k, src in enumerate(self.sources):
+            try:
+                _compile(f"({_emit(parse(src))})", self.arguments)(*args)
+            except (ArithmeticError, TypeError, ValueError):
+                where = f"{self.path}[{k}] {src!r}"
+                break
+        at = f" at t={float(args[self.arguments.index('t')])!r}" if "t" in self.arguments else ""
+        return f"{where}: {exc}{at}"
 
 
 def compile_vector(sources: Sequence[str], scalars: Sequence[str] = (),

@@ -171,12 +171,11 @@ class InvariantConstraint:
     """Time-independent quantity of the indeterminate game variant.
 
     ``fn(t, u, u0, eps, phi, dphi)`` -> scalar, with flat concatenated control
-    rows.  ``required_order`` > 1 cannot be served by recorded trajectories.
+    rows and the recorded state derivative.
     """
 
     fn: Callable
     label: str = ""
-    required_order: int = 0
 
 
 @dataclass(frozen=True)
@@ -699,14 +698,9 @@ def check_indeterminate_invariants(trajectory: StateTrajectory,
     """Maximum drift of each declared time-independent quantity over the run."""
     results = []
     for c in constraints:
-        if c.required_order > 1:
-            raise ConfigurationError(
-                f"constraint {c.label!r} needs derivative order {c.required_order}, "
-                "but trajectories record order 1 only")
         values = np.array([
             c.fn(trajectory.t[k], trajectory.u[k], trajectory.u0[k],
-                 trajectory.eps[k], trajectory.phi[k],
-                 trajectory.dphi[k] if c.required_order >= 1 else None)
+                 trajectory.eps[k], trajectory.phi[k], trajectory.dphi[k])
             for k in range(len(trajectory.t))
         ], dtype=float)
         drift = float(np.max(np.abs(values - values[0])))

@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .expr import compile_expression
-from .games import (ConfigurationError, InteractiveSystem, StateTrajectory,
+from .games import (ConfigurationError, InteractiveSystem, SlowControl, StateTrajectory,
                     associated_ordinary_game, simulate, whole_steps)
 
 
@@ -261,6 +261,14 @@ def unravel_by_filtering(run: StateTrajectory, spec: FilterSpec,
 # Strategic pipeline
 # ---------------------------------------------------------------------------
 
+def _from_step(slow: SlowControl | None, base: int) -> SlowControl | None:
+    """``slow`` as a run starting at step ``base`` of the original run sees it: a step
+    schedule shifted by ``base`` steps."""
+    if slow is None or callable(slow.schedule):
+        return slow
+    return SlowControl(tuple((step - base, values) for step, values in slow.schedule))
+
+
 @dataclass(frozen=True)
 class PrognosisReport:
     """Long-term prognosis with short-term re-anchored corrections blended in."""
@@ -277,8 +285,8 @@ class PrognosisReport:
 
 def strategic_pipeline(system: InteractiveSystem, initial, t0: float, t1: float,
                        dt: float, assumed_eps: Sequence[Callable],
-                       horizon: float,
-                       truth: StateTrajectory | None = None) -> PrognosisReport:
+                       horizon: float, truth: StateTrajectory | None = None,
+                       slow: SlowControl | None = None) -> PrognosisReport:
     """Long-term prognosis in the associated ordinary game, corrected window-wise.
 
     The long-term stage integrates under the assumed hidden-parameter
@@ -286,12 +294,13 @@ def strategic_pipeline(system: InteractiveSystem, initial, t0: float, t1: float,
     window start and holds the last observed hidden parameters over one
     horizon.  Short-term values replace long-term values where available.
     All short-term stages run one anchored ordinary game, whose policies read
-    the parameters held for the current window.
+    the parameters held for the current window.  Every run sees the slow
+    parameter ``slow`` of its own steps of the run.
     """
     if truth is None:
-        truth = simulate(system, initial, t0, t1, dt)
+        truth = simulate(system, initial, t0, t1, dt, slow=slow)
     ordinary = associated_ordinary_game(system, eps_policies=list(assumed_eps))
-    long_run = simulate(ordinary, initial, t0, t1, dt, record_tape=False)
+    long_run = simulate(ordinary, initial, t0, t1, dt, slow=slow, record_tape=False)
 
     n = len(truth.t)
     short = np.full_like(truth.phi, np.nan)
@@ -310,7 +319,7 @@ def strategic_pipeline(system: InteractiveSystem, initial, t0: float, t1: float,
             end_t = float(truth.t[base_idx + steps_per_window])
             held[:] = [np.array(truth.eps_of(j)[base_idx]) for j in range(n_slots)]
             seg = simulate(anchored, truth.phi[base_idx], base_t, end_t, dt,
-                           record_tape=False)
+                           slow=_from_step(slow, base_idx), record_tape=False)
             sl = slice(base_idx + 1, base_idx + steps_per_window + 1)
             short[sl] = seg.phi[1:]
             mask[sl] = True

@@ -146,7 +146,6 @@ class SystemPlan:
     system: InteractiveSystem
     initial: np.ndarray
     slow: SlowControl | None
-    integrate: Callable     # simulate, or coalition_simulate when coalitions are declared
     slow_gap: str = ""      # why system.slow misses lambda; only tactics then runs the system
 
 
@@ -220,12 +219,13 @@ class Scenario:
         return plan.system, plan.initial, plan.slow
 
     def simulate(self) -> StateTrajectory:
-        """Integrate the declared system over the run, on the slots it declares.
+        """Integrate the declared system over the run, on its coalitions if it declares any.
 
         No stage tape is kept: the commands export traces and never replay them."""
         plan, run = self.plans["system"], self.run
-        return plan.integrate(plan.system, plan.initial, run.t0, run.t1, run.dt,
-                              slow=plan.slow, record_tape=False)
+        integrate = coalition_simulate if plan.system.coalitions else simulate
+        return integrate(plan.system, plan.initial, run.t0, run.t1, run.dt,
+                         slow=plan.slow, record_tape=False)
 
     def verbalization_plan(self) -> VerbalizationPlan:
         return self.plans["verbalization"]
@@ -425,11 +425,8 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
     for k, base, inv in check.entries("system.invariants", spec.get("invariants", [])):
         src = inv.get("expression")
         if check.expression(f"{base}.expression", src, ("t",), trace):
-            # An invariant that reads dphi is checked against the recorded derivative.
-            reads_dphi = any(name == "dphi" for name, _ in expr.variables(src))
             invariants.append(InvariantConstraint(
-                fn=expr.compile_expression(src, ("t",), trace), label=inv.get("label", f"F{k}"),
-                required_order=int(reads_dphi)))
+                fn=expr.compile_expression(src, ("t",), trace), label=inv.get("label", f"F{k}")))
     if len(check.errors) > start:
         return None
     # The stage inlines every expression vector; see games.compile_stage for the types
@@ -437,10 +434,9 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
     system = check.build("system", InteractiveSystem, dim=dim, dynamics=dyn,
                          players=tuple(built), coalitions=tuple(built_coalitions),
                          invariant_constraints=tuple(invariants))
-    integrate = coalition_simulate if coalitions else simulate
     gap = f"system.slow feeds {fed} of the {read} lambda components read" if read > fed else ""
-    return system and SystemPlan(system=system, slow=slow, integrate=integrate,
-                                 initial=np.asarray(spec["initial"], dtype=float), slow_gap=gap)
+    return system and SystemPlan(system=system, slow=slow, slow_gap=gap,
+                                 initial=np.asarray(spec["initial"], dtype=float))
 
 
 def _epsilon(truth: VectorExpression | None) -> EpsilonProcess:
@@ -635,6 +631,10 @@ def _prediction(spec: dict, ctx: _Context, check: _Check) -> PredictionPlan | No
     if "filter" in spec and check.mapping("prediction.filter", f):
         cutoff, half, bands = f.get("cutoff"), f.get("band_halfwidth"), f.get("bands", [])
         ok = cutoff is None or check.number("prediction.filter.cutoff", cutoff, positive=True)
+        if ok and cutoff is not None and f.get("kind", "lowpass") == "lowpass" and run is not None:
+            nyquist = np.pi / ((run.t0 + run.dt) - run.t0)     # at the step the run records
+            check.require("prediction.filter.cutoff", cutoff <= nyquist, f"cutoff "
+                          f"{float(cutoff)!r} above the Nyquist rate {nyquist!r} at dt {run.dt!r}")
         ok &= check.vector("prediction.filter.bands", bands) and (
             half is None or check.number("prediction.filter.band_halfwidth", half, True))
         filter_spec = ok and check.build("prediction.filter", FilterSpec, cutoff=cutoff,
@@ -828,6 +828,8 @@ def _invert(spec: dict, ctx: _Context, check: _Check) -> InvertPlan | None:
                          "expected one polynomial per state component") \
             or not check.integer("invert.control_dim", control_dim, low=0):
         return None
+    check.require("invert.rhs", len(rhs) <= MAX_GENERATORS, f"{len(rhs)} state components "
+                  f"exceed the generator cap {MAX_GENERATORS}, one generator per component")
     scalars = tuple(f"x{i + 1}" for i in range(len(rhs))) + \
         tuple(f"u{j + 1}" for j in range(control_dim))
     for k, src in enumerate(rhs):

@@ -73,23 +73,17 @@ class DialecticalObject:
         return None
 
 
-class _MaskedView:
-    """Sequence view that only exposes the indices of a synthesis mask."""
+class _Masked(dict):
+    """The games of a synthesis mask by game index; reading any other game is an error."""
 
     def __init__(self, items: Sequence, mask: frozenset[int], what: str):
-        self._items = items
-        self._mask = mask
-        self._what = what
+        super().__init__((i, items[i]) for i in mask)
+        self.what = what
 
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, index: int):
-        if index not in self._mask:
-            raise ConfigurationError(
-                f"synthesis form reads {self._what} of game {index}, which is outside "
-                f"its declared argument mask {sorted(self._mask)}")
-        return self._items[index]
+    def __missing__(self, index: int):
+        raise ConfigurationError(
+            f"synthesis form reads {self.what} of game {index}, which is outside "
+            f"its declared argument mask {sorted(self)}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +114,8 @@ class SynthesisRule:
         comment is a :class:`SimulationError`."""
         mask = self.masks[j]
         return np.atleast_1d(real_array(self.forms[j](
-            _MaskedView(thetas, mask, "comment"), _MaskedView(omegas, mask, "window state"),
-            _MaskedView(vs, mask, "window control")), f"synthesis form {j}"))
+            _Masked(thetas, mask, "comment"), _Masked(omegas, mask, "window state"),
+            _Masked(vs, mask, "window control")), f"synthesis form {j}"))
 
     def step(self, thetas: Sequence[np.ndarray], omegas: Sequence[np.ndarray],
              vs: Sequence[np.ndarray]) -> list[np.ndarray]:

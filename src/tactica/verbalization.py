@@ -399,25 +399,23 @@ def simulate_dialogue(dialogue: DialogueSpec, t_grid: Sequence[float],
     system = dialogue.continuous_system()
     traj = simulate(system, dialogue.xi0, float(t_grid[0]), float(t_grid[-1]),
                     dialogue.dt, record_tape=False)
-    indices = [traj.index_of(tn) for tn in t_grid]
+    windows = windows_from_trajectory(traj, t_grid, dialogue.state_functionals,
+                                      dialogue.control_functionals)
 
     phi_seq = [np.atleast_1d(np.asarray(dialogue.phi0, dtype=float))]
     v_seq: list[np.ndarray] = []
     residuals = []
     diagnostics: list[str] = []
-    for n in range(1, len(t_grid)):
-        i0, i1 = indices[n - 1], indices[n]
-        phi_n = evaluate_functionals(dialogue.state_functionals, traj, i0, i1)
-        v_n = evaluate_functionals(dialogue.control_functionals, traj, i0, i1)
-        expected = np.atleast_1d(np.asarray(dialogue.step_map(phi_seq[-1], v_n), dtype=float))
-        residual = float(np.linalg.norm(phi_n - expected))
+    for w in windows:
+        expected = np.atleast_1d(np.asarray(dialogue.step_map(phi_seq[-1], w.v), dtype=float))
+        residual = float(np.linalg.norm(w.omega - expected))
         residuals.append(residual)
         if residual > tol:
             diagnostics.append(
-                f"window {n}: functional state deviates from the step map by {residual:.3e}; "
-                "not a dialogue under the declared maps")
-        phi_seq.append(phi_n)
-        v_seq.append(v_n)
+                f"window {w.index}: functional state deviates from the step map by "
+                f"{residual:.3e}; not a dialogue under the declared maps")
+        phi_seq.append(w.omega)
+        v_seq.append(w.v)
 
     return DialogueResult(phi=phi_seq, v=v_seq, residuals=np.array(residuals),
                           is_dialogue=not diagnostics, diagnostics=diagnostics)

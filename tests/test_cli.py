@@ -424,9 +424,24 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
      "domain error at t=0.0", {}),
     ("simulate", SYSTEM.format(dynamics="lambda[0]",
                                extra='slow: {schedule: ["cos(1e308*10)"]}'),
-     EXIT_RUNTIME, "runtime: faulty: math domain error", {}),
+     EXIT_RUNTIME, "runtime: faulty: system.slow.schedule[0] 'cos(1e308*10)': math domain "
+     "error at t=0.0", {}),
     ("tactics", COMMENTED.replace(COMMENT_RULE, "sin(theta[0]*1e308*10)"), EXIT_RUNTIME,
-     "runtime: commented-setpoint: math domain error", {}),
+     "runtime: commented-setpoint: tactics.rule[0] 'sin(theta[0]*1e308*10)': math domain "
+     "error\n", {}),
+    ("verbalize", (SCENARIOS / "verbalize_fit.yaml").read_text().replace(
+        "family: fit\n    fit_windows: 8",
+        'family: declared\n    expression: ["sin(omega[0]*1e308*10)"]'),
+     EXIT_RUNTIME, "runtime: exponential-window-recurrence: verbalization.recurrence.expression[0] "
+     "'sin(omega[0]*1e308*10)': math domain error\n", {}),
+    ("repdyn", (SCENARIOS / "repdyn_heisenberg.yaml").read_text().replace(
+        '"0.1*sin(t)"', '"0.1*sin(t)/(t - 0.001)"'), EXIT_RUNTIME,
+     "runtime: heisenberg-scaling-flow: repdyn.control[0] '0.1*sin(t)/(t - 0.001)': float "
+     "division by zero at t=0.001", {}),
+    ("invert", (SCENARIOS / "invert_logistic.yaml").read_text().replace(
+        '["1.0"]', '["1.0/(t - 0.002)"]'), EXIT_RUNTIME,
+     "runtime: logistic-inverse-problem: invert.control[0] '1.0/(t - 0.002)': float division "
+     "by zero at t=0.002", {}),
     # The window grid's times are np.float64; the message prints them as floats.
     ("tactics", COMMENTED.replace('u[0]"]', 'u[0] + 1e300*max(t - 2.5, 0)*1e300"]'),
      EXIT_RUNTIME, "runtime: commented-setpoint: state diverged; last finite state at t=2.5",
@@ -442,7 +457,9 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
         "scenario-not-utf8", "out-is-a-file", "empty-batch", "slow-schedule-missing",
         "slow-steps-unequal", "complex-dynamics", "complex-comment", "complex-slow-schedule",
         "complex-repdyn-control", "complex-recurrence", "signal-domain",
-        "slow-domain", "rule-domain", "window-time", "lambda-wider-than-comment"])
+        "slow-domain", "rule-domain", "recurrence-domain", "repdyn-control-zero-division",
+        "invert-control-zero-division",
+        "window-time", "lambda-wider-than-comment"])
 def test_exit_codes_end_without_traceback(tmp_path, capsys, recwarn, monkeypatch, command, text,
                                           expected, message, options):
     scenario, out_dir = tmp_path / "scenario.yaml", tmp_path / "out"
@@ -479,6 +496,36 @@ def test_pipeline_policies_reach_the_couplings_as_float64(tmp_path, coupling, as
         f'assumed_eps: [["{assumed}"]]}}\n')
     assert main(["predict", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) \
         == EXIT_OK
+
+
+@pytest.mark.parametrize("slow", ['{schedule: ["1.0 + 0.5*sin(t)"]}',
+                                  "{steps: [[0, [1.0]], [37, [2.0]], [55, [-1.0]]]}"],
+                         ids=["schedule", "steps"])
+def test_the_pipeline_feeds_the_slow_parameter_of_each_step(tmp_path, slow):
+    # The assumed parameter is the truth and is constant, so every prognosis is exact
+    # when each run (the long-term one and every segment) reads lambda at its own step.
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(SYSTEM.format(dynamics="lambda[0] - phi[0] + u[0]",
+                                      extra=f"slow: {slow}").replace(
+        'coupling: ["u0[0]"]', 'coupling: ["u0[0] + eps[0]*phi[0]"]\n'
+        '      epsilon: {truth: ["0.3"]}') + "prediction:\n"
+        '  pipeline: {horizon: 0.1, assumed_eps: [["0.3"]]}\n')
+    assert main(["predict", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) \
+        == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["summaries"]["pipeline"]["max_blended_error"] == 0.0
+
+
+def test_an_insolvable_integrate_run_writes_its_report_once(tmp_path, monkeypatch):
+    from tactica import exports
+    written, write_json = [], exports.write_json
+    monkeypatch.setattr(exports, "write_json",
+                        lambda value, path: written.append(path.name) or write_json(value, path))
+    scenario = tmp_path / "drift.yaml"
+    scenario.write_text(DRIFT + "  threshold: 1.0e-7\n")
+    assert main(["repdyn", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) \
+        == EXIT_INSOLVABLE
+    assert written == ["tuples.json", "report.json"]
 
 
 def test_an_invariant_reading_dphi_is_checked_against_the_recorded_derivative(tmp_path):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tactica.exports import dumps_json, format_float, write_trajectory_csv
+from tactica.exports import (dumps_json, format_float, matrix_tuple_to_json, write_trajectory_csv,
+                             write_windows_csv)
 from tactica.games import StateTrajectory
+from tactica.verbalization import WindowRecord
 
 # Signed zero, the smallest subnormal, a sum that is not 0.3, a float above 2**53
 # and the largest finite double.
@@ -46,3 +48,44 @@ def test_non_finite_values_are_not_exported(tmp_path, bad):
         dumps_json(np.array([values, values]))
     with pytest.raises(ValueError, match=message):
         write_trajectory_csv(_trajectory(values), tmp_path / "trajectory.csv")
+
+
+def test_an_empty_window_list_writes_only_the_header(tmp_path):
+    path = tmp_path / "windows.csv"
+    write_windows_csv([], path)
+    assert path.read_text() == "n,t_start,t_end,cell_label\n"
+
+
+def test_window_rows_format_each_value_as_format_float(tmp_path):
+    path = tmp_path / "windows.csv"
+    windows = [WindowRecord(index=1, t_start=-0.0, t_end=1 / 3, omega=np.array(EDGE_VALUES[:2]),
+                            v=np.array([EDGE_VALUES[2]]), cell_label="left"),
+               WindowRecord(index=2, t_start=1 / 3, t_end=1e16, omega=np.array(EDGE_VALUES[3:]),
+                            v=np.array([-0.0]))]
+    write_windows_csv(windows, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "n,t_start,t_end,omega_0,omega_1,v_0,cell_label"
+    for line, w in zip(lines[1:], windows):
+        cells = [w.index, w.t_start, w.t_end, *w.omega, *w.v]
+        assert line == ",".join([*map(format_float, cells), w.cell_label or ""])
+    assert len(lines) == 3
+
+
+def test_tuple_entries_export_as_format_float_pairs():
+    entries = [-0.0, 5e-324, 1 / 3, -1 / 3]
+    matrix = np.array([[complex(a, b) for b in entries] for a in entries])
+    text = dumps_json(matrix_tuple_to_json([matrix, matrix.T], 0.5))
+    rows = [", ".join(f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in row)
+            for row in matrix.tolist()]
+    transposed = [", ".join(f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in row)
+                  for row in matrix.T.tolist()]
+    assert text == ('{"t": 0.5, "matrices": [[' + ", ".join(f"[{r}]" for r in rows) + "], ["
+                    + ", ".join(f"[{r}]" for r in transposed) + "]]}\n")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_window_values_are_not_exported(tmp_path, bad):
+    window = WindowRecord(index=1, t_start=0.0, t_end=1.0, omega=np.array([0.5, bad]),
+                          v=np.zeros(0))
+    with pytest.raises(ValueError, match=f"non-finite value {bad!r} cannot be exported"):
+        write_windows_csv([window], tmp_path / "windows.csv")

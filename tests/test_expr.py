@@ -109,7 +109,11 @@ def test_compile_vector_matches_component_expressions(sources, t, p, as_array):
     vectors = {"phi": 2}
     scalars = [compile_expression(src, ("t",), vectors) for src in sources]
     with np.errstate(all="ignore"):
-        expected = _outcome(lambda *args: [f(*args) for f in scalars], t, phi)
+        alone = [_outcome(lambda *args, f=f: [f(*args)], t, phi) for f in scalars]
+        # The first failing component decides, named by its index, source and time.
+        k = next((k for k, out in enumerate(alone) if isinstance(out, tuple)), None)
+        expected = sum(alone, []) if k is None else (
+            ValueError, f"[{k}] {sources[k]!r}: {alone[k][1]} at t={t!r}")
         assert _outcome(compile_vector(sources, ("t",), vectors), t, phi) == expected
 
 

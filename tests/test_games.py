@@ -207,13 +207,6 @@ def test_conserved_quadratic_on_rotation():
     assert drifts[0].drift < 1e-6
 
 
-def test_constraint_requiring_higher_derivatives_rejected():
-    traj = simulate(linear_decay_system(), [1.0], 0.0, 0.1, 0.01)
-    constraint = InvariantConstraint(fn=lambda *a: 0.0, label="F", required_order=2)
-    with pytest.raises(ConfigurationError):
-        check_indeterminate_invariants(traj, [constraint])
-
-
 # ---------------------------------------------------------------------------
 # Coalitions
 # ---------------------------------------------------------------------------

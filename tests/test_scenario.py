@@ -360,12 +360,19 @@ EPSILON = MINIMAL.replace('coupling: ["u0[0]"]',
     ((SCENARIOS / "sine_partition.yaml").read_text().replace(
         'expr: "eps[0]", op: "<"', 'expr: "sin(eps[0]*1e308*10)", op: "<"'), [],
      "verbalization.cells: math domain error"),
+    (INVERT.format(rhs='u1*x1", "x2", "x3", "x4", "x5').replace("[0.1]", "[0.1, 0, 0, 0, 0]"),
+     [],
+     "invert.rhs: 5 state components exceed the generator cap 4, one generator per component"),
+    (MINIMAL + "prediction:\n  filter: {kind: lowpass, cutoff: 200}\n", ["--dt", "0.02"],
+     "prediction.filter.cutoff: cutoff 200.0 above the Nyquist rate 157.07963267948966 at "
+     "dt 0.02"),
 ], ids=["coalition-not-mapping", "slow-not-mapping", "dt-off-interval", "window-off-grid",
         "dt-override-off-interval", "family-index-out-of-range", "invert-rhs-not-polynomial",
         "invert-rhs-degree-above-cap", "declared-recurrence-one-window",
         "invert-slot-outside-matrix", "invert-matrix-dim-above-cap",
         "assumed-eps-without-epsilon", "assumed-eps-narrower", "assumed-eps-wider",
-        "cells-wider-than-eps", "cell-condition-domain"])
+        "cells-wider-than-eps", "cell-condition-domain", "invert-rhs-above-generator-cap",
+        "lowpass-cutoff-above-nyquist"])
 def test_malformed_inputs_exit_1_naming_the_path(tmp_path, capsys, text, argv, message):
     from tactica.cli import EXIT_VALIDATION, main
     path = write(tmp_path, text)

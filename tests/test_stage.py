@@ -124,7 +124,10 @@ def _outcome(stage, t, phi, lam):
         with np.errstate(all="ignore"):
             return _bits(stage(t, phi, lam))
     except Exception as exc:  # the leaf that fails first decides, in both stages
-        return type(exc), type(exc.__cause__)
+        root = exc
+        while root.__cause__ is not None:   # past the ValueError a vector's call adds
+            root = root.__cause__
+        return type(exc), type(root)
 
 
 _CONSTANTS = ["0", "0.5", "2", "3.25", "1e308"]
