@@ -266,7 +266,8 @@ def _run_repdyn(scenario: Scenario, out: Path, tolerance: float, report: dict) -
                 "residual": result.insolvable.residual,
                 "reason": result.insolvable.reason,
             }
-            print(f"insolvable in the declared class at t={result.insolvable.time!r}",
+            print(f"insolvable: integration insolvable in the declared class at "
+                  f"t={result.insolvable.time!r}",
                   file=sys.stderr)
             return EXIT_INSOLVABLE
         return EXIT_OK
@@ -313,7 +314,8 @@ def _run_invert(scenario: Scenario, out: Path, tolerance: float, report: dict) -
     report["summaries"]["slot_vs_scalar_deviation"] = deviation
     _add_check(report, "slot vs scalar deviation", deviation, 1e-9)
     if result.insolvable is not None:
-        print("insolvable during the inverse verification run", file=sys.stderr)
+        print("insolvable: integration insolvable during the inverse verification run",
+              file=sys.stderr)
         return EXIT_INSOLVABLE
     return EXIT_OK
 

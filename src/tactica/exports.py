@@ -90,19 +90,9 @@ def write_trajectory_csv(traj: StateTrajectory, path) -> None:
     write_float_csv(path, header, [traj.t[:, None], *blocks.values()])
 
 
-def trajectory_to_json(traj: StateTrajectory) -> dict:
-    return {
-        "t": traj.t,
-        "phi": traj.phi,
-        "u": traj.u,
-        "eps": traj.eps,
-        "u0": traj.u0,
-        "lambda": traj.lam,
-    }
-
-
 def write_trajectory_json(traj: StateTrajectory, path) -> None:
-    write_json(trajectory_to_json(traj), path)
+    write_json({"t": traj.t, "phi": traj.phi, "u": traj.u, "eps": traj.eps, "u0": traj.u0,
+                "lambda": traj.lam}, path)
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +113,10 @@ def write_windows_csv(windows: Sequence[WindowRecord], path) -> None:
                       for row, w in zip(_float_rows(block, ","), windows))
 
 
-def windows_to_json(windows: Sequence[WindowRecord]) -> list:
-    return [{
-        "n": w.index,
-        "t_start": w.t_start,
-        "t_end": w.t_end,
-        "omega": np.atleast_1d(w.omega),
-        "v": np.atleast_1d(w.v),
-        "cell_label": w.cell_label,
-    } for w in windows]
-
-
 def write_windows_json(windows: Sequence[WindowRecord], path) -> None:
-    write_json(windows_to_json(windows), path)
+    write_json([{"n": w.index, "t_start": w.t_start, "t_end": w.t_end,
+                 "omega": np.atleast_1d(w.omega), "v": np.atleast_1d(w.v),
+                 "cell_label": w.cell_label} for w in windows], path)
 
 
 def write_comments_jsonl(comments: Sequence[CommentState], path,
@@ -173,17 +154,15 @@ def write_residuals_csv(times: np.ndarray, residuals: np.ndarray, path) -> None:
 # Prognosis reports
 # ---------------------------------------------------------------------------
 
-def prognosis_to_json(report) -> list:
-    rows = []
-    for k in range(len(report.t)):
-        rows.append({
-            "t": report.t[k],
-            "long_term": report.long_term[k],
-            "short_term": report.short_term[k] if report.short_mask[k] else None,
-            "blended": report.blended[k],
-        })
-    return rows
-
-
 def write_prognosis_json(report, path) -> None:
-    write_json(prognosis_to_json(report), path)
+    """One record per sample, its t, long_term, short_term and blended rows each formatted
+    as one whole-run block; short_term reads null outside ``short_mask``."""
+    mask = report.short_mask
+    short = np.where(mask[:, None], report.short_term, 0.0)
+    rows = (_float_rows(block, ", ") for block in (report.t[:, None], report.long_term,
+                                                   short, report.blended))
+    records = (f'{{"t": {t}, "long_term": [{long}], "short_term": '
+               f'{f"[{s}]" if m else "null"}, "blended": [{b}]}}'
+               for t, long, s, b, m in zip(*rows, mask.tolist()))
+    with open(path, "w", newline="") as fh:
+        fh.write("[" + ", ".join(records) + "]\n")

@@ -377,7 +377,7 @@ class _StageSource:
         self.namespace = {"__builtins__": {}, **_FUNC_NS, "_F64": np.float64,
                           "_asarray": np.asarray, "_floats": _floats, "float": float,
                           "_F64D": np.dtype(float), "_real": _real, "_EMPTY": _EMPTY,
-                          "_faults": (ArithmeticError, TypeError, ValueError),
+                          "_faults": (ArithmeticError, IndexError, TypeError, ValueError),
                           "_fault": _fault, "_leaves": self.leaves}
 
     def line(self, stem: str, value: str, leaf: str = "") -> str:
@@ -393,18 +393,20 @@ class _StageSource:
         self.namespace[name] = obj
         return name
 
-    def element(self, vector: str, i: int) -> str:
-        """``phi[i]`` or ``lam[i]``, read into a local at its first use."""
-        if (vector, i) not in self.elements:
-            self.elements[vector, i] = self.line(vector[0], f"{vector}[{i}]")
-        return self.elements[vector, i]
+    def element(self, name: str, i: int) -> str:
+        """``phi[i]`` or ``lambda[i]`` (the stage's ``lam``), read into a local at its first
+        use on a line of that leaf, so a missing element fails naming it."""
+        if (name, i) not in self.elements:
+            vector = "lam" if name == "lambda" else name
+            self.elements[name, i] = self.line(vector[0], f"{vector}[{i}]", f"{name}[{i}]")
+        return self.elements[name, i]
 
     def inline(self, leaf: VectorExpression, **vectors: _Vector) -> _Vector:
         def read(name: str, index: int | None) -> str:
             if index is None:
                 return "t"
             if name in ("phi", "lambda"):
-                return self.element("phi" if name == "phi" else "lam", index)
+                return self.element(name, index)
             return vectors[name][index]
 
         leaves = [f"{leaf.path}[{k}] {src!r}" for k, src in enumerate(leaf.sources)]
@@ -522,9 +524,10 @@ def compile_stage(system: InteractiveSystem, use_coalitions: bool = False) -> Ca
     dynamics see np.float64 elements, as ``np.concatenate(..., dtype=float)`` gives
     them.  With an order-1 coupling every coupling runs twice: first seeded with a
     zero derivative, then with the derivative the dynamics give under the first pass.
-    An ``ArithmeticError``, ``TypeError`` or ``ValueError`` (a math domain error, say) is
-    raised as a :class:`SimulationError` naming the leaf and the stage time; so is a
-    complex derivative.
+    An ``ArithmeticError``, ``IndexError`` (a ``lambda`` element the run does not feed),
+    ``TypeError`` or ``ValueError`` (a math domain error, say) is raised as a
+    :class:`SimulationError` naming the leaf and the stage time; so is a complex
+    derivative.
     """
     out = _StageSource()
     pure = [out.signal(k, p.signal) for k, p in enumerate(system.players)]

@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import compile_expression
+from .expr import compile_vector
 from .games import (ConfigurationError, InteractiveSystem, SlowControl, StateTrajectory,
                     associated_ordinary_game, simulate, whole_steps)
 
@@ -148,18 +148,20 @@ class FeedbackEstimate:
 
 
 def design_matrix(expressions: Sequence[str], data: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Evaluate regressor expressions sample-wise over named data columns."""
-    arrays = {name: np.atleast_2d(np.asarray(v, dtype=float)) for name, v in data.items()}
-    n = next(iter(arrays.values())).shape[0] if arrays else 0
-    vectors = {name: v.shape[1] for name, v in arrays.items()}
-    fns = [compile_expression(src, scalars=(), vectors=vectors) for src in expressions]
-    out = np.empty((n, len(fns)))
-    names = list(arrays)
-    for k in range(n):
-        row_args = [arrays[name][k] for name in names]
-        for c, fn in enumerate(fns):
-            out[k, c] = fn(*row_args)
-    return out
+    """Evaluate the regressor expressions, one vector ``family``, sample-wise over named
+    data columns.  A column that is not finite and real at every sample is a ValueError
+    naming its regressor."""
+    arrays = [np.atleast_2d(np.asarray(v, dtype=float)) for v in data.values()]
+    family = compile_vector(expressions, (), {name: a.shape[1] for name, a in zip(data, arrays)},
+                            path="family")
+    values = np.empty((len(arrays[0]) if arrays else 0, family.dim), dtype=complex)
+    for k, row in enumerate(zip(*arrays)):
+        values[k] = family(*row)
+    bad = ~(np.isfinite(values) & (values.imag == 0)).all(axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"family[{k}] {expressions[k]!r}: non-finite or complex regressor value")
+    return np.ascontiguousarray(values.real)
 
 
 def fit_feedback_family(targets: np.ndarray, expressions: Sequence[str],

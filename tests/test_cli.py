@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -7,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from test_scenario import SHIPPED, mutated_scenarios
 
 from tactica.cli import (EXIT_INSOLVABLE, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser,
                          main)
+from tactica.scenario import COMMANDS, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -625,3 +629,46 @@ def test_rank_deficient_projection_converges(tmp_path):
     assert code == EXIT_OK
     assert read_csv_column(tmp_path / "out" / "residuals.csv", "t")[-1] == 2.0
     assert read_csv_column(tmp_path / "out" / "residuals.csv", "residual")[-1] <= 1e-9
+
+
+def _clipped(tree):
+    """``tree`` with its run cut to 1000 steps, unless a section declares windows."""
+    tree = copy.deepcopy(tree)
+    run = tree["run"]
+    if not any("windows" in section for section in tree.values() if isinstance(section, dict)):
+        run["t1"] = min(run["t1"], run["t0"] + 1000 * run["dt"])
+    return tree
+
+
+CLIPPED = {name: _clipped(tree) for name, tree in SHIPPED.items()}
+
+# A regressor that is infinite at every sample: should it reach the least-squares fit,
+# LAPACK prints its complaints on stdout ahead of the runtime line.
+NON_FINITE_FAMILY = {**CLIPPED["filter_unravel.yaml"], "prediction": {
+    "filter": {"kind": "lowpass", "cutoff": 10.0},
+    "family": ["phi[0]", "1/(phi[0] - phi[0])"]}}
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tree=mutated_scenarios(CLIPPED))
+@example(tree=NON_FINITE_FAMILY)
+def test_mutated_shipped_scenarios_keep_the_exit_code_contract(tmp_path_factory, capfd, tree):
+    # capfd, not capsys: it sees what C and Fortran code print too.
+    scenario = tmp_path_factory.mktemp("mutated") / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump(tree))
+    for command in COMMANDS:
+        code = main([command, "--scenario", str(scenario), "--out", str(scenario.parent / command)])
+        out, err = capfd.readouterr()
+        assert EXIT_OK <= code <= EXIT_INSOLVABLE
+        assert "Traceback" not in err
+        assert all(line.startswith(("validation:", "runtime:", "insolvable:", "usage:"))
+                   for line in err.splitlines()), err
+        assert all(line.startswith(f"{command} ") for line in out.splitlines()), out
+
+
+def test_clipped_shipped_scenarios_support_their_commands(tmp_path):
+    for name, tree in CLIPPED.items():
+        (tmp_path / name).write_text(yaml.safe_dump(tree))
+        assert (load_scenario(tmp_path / name).supported_commands()
+                == load_scenario(SCENARIOS / name).supported_commands())

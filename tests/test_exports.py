@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tactica.exports import (dumps_json, format_float, matrix_tuple_to_json, write_trajectory_csv,
-                             write_windows_csv)
+from tactica.exports import (dumps_json, format_float, matrix_tuple_to_json, write_prognosis_json,
+                             write_trajectory_csv, write_windows_csv)
 from tactica.games import StateTrajectory
+from tactica.prediction import PrognosisReport
 from tactica.verbalization import WindowRecord
 
 # Signed zero, the smallest subnormal, a sum that is not 0.3, a float above 2**53
@@ -89,3 +90,37 @@ def test_non_finite_window_values_are_not_exported(tmp_path, bad):
                           v=np.zeros(0))
     with pytest.raises(ValueError, match=f"non-finite value {bad!r} cannot be exported"):
         write_windows_csv([window], tmp_path / "windows.csv")
+
+
+def _prognosis(short_term, short_mask) -> PrognosisReport:
+    block = np.column_stack([EDGE_VALUES, EDGE_VALUES[::-1]])
+    zeros = np.zeros(len(EDGE_VALUES))
+    return PrognosisReport(t=np.array(EDGE_VALUES), long_term=block, short_term=short_term,
+                           short_mask=short_mask, blended=-block, truth=block,
+                           long_error=zeros, blended_error=zeros)
+
+
+def test_prognosis_records_format_each_value_as_format_float(tmp_path):
+    mask = np.array([True, False, False, True, True])
+    short = np.where(mask[:, None], np.column_stack([EDGE_VALUES[::-1], EDGE_VALUES]), np.nan)
+    report = _prognosis(short, mask)
+    path = tmp_path / "prognosis.json"
+    write_prognosis_json(report, path)
+
+    def row(block, k):
+        return "[" + ", ".join(map(format_float, block[k])) + "]"
+
+    records = [f'{{"t": {format_float(t)}, "long_term": {row(report.long_term, k)}, '
+               f'"short_term": {row(short, k) if mask[k] else "null"}, '
+               f'"blended": {row(report.blended, k)}}}' for k, t in enumerate(EDGE_VALUES)]
+    assert path.read_text() == "[" + ", ".join(records) + "]\n"
+    assert path.read_text().count('"short_term": null') == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_short_term_values_under_the_mask_are_not_exported(tmp_path, bad):
+    mask = np.array([False, True, False, True, False])
+    short = np.ones((len(mask), 2))
+    short[~mask], short[3, 1] = np.nan, bad
+    with pytest.raises(ValueError, match=f"non-finite value {bad!r} cannot be exported"):
+        write_prognosis_json(_prognosis(short, mask), tmp_path / "prognosis.json")

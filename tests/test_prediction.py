@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,15 @@ def test_fitted_deviation_matches_gain_gap():
     estimate = fit_feedback_family(dataset.deviation[:, 1], ["phi[0]"],
                                    {"phi": dataset.phi})
     assert abs(estimate.coefficients[0, 0] - (g_true - g_assumed)) < 1e-6
+
+
+@pytest.mark.parametrize("regressor", ["1/(phi[0] - phi[0])", "phi[0]*(0 - 1)^0.5"],
+                         ids=["non-finite", "complex"])
+def test_a_regressor_that_is_not_finite_and_real_is_named(regressor):
+    phi = np.linspace(0.0, 1.0, 5)[:, None]
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=rf"^family\[1\] '{re.escape(regressor)}': non-finite or complex"):
+        fit_feedback_family(phi[:, 0], ["phi[0]", regressor], {"phi": phi})
 
 
 def test_missing_base_prediction_is_a_data_error():

@@ -425,8 +425,8 @@ REPLACEMENTS = st.one_of(
 
 
 @st.composite
-def mutated_scenarios(draw):
-    tree = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+def mutated_scenarios(draw, trees=SHIPPED):
+    tree = copy.deepcopy(trees[draw(st.sampled_from(sorted(trees)))])
     path = draw(st.sampled_from(list(_node_paths(tree))))
     parent = functools.reduce(lambda node, key: node[key], path[:-1], tree)
     if isinstance(parent, dict) and draw(st.booleans()):

@@ -22,7 +22,7 @@ from tactica.expr import VectorExpression, compile_vector
 from tactica.games import (Coalition, EpsilonProcess, FeedbackCoupling, InteractiveSystem,
                            OrdinaryDynamics, Player, SimulationError, associated_ordinary_game,
                            compile_stage, simulate, zero_epsilon)
-from tactica.prediction import strategic_pipeline
+from tactica.prediction import rolling_predictions, strategic_pipeline
 from tactica.scenario import load_scenario
 from tactica.tactics import run_synthesized
 
@@ -252,6 +252,21 @@ def test_a_complex_component_of_a_callable_derivative_is_a_simulation_error():
     with pytest.raises(SimulationError, match=r"^dynamics: complex value \[\(1\+0j\), .*\+1j\)\] "
                                               r"at t=0\.0$"):
         simulate(system, [1.0, 0.0], 0.0, 0.1, 0.01)
+
+
+@pytest.mark.parametrize("call", ["simulate", "rolling_predictions"])
+def test_a_lambda_element_the_run_does_not_feed_is_named(call):
+    # Neither call is given a slow control, so lambda is empty.
+    dynamics = compile_vector(["lambda[0] - phi[0] + u[0]"], ("t",),
+                              {"phi": 1, "u": 1, "lambda": 1}, "system.dynamics")
+    system = InteractiveSystem(dim=1, dynamics=dynamics, players=(make_player(lambda t: [0.3]),))
+    with pytest.raises(SimulationError, match=r"^lambda\[0\]: index 0 is out of bounds .* "
+                                              r"at t=0\.0$"):
+        if call == "simulate":
+            simulate(system, [0.0], 0.0, 1.0, 0.01)
+        else:
+            run = simulate(system, [0.0], 0.0, 1.0, 0.01, slow=games.SlowControl(lambda t: [1.0]))
+            rolling_predictions(system, run, {1: lambda t: [0.3]}, [0.0], 0.1, 0.01)
 
 
 # ---------------------------------------------------------------------------
