@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
@@ -187,8 +188,9 @@ class InteractiveSystem:
     slow-parameter vector (empty when absent).  A scenario's dynamics is a
     :class:`VectorExpression` over ``t, phi, u, lambda`` with ``u`` the flat control
     vector, and an associated ordinary game's is an :class:`OrdinaryDynamics`; the
-    stage inlines both.  The stage is compiled at the first run of each slot kind
-    and kept here.
+    stage inlines both.  ``_stages`` keeps what the first run generates: the stage
+    (:func:`compile_stage`) of each slot kind, and the step (:func:`compile_step`) of
+    each slot kind and record width.
     """
 
     dim: int
@@ -339,6 +341,11 @@ def _real(values, leaves: Sequence[str]) -> np.ndarray:
     raise TypeError(f"{leaves[k]}: complex value {complex(values[k])!r}")
 
 
+def _leaves(leaf: VectorExpression) -> list[str]:
+    """``path[k] 'source'`` of each component."""
+    return [f"{leaf.path}[{k}] {src!r}" for k, src in enumerate(leaf.sources)]
+
+
 def _listed(vector: _Vector) -> str:
     """``vector`` as an expression: its local, or a list of its elements."""
     return vector.name or f"[{', '.join(vector.items)}]"
@@ -352,12 +359,12 @@ def _fault(exc: BaseException, t: float, leaves: dict) -> SimulationError:
 
 class _Vector:
     """A vector the stage computes: the local holding it and, when the stage computes it
-    element by element, the element locals and the leaf each comes from.  An inlined
-    leaf's list gets a local only when a callable reads it whole."""
+    element by element, the element locals and the leaf each comes from; ``leaf`` names
+    the whole.  An inlined leaf's list gets a local only when a callable reads it whole."""
 
     def __init__(self, name: str | None, items: list[str] | None = None,
-                 leaves: Sequence[str] = ()):
-        self.name, self.items, self.leaves = name, items, leaves
+                 leaves: Sequence[str] = (), leaf: str = ""):
+        self.name, self.items, self.leaves, self.leaf = name, items, leaves, leaf
 
     def __getitem__(self, i: int) -> str:
         return f"{self.name}[{i}]" if self.items is None else self.items[i]
@@ -367,24 +374,28 @@ class _StageSource:
     """The straight-line source of one stage, and the leaf each of its lines evaluates.
 
     A scenario leaf (a :class:`VectorExpression`) is inlined one component per line,
-    its grammar variables read from locals; any other callable is called by name.
+    its grammar variables read from locals; any other callable is called by name.  The
+    body reads ``t``, ``lam`` and the state: each element of ``phi`` on a line of its own,
+    and ``phi`` whole where a callable reads it.
     """
 
     def __init__(self):
         self.body: list[str] = []
-        self.leaves: dict[int, str] = {}        # line number -> "path 'source'"
+        self.leaves: dict[int, str] = {}        # body line -> "path 'source'"
+        self.state: dict[int, int] = {}         # body line -> the phi element it reads
         self.elements: dict[tuple[str, int], str] = {}
         self.namespace = {"__builtins__": {}, **_FUNC_NS, "_F64": np.float64,
                           "_asarray": np.asarray, "_floats": _floats, "float": float,
                           "_F64D": np.dtype(float), "_real": _real, "_EMPTY": _EMPTY,
                           "_faults": (ArithmeticError, IndexError, TypeError, ValueError),
-                          "_fault": _fault, "_leaves": self.leaves}
+                          "_fault": _fault, "_array": np.array, "_isfinite": math.isfinite,
+                          "_diverged": DivergenceError, "range": range}
 
     def line(self, stem: str, value: str, leaf: str = "") -> str:
         """Append ``<fresh local> = value``; return the local."""
         name = f"{stem}{len(self.body)}"
         if leaf:
-            self.leaves[len(self.body) + 3] = leaf      # below the def and try lines
+            self.leaves[len(self.body)] = leaf
         self.body.append(f"{name} = {value}")
         return name
 
@@ -398,6 +409,8 @@ class _StageSource:
         use on a line of that leaf, so a missing element fails naming it."""
         if (name, i) not in self.elements:
             vector = "lam" if name == "lambda" else name
+            if name == "phi":
+                self.state[len(self.body)] = i
             self.elements[name, i] = self.line(vector[0], f"{vector}[{i}]", f"{name}[{i}]")
         return self.elements[name, i]
 
@@ -409,10 +422,13 @@ class _StageSource:
                 return self.element(name, index)
             return vectors[name][index]
 
-        leaves = [f"{leaf.path}[{k}] {src!r}" for k, src in enumerate(leaf.sources)]
+        leaves = _leaves(leaf)
         items = [self.line("x", _emit(parse(src), read), where)
                  for src, where in zip(leaf.sources, leaves)]
-        return _Vector(None, items, leaves)
+        return _Vector(None, items, leaves, leaf.path)
+
+    def call(self, stem: str, fn, arguments: str, leaf: str) -> _Vector:
+        return _Vector(self.line(stem, f"{self.ref(fn)}({arguments})", leaf), leaf=leaf)
 
     def whole(self, vector: _Vector) -> str:
         """The local holding ``vector``, an inlined leaf's list built at its first use."""
@@ -433,7 +449,7 @@ class _StageSource:
     def signal(self, k: int, signal) -> _Vector:
         if isinstance(signal, VectorExpression):
             return self.inline(signal)
-        return _Vector(self.line("s", f"{self.ref(signal)}(t)", f"players[{k}].signal"))
+        return self.call("s", signal, "t", f"players[{k}].signal")
 
     def library_u0(self, arg: _Vector | tuple) -> _Vector:
         """``u0`` as a callable reads it: the control, or a tuple of the members' controls."""
@@ -452,8 +468,8 @@ class _StageSource:
             return _Vector("_EMPTY", [])
         if isinstance(form, VectorExpression):
             return self.inline(form, u0=self.scenario_u0(arg, form.path))
-        return _Vector(self.line("e", f"{self.ref(form)}(t, {self.whole(self.library_u0(arg))}, "
-                                      "phi)", f"{where}.epsilon"))
+        return self.call("e", form, f"t, {self.whole(self.library_u0(arg))}, phi",
+                         f"{where}.epsilon")
 
     def coupling(self, where: str, coupling: FeedbackCoupling, arg, eps: _Vector,
                  derivs: str) -> _Vector:
@@ -462,9 +478,8 @@ class _StageSource:
             return self.library_u0(arg)
         if isinstance(form, VectorExpression):
             return self.inline(form, u0=self.scenario_u0(arg, form.path), eps=eps)
-        return _Vector(self.line("c", f"{self.ref(form)}(t, {self.whole(self.library_u0(arg))}, "
-                                      f"phi, {derivs}, {self.whole(eps)}, lam)",
-                                 f"{where}.coupling"))
+        return self.call("c", form, f"t, {self.whole(self.library_u0(arg))}, phi, {derivs}, "
+                                    f"{self.whole(eps)}, lam", f"{where}.coupling")
 
     def slots(self, system: InteractiveSystem, use_coalitions: bool,
               pure: Sequence[_Vector]) -> list[tuple[str, Player | Coalition, _Vector | tuple]]:
@@ -478,7 +493,8 @@ class _StageSource:
         return [self.coupling(where, slot.coupling, arg, e, derivs)
                 for (where, slot, arg), e in zip(slots, eps)]
 
-    def dynamics(self, system: InteractiveSystem, controls: Sequence[_Vector]) -> str:
+    def dynamics(self, system: InteractiveSystem, controls: Sequence[_Vector]) -> _Vector:
+        """The values of the vector field, before they become the derivative."""
         dyn = system.dynamics
         if isinstance(dyn, OrdinaryDynamics):
             inner = dyn.system
@@ -489,34 +505,129 @@ class _StageSource:
                    for e in controls[inner.n_players:]]
             return self.dynamics(inner, self.controls(slots, eps, "()"))
         if isinstance(dyn, VectorExpression):
-            values = self.inline(dyn, u=self.flat(controls, dyn.path))
-            return self.real(_listed(values), values.leaves, dyn.path)
+            return self.inline(dyn, u=self.flat(controls, dyn.path))
         listed = ", ".join(map(self.whole, controls))
-        values = self.line("c", f"{self.ref(dyn)}(t, phi, [{listed}], lam)", "dynamics")
-        return self.real(values, ("dynamics",), "dynamics")
+        return self.call("c", dyn, f"t, phi, [{listed}], lam", "dynamics")
 
-    def real(self, values: str, leaves: Sequence[str], leaf: str) -> str:
-        """``np.asarray(values, dtype=float)``, checked by dtype identity; a complex element
-        of ``values`` fails naming its leaf."""
-        name = self.line("d", f"_asarray({values})", leaf)
+    def real(self, values: _Vector) -> str:
+        """The derivative: ``np.asarray(values, dtype=float)``, checked by dtype identity; a
+        complex element fails naming its leaf."""
+        listed, leaves = _listed(values), tuple(values.leaves) or (values.leaf,)
+        name = self.line("d", f"_asarray({listed})", values.leaf)
         self.body.append(f"if {name}.dtype is not _F64D: "
-                         f"{name} = _real({values}, {self.ref(tuple(leaves))})")
+                         f"{name} = _real({listed}, {self.ref(leaves)})")
         return name
 
-    def function(self, returned: str) -> Callable:
-        source = "\n".join(["def stage(t, phi, lam, values=True):", "    try:",
-                            *(f"        {line}" for line in self.body),
-                            "    except _faults as exc:",
-                            "        raise _fault(exc, t, _leaves) from exc",
-                            f"    return {returned}"])
+    def lines(self, indent: str, state: Sequence[str] = ()) -> list[tuple[str, str]]:
+        """The body at ``indent``, each line with its leaf; element i of the state is read
+        from the local ``state[i]`` when one is given."""
+        out = []
+        for n, text in enumerate(self.body):
+            i = self.state.get(n, len(state))
+            if i < len(state):
+                text = f"{text.partition(' = ')[0]} = {state[i]}"
+            out.append((indent + text, self.leaves.get(n, "")))
+        return out
+
+    def function(self, lines: Sequence[tuple[str, str]]) -> Callable:
+        """The function ``lines`` define, each ``(source, leaf)``: a fault on a line names
+        its leaf."""
+        self.namespace["_leaves"] = {n: leaf for n, (_, leaf) in enumerate(lines, 1) if leaf}
+        name = lines[0][0].split()[1].partition("(")[0]
         # Built from validated expression trees and generated names only.
-        exec(compile(source, "<stage>", "exec"), self.namespace)     # noqa: S102
-        return self.namespace["stage"]
+        exec(compile("\n".join(text for text, _ in lines), f"<{name}>", "exec"),  # noqa: S102
+             self.namespace)
+        return self.namespace[name]
+
+    def step(self, dim: int, blocks, values: _Vector, dims) -> tuple[Callable, dict, dict]:
+        """:func:`compile_step`'s function over this body, the column of each record in a
+        row, and the leaf that feeds each column of the dphi, u0, eps and u records."""
+        if values.items is None:
+            derivative = self.real(values)
+        else:
+            # A float's value is its np.float64's, and so is its sum or product with one.
+            fast = " and ".join(f"({x}.__class__ is _F64 or {x}.__class__ is float)"
+                                for x in values.items) or "True"
+            derivative = (f"({''.join(x + ', ' for x in values.items)}) if {fast} else "
+                          f"_real({_listed(values)}, {self.ref(tuple(values.leaves))})")
+        y, z = [f"y_{i}" for i in range(dim)], [f"z_{i}" for i in range(dim)]
+        k1, k2, k3, k4 = ([f"k{j}_{i}" for i in range(dim)] for j in range(1, 5))
+        # One record row: t, phi, dphi, the u0, eps and u blocks, lambda.
+        writes = [f"R[b + {c}] = {x}" for c, x in enumerate(["t", *y, *k1])]
+        leaves = {"dphi": values.leaves or [values.leaf] * dim}
+        columns = {"t": 0, "phi": slice(1, 1 + dim), "dphi": slice(1 + dim, 1 + 2 * dim)}
+        col = 1 + 2 * dim
+        for name, block, widths in zip(("u0", "eps", "u"), blocks, dims):
+            start, leaves[name] = col, []
+            for vector, width in zip(block, widths):
+                if vector.items is not None:
+                    writes += [f"R[b + {col + i}] = {x}" for i, x in enumerate(vector.items)]
+                elif width:
+                    writes.append(f"R[b + {col}:b + {col + width}] = {vector.name}")
+                leaves[name] += vector.leaves or [vector.leaf] * width
+                col += width
+            columns[name] = slice(start, col)
+        columns["lambda"] = slice(col, col + dims[3])
+        if dims[3]:
+            writes.insert(1 + 2 * dim, f"R[b + {col}:b + {col + dims[3]}] = lam")
+        tape = "".join(f"{_listed(e)}, " for e in blocks[1])
+        # A callable, or an element beyond the state, reads phi whole.
+        reads_phi = any(re.search(r"\bphi\b", text) for text, _ in self.lines("", y))
+
+        def stage(state, k, t):
+            return [(f"        t = {t}", ""), ("        lam = lam_at(t, k)", ""),
+                    *[(f"        phi = _array([{', '.join(state)}])", "")] * reads_phi,
+                    ("        try:", ""), *self.lines(" " * 12, state),
+                    (f"            [{', '.join(k)}] = {derivative}", ""),
+                    ("        except _faults as exc:", ""),
+                    ("            raise _fault(exc, t, _leaves) from exc", ""),
+                    (f"        if tape is not None: tape_t(t); tape_v(({tape}))", "")]
+
+        def advance(weight, k):
+            return [(f"        {s} = {x} + {weight} * {d}", "") for s, x, d in zip(z, y, k)]
+
+        finite = " and ".join(f"_isfinite({x})" for x in y) or "True"
+        return self.function([
+            ("def step(y, t0, dt, n, lam_at, R, tape):", ""),
+            ("    half, full, two, sixth = _F64(dt / 2.0), _F64(dt), _F64(2.0), _F64(dt / 6.0)",
+             ""),
+            (f"    [{', '.join(y)}] = y", ""),
+            ("    if tape is not None: tape_t, tape_v = tape.times.append, tape.values.append",
+             ""),
+            ("    for k in range(n + 1):", ""),
+            (f"        b = k * {col + dims[3]}", ""),
+            ("        tk = t0 + k * dt", ""),
+            *stage(y, k1, "tk"),
+            ("        try:", ""), *((f"            {w}", "") for w in writes),
+            ("        except TypeError as exc:", ""),
+            ("            raise _fault(exc, t, {}) from exc", ""),
+            ("        if k == n: return", ""),
+            *advance("half", k1), *stage(z, k2, "tm = tk + dt / 2.0"),
+            *advance("half", k2), *stage(z, k3, "tm"),
+            *advance("full", k3), *stage(z, k4, "tk + dt"),
+            *((f"        {x} = {x} + sixth * ({a} + two * {b} + two * {c} + {d})", "")
+              for x, a, b, c, d in zip(y, k1, k2, k3, k4)),
+            (f"        if not ({finite}): raise _diverged(tk)", "")]), columns, leaves
+
+
+def _chain(out: _StageSource, system: InteractiveSystem, use_coalitions: bool):
+    """Emit the chain pure controls -> hidden parameters -> interactive controls -> vector
+    field into ``out``; return the recorded blocks ``(u0s, eps, u)`` and the values of the
+    vector field."""
+    pure = [out.signal(k, p.signal) for k, p in enumerate(system.players)]
+    slots = out.slots(system, use_coalitions, pure)
+    eps = [out.epsilon(where, slot.epsilon, arg) for where, slot, arg in slots]
+    derivs = "()"
+    if any(slot.coupling.derivative_order for _, slot, _ in slots):
+        seeded = out.controls(slots, eps, out.ref((np.zeros(system.dim),)))
+        derivs = out.line("g", f"({out.real(out.dynamics(system, seeded))},)")
+    u = out.controls(slots, eps, derivs)
+    return (pure, eps, u), out.dynamics(system, u)
 
 
 def compile_stage(system: InteractiveSystem, use_coalitions: bool = False) -> Callable:
     """Generate ``stage(t, phi, lam) -> ((u0s, eps, u), dphi)`` for the system's player
-    (or coalition) slots; ``stage(t, phi, lam, False)`` returns ``dphi`` alone.
+    (or coalition) slots.
 
     One straight-line function evaluates the chain pure controls -> hidden parameters
     -> interactive controls -> vector field, each per slot and in slot order.  A
@@ -527,20 +638,42 @@ def compile_stage(system: InteractiveSystem, use_coalitions: bool = False) -> Ca
     An ``ArithmeticError``, ``IndexError`` (a ``lambda`` element the run does not feed),
     ``TypeError`` or ``ValueError`` (a math domain error, say) is raised as a
     :class:`SimulationError` naming the leaf and the stage time; so is a complex
-    derivative.
+    derivative.  A run evaluates it once, at its initial point; :func:`compile_step`
+    inlines the same body four times per step.
     """
     out = _StageSource()
-    pure = [out.signal(k, p.signal) for k, p in enumerate(system.players)]
-    slots = out.slots(system, use_coalitions, pure)
-    eps = [out.epsilon(where, slot.epsilon, arg) for where, slot, arg in slots]
-    derivs = "()"
-    if any(slot.coupling.derivative_order for _, slot, _ in slots):
-        seeded = out.controls(slots, eps, out.ref((np.zeros(system.dim),)))
-        derivs = out.line("g", f"({out.dynamics(system, seeded)},)")
-    u = out.controls(slots, eps, derivs)
-    dphi = out.dynamics(system, u)
-    blocks = (", ".join(map(_listed, block)) for block in (pure, eps, u))
-    return out.function("(([{}], [{}], [{}]), {}) if values else {}".format(*blocks, dphi, dphi))
+    blocks, values = _chain(out, system, use_coalitions)
+    dphi = out.real(values)
+    listed = (", ".join(map(_listed, block)) for block in blocks)
+    return out.function([("def stage(t, phi, lam):", ""), ("    try:", ""),
+                         *out.lines(" " * 8),
+                         ("    except _faults as exc:", ""),
+                         ("        raise _fault(exc, t, _leaves) from exc", ""),
+                         ("    return (([{}], [{}], [{}]), {})".format(*listed, dphi), "")])
+
+
+def compile_step(system: InteractiveSystem, use_coalitions: bool,
+                 dims: tuple) -> tuple[Callable, dict, dict]:
+    """Generate ``step(y, t0, dt, n, lam_at, R, tape)``: ``n`` classical RK4 steps from the
+    state ``y``, recording the ``n + 1`` samples row by row into the flat float64 array
+    ``R``; ``dims`` are the probe's slot widths of the u0, eps and u blocks and the width
+    of ``lambda``.  Return the step, the row's column of each record and the leaf that
+    feeds each column of the dphi, u0, eps and u records.
+
+    The stage body of :func:`compile_stage` is inlined four times per step; element i of
+    the state is the np.float64 local ``y_i``, ``z_i`` at the inner stages.  The first
+    stage records its values and the other three yield only their derivative.  The
+    combination ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)`` is written per component in
+    :func:`rk4_step`'s operation order on np.float64 elements, which round as numpy's array
+    loops do, so the state is bit for bit the one :func:`rk4_step` gives.  Each stage calls
+    ``lam_at(stage time, step index)`` and, when a tape is given, appends its time and its
+    hidden parameters.  A non-finite state raises :class:`DivergenceError` at the step's
+    start; a stage fault is named as in the stage, and a complex recorded control or hidden
+    parameter is a :class:`SimulationError` at the sample time.
+    """
+    out = _StageSource()
+    blocks, values = _chain(out, system, use_coalitions)
+    return out.step(system.dim, blocks, values, dims)
 
 
 def _check_ground_truth(slots: Sequence[Player | Coalition]):
@@ -552,6 +685,14 @@ def _check_ground_truth(slots: Sequence[Player | Coalition]):
 
 def _integrate(system: InteractiveSystem, use_coalitions: bool, initial, t0, t1, dt,
                slow: SlowControl | None, record_tape: bool) -> StateTrajectory:
+    """Run the system's generated step (:func:`compile_step`) over ``[t0, t1]``.
+
+    A probe stage at the initial point sizes the record; the probe stays on the tape:
+    replay runs perform the same probe, so the stage sequences of the two runs line up
+    one to one.  The step writes every sample into one float64 array, of which the
+    trajectory's arrays are column blocks.  A non-finite recorded value is a
+    :class:`SimulationError` naming its column and the leaf that fed it.
+    """
     n_steps = step_count(t0, t1, dt)
 
     phi = np.asarray(initial, dtype=float)
@@ -563,66 +704,31 @@ def _integrate(system: InteractiveSystem, use_coalitions: bool, initial, t0, t1,
     stage = system._stages.get(use_coalitions)
     if stage is None:
         stage = system._stages[use_coalitions] = compile_stage(system, use_coalitions)
-    tape = StageTape() if record_tape else None
-    if tape is not None:
-        compiled = stage
-
-        def stage(t: float, state: np.ndarray, lam: np.ndarray, values: bool = True):
-            out = compiled(t, state, lam)
-            tape.times.append(t)
-            tape.values.append(tuple(out[0][1]))
-            return out if values else out[1]
-
     lam_at = (lambda t, step: _EMPTY) if slow is None else slow.value
-
-    # Size the record arrays from a probe evaluation at the initial point.
-    # The probe stays on the tape: replay runs perform the same probe, so the
-    # stage sequences of the two runs line up one to one.
     lam0 = lam_at(t0, 0)
-    values, dphi = stage(t0, phi, lam0)
-    u0_dims, eps_dims, u_dims = (tuple(np.size(x) for x in block) for block in values)
+    values, _ = stage(t0, phi, lam0)
+    tape = StageTape([t0], [tuple(values[1])]) if record_tape else None
+    dims = (*(tuple(map(np.size, block)) for block in values), len(lam0))
+    if (use_coalitions, dims) not in system._stages:
+        system._stages[use_coalitions, dims] = compile_step(system, use_coalitions, dims)
+    step, columns, leaves = system._stages[use_coalitions, dims]
 
-    n_samples = n_steps + 1
-    rec_t = np.empty(n_samples)
-    rec_phi = np.empty((n_samples, system.dim))
-    rec_dphi = np.empty((n_samples, system.dim))
-    rec_lam = np.empty((n_samples, len(lam0)))
-    # One array per slot of each block; they are joined into the block's columns after
-    # the run.
-    slot_recs = [[np.empty((n_samples, d)) for d in dims] for dims in (u0_dims, eps_dims, u_dims)]
-
-    def derivative(s: float, state: np.ndarray) -> np.ndarray:
-        return stage(s, state, lam_at(s, k), False)
-
-    for k in range(n_samples):
-        t = t0 + k * dt
-        lam = lam_at(t, k)
-        values, dphi = stage(t, phi, lam)
-        rec_t[k] = t
-        rec_phi[k] = phi
-        rec_dphi[k] = dphi
-        rec_lam[k] = lam
-        try:
-            for recs, slot_values in zip(slot_recs, values):
-                for rec, x in zip(recs, slot_values):
-                    rec[k] = x
-        except TypeError as exc:        # a complex control or hidden-parameter value
-            raise SimulationError(f"{exc} at t={float(t)!r}") from exc
-        if k < n_steps:
-            phi = rk4_step(derivative, t, phi, dt, dphi)
-            if not all(map(math.isfinite, phi.tolist())):
-                raise DivergenceError(last_valid_time=t)
-
-    rec_u0, rec_eps, rec_u = (np.concatenate(recs, axis=1) for recs in slot_recs)
-    for name, rec in (("u0", rec_u0), ("eps", rec_eps), ("u", rec_u), ("dphi", rec_dphi),
-                      ("lambda", rec_lam)):
-        bad_rows, bad_columns = np.nonzero(~np.isfinite(rec))
+    rows = np.empty((n_steps + 1, columns["lambda"].stop))
+    step(phi, t0, dt, n_steps, lam_at, rows.reshape(-1), tape)
+    rec = {name: rows[:, cols] for name, cols in columns.items()}
+    schedule = getattr(slow, "schedule", None)
+    leaves = {**leaves, "lambda": _leaves(schedule) if isinstance(schedule, VectorExpression)
+              else [getattr(schedule, "path", "slow")] * len(lam0)}
+    for name in ("u0", "eps", "u", "dphi", "lambda"):
+        bad_rows, bad_columns = np.nonzero(~np.isfinite(rec[name]))
         if len(bad_rows):
-            raise SimulationError(
-                f"non-finite {name}_{bad_columns[0]} at t={float(rec_t[bad_rows[0]])!r}")
+            raise SimulationError(f"non-finite {name}_{bad_columns[0]} "
+                                  f"({leaves[name][bad_columns[0]]}) "
+                                  f"at t={float(rec['t'][bad_rows[0]])!r}")
 
-    return StateTrajectory(t=rec_t, phi=rec_phi, dphi=rec_dphi, u0=rec_u0, eps=rec_eps,
-                           u=rec_u, lam=rec_lam, eps_dims=eps_dims, stage_tape=tape)
+    return StateTrajectory(t=rec["t"], phi=rec["phi"], dphi=rec["dphi"], u0=rec["u0"],
+                           eps=rec["eps"], u=rec["u"], lam=rec["lambda"], eps_dims=dims[1],
+                           stage_tape=tape)
 
 
 def simulate(system: InteractiveSystem, initial, t0: float, t1: float, dt: float,

@@ -374,7 +374,8 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
      "division by zero at t=0.005", {}),
     # The hidden parameter overflows to inf while the state stays finite.
     ("simulate", PLAYER.format(title="eps-overflow", signal="0.0", eps="phi[0]*1e308*10"),
-     EXIT_RUNTIME, "runtime: eps-overflow: non-finite eps_0 at t=0.0", {}),
+     EXIT_RUNTIME, "runtime: eps-overflow: non-finite eps_0 (system.players[0].epsilon.truth[0] "
+     "'phi[0]*1e308*10') at t=0.0\n", {}),
     # A negative float base to a fractional power is complex; the dynamics, which read
     # the control as np.float64, reject the coupling's complex value.
     ("simulate", PLAYER.format(title="complex-power", signal="(t - 1)^0.5", eps="0.0"),

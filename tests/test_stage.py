@@ -1,4 +1,4 @@
-"""The generated stage against the per-slot composition it replaced.
+"""The generated stage and step against the compositions they replaced.
 
 ``reference_stage`` evaluates one stage the way the integrator did before the stage
 was generated: each leaf is a separate callable, a scenario's coalition forms and
@@ -6,9 +6,16 @@ dynamics read ``np.concatenate(..., dtype=float)`` of the controls, and an assoc
 ordinary game calls the original couplings from inside its dynamics.  Its faults are
 the stage's: an arithmetic, type or value error, or a complex derivative, which is a
 type error rather than its real part.
+
+``reference_integrate`` runs a system the way the integrator did before the step was
+generated: the stage once per RK4 stage, ``rk4_step``'s array arithmetic, and one
+record row per sample.
 """
 
 import math
+import re
+import tracemalloc
+from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 
@@ -20,8 +27,9 @@ from test_expr import _grammar
 from tactica import expr, games
 from tactica.expr import VectorExpression, compile_vector
 from tactica.games import (Coalition, EpsilonProcess, FeedbackCoupling, InteractiveSystem,
-                           OrdinaryDynamics, Player, SimulationError, associated_ordinary_game,
-                           compile_stage, simulate, zero_epsilon)
+                           OrdinaryDynamics, Player, SimulationError, SlowControl, StageTape,
+                           associated_ordinary_game, compile_stage, replay_with_recorded_eps,
+                           rk4_step, simulate, step_count, zero_epsilon)
 from tactica.prediction import rolling_predictions, strategic_pipeline
 from tactica.scenario import load_scenario
 from tactica.tactics import run_synthesized
@@ -135,9 +143,15 @@ _VALUES = st.one_of(st.floats(-3.0, 3.0),
                     st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
 
 
+@lru_cache(maxsize=None)
+def _trees(leaves: tuple):
+    """Expressions over ``leaves``, built once per leaf set: hypothesis validates a new
+    strategy at its first draw."""
+    return st.recursive(st.sampled_from(leaves + tuple(_CONSTANTS)), _grammar, max_leaves=5)
+
+
 def _sources(draw, leaves, count):
-    tree = st.recursive(st.sampled_from(leaves + _CONSTANTS), _grammar, max_leaves=5)
-    return draw(st.lists(tree, min_size=count, max_size=count))
+    return draw(st.lists(_trees(tuple(leaves)), min_size=count, max_size=count))
 
 
 def _leaf(draw, path, count, scalars, vectors):
@@ -212,18 +226,144 @@ def systems(draw):
 @given(drawn=systems(), t=_VALUES, phi=st.lists(_VALUES, min_size=2, max_size=2),
        lam=_VALUES, ordinary=st.booleans())
 def test_generated_stage_is_the_per_slot_composition_bit_for_bit(drawn, t, phi, lam, ordinary):
-    system, use_coalitions = drawn
-    slots = system.coalitions if use_coalitions else system.players
-    if ordinary and not any(s.coupling.derivative_order for s in slots):
-        # The hidden parameters become controls, held at values drawn with the state.
-        held = [np.full(s.epsilon.dim, phi[1]) for s in slots]
-        system = associated_ordinary_game(
-            system, eps_policies=[lambda t, _v=v: _v for v in held],
-            use_coalitions=use_coalitions)
-        use_coalitions = False
+    system, use_coalitions = _ordinary(*drawn, phi[1]) if ordinary else drawn
     state, lam = np.array(phi[:system.dim]), np.array([lam])
     assert (_outcome(compile_stage(system, use_coalitions), t, state, lam)
             == _outcome(reference_stage(system, use_coalitions), t, state, lam))
+
+
+def _ordinary(system, use_coalitions, held):
+    """The associated ordinary game, its hidden parameters held at ``held``; a system with
+    an order-1 coupling has none and is returned as it is."""
+    slots = system.coalitions if use_coalitions else system.players
+    if any(s.coupling.derivative_order for s in slots):
+        return system, use_coalitions
+    values = [np.full(s.epsilon.dim, held) for s in slots]
+    return associated_ordinary_game(system, eps_policies=[lambda t, _v=v: _v for v in values],
+                                    use_coalitions=use_coalitions), False
+
+
+# ---------------------------------------------------------------------------
+# The generated step against compile_stage plus rk4_step
+# ---------------------------------------------------------------------------
+
+def reference_integrate(system, use_coalitions, initial, t0, t1, dt, slow, record_tape):
+    n_steps = step_count(t0, t1, dt)
+    phi = np.asarray(initial, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise games.ConfigurationError("initial state must be finite")
+    compiled = compile_stage(system, use_coalitions)
+    tape = StageTape() if record_tape else None
+
+    def stage(t, state, lam):
+        out = compiled(t, state, lam)
+        if tape is not None:
+            tape.times.append(t)
+            tape.values.append(tuple(out[0][1]))
+        return out
+
+    lam_at = (lambda t, step: games._EMPTY) if slow is None else slow.value
+    lam0 = lam_at(t0, 0)
+    values, dphi = stage(t0, phi, lam0)
+    n = n_steps + 1
+    rec_t, rec_phi, rec_dphi = np.empty(n), np.empty((n, system.dim)), np.empty((n, system.dim))
+    rec_lam = np.empty((n, len(lam0)))
+    slot_recs = [[np.empty((n, np.size(x))) for x in block] for block in values]
+    for k in range(n):
+        t = t0 + k * dt
+        lam = lam_at(t, k)
+        values, dphi = stage(t, phi, lam)
+        rec_t[k], rec_phi[k], rec_dphi[k], rec_lam[k] = t, phi, dphi, lam
+        try:
+            for recs, slot_values in zip(slot_recs, values):
+                for rec, x in zip(recs, slot_values):
+                    rec[k] = x
+        except TypeError as exc:
+            raise SimulationError(f"{exc} at t={float(t)!r}") from exc
+        if k < n_steps:
+            phi = rk4_step(lambda s, state: stage(s, state, lam_at(s, k))[1], t, phi, dt, dphi)
+            if not all(map(math.isfinite, phi.tolist())):
+                raise games.DivergenceError(last_valid_time=t)
+    rec_u0, rec_eps, rec_u = (np.concatenate(recs, axis=1) for recs in slot_recs)
+    for name, rec in (("u0", rec_u0), ("eps", rec_eps), ("u", rec_u), ("dphi", rec_dphi),
+                      ("lambda", rec_lam)):
+        bad_rows, bad_columns = np.nonzero(~np.isfinite(rec))
+        if len(bad_rows):
+            raise SimulationError(
+                f"non-finite {name}_{bad_columns[0]} at t={float(rec_t[bad_rows[0]])!r}")
+    return games.StateTrajectory(t=rec_t, phi=rec_phi, dphi=rec_dphi, u0=rec_u0, eps=rec_eps,
+                                 u=rec_u, lam=rec_lam, eps_dims=tuple(map(np.size, values[1])),
+                                 stage_tape=tape)
+
+
+def _run(integrate, *args):
+    """The bits of a run's records and stage tape, or its exception's type and message; the
+    column leaf a non-finite record names is left out."""
+    try:
+        with np.errstate(all="ignore"):
+            run = integrate(*args)
+    except Exception as exc:  # the outcome compared
+        return type(exc), re.sub(r"^(non-finite \w+) \(.*\)( at t=)", r"\1\2", str(exc))
+    tape = run.stage_tape and (run.stage_tape.times, run.stage_tape.values)
+    return _bits([run.t, run.phi, run.dphi, run.u0, run.eps, run.u, run.lam, run.eps_dims,
+                  tape])
+
+
+_STATES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-0.0, 1e308, -1e308, math.inf]))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(drawn=systems(), phi=st.lists(_STATES, min_size=2, max_size=2),
+       lam=st.lists(_VALUES, min_size=2, max_size=2),
+       slow=st.sampled_from([None, "schedule", "steps"]), t0=st.floats(-1.0, 1.0),
+       dt=st.sampled_from([0.25, 0.5, 1e-3]),
+       n_steps=st.integers(1, 3), ordinary=st.booleans(), tape=st.booleans())
+def test_generated_step_is_compile_stage_plus_rk4_step_bit_for_bit(drawn, phi, lam, slow, t0,
+                                                                   dt, n_steps, ordinary, tape):
+    system, use_coalitions = _ordinary(*drawn, lam[1]) if ordinary else drawn
+    if slow == "schedule":
+        slow = SlowControl(lambda t: [t * lam[0]])
+    elif slow == "steps":
+        slow = SlowControl(((0, (lam[0],)), (1, (lam[1],))))
+    args = (system, use_coalitions, phi[:system.dim], t0, t0 + n_steps * dt, dt, slow, tape)
+    assert _run(games._integrate, *args) == _run(reference_integrate, *args)
+
+
+@pytest.mark.parametrize("slow", [
+    SlowControl(compile_vector(["1.0 + 0.5*t"], ("t",), {}, "system.slow.schedule")),
+    SlowControl(((0, (1.0,)), (40, (2.0,))))], ids=["schedule", "steps"])
+def test_a_replay_under_a_slow_parameter_is_bit_identical(slow):
+    def leaf(path, sources, **vectors):
+        return compile_vector(sources, ("t",), vectors, f"system.{path}")
+
+    player = Player(leaf("players[0].signal", ["0.3*sin(t)"]),
+                    FeedbackCoupling(leaf("players[0].coupling", ["u0[0] + eps[0]*phi[0]"],
+                                          u0=1, phi=1, eps=1)),
+                    EpsilonProcess(leaf("players[0].epsilon.truth", ["-0.5 + 0.2*phi[0]"],
+                                        u0=1, phi=1), 1))
+    system = InteractiveSystem(dim=1, players=(player,), dynamics=leaf(
+        "dynamics", ["lambda[0] - phi[0] + u[0]"], phi=1, u=1, **{"lambda": 1}))
+    run = simulate(system, [0.2], 0.0, 1.0, 0.01, slow=slow)
+    assert len(run.stage_tape) == 4 * 100 + 2
+    assert run.lam[0, 0] != run.lam[-1, 0]
+    replayed = replay_with_recorded_eps(system, run, 0.0, 1.0, 0.01, slow=slow)
+    assert replayed.phi.tobytes() == run.phi.tobytes()
+
+
+def test_recording_a_run_stays_memory_neutral():
+    # The samples go straight into float64 arrays: a run's allocations peak at 1.55 times
+    # the arrays it returns before the step was generated, and at about 6 times with a
+    # list of scalar objects per column.
+    scenario = load_scenario(SCENARIOS / "verbalize_fit.yaml")
+    scenario.simulate()             # generates the stage and the step
+    tracemalloc.start()
+    try:
+        run = scenario.simulate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in (run.t, run.phi, run.dphi, run.u0, run.eps, run.u, run.lam))
+    assert len(run.t) == 12001 and peak <= 2.5 * arrays
 
 
 def test_a_library_leaf_is_named_by_its_slot():
@@ -275,14 +415,19 @@ def test_a_lambda_element_the_run_does_not_feed_is_named(call):
 
 @pytest.fixture
 def compiled(monkeypatch):
-    """The systems the stage builder compiles, one entry per compilation."""
-    systems = []
+    """The systems the stage and the step builders compile, one entry per compilation."""
+    systems = {"compile_stage": [], "compile_step": []}
 
-    def counting(system, use_coalitions=False):
-        systems.append(system)
-        return compile_stage(system, use_coalitions)
+    def counting(name):
+        builder = getattr(games, name)
 
-    monkeypatch.setattr(games, "compile_stage", counting)
+        def count(system, *args):
+            systems[name].append(system)
+            return builder(system, *args)
+        monkeypatch.setattr(games, name, count)
+
+    counting("compile_stage")
+    counting("compile_step")
     return systems
 
 
@@ -296,14 +441,18 @@ def test_a_pipeline_compiles_each_system_once(compiled):
                                 [lambda t: np.array([-1.0])], horizon=0.05)
     assert report.short_mask.sum() == 100       # 20 short-term segments
     # The truth, the long-term ordinary game and the one anchored game.
-    assert len(compiled) == len({id(s) for s in compiled}) == 3
+    stages, steps = compiled["compile_stage"], compiled["compile_step"]
+    assert len(stages) == len({id(s) for s in stages}) == 3
+    assert list(map(id, steps)) == list(map(id, stages))
 
 
 def test_a_synthesized_run_compiles_each_system_once(compiled):
     plan = load_scenario(SCENARIOS / "tactics_coupled.yaml").tactics_plan()
     runs = run_synthesized(plan.games, plan.rule)
     assert sum(len(r.windows) for r in runs) >= 10
-    assert len(compiled) == len({id(g.system) for g in plan.games})
+    stages, steps = compiled["compile_stage"], compiled["compile_step"]
+    assert len(stages) == len({id(g.system) for g in plan.games})
+    assert list(map(id, steps)) == list(map(id, stages))
 
 
 def test_only_called_expressions_are_compiled(monkeypatch):

@@ -2,7 +2,9 @@
 
 Runs every scenario in ``scenarios/`` under every command it supports through
 ``tactica.cli.main``, each into its own temporary directory, and prints one
-line per artifact::
+line per artifact.  No shipped scenario declares a prognosis pipeline, so the
+``two_player`` system is also run under ``predict`` with ``prediction.pipeline``
+added, as the scenario ``two_player_pipeline``::
 
     <scenario> <command> <exit code> <file name> <sha256>
 
@@ -23,6 +25,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import yaml
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -30,11 +34,15 @@ from tactica import cli  # noqa: E402
 from tactica.scenario import ScenarioError, load_scenario  # noqa: E402
 
 
-def digests(scenario: Path) -> list[str]:
-    try:
-        commands = load_scenario(scenario).supported_commands()
-    except ScenarioError:
-        commands = []
+PIPELINE = {"horizon": 0.05, "assumed_eps": [["0.1"], ["-0.2"]]}
+
+
+def digests(scenario: Path, commands=None) -> list[str]:
+    if commands is None:
+        try:
+            commands = load_scenario(scenario).supported_commands()
+        except ScenarioError:
+            commands = []
     lines = []
     for command in commands:
         with tempfile.TemporaryDirectory() as tmp:
@@ -55,6 +63,12 @@ def digests(scenario: Path) -> list[str]:
 def main() -> int:
     for scenario in sorted((ROOT / "scenarios").glob("*.yaml")):
         for line in digests(scenario):
+            print(line, flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = yaml.safe_load((ROOT / "scenarios" / "two_player.yaml").read_text())
+        scenario = Path(tmp) / "two_player_pipeline.yaml"
+        scenario.write_text(yaml.safe_dump({**doc, "prediction": {"pipeline": PIPELINE}}))
+        for line in digests(scenario, ["predict"]):
             print(line, flush=True)
     return 0
 
