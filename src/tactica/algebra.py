@@ -12,8 +12,8 @@ add.  A presentation compiles its relations into a level-batched
 :class:`RelationPlan` when it is built: one stacked product per letter
 position drives the relation values and the projection Jacobian alike, and
 each relation sums its terms through slices of the word products.
-``compile_symbols`` generates one straight-line evaluator per symbol tuple
-(a :class:`WeylPlan`): level j adds the j-th term of every symbol, its
+``compile_symbols`` generates one straight-line evaluator per symbol tuple:
+level j adds the j-th term of every symbol, its
 linear terms as one broadcast product and each higher term's orderings as
 one stacked product per letter position.  Unknown slots, unknown constants
 and missing control components are rejected there, once, not during
@@ -317,19 +317,11 @@ class WeylSymbol:
         return {l for t in self.terms for l in t.word if isinstance(l, str)}
 
 
-@dataclass(frozen=True)
-class WeylPlan:
-    """Weyl symbols compiled for one tuple size, matrix dimension and control dimension:
-    ``evaluate(stacked, a)``, generated by :func:`compile_symbols`, maps an ``(m, n, n)``
-    tuple and the control vector to one ``(n, n)`` value per symbol."""
-
-    evaluate: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
-
-
 def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
                     constants: Mapping[str, np.ndarray] | None = None,
-                    control_dim: int = 0) -> WeylPlan:
-    """Generate the straight-line evaluator of ``symbols`` at an ``(m, n, n)`` tuple.
+                    control_dim: int = 0) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
+    """Generate ``evaluate(stacked, a)``, the straight-line evaluator of ``symbols``: it
+    maps an ``(m, n, n)`` tuple and the control vector to one ``(n, n)`` value per symbol.
 
     Raises ConfigurationError for a slot beyond the tuple, an unknown or wrongly
     sized constant, or a control component beyond ``control_dim``.  Letters are
@@ -431,17 +423,18 @@ def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
         lines.append(f"out = zeros({shape}, complex)")
     lines += [*body, "return out"]
     exec("\n    ".join(lines), namespace)     # noqa: S102 -- built from compiled indices only
-    return WeylPlan(evaluate=namespace["evaluate"])
+    return namespace["evaluate"]
 
 
-def weyl_eval_tuple(plan: WeylPlan, stacked: np.ndarray,
+def weyl_eval_tuple(evaluate: Callable, stacked: np.ndarray,
                     a: np.ndarray | None = None) -> np.ndarray:
-    """Symmetrized evaluation of every symbol of ``plan`` at an ``(m, n, n)`` tuple.
+    """Symmetrized evaluation of every symbol of a :func:`compile_symbols` evaluator at an
+    ``(m, n, n)`` tuple.
 
     Each monomial averages the products over all orderings of its letters;
     ``a`` holds the control components the terms scale by.
     """
-    return plan.evaluate(stacked, a)
+    return evaluate(stacked, a)
 
 
 # ---------------------------------------------------------------------------

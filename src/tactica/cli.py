@@ -8,6 +8,7 @@ wall-clock timings go to stdout only, never into the artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import os
@@ -118,6 +119,7 @@ def run_command(command: str, scenario_path, out_dir: Path, dt_override: float |
         # not as numpy warnings on stderr.
         with np.errstate(all="ignore"):
             exit_code = _RUNNERS[command](scenario, out_dir, tolerance, report)
+        exports.write_json(report, out_dir / "report.json")
     except StrandedClassError as exc:
         print(f"insolvable: {exc}", file=sys.stderr)
         return EXIT_INSOLVABLE
@@ -126,7 +128,6 @@ def run_command(command: str, scenario_path, out_dir: Path, dt_override: float |
     except (ValueError, ArithmeticError, SimulationError) as exc:
         print(f"runtime: {scenario.title}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    exports.write_json(report, out_dir / "report.json")
     duration = time.perf_counter() - started
     checks = report["checks"]
     status = ("insolvable" if exit_code == EXIT_INSOLVABLE else
@@ -261,11 +262,7 @@ def _run_repdyn(scenario: Scenario, out: Path, tolerance: float, report: dict) -
         _add_check(report, "relation residual", float(np.max(result.residuals)),
                    plan.spec.insolvable_threshold)
         if result.insolvable is not None:
-            report["summaries"]["insolvable"] = {
-                "time": result.insolvable.time,
-                "residual": result.insolvable.residual,
-                "reason": result.insolvable.reason,
-            }
+            report["summaries"]["insolvable"] = dataclasses.asdict(result.insolvable)
             print(f"insolvable: integration insolvable in the declared class at "
                   f"t={result.insolvable.time!r}",
                   file=sys.stderr)

@@ -46,10 +46,10 @@ def real_array(values, leaf: str, t: float | None = None) -> np.ndarray:
     """``np.asarray(values, dtype=float)``; a complex value is a :class:`SimulationError`
     naming ``leaf`` (and the time ``t``, if given) instead of passing as its real part."""
     arr = np.asarray(values)
-    if np.iscomplexobj(arr):
+    if arr.dtype.kind == "c":
         at = "" if t is None else f" at t={float(t)!r}"
         raise SimulationError(f"{leaf}: complex value {arr.tolist()!r}{at}")
-    return np.asarray(arr, dtype=float)
+    return arr.astype(float, copy=False)
 
 
 def whole_steps(t0: float, t1: float, dt: float) -> int | None:
@@ -172,7 +172,8 @@ class InvariantConstraint:
     """Time-independent quantity of the indeterminate game variant.
 
     ``fn(t, u, u0, eps, phi, dphi)`` -> scalar, with flat concatenated control
-    rows and the recorded state derivative.
+    rows and the recorded state derivative.  A scenario's ``fn`` is a one-component
+    :class:`VectorExpression`, whose call returns ``[value]``.
     """
 
     fn: Callable
@@ -804,14 +805,25 @@ class InvariantDrift:
 def check_indeterminate_invariants(trajectory: StateTrajectory,
                                    constraints: Sequence[InvariantConstraint],
                                    tol: float = 1e-9) -> list[InvariantDrift]:
-    """Maximum drift of each declared time-independent quantity over the run."""
+    """Maximum drift of each declared time-independent quantity over the run.
+
+    A non-finite or complex value is a :class:`SimulationError` naming the invariant's
+    label, its leaf and the first such sample's time.
+    """
     results = []
     for c in constraints:
-        values = np.array([
-            c.fn(trajectory.t[k], trajectory.u[k], trajectory.u0[k],
-                 trajectory.eps[k], trajectory.phi[k], trajectory.dphi[k])
-            for k in range(len(trajectory.t))
-        ], dtype=float)
-        drift = float(np.max(np.abs(values - values[0])))
+        values = np.empty((len(trajectory.t), 1), dtype=complex)  # row k: fn's scalar or [scalar]
+        for k in range(len(values)):
+            values[k] = c.fn(trajectory.t[k], trajectory.u[k], trajectory.u0[k],
+                             trajectory.eps[k], trajectory.phi[k], trajectory.dphi[k])
+        bad = np.flatnonzero(~np.isfinite(values) | (values.imag != 0))
+        if len(bad):
+            v, leaf = values[bad[0], 0], ""
+            if isinstance(c.fn, VectorExpression):
+                leaf = f" ({_leaves(c.fn)[0]})"
+            raise SimulationError(
+                f"invariant {c.label!r}{leaf}: {'complex' if v.imag else 'non-finite'} value "
+                f"{complex(v) if v.imag else float(v.real)!r} at t={float(trajectory.t[bad[0]])!r}")
+        drift = float(np.max(np.abs(values.real - values.real[0])))
         results.append(InvariantDrift(label=c.label, drift=drift, violated=drift > tol))
     return results

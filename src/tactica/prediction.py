@@ -97,15 +97,8 @@ def interactivize_by_prediction(run: StateTrajectory, predictions: Sequence[Pred
     """
     if delta_t <= 0:
         raise ConfigurationError("delta_t must be positive")
-    by_base: dict[float, Prediction] = {}
-    for p in predictions:
-        by_base[round(p.base_time, 12)] = p
-    rows_t = []
-    rows_u = []
-    rows_u0 = []
-    rows_phi = []
-    rows_dphi = []
-    rows_phi_pred = []
+    by_base = {round(p.base_time, 12): p for p in predictions}
+    rows = []       # one (t, u, u0_pred, phi, dphi, phi_pred) per record
     for base in sorted(by_base):
         p = by_base[base]
         if p.horizon + 1e-12 < delta_t:
@@ -114,20 +107,12 @@ def interactivize_by_prediction(run: StateTrajectory, predictions: Sequence[Pred
         target = base + delta_t
         if target > run.t[-1] + 1e-9:
             continue
-        k_run = run.index_of(target)
-        k_pred = p.trajectory.index_of(target)
-        rows_t.append(run.t[k_run])
-        rows_u.append(run.u[k_run])
-        rows_u0.append(p.trajectory.u0[k_pred])
-        rows_phi.append(run.phi[k_run])
-        rows_dphi.append(run.dphi[k_run])
-        rows_phi_pred.append(p.trajectory.phi[k_pred])
-    if not rows_t:
+        k_run, k_pred, pred = run.index_of(target), p.trajectory.index_of(target), p.trajectory
+        rows.append((run.t[k_run], run.u[k_run], pred.u0[k_pred], run.phi[k_run],
+                     run.dphi[k_run], pred.phi[k_pred]))
+    if not rows:
         raise DataError("no prediction covers any requested record time")
-    return PredictionDataset(t=np.array(rows_t), u=np.array(rows_u),
-                             u0_pred=np.array(rows_u0), phi=np.array(rows_phi),
-                             dphi=np.array(rows_dphi),
-                             phi_pred=np.array(rows_phi_pred))
+    return PredictionDataset(*map(np.array, zip(*rows)))
 
 
 # ---------------------------------------------------------------------------

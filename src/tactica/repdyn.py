@@ -16,9 +16,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple, WeylPlan,
-                      WeylSymbol, WeylTerm, commutative_presentation, compile_symbols,
-                      identity, relation_values, weyl_eval_tuple)
+from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple, WeylSymbol,
+                      WeylTerm, commutative_presentation, compile_symbols, identity,
+                      relation_values, weyl_eval_tuple)
 from .expr import NCPoly, VectorExpression, nc_evaluate
 from .games import ConfigurationError, SimulationError, real_array, rk4_step, step_count
 from .tactics import CommentState, DialecticalObject, TransitionRule
@@ -62,8 +62,9 @@ class RepDynSpec:
     The tuple has one ``n x n`` matrix per generator of ``presentation``.
     ``insolvable_threshold`` bounds the raw (pre-projection) residual a step
     may produce before the run is declared insolvable in the current class;
-    the projection itself must reach ``tolerance``.  ``plan`` is the symbols
-    compiled against the tuple shape, the constants and ``control_dim``.
+    the projection itself must reach ``tolerance``.  ``plan`` is the symbols'
+    evaluator (:func:`compile_symbols`) for the tuple shape, the constants and
+    ``control_dim``.
     """
 
     symbols: tuple[WeylSymbol, ...]
@@ -73,7 +74,7 @@ class RepDynSpec:
     control_dim: int = 0
     tolerance: float = 1e-9
     insolvable_threshold: float = 1e-5
-    plan: WeylPlan = field(init=False, repr=False, compare=False)
+    plan: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "constants",
@@ -174,6 +175,19 @@ def project_to_variety(pres: AlgebraPresentation, stacked: np.ndarray, tolerance
     return stacked, residual, residual <= tolerance
 
 
+def _settle(pres: AlgebraPresentation, stacked: np.ndarray, tolerance: float,
+            values: tuple[np.ndarray, float], t: float) -> tuple[np.ndarray, float, bool]:
+    """(tuple, residual, converged): ``stacked`` if its relation ``values`` are within
+    ``tolerance``, else its projection, which raises at a non-finite (say NaN) residual."""
+    if values[1] <= tolerance:
+        return stacked, values[1], True
+    stacked, residual, converged = project_to_variety(pres, stacked, tolerance, values=values)
+    if not math.isfinite(residual):
+        raise SimulationError(f"relation residual turned non-finite in presentation "
+                              f"{pres.label!r} at t={t!r}")
+    return stacked, residual, converged
+
+
 def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float]] | None,
                      t0: float, t1: float, dt: float, start: np.ndarray) -> RepDynResult:
     """Fixed-step 4th-order integration with per-step projection.
@@ -217,24 +231,19 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
         candidate = rk4_step(rhs, t, stacked, dt, rhs(t, stacked))
         t_next = t0 + (k + 1) * dt
         if not np.isfinite(candidate).all():
-            raise SimulationError(f"matrix tuple diverged at t={t_next!r}")
+            raise SimulationError(f"matrix tuple diverged in presentation "
+                                  f"{presentation.label!r} at t={t_next!r}")
         raw = relation_values(presentation, candidate)
-        raw_residual = raw[1]
-        if raw_residual > spec.insolvable_threshold:
+        if raw[1] > spec.insolvable_threshold:
             return result(InsolvableSignal(
-                time=t_next, residual=raw_residual,
+                time=t_next, residual=raw[1],
                 reason="raw step residual exceeded the insolvability threshold"))
-        if not raw_residual <= spec.tolerance:     # a NaN residual is projected, and fails
-            stacked, residual, converged = project_to_variety(
-                presentation, candidate, spec.tolerance, values=raw)
-            if not math.isfinite(residual):
-                raise SimulationError(f"relation residual turned non-finite at t={t_next!r}")
-            if not converged:
-                return result(InsolvableSignal(
-                    time=t_next, residual=residual,
-                    reason="projection did not converge within the iteration cap"))
-        else:
-            stacked, residual = candidate, raw_residual
+        stacked, residual, converged = _settle(presentation, candidate, spec.tolerance, raw,
+                                               t_next)
+        if not converged:
+            return result(InsolvableSignal(
+                time=t_next, residual=residual,
+                reason="projection did not converge within the iteration cap"))
         times.append(t_next)
         states[k + 1] = stacked
         residuals.append(residual)
@@ -282,7 +291,8 @@ class InverseConstruction:
 
     def control_schedule(self, u_schedule: Callable[[float], Sequence[float]]
                          ) -> Callable[[float], np.ndarray]:
-        return lambda t: self.coefficient_map(u_schedule(t))
+        """The symbols' control vector at ``t``; a complex ``u`` is a SimulationError."""
+        return lambda t: self.coefficient_map(real_array(u_schedule(t), "invert.control", t))
 
 
 def solve_inverse_problem(rhs: Sequence[str], x0: Sequence[float], control_dim: int = 1,
@@ -412,7 +422,7 @@ def integrate_scalar_reference(rhs: Sequence[str], x0: Sequence[float],
     fns = [compile_expression(src, scalars=scalars) for src in rhs]
 
     def f(t, x):
-        u = np.atleast_1d(np.asarray(u_schedule(t), dtype=float))
+        u = np.atleast_1d(real_array(u_schedule(t), "invert.control", t))
         args = tuple(x) + tuple(u)
         return np.array([fn(*args) for fn in fns])
 
@@ -437,21 +447,23 @@ def integrate_scalar_reference(rhs: Sequence[str], x0: Sequence[float],
 def _append_commutator(i: int, j: int):
     """Append [X_i, X_j] (1-based slots) as a new generator image."""
 
-    def apply(X: MatrixTuple) -> MatrixTuple:
-        if not (1 <= i <= X.m and 1 <= j <= X.m):
-            raise ConfigurationError(f"append_commutator({i}, {j}) needs slots of a tuple of {X.m}")
-        a, b = X.matrices[i - 1], X.matrices[j - 1]
-        return MatrixTuple(matrices=X.matrices + (a @ b - b @ a,))
+    def apply(X: np.ndarray) -> np.ndarray:
+        if not (1 <= i <= len(X) and 1 <= j <= len(X)):
+            raise ConfigurationError(f"append_commutator({i}, {j}) needs slots of a tuple of "
+                                     f"{len(X)}")
+        a, b = X[i - 1], X[j - 1]
+        return np.concatenate((X, (a @ b - b @ a)[None]))
 
     return apply
 
 
-# The named tuple embeddings a transition may declare: name -> factory of the map.
-TUPLE_MAPS: dict[str, Callable[..., Callable[[MatrixTuple], MatrixTuple]]] = {
+# The named tuple embeddings a transition may declare: name -> factory of the map.  A map
+# takes and returns a stacked ``(m, n, n)`` complex tuple.
+TUPLE_MAPS: dict[str, Callable[..., Callable[[np.ndarray], np.ndarray]]] = {
     "identity": lambda: lambda X: X, "append_commutator": _append_commutator}
 
 
-def tuple_map(name: str, *args) -> Callable[[MatrixTuple], MatrixTuple]:
+def tuple_map(name: str, *args) -> Callable[[np.ndarray], np.ndarray]:
     factory = TUPLE_MAPS.get(name) if isinstance(name, str) else None
     if factory is None:
         raise ConfigurationError(f"unknown tuple embedding {name!r}")
@@ -473,14 +485,15 @@ class ClassDynamics:
 class TacticalRepDyn:
     """A tactical run whose ``specs`` hold one compiled spec per class it can reach.
 
-    A rule leaving a reached class, whatever its trigger, reaches its target at
-    the shape its tuple map gives a zero tuple of the source's shape.
+    ``initial`` is the stacked ``(m, n, n)`` start tuple.  A rule leaving a reached
+    class, whatever its trigger, reaches its target at the shape its tuple map
+    gives a zero tuple of the source's shape.
     """
 
     registry: AlgebraClassRegistry
     class_dynamics: Mapping[str, ClassDynamics]
     initial_class: str
-    initial: MatrixTuple
+    initial: np.ndarray
     eta0: np.ndarray
     delta: DialecticalObject
     control_dim: int = 0
@@ -501,8 +514,11 @@ class TacticalRepDyn:
         for label in self.delta.referenced_classes() | {self.initial_class}:
             if label not in self.class_dynamics:
                 raise ConfigurationError(f"no dynamics declared for class {label!r}")
+        if np.ndim(self.initial) != 3:
+            raise ConfigurationError(f"initial tuple has shape {np.shape(self.initial)}, "
+                                     "expected (m, n, n)")
         specs: dict[str, RepDynSpec] = {}
-        shapes = {self.initial_class: self.initial.stacked().shape}
+        shapes = {self.initial_class: np.shape(self.initial)}
         reached = [self.initial_class]
         for label in reached:       # grows while it is walked
             m, n, _ = shape = shapes[label]
@@ -514,12 +530,12 @@ class TacticalRepDyn:
                     constants=dynamics.constants, control_dim=self.control_dim,
                     tolerance=self.tolerance, insolvable_threshold=self.insolvable_threshold)
                 if label == self.initial_class:
-                    check_start(specs[label], self.initial.stacked())
+                    check_start(specs[label], self.initial)
                 for rule in self.delta.transitions:
                     if rule.from_class != label:
                         continue
-                    target = shape if rule.tuple_map is None else rule.tuple_map(
-                        MatrixTuple.from_stacked(np.zeros(shape, dtype=complex))).stacked().shape
+                    target = shape if rule.tuple_map is None else np.shape(
+                        rule.tuple_map(np.zeros(shape, dtype=complex)))
                     if rule.to_class not in shapes:
                         reached.append(rule.to_class)
                     if shapes.setdefault(rule.to_class, target) != target:
@@ -546,7 +562,6 @@ class TacticalRepdynResult:
     class_stream: list[CommentState]
     transitions: list[TransitionEvent]
     windows: list[WindowRecord]
-    final: MatrixTuple
 
 
 def _window_summaries(residuals, norms, a_values) -> tuple[np.ndarray, np.ndarray]:
@@ -565,10 +580,8 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
     """
     if len(window_grid) < 2:
         raise ConfigurationError("window grid needs at least two points")
-    label = game.initial_class
-    stacked = game.initial.stacked()
+    label, stacked = game.initial_class, game.initial
     eta = np.atleast_1d(np.asarray(game.eta0, dtype=float))
-
     all_times: list[float] = []
     all_residuals: list[float] = []
     stream: list[CommentState] = []
@@ -577,20 +590,21 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
 
     for n in range(1, len(window_grid)):
         t_a, t_b = float(window_grid[n - 1]), float(window_grid[n])
-        t_cursor = t_a
-        fired = 0
+        t_cursor, fired = t_a, 0
         window_res: list[float] = []
         window_norms: list[float] = []
         window_a: list[np.ndarray] = []
         while True:
-            result = integrate_repdyn(game.specs[label], game.control, t_cursor, t_b, dt,
-                                      stacked)
-            norms = [float(np.linalg.norm(state)) for state in result.states]
+            try:
+                result = integrate_repdyn(game.specs[label], game.control, t_cursor, t_b, dt,
+                                          stacked)
+            except SimulationError as exc:
+                raise SimulationError(f"class {label!r}: {exc}") from None
             start = 1 if all_times and result.times[0] == all_times[-1] else 0
             all_times.extend(float(t) for t in result.times[start:])
             all_residuals.extend(float(r) for r in result.residuals[start:])
             window_res.extend(result.residuals.tolist())
-            window_norms.extend(norms)
+            window_norms.extend(float(np.linalg.norm(state)) for state in result.states)
             if game.control is not None:
                 window_a.extend(np.atleast_1d(real_array(
                     game.control(float(t)), getattr(game.control, "path", "control"), t))
@@ -619,29 +633,28 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
     return TacticalRepdynResult(times=np.array(all_times),
                                 residuals=np.array(all_residuals),
                                 class_stream=stream, transitions=transitions,
-                                windows=windows, final=MatrixTuple.from_stacked(stacked))
+                                windows=windows)
 
 
 def _apply_transition(game: TacticalRepDyn, rule: TransitionRule, stacked: np.ndarray,
                       eta: np.ndarray, signal: InsolvableSignal,
                       transitions: list[TransitionEvent], window_index: int):
     if rule.tuple_map is not None:
-        stacked = rule.tuple_map(MatrixTuple.from_stacked(stacked)).stacked()
+        stacked = rule.tuple_map(stacked)
     if rule.eta_update is not None:
         eta = np.atleast_1d(np.asarray(
             rule.eta_update(eta, {"time": signal.time, "residual": signal.residual}),
             dtype=float))
     spec = game.specs[rule.to_class]
-    post = relation_values(spec.presentation, stacked)
-    post_residual = post[1]
-    if not post_residual <= spec.tolerance:     # a NaN residual is projected, and fails
-        stacked, post_residual, converged = project_to_variety(
-            spec.presentation, stacked, spec.tolerance, values=post)
-        if not math.isfinite(post_residual):
-            raise SimulationError(f"relation residual turned non-finite at t={signal.time!r}")
-        if not converged:
-            raise StrandedClassError(rule.to_class, window_index, signal.time)
+    try:
+        stacked, residual, converged = _settle(spec.presentation, stacked, spec.tolerance,
+                                               relation_values(spec.presentation, stacked),
+                                               signal.time)
+    except SimulationError as exc:
+        raise SimulationError(f"class {rule.to_class!r}: {exc}") from None
+    if not converged:
+        raise StrandedClassError(rule.to_class, window_index, signal.time)
     transitions.append(TransitionEvent(time=signal.time, window_index=window_index,
                                        from_class=rule.from_class, to_class=rule.to_class,
-                                       residual=post_residual))
+                                       residual=residual))
     return stacked, eta, rule.to_class

@@ -425,8 +425,8 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
     for k, base, inv in check.entries("system.invariants", spec.get("invariants", [])):
         src = inv.get("expression")
         if check.expression(f"{base}.expression", src, ("t",), trace):
-            invariants.append(InvariantConstraint(
-                fn=expr.compile_expression(src, ("t",), trace), label=inv.get("label", f"F{k}")))
+            invariants.append(InvariantConstraint(fn=expr.compile_vector(
+                [src], ("t",), trace, f"{base}.expression"), label=inv.get("label", f"F{k}")))
     if len(check.errors) > start:
         return None
     # The stage inlines every expression vector; see games.compile_stage for the types
@@ -735,7 +735,7 @@ def _repdyn(spec: dict, ctx: _Context, check: _Check) -> RepdynPlan | None:
                         label=spec.get("delta_label", "scenario"), transitions=transitions)
     game = delta and check.build(
         "repdyn", TacticalRepDyn, registry=registry, class_dynamics=class_dynamics,
-        initial_class=spec.get("initial_class"), initial=initial, delta=delta,
+        initial_class=spec.get("initial_class"), initial=initial.stacked(), delta=delta,
         eta0=np.asarray(eta0, dtype=float), control=control, **limits)
     return game and RepdynPlan(mode=mode, tactical=game, windows=tuple(grid), control=control)
 

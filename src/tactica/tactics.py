@@ -60,11 +60,7 @@ class DialecticalObject:
                 f"dialectical object {self.label!r}: transition table keys must be unique")
 
     def referenced_classes(self) -> set[str]:
-        out = set()
-        for t in self.transitions:
-            out.add(t.from_class)
-            out.add(t.to_class)
-        return out
+        return {c for t in self.transitions for c in (t.from_class, t.to_class)}
 
     def find(self, from_class: str, trigger_name: str) -> TransitionRule | None:
         for t in self.transitions:
@@ -173,11 +169,6 @@ def _shared_grid(games: Sequence[CommentedGame]) -> tuple[float, ...]:
     return grid
 
 
-def _window_segment(game: CommentedGame, phi, theta, t_a, t_b):
-    slow = SlowControl(schedule=lambda t, _theta=theta: _theta)
-    return simulate(game.system, phi, t_a, t_b, game.dt, slow=slow, record_tape=False)
-
-
 def commented_as_synthesis(update: Callable) -> SynthesisRule:
     """The one-form rule of a single commented game: ``update(theta_prev, omega, v)``."""
     return SynthesisRule(forms=(lambda thetas, omegas, vs: update(thetas[0], omegas[0], vs[0]),),
@@ -222,7 +213,9 @@ def run_synthesized(games: list[CommentedGame], rule: SynthesisRule) -> list[Com
         omegas_n = []
         vs_n = []
         for j, game in enumerate(games):
-            seg = _window_segment(game, phis[j], thetas[j], grid[n - 1], grid[n])
+            # The comment is held from the window's first step.
+            seg = simulate(game.system, phis[j], grid[n - 1], grid[n], game.dt,
+                           slow=SlowControl(((0, thetas[j]),)), record_tape=False)
             omegas_n.append(evaluate_functionals(game.omega_functionals, seg, 0,
                                                  len(seg.t) - 1))
             vs_n.append(evaluate_functionals(game.v_functionals, seg, 0, len(seg.t) - 1))

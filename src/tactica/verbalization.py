@@ -16,8 +16,8 @@ import numpy as np
 
 from .expr import compile_expression
 from .expr import variables as expr_variables
-from .games import (ConfigurationError, InteractiveSystem, Player, StateTrajectory,
-                    real_array, simulate)
+from .games import (ConfigurationError, InteractiveSystem, Player, SimulationError,
+                    StateTrajectory, real_array, simulate)
 
 
 class DomainError(ValueError):
@@ -297,12 +297,16 @@ class RecurrenceReport:
 
 def verify_recurrence(windows: Sequence[WindowRecord], rmap: RecurrenceMap,
                       tol: float = 1e-9) -> RecurrenceReport:
-    """Per-window residual of the recurrence against the recorded summaries."""
+    """Per-window residual of the recurrence against the recorded summaries.  A
+    non-finite prediction is a :class:`SimulationError` naming the form and the window."""
     if len(windows) < 2:
         raise ConfigurationError("verification needs at least two windows")
     residuals = []
     for prev, cur in zip(windows, windows[1:]):
         predicted = rmap.apply(prev.omega, cur.v)
+        if not np.isfinite(predicted).all():
+            raise SimulationError(f"{getattr(rmap.form, 'path', 'recurrence')}: non-finite "
+                                  f"value {predicted.tolist()!r} predicting window {cur.index}")
         residuals.append(float(np.linalg.norm(cur.omega - predicted)))
     return RecurrenceReport(residuals=np.array(residuals), tol=tol)
 

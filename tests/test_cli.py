@@ -352,6 +352,7 @@ system:
 
 
 COMMENTED = (SCENARIOS / "tactics_commented.yaml").read_text()
+INVARIANT = (SCENARIOS / "rotation_invariant.yaml").read_text()
 COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
 
 
@@ -367,7 +368,13 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
     ("repdyn", DRIFT + "  threshold: 1.0e-7\n", EXIT_INSOLVABLE,
      "insolvable in the declared class at t=0.001", {}),
     ("repdyn", OVERFLOW, EXIT_RUNTIME,
-     "runtime: stage-overflow: matrix tuple diverged at t=0.01", {}),
+     "runtime: stage-overflow: matrix tuple diverged in presentation 'commutative-m1' at "
+     "t=0.01", {}),
+    # After the transition the Heisenberg class's first step overflows.
+    ("repdyn", (SCENARIOS / "repdyn_transition.yaml").read_text().replace(
+        "{coeff: 0.2, word: [x1]}", "{coeff: 1.0e+308, word: [x1]}"), EXIT_RUNTIME,
+     "runtime: commutativity-breaking-transition: class 'heisenberg': matrix tuple diverged in "
+     "presentation 'heisenberg' at t=0.002", {}),
     # The signal divides by zero in the k4 stage of the step from t=0.004.
     ("simulate", PLAYER.format(title="zerodiv", signal="1.0/(t - 0.005)", eps="0.0"),
      EXIT_RUNTIME, "runtime: zerodiv: system.players[0].signal[0] '1.0/(t - 0.005)': float "
@@ -447,6 +454,25 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
         '["1.0"]', '["1.0/(t - 0.002)"]'), EXIT_RUNTIME,
      "runtime: logistic-inverse-problem: invert.control[0] '1.0/(t - 0.002)': float division "
      "by zero at t=0.002", {}),
+    ("invert", (SCENARIOS / "invert_logistic.yaml").read_text().replace(
+        '["1.0"]', '["(0 - 1)^0.5"]'), EXIT_RUNTIME,
+     "runtime: logistic-inverse-problem: invert.control: complex value "
+     "[(6.123233995736766e-17+1j)] at t=0.0\n", {}),
+    # Invariants and a declared recurrence are evaluated after the run; a fault, or a
+    # value that report.json could not hold, names the source.
+    ("simulate", INVARIANT.replace("phi[1]^2", "1/(phi[1] - phi[1])"), EXIT_RUNTIME,
+     "runtime: rotation-with-first-integral: invariant 'radius-squared' (system.invariants[0]"
+     ".expression[0] 'phi[0]^2 + 1/(phi[1] - phi[1])'): non-finite value inf at t=0.0\n", {}),
+    ("simulate", INVARIANT.replace("phi[1]^2", "(0 - 1)^0.5"), EXIT_RUNTIME,
+     "runtime: rotation-with-first-integral: invariant 'radius-squared' (system.invariants[0]"
+     ".expression[0] 'phi[0]^2 + (0 - 1)^0.5'): complex value (1+1j) at t=0.0\n", {}),
+    ("simulate", INVARIANT.replace("phi[1]^2", "exp(1000*phi[0])"), EXIT_RUNTIME,
+     "runtime: rotation-with-first-integral: system.invariants[0].expression[0] "
+     "'phi[0]^2 + exp(1000*phi[0])': math range error at t=0.0\n", {}),
+    ("verbalize", (SCENARIOS / "constant_eps.yaml").read_text()
+     + '  recurrence: {family: declared, expression: ["omega[0]/(v[0] - v[0])"]}\n',
+     EXIT_RUNTIME, "runtime: constant-parameter-control: verbalization.recurrence.expression: "
+     "non-finite value [inf] predicting window 2\n", {}),
     # The window grid's times are np.float64; the message prints them as floats.
     ("tactics", COMMENTED.replace('u[0]"]', 'u[0] + 1e300*max(t - 2.5, 0)*1e300"]'),
      EXIT_RUNTIME, "runtime: commented-setpoint: state diverged; last finite state at t=2.5",
@@ -457,14 +483,15 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
      "validation: scenario.yaml: system.dynamics[0]: index 1 out of range for 'lambda' "
      "(dimension 1)", {}),
 ], ids=["validation", "zero-division", "overflow", "insolvable", "repdyn-stage-overflow",
-        "stage-time", "non-finite-eps", "complex-power", "tolerance-env-text",
-        "tolerance-env-nan", "tolerance-env-negative", "scenario-directory",
+        "tactical-stage-overflow", "stage-time", "non-finite-eps", "complex-power",
+        "tolerance-env-text", "tolerance-env-nan", "tolerance-env-negative", "scenario-directory",
         "scenario-not-utf8", "out-is-a-file", "empty-batch", "slow-schedule-missing",
         "slow-steps-unequal", "complex-dynamics", "complex-comment", "complex-slow-schedule",
         "complex-repdyn-control", "complex-recurrence", "signal-domain",
         "slow-domain", "rule-domain", "recurrence-domain", "repdyn-control-zero-division",
-        "invert-control-zero-division",
-        "window-time", "lambda-wider-than-comment"])
+        "invert-control-zero-division", "complex-invert-control", "invariant-non-finite",
+        "invariant-complex", "invariant-range", "recurrence-non-finite", "window-time",
+        "lambda-wider-than-comment"])
 def test_exit_codes_end_without_traceback(tmp_path, capsys, recwarn, monkeypatch, command, text,
                                           expected, message, options):
     scenario, out_dir = tmp_path / "scenario.yaml", tmp_path / "out"
@@ -555,7 +582,8 @@ def test_non_finite_projection_iterate_is_a_runtime_error(tmp_path, capsys, monk
     code = main(["repdyn", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == EXIT_RUNTIME
-    assert "runtime: commutator-drift: relation residual turned non-finite at t=0.001" in err
+    assert ("runtime: commutator-drift: relation residual turned non-finite in presentation "
+            "'commutative-m2' at t=0.001\n") in err
     assert "Traceback" not in err
 
 

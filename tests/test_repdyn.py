@@ -539,7 +539,7 @@ def test_a_projecting_step_evaluates_the_relations_twice(monkeypatch):
 def test_a_projecting_transition_evaluates_the_relations_twice(monkeypatch):
     off_variety = TransitionRule(from_class="commutative", trigger="insolvable",
                                  to_class="heisenberg",
-                                 tuple_map=lambda X: MatrixTuple(X.matrices + (E(1, 3),)))
+                                 tuple_map=lambda X: np.concatenate((X, E(1, 3)[None])))
     game = TacticalRepDyn(
         registry=default_registry(),
         class_dynamics={"commutative": _drift_dynamics(), "heisenberg": _scaling_dynamics()},
@@ -548,7 +548,7 @@ def test_a_projecting_transition_evaluates_the_relations_twice(monkeypatch):
     counts = count_relation_work(monkeypatch)
     transitions = []
     stacked, _, label = _apply_transition(
-        game, off_variety, _zero_pair().stacked(), np.zeros(1),
+        game, off_variety, _zero_pair(), np.zeros(1),
         InsolvableSignal(time=0.5, residual=1.0, reason="test"), transitions, 1)
     assert label == "heisenberg" and transitions[0].residual <= 1e-9
     # The post-transition check, then the projection's check after its one iteration.
@@ -721,8 +721,7 @@ def test_inverse_two_dimensional_system():
 # ---------------------------------------------------------------------------
 
 def _zero_pair():
-    z = np.zeros((3, 3), dtype=complex)
-    return MatrixTuple((z.copy(), z.copy()))
+    return np.zeros((2, 3, 3), dtype=complex)
 
 
 def _drift_dynamics():
@@ -753,8 +752,7 @@ def test_tangent_commutative_flow_never_transitions():
     game = TacticalRepDyn(
         registry=default_registry(), class_dynamics={"commutative": diag_dyn},
         initial_class="commutative",
-        initial=MatrixTuple((np.diag([1.0, 2.0, 3.0]).astype(complex),
-                             np.diag([0.5, 0.2, 0.1]).astype(complex))),
+        initial=np.stack((np.diag([1.0, 2.0, 3.0]), np.diag([0.5, 0.2, 0.1]))).astype(complex),
         eta0=np.zeros(1), delta=DialecticalObject(label="noop"))
     result = run_tactical_repdyn(game, [0.0, 1.0, 2.0, 3.0], 1e-2)
     assert [c.class_label for c in result.class_stream] == ["commutative"] * 3
@@ -808,6 +806,14 @@ def test_class_stream_causality():
         [c.class_label for c in long.class_stream[:2]]
 
 
+def test_tactical_start_must_be_a_stacked_tuple():
+    with pytest.raises(ConfigurationError, match=r"shape \(3, 3\), expected \(m, n, n\)"):
+        TacticalRepDyn(registry=default_registry(),
+                       class_dynamics={"commutative": _drift_dynamics()},
+                       initial_class="commutative", initial=np.zeros((3, 3), dtype=complex),
+                       eta0=np.zeros(1), delta=DialecticalObject(label="noop"))
+
+
 def test_unknown_tuple_map_rejected():
     with pytest.raises(ConfigurationError):
         tuple_map("unknown_embedding")
@@ -830,13 +836,14 @@ def test_non_finite_projection_after_a_transition_is_a_runtime_error(monkeypatch
     # The first step is insolvable; the mapped tuple is off the Heisenberg variety.
     off_variety = DialecticalObject(label="off-variety", transitions=(
         TransitionRule(from_class="commutative", trigger="insolvable", to_class="heisenberg",
-                       tuple_map=lambda X: MatrixTuple(X.matrices + (E(1, 3),))),))
+                       tuple_map=lambda X: np.concatenate((X, E(1, 3)[None]))),))
     game = TacticalRepDyn(
         registry=default_registry(),
         class_dynamics={"commutative": _drift_dynamics(), "heisenberg": _scaling_dynamics()},
         initial_class="commutative", initial=_zero_pair(), eta0=np.zeros(1),
         delta=off_variety, insolvable_threshold=1e-7)
-    with pytest.raises(SimulationError, match=r"non-finite at t=0\.001"), \
+    with pytest.raises(SimulationError, match=r"^class 'heisenberg': relation residual turned "
+                       r"non-finite in presentation 'heisenberg' at t=0\.001$"), \
             np.errstate(invalid="ignore"):
         run_tactical_repdyn(game, [0.0, 1.0], 1e-3)
 
