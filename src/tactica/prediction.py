@@ -37,13 +37,13 @@ class Prediction:
 
 def with_assumed_policies(system: InteractiveSystem,
                           assumed: Mapping[int, Callable]) -> InteractiveSystem:
-    """Replace the pure control signals of selected players (1-based indices)."""
+    """The system with the signals of selected players (1-based) replaced; itself if none."""
     players = list(system.players)
     for index, signal in assumed.items():
         if not 1 <= index <= len(players):
             raise ConfigurationError(f"no player {index} in the system")
         players[index - 1] = replace(players[index - 1], signal=signal)
-    return replace(system, players=tuple(players))
+    return replace(system, players=tuple(players)) if assumed else system
 
 
 def predict(system: InteractiveSystem, assumed: Mapping[int, Callable],
@@ -58,13 +58,11 @@ def predict(system: InteractiveSystem, assumed: Mapping[int, Callable],
 def rolling_predictions(system: InteractiveSystem, run: StateTrajectory,
                         assumed: Mapping[int, Callable], bases: Sequence[float],
                         horizon: float, dt: float) -> list[Prediction]:
-    """One prediction per base time, anchored at the recorded state."""
-    out = []
-    for base in bases:
-        idx = run.index_of(base)
-        out.append(predict(system, assumed, run.phi[idx], float(run.t[idx]),
-                           horizon, dt))
-    return out
+    """One prediction per base time, anchored at the recorded state; the bases share one
+    assumed system, so its step is generated once."""
+    assumed_system = with_assumed_policies(system, assumed)
+    return [predict(assumed_system, {}, run.phi[idx], float(run.t[idx]), horizon, dt)
+            for idx in map(run.index_of, bases)]
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ import numpy as np
 from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple, WeylSymbol,
                       WeylTerm, commutative_presentation, compile_symbols, identity,
                       relation_values, weyl_eval_tuple)
-from .expr import NCPoly, VectorExpression, nc_evaluate
-from .games import ConfigurationError, SimulationError, real_array, rk4_step, step_count
+from .expr import NCPoly, VectorExpression, _tokenize, nc_evaluate, validate
+from .games import (ConfigurationError, InteractiveSystem, Player, SimulationError,
+                    identity_coupling, real_array, rk4_step, simulate, step_count, zero_epsilon)
 from .tactics import CommentState, DialecticalObject, TransitionRule
 from .verbalization import WindowRecord
 
@@ -231,8 +232,14 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
         candidate = rk4_step(rhs, t, stacked, dt, rhs(t, stacked))
         t_next = t0 + (k + 1) * dt
         if not np.isfinite(candidate).all():
+            stages = []     # the step retaken, each stage's time and symbol values kept
+            keep = lambda s, y: stages.append((s, rhs(s, y))) or stages[-1][1]  # noqa: E731
+            rk4_step(keep, t, stacked, dt, keep(t, stacked))
+            bad = np.argwhere(~np.isfinite([values for _, values in stages]).all(axis=(2, 3)))
+            symbol = "".join(f": symbols[{s}] (the dynamics of x{s + 1}) non-finite at stage "
+                             f"time t={stages[j][0]!r}" for j, s in bad[:1])
             raise SimulationError(f"matrix tuple diverged in presentation "
-                                  f"{presentation.label!r} at t={t_next!r}")
+                                  f"{presentation.label!r} at t={t_next!r}{symbol}")
         raw = relation_values(presentation, candidate)
         if raw[1] > spec.insolvable_threshold:
             return result(InsolvableSignal(
@@ -409,35 +416,29 @@ def _verify_symbolic(parsed, symbols, control_entries, constants) -> bool:
     return True
 
 
+def _respelled(src: str, names: Mapping[str, str]) -> str:
+    """``src`` validated over the scalars ``names``, each of its name tokens respelled."""
+    validate(src, tuple(names), {})
+    for kind, text, pos in reversed(_tokenize(src)):
+        if kind == "name" and text in names:
+            src = src[:pos] + names[text] + src[pos + len(text):]
+    return src
+
+
 def integrate_scalar_reference(rhs: Sequence[str], x0: Sequence[float],
                                u_schedule: Callable[[float], Sequence[float]],
                                t0: float, t1: float, dt: float,
                                control_dim: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Direct fixed-step 4th-order run of ``xdot = rhs(x, u)`` for comparison."""
-    from .expr import compile_expression
-
-    state_dim = len(rhs)
-    scalars = tuple(f"x{i + 1}" for i in range(state_dim)) + \
-        tuple(f"u{j + 1}" for j in range(control_dim))
-    fns = [compile_expression(src, scalars=scalars) for src in rhs]
-
-    def f(t, x):
-        u = np.atleast_1d(real_array(u_schedule(t), "invert.control", t))
-        args = tuple(x) + tuple(u)
-        return np.array([fn(*args) for fn in fns])
-
-    n_steps = step_count(t0, t1, dt)
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, state_dim))
-    x = np.asarray(x0, dtype=float)
-    times[0] = t0
-    states[0] = x
-    for k in range(n_steps):
-        t = t0 + k * dt
-        x = rk4_step(f, t, x, dt, f(t, x))
-        times[k + 1] = t0 + (k + 1) * dt
-        states[k + 1] = x
-    return times, states
+    """Direct fixed-step 4th-order run of ``xdot = rhs(x, u)``: :func:`simulate` of one player
+    with signal ``u_schedule`` and the rhs over ``phi`` and ``u`` as dynamics (``invert.rhs``)."""
+    names = {**{f"x{i + 1}": f"phi[{i}]" for i in range(len(rhs))},
+             **{f"u{j + 1}": f"u[{j}]" for j in range(control_dim)}}
+    sources = tuple(_respelled(src, names) for src in rhs)
+    dynamics = VectorExpression(sources, ("t", "phi", "u", "lambda"), "invert.rhs")
+    player = Player(u_schedule, identity_coupling(), zero_epsilon())
+    run = simulate(InteractiveSystem(len(rhs), dynamics, (player,)), x0, t0, t1, dt,
+                   record_tape=False)
+    return run.t, run.phi
 
 
 # ---------------------------------------------------------------------------

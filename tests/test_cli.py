@@ -369,12 +369,13 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
      "insolvable in the declared class at t=0.001", {}),
     ("repdyn", OVERFLOW, EXIT_RUNTIME,
      "runtime: stage-overflow: matrix tuple diverged in presentation 'commutative-m1' at "
-     "t=0.01", {}),
+     "t=0.01: symbols[0] (the dynamics of x1) non-finite at stage time t=0.005\n", {}),
     # After the transition the Heisenberg class's first step overflows.
     ("repdyn", (SCENARIOS / "repdyn_transition.yaml").read_text().replace(
         "{coeff: 0.2, word: [x1]}", "{coeff: 1.0e+308, word: [x1]}"), EXIT_RUNTIME,
      "runtime: commutativity-breaking-transition: class 'heisenberg': matrix tuple diverged in "
-     "presentation 'heisenberg' at t=0.002", {}),
+     "presentation 'heisenberg' at t=0.002: symbols[0] (the dynamics of x1) non-finite at "
+     "stage time t=0.0015\n", {}),
     # The signal divides by zero in the k4 stage of the step from t=0.004.
     ("simulate", PLAYER.format(title="zerodiv", signal="1.0/(t - 0.005)", eps="0.0"),
      EXIT_RUNTIME, "runtime: zerodiv: system.players[0].signal[0] '1.0/(t - 0.005)': float "

@@ -14,8 +14,9 @@ from tactica.algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTu
                              heisenberg_presentation, parse_relation, poly_eval,
                              relation_values, weyl_eval_tuple)
 from conftest import weyl_value
-from tactica.expr import NCPoly
-from tactica.games import ConfigurationError, SimulationError, rk4_step
+from tactica.expr import NCPoly, compile_expression, compile_vector
+from tactica.games import (ConfigurationError, DivergenceError, SimulationError, real_array,
+                           rk4_step, step_count)
 from tactica.repdyn import (ClassDynamics, InsolvableSignal, RepDynSpec, StrandedClassError,
                             TacticalRepDyn, _apply_transition, _parse_polynomial_rhs,
                             _relation_jacobian, check_start, integrate_repdyn,
@@ -430,6 +431,22 @@ def test_projection_contract_residuals_bounded():
     assert np.max(result.residuals) <= 1e-9
 
 
+@pytest.mark.parametrize("second, suffix", [
+    # The cubic's k2 stage, at t + dt/2, overflows.
+    (WeylTerm(1e200, (1, 1, 1)), ": symbols[1] (the dynamics of x2) non-finite at stage time "
+                                 "t=0.005"),
+    # Every stage is finite; only the step's combination 2*k2 overflows.
+    (WeylTerm(1e308, ()), "")], ids=["symbol", "combination"])
+def test_a_divergence_names_the_first_non_finite_symbol(second, suffix):
+    symbols = (WeylSymbol((WeylTerm(1.0, (0,)),)), WeylSymbol((second,)))
+    spec = RepDynSpec(symbols=symbols, n=2, presentation=commutative_presentation(2))
+    start = np.stack([np.diag([1.0, 2.0]), np.diag([0.5, 1.5])]).astype(complex)
+    with np.errstate(all="ignore"), pytest.raises(SimulationError) as info:
+        integrate_repdyn(spec, None, 0.0, 0.1, 0.01, start)
+    assert str(info.value) == ("matrix tuple diverged in presentation 'commutative' at "
+                               "t=0.01" + suffix)
+
+
 def test_initial_violation_rejected():
     bad = MatrixTuple((E(1, 2), E(2, 3), E(1, 3) + 0.5 * E(1, 2)))
     with pytest.raises(ConfigurationError, match="initial tuple violates"):
@@ -714,6 +731,95 @@ def test_inverse_two_dimensional_system():
                                         0.0, 2.0, 1e-3)
     for i in range(2):
         assert abs(result.final.matrices[i][0, 0].real - ref[-1, i]) < 1e-9
+
+
+def loop_scalar_reference(rhs, x0, u_schedule, t0, t1, dt, control_dim=1):
+    """``integrate_scalar_reference`` as it ran before it used the generated interactive
+    step: each rhs component compiled alone over ``x1.., u1..``, the control checked at
+    every stage, and ``rk4_step`` on the state array.  Also returns that rhs, ``f(t, x)``."""
+    state_dim = len(rhs)
+    scalars = tuple(f"x{i + 1}" for i in range(state_dim)) + \
+        tuple(f"u{j + 1}" for j in range(control_dim))
+    fns = [compile_expression(src, scalars=scalars) for src in rhs]
+
+    def f(t, x):
+        u = np.atleast_1d(real_array(u_schedule(t), "invert.control", t))
+        args = tuple(x) + tuple(u)
+        return np.array([fn(*args) for fn in fns])
+
+    n_steps = step_count(t0, t1, dt)
+    times = np.empty(n_steps + 1)
+    states = np.empty((n_steps + 1, state_dim))
+    x = np.asarray(x0, dtype=float)
+    times[0] = t0
+    states[0] = x
+    for k in range(n_steps):
+        t = t0 + k * dt
+        x = rk4_step(f, t, x, dt, f(t, x))
+        times[k + 1] = t0 + (k + 1) * dt
+        states[k + 1] = x
+    return times, states, f
+
+
+@st.composite
+def scalar_systems(draw):
+    """A polynomial system of state degree <= 3, its start, and its control schedule as a
+    ``VectorExpression`` or a plain lambda."""
+    state_dim, control_dim = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    coeff = st.sampled_from(["1", "-0.5", "2.5", "-3", "0.1", "1e-3", "7e5"])
+    term = st.tuples(coeff, st.lists(st.integers(1, state_dim), max_size=3),
+                     st.lists(st.integers(1, max(control_dim, 1)),
+                              max_size=2 if control_dim else 0))
+    rhs = [" + ".join("*".join([f"({c})", *(f"x{i}" for i in xs), *(f"u{j}" for j in us)])
+                      for c, xs, us in terms)
+           for terms in draw(st.lists(st.lists(term, min_size=1, max_size=4),
+                                      min_size=state_dim, max_size=state_dim))]
+    x0 = draw(st.lists(st.floats(-3.0, 3.0) | st.just(-0.0), min_size=state_dim,
+                       max_size=state_dim))
+    if draw(st.integers(0, 3)) == 0:    # one start component that overflows under the rhs
+        x0[draw(st.integers(0, state_dim - 1))] = draw(st.sampled_from([3e102, -1e103, 1e300]))
+    c = draw(st.lists(st.floats(-3.0, 3.0), min_size=control_dim, max_size=control_dim))
+    if draw(st.booleans()):
+        schedule = compile_vector([f"({c[j]!r})*sin(t + {j})" for j in range(control_dim)],
+                                  ("t",), path="invert.control")
+    else:
+        schedule = lambda t: [c[j] * math.cos(t + j) for j in range(control_dim)]  # noqa: E731
+    return rhs, x0, schedule, control_dim
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(scalar_systems(), st.floats(-1.0, 1.0), st.sampled_from([0.01, 0.1, 0.25]),
+       st.integers(1, 40))
+# Every stage's derivative is finite, the last sample's overflows in its second component.
+@example((["x1", "(1e-300)*x1*x1*x1"], [1.2e200, 0.0], lambda t: [], 0), 0.0, 10.0, 1)
+def test_scalar_reference_is_the_rk4_loop_bit_for_bit(system, t0, dt, n_steps):
+    rhs, x0, schedule, control_dim = system
+    args = (rhs, x0, schedule, t0, t0 + n_steps * dt, dt, control_dim)
+    with np.errstate(all="ignore"):
+        loop_t, loop_x, f = loop_scalar_reference(*args)
+        try:
+            t, x = integrate_scalar_reference(*args)
+        except DivergenceError as exc:
+            # The loop returned non-finite rows; the run stops at the step that made them.
+            bad = np.flatnonzero(~np.isfinite(loop_x).all(axis=1))
+            assert len(bad) and exc.last_valid_time == loop_t[bad[0] - 1]
+            return
+        except SimulationError as exc:
+            # The run also records the derivative at its last sample, which the loop never
+            # evaluated.
+            assert np.isfinite(loop_x).all() and not np.isfinite(f(loop_t[-1], loop_x[-1])).all()
+            assert str(exc).startswith("non-finite dphi_")
+            assert str(exc).endswith(f" at t={float(loop_t[-1])!r}")
+            return
+    assert np.array_equal(bits(t), bits(loop_t)) and np.array_equal(bits(x), bits(loop_x))
+
+
+def test_scalar_reference_divergence_names_its_time():
+    with np.errstate(all="ignore"), pytest.raises(
+            DivergenceError, match=r"^state diverged; last finite state at t=1\.25$") as info:
+        integrate_scalar_reference(["x1*x1"], [1.0], lambda t: [], 0.0, 3.0, 0.125,
+                                   control_dim=0)
+    assert info.value.last_valid_time == 1.25
 
 
 # ---------------------------------------------------------------------------

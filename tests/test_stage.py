@@ -30,7 +30,7 @@ from tactica.games import (Coalition, EpsilonProcess, FeedbackCoupling, Interact
                            OrdinaryDynamics, Player, SimulationError, SlowControl, StageTape,
                            associated_ordinary_game, compile_stage, replay_with_recorded_eps,
                            rk4_step, simulate, step_count, zero_epsilon)
-from tactica.prediction import rolling_predictions, strategic_pipeline
+from tactica.prediction import predict, rolling_predictions, strategic_pipeline
 from tactica.scenario import load_scenario
 from tactica.tactics import run_synthesized
 
@@ -444,6 +444,29 @@ def test_a_pipeline_compiles_each_system_once(compiled):
     stages, steps = compiled["compile_stage"], compiled["compile_step"]
     assert len(stages) == len({id(s) for s in stages}) == 3
     assert list(map(id, steps)) == list(map(id, stages))
+
+
+RECORDS = ("t", "phi", "dphi", "u0", "eps", "u", "lam")
+
+
+def test_rolling_predictions_compile_the_assumed_system_once(compiled):
+    scenario = load_scenario(SCENARIOS / "two_player.yaml")
+    system, _, _ = scenario.build_system()
+    run = scenario.simulate()
+    compiled["compile_stage"].clear()
+    compiled["compile_step"].clear()
+    assumed = {2: compile_vector(["0.1 + 0.05*t"], ("t",), path="assumed[0]")}
+    bases = run.t[:1900:100]
+    predictions = rolling_predictions(system, run, assumed, bases, 0.1, 0.001)
+    assert len(predictions) == 19
+    assert len(compiled["compile_stage"]) == len(compiled["compile_step"]) == 1
+    # Each prediction is the one predict gives from its base alone.
+    for base, prediction in zip(bases, predictions):
+        k = run.index_of(base)
+        alone = predict(system, assumed, run.phi[k], float(run.t[k]), 0.1, 0.001)
+        assert prediction.base_time == alone.base_time and prediction.horizon == alone.horizon
+        assert _bits([getattr(prediction.trajectory, name) for name in RECORDS]) == \
+            _bits([getattr(alone.trajectory, name) for name in RECORDS])
 
 
 def test_a_synthesized_run_compiles_each_system_once(compiled):

@@ -4,7 +4,9 @@ Runs every scenario in ``scenarios/`` under every command it supports through
 ``tactica.cli.main``, each into its own temporary directory, and prints one
 line per artifact.  No shipped scenario declares a prognosis pipeline, so the
 ``two_player`` system is also run under ``predict`` with ``prediction.pipeline``
-added, as the scenario ``two_player_pipeline``::
+added, as the scenario ``two_player_pipeline``.  Every shipped ``invert`` scenario
+has one state and one control, so ``invert_logistic`` is also run with the
+two-state, two-control system ``INVERT_TWO_STATE``, as ``invert_two_state``::
 
     <scenario> <command> <exit code> <file name> <sha256>
 
@@ -35,6 +37,9 @@ from tactica.scenario import ScenarioError, load_scenario  # noqa: E402
 
 
 PIPELINE = {"horizon": 0.05, "assumed_eps": [["0.1"], ["-0.2"]]}
+INVERT_TWO_STATE = {"rhs": ["x2", "u1*x1 - u2*x2 + 0.1*x1*x2"], "x0": [1.0, 0.0],
+                    "control_dim": 2, "control": ["-1.0", "0.5*cos(t)"], "matrix_dim": 3,
+                    "designated_slot": 1}
 
 
 def digests(scenario: Path, commands=None) -> list[str]:
@@ -64,12 +69,17 @@ def main() -> int:
     for scenario in sorted((ROOT / "scenarios").glob("*.yaml")):
         for line in digests(scenario):
             print(line, flush=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        doc = yaml.safe_load((ROOT / "scenarios" / "two_player.yaml").read_text())
-        scenario = Path(tmp) / "two_player_pipeline.yaml"
-        scenario.write_text(yaml.safe_dump({**doc, "prediction": {"pipeline": PIPELINE}}))
-        for line in digests(scenario, ["predict"]):
-            print(line, flush=True)
+    variants = [("two_player", "two_player_pipeline", "predict",
+                 {"prediction": {"pipeline": PIPELINE}}),
+                ("invert_logistic", "invert_two_state", "invert",
+                 {"run": {"t0": 0.0, "t1": 2.0, "dt": 0.001}, "invert": INVERT_TWO_STATE})]
+    for source, name, command, changes in variants:
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = yaml.safe_load((ROOT / "scenarios" / f"{source}.yaml").read_text())
+            scenario = Path(tmp) / f"{name}.yaml"
+            scenario.write_text(yaml.safe_dump({**doc, **changes}))
+            for line in digests(scenario, [command]):
+                print(line, flush=True)
     return 0
 
 
