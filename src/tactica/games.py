@@ -323,10 +323,17 @@ _AS_FLOAT64 = ("{0} if {0}.__class__ is _F64 else _F64({0}) if {0}.__class__ is 
                "else _floats(([{0}],))[0]")
 
 
-def _floats(vectors) -> np.ndarray:
+def _floats(vectors, leaves=(), t=0.0) -> np.ndarray:
     """``np.concatenate(vectors, dtype=float)``.  Not called directly by the stage, which
-    runs without builtins: numpy imports the error of a complex value through them."""
-    return np.concatenate(vectors, dtype=float)
+    runs without builtins: numpy imports the error of a complex value through them.  A
+    complex vector is a :class:`SimulationError` naming its leaf, one of ``leaves``."""
+    try:
+        return np.concatenate(vectors, dtype=float)
+    except TypeError:
+        for vector, leaf in zip(vectors, leaves):
+            if np.iscomplexobj(vector):
+                real_array(vector, leaf, t)
+        raise
 
 
 def _real(values, leaves: Sequence[str]) -> np.ndarray:
@@ -442,7 +449,8 @@ class _StageSource:
         ``np.concatenate(vectors, dtype=float)`` makes them."""
         if any(v.items is None for v in vectors):
             listed = ", ".join(map(self.whole, vectors))
-            return _Vector(self.line("f", f"_floats([{listed}])", leaf))
+            named = self.ref(tuple(v.leaf for v in vectors))
+            return _Vector(self.line("f", f"_floats([{listed}], {named}, t)", leaf))
         return _Vector(None, [self.line("f", _AS_FLOAT64.format(x), where)
                               for v in vectors for x, where in zip(v.items, v.leaves)],
                        [where for v in vectors for where in v.leaves])
@@ -600,7 +608,7 @@ class _StageSource:
             ("        tk = t0 + k * dt", ""),
             *stage(y, k1, "tk"),
             ("        try:", ""), *((f"            {w}", "") for w in writes),
-            ("        except TypeError as exc:", ""),
+            ("        except _faults as exc:", ""),
             ("            raise _fault(exc, t, {}) from exc", ""),
             ("        if k == n: return", ""),
             *advance("half", k1), *stage(z, k2, "tm = tk + dt / 2.0"),

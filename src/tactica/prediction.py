@@ -283,7 +283,7 @@ def strategic_pipeline(system: InteractiveSystem, initial, t0: float, t1: float,
     parameter ``slow`` of its own steps of the run.
     """
     if truth is None:
-        truth = simulate(system, initial, t0, t1, dt, slow=slow)
+        truth = simulate(system, initial, t0, t1, dt, slow=slow, record_tape=False)
     ordinary = associated_ordinary_game(system, eps_policies=list(assumed_eps))
     long_run = simulate(ordinary, initial, t0, t1, dt, slow=slow, record_tape=False)
 

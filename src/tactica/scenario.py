@@ -8,7 +8,6 @@ the section's plan; facts that depend on the step are checked under the effectiv
 
 from __future__ import annotations
 
-import contextlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,7 @@ from . import expr
 from .algebra import (MAX_GENERATORS, MAX_MATRIX_DIM, AlgebraClassRegistry,
                       AlgebraPresentation, MatrixTuple, WeylSymbol, WeylTerm, default_registry,
                       parse_relation)
-from .expr import ExpressionError, VectorExpression
+from .expr import VectorExpression
 from .games import (Coalition, EpsilonProcess, FeedbackCoupling, InteractiveSystem,
                     InvariantConstraint, Player, SlowControl, StateTrajectory,
                     coalition_simulate, simulate, whole_steps, zero_epsilon)
@@ -102,13 +101,13 @@ class _Check:
 
     def expressions(self, path: str, sources, scalars=(),
                     vectors=None) -> VectorExpression | None:
-        """Validate a nonempty list of expression strings and compile it."""
+        """Validate a nonempty list of expression strings, each once, as one vector."""
         if not self.require(path, isinstance(sources, list) and sources,
                             "expected a nonempty list of expression strings"):
             return None
         ok = all([self.expression(f"{path}[{k}]", src, scalars, vectors)
                   for k, src in enumerate(sources)])
-        return expr.compile_vector(sources, scalars, vectors, path) if ok else None
+        return VectorExpression(tuple(sources), (*scalars, *(vectors or {})), path) if ok else None
 
     def number(self, path: str, value, positive=False) -> bool:
         if not self.require(path, _is_number(value), f"expected a number, got {value!r}"):
@@ -383,11 +382,10 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
                          "at least one player is required"):
         return None
     slow, fed = _slow(spec["slow"], check) if "slow" in spec else (None, 0)
-    read = _lambda_read(spec)
-    # A malformed system.slow is taken to feed every lambda component read, so that its
-    # fault is the only one reported.  A commented run feeds its comment as slow parameter.
-    fed = read if fed is None else fed
-    lam = fed if ctx.dims["theta"] is None else ctx.dims["theta"]
+    # A malformed system.slow bounds no lambda index, so that its fault is the only one
+    # reported.  A commented run feeds its comment as slow parameter.
+    lam = ctx.dims["theta"] if ctx.dims["theta"] is not None else (
+        sys.maxsize if fed is None else fed)
     u0_dims = [_length(p.get("signal")) if isinstance(p, dict) else 0 for p in players]
     built, player_slots = [], []
     for k, base, p in check.entries("system.players", players):
@@ -425,8 +423,8 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
     for k, base, inv in check.entries("system.invariants", spec.get("invariants", [])):
         src = inv.get("expression")
         if check.expression(f"{base}.expression", src, ("t",), trace):
-            invariants.append(InvariantConstraint(fn=expr.compile_vector(
-                [src], ("t",), trace, f"{base}.expression"), label=inv.get("label", f"F{k}")))
+            invariants.append(InvariantConstraint(fn=VectorExpression(
+                (src,), ("t", *trace), f"{base}.expression"), label=inv.get("label", f"F{k}")))
     if len(check.errors) > start:
         return None
     # The stage inlines every expression vector; see games.compile_stage for the types
@@ -434,6 +432,9 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
     system = check.build("system", InteractiveSystem, dim=dim, dynamics=dyn,
                          players=tuple(built), coalitions=tuple(built_coalitions),
                          invariant_constraints=tuple(invariants))
+    read = max([i + 1 for vec in (dyn, *(s.coupling.known_form for s in built + built_coalitions))
+                for src in vec.sources for name, i in expr.variables(src) if name == "lambda"],
+               default=0)
     gap = f"system.slow feeds {fed} of the {read} lambda components read" if read > fed else ""
     return system and SystemPlan(system=system, slow=slow, slow_gap=gap,
                                  initial=np.asarray(spec["initial"], dtype=float))
@@ -441,20 +442,6 @@ def _system(spec: dict, ctx: _Context, check: _Check) -> SystemPlan | None:
 
 def _epsilon(truth: VectorExpression | None) -> EpsilonProcess:
     return zero_epsilon() if truth is None else EpsilonProcess(truth, truth.dim)
-
-
-def _lambda_read(spec: dict) -> int:
-    """One past the highest lambda index read by the system's dynamics and couplings;
-    sources that do not parse count for nothing, as their own checks report them."""
-    slots = [s for key in ("players", "coalitions") if isinstance(spec.get(key), list)
-             for s in spec[key] if isinstance(s, dict)]
-    read = 0
-    for group in [spec.get("dynamics"), *(s.get("coupling") for s in slots)]:
-        for src in group if isinstance(group, list) else ():
-            with contextlib.suppress(ExpressionError, TypeError):
-                read = max([read] + [i + 1 for name, i in expr.variables(src)
-                                     if name == "lambda" and i is not None])
-    return read
 
 
 def _slot(path: str, spec: dict, u0_dim: int, dim: int, lam: int, check: _Check):

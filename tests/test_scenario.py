@@ -264,6 +264,33 @@ def test_unequal_slow_steps_are_the_only_fault_reported(tmp_path, capsys, slow, 
     assert lines == [f"validation: scenario.yaml: {fault}"]
 
 
+@pytest.mark.parametrize("slow, fault", [
+    ("{steps: [[0, [1.0]], [50, [2.0, 3.0]]]}",
+     "system.slow.steps: every step needs the same number of values, got [1, 2]"),
+    ("3", "system.slow: needs either a schedule or steps [[index, [values]], ...]"),
+], ids=["unequal-steps", "scalar"])
+def test_a_malformed_slow_bounds_no_lambda_index(tmp_path, slow, fault):
+    path = write(tmp_path, MINIMAL.replace(
+        'dynamics: ["0.0"]', f'dynamics: ["lambda[3] - phi[0]"]\n  slow: {slow}').replace(
+        'coupling: ["u0[0]"]', 'coupling: ["u0[0] + lambda[5]"]'))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.errors == [f"scenario.yaml: {fault}"]
+
+
+def test_each_expression_source_is_validated_once(monkeypatch):
+    from tactica import expr
+    sources = []
+    validate = expr.validate
+    monkeypatch.setattr(expr, "validate", lambda src, *args: sources.append(src) or validate(
+        src, *args))
+    load_scenario(SCENARIOS / "two_player.yaml")
+    # Two dynamics, and a signal, a coupling and a hidden-parameter truth per player.
+    assert sorted(sources) == sorted(["u[0] - 0.5*phi[0]", "u[1] - 0.2*phi[1]", "0.2*cos(t)",
+                                      "u0[0] + eps[0]*phi[0]", "-0.4 + 0.1*phi[1]", "0.1",
+                                      "u0[0] + eps[0]*phi[1]", "0.2*u0[0] - 0.3"])
+
+
 def test_slow_control_feeds_couplings(tmp_path):
     path = write(tmp_path, """
     schema: 1

@@ -28,8 +28,9 @@ from tactica import expr, games
 from tactica.expr import VectorExpression, compile_vector
 from tactica.games import (Coalition, EpsilonProcess, FeedbackCoupling, InteractiveSystem,
                            OrdinaryDynamics, Player, SimulationError, SlowControl, StageTape,
-                           associated_ordinary_game, compile_stage, replay_with_recorded_eps,
-                           rk4_step, simulate, step_count, zero_epsilon)
+                           associated_ordinary_game, compile_stage, identity_coupling,
+                           replay_with_recorded_eps, rk4_step, simulate, step_count,
+                           zero_epsilon)
 from tactica.prediction import predict, rolling_predictions, strategic_pipeline
 from tactica.scenario import load_scenario
 from tactica.tactics import run_synthesized
@@ -376,11 +377,29 @@ def test_a_library_leaf_is_named_by_its_slot():
 
 def test_a_complex_control_of_a_callable_is_a_simulation_error():
     # The scenario dynamics read every control as np.float64; this one comes from a
-    # callable, so the stage converts the controls as one concatenation.
+    # callable, so the stage converts the controls as one concatenation.  A complex
+    # vector names the callable that returned it, here the player's coupling.
     dynamics = compile_vector(["u[0]"], ("t",), {"phi": 1, "u": 1}, "system.dynamics")
     system = InteractiveSystem(dim=1, dynamics=dynamics, players=(make_player(lambda t: [1j]),))
-    with pytest.raises(SimulationError, match=r"^system\.dynamics: Cannot cast array data from "
-                                              r"dtype\('complex128'\) .* at t=0\.0$"):
+    with pytest.raises(SimulationError,
+                       match=r"^players\[0\]\.coupling: complex value \[1j\] at t=0\.0$"):
+        simulate(system, [1.0], 0.0, 0.1, 0.01)
+
+
+def test_a_complex_signal_under_an_identity_coupling_names_the_signal():
+    dynamics = compile_vector(["u[0]"], ("t",), {"phi": 1, "u": 1}, "system.dynamics")
+    player = Player(lambda t: [1j], identity_coupling(), zero_epsilon())
+    system = InteractiveSystem(dim=1, dynamics=dynamics, players=(player,))
+    with pytest.raises(SimulationError,
+                       match=r"^players\[0\]\.signal: complex value \[1j\] at t=0\.0$"):
+        simulate(system, [1.0], 0.0, 0.1, 0.01)
+
+
+def test_a_complex_recorded_hidden_parameter_is_a_simulation_error():
+    # The step runs without builtins: its record writes catch the stage's fault types.
+    player = make_player(lambda t: [0.1], eps_form=lambda t, u0, phi: [1j], eps_dim=1)
+    system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam: [0.0], players=(player,))
+    with pytest.raises(SimulationError, match=r"^float\(\) argument .* not 'complex' at t=0\.0$"):
         simulate(system, [1.0], 0.0, 0.1, 0.01)
 
 
@@ -444,6 +463,21 @@ def test_a_pipeline_compiles_each_system_once(compiled):
     stages, steps = compiled["compile_stage"], compiled["compile_step"]
     assert len(stages) == len({id(s) for s in stages}) == 3
     assert list(map(id, steps)) == list(map(id, stages))
+
+
+def test_a_pipeline_keeps_no_stage_tape(monkeypatch):
+    # Nothing reads a pipeline run's stage tape, the truth run's included.
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("record_tape", True))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr("tactica.prediction.simulate", recording)
+    system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam: u[0] - phi[0],
+                               players=(make_player(lambda t: [0.1]),))
+    strategic_pipeline(system, [1.0], 0.0, 0.2, 0.01, [lambda t: []], horizon=0.05)
+    assert calls == [False] * 6     # the truth, the long-term run and four segments
 
 
 RECORDS = ("t", "phi", "dphi", "u0", "eps", "u", "lam")
