@@ -153,8 +153,8 @@ def _add_check(report: dict, name: str, value: float, tol: float) -> None:
 def _run_simulate(scenario: Scenario, out: Path, tolerance: float, report: dict) -> int:
     system, _, _ = scenario.build_system()
     traj = scenario.simulate()
-    exports.write_trajectory_csv(traj, out / "trajectory.csv")
-    exports.write_trajectory_json(traj, out / "trajectory.json")
+    chunks = exports.write_trajectory_csv(traj, out / "trajectory.csv")
+    exports.write_trajectory_json(traj, out / "trajectory.json", chunks)
     report["summaries"]["final_state"] = traj.phi[-1]
     report["summaries"]["samples"] = len(traj.t)
     if system.invariant_constraints:

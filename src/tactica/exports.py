@@ -3,12 +3,21 @@
 All floating-point output is printed with 17 significant digits so values
 round-trip exactly; identical inputs therefore produce byte-identical CSV and
 JSON artifacts.  Complex matrix entries are written as [re, im] pairs.
+
+Float arrays pass through one block formatter, :func:`_float_chunks`: a block is
+checked for finiteness once, then formatted 256 rows at a time by one ``%``
+operation whose template holds a ``%.17g`` per cell.  ``%.17g`` prints through
+CPython's one double-to-string routine, as :func:`format_float`'s ``{:.17g}`` does,
+so each cell is the string :func:`format_float` gives.  A run's ``trajectory.csv``
+and ``trajectory.json`` are written from the same block chunks: the CSV writer
+returns them and the JSON writer takes them, so each trajectory value is formatted
+once.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,16 +33,38 @@ def format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _float_rows(block: np.ndarray, sep: str) -> Iterable[str]:
-    """The rows of a 2-D float block, each as its exported cells joined by ``sep``.
+CHUNK_ROWS = 256
 
-    Finiteness is checked once for the whole block; a non-finite entry raises
-    the error :func:`format_float` gives for the first one in row order.
-    """
+
+def _check_finite(block: np.ndarray) -> None:
+    """Raise :func:`format_float`'s error for the first non-finite entry in row order."""
     finite = np.isfinite(block)
     if not finite.all():
         format_float(block[~finite][0])
-    return (sep.join(map("{:.17g}".format, row)) for row in block.tolist())
+
+
+def _float_chunks(block: np.ndarray, sep: str) -> list[str]:
+    """The rows of a 2-D float block, ``CHUNK_ROWS`` at a time: each chunk is its rows
+    joined by newlines, each row its exported cells joined by ``sep``.  Finiteness is
+    checked once for the whole block; each chunk is one ``%`` operation."""
+    _check_finite(block)
+    chunks = []
+    for start in range(0, len(block), CHUNK_ROWS):
+        chunk = block[start:start + CHUNK_ROWS]
+        if start == 0 or len(chunk) < CHUNK_ROWS:
+            template = "\n".join([sep.join(["%.17g"] * chunk.shape[1])] * len(chunk))
+        chunks.append(template % tuple(chunk.ravel().tolist()))
+    return chunks
+
+
+def _float_rows(block: np.ndarray, sep: str) -> list[str]:
+    """The rows of :func:`_float_chunks`, one string each."""
+    return [row for chunk in _float_chunks(block, sep) for row in chunk.split("\n")]
+
+
+def _nested(chunks: Sequence[str]) -> str:
+    """The JSON list of the rows in ``chunks``, each row a list."""
+    return "[[" + "\n".join(chunks).replace("\n", "], [") + "]]" if chunks else "[]"
 
 
 def _serialize(value) -> str:
@@ -48,9 +79,12 @@ def _serialize(value) -> str:
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, np.ndarray):
-        if value.dtype == np.float64 and value.ndim in (1, 2):
-            rows = [f"[{row}]" for row in _float_rows(np.atleast_2d(value), ", ")]
-            return rows[0] if value.ndim == 1 else f"[{', '.join(rows)}]"
+        if value.dtype == np.float64 and value.ndim > 2:
+            return "[" + ", ".join(map(_serialize, value)) + "]"
+        if value.dtype == np.float64 and value.ndim == 2:
+            return _nested(_float_chunks(value, ", "))
+        if value.dtype == np.float64 and value.ndim == 1:
+            return "[" + "".join(_float_chunks(value[None], ", ")) + "]"
         return _serialize(value.tolist())
     if isinstance(value, Mapping):
         items = ", ".join(f"{json.dumps(str(k), ensure_ascii=False)}: {_serialize(v)}"
@@ -75,24 +109,56 @@ def write_json(value, path) -> None:
 # ---------------------------------------------------------------------------
 
 def write_float_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Side-by-side 2-D float blocks as CSV, stacked and formatted 256 rows at a time
-    so that neither a copy of the whole table nor its text is held at once."""
+    """Side-by-side 2-D float blocks as CSV, stacked and formatted ``CHUNK_ROWS`` rows at a
+    time so that neither a copy of the whole table nor its text is held at once."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), 256):
-            chunk = np.hstack([c[start:start + 256] for c in columns])
-            fh.writelines(row + "\n" for row in _float_rows(chunk, ","))
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            chunk = np.hstack([c[start:start + CHUNK_ROWS] for c in columns])
+            fh.write(_float_chunks(chunk, ",")[0] + "\n")
 
 
-def write_trajectory_csv(traj: StateTrajectory, path) -> None:
-    blocks = {"phi": traj.phi, "u": traj.u, "eps": traj.eps, "u0": traj.u0, "lambda": traj.lam}
-    header = ["t"] + [f"{name}_{i}" for name, b in blocks.items() for i in range(b.shape[1])]
-    write_float_csv(path, header, [traj.t[:, None], *blocks.values()])
+def _trajectory_blocks(traj: StateTrajectory) -> dict[str, np.ndarray]:
+    return {"t": traj.t[:, None], "phi": traj.phi, "u": traj.u, "eps": traj.eps,
+            "u0": traj.u0, "lambda": traj.lam}
 
 
-def write_trajectory_json(traj: StateTrajectory, path) -> None:
-    write_json({"t": traj.t, "phi": traj.phi, "u": traj.u, "eps": traj.eps, "u0": traj.u0,
-                "lambda": traj.lam}, path)
+def _trajectory_chunks(traj: StateTrajectory) -> dict[str, list[str]]:
+    """Each trajectory block's :func:`_float_chunks`, its cells joined by commas.  A
+    non-finite value raises for the first one in the CSV's row order."""
+    blocks = _trajectory_blocks(traj)
+    if not all(np.isfinite(b).all() for b in blocks.values()):
+        _check_finite(np.hstack(list(blocks.values())))
+    return {name: _float_chunks(block, ",") for name, block in blocks.items()}
+
+
+def write_trajectory_csv(traj: StateTrajectory, path) -> dict[str, list[str]]:
+    """The trajectory as CSV, one row per sample: t, then the phi, u, eps, u0 and lambda
+    columns.  Return the formatted chunks of each block, for :func:`write_trajectory_json`."""
+    blocks = _trajectory_blocks(traj)
+    chunks = _trajectory_chunks(traj)
+    header = ["t"] + [f"{name}_{i}" for name, b in list(blocks.items())[1:]
+                      for i in range(b.shape[1])]
+    written = [chunks[name] for name, b in blocks.items() if b.shape[1]]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for pieces in zip(*written):
+            rows = zip(*(piece.split("\n") for piece in pieces))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
+    return chunks
+
+
+def write_trajectory_json(traj: StateTrajectory, path,
+                          chunks: dict[str, list[str]] | None = None) -> None:
+    """The trajectory as one JSON object of its t, phi, u, eps, u0 and lambda blocks, from
+    the ``chunks`` :func:`write_trajectory_csv` returned for it, or formatted afresh."""
+    if chunks is None:
+        chunks = _trajectory_chunks(traj)
+    t = "\n".join(chunks["t"]).replace("\n", ", ")
+    blocks = ", ".join(f'"{name}": {_nested([c.replace(",", ", ") for c in chunks[name]])}'
+                       for name in ("phi", "u", "eps", "u0", "lambda"))
+    with open(path, "w", newline="") as fh:
+        fh.write(f'{{"t": [{t}], {blocks}}}\n')
 
 
 # ---------------------------------------------------------------------------

@@ -336,13 +336,22 @@ def _floats(vectors, leaves=(), t=0.0) -> np.ndarray:
         raise
 
 
+def _record(row: np.ndarray, vector) -> None:
+    """``np.copyto(row, vector, casting="same_kind")``, outside the stage for the reason
+    :func:`_floats` is."""
+    np.copyto(row, vector, casting="same_kind")
+
+
 def _real(values, leaves: Sequence[str]) -> np.ndarray:
     """``np.asarray(values, dtype=float)`` for a derivative that is not float64 already.  A
     complex value is a TypeError naming its leaf: an inlined vector's first complex
-    component, or the one leaf of a callable's whole derivative."""
+    component, or the one leaf of a callable's whole derivative.  So is a string or object
+    array, which only a callable returns."""
     arr = np.asarray(values)
-    if not np.iscomplexobj(arr):
+    if arr.dtype.kind in "biuf":
         return np.asarray(arr, dtype=float)
+    if not np.iscomplexobj(arr):
+        raise TypeError(f"{leaves[0]}: value {arr.tolist()!r} is not real numeric")
     if len(leaves) < len(arr):
         raise TypeError(f"{leaves[0]}: complex value {arr.tolist()!r}")
     k = next(i for i, x in enumerate(values) if np.iscomplexobj(x))
@@ -397,6 +406,7 @@ class _StageSource:
                           "_F64D": np.dtype(float), "_real": _real, "_EMPTY": _EMPTY,
                           "_faults": (ArithmeticError, IndexError, TypeError, ValueError),
                           "_fault": _fault, "_array": np.array, "_isfinite": math.isfinite,
+                          "_record": _record,
                           "_diverged": DivergenceError, "range": range}
 
     def line(self, stem: str, value: str, leaf: str = "") -> str:
@@ -561,8 +571,10 @@ class _StageSource:
                           f"_real({_listed(values)}, {self.ref(tuple(values.leaves))})")
         y, z = [f"y_{i}" for i in range(dim)], [f"z_{i}" for i in range(dim)]
         k1, k2, k3, k4 = ([f"k{j}_{i}" for i in range(dim)] for j in range(1, 5))
-        # One record row: t, phi, dphi, the u0, eps and u blocks, lambda.
-        writes = [f"R[b + {c}] = {x}" for c, x in enumerate(["t", *y, *k1])]
+        # One record row: t, phi, dphi, the u0, eps and u blocks, lambda; each write with the
+        # leaf a fault on it names.  A callable's vector is cast as same_kind, so a complex
+        # or string value fails instead of losing its imaginary part or being parsed.
+        writes = [(f"R[b + {c}] = {x}", "") for c, x in enumerate(["t", *y, *k1])]
         leaves = {"dphi": values.leaves or [values.leaf] * dim}
         columns = {"t": 0, "phi": slice(1, 1 + dim), "dphi": slice(1 + dim, 1 + 2 * dim)}
         col = 1 + 2 * dim
@@ -570,15 +582,17 @@ class _StageSource:
             start, leaves[name] = col, []
             for vector, width in zip(block, widths):
                 if vector.items is not None:
-                    writes += [f"R[b + {col + i}] = {x}" for i, x in enumerate(vector.items)]
+                    writes += [(f"R[b + {col + i}] = {x}", "")
+                               for i, x in enumerate(vector.items)]
                 elif width:
-                    writes.append(f"R[b + {col}:b + {col + width}] = {vector.name}")
+                    writes.append((f"_record(R[b + {col}:b + {col + width}], {vector.name})",
+                                   vector.leaf))
                 leaves[name] += vector.leaves or [vector.leaf] * width
                 col += width
             columns[name] = slice(start, col)
         columns["lambda"] = slice(col, col + dims[3])
         if dims[3]:
-            writes.insert(1 + 2 * dim, f"R[b + {col}:b + {col + dims[3]}] = lam")
+            writes.insert(1 + 2 * dim, (f"R[b + {col}:b + {col + dims[3]}] = lam", ""))
         tape = "".join(f"{_listed(e)}, " for e in blocks[1])
         # A callable, or an element beyond the state, reads phi whole.
         reads_phi = any(re.search(r"\bphi\b", text) for text, _ in self.lines("", y))
@@ -607,9 +621,9 @@ class _StageSource:
             (f"        b = k * {col + dims[3]}", ""),
             ("        tk = t0 + k * dt", ""),
             *stage(y, k1, "tk"),
-            ("        try:", ""), *((f"            {w}", "") for w in writes),
+            ("        try:", ""), *((f"            {w}", leaf) for w, leaf in writes),
             ("        except _faults as exc:", ""),
-            ("            raise _fault(exc, t, {}) from exc", ""),
+            ("            raise _fault(exc, t, _leaves) from exc", ""),
             ("        if k == n: return", ""),
             *advance("half", k1), *stage(z, k2, "tm = tk + dt / 2.0"),
             *advance("half", k2), *stage(z, k3, "tm"),
@@ -678,7 +692,9 @@ def compile_step(system: InteractiveSystem, use_coalitions: bool,
     ``lam_at(stage time, step index)`` and, when a tape is given, appends its time and its
     hidden parameters.  A non-finite state raises :class:`DivergenceError` at the step's
     start; a stage fault is named as in the stage, and a complex recorded control or hidden
-    parameter is a :class:`SimulationError` at the sample time.
+    parameter is a :class:`SimulationError` at the sample time.  A callable's whole vector
+    is recorded by a same_kind cast, so one that is complex, a string or an object array
+    is such an error too, naming the callable.
     """
     out = _StageSource()
     blocks, values = _chain(out, system, use_coalitions)
@@ -696,10 +712,11 @@ def _integrate(system: InteractiveSystem, use_coalitions: bool, initial, t0, t1,
                slow: SlowControl | None, record_tape: bool) -> StateTrajectory:
     """Run the system's generated step (:func:`compile_step`) over ``[t0, t1]``.
 
-    A probe stage at the initial point sizes the record; the probe stays on the tape:
-    replay runs perform the same probe, so the stage sequences of the two runs line up
-    one to one.  The step writes every sample into one float64 array, of which the
-    trajectory's arrays are column blocks.  A non-finite recorded value is a
+    A probe stage at the initial point sizes the record; a hidden parameter whose width
+    is not its declared ``dim`` is a :class:`ConfigurationError` there.  The probe stays
+    on the tape: replay runs perform the same probe, so the stage sequences of the two
+    runs line up one to one.  The step writes every sample into one float64 array, of
+    which the trajectory's arrays are column blocks.  A non-finite recorded value is a
     :class:`SimulationError` naming its column and the leaf that fed it.
     """
     n_steps = step_count(t0, t1, dt)
@@ -718,6 +735,11 @@ def _integrate(system: InteractiveSystem, use_coalitions: bool, initial, t0, t1,
     values, _ = stage(t0, phi, lam0)
     tape = StageTape([t0], [tuple(values[1])]) if record_tape else None
     dims = (*(tuple(map(np.size, block)) for block in values), len(lam0))
+    kind = "coalitions" if use_coalitions else "players"
+    for k, (slot, width) in enumerate(zip(getattr(system, kind), dims[1])):
+        if width != slot.epsilon.dim:
+            raise ConfigurationError(f"{kind}[{k}].epsilon: returned {width} values, but its "
+                                     f"declared dim is {slot.epsilon.dim}")
     if (use_coalitions, dims) not in system._stages:
         system._stages[use_coalitions, dims] = compile_step(system, use_coalitions, dims)
     step, columns, leaves = system._stages[use_coalitions, dims]

@@ -9,6 +9,7 @@ declared in closed form or identified by affine least squares.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -86,12 +87,7 @@ def evaluate_functionals(functionals: Sequence[WindowFunctional], traj: StateTra
 # Cell complexes over the hidden-parameter space
 # ---------------------------------------------------------------------------
 
-_COMPARATORS = {
-    "<": lambda x: x < 0.0,
-    "<=": lambda x: x <= 0.0,
-    ">": lambda x: x > 0.0,
-    ">=": lambda x: x >= 0.0,
-}
+_COMPARATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -111,17 +107,30 @@ class CellCondition:
         object.__setattr__(self, "_fn",
                            compile_expression(self.expression, vectors={"eps": width}))
 
-    def holds(self, eps) -> bool:
-        return _COMPARATORS[self.op](self._fn(eps))
-
 
 @dataclass(frozen=True)
 class Cell:
     label: str
     conditions: tuple[CellCondition, ...]
 
-    def contains(self, eps) -> bool:
-        return all(c.holds(eps) for c in self.conditions)
+
+def _cell_matcher(cells: Sequence[Cell]) -> Callable:
+    """``matches(eps)``: the labels of the cells whose conditions all hold at ``eps``, each
+    cell's conditions evaluated in declaration order up to the first that fails."""
+    flat = tuple((cell.label, tuple((c._fn, _COMPARATORS[c.op]) for c in cell.conditions))
+                 for cell in cells)
+
+    def matches(eps) -> list[str]:
+        found = []
+        for label, conditions in flat:
+            for fn, compare in conditions:
+                if not compare(fn(eps), 0.0):
+                    break
+            else:
+                found.append(label)
+        return found
+
+    return matches
 
 
 @dataclass(frozen=True)
@@ -131,6 +140,7 @@ class CellComplex:
     dim: int
     cells: tuple[Cell, ...]
     box: tuple[tuple[float, float], ...]
+    _matches: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.box) != self.dim:
@@ -145,6 +155,7 @@ class CellComplex:
                         raise ConfigurationError(
                             f"cell {cell.label!r}: condition {cond.expression!r} must "
                             f"reference eps[0..{self.dim - 1}] only")
+        object.__setattr__(self, "_matches", _cell_matcher(self.cells))
 
     def locate(self, eps, time: float | None = None) -> str:
         eps = np.atleast_1d(np.asarray(eps, dtype=float))
@@ -153,7 +164,7 @@ class CellComplex:
                 at = "" if time is None else f" at t={float(time)!r}"
                 raise DomainError(
                     f"parameter sample {eps.tolist()} outside the admissible box{at}")
-        matches = [c.label for c in self.cells if c.contains(eps)]
+        matches = self._matches(eps)
         if len(matches) != 1:
             at = "" if time is None else f" at t={float(time)!r}"
             raise ConfigurationError(
@@ -169,7 +180,7 @@ class CellComplex:
         grid = np.stack([m.ravel() for m in mesh], axis=-1) if axes else np.zeros((0, 0))
         with np.errstate(all="ignore"):     # a condition's fault is its error, not a warning
             for point in grid:
-                hits = sum(1 for c in self.cells if c.contains(point))
+                hits = len(self._matches(point))
                 if hits != 1:
                     errors.append(f"point {point.tolist()} lies in {hits} cells")
         return errors
@@ -184,15 +195,26 @@ def detect_partition(times: np.ndarray, eps_values: np.ndarray,
                      complex_: CellComplex) -> list[float]:
     """Times where the containing cell of the parameter trace changes.
 
-    Transition times are located inside the bracketing sample pair by
-    bisection on the cell label of the linearly interpolated parameters; the
-    result is strictly increasing.
+    Each sample is labelled as :meth:`CellComplex.locate` labels it: one box comparison
+    covers the whole trace, then the cell conditions run per sample.  A sample outside
+    the box or not in exactly one cell is located again, so the first such sample
+    raises ``locate``'s error at its time.  Transition times are located inside the
+    bracketing sample pair by bisection on the cell label of the linearly interpolated
+    parameters; the result is strictly increasing.
     """
     times = np.asarray(times, dtype=float)
     eps_values = np.atleast_2d(np.asarray(eps_values, dtype=float))
     if eps_values.shape[0] != len(times):
         raise ConfigurationError("parameter trace and time grid lengths differ")
-    labels = [complex_.locate(eps_values[k], times[k]) for k in range(len(times))]
+    lo, hi = np.array(complex_.box, dtype=float).reshape(-1, 2).T
+    boxed = eps_values[:, :complex_.dim]
+    # A trace narrower than the box fails locate's check at its first sample.
+    inside = (((lo <= boxed) & (boxed <= hi)).all(axis=1) if boxed.shape[1] == complex_.dim
+              else np.zeros(len(times), bool))
+    labels = []
+    for k, (row, ok) in enumerate(zip(eps_values, inside.tolist())):
+        found = complex_._matches(row) if ok else ()
+        labels.append(found[0] if len(found) == 1 else complex_.locate(row, times[k]))
     transitions: list[float] = []
     for k in range(len(times) - 1):
         if labels[k] == labels[k + 1]:

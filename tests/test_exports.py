@@ -1,10 +1,16 @@
+import csv
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tactica.exports import (dumps_json, format_float, matrix_tuple_to_json, write_prognosis_json,
-                             write_trajectory_csv, write_windows_csv)
+from tactica.exports import (CHUNK_ROWS, _float_chunks, _float_rows, dumps_json, format_float,
+                             matrix_tuple_to_json, write_prognosis_json, write_trajectory_csv,
+                             write_trajectory_json, write_windows_csv)
 from tactica.games import StateTrajectory
 from tactica.prediction import PrognosisReport
 from tactica.verbalization import WindowRecord
@@ -124,3 +130,95 @@ def test_non_finite_short_term_values_under_the_mask_are_not_exported(tmp_path, 
     short[~mask], short[3, 1] = np.nan, bad
     with pytest.raises(ValueError, match=f"non-finite value {bad!r} cannot be exported"):
         write_prognosis_json(_prognosis(short, mask), tmp_path / "prognosis.json")
+
+
+# ---------------------------------------------------------------------------
+# The block formatter against format_float's "{:.17g}".format
+# ---------------------------------------------------------------------------
+
+# The bit patterns of +-0, the smallest subnormal (5e-324), the largest subnormal, the
+# smallest normal and +-max.
+_SPECIAL_BITS = [0x0, 0x8000000000000000, 0x1, 0x800FFFFFFFFFFFFF, 0x0010000000000000,
+                 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF]
+_BITS = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(_SPECIAL_BITS))
+
+
+@st.composite
+def float_blocks(draw):
+    """A float64 block of random bit patterns, finite or not, whose row count is 0, 1, a
+    whole number of chunks or not."""
+    rows = draw(st.sampled_from([0, 1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                 2 * CHUNK_ROWS + 45]))
+    width = draw(st.integers(0, 3))
+    return draw(arrays(np.uint64, (rows, width), elements=_BITS)).view(np.float64)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(block=float_blocks(), sep=st.sampled_from([",", ", "]))
+def test_the_block_formatter_prints_each_cell_as_format_does(block, sep):
+    bad = [v for row in block.tolist() for v in row if not math.isfinite(v)]
+    if bad:
+        with pytest.raises(ValueError) as caught:
+            format_float(bad[0])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(caught.value))}$"):
+            _float_chunks(block, sep)
+        return
+    expected = [sep.join(map("{:.17g}".format, row)) for row in block.tolist()]
+    assert _float_rows(block, sep) == expected
+    chunks = _float_chunks(block, sep)
+    assert len(chunks) == -(-len(block) // CHUNK_ROWS)
+    assert chunks == ["\n".join(expected[k:k + CHUNK_ROWS])
+                      for k in range(0, len(block), CHUNK_ROWS)]
+
+
+# ---------------------------------------------------------------------------
+# trajectory.csv and trajectory.json of one run
+# ---------------------------------------------------------------------------
+
+def _block_trajectory(n: int) -> StateTrajectory:
+    """Blocks of widths 1 to 3 holding signed zeros, subnormals and extremes, and a
+    lambda block of width 2."""
+    values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES] + [1 / 3, -2.5])
+    cells = values[np.arange(n * 11) % len(values)].reshape(n, 11)
+    return StateTrajectory(t=np.arange(n) * 0.25, phi=cells[:, :2], dphi=cells[:, :2],
+                           u0=cells[:, 2:3], eps=cells[:, 3:6], u=cells[:, 6:9],
+                           lam=cells[:, 9:], eps_dims=(3,))
+
+
+@pytest.mark.parametrize("n", [1, CHUNK_ROWS + 3])
+@pytest.mark.parametrize("make", [_block_trajectory, _trajectory],
+                         ids=["widths-1-to-3", "edge-values"])
+def test_trajectory_csv_and_json_hold_the_same_cells(tmp_path, make, n):
+    traj = make(n) if make is _block_trajectory else make((EDGE_VALUES * n)[:n])
+    chunks = write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    write_trajectory_json(traj, tmp_path / "trajectory.json", chunks)
+    write_trajectory_json(traj, tmp_path / "fresh.json")
+    shared = (tmp_path / "trajectory.json").read_bytes()
+    assert shared == (tmp_path / "fresh.json").read_bytes()
+
+    with open(tmp_path / "trajectory.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    # Every number is kept as its text, so "-0" stays "-0".
+    parsed = json.loads((tmp_path / "trajectory.json").read_text(), parse_float=str,
+                        parse_int=str)
+    names = ["phi", "u", "eps", "u0", "lambda"]
+    assert list(parsed) == ["t", *names]
+    assert header == ["t"] + [f"{name}_{i}" for name in names
+                              for i in range(len(parsed[name][0]))]
+    assert rows == [[parsed["t"][k]] + [cell for name in names for cell in parsed[name][k]]
+                    for k in range(n)]
+    assert "-0" in {cell for row in rows for cell in row}
+    assert rows[0][0] == format_float(traj.t[0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("block", ["phi", "eps", "lam"])
+def test_a_non_finite_trajectory_cell_raises_the_same_message_from_both_writers(
+        tmp_path, bad, block):
+    traj = _block_trajectory(CHUNK_ROWS + 3)
+    getattr(traj, block)[CHUNK_ROWS + 1, -1] = bad
+    message = f"^non-finite value {re.escape(repr(bad))} cannot be exported$"
+    with pytest.raises(ValueError, match=message):
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    with pytest.raises(ValueError, match=message):
+        write_trajectory_json(traj, tmp_path / "trajectory.json")

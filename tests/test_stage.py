@@ -26,11 +26,11 @@ from test_expr import _grammar
 
 from tactica import expr, games
 from tactica.expr import VectorExpression, compile_vector
-from tactica.games import (Coalition, EpsilonProcess, FeedbackCoupling, InteractiveSystem,
-                           OrdinaryDynamics, Player, SimulationError, SlowControl, StageTape,
-                           associated_ordinary_game, compile_stage, identity_coupling,
-                           replay_with_recorded_eps, rk4_step, simulate, step_count,
-                           zero_epsilon)
+from tactica.games import (Coalition, ConfigurationError, EpsilonProcess, FeedbackCoupling,
+                           InteractiveSystem, OrdinaryDynamics, Player, SimulationError,
+                           SlowControl, StageTape, associated_ordinary_game, compile_stage,
+                           identity_coupling, replay_with_recorded_eps, rk4_step, simulate,
+                           step_count, zero_epsilon)
 from tactica.prediction import predict, rolling_predictions, strategic_pipeline
 from tactica.scenario import load_scenario
 from tactica.tactics import run_synthesized
@@ -399,7 +399,44 @@ def test_a_complex_recorded_hidden_parameter_is_a_simulation_error():
     # The step runs without builtins: its record writes catch the stage's fault types.
     player = make_player(lambda t: [0.1], eps_form=lambda t, u0, phi: [1j], eps_dim=1)
     system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam: [0.0], players=(player,))
-    with pytest.raises(SimulationError, match=r"^float\(\) argument .* not 'complex' at t=0\.0$"):
+    with pytest.raises(SimulationError, match=r"^players\[0\]\.epsilon: Cannot cast array data "
+                       r"from dtype\('complex128'\) .* 'same_kind' at t=0\.0$"):
+        simulate(system, [1.0], 0.0, 0.1, 0.01)
+
+
+@pytest.mark.parametrize("value, dtype", [(np.array([0.1 + 1j]), "complex128"),
+                                          (["0.1"], "<U3"), (np.array(["0.1"]), "<U3"),
+                                          (np.array([0.1], dtype=object), "O")])
+@pytest.mark.parametrize("slot", ["signal", "epsilon"])
+def test_a_library_vector_that_is_not_real_numeric_is_named_at_its_sample(value, dtype, slot):
+    # A complex array is no longer recorded by its real part, nor a string parsed as a number;
+    # the fault comes at the first sample whose value is bad.
+    def bad(t, *_):
+        return value if t > 0.015 else [0.1]
+
+    player = (make_player(bad) if slot == "signal" else
+              make_player(lambda t: [0.1], eps_form=bad, eps_dim=1))
+    system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam: [0.0], players=(player,))
+    with pytest.raises(SimulationError, match=rf"^players\[0\]\.{slot}: Cannot cast array data "
+                       rf"from dtype\('{re.escape(dtype)}'\) .* at t=0\.02$"):
+        simulate(system, [1.0], 0.0, 0.1, 0.01)
+
+
+@pytest.mark.parametrize("value", [["0.5"], np.array([0.5], dtype=object)])
+def test_a_callable_derivative_that_is_not_real_numeric_is_named(value):
+    system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam: value,
+                               players=(make_player(lambda t: [0.1]),))
+    with pytest.raises(SimulationError,
+                       match=rf"^dynamics: value {re.escape(repr(list(value)))} is not real "
+                             r"numeric at t=0\.0$"):
+        simulate(system, [1.0], 0.0, 0.1, 0.01)
+
+
+def test_a_hidden_parameter_wider_than_its_declared_dim_is_a_configuration_error():
+    player = make_player(lambda t: [0.1], eps_form=lambda t, u0, phi: [0.1, 0.2], eps_dim=1)
+    system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam: [0.0], players=(player,))
+    with pytest.raises(ConfigurationError, match=r"^players\[0\]\.epsilon: returned 2 values, "
+                       r"but its declared dim is 1$"):
         simulate(system, [1.0], 0.0, 0.1, 0.01)
 
 

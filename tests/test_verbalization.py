@@ -1,13 +1,15 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_player
+from tactica.expr import compile_expression
 from tactica.games import ConfigurationError, InteractiveSystem, simulate
-from tactica.verbalization import (Cell, CellComplex, CellCondition, DialogueSpec,
-                                   DomainError, IntentionField, RecurrenceMap,
+from tactica.verbalization import (REFINE_ITERATIONS, Cell, CellComplex, CellCondition,
+                                   DialogueSpec, DomainError, IntentionField, RecurrenceMap,
                                    WindowFunctional, WindowRecord, detect_partition,
                                    fit_recurrence, simulate_dialogue, verify_recurrence,
                                    windows_from_trajectory)
@@ -104,6 +106,146 @@ def test_overlapping_cells_are_rejected():
     with pytest.raises(ConfigurationError, match="2 cells"):
         complex_.locate([0.0])
     assert complex_.coverage_errors(points_per_axis=3)
+
+
+# A reference for detect_partition: every sample located on its own, each cell's
+# conditions evaluated through their own compiled expressions.
+_REFERENCE_OPS = {"<": lambda x: x < 0.0, "<=": lambda x: x <= 0.0,
+                  ">": lambda x: x > 0.0, ">=": lambda x: x >= 0.0}
+
+
+@lru_cache(maxsize=None)
+def _reference_condition(expression: str, dim: int):
+    return compile_expression(expression, vectors={"eps": dim})
+
+
+def _reference_contains(complex_: CellComplex, cell: Cell, eps) -> bool:
+    return all(_REFERENCE_OPS[c.op](_reference_condition(c.expression, complex_.dim)(eps))
+               for c in cell.conditions)
+
+
+def reference_locate(complex_: CellComplex, eps, time=None) -> str:
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    at = "" if time is None else f" at t={float(time)!r}"
+    for k, (lo, hi) in enumerate(complex_.box):
+        if not lo <= eps[k] <= hi:
+            raise DomainError(
+                f"parameter sample {eps.tolist()} outside the admissible box{at}")
+    matches = [cell.label for cell in complex_.cells if _reference_contains(complex_, cell, eps)]
+    if len(matches) != 1:
+        raise ConfigurationError(f"sample {eps.tolist()} lies in {len(matches)} cells{at}; "
+                                 "cells must be disjoint and cover the box")
+    return matches[0]
+
+
+def reference_detect_partition(times, eps_values, complex_: CellComplex) -> list[float]:
+    times = np.asarray(times, dtype=float)
+    eps_values = np.atleast_2d(np.asarray(eps_values, dtype=float))
+    labels = [reference_locate(complex_, eps_values[k], times[k]) for k in range(len(times))]
+    transitions = []
+    for k in range(len(times) - 1):
+        if labels[k] == labels[k + 1]:
+            continue
+        left, right = 0.0, 1.0
+        a, b = eps_values[k], eps_values[k + 1]
+        for _ in range(REFINE_ITERATIONS):
+            mid = 0.5 * (left + right)
+            if reference_locate(complex_, a + mid * (b - a)) == labels[k]:
+                left = mid
+            else:
+                right = mid
+        s = 0.5 * (left + right)
+        transitions.append(float(times[k] + s * (times[k + 1] - times[k])))
+    return transitions
+
+
+_LEVELS = st.sampled_from(["0", "0.5", "1", "1.5"])
+
+
+@st.composite
+def conditions(draw, dim: int):
+    i, level = draw(st.integers(0, dim - 1)), draw(_LEVELS)
+    expression = draw(st.sampled_from([f"eps[{i}] - {level}", f"-1 * eps[{i}] + {level}",
+                                       f"tanh(eps[{i}]) - {level}",
+                                       f"eps[0] * eps[{dim - 1}] - {level}"]))
+    return CellCondition(expression, draw(st.sampled_from(sorted(_REFERENCE_OPS))))
+
+
+@st.composite
+def cell_complexes(draw):
+    """Either bands between thresholds on eps[0], which cover the box once, or random
+    cells, which may overlap or leave gaps."""
+    dim = draw(st.integers(1, 2))
+    box = tuple((lo, lo + width) for lo, width in
+                draw(st.lists(st.tuples(st.sampled_from([-2.0, -1.0, 0.0]),
+                                        st.sampled_from([0.5, 2.0, 3.0])),
+                              min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        levels = sorted(set(draw(st.lists(_LEVELS, min_size=1, max_size=3))), key=float)
+        bounds = [None, *levels, None]
+        cells = tuple(Cell(f"band{j}", tuple(
+            CellCondition(f"eps[0] - {level}", op)
+            for level, op in ((lo, ">="), (hi, "<")) if level is not None))
+            for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
+    else:
+        cells = tuple(Cell(f"c{j}", tuple(draw(st.lists(conditions(dim), min_size=1,
+                                                        max_size=3))))
+                      for j in range(draw(st.integers(1, 4))))
+    return CellComplex(dim=dim, cells=cells, box=box)
+
+
+@st.composite
+def traces(draw, complex_: CellComplex):
+    """Samples inside the box, or, for half the traces, mixed with the box's edges and with
+    NaN, infinite and outside-the-box samples."""
+    n, mixed = draw(st.integers(1, 12)), draw(st.booleans())
+    columns = []
+    for lo, hi in complex_.box:
+        inside = st.floats(lo, hi, allow_nan=False)
+        special = st.sampled_from([math.nan, math.inf, -math.inf, lo - 0.25, hi + 1e-12,
+                                   lo, hi])
+        sample = st.one_of(*[inside] * 5, special) if mixed else inside
+        columns.append(draw(st.lists(sample, min_size=n, max_size=n)))
+    times = np.cumsum(draw(st.lists(st.sampled_from([0.1, 0.25, 1.0]), min_size=n,
+                                    max_size=n)))
+    return times, np.array(columns).T.reshape(n, complex_.dim)
+
+
+def _outcome(run):
+    try:
+        return "transitions", run()
+    except Exception as exc:  # noqa: BLE001 - the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_detect_partition_matches_locating_each_sample(data):
+    complex_ = data.draw(cell_complexes())
+    times, eps = data.draw(traces(complex_))
+    assert (_outcome(lambda: detect_partition(times, eps, complex_))
+            == _outcome(lambda: reference_detect_partition(times, eps, complex_)))
+    for k in range(len(times)):
+        assert (_outcome(lambda: complex_.locate(eps[k], times[k]))
+                == _outcome(lambda: reference_locate(complex_, eps[k], times[k])))
+    hits = [f"point {p} lies in {n} cells" for p, n in _reference_coverage(complex_)]
+    assert complex_.coverage_errors(points_per_axis=4) == hits
+
+
+def test_a_trace_narrower_than_the_box_fails_as_locate_does():
+    times, eps = np.array([0.0, 1.0]), np.array([[0.5], [-0.5]])
+    assert (_outcome(lambda: detect_partition(times, eps, quadrant_complex()))
+            == _outcome(lambda: reference_detect_partition(times, eps, quadrant_complex()))
+            == (IndexError, "index 1 is out of bounds for axis 0 with size 1"))
+
+
+def _reference_coverage(complex_: CellComplex):
+    axes = [np.linspace(lo, hi, 4) for lo, hi in complex_.box]
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    for point in grid:
+        hits = sum(_reference_contains(complex_, cell, point) for cell in complex_.cells)
+        if hits != 1:
+            yield point.tolist(), hits
 
 
 # ---------------------------------------------------------------------------
