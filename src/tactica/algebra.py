@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import NCPoly, nc_evaluate
+from .expr import Emitter, NCPoly, nc_evaluate
 from .games import ConfigurationError
 
 MAX_GENERATORS = 4
@@ -320,8 +320,9 @@ class WeylSymbol:
 def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
                     constants: Mapping[str, np.ndarray] | None = None,
                     control_dim: int = 0) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
-    """Generate ``evaluate(stacked, a)``, the straight-line evaluator of ``symbols``: it
-    maps an ``(m, n, n)`` tuple and the control vector to one ``(n, n)`` value per symbol.
+    """Generate ``evaluate(stacked, a)``, the straight-line evaluator of ``symbols``, through
+    :class:`expr.Emitter`: it maps an ``(m, n, n)`` tuple and the control vector to one
+    ``(n, n)`` value per symbol.
 
     Raises ConfigurationError for a slot beyond the tuple, an unknown or wrongly
     sized constant, or a control component beyond ``control_dim``.  Letters are
@@ -357,29 +358,25 @@ def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
 
     compiled = [[compile_term(t) for t in sym.terms] for sym in symbols]
     # ``zero``: added like the scalar 0, without numpy's slower path for Python scalars
-    namespace = {"__builtins__": {}, "array": np.array, "concatenate": np.concatenate,
-                 "zeros": np.zeros, "complex": complex, "zero": np.zeros((), dtype=complex)}
+    emit = Emitter(array=np.array, concatenate=np.concatenate, zeros=np.zeros,
+                   complex=complex, zero=np.zeros((), dtype=complex))
     shape, sizes = (len(symbols), n, n), {"x": m, "p": m + len(fixed), "out": len(symbols)}
 
-    def const(value) -> str:
-        namespace[key := f"_k{len(namespace)}"] = value
-        return key
-
     def scalar(coeff, control) -> str:
-        return const(coeff) if control is None else f"{const(coeff)}*a[{control}]"
+        return emit.ref(coeff) if control is None else f"{emit.ref(coeff)}*a[{control}]"
 
     def rows(array: str, idx: Sequence[int]) -> str:     # one, all, a slice or a gather
         if len(idx) == 1 and (sizes[array] > 1 or sizes["out"] > 1):
             return f"{array}[{idx[0]}]"
         if list(idx) != list(range(idx[0], idx[0] + len(idx))):
-            return f"{array}[{const(np.array(idx, dtype=np.intp))}]"
+            return f"{array}[{emit.ref(np.array(idx, dtype=np.intp))}]"
         return array if len(idx) == sizes[array] else f"{array}[{idx[0]}:{idx[-1] + 1}]"
 
     body, added, reads_fixed = [], [], False
 
     def add(target: str, value: str) -> None:
         if target == "out" and not added:       # the first term of every symbol: 0 + t1
-            body.append(f"out = {const(np.zeros(shape, dtype=complex))} + {value}")
+            body.append(f"out = {emit.ref(np.zeros(shape, dtype=complex))} + {value}")
         else:
             body.append(f"{target} += {value}")
         added.append(target)
@@ -403,14 +400,14 @@ def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
                 factors = (rows(pool, [o[k] for o in unique]) for k in range(len(letters)))
                 total = " + ".join(["zero", *("P" if len(unique) == 1 else f"P[{unique.index(o)}]"
                                               for o in orderings)])
-                scale = const(coeff / len(orderings)) if control is None \
+                scale = emit.ref(coeff / len(orderings)) if control is None \
                     else f"({scalar(coeff, control)})/{len(orderings)}"
                 body.append(f"P = {' @ '.join(factors)}")
                 add(rows("out", [s]), f"{scale} * ({total})")
                 reads_fixed |= pool == "p"
         if folded:
             at, values = zip(*folded)
-            add(rows("out", at), const(np.stack(values) if len(values) > 1 else values[0]))
+            add(rows("out", at), emit.ref(np.stack(values) if len(values) > 1 else values[0]))
         if linear:
             at, scalars, letters = zip(*linear)
             scale = scalars[0] if len(linear) == 1 \
@@ -418,12 +415,11 @@ def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
             add(rows("out", at), f"({scale}) * {rows('p' if max(letters) >= m else 'x', letters)}")
     lines = ["def evaluate(x, a):"]
     if reads_fixed:
-        lines.append(f"p = concatenate((x, {const(np.stack(fixed))}))")
+        lines.append(f"p = concatenate((x, {emit.ref(np.stack(fixed))}))")
     if added[:1] != ["out"]:
         lines.append(f"out = zeros({shape}, complex)")
     lines += [*body, "return out"]
-    exec("\n    ".join(lines), namespace)     # noqa: S102 -- built from compiled indices only
-    return namespace["evaluate"]
+    return emit.function([(lines[0], ""), *((f"    {line}", "") for line in lines[1:])])[0]
 
 
 def weyl_eval_tuple(evaluate: Callable, stacked: np.ndarray,

@@ -3,8 +3,9 @@
 The grammar is deliberately small: numbers, bare scalar variables (``t``),
 indexed vector variables (``phi[0]``, ``u0[1]``), the operators ``+ - * / ^``
 and the functions ``sin cos exp tanh abs min max``.  Expressions are parsed
-once, validated against the variable set of their context, and compiled to a
-plain Python lambda for fast repeated evaluation inside integrator loops.
+once, validated against the variable set of their context, and compiled through one
+:class:`Emitter` to a plain Python function for fast repeated evaluation inside
+integrator loops.
 
 The same AST can be evaluated over noncommuting polynomial values (see
 :func:`nc_evaluate`), which is how algebra relations like
@@ -244,13 +245,30 @@ def _emit(node, read: Callable[[str, int | None], str] = _argument) -> str:
     return f"({left} {op} {right})"
 
 
-def _compile(body: str, arguments: Sequence[str]) -> Callable:
-    arglist = ", ".join(f"_v_{n}" for n in arguments)
-    # The body is assembled purely from our validated AST; nothing from the raw
-    # string reaches eval directly.  The function namespace must be the
-    # lambda's globals: it is resolved at call time, not at eval time.
-    namespace = {"__builtins__": {}, **_FUNC_NS}
-    return eval(f"lambda {arglist}: {body}", namespace)  # noqa: S307
+class Emitter:
+    """The builtins-free namespace in which every generated function runs: the grammar's
+    functions, the names a caller passes, and each object :meth:`ref` binds."""
+
+    def __init__(self, **names):
+        self.namespace = {"__builtins__": {}, **_FUNC_NS, **names}
+
+    def ref(self, obj) -> str:
+        """A fresh global name bound to ``obj``."""
+        name = f"_o{len(self.namespace)}"
+        self.namespace[name] = obj
+        return name
+
+    def function(self, lines: Sequence[tuple[str, str]]) -> tuple[Callable, dict[int, str]]:
+        """The function ``lines`` define, each ``(source, leaf)``, and the map from each
+        line number that has a leaf to that leaf; the function reads the map as
+        ``_leaves``, so a fault on a line can name its leaf."""
+        leaves = {n: leaf for n, (_, leaf) in enumerate(lines, 1) if leaf}
+        self.namespace["_leaves"] = leaves
+        name = lines[0][0].split()[1].partition("(")[0]
+        # Built from validated expression trees and generated names only.
+        exec(compile("\n".join(text for text, _ in lines), f"<{name}>", "exec"),  # noqa: S102
+             self.namespace)
+        return self.namespace[name], leaves
 
 
 def compile_expression(src: str, scalars: Sequence[str] = (),
@@ -263,16 +281,19 @@ def compile_expression(src: str, scalars: Sequence[str] = (),
     """
     vectors = vectors or {}
     validate(src, scalars, vectors)
-    return _compile(f"({_emit(parse(src))})", (*scalars, *vectors))
+    arguments = ", ".join(f"_v_{n}" for n in (*scalars, *vectors))
+    return Emitter().function([(f"def expression({arguments}):", ""),
+                               (f"    return ({_emit(parse(src))})", "")])[0]
 
 
 @dataclass(frozen=True)
 class VectorExpression:
     """A fixed-length vector of component expressions over ``arguments`` (the scalars, then
     the vectors in mapping order), declared at ``path`` (component k is ``path[k]``).  A
-    call returns the component list; the vector compiles itself at its first call.  A
-    failing call is a ValueError naming the first failing component, its source and, when
-    the vector reads ``t``, the time."""
+    call returns the component list; the vector compiles itself at its first call, one
+    component per line.  A failing call is a ValueError naming the component on whose
+    line it was raised (the first failing one), its source and, when the vector reads
+    ``t``, the time."""
 
     sources: tuple[str, ...]
     arguments: tuple[str, ...]
@@ -282,28 +303,29 @@ class VectorExpression:
     def dim(self) -> int:
         return len(self.sources)
 
+    @property
+    def leaves(self) -> list[str]:
+        """``path[k] 'source'`` of each component."""
+        return [f"{self.path}[{k}] {src!r}" for k, src in enumerate(self.sources)]
+
     @cached_property
-    def _function(self) -> Callable:
-        body = ", ".join(f"({_emit(parse(src))})" for src in self.sources)
-        return _compile(f"[{body}]", self.arguments)
+    def _compiled(self) -> tuple[Callable, dict[int, str]]:
+        return Emitter().function([
+            (f"def vector({', '.join(f'_v_{n}' for n in self.arguments)}):", ""),
+            *((f"    x{k} = ({_emit(parse(src))})", leaf)
+              for k, (src, leaf) in enumerate(zip(self.sources, self.leaves))),
+            (f"    return [{', '.join(f'x{k}' for k in range(self.dim))}]", "")])
 
     def __call__(self, *args) -> list:
+        function, leaves = self._compiled
         try:
-            return self._function(*args)
+            return function(*args)
         except (ArithmeticError, TypeError, ValueError) as exc:
-            raise ValueError(self._fault(exc, args)) from exc
-
-    def _fault(self, exc: Exception, args) -> str:
-        """The message of a failed call, its component found by evaluating each alone."""
-        where = self.path
-        for k, src in enumerate(self.sources):
-            try:
-                _compile(f"({_emit(parse(src))})", self.arguments)(*args)
-            except (ArithmeticError, TypeError, ValueError):
-                where = f"{self.path}[{k}] {src!r}"
-                break
-        at = f" at t={float(args[self.arguments.index('t')])!r}" if "t" in self.arguments else ""
-        return f"{where}: {exc}{at}"
+            inner = exc.__traceback__.tb_next      # the vector's frame, unless the call failed
+            where = leaves.get(inner.tb_lineno, self.path) if inner else self.path
+            at = (f" at t={float(args[self.arguments.index('t')])!r}"
+                  if "t" in self.arguments else "")
+            raise ValueError(f"{where}: {exc}{at}") from exc
 
 
 def compile_vector(sources: Sequence[str], scalars: Sequence[str] = (),

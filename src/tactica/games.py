@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import _FUNC_NS, VectorExpression, _emit, parse
+from .expr import Emitter, VectorExpression, _emit, parse
 
 
 class ConfigurationError(ValueError):
@@ -358,11 +358,6 @@ def _real(values, leaves: Sequence[str]) -> np.ndarray:
     raise TypeError(f"{leaves[k]}: complex value {complex(values[k])!r}")
 
 
-def _leaves(leaf: VectorExpression) -> list[str]:
-    """``path[k] 'source'`` of each component."""
-    return [f"{leaf.path}[{k}] {src!r}" for k, src in enumerate(leaf.sources)]
-
-
 def _listed(vector: _Vector) -> str:
     """``vector`` as an expression: its local, or a list of its elements."""
     return vector.name or f"[{', '.join(vector.items)}]"
@@ -387,8 +382,9 @@ class _Vector:
         return f"{self.name}[{i}]" if self.items is None else self.items[i]
 
 
-class _StageSource:
-    """The straight-line source of one stage, and the leaf each of its lines evaluates.
+class _StageSource(Emitter):
+    """The straight-line source of one stage, and the leaf each of its lines evaluates; its
+    namespace, :meth:`ref` and :meth:`function` are those of :class:`expr.Emitter`.
 
     A scenario leaf (a :class:`VectorExpression`) is inlined one component per line,
     its grammar variables read from locals; any other callable is called by name.  The
@@ -401,13 +397,11 @@ class _StageSource:
         self.leaves: dict[int, str] = {}        # body line -> "path 'source'"
         self.state: dict[int, int] = {}         # body line -> the phi element it reads
         self.elements: dict[tuple[str, int], str] = {}
-        self.namespace = {"__builtins__": {}, **_FUNC_NS, "_F64": np.float64,
-                          "_asarray": np.asarray, "_floats": _floats, "float": float,
-                          "_F64D": np.dtype(float), "_real": _real, "_EMPTY": _EMPTY,
-                          "_faults": (ArithmeticError, IndexError, TypeError, ValueError),
-                          "_fault": _fault, "_array": np.array, "_isfinite": math.isfinite,
-                          "_record": _record,
-                          "_diverged": DivergenceError, "range": range}
+        super().__init__(_F64=np.float64, _asarray=np.asarray, _floats=_floats, float=float,
+                         _F64D=np.dtype(float), _real=_real, _EMPTY=_EMPTY,
+                         _faults=(ArithmeticError, IndexError, TypeError, ValueError),
+                         _fault=_fault, _array=np.array, _isfinite=math.isfinite,
+                         _record=_record, _diverged=DivergenceError, range=range)
 
     def line(self, stem: str, value: str, leaf: str = "") -> str:
         """Append ``<fresh local> = value``; return the local."""
@@ -415,11 +409,6 @@ class _StageSource:
         if leaf:
             self.leaves[len(self.body)] = leaf
         self.body.append(f"{name} = {value}")
-        return name
-
-    def ref(self, obj) -> str:
-        name = f"_o{len(self.namespace)}"
-        self.namespace[name] = obj
         return name
 
     def element(self, name: str, i: int) -> str:
@@ -440,7 +429,7 @@ class _StageSource:
                 return self.element(name, index)
             return vectors[name][index]
 
-        leaves = _leaves(leaf)
+        leaves = leaf.leaves
         items = [self.line("x", _emit(parse(src), read), where)
                  for src, where in zip(leaf.sources, leaves)]
         return _Vector(None, items, leaves, leaf.path)
@@ -548,16 +537,6 @@ class _StageSource:
             out.append((indent + text, self.leaves.get(n, "")))
         return out
 
-    def function(self, lines: Sequence[tuple[str, str]]) -> Callable:
-        """The function ``lines`` define, each ``(source, leaf)``: a fault on a line names
-        its leaf."""
-        self.namespace["_leaves"] = {n: leaf for n, (_, leaf) in enumerate(lines, 1) if leaf}
-        name = lines[0][0].split()[1].partition("(")[0]
-        # Built from validated expression trees and generated names only.
-        exec(compile("\n".join(text for text, _ in lines), f"<{name}>", "exec"),  # noqa: S102
-             self.namespace)
-        return self.namespace[name]
-
     def step(self, dim: int, blocks, values: _Vector, dims) -> tuple[Callable, dict, dict]:
         """:func:`compile_step`'s function over this body, the column of each record in a
         row, and the leaf that feeds each column of the dphi, u0, eps and u records."""
@@ -630,7 +609,7 @@ class _StageSource:
             *advance("full", k3), *stage(z, k4, "tk + dt"),
             *((f"        {x} = {x} + sixth * ({a} + two * {b} + two * {c} + {d})", "")
               for x, a, b, c, d in zip(y, k1, k2, k3, k4)),
-            (f"        if not ({finite}): raise _diverged(tk)", "")]), columns, leaves
+            (f"        if not ({finite}): raise _diverged(tk)", "")])[0], columns, leaves
 
 
 def _chain(out: _StageSource, system: InteractiveSystem, use_coalitions: bool):
@@ -672,7 +651,7 @@ def compile_stage(system: InteractiveSystem, use_coalitions: bool = False) -> Ca
                          *out.lines(" " * 8),
                          ("    except _faults as exc:", ""),
                          ("        raise _fault(exc, t, _leaves) from exc", ""),
-                         ("    return (([{}], [{}], [{}]), {})".format(*listed, dphi), "")])
+                         ("    return (([{}], [{}], [{}]), {})".format(*listed, dphi), "")])[0]
 
 
 def compile_step(system: InteractiveSystem, use_coalitions: bool,
@@ -748,7 +727,7 @@ def _integrate(system: InteractiveSystem, use_coalitions: bool, initial, t0, t1,
     step(phi, t0, dt, n_steps, lam_at, rows.reshape(-1), tape)
     rec = {name: rows[:, cols] for name, cols in columns.items()}
     schedule = getattr(slow, "schedule", None)
-    leaves = {**leaves, "lambda": _leaves(schedule) if isinstance(schedule, VectorExpression)
+    leaves = {**leaves, "lambda": schedule.leaves if isinstance(schedule, VectorExpression)
               else [getattr(schedule, "path", "slow")] * len(lam0)}
     for name in ("u0", "eps", "u", "dphi", "lambda"):
         bad_rows, bad_columns = np.nonzero(~np.isfinite(rec[name]))
@@ -850,7 +829,7 @@ def check_indeterminate_invariants(trajectory: StateTrajectory,
         if len(bad):
             v, leaf = values[bad[0], 0], ""
             if isinstance(c.fn, VectorExpression):
-                leaf = f" ({_leaves(c.fn)[0]})"
+                leaf = f" ({c.fn.leaves[0]})"
             raise SimulationError(
                 f"invariant {c.label!r}{leaf}: {'complex' if v.imag else 'non-finite'} value "
                 f"{complex(v) if v.imag else float(v.real)!r} at t={float(trajectory.t[bad[0]])!r}")

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple, WeylSymbol,
                       WeylTerm, commutative_presentation, compile_symbols, identity,
                       relation_values, weyl_eval_tuple)
-from .expr import NCPoly, VectorExpression, _tokenize, nc_evaluate, validate
+from .expr import Emitter, NCPoly, VectorExpression, _tokenize, nc_evaluate, validate
 from .games import (ConfigurationError, InteractiveSystem, Player, SimulationError,
                     identity_coupling, real_array, rk4_step, simulate, step_count, zero_epsilon)
 from .tactics import CommentState, DialecticalObject, TransitionRule
@@ -369,20 +369,16 @@ def solve_inverse_problem(rhs: Sequence[str], x0: Sequence[float], control_dim: 
 def _compile_coefficient_map(control_entries) -> Callable[[Sequence[float]], np.ndarray]:
     """The symbols' control vector as one generated function of ``u``: entry k is
     ``0j + c1*u[i]*u[j] + c2 ...`` over its contributions, each product and sum in order."""
-    namespace = {"__builtins__": {}, "asarray": np.asarray, "array": np.array, "complex": complex}
+    emit = Emitter(asarray=np.asarray, array=np.array, complex=complex)
     entries = []
     for _, _, contributions in control_entries:
         terms = ["0j"]
         for coeff, u_word in contributions:
-            name = f"_c{len(namespace)}"
-            namespace[name] = complex(coeff)
-            terms.append("*".join([name, *(f"u[{j}]" for j in u_word)]))
+            terms.append("*".join([emit.ref(complex(coeff)), *(f"u[{j}]" for j in u_word)]))
         entries.append(" + ".join(terms))
-    source = ("def coefficient_map(u):\n"
-              "    u = asarray(u, dtype=complex).ravel().tolist()\n"
-              f"    return array([{', '.join(entries)}], dtype=complex)\n")
-    exec(source, namespace)     # noqa: S102 -- built from parsed words only
-    return namespace["coefficient_map"]
+    return emit.function([("def coefficient_map(u):", ""),
+                          ("    u = asarray(u, dtype=complex).ravel().tolist()", ""),
+                          (f"    return array([{', '.join(entries)}], dtype=complex)", "")])[0]
 
 
 def _by_u_word(contributions) -> dict[tuple, complex]:

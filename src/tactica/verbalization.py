@@ -145,6 +145,9 @@ class CellComplex:
     def __post_init__(self):
         if len(self.box) != self.dim:
             raise ConfigurationError("admissible box must match the parameter dimension")
+        for k, (lo, hi) in enumerate(self.box):
+            if lo > hi:
+                raise ConfigurationError(f"admissible box axis {k} is reversed: {lo!r} > {hi!r}")
         labels = [c.label for c in self.cells]
         if len(set(labels)) != len(labels):
             raise ConfigurationError("cell labels must be unique")

@@ -387,6 +387,9 @@ EPSILON = MINIMAL.replace('coupling: ["u0[0]"]',
     ((SCENARIOS / "sine_partition.yaml").read_text().replace(
         'expr: "eps[0]", op: "<"', 'expr: "sin(eps[0]*1e308*10)", op: "<"'), [],
      "verbalization.cells: math domain error"),
+    ((SCENARIOS / "sine_partition.yaml").read_text().replace(
+        "    box: [[-2.0, 2.0]]\n    cells:", "    box: [[2.0, -2.0]]\n    cells:"), [],
+     "verbalization.cells: admissible box axis 0 is reversed: 2.0 > -2.0"),
     (INVERT.format(rhs='u1*x1", "x2", "x3", "x4", "x5').replace("[0.1]", "[0.1, 0, 0, 0, 0]"),
      [],
      "invert.rhs: 5 state components exceed the generator cap 4, one generator per component"),
@@ -398,7 +401,8 @@ EPSILON = MINIMAL.replace('coupling: ["u0[0]"]',
         "invert-rhs-degree-above-cap", "declared-recurrence-one-window",
         "invert-slot-outside-matrix", "invert-matrix-dim-above-cap",
         "assumed-eps-without-epsilon", "assumed-eps-narrower", "assumed-eps-wider",
-        "cells-wider-than-eps", "cell-condition-domain", "invert-rhs-above-generator-cap",
+        "cells-wider-than-eps", "cell-condition-domain", "cells-box-reversed",
+        "invert-rhs-above-generator-cap",
         "lowpass-cutoff-above-nyquist"])
 def test_malformed_inputs_exit_1_naming_the_path(tmp_path, capsys, text, argv, message):
     from tactica.cli import EXIT_VALIDATION, main

@@ -12,6 +12,7 @@ generated: the stage once per RK4 stage, ``rk4_step``'s array arithmetic, and on
 record row per sample.
 """
 
+import ast
 import math
 import re
 import tracemalloc
@@ -25,13 +26,15 @@ from hypothesis import given, settings, strategies as st
 from test_expr import _grammar
 
 from tactica import expr, games
-from tactica.expr import VectorExpression, compile_vector
+from tactica.algebra import WeylSymbol, WeylTerm, compile_symbols
+from tactica.expr import VectorExpression, compile_expression, compile_vector
 from tactica.games import (Coalition, ConfigurationError, EpsilonProcess, FeedbackCoupling,
                            InteractiveSystem, OrdinaryDynamics, Player, SimulationError,
                            SlowControl, StageTape, associated_ordinary_game, compile_stage,
-                           identity_coupling, replay_with_recorded_eps, rk4_step, simulate,
-                           step_count, zero_epsilon)
+                           compile_step, identity_coupling, replay_with_recorded_eps, rk4_step,
+                           simulate, step_count, zero_epsilon)
 from tactica.prediction import predict, rolling_predictions, strategic_pipeline
+from tactica.repdyn import _compile_coefficient_map
 from tactica.scenario import load_scenario
 from tactica.tactics import run_synthesized
 
@@ -551,9 +554,15 @@ def test_a_synthesized_run_compiles_each_system_once(compiled):
 
 def test_only_called_expressions_are_compiled(monkeypatch):
     bodies = []
-    compile_ = expr._compile
-    monkeypatch.setattr(expr, "_compile",
-                        lambda body, arguments: bodies.append(body) or compile_(body, arguments))
+    function = expr.Emitter.function
+
+    def counting(emitter, lines):
+        # Expression and vector functions only; the stage and step go through the emitter too.
+        if lines[0][0].startswith(("def expression(", "def vector(")):
+            bodies.append("\n".join(text for text, _ in lines))
+        return function(emitter, lines)
+
+    monkeypatch.setattr(expr.Emitter, "function", counting)
     # The stage inlines every system leaf.
     load_scenario(SCENARIOS / "two_player.yaml").simulate()
     assert bodies == []
@@ -563,3 +572,30 @@ def test_only_called_expressions_are_compiled(monkeypatch):
     runs = run_synthesized(plan.games, plan.rule)
     assert len(runs[0].windows) == 5
     assert len(bodies) == 1 and "_v_theta[0]" in bodies[0]
+
+
+def _builtin_calls(node, scope=()):
+    """(enclosing class and function, name) of each call of exec, eval or the builtin
+    compile under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                and child.func.id in ("exec", "eval", "compile"):
+            yield ".".join(scope), child.func.id
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+        yield from _builtin_calls(child, (*scope, child.name) if named else scope)
+
+
+def test_every_generated_function_runs_from_the_one_emitter():
+    calls = sorted((path.name, *call) for path in Path(games.__file__).parent.glob("*.py")
+                   for call in _builtin_calls(ast.parse(path.read_text())))
+    assert calls == [("expr.py", "Emitter.function", "compile"),
+                     ("expr.py", "Emitter.function", "exec")]
+    system, initial, _ = load_scenario(SCENARIOS / "two_player.yaml").build_system()
+    stage = compile_stage(system)
+    values, _ = stage(0.0, initial, games._EMPTY)
+    dims = (*(tuple(map(np.size, block)) for block in values), 0)
+    functions = [compile_expression("sin(t)", ("t",)), compile_vector(["t"], ("t",))._compiled[0],
+                 stage, compile_step(system, False, dims)[0],
+                 compile_symbols((WeylSymbol((WeylTerm(1.0, (0,)),)),), 1, 2),
+                 _compile_coefficient_map([(0, (), [(1.0, (0,))])])]
+    assert [f.__globals__["__builtins__"] for f in functions] == [{}] * 6
