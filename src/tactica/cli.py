@@ -276,7 +276,7 @@ def _run_repdyn(scenario: Scenario, out: Path, tolerance: float, report: dict) -
     report["summaries"]["transitions"] = [
         {"time": tr.time, "window": tr.window_index, "from": tr.from_class,
          "to": tr.to_class, "residual": tr.residual} for tr in result.transitions]
-    report["summaries"]["classes"] = [c.class_label for c in result.class_stream]
+    report["summaries"]["classes"] = [dataclasses.asdict(c) for c in result.classes]
     report["summaries"]["equivalence"] = (
         "registry-label equality; a conservative stand-in for isomorphism-based "
         "pair equivalence")

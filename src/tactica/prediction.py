@@ -1,14 +1,14 @@
 """A-posteriori analysis of recorded runs.
 
-Covers rolling predictions of other players, reinterpretation of an ordinary
-game as an interactive one through prediction deviations, spectral separation
-of pure controls from recorded interactive controls, and the combined
-long-term / short-term prognosis pipeline.
+Covers spectral separation of pure controls from recorded interactive controls,
+least-squares fits of a declared feedback family to the separated residual, and
+the combined long-term / short-term prognosis pipeline, whose short-term stages
+re-anchor at the recorded state and hold the last observed hidden parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -16,101 +16,6 @@ import numpy as np
 from .expr import compile_vector
 from .games import (ConfigurationError, InteractiveSystem, SlowControl, StateTrajectory,
                     associated_ordinary_game, simulate, whole_steps)
-
-
-class DataError(ValueError):
-    """Recorded data does not cover what the analysis needs."""
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Assumed controls and the induced trajectory from one base time."""
-
-    base_time: float
-    horizon: float
-    trajectory: StateTrajectory
-
-    def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigurationError("prediction horizon must be positive")
-
-
-def with_assumed_policies(system: InteractiveSystem,
-                          assumed: Mapping[int, Callable]) -> InteractiveSystem:
-    """The system with the signals of selected players (1-based) replaced; itself if none."""
-    players = list(system.players)
-    for index, signal in assumed.items():
-        if not 1 <= index <= len(players):
-            raise ConfigurationError(f"no player {index} in the system")
-        players[index - 1] = replace(players[index - 1], signal=signal)
-    return replace(system, players=tuple(players)) if assumed else system
-
-
-def predict(system: InteractiveSystem, assumed: Mapping[int, Callable],
-            state_at_base, t0: float, horizon: float, dt: float) -> Prediction:
-    """Integrate from the state at ``t0`` under the predictor's assumed policies."""
-    assumed_system = with_assumed_policies(system, assumed)
-    traj = simulate(assumed_system, state_at_base, t0, t0 + horizon, dt,
-                    record_tape=False)
-    return Prediction(base_time=t0, horizon=horizon, trajectory=traj)
-
-
-def rolling_predictions(system: InteractiveSystem, run: StateTrajectory,
-                        assumed: Mapping[int, Callable], bases: Sequence[float],
-                        horizon: float, dt: float) -> list[Prediction]:
-    """One prediction per base time, anchored at the recorded state; the bases share one
-    assumed system, so its step is generated once."""
-    assumed_system = with_assumed_policies(system, assumed)
-    return [predict(assumed_system, {}, run.phi[idx], float(run.t[idx]), horizon, dt)
-            for idx in map(run.index_of, bases)]
-
-
-@dataclass(frozen=True)
-class PredictionDataset:
-    """Per-time records pairing realized controls with predicted pure controls."""
-
-    t: np.ndarray
-    u: np.ndarray
-    u0_pred: np.ndarray
-    phi: np.ndarray
-    dphi: np.ndarray
-    phi_pred: np.ndarray
-
-    @property
-    def deviation(self) -> np.ndarray:
-        if self.u.shape != self.u0_pred.shape:
-            raise ConfigurationError(
-                "realized and predicted control layouts differ; deviations are "
-                "defined for ordinary (identity-coupled) runs")
-        return self.u - self.u0_pred
-
-
-def interactivize_by_prediction(run: StateTrajectory, predictions: Sequence[Prediction],
-                                delta_t: float) -> PredictionDataset:
-    """Induced-coupling dataset: realized controls against ``delta_t``-old predictions.
-
-    Emits one record per sample time ``b + delta_t`` for every prediction base
-    ``b``; the prediction based exactly at ``t - delta_t`` must exist for every
-    requested record.
-    """
-    if delta_t <= 0:
-        raise ConfigurationError("delta_t must be positive")
-    by_base = {round(p.base_time, 12): p for p in predictions}
-    rows = []       # one (t, u, u0_pred, phi, dphi, phi_pred) per record
-    for base in sorted(by_base):
-        p = by_base[base]
-        if p.horizon + 1e-12 < delta_t:
-            raise DataError(
-                f"prediction at base {base!r} has horizon {p.horizon!r} < delta_t")
-        target = base + delta_t
-        if target > run.t[-1] + 1e-9:
-            continue
-        k_run, k_pred, pred = run.index_of(target), p.trajectory.index_of(target), p.trajectory
-        rows.append((run.t[k_run], run.u[k_run], pred.u0[k_pred], run.phi[k_run],
-                     run.dphi[k_run], pred.phi[k_pred]))
-    if not rows:
-        raise DataError("no prediction covers any requested record time")
-    return PredictionDataset(*map(np.array, zip(*rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple, WeylSymbol,
-                      WeylTerm, commutative_presentation, compile_symbols, identity,
-                      relation_values, weyl_eval_tuple)
+from .algebra import (AlgebraClassRegistry, AlgebraPresentation, LabeledInterval, MatrixTuple,
+                      WeylSymbol, WeylTerm, commutative_presentation, compile_symbols,
+                      equivalence_partition, identity, relation_values, weyl_eval_tuple)
 from .expr import Emitter, NCPoly, VectorExpression, _tokenize, nc_evaluate, validate
 from .games import (ConfigurationError, InteractiveSystem, Player, SimulationError,
                     identity_coupling, real_array, rk4_step, simulate, step_count, zero_epsilon)
@@ -105,12 +105,14 @@ def check_start(spec: RepDynSpec, stacked: np.ndarray) -> float:
 
 @dataclass
 class RepDynResult:
-    """Accepted samples: ``states[k]`` is the ``(m, n, n)`` tuple at ``times[k]``."""
+    """Accepted samples: ``states[k]`` is the ``(m, n, n)`` tuple at ``times[k]``, and
+    ``controls[k]`` the control as the schedule returned it there (empty without one)."""
 
     times: np.ndarray
     states: np.ndarray
     residuals: np.ndarray
     insolvable: InsolvableSignal | None = None
+    controls: list = field(default_factory=list)
 
     @property
     def tuples(self) -> list[MatrixTuple]:
@@ -195,26 +197,31 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
 
     The run starts from ``start``, an ``(m, n, n)`` tuple on the variety.  On
     an insolvable step the result carries the samples accepted so far plus
-    the signal; the failing step is not applied.
+    the signal; the failing step is not applied.  The control is evaluated once
+    per stage time; a sample keeps the value of its step's first stage.
     """
     n_steps = step_count(t0, t1, dt)
     plan, control_dim, presentation = spec.plan, spec.control_dim, spec.presentation
     if control is None and control_dim:
         raise ConfigurationError("spec declares controls but no schedule given")
 
-    a_time, a = None, None
+    a_time, returned, a = None, None, None
 
-    def rhs(t: float, stacked: np.ndarray) -> np.ndarray:
-        nonlocal a_time, a
-        if control is not None and t != a_time:     # the two middle stages share t
-            a_time, a = t, control(t)
+    def evaluate_control(t: float) -> None:
+        nonlocal a_time, returned, a
+        if t != a_time:     # the two middle stages share t
+            a_time, returned = t, control(t)
             if isinstance(control, VectorExpression):   # a scenario's control is real
-                a = real_array(a, control.path, t)
-            a = np.asarray(a, dtype=complex)
+                returned = real_array(returned, control.path, t)
+            a = np.asarray(returned, dtype=complex)
             if len(a) != control_dim:
                 raise ConfigurationError(
                     f"control schedule returns {len(a)} components, spec declares "
                     f"{control_dim}")
+
+    def rhs(t: float, stacked: np.ndarray) -> np.ndarray:
+        if control is not None:
+            evaluate_control(t)
         return weyl_eval_tuple(plan, stacked, a)
 
     residuals = [check_start(spec, start)]
@@ -222,14 +229,19 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     states = np.empty((n_steps + 1,) + stacked.shape, dtype=complex)
     states[0] = stacked
     times = [t0]
+    controls = []
 
     def result(insolvable: InsolvableSignal | None = None) -> RepDynResult:
         return RepDynResult(times=np.array(times), states=states[:len(times)],
-                            residuals=np.array(residuals), insolvable=insolvable)
+                            residuals=np.array(residuals), insolvable=insolvable,
+                            controls=controls)
 
     for k in range(n_steps):
         t = t0 + k * dt
-        candidate = rk4_step(rhs, t, stacked, dt, rhs(t, stacked))
+        first = rhs(t, stacked)
+        if control is not None:
+            controls.append(returned)
+        candidate = rk4_step(rhs, t, stacked, dt, first)
         t_next = t0 + (k + 1) * dt
         if not np.isfinite(candidate).all():
             stages = []     # the step retaken, each stage's time and symbol values kept
@@ -254,6 +266,9 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
         times.append(t_next)
         states[k + 1] = stacked
         residuals.append(residual)
+    if control is not None:     # the last stage's time can differ from t_next in its last bit
+        evaluate_control(times[-1])
+        controls.append(returned)
     return result()
 
 
@@ -554,11 +569,14 @@ class TransitionEvent:
 
 @dataclass
 class TacticalRepdynResult:
+    """``classes`` partitions the accepted samples into intervals of one class each."""
+
     times: np.ndarray
     residuals: np.ndarray
     class_stream: list[CommentState]
     transitions: list[TransitionEvent]
     windows: list[WindowRecord]
+    classes: list[LabeledInterval]
 
 
 def _window_summaries(residuals, norms, a_values) -> tuple[np.ndarray, np.ndarray]:
@@ -573,7 +591,9 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
 
     The comment stream pairs the class label with the auxiliary vector eta,
     one entry per window; window summaries are (max residual, mean tuple norm)
-    and the mean control.  Each class's spec is read from ``game.specs``.
+    and the mean control.  Each accepted sample carries the class it was
+    integrated in, and the result partitions them into class intervals.  Each
+    class's spec is read from ``game.specs``.
     """
     if len(window_grid) < 2:
         raise ConfigurationError("window grid needs at least two points")
@@ -581,6 +601,7 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
     eta = np.atleast_1d(np.asarray(game.eta0, dtype=float))
     all_times: list[float] = []
     all_residuals: list[float] = []
+    all_labels: list[str] = []
     stream: list[CommentState] = []
     transitions: list[TransitionEvent] = []
     windows: list[WindowRecord] = []
@@ -600,12 +621,12 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
             start = 1 if all_times and result.times[0] == all_times[-1] else 0
             all_times.extend(float(t) for t in result.times[start:])
             all_residuals.extend(float(r) for r in result.residuals[start:])
+            all_labels.extend([label] * (len(result.times) - start))
             window_res.extend(result.residuals.tolist())
             window_norms.extend(float(np.linalg.norm(state)) for state in result.states)
-            if game.control is not None:
-                window_a.extend(np.atleast_1d(real_array(
-                    game.control(float(t)), getattr(game.control, "path", "control"), t))
-                    for t in result.times)
+            window_a.extend(np.atleast_1d(real_array(
+                a, getattr(game.control, "path", "control"), t))
+                for t, a in zip(result.times, result.controls))
             stacked = result.states[-1]
             if result.insolvable is None:
                 break
@@ -630,7 +651,8 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
     return TacticalRepdynResult(times=np.array(all_times),
                                 residuals=np.array(all_residuals),
                                 class_stream=stream, transitions=transitions,
-                                windows=windows)
+                                windows=windows,
+                                classes=equivalence_partition(list(zip(all_times, all_labels))))
 
 
 def _apply_transition(game: TacticalRepDyn, rule: TransitionRule, stacked: np.ndarray,

@@ -6,15 +6,14 @@ recursion is a synthesis rule, one form per game under an argument mask, and
 :func:`run_synthesized` advances any of them on the games' shared window grid:
 a single commented game is :func:`commented_as_synthesis`, one form with mask
 ``{0}``, and the additive interaction of two games is
-:func:`interaction_as_synthesis`.  A synthesis can be checked to be a
-conservative extension of one game's recursion.  Dialectical objects are
-configured class-transition tables; they drive the class stream of
-:func:`tactica.repdyn.run_tactical_repdyn`.
+:func:`interaction_as_synthesis`.  A form reads only the games of its argument
+mask; the scenario loader checks each declared form against its mask.
+Dialectical objects are configured class-transition tables; they drive the
+class stream of :func:`tactica.repdyn.run_tactical_repdyn`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -230,57 +229,3 @@ def run_synthesized(games: list[CommentedGame], rule: SynthesisRule) -> list[Com
     return [CommentedRun(trajectory=concat_trajectories(segments[j]),
                          windows=windows[j], comments=comments[j])
             for j in range(len(games))]
-
-
-# ---------------------------------------------------------------------------
-# Tactical extension
-# ---------------------------------------------------------------------------
-
-# Every probe coordinate ranges over [-1, 1]; a grid holds at most MAX_PROBES tuples.
-PROBE_RANGE = (-1.0, 1.0)
-MAX_PROBES = 20000
-
-
-def probe_grid(theta_dims: Sequence[int], omega_dims: Sequence[int],
-               v_dims: Sequence[int], points: int = 3) -> list[tuple]:
-    """Deterministic grid of (thetas, omegas, vs) probe tuples."""
-    dims = list(theta_dims) + list(omega_dims) + list(v_dims)
-    total = sum(dims)
-    if points ** total > MAX_PROBES:
-        raise ConfigurationError(
-            f"probe grid of {points}**{total} points exceeds the cap {MAX_PROBES}")
-    axis = np.linspace(*PROBE_RANGE, points)
-    probes = []
-    for combo in itertools.product(axis, repeat=total):
-        values = list(combo)
-        cursor = 0
-
-        def take(dim_list):
-            nonlocal cursor
-            out = []
-            for d in dim_list:
-                out.append(np.array(values[cursor:cursor + d]))
-                cursor += d
-            return out
-
-        probes.append((take(theta_dims), take(omega_dims), take(v_dims)))
-    return probes
-
-
-def is_tactical_extension(synth: SynthesisRule, original: Callable,
-                          probes: Sequence[tuple], game_index: int = 0,
-                          tol: float = 1e-12) -> tuple[bool, tuple | None]:
-    """Whether the synthesis leaves game ``game_index``'s recursion unchanged.
-
-    Compares the synthesis form against the original recursion on every probe
-    tuple; returns (True, None) on agreement within ``tol``, otherwise
-    (False, witness probe).
-    """
-    for probe in probes:
-        thetas, omegas, vs = probe
-        unified = synth.value(game_index, thetas, omegas, vs)
-        plain = np.atleast_1d(np.asarray(
-            original(thetas[game_index], omegas[game_index], vs[game_index]), dtype=float))
-        if unified.shape != plain.shape or np.max(np.abs(unified - plain)) > tol:
-            return False, probe
-    return True, None

@@ -419,9 +419,10 @@ def simulate_dialogue(dialogue: DialogueSpec, t_grid: Sequence[float],
     """Integrate the intention field and roll the discrete dialogue over it.
 
     The discrete states are the declared window functionals of the hidden
-    parameters and the field; each is checked against the declared step map.
-    A mismatch is reported as a diagnostic, not an error: the run is then not
-    a dialogue under the declared maps.
+    parameters and the field; :func:`verify_recurrence` checks each against the
+    declared step map, from ``phi0`` on.  A mismatch is reported as a diagnostic,
+    not an error: the run is then not a dialogue under the declared maps.  A
+    non-finite step-map value is a :class:`SimulationError` naming the window.
     """
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ConfigurationError("window grid must be strictly increasing")
@@ -430,21 +431,14 @@ def simulate_dialogue(dialogue: DialogueSpec, t_grid: Sequence[float],
                     dialogue.dt, record_tape=False)
     windows = windows_from_trajectory(traj, t_grid, dialogue.state_functionals,
                                       dialogue.control_functionals)
-
-    phi_seq = [np.atleast_1d(np.asarray(dialogue.phi0, dtype=float))]
-    v_seq: list[np.ndarray] = []
-    residuals = []
-    diagnostics: list[str] = []
-    for w in windows:
-        expected = np.atleast_1d(np.asarray(dialogue.step_map(phi_seq[-1], w.v), dtype=float))
-        residual = float(np.linalg.norm(w.omega - expected))
-        residuals.append(residual)
-        if residual > tol:
-            diagnostics.append(
-                f"window {w.index}: functional state deviates from the step map by "
-                f"{residual:.3e}; not a dialogue under the declared maps")
-        phi_seq.append(w.omega)
-        v_seq.append(w.v)
-
-    return DialogueResult(phi=phi_seq, v=v_seq, residuals=np.array(residuals),
-                          is_dialogue=not diagnostics, diagnostics=diagnostics)
+    phi0 = np.atleast_1d(np.asarray(dialogue.phi0, dtype=float))
+    residuals = verify_recurrence(
+        [WindowRecord(index=0, t_start=float(t_grid[0]), t_end=float(t_grid[0]), omega=phi0,
+                      v=np.zeros(0)), *windows],
+        RecurrenceMap("declared", form=dialogue.step_map), tol).residuals
+    diagnostics = [f"window {w.index}: functional state deviates from the step map by "
+                   f"{r:.3e}; not a dialogue under the declared maps"
+                   for w, r in zip(windows, residuals) if r > tol]
+    return DialogueResult(phi=[phi0] + [w.omega for w in windows], v=[w.v for w in windows],
+                          residuals=residuals, is_dialogue=not diagnostics,
+                          diagnostics=diagnostics)

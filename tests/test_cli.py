@@ -132,6 +132,36 @@ def test_repdyn_artifacts_keep_their_digests(tmp_path, command, stem):
             for name in REPDYN_DIGESTS[command, stem]} == REPDYN_DIGESTS[command, stem]
 
 
+def test_a_controlled_tactical_run_keeps_its_window_means(tmp_path):
+    # The window mean reads the control the integration evaluated at each sample.
+    doc = yaml.safe_load((SCENARIOS / "repdyn_transition.yaml").read_text())
+    doc["repdyn"]["control"] = ["0.1*sin(t)"]
+    doc["repdyn"]["class_dynamics"]["heisenberg"]["symbols"][2] = [
+        {"coeff": 0.2, "word": ["x3"]}, {"coeff": 0.1, "word": ["x3"], "control": 0}]
+    scenario = tmp_path / "controlled.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    assert main(["repdyn", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) \
+        == EXIT_OK
+    assert hashlib.sha256((tmp_path / "out" / "windows.csv").read_bytes()).hexdigest() == \
+        "67f185743da489ace51562b5581101b1b321231300f386769385e696a59e8786"
+
+
+def test_a_tactical_report_partitions_the_run_into_class_intervals(tmp_path):
+    scenario = load_scenario(SCENARIOS / "repdyn_transition.yaml")
+    assert main(["repdyn", "--scenario", str(SCENARIOS / "repdyn_transition.yaml"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    summaries = json.loads((tmp_path / "report.json").read_text())["summaries"]
+    (transition,) = summaries["transitions"]
+    assert summaries["classes"] == [
+        {"label": "commutative", "t_start": 0.0, "t_end": transition["time"],
+         "closed_end": False},
+        {"label": transition["to"], "t_start": transition["time"], "t_end": scenario.run.t1,
+         "closed_end": True}]
+    assert transition["from"] == scenario.repdyn_plan().tactical.initial_class
+    times = read_csv_column(tmp_path / "residuals.csv", "t")
+    assert transition["time"] in times
+
+
 # sha256 of the trajectory that `simulate` writes for shipped scenarios covering
 # coalition slots, two players, a time-varying hidden parameter and an invariant.  A
 # change to the integrator stage must leave these bytes fixed.

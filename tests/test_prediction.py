@@ -6,10 +6,8 @@ import pytest
 
 from conftest import make_player
 from tactica.games import ConfigurationError, InteractiveSystem, simulate
-from tactica.prediction import (DataError, FilterSpec, apply_filter,
-                                fit_feedback_family, interactivize_by_prediction,
-                                predict, rolling_predictions, strategic_pipeline,
-                                unravel_by_filtering)
+from tactica.prediction import (FilterSpec, apply_filter, fit_feedback_family,
+                                strategic_pipeline, unravel_by_filtering)
 
 
 def drift_system(eps_of_t):
@@ -22,97 +20,16 @@ def drift_system(eps_of_t):
             eps_form=lambda t, u0, phi: np.array([eps_of_t(t)]), eps_dim=1),))
 
 
-def ordinary_two_player(policy1, policy2):
-    return InteractiveSystem(
-        dim=1, dynamics=lambda t, phi, u, lam: [u[0][0] + u[1][0]],
-        players=(make_player(policy1), make_player(policy2)))
-
-
-# ---------------------------------------------------------------------------
-# Predictions
-# ---------------------------------------------------------------------------
-
-def test_true_policies_give_exact_prediction():
-    system = ordinary_two_player(lambda t: np.array([0.5]),
-                                 lambda t: np.array([math.sin(t)]))
-    run = simulate(system, [0.0], 0.0, 2.0, 0.01, record_tape=False)
-    k = run.index_of(1.0)
-    prediction = predict(system, {2: lambda t: np.array([math.sin(t)])},
-                         run.phi[k], 1.0, 0.5, 0.01)
-    k_end = run.index_of(1.5)
-    assert abs(prediction.trajectory.phi[-1, 0] - run.phi[k_end, 0]) < 1e-12
-
-
-def test_wrong_assumption_grows_linearly():
-    system = ordinary_two_player(lambda t: np.array([1.0]),
-                                 lambda t: np.array([0.0]))
-    run = simulate(system, [0.0], 0.0, 1.0, 0.01, record_tape=False)
-    prediction = predict(system, {1: lambda t: np.array([0.0])},
-                         run.phi[0], 0.0, 0.5, 0.01)
-    # Predicted phi stays constant; the true run grows by t.
-    assert np.all(prediction.trajectory.phi == 0.0)
-    deviation = run.phi[run.index_of(0.5), 0] - prediction.trajectory.phi[-1, 0]
-    assert deviation == pytest.approx(0.5, abs=1e-12)
-
-
-def test_order_delta_assumption_gives_order_delta_squared_state_error():
-    system = ordinary_two_player(lambda t: np.array([1.0]),
-                                 lambda t: np.array([0.0]))
-    run = simulate(system, [0.0], 0.0, 1.0, 0.00625, record_tape=False)
-    errors = []
-    horizons = [0.1, 0.05, 0.025]
-    for horizon in horizons:
-        assumed = {1: lambda t, h=horizon: np.array([1.0 + h])}
-        prediction = predict(system, assumed, run.phi[0], 0.0, horizon, 0.00625)
-        truth = run.phi[run.index_of(horizon), 0]
-        errors.append(abs(prediction.trajectory.phi[-1, 0] - truth))
-    slope = np.polyfit(np.log(horizons), np.log(errors), 1)[0]
-    assert abs(slope - 2.0) <= 0.3
-
-
-# ---------------------------------------------------------------------------
-# Induced interactivity datasets
-# ---------------------------------------------------------------------------
-
-def test_perfect_predictions_have_zero_deviation():
-    system = ordinary_two_player(lambda t: np.array([0.3]),
-                                 lambda t: np.array([math.cos(t)]))
-    run = simulate(system, [0.0], 0.0, 2.0, 0.01, record_tape=False)
-    bases = run.t[:-10]
-    predictions = rolling_predictions(
-        system, run, {1: lambda t: np.array([0.3]),
-                      2: lambda t: np.array([math.cos(t)])},
-        bases, horizon=0.1, dt=0.01)
-    dataset = interactivize_by_prediction(run, predictions, delta_t=0.1)
-    assert np.max(np.abs(dataset.deviation)) < 1e-12
-
-
-def test_planted_affine_relation_is_exact():
-    # Realized u = predicted u0 + 0.2*phi by construction of the policies.
-    run_system = ordinary_two_player(lambda t: np.array([1.0]),
-                                     lambda t: np.array([0.5 + 0.2 * t]))
-    run = simulate(run_system, [0.0], 0.0, 2.0, 0.01, record_tape=False)
-    predictions = rolling_predictions(
-        run_system, run,
-        {2: lambda t: np.array([0.5])}, run.t[:-10], horizon=0.1, dt=0.01)
-    dataset = interactivize_by_prediction(run, predictions, delta_t=0.1)
-    # deviation of player 2's control is exactly 0.2*t at each record time
-    assert np.allclose(dataset.deviation[:, 1], 0.2 * dataset.t, atol=1e-12)
-
-
 def test_fitted_deviation_matches_gain_gap():
+    # Player 2 plays g_true*sin(t) = g_true*phi; a predictor assumed g_assumed*sin(t).
     g_true, g_assumed = 0.5, 0.2
     system = InteractiveSystem(
         dim=1, dynamics=lambda t, phi, u, lam: u[0],  # phi ignores player 2
         players=(make_player(lambda t: np.array([math.cos(t)])),
                  make_player(lambda t: np.array([g_true * math.sin(t)]))))
     run = simulate(system, [0.0], 0.0, 2.0, 0.01, record_tape=False)  # phi = sin t
-    predictions = rolling_predictions(
-        system, run, {2: lambda t: np.array([g_assumed * math.sin(t)])},
-        run.t[:-10], horizon=0.1, dt=0.01)
-    dataset = interactivize_by_prediction(run, predictions, delta_t=0.1)
-    estimate = fit_feedback_family(dataset.deviation[:, 1], ["phi[0]"],
-                                   {"phi": dataset.phi})
+    deviation = run.u[:, 1] - g_assumed * np.sin(run.t)
+    estimate = fit_feedback_family(deviation, ["phi[0]"], {"phi": run.phi})
     assert abs(estimate.coefficients[0, 0] - (g_true - g_assumed)) < 1e-6
 
 
@@ -123,14 +40,6 @@ def test_a_regressor_that_is_not_finite_and_real_is_named(regressor):
     with np.errstate(all="ignore"), pytest.raises(
             ValueError, match=rf"^family\[1\] '{re.escape(regressor)}': non-finite or complex"):
         fit_feedback_family(phi[:, 0], ["phi[0]", regressor], {"phi": phi})
-
-
-def test_missing_base_prediction_is_a_data_error():
-    system = ordinary_two_player(lambda t: np.array([1.0]),
-                                 lambda t: np.array([0.0]))
-    run = simulate(system, [0.0], 0.0, 1.0, 0.01, record_tape=False)
-    with pytest.raises(DataError):
-        interactivize_by_prediction(run, [], delta_t=0.1)
 
 
 # ---------------------------------------------------------------------------

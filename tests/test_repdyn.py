@@ -530,6 +530,8 @@ def test_integrate_evaluates_the_control_once_per_stage_time():
     result = integrate_repdyn(spec, control, 0.0, 0.3, 0.01, start)
     assert len(result.times) == 31 and len(times) <= 3 * 30
     assert all(t != u for t, u in zip(times, times[1:]))
+    # Each sample keeps the control its step's first stage read; the last one its own.
+    assert result.controls == [[math.sin(3 * t), 0.5 - t] for t in result.times]
 
     def rhs(t, stacked):    # a fresh control vector at every stage
         return weyl_eval_tuple(spec.plan, stacked, np.asarray(control(t), dtype=complex))
@@ -882,6 +884,73 @@ def test_commutativity_breaking_transition_fires_once():
     assert [c.class_label for c in result.class_stream] == ["heisenberg"] * 3
     # eta update recorded the transition time
     assert result.class_stream[0].eta[0] == pytest.approx(event.time)
+
+
+def _enlarge_then_free(control):
+    """Commutative until its drift breaks commutativity, then Heisenberg until a drift of
+    X3 that grows with the control ``a(t) = t`` leaves the variety, then free."""
+    registry = AlgebraClassRegistry(classes={**default_registry().classes,
+                                             "free": (AlgebraPresentation("free", 3),)})
+    heisenberg = ClassDynamics(symbols=(WeylSymbol(()), WeylSymbol(()),
+                                        WeylSymbol((WeylTerm(2e-3, ("D",), control=0),))),
+                               constants={"D": E(1, 3)})
+    return TacticalRepDyn(
+        registry=registry,
+        class_dynamics={"commutative": _drift_dynamics(), "heisenberg": heisenberg,
+                        "free": ClassDynamics(symbols=(WeylSymbol(()),) * 3)},
+        initial_class="commutative", initial=_zero_pair(), eta0=np.zeros(1),
+        delta=DialecticalObject(label="enlarge-then-free", transitions=(
+            _transition_delta().transitions[0],
+            TransitionRule(from_class="heisenberg", trigger="insolvable", to_class="free"))),
+        insolvable_threshold=1e-6, control_dim=1, control=control)
+
+
+def test_each_transition_starts_a_class_interval():
+    result = run_tactical_repdyn(_enlarge_then_free(lambda t: [t]), [0.0, 1.0, 2.0], 1e-3)
+    first, second = result.transitions
+    assert [(i.label, i.t_start, i.t_end, i.closed_end) for i in result.classes] == [
+        ("commutative", 0.0, first.time, False), ("heisenberg", first.time, second.time, False),
+        ("free", second.time, 2.0, True)]
+    assert 0.0 < first.time < second.time < 1.0
+    assert {first.time, second.time} <= set(result.times.tolist())
+    # The window mean of a(t) = t over samples on the dt grid.
+    assert result.windows[1].v[0] == pytest.approx(1.5, abs=1e-12)
+
+
+def test_a_run_without_transitions_is_one_closed_class_interval():
+    game = TacticalRepDyn(
+        registry=default_registry(), class_dynamics={"commutative": ClassDynamics(
+            symbols=(WeylSymbol((WeylTerm(0.3, (0,)),)), WeylSymbol(())))},
+        initial_class="commutative",
+        initial=np.stack((np.diag([1.0, 2.0, 3.0]), np.eye(3))).astype(complex),
+        eta0=np.zeros(1), delta=DialecticalObject(label="noop"))
+    result = run_tactical_repdyn(game, [0.5, 1.0, 2.0], 1e-2)
+    assert [(i.label, i.t_start, i.t_end, i.closed_end) for i in result.classes] == [
+        ("commutative", 0.5, 2.0, True)]
+    assert result.times[0] == 0.5 and result.times[-1] == 2.0
+
+
+def test_an_insolvable_segment_keeps_one_control_per_sample():
+    spec = RepDynSpec(symbols=(WeylSymbol((WeylTerm(1.0, ("D1",), control=0),)),
+                               WeylSymbol((WeylTerm(1.0, ("D2",)),))),
+                      presentation=commutative_presentation(2), n=3,
+                      constants={"D1": E(1, 2), "D2": E(2, 3)}, control_dim=1,
+                      insolvable_threshold=1e-5)
+    result = integrate_repdyn(spec, lambda t: [1.0 + t], 0.0, 1.0, 1e-3, _zero_pair())
+    assert result.insolvable is not None and 1 < len(result.times) < 1001
+    assert result.controls == [[1.0 + t] for t in result.times]
+
+
+def test_an_uncontrolled_run_keeps_no_controls():
+    spec = RepDynSpec(symbols=(WeylSymbol(()),) * 3, n=3,
+                      presentation=heisenberg_presentation())
+    result = integrate_repdyn(spec, None, 0.0, 0.1, 0.01, HEISENBERG_TUPLE.stacked())
+    assert result.controls == [] and len(result.times) == 11
+
+
+def test_a_complex_library_control_fails_its_window_mean():
+    with pytest.raises(SimulationError, match=r"^control: complex value \[0j\] at t=0\.0$"):
+        run_tactical_repdyn(_enlarge_then_free(lambda t: [1j * t]), [0.0, 1.0], 1e-3)
 
 
 def test_empty_transition_table_strands_the_run():

@@ -437,6 +437,29 @@ def test_a_player_without_epsilon_assumes_none(tmp_path):
     assert main(["predict", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
+def test_keys_beside_epsilon_truth_are_ignored(tmp_path):
+    # Generated benchmark scenarios write `epsilon: {truth, box}`; the box changes nothing.
+    from tactica.cli import EXIT_OK, main
+    text = MINIMAL.replace('coupling: ["u0[0]"]',
+                           'coupling: ["u0[0] + eps[0]"]\n      epsilon: {truth: ["sin(t)"]}')
+    boxed = text.replace('epsilon: {truth: ["sin(t)"]}',
+                         'epsilon: {truth: ["sin(t)"], box: [[-2.0, 2.0]]}')
+    assert boxed != text
+    out = {}
+    for name, body in (("plain", text), ("boxed", boxed)):
+        path = write(tmp_path, body, f"{name}.yaml")
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / name)]) \
+            == EXIT_OK
+        out[name] = (tmp_path / name / "trajectory.csv").read_bytes()
+    assert out["plain"] == out["boxed"]
+
+
+def test_no_shipped_scenario_carries_an_epsilon_box():
+    for path in sorted(SCENARIOS.glob("*.yaml")):
+        for player in yaml.safe_load(path.read_text()).get("system", {}).get("players", []):
+            assert set(player.get("epsilon") or {}) <= {"truth"}, path.name
+
+
 def _node_paths(node, prefix=()):
     if prefix:
         yield prefix

@@ -33,7 +33,7 @@ from tactica.games import (Coalition, ConfigurationError, EpsilonProcess, Feedba
                            SlowControl, StageTape, associated_ordinary_game, compile_stage,
                            compile_step, identity_coupling, replay_with_recorded_eps, rk4_step,
                            simulate, step_count, zero_epsilon)
-from tactica.prediction import predict, rolling_predictions, strategic_pipeline
+from tactica.prediction import strategic_pipeline
 from tactica.repdyn import _compile_coefficient_map
 from tactica.scenario import load_scenario
 from tactica.tactics import run_synthesized
@@ -453,19 +453,14 @@ def test_a_complex_component_of_a_callable_derivative_is_a_simulation_error():
         simulate(system, [1.0, 0.0], 0.0, 0.1, 0.01)
 
 
-@pytest.mark.parametrize("call", ["simulate", "rolling_predictions"])
-def test_a_lambda_element_the_run_does_not_feed_is_named(call):
-    # Neither call is given a slow control, so lambda is empty.
+def test_a_lambda_element_the_run_does_not_feed_is_named():
+    # The run is given no slow control, so lambda is empty.
     dynamics = compile_vector(["lambda[0] - phi[0] + u[0]"], ("t",),
                               {"phi": 1, "u": 1, "lambda": 1}, "system.dynamics")
     system = InteractiveSystem(dim=1, dynamics=dynamics, players=(make_player(lambda t: [0.3]),))
     with pytest.raises(SimulationError, match=r"^lambda\[0\]: index 0 is out of bounds .* "
                                               r"at t=0\.0$"):
-        if call == "simulate":
-            simulate(system, [0.0], 0.0, 1.0, 0.01)
-        else:
-            run = simulate(system, [0.0], 0.0, 1.0, 0.01, slow=games.SlowControl(lambda t: [1.0]))
-            rolling_predictions(system, run, {1: lambda t: [0.3]}, [0.0], 0.1, 0.01)
+        simulate(system, [0.0], 0.0, 1.0, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -518,29 +513,6 @@ def test_a_pipeline_keeps_no_stage_tape(monkeypatch):
                                players=(make_player(lambda t: [0.1]),))
     strategic_pipeline(system, [1.0], 0.0, 0.2, 0.01, [lambda t: []], horizon=0.05)
     assert calls == [False] * 6     # the truth, the long-term run and four segments
-
-
-RECORDS = ("t", "phi", "dphi", "u0", "eps", "u", "lam")
-
-
-def test_rolling_predictions_compile_the_assumed_system_once(compiled):
-    scenario = load_scenario(SCENARIOS / "two_player.yaml")
-    system, _, _ = scenario.build_system()
-    run = scenario.simulate()
-    compiled["compile_stage"].clear()
-    compiled["compile_step"].clear()
-    assumed = {2: compile_vector(["0.1 + 0.05*t"], ("t",), path="assumed[0]")}
-    bases = run.t[:1900:100]
-    predictions = rolling_predictions(system, run, assumed, bases, 0.1, 0.001)
-    assert len(predictions) == 19
-    assert len(compiled["compile_stage"]) == len(compiled["compile_step"]) == 1
-    # Each prediction is the one predict gives from its base alone.
-    for base, prediction in zip(bases, predictions):
-        k = run.index_of(base)
-        alone = predict(system, assumed, run.phi[k], float(run.t[k]), 0.1, 0.001)
-        assert prediction.base_time == alone.base_time and prediction.horizon == alone.horizon
-        assert _bits([getattr(prediction.trajectory, name) for name in RECORDS]) == \
-            _bits([getattr(alone.trajectory, name) for name in RECORDS])
 
 
 def test_a_synthesized_run_compiles_each_system_once(compiled):

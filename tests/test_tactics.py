@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_player
 from tactica.games import (ConfigurationError, InteractiveSystem, SlowControl, simulate)
 from tactica.tactics import (CommentedGame, SynthesisRule, commented_as_synthesis,
-                             interaction_as_synthesis, is_tactical_extension, probe_grid,
-                             run_synthesized)
+                             interaction_as_synthesis, run_synthesized)
 from tactica.verbalization import WindowFunctional, evaluate_functionals
 
 
@@ -288,48 +287,3 @@ def test_commented_run_equals_its_one_form_synthesis_bitwise(rule_and_game):
     assert solo.theta_values.tobytes() == synthesized.theta_values.tobytes()
     assert solo.trajectory.phi.tobytes() == synthesized.trajectory.phi.tobytes()
 
-
-# ---------------------------------------------------------------------------
-# Tactical extension
-# ---------------------------------------------------------------------------
-
-def _extension_probes():
-    return probe_grid(theta_dims=[1, 1], omega_dims=[1, 1], v_dims=[1, 1], points=3)
-
-
-def test_extension_true_for_syntactic_identity():
-    original = lambda th, om, v: 2.0 * th + om  # noqa: E731
-    synthesis = SynthesisRule(
-        forms=(lambda th, om, v: original(th[0], om[0], v[0]),
-               lambda th, om, v: th[1]),
-        masks=(frozenset({0}), frozenset({1})))
-    ok, witness = is_tactical_extension(synthesis, original, _extension_probes())
-    assert ok and witness is None
-
-
-def test_extension_false_with_witness():
-    original = lambda th, om, v: 2.0 * th + om  # noqa: E731
-    synthesis = SynthesisRule(
-        forms=(lambda th, om, v: original(th[0], om[0], v[0]) + 1e-3 * th[1],
-               lambda th, om, v: th[1]),
-        masks=(frozenset({0, 1}), frozenset({1})))
-    ok, witness = is_tactical_extension(synthesis, original, _extension_probes())
-    assert not ok
-    thetas, _, _ = witness
-    assert thetas[1][0] != 0.0
-
-
-def test_extension_true_for_symbolically_zero_coupling():
-    c = 0.0
-    original = lambda th, om, v: 2.0 * th + om  # noqa: E731
-    synthesis = SynthesisRule(
-        forms=(lambda th, om, v: original(th[0], om[0], v[0]) + c * th[1],
-               lambda th, om, v: th[1]),
-        masks=(frozenset({0, 1}), frozenset({1})))
-    ok, _ = is_tactical_extension(synthesis, original, _extension_probes())
-    assert ok
-
-
-def test_probe_grid_cap():
-    with pytest.raises(ConfigurationError):
-        probe_grid(theta_dims=[4, 4], omega_dims=[4, 4], v_dims=[4, 4], points=5)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_player
 from tactica.expr import compile_expression
-from tactica.games import ConfigurationError, InteractiveSystem, simulate
+from tactica.games import ConfigurationError, InteractiveSystem, SimulationError, simulate
 from tactica.verbalization import (REFINE_ITERATIONS, Cell, CellComplex, CellCondition,
                                    DialogueSpec, DomainError, IntentionField, RecurrenceMap,
                                    WindowFunctional, WindowRecord, detect_partition,
@@ -440,6 +441,36 @@ def test_inconsistent_dialogue_reports_diagnostic():
     assert not result.is_dialogue
     assert result.diagnostics
     assert "not a dialogue" in result.diagnostics[0]
+
+
+def test_a_non_finite_step_map_value_is_a_simulation_error_naming_the_window():
+    dialogue = replace(_dialogue(lambda t: 0.6, u0_value=0.0, phi0=0.0),
+                       step_map=lambda phi_prev, v: phi_prev / phi_prev)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            SimulationError, match=r"^recurrence: non-finite value \[nan\] predicting "
+                                   r"window 1$"):
+        simulate_dialogue(dialogue, [0.0, 1.0, 2.0])
+
+
+def test_a_step_map_failing_at_a_later_window_names_that_window():
+    # Window means of eps = t are 0.5, 1.5, 2.5: the map fails from phi_prev = 1.5 on.
+    dialogue = replace(_dialogue(lambda t: t, u0_value=0.0, phi0=0.0),
+                       step_map=lambda phi_prev, v: phi_prev + v if phi_prev[0] < 1.0
+                       else phi_prev * np.inf)
+    with pytest.raises(SimulationError,
+                       match=r"^recurrence: non-finite value \[inf\] predicting window 3$"):
+        simulate_dialogue(dialogue, [0.0, 1.0, 2.0, 3.0])
+
+
+def test_dialogue_residuals_are_the_step_map_gaps():
+    dialogue = _dialogue(lambda t: t * t, u0_value=0.25, phi0=0.1)
+    result = simulate_dialogue(dialogue, [0.0, 1.0, 2.0, 3.0], tol=1e-9)
+    expected = [float(np.linalg.norm(phi - dialogue.step_map(prev, v)))
+                for prev, phi, v in zip(result.phi, result.phi[1:], result.v)]
+    assert result.residuals.tolist() == expected
+    assert result.diagnostics == [
+        f"window {k}: functional state deviates from the step map by {r:.3e}; not a "
+        f"dialogue under the declared maps" for k, r in enumerate(expected, 1)]
 
 
 def test_intention_field_drives_windows():
