@@ -8,9 +8,9 @@ constrained matrix dynamics over finitely presented algebra classes whose runs
 are partitioned into class intervals, all driven by deterministic scenarios.
 """
 
-from .algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple,
-                      WeylSymbol, WeylTerm, commutative_presentation, default_registry,
-                      equivalence_partition, heisenberg_presentation)
+from .algebra import (AlgebraClassRegistry, AlgebraPresentation, WeylSymbol, WeylTerm,
+                      commutative_presentation, default_registry, equivalence_partition,
+                      heisenberg_presentation, stack_tuple)
 from .games import (Coalition, ConfigurationError, DivergenceError, EpsilonProcess,
                     FeedbackCoupling, InteractiveSystem, InvariantConstraint, Player,
                     SimulationError, SlowControl, StateTrajectory,

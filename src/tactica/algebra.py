@@ -39,42 +39,21 @@ MAX_MATRIX_DIM = 6
 MAX_DEGREE = 3
 
 
-@dataclass(frozen=True)
-class MatrixTuple:
-    """Ordered tuple of same-sized complex square matrices."""
-
-    matrices: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
-        object.__setattr__(self, "matrices", mats)
-        if not mats:
-            raise ConfigurationError("a matrix tuple needs at least one matrix")
-        n = mats[0].shape[0]
-        if n > MAX_MATRIX_DIM:
-            raise ConfigurationError(
-                f"matrix dimension {n} exceeds the desk-scale cap {MAX_MATRIX_DIM}")
-        for k, m in enumerate(mats):
-            if m.shape != (n, n):
-                raise ConfigurationError(
-                    f"matrix {k} has shape {m.shape}, expected ({n}, {n})")
-            if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-                raise ConfigurationError(f"matrix {k} has non-finite entries")
-
-    @property
-    def m(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def n(self) -> int:
-        return self.matrices[0].shape[0]
-
-    def stacked(self) -> np.ndarray:
-        return np.stack(self.matrices)
-
-    @classmethod
-    def from_stacked(cls, stacked: np.ndarray) -> "MatrixTuple":
-        return cls(matrices=tuple(stacked[k] for k in range(stacked.shape[0])))
+def stack_tuple(matrices: Sequence) -> np.ndarray:
+    """The ``(m, n, n)`` complex stack of same-sized, finite, square matrices."""
+    mats = [np.asarray(m, dtype=complex) for m in matrices]
+    if not mats:
+        raise ConfigurationError("a matrix tuple needs at least one matrix")
+    n = mats[0].shape[0]
+    if n > MAX_MATRIX_DIM:
+        raise ConfigurationError(
+            f"matrix dimension {n} exceeds the desk-scale cap {MAX_MATRIX_DIM}")
+    for k, m in enumerate(mats):
+        if m.shape != (n, n):
+            raise ConfigurationError(f"matrix {k} has shape {m.shape}, expected ({n}, {n})")
+        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+            raise ConfigurationError(f"matrix {k} has non-finite entries")
+    return np.stack(mats)
 
 
 def parse_relation(source: str, generators: int) -> NCPoly:

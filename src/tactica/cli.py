@@ -181,14 +181,14 @@ def _run_verbalize(scenario: Scenario, out: Path, tolerance: float, report: dict
         report["summaries"]["transitions"] = transitions
     tol = plan.recurrence_tol
     if plan.recurrence is not None:
-        result = verify_recurrence(records, plan.recurrence, tol)
+        result = verify_recurrence(records, plan.recurrence)
         report["summaries"]["recurrence"] = {
             "family": "declared", "residuals": result.residuals}
         _add_check(report, "recurrence residual", result.max_residual, tol)
     if plan.fit_windows is not None:
         k = plan.fit_windows
         fitted = fit_recurrence(records[:k])
-        holdout = verify_recurrence(records[k - 1:], fitted, tol)
+        holdout = verify_recurrence(records[k - 1:], fitted)
         report["summaries"]["recurrence"] = {
             "family": "fitted-affine",
             "coeff_omega": fitted.coeff_omega,

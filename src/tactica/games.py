@@ -97,13 +97,11 @@ class EpsilonProcess:
     ``form(t, u0, phi)`` returns the parameter vector; for coalition slots
     ``u0`` is the tuple of member pure controls.  A scenario's form is a
     :class:`VectorExpression` that the stage inlines; its ``u0`` is then the flat
-    vector of the members' controls.  ``ground_truth`` distinguishes the simulation
-    truth from fitted estimates, which must not drive a truth run.
+    vector of the members' controls.
     """
 
     form: Callable
     dim: int
-    ground_truth: bool = True
 
 
 def _no_epsilon(t, u0, phi):
@@ -352,10 +350,20 @@ def _real(values, leaves: Sequence[str]) -> np.ndarray:
         return np.asarray(arr, dtype=float)
     if not np.iscomplexobj(arr):
         raise TypeError(f"{leaves[0]}: value {arr.tolist()!r} is not real numeric")
-    if len(leaves) < len(arr):
+    if arr.shape != (len(leaves),):     # a callable's whole derivative, of any shape
         raise TypeError(f"{leaves[0]}: complex value {arr.tolist()!r}")
     k = next(i for i, x in enumerate(values) if np.iscomplexobj(x))
     raise TypeError(f"{leaves[k]}: complex value {complex(values[k])!r}")
+
+
+def _numeric(value):
+    """A library callable's ``value``, unless it is complex, a string or an object array."""
+    arr = np.asarray(value)
+    if arr.dtype.kind == "c":
+        raise TypeError(f"complex value {arr.tolist()!r}")
+    if arr.dtype.kind not in "biuf":
+        raise TypeError(f"value {arr.tolist()!r} is not real numeric")
+    return value
 
 
 def _listed(vector: _Vector) -> str:
@@ -389,10 +397,12 @@ class _StageSource(Emitter):
     A scenario leaf (a :class:`VectorExpression`) is inlined one component per line,
     its grammar variables read from locals; any other callable is called by name.  The
     body reads ``t``, ``lam`` and the state: each element of ``phi`` on a line of its own,
-    and ``phi`` whole where a callable reads it.
+    and ``phi`` whole where a callable reads it.  ``check`` names the function each
+    callable's value passes through, if any.
     """
 
-    def __init__(self):
+    def __init__(self, check: str = ""):
+        self.check = check
         self.body: list[str] = []
         self.leaves: dict[int, str] = {}        # body line -> "path 'source'"
         self.state: dict[int, int] = {}         # body line -> the phi element it reads
@@ -401,7 +411,8 @@ class _StageSource(Emitter):
                          _F64D=np.dtype(float), _real=_real, _EMPTY=_EMPTY,
                          _faults=(ArithmeticError, IndexError, TypeError, ValueError),
                          _fault=_fault, _array=np.array, _isfinite=math.isfinite,
-                         _record=_record, _diverged=DivergenceError, range=range)
+                         _record=_record, _numeric=_numeric, _diverged=DivergenceError,
+                         range=range)
 
     def line(self, stem: str, value: str, leaf: str = "") -> str:
         """Append ``<fresh local> = value``; return the local."""
@@ -435,7 +446,8 @@ class _StageSource(Emitter):
         return _Vector(None, items, leaves, leaf.path)
 
     def call(self, stem: str, fn, arguments: str, leaf: str) -> _Vector:
-        return _Vector(self.line(stem, f"{self.ref(fn)}({arguments})", leaf), leaf=leaf)
+        return _Vector(self.line(stem, f"{self.check}({self.ref(fn)}({arguments}))", leaf),
+                       leaf=leaf)
 
     def whole(self, vector: _Vector) -> str:
         """The local holding ``vector``, an inlined leaf's list built at its first use."""
@@ -640,10 +652,11 @@ def compile_stage(system: InteractiveSystem, use_coalitions: bool = False) -> Ca
     An ``ArithmeticError``, ``IndexError`` (a ``lambda`` element the run does not feed),
     ``TypeError`` or ``ValueError`` (a math domain error, say) is raised as a
     :class:`SimulationError` naming the leaf and the stage time; so is a complex
-    derivative.  A run evaluates it once, at its initial point; :func:`compile_step`
-    inlines the same body four times per step.
+    derivative, and a library callable's value that is not real numeric.  A run
+    evaluates it once, at its initial point; :func:`compile_step` inlines the same body,
+    without those value checks, four times per step.
     """
-    out = _StageSource()
+    out = _StageSource("_numeric")
     blocks, values = _chain(out, system, use_coalitions)
     dphi = out.real(values)
     listed = (", ".join(map(_listed, block)) for block in blocks)
@@ -680,23 +693,17 @@ def compile_step(system: InteractiveSystem, use_coalitions: bool,
     return out.step(system.dim, blocks, values, dims)
 
 
-def _check_ground_truth(slots: Sequence[Player | Coalition]):
-    for k, slot in enumerate(slots):
-        if not slot.epsilon.ground_truth:
-            raise ConfigurationError(
-                f"slot {k}: hidden-parameter process is an estimate, not simulation truth")
-
-
 def _integrate(system: InteractiveSystem, use_coalitions: bool, initial, t0, t1, dt,
                slow: SlowControl | None, record_tape: bool) -> StateTrajectory:
     """Run the system's generated step (:func:`compile_step`) over ``[t0, t1]``.
 
     A probe stage at the initial point sizes the record; a hidden parameter whose width
-    is not its declared ``dim`` is a :class:`ConfigurationError` there.  The probe stays
-    on the tape: replay runs perform the same probe, so the stage sequences of the two
-    runs line up one to one.  The step writes every sample into one float64 array, of
-    which the trajectory's arrays are column blocks.  A non-finite recorded value is a
-    :class:`SimulationError` naming its column and the leaf that fed it.
+    is not its declared ``dim``, or a derivative whose width is not the system's, is a
+    :class:`ConfigurationError` there.  The probe stays on the tape: replay runs perform
+    the same probe, so the stage sequences of the two runs line up one to one.  The step
+    writes every sample into one float64 array, of which the trajectory's arrays are
+    column blocks.  A non-finite recorded value is a :class:`SimulationError` naming its
+    column and the leaf that fed it.
     """
     n_steps = step_count(t0, t1, dt)
 
@@ -711,7 +718,10 @@ def _integrate(system: InteractiveSystem, use_coalitions: bool, initial, t0, t1,
         stage = system._stages[use_coalitions] = compile_stage(system, use_coalitions)
     lam_at = (lambda t, step: _EMPTY) if slow is None else slow.value
     lam0 = lam_at(t0, 0)
-    values, _ = stage(t0, phi, lam0)
+    values, dphi = stage(t0, phi, lam0)
+    if np.shape(dphi) != phi.shape:
+        raise ConfigurationError(f"dynamics: returned shape {np.shape(dphi)}, but the "
+                                 f"system's dim is {system.dim}")
     tape = StageTape([t0], [tuple(values[1])]) if record_tape else None
     dims = (*(tuple(map(np.size, block)) for block in values), len(lam0))
     kind = "coalitions" if use_coalitions else "players"
@@ -744,7 +754,6 @@ def _integrate(system: InteractiveSystem, use_coalitions: bool, initial, t0, t1,
 def simulate(system: InteractiveSystem, initial, t0: float, t1: float, dt: float,
              slow: SlowControl | None = None, record_tape: bool = True) -> StateTrajectory:
     """Integrate the interactive system, recording phi, u0, eps and u traces."""
-    _check_ground_truth(system.players)
     return _integrate(system, False, initial, t0, t1, dt, slow, record_tape)
 
 
@@ -754,7 +763,6 @@ def coalition_simulate(system: InteractiveSystem, initial, t0: float, t1: float,
     """As :func:`simulate`, with control slots filled by the coalition couplings."""
     if not system.coalitions:
         raise ConfigurationError("system declares no coalitions")
-    _check_ground_truth(system.coalitions)
     return _integrate(system, True, initial, t0, t1, dt, slow, record_tape)
 
 

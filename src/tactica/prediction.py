@@ -168,7 +168,6 @@ class PrognosisReport:
     short_term: np.ndarray
     short_mask: np.ndarray
     blended: np.ndarray
-    truth: np.ndarray
     long_error: np.ndarray
     blended_error: np.ndarray
 
@@ -220,5 +219,4 @@ def strategic_pipeline(system: InteractiveSystem, initial, t0: float, t1: float,
     blended_error = np.linalg.norm(blended - truth.phi, axis=1)
     return PrognosisReport(t=truth.t.copy(), long_term=long_run.phi,
                            short_term=short, short_mask=mask, blended=blended,
-                           truth=truth.phi, long_error=long_error,
-                           blended_error=blended_error)
+                           long_error=long_error, blended_error=blended_error)

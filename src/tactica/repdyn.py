@@ -16,9 +16,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraClassRegistry, AlgebraPresentation, LabeledInterval, MatrixTuple,
-                      WeylSymbol, WeylTerm, commutative_presentation, compile_symbols,
-                      equivalence_partition, identity, relation_values, weyl_eval_tuple)
+from .algebra import (AlgebraClassRegistry, AlgebraPresentation, LabeledInterval, WeylSymbol,
+                      WeylTerm, commutative_presentation, compile_symbols,
+                      equivalence_partition, identity, relation_values, stack_tuple,
+                      weyl_eval_tuple)
 from .expr import Emitter, NCPoly, VectorExpression, _tokenize, nc_evaluate, validate
 from .games import (ConfigurationError, InteractiveSystem, Player, SimulationError,
                     identity_coupling, real_array, rk4_step, simulate, step_count, zero_epsilon)
@@ -30,6 +31,7 @@ from .verbalization import WindowRecord
 # default cutoff keeps their numerically-zero singular values, whose minimum-norm step
 # amplifies rounding noise so the residual stalls above the tolerance.
 PROJECTION_RCOND = 1e-12
+PROJECTION_CAP = 50                 # Gauss-Newton iterations per projection
 MAX_TRANSITIONS_PER_WINDOW = 8      # more in one window: the scenario does not settle
 # Complex entries per batch of Jacobian outer products (64 KiB).  Larger temporaries pass
 # glibc's default mmap threshold and are faulted in afresh on every call: at n = 6 one
@@ -114,14 +116,6 @@ class RepDynResult:
     insolvable: InsolvableSignal | None = None
     controls: list = field(default_factory=list)
 
-    @property
-    def tuples(self) -> list[MatrixTuple]:
-        return [MatrixTuple.from_stacked(state) for state in self.states]
-
-    @property
-    def final(self) -> MatrixTuple:
-        return MatrixTuple.from_stacked(self.states[-1])
-
 
 def _relation_jacobian(pres: AlgebraPresentation, stacked: np.ndarray,
                        m: int, n: int) -> np.ndarray:
@@ -154,7 +148,7 @@ def _relation_jacobian(pres: AlgebraPresentation, stacked: np.ndarray,
 
 
 def project_to_variety(pres: AlgebraPresentation, stacked: np.ndarray, tolerance: float,
-                       cap: int = 50, values: tuple[np.ndarray, float] | None = None
+                       values: tuple[np.ndarray, float] | None = None
                        ) -> tuple[np.ndarray, float, bool]:
     """Gauss-Newton projection of an ``(m, n, n)`` tuple onto the relation variety.
 
@@ -166,7 +160,7 @@ def project_to_variety(pres: AlgebraPresentation, stacked: np.ndarray, tolerance
     m, n = stacked.shape[0], stacked.shape[1]
     scale = max(1.0, float(np.max(np.abs(stacked))))
     residual_vec, residual = relation_values(pres, stacked) if values is None else values
-    for _ in range(cap):
+    for _ in range(PROJECTION_CAP):
         if residual <= tolerance or not math.isfinite(residual):
             break
         jac = _relation_jacobian(pres, stacked, m, n)
@@ -368,14 +362,13 @@ def solve_inverse_problem(rhs: Sequence[str], x0: Sequence[float], control_dim: 
             raise ConfigurationError("designated slot of the parallel data must carry x0")
     else:
         diagonals = np.repeat(x0[:, None], matrix_dim, axis=1)
-    initial = MatrixTuple(matrices=tuple(np.diag(diagonals[i].astype(complex))
-                                         for i in range(state_dim)))
+    initial = stack_tuple([np.diag(diagonals[i]) for i in range(state_dim)])
 
     spec = RepDynSpec(symbols=tuple(symbols), presentation=commutative_presentation(state_dim),
-                      n=initial.n, constants=constants, control_dim=len(control_entries),
+                      n=initial.shape[1], constants=constants, control_dim=len(control_entries),
                       tolerance=tolerance)
     symbolic_match = _verify_symbolic(parsed, symbols, control_entries, constants)
-    return InverseConstruction(spec=spec, start=initial.stacked(), control_names=tuple(names),
+    return InverseConstruction(spec=spec, start=initial, control_names=tuple(names),
                                coefficient_map=_compile_coefficient_map(control_entries),
                                designated_slot=designated_slot,
                                symbolic_match=symbolic_match)
@@ -579,12 +572,6 @@ class TacticalRepdynResult:
     classes: list[LabeledInterval]
 
 
-def _window_summaries(residuals, norms, a_values) -> tuple[np.ndarray, np.ndarray]:
-    omega = np.array([float(np.max(residuals)), float(np.mean(norms))])
-    v = np.mean(a_values, axis=0) if len(a_values) else np.zeros(0)
-    return omega, np.atleast_1d(v)
-
-
 def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
                         dt: float) -> TacticalRepdynResult:
     """Integrate per window under the current class, transitioning on insolvability.
@@ -609,9 +596,7 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
     for n in range(1, len(window_grid)):
         t_a, t_b = float(window_grid[n - 1]), float(window_grid[n])
         t_cursor, fired = t_a, 0
-        window_res: list[float] = []
-        window_norms: list[float] = []
-        window_a: list[np.ndarray] = []
+        window_res, window_norms, window_a = [], [], []
         while True:
             try:
                 result = integrate_repdyn(game.specs[label], game.control, t_cursor, t_b, dt,
@@ -622,11 +607,12 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
             all_times.extend(float(t) for t in result.times[start:])
             all_residuals.extend(float(r) for r in result.residuals[start:])
             all_labels.extend([label] * (len(result.times) - start))
-            window_res.extend(result.residuals.tolist())
-            window_norms.extend(float(np.linalg.norm(state)) for state in result.states)
+            own = 1 if fired else 0     # a restart's first sample repeats the last one's time
+            window_res.extend(result.residuals[own:].tolist())
+            window_norms.extend(float(np.linalg.norm(state)) for state in result.states[own:])
             window_a.extend(np.atleast_1d(real_array(
                 a, getattr(game.control, "path", "control"), t))
-                for t, a in zip(result.times, result.controls))
+                for t, a in zip(result.times[own:], result.controls[own:]))
             stacked = result.states[-1]
             if result.insolvable is None:
                 break
@@ -643,9 +629,10 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
             t_cursor = float(result.times[-1])
             if t_cursor >= t_b:
                 break
-        omega_n, v_n = _window_summaries(window_res, window_norms, window_a)
-        windows.append(WindowRecord(index=n, t_start=t_a, t_end=t_b,
-                                    omega=omega_n, v=v_n, cell_label=label))
+        omega_n = np.array([float(np.max(window_res)), float(np.mean(window_norms))])
+        v_n = np.mean(window_a, axis=0) if window_a else np.zeros(0)
+        windows.append(WindowRecord(index=n, t_start=t_a, t_end=t_b, omega=omega_n,
+                                    v=np.atleast_1d(v_n), cell_label=label))
         stream.append(CommentState(index=n, class_label=label, eta=eta))
 
     return TacticalRepdynResult(times=np.array(all_times),

@@ -18,8 +18,8 @@ import yaml
 
 from . import expr
 from .algebra import (MAX_GENERATORS, MAX_MATRIX_DIM, AlgebraClassRegistry,
-                      AlgebraPresentation, MatrixTuple, WeylSymbol, WeylTerm, default_registry,
-                      parse_relation)
+                      AlgebraPresentation, WeylSymbol, WeylTerm, default_registry, parse_relation,
+                      stack_tuple)
 from .expr import VectorExpression
 from .games import (Coalition, EpsilonProcess, FeedbackCoupling, InteractiveSystem,
                     InvariantConstraint, Player, SlowControl, StateTrajectory,
@@ -671,7 +671,7 @@ def _repdyn(spec: dict, ctx: _Context, check: _Check) -> RepdynPlan | None:
                      "expected a list of matrices"):
         parsed = [_parse_matrix(m, f"repdyn.tuple[{k}]", check) for k, m in enumerate(mats)]
         if all(m is not None for m in parsed):
-            initial = check.build("repdyn.tuple", MatrixTuple, matrices=tuple(parsed))
+            initial = check.build("repdyn.tuple", stack_tuple, parsed)
     if not check.require("repdyn.mode", mode in ("integrate", "tactical"),
                          f"unknown mode {mode!r}"):
         return None
@@ -690,17 +690,16 @@ def _repdyn(spec: dict, ctx: _Context, check: _Check) -> RepdynPlan | None:
             label = decl.get("label", "scenario") if isinstance(decl, dict) else None
             pres = _presentation(decl, "repdyn.presentation", label, check)
         elif check.require("repdyn", "class" in spec,
-                           "integrate mode needs a presentation or class") and initial:
+                           "integrate mode needs a presentation or class") and initial is not None:
             pres = check.build("repdyn.class", registry.presentation, str(spec["class"]),
-                               initial.m)
+                               initial.shape[0])
         if len(check.errors) > start:
             return None
         made = check.build("repdyn", RepDynSpec, symbols=dynamics.symbols, presentation=pres,
-                           n=initial.n, constants=dynamics.constants, **limits)
-        stacked = initial.stacked()
-        if made is None or check.build("repdyn", check_start, made, stacked) is None:
+                           n=initial.shape[1], constants=dynamics.constants, **limits)
+        if made is None or check.build("repdyn", check_start, made, initial) is None:
             return None
-        return RepdynPlan(mode=mode, spec=made, start=stacked, control=control)
+        return RepdynPlan(mode=mode, spec=made, start=initial, control=control)
 
     class_dynamics, declared = {}, spec.get("class_dynamics")
     for label, decl in declared.items() if check.mapping("repdyn.class_dynamics",
@@ -722,7 +721,7 @@ def _repdyn(spec: dict, ctx: _Context, check: _Check) -> RepdynPlan | None:
                         label=spec.get("delta_label", "scenario"), transitions=transitions)
     game = delta and check.build(
         "repdyn", TacticalRepDyn, registry=registry, class_dynamics=class_dynamics,
-        initial_class=spec.get("initial_class"), initial=initial.stacked(), delta=delta,
+        initial_class=spec.get("initial_class"), initial=initial, delta=delta,
         eta0=np.asarray(eta0, dtype=float), control=control, **limits)
     return game and RepdynPlan(mode=mode, tactical=game, windows=tuple(grid), control=control)
 

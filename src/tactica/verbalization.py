@@ -309,19 +309,13 @@ class RecurrenceMap:
 @dataclass(frozen=True)
 class RecurrenceReport:
     residuals: np.ndarray
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(len(self.residuals) == 0 or np.max(self.residuals) <= self.tol)
 
     @property
     def max_residual(self) -> float:
         return float(np.max(self.residuals)) if len(self.residuals) else 0.0
 
 
-def verify_recurrence(windows: Sequence[WindowRecord], rmap: RecurrenceMap,
-                      tol: float = 1e-9) -> RecurrenceReport:
+def verify_recurrence(windows: Sequence[WindowRecord], rmap: RecurrenceMap) -> RecurrenceReport:
     """Per-window residual of the recurrence against the recorded summaries.  A
     non-finite prediction is a :class:`SimulationError` naming the form and the window."""
     if len(windows) < 2:
@@ -333,7 +327,7 @@ def verify_recurrence(windows: Sequence[WindowRecord], rmap: RecurrenceMap,
             raise SimulationError(f"{getattr(rmap.form, 'path', 'recurrence')}: non-finite "
                                   f"value {predicted.tolist()!r} predicting window {cur.index}")
         residuals.append(float(np.linalg.norm(cur.omega - predicted)))
-    return RecurrenceReport(residuals=np.array(residuals), tol=tol)
+    return RecurrenceReport(residuals=np.array(residuals))
 
 
 def fit_recurrence(windows: Sequence[WindowRecord]) -> RecurrenceMap:
@@ -408,11 +402,6 @@ class DialogueResult:
     is_dialogue: bool
     diagnostics: list[str]
 
-    def window_records(self, t_grid: Sequence[float]) -> list[WindowRecord]:
-        return [WindowRecord(index=n + 1, t_start=float(t_grid[n]),
-                             t_end=float(t_grid[n + 1]), omega=self.phi[n + 1],
-                             v=self.v[n]) for n in range(len(self.v))]
-
 
 def simulate_dialogue(dialogue: DialogueSpec, t_grid: Sequence[float],
                       tol: float = 1e-9) -> DialogueResult:
@@ -435,7 +424,7 @@ def simulate_dialogue(dialogue: DialogueSpec, t_grid: Sequence[float],
     residuals = verify_recurrence(
         [WindowRecord(index=0, t_start=float(t_grid[0]), t_end=float(t_grid[0]), omega=phi0,
                       v=np.zeros(0)), *windows],
-        RecurrenceMap("declared", form=dialogue.step_map), tol).residuals
+        RecurrenceMap("declared", form=dialogue.step_map)).residuals
     diagnostics = [f"window {w.index}: functional state deviates from the step map by "
                    f"{r:.3e}; not a dialogue under the declared maps"
                    for w, r in zip(windows, residuals) if r > tol]

@@ -45,5 +45,5 @@ def logistic_system(eps_form=None, eps_dim=0):
 
 def weyl_value(symbol, X, constants=None, a=None):
     """Symmetrized value of one Weyl symbol at the matrix tuple ``X``."""
-    plan = compile_symbols((symbol,), X.m, X.n, constants, 0 if a is None else len(a))
-    return weyl_eval_tuple(plan, X.stacked(), a)[0]
+    plan = compile_symbols((symbol,), *X.shape[:2], constants, 0 if a is None else len(a))
+    return weyl_eval_tuple(plan, X, a)[0]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import weyl_value
-from tactica.algebra import MatrixTuple, WeylSymbol, WeylTerm
+from tactica.algebra import WeylSymbol, WeylTerm, stack_tuple
 from tactica.cli import EXIT_INSOLVABLE, main
 from tactica.games import coalition_simulate, replay_with_recorded_eps, simulate
 from tactica.prediction import unravel_by_filtering
@@ -106,9 +106,9 @@ def test_criterion_04_recurrence_identification():
         assert abs(fitted.coeff_omega[0, 0] - 2.0) <= 1e-9
         assert abs(fitted.coeff_v[0, 0] - 1.0) <= 1e-9
         assert abs(fitted.intercept[0]) <= 1e-9
-        holdout = verify_recurrence(windows[8:], fitted, tol=1e-6)
+        holdout = verify_recurrence(windows[8:], fitted)
         assert len(holdout.residuals) == 4
-        assert holdout.passed
+        assert holdout.max_residual <= 1e-6
 
 
 def _coupled_pair(grid):
@@ -175,7 +175,7 @@ def test_criterion_06_weyl_evaluation():
                       "monomials and collapses on diagonals within 1e-12"):
         rng = np.random.default_rng(2024)
         for _ in range(100):
-            X = MatrixTuple(tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            X = stack_tuple(tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
                                   for _ in range(3)))
             degree = int(rng.integers(1, 4))
             word = tuple(int(i) for i in rng.integers(0, 3, size=degree))
@@ -184,10 +184,10 @@ def test_criterion_06_weyl_evaluation():
             other = weyl_value(WeylSymbol((WeylTerm(1.0, permuted),)), X)
             assert np.array_equal(base, other)
 
-        diag = MatrixTuple(tuple(np.diag(rng.normal(size=3)).astype(complex)
+        diag = stack_tuple(tuple(np.diag(rng.normal(size=3)).astype(complex)
                                  for _ in range(3)))
         sym = WeylSymbol((WeylTerm(0.4, (0, 1, 2)), WeylTerm(-1.2, (1, 1))))
-        values = [np.diag(m).real for m in diag.matrices]
+        values = [np.diag(m).real for m in diag]
         pointwise = np.diag(0.4 * values[0] * values[1] * values[2]
                             - 1.2 * values[1] ** 2)
         assert np.max(np.abs(weyl_value(sym, diag) - pointwise)) <= 1e-12
@@ -223,7 +223,7 @@ def test_criterion_08_inverse_problem_fidelity():
             _, reference = integrate_scalar_reference(
                 plan.rhs, plan.x0, plan.u_schedule, run.t0, run.t1, run.dt,
                 control_dim=plan.control_dim)
-            slots = np.array([T.matrices[0][0, 0].real for T in result.tuples])
+            slots = result.states[:, 0, 0, 0].real
             assert np.max(np.abs(slots - reference[:, 0])) <= 1e-9, name
 
 

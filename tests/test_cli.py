@@ -113,7 +113,7 @@ REPDYN_DIGESTS = {
         "tuples.json": "00d0126e47a985141b1778a96eb6818814249e5127a81f6424588f2276b430c9"},
     ("repdyn", "repdyn_transition"): {
         "residuals.csv": "0a57ec8e4d37445bab8565ebf48a9db9049cb53986b1744315688b024c05b460",
-        "windows.csv": "bee061e816fe528be1412ffe228c2398678ff45eefc7bed05bddb18b231527fe",
+        "windows.csv": "5f153722aa9abba8c782581ab4e2302e0a4275726ca7a866e37253b9548ae216",
         "comments.jsonl": "6742767e9643bff5c2bedad55d7e1f92e7237beb56ef53ec8033dfc3e2e799e6"},
     ("invert", "invert_lifted"): {
         "residuals.csv": "345f5bfbd800e9fcd0978dbfa7a31bd372872d3ca78a9bbb26b79ee378e87c7f",
@@ -143,7 +143,7 @@ def test_a_controlled_tactical_run_keeps_its_window_means(tmp_path):
     assert main(["repdyn", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) \
         == EXIT_OK
     assert hashlib.sha256((tmp_path / "out" / "windows.csv").read_bytes()).hexdigest() == \
-        "67f185743da489ace51562b5581101b1b321231300f386769385e696a59e8786"
+        "3f917a85eb3ec7e4e060d339e3824c01b0eba925b1115547b3fbd00c4b3c6bf1"
 
 
 def test_a_tactical_report_partitions_the_run_into_class_intervals(tmp_path):

@@ -102,8 +102,8 @@ def _prognosis(short_term, short_mask) -> PrognosisReport:
     block = np.column_stack([EDGE_VALUES, EDGE_VALUES[::-1]])
     zeros = np.zeros(len(EDGE_VALUES))
     return PrognosisReport(t=np.array(EDGE_VALUES), long_term=block, short_term=short_term,
-                           short_mask=short_mask, blended=-block, truth=block,
-                           long_error=zeros, blended_error=zeros)
+                           short_mask=short_mask, blended=-block, long_error=zeros,
+                           blended_error=zeros)
 
 
 def test_prognosis_records_format_each_value_as_format_float(tmp_path):

@@ -66,18 +66,6 @@ def test_grid_must_divide_interval():
         simulate(linear_decay_system(), [1.0], 0.0, 1.0, 0.3)
 
 
-def test_estimate_epsilon_rejected_as_truth():
-    player = Player(
-        signal=lambda t: np.zeros(1),
-        coupling=FeedbackCoupling(known_form=lambda t, u0, phi, derivs, eps, lam: u0),
-        epsilon=EpsilonProcess(form=lambda t, u0, phi: np.zeros(1), dim=1,
-                               ground_truth=False))
-    system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam: u[0],
-                               players=(player,))
-    with pytest.raises(ConfigurationError):
-        simulate(system, [1.0], 0.0, 1.0, 0.1)
-
-
 def test_derivative_order_above_one_rejected():
     with pytest.raises(ConfigurationError):
         FeedbackCoupling(known_form=lambda *a: a, derivative_order=2)

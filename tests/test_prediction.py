@@ -139,7 +139,7 @@ def test_known_constant_eps_needs_no_correction():
     report = strategic_pipeline(system, [0.0], 0.0, 2.0, 0.01,
                                 assumed_eps=[lambda t: np.array([0.4])],
                                 horizon=0.25)
-    assert np.max(np.abs(report.blended - report.truth)) < 1e-9
+    assert np.max(report.blended_error) < 1e-9
     assert np.max(report.long_error) < 1e-9
 
 

@@ -8,11 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import tactica.algebra
 import tactica.repdyn
-from tactica.algebra import (AlgebraClassRegistry, AlgebraPresentation, MatrixTuple,
-                             WeylSymbol, WeylTerm, commutative_presentation,
-                             compile_symbols, default_registry, equivalence_partition,
-                             heisenberg_presentation, parse_relation, poly_eval,
-                             relation_values, weyl_eval_tuple)
+from tactica.algebra import (AlgebraClassRegistry, AlgebraPresentation, WeylSymbol, WeylTerm,
+                             commutative_presentation, compile_symbols, default_registry,
+                             equivalence_partition, heisenberg_presentation, parse_relation,
+                             poly_eval, relation_values, stack_tuple, weyl_eval_tuple)
 from conftest import weyl_value
 from tactica.expr import NCPoly, compile_expression, compile_vector
 from tactica.games import (ConfigurationError, DivergenceError, SimulationError, real_array,
@@ -48,7 +47,7 @@ def entries(rng, shape):
     return parts[0] + 1j * parts[1]
 
 
-HEISENBERG_TUPLE = MatrixTuple((E(1, 2), E(2, 3), E(1, 3)))
+HEISENBERG_TUPLE = stack_tuple((E(1, 2), E(2, 3), E(1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +55,13 @@ HEISENBERG_TUPLE = MatrixTuple((E(1, 2), E(2, 3), E(1, 3)))
 # ---------------------------------------------------------------------------
 
 def test_degree_one_symbol_returns_slot():
-    X = MatrixTuple((E(1, 2, 2), E(2, 1, 2)))
+    X = stack_tuple((E(1, 2, 2), E(2, 1, 2)))
     sym = WeylSymbol((WeylTerm(1.0, (0,)),))
-    assert np.array_equal(weyl_value(sym, X), X.matrices[0])
+    assert np.array_equal(weyl_value(sym, X), X[0])
 
 
 def test_weyl_x1x2_on_elementary_pair():
-    X = MatrixTuple((E(1, 2, 2), E(2, 1, 2)))
+    X = stack_tuple((E(1, 2, 2), E(2, 1, 2)))
     sym = WeylSymbol((WeylTerm(1.0, (0, 1)),))
     # Explicit 2x2 oracle: (E12@E21 + E21@E12)/2 = I/2.
     oracle = (E(1, 2, 2) @ E(2, 1, 2) + E(2, 1, 2) @ E(1, 2, 2)) / 2.0
@@ -72,7 +71,7 @@ def test_weyl_x1x2_on_elementary_pair():
 
 
 def test_weyl_on_commuting_diagonals_is_pointwise():
-    X = MatrixTuple((np.diag([1.0, 2.0]).astype(complex),
+    X = stack_tuple((np.diag([1.0, 2.0]).astype(complex),
                      np.diag([3.0, 4.0]).astype(complex)))
     sym = WeylSymbol((WeylTerm(1.0, (0, 0, 1)),))
     # Pointwise oracle: x1^2 * x2 on each diagonal entry.
@@ -81,7 +80,7 @@ def test_weyl_on_commuting_diagonals_is_pointwise():
 
 def test_weyl_permutation_invariance_is_exact():
     rng = np.random.default_rng(11)
-    X = MatrixTuple(tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    X = stack_tuple(tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
                           for _ in range(3)))
     base = weyl_value(WeylSymbol((WeylTerm(1.3 - 0.2j, (0, 1, 2)),)), X)
     for word in [(1, 0, 2), (2, 1, 0), (0, 2, 1), (2, 0, 1), (1, 2, 0)]:
@@ -93,7 +92,7 @@ def test_weyl_permutation_invariance_is_exact():
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=3), st.integers(0, 2 ** 31 - 1))
 def test_weyl_permutation_invariance_property(word, seed):
     rng = np.random.default_rng(seed)
-    X = MatrixTuple(tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    X = stack_tuple(tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
                           for _ in range(3)))
     base = weyl_value(WeylSymbol((WeylTerm(1.0, tuple(word)),)), X)
     permuted = tuple(rng.permutation(word).tolist())
@@ -103,17 +102,17 @@ def test_weyl_permutation_invariance_property(word, seed):
 
 def test_weyl_commutative_collapse_on_diagonals():
     rng = np.random.default_rng(5)
-    X = MatrixTuple(tuple(np.diag(rng.normal(size=4)).astype(complex) for _ in range(3)))
+    X = stack_tuple(tuple(np.diag(rng.normal(size=4)).astype(complex) for _ in range(3)))
     sym = WeylSymbol((WeylTerm(0.7, (0, 1, 2)), WeylTerm(-0.2, (2, 2)),
                       WeylTerm(1.1, (1,))))
-    diag = [np.diag(m).real for m in X.matrices]
+    diag = [np.diag(m).real for m in X]
     expected = np.diag(0.7 * diag[0] * diag[1] * diag[2] - 0.2 * diag[2] ** 2
                        + 1.1 * diag[1])
     assert np.max(np.abs(weyl_value(sym, X) - expected)) < 1e-12
 
 
 def test_weyl_constant_letters_and_controls():
-    X = MatrixTuple((np.eye(2, dtype=complex),))
+    X = stack_tuple((np.eye(2, dtype=complex),))
     sym = WeylSymbol((WeylTerm(2.0, ("C",), control=0),))
     value = weyl_value(sym, X, constants={"C": np.array([[0, 1], [0, 0]], dtype=complex)},
                       a=np.array([3.0]))
@@ -202,11 +201,11 @@ def test_compiled_weyl_matches_permutation_average_bitwise(case):
 
 
 def test_compile_rejects_unknown_slot_constant_and_control():
-    X = MatrixTuple((np.eye(2, dtype=complex),))
+    X = stack_tuple((np.eye(2, dtype=complex),))
     with pytest.raises(ConfigurationError, match="slot 2, tuple has 1"):
         compile_symbols((WeylSymbol((WeylTerm(1.0, (1,)),)),), 1, 2)
     with pytest.raises(ConfigurationError, match="unknown constant 'C'"):
-        compile_symbols((WeylSymbol((WeylTerm(1.0, ("C",)),)),), 1, 2, {"D": X.matrices[0]})
+        compile_symbols((WeylSymbol((WeylTerm(1.0, ("C",)),)),), 1, 2, {"D": X[0]})
     with pytest.raises(ConfigurationError, match="control component 1, control dimension is 1"):
         compile_symbols((WeylSymbol((WeylTerm(1.0, (0,), control=1),)),), 1, 2, None, 1)
 
@@ -221,22 +220,22 @@ def test_symbol_degree_cap():
 # ---------------------------------------------------------------------------
 
 def test_heisenberg_triple_is_exact_representation():
-    residual = relation_values(heisenberg_presentation(), HEISENBERG_TUPLE.stacked())[1]
+    residual = relation_values(heisenberg_presentation(), HEISENBERG_TUPLE)[1]
     assert residual == 0.0
     assert residual <= 1e-12
 
 
 def test_perturbed_triple_has_expected_residual():
-    perturbed = MatrixTuple((E(1, 2), E(2, 3), E(1, 3) + 0.1 * E(1, 2)))
+    perturbed = stack_tuple((E(1, 2), E(2, 3), E(1, 3) + 0.1 * E(1, 2)))
     # [X1,X2] - X3 = -0.1 E12, Frobenius norm 0.1.
-    residual = relation_values(heisenberg_presentation(), perturbed.stacked())[1]
+    residual = relation_values(heisenberg_presentation(), perturbed)[1]
     assert residual == pytest.approx(0.1)
     assert not residual <= 1e-3
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_non_finite_entry_has_nan_residual(value):
-    stacked = HEISENBERG_TUPLE.stacked()
+    stacked = HEISENBERG_TUPLE.copy()
     stacked[2, 1, 0] = value
     with np.errstate(invalid="ignore"):
         assert math.isnan(relation_values(heisenberg_presentation(), stacked)[1])
@@ -244,8 +243,8 @@ def test_non_finite_entry_has_nan_residual(value):
 
 def test_empty_presentation_is_vacuous():
     pres = AlgebraPresentation(label="free", generators=2)
-    X = MatrixTuple((E(1, 2), E(2, 1)))
-    residual = relation_values(pres, X.stacked())[1]
+    X = stack_tuple((E(1, 2), E(2, 1)))
+    residual = relation_values(pres, X)[1]
     assert residual == 0.0
     assert residual <= 0.0
 
@@ -380,25 +379,25 @@ def test_registry_lookup_by_generator_count():
 def test_frozen_dynamics_keeps_tuple_constant():
     spec = RepDynSpec(symbols=(WeylSymbol(()),) * 3, n=3,
                       presentation=heisenberg_presentation())
-    result = integrate_repdyn(spec, None, 0.0, 1.0, 0.01, HEISENBERG_TUPLE.stacked())
+    result = integrate_repdyn(spec, None, 0.0, 1.0, 0.01, HEISENBERG_TUPLE)
     assert result.insolvable is None
-    assert np.array_equal(result.final.matrices[0], HEISENBERG_TUPLE.matrices[0])
+    assert np.array_equal(result.states[-1], HEISENBERG_TUPLE)
     assert np.all(result.residuals == result.residuals[0])
 
 
 def test_commutative_diagonal_slots_follow_scalar_logistic():
     diag0 = np.array([0.1, 0.25, 0.5])
-    X0 = MatrixTuple((np.diag(diag0).astype(complex),))
+    X0 = stack_tuple((np.diag(diag0).astype(complex),))
     sym = WeylSymbol((WeylTerm(1.0, (0,), control=0), WeylTerm(-1.0, (0, 0), control=0)))
     spec = RepDynSpec(symbols=(sym,), n=3,
                       presentation=commutative_presentation(1), control_dim=1)
-    result = integrate_repdyn(spec, lambda t: [1.0], 0.0, 3.0, 1e-3, X0.stacked())
+    result = integrate_repdyn(spec, lambda t: [1.0], 0.0, 3.0, 1e-3, X0)
     assert result.insolvable is None
     # Fine-step scalar oracle per diagonal slot.
     for slot in range(3):
         _, ref = integrate_scalar_reference(["u1*(x1 - x1*x1)"], [diag0[slot]],
                                             lambda t: [1.0], 0.0, 3.0, 1e-4)
-        slot_trace = result.final.matrices[0][slot, slot].real
+        slot_trace = result.states[-1, 0, slot, slot].real
         assert abs(slot_trace - ref[-1, 0]) < 1e-7
 
 
@@ -410,7 +409,7 @@ def test_heisenberg_scaling_flow_conserves_relations():
     spec = RepDynSpec(symbols=symbols, n=3,
                       presentation=heisenberg_presentation(), control_dim=2)
     control = lambda t: np.array([0.1 * math.sin(t), 0.05 * math.cos(t)])  # noqa: E731
-    result = integrate_repdyn(spec, control, 0.0, 2.0, 1e-3, HEISENBERG_TUPLE.stacked())
+    result = integrate_repdyn(spec, control, 0.0, 2.0, 1e-3, HEISENBERG_TUPLE)
     assert result.insolvable is None
     assert np.max(result.residuals) < 1e-8
 
@@ -420,13 +419,13 @@ def test_projection_contract_residuals_bounded():
     # residual at tolerance as long as no signal is raised.
     symbols = (WeylSymbol((WeylTerm(0.05, ("D",)),)),
                WeylSymbol((WeylTerm(1.0, (1,), control=0),)))
-    X0 = MatrixTuple((np.diag([1.0, 2.0]).astype(complex),
+    X0 = stack_tuple((np.diag([1.0, 2.0]).astype(complex),
                       np.diag([0.5, 1.5]).astype(complex)))
     spec = RepDynSpec(symbols=symbols, n=2,
                       presentation=commutative_presentation(2),
                       constants={"D": np.array([[0.0, 1.0], [0.0, 0.0]])},
                       control_dim=1, tolerance=1e-9, insolvable_threshold=1e-3)
-    result = integrate_repdyn(spec, lambda t: [0.02], 0.0, 1.0, 1e-2, X0.stacked())
+    result = integrate_repdyn(spec, lambda t: [0.02], 0.0, 1.0, 1e-2, X0)
     assert result.insolvable is None
     assert np.max(result.residuals) <= 1e-9
 
@@ -448,16 +447,16 @@ def test_a_divergence_names_the_first_non_finite_symbol(second, suffix):
 
 
 def test_initial_violation_rejected():
-    bad = MatrixTuple((E(1, 2), E(2, 3), E(1, 3) + 0.5 * E(1, 2)))
+    bad = stack_tuple((E(1, 2), E(2, 3), E(1, 3) + 0.5 * E(1, 2)))
     with pytest.raises(ConfigurationError, match="initial tuple violates"):
         check_start(RepDynSpec(symbols=(WeylSymbol(()),) * 3, n=3,
-                               presentation=heisenberg_presentation()), bad.stacked())
+                               presentation=heisenberg_presentation()), bad)
 
 
 def test_projection_pulls_perturbed_tuple_back():
-    perturbed = MatrixTuple((E(1, 2), E(2, 3), E(1, 3) + 1e-3 * E(1, 2)))
+    perturbed = stack_tuple((E(1, 2), E(2, 3), E(1, 3) + 1e-3 * E(1, 2)))
     projected, residual, converged = project_to_variety(
-        heisenberg_presentation(), perturbed.stacked(), tolerance=1e-9)
+        heisenberg_presentation(), perturbed, tolerance=1e-9)
     assert converged
     assert residual <= 1e-9
     assert np.max(np.abs(projected[2] - E(1, 3))) < 1e-2
@@ -549,7 +548,7 @@ def test_a_projecting_step_evaluates_the_relations_twice(monkeypatch):
                       n=3, presentation=heisenberg_presentation(), constants={"D": E(2, 1)},
                       insolvable_threshold=1e-1)
     counts = count_relation_work(monkeypatch)
-    result = integrate_repdyn(spec, None, 0.0, 0.01, 0.01, HEISENBERG_TUPLE.stacked())
+    result = integrate_repdyn(spec, None, 0.0, 0.01, 0.01, HEISENBERG_TUPLE)
     assert result.insolvable is None and 0.0 < result.residuals[1] <= 1e-9
     # The start check, then the step's raw check and its post-projection check.
     assert counts == {"evaluations": 1 + 2, "jacobians": 1}
@@ -579,8 +578,8 @@ def test_projection_stalls_on_infeasible_relations():
     # Gauss-Newton must stop at a positive residual without converging.
     pres = AlgebraPresentation.from_strings("canonical-pair", 2,
                                             ["x1*x2 - x2*x1 - 1"])
-    X = MatrixTuple((E(1, 2, 2), E(2, 1, 2)))
-    _, residual, converged = project_to_variety(pres, X.stacked(), tolerance=1e-9, cap=50)
+    X = stack_tuple((E(1, 2, 2), E(2, 1, 2)))
+    _, residual, converged = project_to_variety(pres, X, tolerance=1e-9)
     assert not converged
     assert residual > 1e-3
 
@@ -625,7 +624,7 @@ def test_inverse_linear_scalar_closed_form():
     assert construction.symbolic_match
     schedule = construction.control_schedule(lambda t: [0.7])
     result = integrate_repdyn(construction.spec, schedule, 0.0, 2.0, 1e-3, construction.start)
-    slot = result.final.matrices[0][0, 0].real
+    slot = result.states[-1, 0, 0, 0].real
     assert abs(slot - math.exp(0.7 * 2.0)) < 1e-9
 
 
@@ -636,7 +635,7 @@ def test_inverse_logistic_matches_direct_integration():
     result = integrate_repdyn(construction.spec, schedule, 0.0, 5.0, 1e-3, construction.start)
     _, ref = integrate_scalar_reference(["u1*(x1 - x1*x1)"], [0.1],
                                         lambda t: [1.0], 0.0, 5.0, 1e-3)
-    slots = np.array([T.matrices[0][0, 0].real for T in result.tuples])
+    slots = result.states[:, 0, 0, 0].real
     assert np.max(np.abs(slots - ref[:, 0])) < 1e-9
 
 
@@ -650,7 +649,7 @@ def test_inverse_constant_lift():
     result = integrate_repdyn(construction.spec, schedule, 0.0, 2.0, 1e-3, construction.start)
     _, ref = integrate_scalar_reference(["0.5 + u1*x1"], [1.0], lambda t: [0.3],
                                         0.0, 2.0, 1e-3)
-    slots = np.array([T.matrices[0][0, 0].real for T in result.tuples])
+    slots = result.states[:, 0, 0, 0].real
     assert np.max(np.abs(slots - ref[:, 0])) < 1e-9
 
 
@@ -663,7 +662,7 @@ def test_inverse_parallel_initial_data():
     for slot, x0 in enumerate([0.1, 0.3, 0.6]):
         _, ref = integrate_scalar_reference(["u1*(x1 - x1*x1)"], [x0],
                                             lambda t: [1.0], 0.0, 1.0, 1e-3)
-        assert abs(result.final.matrices[0][slot, slot].real - ref[-1, 0]) < 1e-9
+        assert abs(result.states[-1, 0, slot, slot].real - ref[-1, 0]) < 1e-9
 
 
 def loop_coefficients(rhs, control_dim, u, lift_constants):
@@ -732,7 +731,7 @@ def test_inverse_two_dimensional_system():
     _, ref = integrate_scalar_reference(rhs, [1.0, 0.0], lambda t: [1.0],
                                         0.0, 2.0, 1e-3)
     for i in range(2):
-        assert abs(result.final.matrices[i][0, 0].real - ref[-1, i]) < 1e-9
+        assert abs(result.states[-1, i, 0, 0].real - ref[-1, i]) < 1e-9
 
 
 def loop_scalar_reference(rhs, x0, u_schedule, t0, t1, dt, control_dim=1):
@@ -917,6 +916,14 @@ def test_each_transition_starts_a_class_interval():
     assert result.windows[1].v[0] == pytest.approx(1.5, abs=1e-12)
 
 
+def test_a_window_counts_each_restart_sample_once():
+    # Both transitions fire in window 1; each restart sample is the last sample of the
+    # segment before it, so the window mean of a(t) = t runs over the 1001 grid samples.
+    result = run_tactical_repdyn(_enlarge_then_free(lambda t: [t]), [0.0, 1.0, 2.0], 1e-3)
+    assert [e.window_index for e in result.transitions] == [1, 1]
+    assert result.windows[0].v[0] == pytest.approx(0.5, abs=1e-12)
+
+
 def test_a_run_without_transitions_is_one_closed_class_interval():
     game = TacticalRepDyn(
         registry=default_registry(), class_dynamics={"commutative": ClassDynamics(
@@ -944,7 +951,7 @@ def test_an_insolvable_segment_keeps_one_control_per_sample():
 def test_an_uncontrolled_run_keeps_no_controls():
     spec = RepDynSpec(symbols=(WeylSymbol(()),) * 3, n=3,
                       presentation=heisenberg_presentation())
-    result = integrate_repdyn(spec, None, 0.0, 0.1, 0.01, HEISENBERG_TUPLE.stacked())
+    result = integrate_repdyn(spec, None, 0.0, 0.1, 0.01, HEISENBERG_TUPLE)
     assert result.controls == [] and len(result.times) == 11
 
 

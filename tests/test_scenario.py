@@ -342,6 +342,17 @@ invert:
 """
 
 
+REPDYN = """
+schema: 1
+title: tuple
+run: {{t0: 0.0, t1: 1.0, dt: 0.01}}
+repdyn:
+  class: commutative
+  tuple: {tuple}
+  symbols: [[], []]
+"""
+
+
 # MINIMAL with a two-component hidden parameter.
 EPSILON = MINIMAL.replace('coupling: ["u0[0]"]',
                           'coupling: ["u0[0]"]\n      epsilon: {truth: ["0.1", "0.2"]}')
@@ -396,6 +407,10 @@ EPSILON = MINIMAL.replace('coupling: ["u0[0]"]',
     (MINIMAL + "prediction:\n  filter: {kind: lowpass, cutoff: 200}\n", ["--dt", "0.02"],
      "prediction.filter.cutoff: cutoff 200.0 above the Nyquist rate 157.07963267948966 at "
      "dt 0.02"),
+    (REPDYN.format(tuple="[[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]"), [],
+     "repdyn.tuple: matrix 1 has shape (3, 3), expected (2, 2)"),
+    (REPDYN.format(tuple=[[[int(i == j) for j in range(7)] for i in range(7)]]), [],
+     "repdyn.tuple: matrix dimension 7 exceeds the desk-scale cap 6"),
 ], ids=["coalition-not-mapping", "slow-not-mapping", "dt-off-interval", "window-off-grid",
         "dt-override-off-interval", "family-index-out-of-range", "invert-rhs-not-polynomial",
         "invert-rhs-degree-above-cap", "declared-recurrence-one-window",
@@ -403,7 +418,8 @@ EPSILON = MINIMAL.replace('coupling: ["u0[0]"]',
         "assumed-eps-without-epsilon", "assumed-eps-narrower", "assumed-eps-wider",
         "cells-wider-than-eps", "cell-condition-domain", "cells-box-reversed",
         "invert-rhs-above-generator-cap",
-        "lowpass-cutoff-above-nyquist"])
+        "lowpass-cutoff-above-nyquist", "repdyn-tuple-mixed-sizes",
+        "repdyn-tuple-above-dimension-cap"])
 def test_malformed_inputs_exit_1_naming_the_path(tmp_path, capsys, text, argv, message):
     from tactica.cli import EXIT_VALIDATION, main
     path = write(tmp_path, text)

@@ -381,11 +381,22 @@ def test_a_library_leaf_is_named_by_its_slot():
 def test_a_complex_control_of_a_callable_is_a_simulation_error():
     # The scenario dynamics read every control as np.float64; this one comes from a
     # callable, so the stage converts the controls as one concatenation.  A complex
-    # vector names the callable that returned it, here the player's coupling.
+    # vector names the callable that returned it, here the player's coupling, which turns
+    # complex after the probe stage has checked its first value.
+    dynamics = compile_vector(["u[0]"], ("t",), {"phi": 1, "u": 1}, "system.dynamics")
+    player = make_player(lambda t: [0.1], known_form=lambda t, *_: [1j] if t > 0.015 else [0.1])
+    system = InteractiveSystem(dim=1, dynamics=dynamics, players=(player,))
+    with pytest.raises(SimulationError,
+                       match=r"^players\[0\]\.coupling: complex value \[1j\] at t=0\.02$"):
+        simulate(system, [1.0], 0.0, 0.1, 0.01)
+
+
+def test_the_probe_names_the_callable_that_first_returns_a_complex_value():
+    # The coupling passes the signal's complex value on; the signal returned it first.
     dynamics = compile_vector(["u[0]"], ("t",), {"phi": 1, "u": 1}, "system.dynamics")
     system = InteractiveSystem(dim=1, dynamics=dynamics, players=(make_player(lambda t: [1j]),))
     with pytest.raises(SimulationError,
-                       match=r"^players\[0\]\.coupling: complex value \[1j\] at t=0\.0$"):
+                       match=r"^players\[0\]\.signal: complex value \[1j\] at t=0\.0$"):
         simulate(system, [1.0], 0.0, 0.1, 0.01)
 
 
@@ -399,11 +410,11 @@ def test_a_complex_signal_under_an_identity_coupling_names_the_signal():
 
 
 def test_a_complex_recorded_hidden_parameter_is_a_simulation_error():
-    # The step runs without builtins: its record writes catch the stage's fault types.
+    # Nothing reads this hidden parameter; the probe stage checks it where it is returned.
     player = make_player(lambda t: [0.1], eps_form=lambda t, u0, phi: [1j], eps_dim=1)
     system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam: [0.0], players=(player,))
-    with pytest.raises(SimulationError, match=r"^players\[0\]\.epsilon: Cannot cast array data "
-                       r"from dtype\('complex128'\) .* 'same_kind' at t=0\.0$"):
+    with pytest.raises(SimulationError,
+                       match=r"^players\[0\]\.epsilon: complex value \[1j\] at t=0\.0$"):
         simulate(system, [1.0], 0.0, 0.1, 0.01)
 
 
@@ -443,6 +454,25 @@ def test_a_hidden_parameter_wider_than_its_declared_dim_is_a_configuration_error
         simulate(system, [1.0], 0.0, 0.1, 0.01)
 
 
+@pytest.mark.parametrize("value, shape", [([], r"\(0,\)"), ([0.1, 0.2], r"\(2,\)"),
+                                          (0.1, r"\(\)")], ids=["empty", "wider", "0-d"])
+def test_a_derivative_not_of_the_system_width_is_a_configuration_error(value, shape):
+    system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam: value,
+                               players=(make_player(lambda t: [0.1]),))
+    with pytest.raises(ConfigurationError,
+                       match=rf"^dynamics: returned shape {shape}, but the system's dim is 1$"):
+        simulate(system, [1.0], 0.0, 0.1, 0.01)
+
+
+@pytest.mark.parametrize("value, shown", [(np.complex128(1j), "1j"),
+                                          (np.array([], complex), r"\[\]")], ids=["0-d", "empty"])
+def test_a_callable_derivative_turning_complex_after_the_probe_is_named(value, shown):
+    system = InteractiveSystem(dim=1, dynamics=lambda t, *_: [0.1] if t < 0.015 else value,
+                               players=(make_player(lambda t: [0.1]),))
+    with pytest.raises(SimulationError, match=rf"^dynamics: complex value {shown} at t=0\.015$"):
+        simulate(system, [1.0], 0.0, 0.1, 0.01)
+
+
 def test_a_complex_component_of_a_callable_derivative_is_a_simulation_error():
     # The callable's derivative is one leaf; its second component is the complex one.
     system = InteractiveSystem(
@@ -461,6 +491,69 @@ def test_a_lambda_element_the_run_does_not_feed_is_named():
     with pytest.raises(SimulationError, match=r"^lambda\[0\]: index 0 is out of bounds .* "
                                               r"at t=0\.0$"):
         simulate(system, [0.0], 0.0, 1.0, 0.01)
+
+
+# The library slots a constant value can come from, and the leaf a fault there names.
+_LIBRARY_LEAVES = {"signal": "players[0].signal", "epsilon": "players[0].epsilon",
+                   "coupling": "players[0].coupling", "dynamics": "dynamics"}
+_ELEMENTS = {"float64": np.float64, "float32": np.float32, "int": int, "bool": bool,
+             "complex": complex, "str": str, "object": float}
+
+
+@st.composite
+def _constants(draw):
+    """A constant library value: a list, tuple or array of one element type, or a 0-d one,
+    of the slot's width or not."""
+    kind = draw(st.sampled_from(sorted(_ELEMENTS)))
+    numbers = st.sampled_from([0, 1, -2] if kind in ("int", "bool") else [0.0, -0.0, 0.1, -2.5])
+    elements = [_ELEMENTS[kind](x) for x in draw(st.lists(numbers, min_size=0, max_size=2))]
+    dtype = object if kind == "object" else np.dtype(_ELEMENTS[kind])
+    shape = draw(st.sampled_from(["list", "tuple", "array", "scalar", "0-d array"]))
+    if shape in ("scalar", "0-d array"):
+        element = elements[0] if elements else _ELEMENTS[kind](1)
+        return element if shape == "scalar" else np.array(element, dtype=dtype)
+    return {"list": list, "tuple": tuple}.get(shape, lambda v: np.array(v, dtype=dtype))(elements)
+
+
+def _library_system(slot, value):
+    """phi' = u - phi under u = u0 + eps, eps = phi/4 and u0 = 1/2, with the callable of
+    ``slot`` returning ``value`` instead.  The others return float64 arrays, so numpy
+    promotes a float32 value they read to float64 (a Python float would not)."""
+    callables = {"signal": lambda t: np.array([0.5]),
+                 "epsilon": lambda t, u0, phi: np.array([0.25 * phi[0]]),
+                 "coupling": lambda t, u0, phi, derivs, eps, lam: np.array([u0[0] + eps[0]]),
+                 "dynamics": lambda t, phi, u, lam: [u[0][0] - phi[0]]}
+    callables[slot] = lambda *args: value
+    player = make_player(callables["signal"], known_form=callables["coupling"],
+                         eps_form=callables["epsilon"], eps_dim=1)
+    return InteractiveSystem(dim=1, dynamics=callables["dynamics"], players=(player,))
+
+
+def _ending(slot, value):
+    """The bits of the run's records, or its exception's type, the leaf it names and the
+    time: which Python error a callable raised inside is the callable's own affair.  The
+    run keeps no stage tape, which holds the hidden parameters as the callable returned
+    them."""
+    outcome = _run(simulate, _library_system(slot, value), [1.0], 0.0, 0.02, 0.01, None, False)
+    if isinstance(outcome[0], type):
+        return outcome[0], outcome[1].partition(":")[0], re.findall(r" at t=\S+$", outcome[1])
+    return outcome
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(slot=st.sampled_from(sorted(_LIBRARY_LEAVES)), value=_constants())
+def test_a_library_constant_runs_as_its_float_array_or_fails_naming_its_slot(slot, value):
+    # pytest turns every warning into an error, so no case may warn either.
+    outcome = _ending(slot, value)
+    failed = isinstance(outcome[0], type)
+    assert not failed or (outcome[0] in (SimulationError, ConfigurationError)
+                          and outcome[1] in _LIBRARY_LEAVES.values()), outcome
+    try:     # a complex value has no float array to run instead
+        real = None if np.iscomplexobj(value) else np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        real = None
+    if real is None or outcome != _ending(slot, real):
+        assert failed and outcome[1] == _LIBRARY_LEAVES[slot], outcome
 
 
 # ---------------------------------------------------------------------------
