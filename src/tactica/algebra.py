@@ -174,43 +174,54 @@ class AlgebraPresentation:
 
 
 def poly_eval(plan: RelationPlan, stacked: np.ndarray) -> np.ndarray:
-    """Evaluate compiled relations at an ``(m, n, n)`` tuple, one ``(n, n)`` value each.
+    """Evaluate compiled relations at an ``(m, n, n)`` tuple, one ``(n, n)`` value each, or
+    at each tuple of a ``(K, m, n, n)`` stack, ``(K, relations, n, n)``.
 
-    Every product starts from the identity: that leading product turns a
-    ``-0.0`` entry into ``+0.0`` and an infinite entry into NaNs, and the
-    residual bytes depend on both.  Stacked products equal the per-word ones
-    bit for bit, and each relation adds its terms to a +0.0 start in order.
+    Every product starts from the identity, taken once per generator: that leading
+    product turns a ``-0.0`` entry into ``+0.0`` and an infinite entry into NaNs, and
+    the residual bytes depend on both.  Stacked products equal the per-word ones bit
+    for bit, and each relation adds its terms to a +0.0 start in order.  A stack is
+    evaluated with its tuples on the second axis, so every gather stays on the first.
     """
-    n = stacked.shape[1]
-    total = np.zeros((plan.relations, n, n), dtype=complex)
+    n, coeffs = stacked.shape[-1], plan.coeffs
+    out = total = np.zeros((*stacked.shape[:-3], plan.relations, n, n), dtype=complex)
+    if stacked.ndim == 4:
+        stacked, total, coeffs = stacked.swapaxes(0, 1), out.swapaxes(0, 1), coeffs[:, None]
     if not plan.runs:       # no words: every relation is zero
-        return total
+        return out
     eye = identity(n)
     lead, *rest = plan.letters
-    products = np.empty((len(plan.coeffs), n, n), dtype=complex)
-    if len(lead) < len(products):
-        products[len(lead):] = eye      # the empty words
-    np.matmul(eye, stacked.take(lead, 0), out=products[:len(lead)])
+    led = eye @ stacked
+    if len(lead) == len(coeffs):
+        products = led.take(lead, 0)
+    else:                   # the empty words
+        products = np.empty((len(coeffs), *stacked.shape[1:]), dtype=complex)
+        products[len(lead):] = eye
+        products[:len(lead)] = led.take(lead, 0)
     for idx in rest:
         products[:len(idx)] = products[:len(idx)] @ stacked.take(idx, 0)
-    np.multiply(plan.coeffs, products, out=products)
+    np.multiply(coeffs, products, out=products)
     for words, relations in plan.runs:
         total[relations] += products[words]
-    return total
+    return out
 
 
-def relation_values(pres: AlgebraPresentation,
-                    stacked: np.ndarray) -> tuple[np.ndarray, float]:
-    """The relations evaluated at an ``(m, n, n)`` tuple: (flat entries, worst Frobenius norm).
+def relation_values(pres: AlgebraPresentation, stacked: np.ndarray) -> tuple:
+    """The relations evaluated at an ``(m, n, n)`` tuple: (flat entries, worst Frobenius
+    norm); at a ``(K, m, n, n)`` stack, each tuple's: ``(K, entries)`` and ``(K,)`` norms.
 
     The worst norm is NaN when any is, so a tuple with a NaN or infinite entry
     never reads as on the variety.
     """
     values = poly_eval(pres.plan, stacked)
-    flat = values.reshape(len(values), values.shape[-1] ** 2)
+    *batch, relations, n, _ = values.shape
+    flat = values.reshape(*batch, relations, n * n)
     squares = np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)  # as row .dot
+    entries = values.reshape(*batch, relations * n * n)
     # sqrt is monotone, so the worst norm is the root of the largest square; max() keeps NaN.
-    return values.reshape(-1), math.sqrt(squares.max()) if len(squares) else 0.0
+    if batch:
+        return entries, np.sqrt(squares.max(1)) if relations else np.zeros(batch[0])
+    return entries, math.sqrt(squares.max()) if relations else 0.0
 
 
 def commutative_presentation(generators: int, label: str = "commutative") -> AlgebraPresentation:

@@ -560,6 +560,8 @@ class _StageSource(Emitter):
                                 for x in values.items) or "True"
             derivative = (f"({''.join(x + ', ' for x in values.items)}) if {fast} else "
                           f"_real({_listed(values)}, {self.ref(tuple(values.leaves))})")
+        # A callable's value can change shape after the probe; its unpack names it.
+        unpacked = values.leaf if values.items is None else ""
         y, z = [f"y_{i}" for i in range(dim)], [f"z_{i}" for i in range(dim)]
         k1, k2, k3, k4 = ([f"k{j}_{i}" for i in range(dim)] for j in range(1, 5))
         # One record row: t, phi, dphi, the u0, eps and u blocks, lambda; each write with the
@@ -592,7 +594,7 @@ class _StageSource(Emitter):
             return [(f"        t = {t}", ""), ("        lam = lam_at(t, k)", ""),
                     *[(f"        phi = _array([{', '.join(state)}])", "")] * reads_phi,
                     ("        try:", ""), *self.lines(" " * 12, state),
-                    (f"            [{', '.join(k)}] = {derivative}", ""),
+                    (f"            [{', '.join(k)}] = {derivative}", unpacked),
                     ("        except _faults as exc:", ""),
                     ("            raise _fault(exc, t, _leaves) from exc", ""),
                     (f"        if tape is not None: tape_t(t); tape_v(({tape}))", "")]

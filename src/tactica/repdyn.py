@@ -33,10 +33,11 @@ from .verbalization import WindowRecord
 PROJECTION_RCOND = 1e-12
 PROJECTION_CAP = 50                 # Gauss-Newton iterations per projection
 MAX_TRANSITIONS_PER_WINDOW = 8      # more in one window: the scenario does not settle
-# Complex entries per batch of Jacobian outer products (64 KiB).  Larger temporaries pass
-# glibc's default mmap threshold and are faulted in afresh on every call: at n = 6 one
-# batch per level took up to twice the time of the per-word loop.
-JACOBIAN_BATCH_ENTRIES = 4096
+# Complex entries per batch of Jacobian outer products, and per stacked temporary of a run's
+# relation check (64 KiB).  Larger temporaries pass glibc's default mmap threshold and are
+# faulted in afresh on every call: at n = 6 one batch per level took up to twice the time
+# of the per-word loop.
+BATCH_ENTRIES = 4096
 
 
 class StrandedClassError(SimulationError):
@@ -129,15 +130,18 @@ def _relation_jacobian(pres: AlgebraPresentation, stacked: np.ndarray,
     are built with one stacked product per length; each level of ``pair_levels``
     adds one term to each of its blocks, so every block sums its terms in order.
     """
-    plan, eye = pres.plan, identity(n)[None]
-    prefixes, suffixes = [eye], [eye]
-    for position, longer, tail in zip(plan.letters, plan.letters[1:], plan.tails):
+    plan, eye = pres.plan, identity(n)
+    prefixes, suffixes = [eye[None]], [eye[None]]
+    if plan.tails:          # words of two letters or more; their first level is identity-led
+        prefixes.append((eye @ stacked).take(plan.letters[0][:len(plan.letters[1])], 0))
+        suffixes.append((stacked @ eye).take(plan.tails[0], 0))
+    for position, longer, tail in zip(plan.letters[1:], plan.letters[2:], plan.tails[1:]):
         count = len(longer)     # the words with a letter after this position
         prefixes.append(prefixes[-1][:count] @ stacked.take(position[:count], 0))
         suffixes.append(stacked.take(tail, 0) @ suffixes[-1][:count])
     prefixes, suffixes = np.concatenate(prefixes), np.concatenate(suffixes).swapaxes(1, 2)
     jac = np.zeros((plan.relations, n, n, m, n, n), dtype=complex)
-    step = max(1, JACOBIAN_BATCH_ENTRIES // n ** 4)
+    step = max(1, BATCH_ENTRIES // n ** 4)
     for level in plan.pair_levels:
         for start in range(0, len(level[0]), step):
             prefix, suffix, coeffs, relations, letters = (a[start:start + step] for a in level)
@@ -193,35 +197,67 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     an insolvable step the result carries the samples accepted so far plus
     the signal; the failing step is not applied.  The control is evaluated once
     per stage time; a sample keeps the value of its step's first stage.
+
+    Raw steps are taken in runs, each from the last, and one stacked evaluation
+    checks a run's candidates against the relations.  The candidates before the
+    first that is non-finite or beyond ``tolerance`` are accepted as they are; that
+    one is checked, and projected, as a lone step is, and the steps after it are
+    discarded, to be retaken from its projection with the control values they read.
+    A run takes as many steps as have come out clean since the last projection, so
+    runs double while they stay clean and steps go alone while they project; the
+    longest run keeps the check's temporaries within ``BATCH_ENTRIES``.  A run's
+    steps after its first, and its check, ignore numpy's floating-point errors, and
+    a control that raises there ends the run before that step: a step the lone-step
+    loop would not take warns of nothing and raises nothing, and the failing step is
+    taken or checked again alone, where it does.  The result is the lone-step loop's
+    bit for bit.
     """
     n_steps = step_count(t0, t1, dt)
     plan, control_dim, presentation = spec.plan, spec.control_dim, spec.presentation
     if control is None and control_dim:
         raise ConfigurationError("spec declares controls but no schedule given")
+    # The longest run: its largest stacked temporary, the words' products, is one batch.
+    longest = BATCH_ENTRIES // (max(len(presentation.plan.coeffs), presentation.generators)
+                                * spec.n ** 2)
 
     a_time, returned, a = None, None, None
+    # A run logs the control as (time, value, vector) after its first step, then each
+    # evaluation; ``replay`` holds the evaluations of discarded steps, the earliest last.
+    recording, log, replay = False, [], []
 
     def evaluate_control(t: float) -> None:
         nonlocal a_time, returned, a
         if t != a_time:     # the two middle stages share t
-            a_time, returned = t, control(t)
-            if isinstance(control, VectorExpression):   # a scenario's control is real
-                returned = real_array(returned, control.path, t)
-            a = np.asarray(returned, dtype=complex)
-            if len(a) != control_dim:
-                raise ConfigurationError(
-                    f"control schedule returns {len(a)} components, spec declares "
-                    f"{control_dim}")
+            if replay and replay[-1][0] == t:
+                a_time, returned, a = replay.pop()
+            else:
+                value = control(t)
+                if isinstance(control, VectorExpression):   # a scenario's control is real
+                    value = real_array(value, control.path, t)
+                vector = np.asarray(value, dtype=complex)
+                if len(vector) != control_dim:
+                    raise ConfigurationError(
+                        f"control schedule returns {len(vector)} components, spec declares "
+                        f"{control_dim}")
+                a_time, returned, a = t, value, vector
+            if recording:
+                log.append((a_time, returned, a))
 
     def rhs(t: float, stacked: np.ndarray) -> np.ndarray:
         if control is not None:
             evaluate_control(t)
         return weyl_eval_tuple(plan, stacked, a)
 
+    def rewind(mark: int) -> None:
+        """Back to the control as the run's step whose evaluations end at ``log[mark]`` left
+        it; the evaluations after it are replayed when their stage times come again."""
+        nonlocal a_time, returned, a
+        (a_time, returned, a), *later = log[mark - 1:]
+        replay.extend(reversed(later))
+
     residuals = [check_start(spec, start)]
-    stacked = start
-    states = np.empty((n_steps + 1,) + stacked.shape, dtype=complex)
-    states[0] = stacked
+    states = np.empty((n_steps + 1,) + start.shape, dtype=complex)
+    states[0] = start
     times = [t0]
     controls = []
 
@@ -230,29 +266,68 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
                             residuals=np.array(residuals), insolvable=insolvable,
                             controls=controls)
 
-    for k in range(n_steps):
+    k, streak, stacked = 0, 0, start      # streak: the clean steps since the last projection
+    tolerance = spec.tolerance
+    while k < n_steps:
         t = t0 + k * dt
         first = rhs(t, stacked)
         if control is not None:
             controls.append(returned)
         candidate = rk4_step(rhs, t, stacked, dt, first)
+        raw, end = None, k + 1
+        if streak > 1:
+            end = k + min(streak, longest, n_steps - k)
+        if end > k + 1:     # a run: more steps, each from the last
+            states[k + 1] = candidate
+            log[:] = [(a_time, returned, a)]
+            firsts, marks, recording = [], [1], True
+            with np.errstate(all="ignore"):
+                try:
+                    for s in range(k + 1, end):
+                        t = t0 + s * dt
+                        first, value = rhs(t, states[s]), returned
+                        states[s + 1] = rk4_step(rhs, t, states[s], dt, first)
+                        firsts.append(value)
+                        marks.append(len(log))
+                except Exception:       # raised again when step s is taken alone
+                    end = s
+                recording = False
+                values, norms = relation_values(presentation, states[k + 1:end + 1])
+            finite = np.isfinite(states[k + 1:end + 1]).all(axis=(1, 2, 3))
+            clean = (finite & (norms <= tolerance)).tolist()
+            j = clean.index(False) if False in clean else len(clean)
+            times.extend(t0 + (s + 1) * dt for s in range(k, k + j))
+            residuals.extend(norms[:j].tolist())
+            if control is not None:
+                controls.extend(firsts[:j])
+            k += j
+            stacked = states[k]
+            if j == len(clean):
+                rewind(marks[-1])   # a step that raised is retaken alone
+                streak += j
+                continue
+            rewind(marks[j])        # the steps after j are discarded
+            candidate = states[k + 1]
+            if finite[j] and math.isfinite(norms[j]):    # else checked again, alone
+                raw = values[j], float(norms[j])
+        # A lone step, or the run's first that is not clean: checked as a lone step is.
         t_next = t0 + (k + 1) * dt
         if not np.isfinite(candidate).all():
             stages = []     # the step retaken, each stage's time and symbol values kept
             keep = lambda s, y: stages.append((s, rhs(s, y))) or stages[-1][1]  # noqa: E731
-            rk4_step(keep, t, stacked, dt, keep(t, stacked))
-            bad = np.argwhere(~np.isfinite([values for _, values in stages]).all(axis=(2, 3)))
+            rk4_step(keep, t0 + k * dt, stacked, dt, keep(t0 + k * dt, stacked))
+            bad = np.argwhere(~np.isfinite([v for _, v in stages]).all(axis=(2, 3)))
             symbol = "".join(f": symbols[{s}] (the dynamics of x{s + 1}) non-finite at stage "
-                             f"time t={stages[j][0]!r}" for j, s in bad[:1])
+                             f"time t={stages[i][0]!r}" for i, s in bad[:1])
             raise SimulationError(f"matrix tuple diverged in presentation "
                                   f"{presentation.label!r} at t={t_next!r}{symbol}")
-        raw = relation_values(presentation, candidate)
+        if raw is None:
+            raw = relation_values(presentation, candidate)
         if raw[1] > spec.insolvable_threshold:
             return result(InsolvableSignal(
                 time=t_next, residual=raw[1],
                 reason="raw step residual exceeded the insolvability threshold"))
-        stacked, residual, converged = _settle(presentation, candidate, spec.tolerance, raw,
-                                               t_next)
+        stacked, residual, converged = _settle(presentation, candidate, tolerance, raw, t_next)
         if not converged:
             return result(InsolvableSignal(
                 time=t_next, residual=residual,
@@ -260,6 +335,8 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
         times.append(t_next)
         states[k + 1] = stacked
         residuals.append(residual)
+        k += 1
+        streak = streak + 1 if raw[1] <= tolerance else 0
     if control is not None:     # the last stage's time can differ from t_next in its last bit
         evaluate_control(times[-1])
         controls.append(returned)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +15,13 @@ from tactica.algebra import (AlgebraClassRegistry, AlgebraPresentation, WeylSymb
                              equivalence_partition, heisenberg_presentation, parse_relation,
                              poly_eval, relation_values, stack_tuple, weyl_eval_tuple)
 from conftest import weyl_value
-from tactica.expr import NCPoly, compile_expression, compile_vector
+from tactica.expr import NCPoly, VectorExpression, compile_expression, compile_vector
 from tactica.games import (ConfigurationError, DivergenceError, SimulationError, real_array,
                            rk4_step, step_count)
-from tactica.repdyn import (ClassDynamics, InsolvableSignal, RepDynSpec, StrandedClassError,
-                            TacticalRepDyn, _apply_transition, _parse_polynomial_rhs,
-                            _relation_jacobian, check_start, integrate_repdyn,
+from tactica.repdyn import (ClassDynamics, InsolvableSignal, RepDynResult, RepDynSpec,
+                            StrandedClassError, TacticalRepDyn, _apply_transition,
+                            _parse_polynomial_rhs, _relation_jacobian, _settle, check_start,
+                            integrate_repdyn,
                             integrate_scalar_reference,
                             project_to_variety, run_tactical_repdyn,
                             solve_inverse_problem, tuple_map)
@@ -339,6 +342,30 @@ def test_relation_plan_equals_the_word_loop(pres, n, seed, special):
     assert worst == expected_worst or math.isnan(worst) and math.isnan(expected_worst)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(presentations(), st.integers(1, 6), st.integers(1, 9), st.integers(0, 2 ** 31 - 1),
+       st.booleans())
+@example(commutative_presentation(1), 2, 3, 0, False)     # no relations
+@example(AlgebraPresentation.from_strings("short", 1, ["x1*x1 + 1 + x1"]), 2, 4, 1, True)
+def test_a_stack_of_tuples_evaluates_as_each_tuple_alone(pres, n, count, seed, special):
+    rng = np.random.default_rng(seed)
+    stack = entries(rng, (count, pres.generators, n, n))
+    if special:
+        mask = rng.random(stack.shape) < 0.05
+        stack[mask] = rng.choice([np.inf, -np.inf, np.nan], mask.sum())
+    with np.errstate(all="ignore"):
+        values, norms = relation_values(pres, stack)
+        evaluated = poly_eval(pres.plan, stack)
+        alone = [relation_values(pres, stacked) for stacked in stack]
+        assert evaluated.shape == (count, len(pres.relations), n, n)
+        for k, stacked in enumerate(stack):
+            assert np.array_equal(nan_bits(evaluated[k]), nan_bits(poly_eval(pres.plan, stacked)))
+    assert values.shape == (count, len(pres.relations) * n * n) and norms.shape == (count,)
+    for k, (flat, worst) in enumerate(alone):
+        assert np.array_equal(nan_bits(values[k]), nan_bits(flat))
+        assert norms[k] == worst or math.isnan(norms[k]) and math.isnan(worst)
+
+
 def test_repdyn_loads_share_the_builtin_classes(tmp_path):
     text = (SCENARIOS / "repdyn_transition.yaml").read_text()
     own = tmp_path / "own.yaml"
@@ -514,31 +541,299 @@ def count_relation_work(monkeypatch):
     return counts
 
 
-def test_integrate_evaluates_the_control_once_per_stage_time():
+def reference_integrate(spec, control, t0, t1, dt, start):
+    """``integrate_repdyn`` as a step-by-step loop: each raw step checked alone, before the next
+    is taken."""
+    n_steps = step_count(t0, t1, dt)
+    plan, control_dim, presentation = spec.plan, spec.control_dim, spec.presentation
+    if control is None and control_dim:
+        raise ConfigurationError("spec declares controls but no schedule given")
+    a_time, returned, a = None, None, None
+
+    def evaluate_control(t):
+        nonlocal a_time, returned, a
+        if t != a_time:
+            a_time, returned = t, control(t)
+            if isinstance(control, VectorExpression):
+                returned = real_array(returned, control.path, t)
+            a = np.asarray(returned, dtype=complex)
+            if len(a) != control_dim:
+                raise ConfigurationError(
+                    f"control schedule returns {len(a)} components, spec declares "
+                    f"{control_dim}")
+
+    def rhs(t, stacked):
+        if control is not None:
+            evaluate_control(t)
+        return weyl_eval_tuple(plan, stacked, a)
+
+    residuals = [check_start(spec, start)]
+    stacked = start
+    states = np.empty((n_steps + 1,) + stacked.shape, dtype=complex)
+    states[0] = stacked
+    times = [t0]
+    controls = []
+
+    def result(insolvable=None):
+        return RepDynResult(times=np.array(times), states=states[:len(times)],
+                            residuals=np.array(residuals), insolvable=insolvable,
+                            controls=controls)
+
+    for k in range(n_steps):
+        t = t0 + k * dt
+        first = rhs(t, stacked)
+        if control is not None:
+            controls.append(returned)
+        candidate = rk4_step(rhs, t, stacked, dt, first)
+        t_next = t0 + (k + 1) * dt
+        if not np.isfinite(candidate).all():
+            stages = []
+            keep = lambda s, y: stages.append((s, rhs(s, y))) or stages[-1][1]  # noqa: E731
+            rk4_step(keep, t, stacked, dt, keep(t, stacked))
+            bad = np.argwhere(~np.isfinite([values for _, values in stages]).all(axis=(2, 3)))
+            symbol = "".join(f": symbols[{s}] (the dynamics of x{s + 1}) non-finite at stage "
+                             f"time t={stages[j][0]!r}" for j, s in bad[:1])
+            raise SimulationError(f"matrix tuple diverged in presentation "
+                                  f"{presentation.label!r} at t={t_next!r}{symbol}")
+        raw = relation_values(presentation, candidate)
+        if raw[1] > spec.insolvable_threshold:
+            return result(InsolvableSignal(
+                time=t_next, residual=raw[1],
+                reason="raw step residual exceeded the insolvability threshold"))
+        stacked, residual, converged = _settle(presentation, candidate, spec.tolerance, raw,
+                                               t_next)
+        if not converged:
+            return result(InsolvableSignal(
+                time=t_next, residual=residual,
+                reason="projection did not converge within the iteration cap"))
+        times.append(t_next)
+        states[k + 1] = stacked
+        residuals.append(residual)
+    if control is not None:
+        evaluate_control(times[-1])
+        controls.append(returned)
+    return result()
+
+
+def assert_same_run(got, expected):
+    """The two outcomes of a run are one bit for bit: its samples, controls and signal, or
+    its exception's type and message."""
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert not isinstance(got, tuple), got
+    assert np.array_equal(bits(got.states), bits(expected.states))
+    assert np.array_equal(got.times.view(np.uint64), expected.times.view(np.uint64))
+    assert np.array_equal(got.residuals.view(np.uint64), expected.residuals.view(np.uint64))
+    assert got.controls == expected.controls
+    assert got.insolvable == expected.insolvable
+
+
+def outcome(integrate, *args):
+    with np.errstate(all="ignore"):
+        try:
+            return integrate(*args)
+        except Exception as exc:      # compared by type and message
+            return type(exc), str(exc)
+
+
+PROJECTING_SYMBOLS = (WeylSymbol((T(1.0, [0], 0), T(1.0, [1], 1))),
+                      WeylSymbol((T(1.0, [0], 2), T(1.0, [1], 3))),
+                      WeylSymbol((T(1.0, [2], 0), T(1.0, [2], 3))))
+
+
+def projecting_control(t):
+    """With ``PROJECTING_SYMBOLS`` on the Heisenberg triple at dt 0.05, about one raw step in
+    five leaves the variety beyond the tolerance."""
+    return [0.3 * math.sin(t), 0.5 * (1.0 + 0.2 * math.sin(0.7 * t)),
+            -0.5 * (1.0 + 0.2 * math.sin(0.7 * t)), 0.3 * math.sin(1.3 * t)]
+
+
+@pytest.mark.parametrize("case", ["free", "projecting"])
+def test_integrate_evaluates_the_control_once_per_stage_time(case, monkeypatch):
     times = []
+    if case == "free":
+        symbols = (WeylSymbol((T(0.5, [0], 0), T(-0.25j, [0, 1], 1))),
+                   WeylSymbol((T(1.0, [1, 1, 0], 0), T(0.1, []))))
+        spec = RepDynSpec(symbols=symbols, presentation=AlgebraPresentation("free", 2), n=2,
+                          control_dim=2)
+        start, dt, n_steps = 0.1 * entries(np.random.default_rng(3), (2, 2, 2)), 0.01, 30
+        schedule = lambda t: [math.sin(3 * t), 0.5 - t]    # noqa: E731
+    else:
+        spec = RepDynSpec(symbols=PROJECTING_SYMBOLS, presentation=heisenberg_presentation(),
+                          n=3, control_dim=4)
+        start, dt, n_steps, schedule = HEISENBERG_TUPLE, 0.05, 200, projecting_control
 
     def control(t):
         times.append(t)
-        return [math.sin(3 * t), 0.5 - t]
+        return schedule(t)
 
-    symbols = (WeylSymbol((T(0.5, [0], 0), T(-0.25j, [0, 1], 1))),
-               WeylSymbol((T(1.0, [1, 1, 0], 0), T(0.1, []))))
-    spec = RepDynSpec(symbols=symbols, presentation=AlgebraPresentation("free", 2), n=2,
-                      control_dim=2)
-    start = 0.1 * entries(np.random.default_rng(3), (2, 2, 2))
-    result = integrate_repdyn(spec, control, 0.0, 0.3, 0.01, start)
-    assert len(result.times) == 31 and len(times) <= 3 * 30
-    assert all(t != u for t, u in zip(times, times[1:]))
+    projections = []
+
+    def counted(*args, **kwargs):
+        projections.append(args)
+        return project_to_variety(*args, **kwargs)
+
+    monkeypatch.setattr(tactica.repdyn, "project_to_variety", counted)
+    result = integrate_repdyn(spec, control, 0.0, n_steps * dt, dt, start)
+    assert len(result.times) == n_steps + 1 and len(times) <= 3 * n_steps
+    assert len(set(times)) == len(times)        # no stage time is evaluated twice
+    assert len(projections) == (0 if case == "free" else 42)
     # Each sample keeps the control its step's first stage read; the last one its own.
-    assert result.controls == [[math.sin(3 * t), 0.5 - t] for t in result.times]
+    assert result.controls == [schedule(t) for t in result.times]
+    assert_same_run(result, reference_integrate(spec, schedule, 0.0, n_steps * dt, dt, start))
+
+    if case == "projecting":
+        return
 
     def rhs(t, stacked):    # a fresh control vector at every stage
-        return weyl_eval_tuple(spec.plan, stacked, np.asarray(control(t), dtype=complex))
+        return weyl_eval_tuple(spec.plan, stacked, np.asarray(schedule(t), dtype=complex))
 
     stacked = start
     for k, state in enumerate(result.states[1:]):
-        stacked = rk4_step(rhs, 0.0 + k * 0.01, stacked, 0.01, rhs(0.0 + k * 0.01, stacked))
+        stacked = rk4_step(rhs, 0.0 + k * dt, stacked, dt, rhs(0.0 + k * dt, stacked))
         assert np.array_equal(bits(state), bits(stacked))
+
+
+def _on_variety_start(draw, pres, n):
+    """A start tuple on ``pres``'s variety."""
+    m = pres.generators
+    if pres.label == "heisenberg":
+        a, b = draw(st.sampled_from([1.0, 0.5, -2.0])), draw(st.sampled_from([1.0, 1.5]))
+        return stack_tuple((a * E(1, 2), b * E(2, 3), a * b * E(1, 3)))
+    if pres.label.startswith("commutative"):
+        diagonal = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0]), min_size=n,
+                            max_size=n)
+        return np.stack([np.diag(draw(diagonal)) for _ in range(m)]).astype(complex)
+    if pres.relations:      # drawn relations without a constant term: zero is on them
+        return np.zeros((m, n, n), dtype=complex)
+    if m == 1:
+        return np.diag(draw(st.lists(st.sampled_from([0.5, 1.0, -0.5]), min_size=n,
+                                     max_size=n)))[None].astype(complex)
+    return 0.5 * entries(np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1))), (m, n, n))
+
+
+@st.composite
+def repdyn_runs(draw):
+    """A spec, control schedule, times and a start on the variety, from one of four families:
+    Heisenberg under a rotation that leaves the variety on some steps; a drift off it that
+    its control switches on now and then (some steps project, a larger drift crosses the
+    threshold); ``x' = c x^3``, which diverges after runs of clean steps; and drawn symbols
+    over drawn presentations, with relations or none."""
+    family = draw(st.sampled_from(["rotation", "switched", "blow-up", "drawn"]))
+    dt = draw(st.sampled_from([0.01, 0.05, 0.1]))
+    t0 = draw(st.sampled_from([0.0, 0.25]))
+    phase = draw(st.sampled_from([0.0, 0.4, 2.0]))
+    amplitude = draw(st.sampled_from([1e-4, 0.05, 0.5, 2.0, 50.0]))
+    threshold = draw(st.sampled_from([1e-5, 1e-3, 1e-1, 1e3]))
+    if family == "rotation":
+        pres, n, symbols = heisenberg_presentation(), 3, PROJECTING_SYMBOLS
+
+        def control(t):
+            rate = amplitude * (1.0 + 0.2 * math.sin(0.7 * t + phase))
+            return [0.3 * math.sin(t), rate, -rate, 0.3 * math.sin(1.3 * t)]
+    else:
+        if family == "blow-up":
+            pres = draw(st.sampled_from([AlgebraPresentation("free", 1),
+                                         commutative_presentation(1)]))
+        elif family == "switched":
+            pres = draw(st.sampled_from([heisenberg_presentation(), commutative_presentation(2),
+                                         commutative_presentation(3)]))
+        else:
+            pres = draw(st.sampled_from([
+                heisenberg_presentation(), commutative_presentation(1),
+                commutative_presentation(2), commutative_presentation(3),
+                AlgebraPresentation("free", 2)]) | presentations().filter(
+                    lambda p: p.relations and all(() not in rel.terms for rel in p.relations)))
+        n = 3 if pres.label == "heisenberg" else draw(st.integers(2 if family == "switched"
+                                                                  else 1, 3))
+        m = pres.generators
+        if family == "blow-up":
+            symbols = (WeylSymbol((T(draw(st.sampled_from([1.0, 4.0, 20.0])), [0, 0, 0]),
+                                   T(0.1, [0], 0))),)
+        elif family == "switched":      # along the variety, plus the switched drift
+            symbols = tuple(WeylSymbol((T(0.5, [i], 0), T(1.0, ["D"], 2))) for i in range(m))
+        else:
+            coeff = st.sampled_from([1.0, -0.5, 0.3, 2.0, 0.5j, 0.02, 1e-4, 1e200])
+            word = st.lists(st.sampled_from([*range(m), "D"]), max_size=3).map(tuple)
+            term = st.builds(WeylTerm, coeff, word, st.none() | st.integers(0, 3))
+            symbols = tuple(WeylSymbol(tuple(draw(st.lists(term, max_size=3))))
+                            for _ in range(m))
+
+        def control(t):
+            switched = amplitude if math.sin(20 * t + phase) > 0.8 else 0.0
+            return [math.sin(t + phase), 0.5 * math.cos(3 * t), switched, phase]
+    start = _on_variety_start(draw, pres, n)
+    drift = np.eye(n, k=1) if n > 1 else np.ones((1, 1))
+    spec = RepDynSpec(symbols=symbols, presentation=pres, n=n, control_dim=4,
+                      constants={"D": drift}, insolvable_threshold=threshold)
+    return spec, control, t0, t0 + draw(st.integers(1, 60)) * dt, dt, start
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(repdyn_runs())
+def test_runs_of_steps_equal_the_step_by_step_loop(run):
+    assert_same_run(outcome(integrate_repdyn, *run), outcome(reference_integrate, *run))
+
+
+@pytest.mark.parametrize("case", ["diverging", "overflowing-relations"])
+def test_a_run_warns_as_the_step_by_step_loop_does(case):
+    # Both runs grow long before they fail.  "diverging": x' = x^3 from 0.5 overflows near
+    # t = 2; the discarded steps past the first non-finite one (inf * 0, inf - inf) add no
+    # warning.  "overflowing-relations": x' = 1000 x keeps a commuting pair finite while
+    # its commutator's products overflow; that candidate is checked again outside the run,
+    # so its relation check warns as it does alone.
+    if case == "diverging":
+        spec = RepDynSpec(symbols=(WeylSymbol((T(1.0, [0, 0, 0]),)),), n=2,
+                          presentation=AlgebraPresentation("free", 1))
+        start, t1, expected = 0.5 * np.eye(2, dtype=complex)[None], 3.0, "diverged"
+    else:
+        spec = RepDynSpec(symbols=(WeylSymbol((T(1000.0, [0]),)),) * 2, n=2,
+                          presentation=commutative_presentation(2), insolvable_threshold=1e300)
+        start = np.stack([np.diag([1.0, 2.0]), np.diag([0.5, 1.5])]).astype(complex)
+        t1, expected = 1.0, "relation residual turned non-finite"
+    caught = {}
+    for integrate in (integrate_repdyn, reference_integrate):
+        with warnings.catch_warnings(record=True) as seen, np.errstate(all="warn"):
+            warnings.simplefilter("always")
+            with pytest.raises(SimulationError, match=expected) as info:
+                integrate(spec, None, 0.0, t1, 0.01, start)
+        caught[integrate] = str(info.value), Counter((w.category, str(w.message)) for w in seen)
+    (message, got), (reference, loop) = caught[integrate_repdyn], caught[reference_integrate]
+    assert message == reference and got.keys() == loop.keys() and got <= loop and got
+
+
+@pytest.mark.parametrize("case", ["reached", "beyond-the-signal"])
+def test_a_control_that_raises_in_a_run_raises_where_the_loop_does(case):
+    # Runs of clean steps grow long before step 40, whose last stage reads a control that
+    # raises.  "reached": the loop reaches it; the step is retaken alone, reading again only
+    # the time that raised.  "beyond-the-signal": a drift switched on in step 35, in the same
+    # run, crosses the threshold first, so the loop never reads that control; the run's
+    # steps past it, which do, are discarded.
+    failing = 40 * 0.01 + 0.01
+    onset = 0.355 if case == "beyond-the-signal" else 1.0
+    spec = RepDynSpec(symbols=(WeylSymbol((T(1.0, ["D"], 0),)),) * 2, n=2, control_dim=1,
+                      presentation=commutative_presentation(2), constants={"D": E(1, 2, 2)})
+    start = np.stack([np.diag([1.0, 2.0]), np.diag([0.5, 3.0])]).astype(complex)
+    calls, runs = {}, {}
+    for integrate in (integrate_repdyn, reference_integrate):
+        times = calls[integrate] = []
+
+        def control(t):
+            times.append(t)
+            if t >= failing:
+                raise ValueError(f"no control at t={t!r}")
+            return [100.0 if t >= onset else 0.0]
+
+        runs[integrate] = outcome(integrate, spec, control, 0.0, 1.0, 0.01, start)
+    assert_same_run(runs[integrate_repdyn], runs[reference_integrate])
+    counts = Counter(calls[integrate_repdyn])
+    if case == "reached":
+        assert runs[integrate_repdyn] == (ValueError, f"no control at t={failing!r}")
+        assert counts == Counter(calls[reference_integrate] + [failing])
+    else:
+        assert runs[integrate_repdyn].insolvable.time == 36 * 0.01
+        assert failing in counts and max(counts.values()) == 1
 
 
 def test_a_projecting_step_evaluates_the_relations_twice(monkeypatch):

@@ -473,6 +473,14 @@ def test_a_callable_derivative_turning_complex_after_the_probe_is_named(value, s
         simulate(system, [1.0], 0.0, 0.1, 0.01)
 
 
+@pytest.mark.parametrize("value", [0.2, [0.1, 0.2], []], ids=["0-d", "wider", "empty"])
+def test_a_callable_derivative_changing_shape_after_the_probe_is_named(value):
+    system = InteractiveSystem(dim=1, dynamics=lambda t, *_: [0.1] if t < 0.015 else value,
+                               players=(make_player(lambda t: [0.1]),))
+    with pytest.raises(SimulationError, match=r"^dynamics: .* at t=0\.015$"):
+        simulate(system, [1.0], 0.0, 0.1, 0.01)
+
+
 def test_a_complex_component_of_a_callable_derivative_is_a_simulation_error():
     # The callable's derivative is one leaf; its second component is the complex one.
     system = InteractiveSystem(

@@ -6,7 +6,11 @@ line per artifact.  No shipped scenario declares a prognosis pipeline, so the
 ``two_player`` system is also run under ``predict`` with ``prediction.pipeline``
 added, as the scenario ``two_player_pipeline``.  Every shipped ``invert`` scenario
 has one state and one control, so ``invert_logistic`` is also run with the
-two-state, two-control system ``INVERT_TWO_STATE``, as ``invert_two_state``::
+two-state, two-control system ``INVERT_TWO_STATE``, as ``invert_two_state``.  The
+shipped repdyn runs almost never project, so ``repdyn_heisenberg`` is also run at
+``dt`` 0.05 with the four controls and mixed symbols of ``REPDYN_PROJECTING`` (the
+whole ``repdyn`` section), as ``repdyn_projecting``, where about one step in five
+projects onto the variety::
 
     <scenario> <command> <exit code> <file name> <sha256>
 
@@ -40,6 +44,14 @@ PIPELINE = {"horizon": 0.05, "assumed_eps": [["0.1"], ["-0.2"]]}
 INVERT_TWO_STATE = {"rhs": ["x2", "u1*x1 - u2*x2 + 0.1*x1*x2"], "x0": [1.0, 0.0],
                     "control_dim": 2, "control": ["-1.0", "0.5*cos(t)"], "matrix_dim": 3,
                     "designated_slot": 1}
+REPDYN_PROJECTING = {
+    "mode": "integrate", "class": "heisenberg", "tolerance": 1.0e-9, "threshold": 1.0e-5,
+    "tuple": [[[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+              [[0, 0, 1], [0, 0, 0], [0, 0, 0]]],
+    "control": ["0.3*sin(t)", "0.5*(1.0 + 0.2*sin(0.7*t))", "-0.5*(1.0 + 0.2*sin(0.7*t))",
+                "0.3*sin(1.3*t)"],
+    "symbols": [[{"coeff": 1.0, "word": [f"x{x}"], "control": c} for x, c in pairs]
+                for pairs in ([(1, 0), (2, 1)], [(1, 2), (2, 3)], [(3, 0), (3, 3)])]}
 
 
 def digests(scenario: Path, commands=None) -> list[str]:
@@ -72,7 +84,9 @@ def main() -> int:
     variants = [("two_player", "two_player_pipeline", "predict",
                  {"prediction": {"pipeline": PIPELINE}}),
                 ("invert_logistic", "invert_two_state", "invert",
-                 {"run": {"t0": 0.0, "t1": 2.0, "dt": 0.001}, "invert": INVERT_TWO_STATE})]
+                 {"run": {"t0": 0.0, "t1": 2.0, "dt": 0.001}, "invert": INVERT_TWO_STATE}),
+                ("repdyn_heisenberg", "repdyn_projecting", "repdyn",
+                 {"run": {"t0": 0.0, "t1": 10.0, "dt": 0.05}, "repdyn": REPDYN_PROJECTING})]
     for source, name, command, changes in variants:
         with tempfile.TemporaryDirectory() as tmp:
             doc = yaml.safe_load((ROOT / "scenarios" / f"{source}.yaml").read_text())
