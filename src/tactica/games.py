@@ -718,7 +718,11 @@ def _integrate(system: InteractiveSystem, use_coalitions: bool, initial, t0, t1,
     stage = system._stages.get(use_coalitions)
     if stage is None:
         stage = system._stages[use_coalitions] = compile_stage(system, use_coalitions)
-    lam_at = (lambda t, step: _EMPTY) if slow is None else slow.value
+    schedule = getattr(slow, "schedule", ())
+    # No schedule, or a one-entry one, holds one lambda vector for the whole run.
+    held = _EMPTY if slow is None else None if callable(schedule) or len(schedule) != 1 \
+        else slow.value(t0, 0)
+    lam_at = slow.value if held is None else lambda t, step: held
     lam0 = lam_at(t0, 0)
     values, dphi = stage(t0, phi, lam0)
     if np.shape(dphi) != phi.shape:
@@ -738,15 +742,15 @@ def _integrate(system: InteractiveSystem, use_coalitions: bool, initial, t0, t1,
     rows = np.empty((n_steps + 1, columns["lambda"].stop))
     step(phi, t0, dt, n_steps, lam_at, rows.reshape(-1), tape)
     rec = {name: rows[:, cols] for name, cols in columns.items()}
-    schedule = getattr(slow, "schedule", None)
-    leaves = {**leaves, "lambda": schedule.leaves if isinstance(schedule, VectorExpression)
-              else [getattr(schedule, "path", "slow")] * len(lam0)}
-    for name in ("u0", "eps", "u", "dphi", "lambda"):
-        bad_rows, bad_columns = np.nonzero(~np.isfinite(rec[name]))
-        if len(bad_rows):
-            raise SimulationError(f"non-finite {name}_{bad_columns[0]} "
-                                  f"({leaves[name][bad_columns[0]]}) "
-                                  f"at t={float(rec['t'][bad_rows[0]])!r}")
+    if not np.isfinite(rows).all():     # the time and state columns are finite here
+        leaves = {**leaves, "lambda": schedule.leaves if isinstance(schedule, VectorExpression)
+                  else [getattr(schedule, "path", "slow")] * len(lam0)}
+        for name in ("u0", "eps", "u", "dphi", "lambda"):
+            bad_rows, bad_columns = np.nonzero(~np.isfinite(rec[name]))
+            if len(bad_rows):
+                raise SimulationError(f"non-finite {name}_{bad_columns[0]} "
+                                      f"({leaves[name][bad_columns[0]]}) "
+                                      f"at t={float(rec['t'][bad_rows[0]])!r}")
 
     return StateTrajectory(t=rec["t"], phi=rec["phi"], dphi=rec["dphi"], u0=rec["u0"],
                            eps=rec["eps"], u=rec["u"], lam=rec["lambda"], eps_dims=dims[1],

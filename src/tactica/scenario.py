@@ -263,12 +263,13 @@ def load_scenario(path, dt: float | None = None) -> Scenario:
     if not path.exists():
         raise ScenarioError([f"{path}: file does not exist"])
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"),
+                        Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ScenarioError([f"{path}: cannot be read: {exc.strerror or exc}"])
     except UnicodeDecodeError as exc:
         raise ScenarioError([f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"])
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:    # ValueError: a tagged or dated scalar
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
         raise ScenarioError([f"{path}: parse error: {where}{exc}"])

@@ -461,6 +461,11 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
         'family: declared\n    expression: ["omega[0]*(0 - 1)^0.5"]'),
      EXIT_RUNTIME, "runtime: exponential-window-recurrence: verbalization.recurrence.expression: "
      "complex value [(", {}),
+    # The slow schedule overflows to inf; lambda is recorded though no form reads it.
+    ("simulate", SYSTEM.format(dynamics="-phi[0]",
+                               extra='slow: {schedule: ["1.0e+308*10*(t + 1)"]}'),
+     EXIT_RUNTIME, "runtime: faulty: non-finite lambda_0 (system.slow.schedule[0] "
+     "'1.0e+308*10*(t + 1)') at t=0.0\n", {}),
     # sin and cos of an infinite argument are math domain errors.
     ("simulate", PLAYER.format(title="signal-domain", signal="sin(1e308*10)", eps="0.0"),
      EXIT_RUNTIME, "runtime: signal-domain: system.players[0].signal[0] 'sin(1e308*10)': math "
@@ -518,7 +523,7 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
         "tolerance-env-text", "tolerance-env-nan", "tolerance-env-negative", "scenario-directory",
         "scenario-not-utf8", "out-is-a-file", "empty-batch", "slow-schedule-missing",
         "slow-steps-unequal", "complex-dynamics", "complex-comment", "complex-slow-schedule",
-        "complex-repdyn-control", "complex-recurrence", "signal-domain",
+        "complex-repdyn-control", "complex-recurrence", "non-finite-lambda", "signal-domain",
         "slow-domain", "rule-domain", "recurrence-domain", "repdyn-control-zero-division",
         "invert-control-zero-division", "complex-invert-control", "invariant-non-finite",
         "invariant-complex", "invariant-range", "recurrence-non-finite", "window-time",

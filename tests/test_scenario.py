@@ -48,12 +48,36 @@ def test_missing_file_reports_path(tmp_path):
         load_scenario(tmp_path / "absent.yaml")
 
 
-def test_parse_error_carries_line_and_column(tmp_path):
-    path = write(tmp_path, "run: {t0: 0.0\n  t1: 1.0\n")
+@pytest.fixture(params=[pytest.param("libyaml", marks=pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml")), "pure"])
+def loader(request, monkeypatch):
+    """The parser load_scenario uses: libyaml, or the pure-Python one when PyYAML has no
+    ``CSafeLoader``."""
+    if request.param == "pure":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    return request.param
+
+
+# Both parsers put these faults at the same line and column, though their wording differs
+# and only the pure-Python one quotes the source.
+@pytest.mark.parametrize("text, position, problem", [
+    ("run: {t0: 0.0\n  t1: 1.0\n", "line 2, column 5", "while parsing a flow mapping"),
+    ("title: a: b\n", "line 1, column 9", "mapping values are not allowed"),
+    ("system:\n  dim: 1\n dynamics: [x]\n", "line 3, column 2",
+     "while parsing a block mapping"),
+    ("system:\n\tdim: 1\n", "line 2, column 1", "that cannot start any token"),
+    ('title: "abc\n', "line 2, column 1", "while scanning a quoted scalar"),
+    ("title: a\n---\ntitle: b\n", "line 2, column 1",
+     "expected a single document in the stream"),
+], ids=["unclosed-flow", "mapping-in-scalar", "indent", "tab", "unclosed-quote", "two-documents"])
+def test_parse_error_carries_line_and_column(tmp_path, loader, text, position, problem):
+    path = write(tmp_path, text)
     with pytest.raises(ScenarioError) as err:
         load_scenario(path)
-    assert "line" in err.value.errors[0]
-    assert "column" in err.value.errors[0]
+    message, = err.value.errors
+    assert message.startswith(f"{path}: parse error: {position}: ")
+    assert problem in message
+    assert ("^" in message) == (loader == "pure")    # only the pure parser quotes the source
 
 
 def test_unresolved_class_label_is_named(tmp_path):
@@ -516,6 +540,41 @@ def test_mutated_shipped_scenarios_load_or_raise_scenario_error(tmp_path, tree):
         assert load_scenario(path).supported_commands()
     except ScenarioError as exc:
         assert exc.errors
+
+
+@pytest.mark.parametrize("scalar, problem", [
+    ("2024-13-01", "month must be in 1..12"),
+    ("!!int x", "invalid literal for int() with base 10: 'x'"),
+], ids=["impossible-date", "tagged-int"])
+def test_a_scalar_the_constructor_cannot_build_is_a_parse_error(tmp_path, loader, scalar,
+                                                                 problem):
+    path = write(tmp_path, MINIMAL.replace("title: minimal", f"title: {scalar}"))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.errors == [f"{path}: parse error: {problem}"]
+
+
+def _loaded_by_both(text):
+    """The trees libyaml and the pure-Python parser build from ``text``, as their reprs
+    (so that NaN equals NaN, and 1, 1.0 and True stay apart)."""
+    return (repr(yaml.load(text, Loader=yaml.CSafeLoader)),
+            repr(yaml.load(text, Loader=yaml.SafeLoader)))
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml")
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_both_loaders_build_each_shipped_scenario_alike(name):
+    c_tree, py_tree = _loaded_by_both((SCENARIOS / name).read_text(encoding="utf-8"))
+    assert c_tree == py_tree
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml")
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(tree=mutated_scenarios(), flow=st.sampled_from([False, None, True]))
+def test_both_loaders_build_mutated_scenarios_alike(tree, flow):
+    c_tree, py_tree = _loaded_by_both(yaml.safe_dump(tree, default_flow_style=flow,
+                                                     sort_keys=False))
+    assert c_tree == py_tree == repr(tree)
 
 
 # Faults in the classes a tactical run can reach, found when the scenario loads.

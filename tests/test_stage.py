@@ -319,7 +319,7 @@ _STATES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-0.0, 1e308, -1e308, 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(drawn=systems(), phi=st.lists(_STATES, min_size=2, max_size=2),
        lam=st.lists(_VALUES, min_size=2, max_size=2),
-       slow=st.sampled_from([None, "schedule", "steps"]), t0=st.floats(-1.0, 1.0),
+       slow=st.sampled_from([None, "schedule", "steps", "held"]), t0=st.floats(-1.0, 1.0),
        dt=st.sampled_from([0.25, 0.5, 1e-3]),
        n_steps=st.integers(1, 3), ordinary=st.booleans(), tape=st.booleans())
 def test_generated_step_is_compile_stage_plus_rk4_step_bit_for_bit(drawn, phi, lam, slow, t0,
@@ -329,6 +329,8 @@ def test_generated_step_is_compile_stage_plus_rk4_step_bit_for_bit(drawn, phi, l
         slow = SlowControl(lambda t: [t * lam[0]])
     elif slow == "steps":
         slow = SlowControl(((0, (lam[0],)), (1, (lam[1],))))
+    elif slow == "held":
+        slow = SlowControl(((0, (lam[0],)),))
     args = (system, use_coalitions, phi[:system.dim], t0, t0 + n_steps * dt, dt, slow, tape)
     assert _run(games._integrate, *args) == _run(reference_integrate, *args)
 
@@ -352,6 +354,28 @@ def test_a_replay_under_a_slow_parameter_is_bit_identical(slow):
     assert run.lam[0, 0] != run.lam[-1, 0]
     replayed = replay_with_recorded_eps(system, run, 0.0, 1.0, 0.01, slow=slow)
     assert replayed.phi.tobytes() == run.phi.tobytes()
+
+
+@pytest.mark.parametrize("schedule, calls", [
+    (((0, (1.0,)),), 1), (((5, (1.0,)),), 1), (((0, (1.0,)), (3, (2.0,))), 4 * 10 + 2)],
+    ids=["one-entry", "one-entry-from-step-5", "two-entries"])
+def test_a_one_entry_schedule_is_read_once_per_integration(monkeypatch, schedule, calls):
+    # A run reads its slow control once per stage and once at the probe, unless one
+    # vector holds for the whole run.
+    counted = []
+    value = SlowControl.value
+    monkeypatch.setattr(SlowControl, "value",
+                        lambda self, t, step: counted.append(step) or value(self, t, step))
+    system = InteractiveSystem(dim=1, players=(
+        Player(lambda t: [0.0], identity_coupling(), zero_epsilon()),),
+        dynamics=compile_vector(["lambda[0] - phi[0] + u[0]"], ("t",),
+                                {"phi": 1, "u": 1, "lambda": 1}, "system.dynamics"))
+    slow = SlowControl(schedule)
+    for runs in (1, 2):
+        run = simulate(system, [0.2], 0.0, 0.1, 0.01, slow=slow)
+        assert len(counted) == runs * calls
+    assert run.lam[:3, 0].tolist() == [1.0, 1.0, 1.0]
+    assert run.lam[-1, 0] == schedule[-1][1][0]
 
 
 def test_recording_a_run_stays_memory_neutral():
