@@ -60,12 +60,17 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     if args.batch is not None:
         paths = [p.strip() for p in args.batch.split(",") if p.strip()]
-        codes = [run_command(args.command, path, Path(args.out) / Path(path).stem, args.dt,
-                             args.seed) for path in paths]
-        if not codes:
+        if not paths:
             print("validation: --batch: no scenario files given", file=sys.stderr)
             return EXIT_VALIDATION
-        return max(codes)
+        dirs = [Path(args.out) / Path(path).stem for path in paths]
+        for i, out_dir in enumerate(dirs):      # checked before any entry runs
+            if out_dir in dirs[:i]:
+                print(f"validation: --batch: {paths[dirs.index(out_dir)]} and {paths[i]} both "
+                      f"write into {out_dir}", file=sys.stderr)
+                return EXIT_VALIDATION
+        return max(run_command(args.command, path, out_dir, args.dt, args.seed)
+                   for path, out_dir in zip(paths, dirs))
     return run_command(args.command, args.scenario, Path(args.out), args.dt, args.seed)
 
 

@@ -196,13 +196,16 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     The run starts from ``start``, an ``(m, n, n)`` tuple on the variety.  On
     an insolvable step the result carries the samples accepted so far plus
     the signal; the failing step is not applied.  The control is evaluated once
-    per stage time; a sample keeps the value of its step's first stage.
+    per stage time: a memo maps each stage time from the current step's on to the
+    value the control returned there and its complex vector, and a sample keeps the
+    value of its step's first stage.
 
     Raw steps are taken in runs, each from the last, and one stacked evaluation
     checks a run's candidates against the relations.  The candidates before the
     first that is non-finite or beyond ``tolerance`` are accepted as they are; that
     one is checked, and projected, as a lone step is, and the steps after it are
-    discarded, to be retaken from its projection with the control values they read.
+    discarded, to be retaken from its projection with the control values the memo
+    holds for them.
     A run takes as many steps as have come out clean since the last projection, so
     runs double while they stay clean and steps go alone while they project; the
     longest run keeps the check's temporaries within ``BATCH_ENTRIES``.  A run's
@@ -219,41 +222,24 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     # The longest run: its largest stacked temporary, the words' products, is one batch.
     longest = BATCH_ENTRIES // (max(len(presentation.plan.coeffs), presentation.generators)
                                 * spec.n ** 2)
+    seen = {}   # stage time -> (the control's value as returned, its complex vector)
 
-    a_time, returned, a = None, None, None
-    # A run logs the control as (time, value, vector) after its first step, then each
-    # evaluation; ``replay`` holds the evaluations of discarded steps, the earliest last.
-    recording, log, replay = False, [], []
-
-    def evaluate_control(t: float) -> None:
-        nonlocal a_time, returned, a
-        if t != a_time:     # the two middle stages share t
-            if replay and replay[-1][0] == t:
-                a_time, returned, a = replay.pop()
-            else:
-                value = control(t)
-                if isinstance(control, VectorExpression):   # a scenario's control is real
-                    value = real_array(value, control.path, t)
-                vector = np.asarray(value, dtype=complex)
-                if len(vector) != control_dim:
-                    raise ConfigurationError(
-                        f"control schedule returns {len(vector)} components, spec declares "
-                        f"{control_dim}")
-                a_time, returned, a = t, value, vector
-            if recording:
-                log.append((a_time, returned, a))
+    def evaluate_control(t: float) -> tuple:
+        entry = seen.get(t)
+        if entry is None:
+            value = control(t)
+            if isinstance(control, VectorExpression):   # a scenario's control is real
+                value = real_array(value, control.path, t)
+            vector = np.asarray(value, dtype=complex)
+            if vector.shape != (control_dim,):
+                got = f"{len(vector)} components" if vector.ndim == 1 else f"shape {vector.shape}"
+                raise ConfigurationError(f"control schedule returns {got}, spec declares "
+                                         f"{control_dim}")
+            entry = seen[t] = value, vector
+        return entry
 
     def rhs(t: float, stacked: np.ndarray) -> np.ndarray:
-        if control is not None:
-            evaluate_control(t)
-        return weyl_eval_tuple(plan, stacked, a)
-
-    def rewind(mark: int) -> None:
-        """Back to the control as the run's step whose evaluations end at ``log[mark]`` left
-        it; the evaluations after it are replayed when their stage times come again."""
-        nonlocal a_time, returned, a
-        (a_time, returned, a), *later = log[mark - 1:]
-        replay.extend(reversed(later))
+        return weyl_eval_tuple(plan, stacked, None if control is None else evaluate_control(t)[1])
 
     residuals = [check_start(spec, start)]
     states = np.empty((n_steps + 1,) + start.shape, dtype=complex)
@@ -271,27 +257,23 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     while k < n_steps:
         t = t0 + k * dt
         first = rhs(t, stacked)
-        if control is not None:
-            controls.append(returned)
+        if control is not None:     # the sample keeps its step's first control
+            controls.append(seen[t][0])
+            for s in [s for s in seen if s < t]:    # the memo holds at most a run's times
+                del seen[s]
         candidate = rk4_step(rhs, t, stacked, dt, first)
         raw, end = None, k + 1
         if streak > 1:
             end = k + min(streak, longest, n_steps - k)
         if end > k + 1:     # a run: more steps, each from the last
             states[k + 1] = candidate
-            log[:] = [(a_time, returned, a)]
-            firsts, marks, recording = [], [1], True
             with np.errstate(all="ignore"):
                 try:
                     for s in range(k + 1, end):
                         t = t0 + s * dt
-                        first, value = rhs(t, states[s]), returned
-                        states[s + 1] = rk4_step(rhs, t, states[s], dt, first)
-                        firsts.append(value)
-                        marks.append(len(log))
+                        states[s + 1] = rk4_step(rhs, t, states[s], dt, rhs(t, states[s]))
                 except Exception:       # raised again when step s is taken alone
                     end = s
-                recording = False
                 values, norms = relation_values(presentation, states[k + 1:end + 1])
             finite = np.isfinite(states[k + 1:end + 1]).all(axis=(1, 2, 3))
             clean = (finite & (norms <= tolerance)).tolist()
@@ -299,15 +281,13 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
             times.extend(t0 + (s + 1) * dt for s in range(k, k + j))
             residuals.extend(norms[:j].tolist())
             if control is not None:
-                controls.extend(firsts[:j])
+                controls.extend(seen[t0 + s * dt][0] for s in range(k + 1, min(k + j + 1, end)))
             k += j
             stacked = states[k]
-            if j == len(clean):
-                rewind(marks[-1])   # a step that raised is retaken alone
+            if j == len(clean):     # all clean; a step that raised is retaken alone
                 streak += j
                 continue
-            rewind(marks[j])        # the steps after j are discarded
-            candidate = states[k + 1]
+            candidate = states[k + 1]   # the steps after it are discarded
             if finite[j] and math.isfinite(norms[j]):    # else checked again, alone
                 raw = values[j], float(norms[j])
         # A lone step, or the run's first that is not clean: checked as a lone step is.
@@ -338,8 +318,7 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
         k += 1
         streak = streak + 1 if raw[1] <= tolerance else 0
     if control is not None:     # the last stage's time can differ from t_next in its last bit
-        evaluate_control(times[-1])
-        controls.append(returned)
+        controls.append(evaluate_control(times[-1])[0])
     return result()
 
 

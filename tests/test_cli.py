@@ -93,6 +93,18 @@ def test_batch_runs_into_subdirectories(tmp_path):
     assert (tmp_path / "rotation_invariant" / "trajectory.csv").exists()
 
 
+def test_batch_entries_sharing_a_directory_run_nothing(tmp_path, capsys):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.yaml").write_text((SCENARIOS / "linear_decay.yaml").read_text())
+    first, second = tmp_path / "a" / "x.yaml", tmp_path / "b" / "x.yaml"
+    code = main(["simulate", "--batch", f"{first},{second}", "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"validation: --batch: {first} and {second} both write "
+                                       f"into {tmp_path / 'out' / 'x'}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     for sub in ("a", "b"):
         code = main(["verbalize", "--scenario", str(SCENARIOS / "sine_partition.yaml"),
@@ -437,6 +449,9 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
      "validation: --out: File exists", {"out_is_file": True}),
     ("simulate", SYSTEM.format(dynamics="0.0", extra=""), EXIT_VALIDATION,
      "validation: --batch: no scenario files given", {"argv": ["--batch", ","]}),
+    ("simulate", SYSTEM.format(dynamics="0.0", extra=""), EXIT_VALIDATION,
+     "validation: --batch: a/x.yaml and b/x.yaml both write into ",
+     {"argv": ["--batch", "a/x.yaml,b/x.yaml"]}),
     # Only tactics feeds lambda (its comment) when no system.slow schedule does.
     ("simulate", "\n".join(line for line in (SCENARIOS / "tactics_commented.yaml").read_text()
                            .splitlines() if "slow:" not in line), EXIT_VALIDATION,
@@ -521,13 +536,13 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
 ], ids=["validation", "zero-division", "overflow", "insolvable", "repdyn-stage-overflow",
         "tactical-stage-overflow", "stage-time", "non-finite-eps", "complex-power",
         "tolerance-env-text", "tolerance-env-nan", "tolerance-env-negative", "scenario-directory",
-        "scenario-not-utf8", "out-is-a-file", "empty-batch", "slow-schedule-missing",
-        "slow-steps-unequal", "complex-dynamics", "complex-comment", "complex-slow-schedule",
-        "complex-repdyn-control", "complex-recurrence", "non-finite-lambda", "signal-domain",
-        "slow-domain", "rule-domain", "recurrence-domain", "repdyn-control-zero-division",
-        "invert-control-zero-division", "complex-invert-control", "invariant-non-finite",
-        "invariant-complex", "invariant-range", "recurrence-non-finite", "window-time",
-        "lambda-wider-than-comment"])
+        "scenario-not-utf8", "out-is-a-file", "empty-batch", "batch-shared-directory",
+        "slow-schedule-missing", "slow-steps-unequal", "complex-dynamics", "complex-comment",
+        "complex-slow-schedule", "complex-repdyn-control", "complex-recurrence",
+        "non-finite-lambda", "signal-domain", "slow-domain", "rule-domain", "recurrence-domain",
+        "repdyn-control-zero-division", "invert-control-zero-division", "complex-invert-control",
+        "invariant-non-finite", "invariant-complex", "invariant-range", "recurrence-non-finite",
+        "window-time", "lambda-wider-than-comment"])
 def test_exit_codes_end_without_traceback(tmp_path, capsys, recwarn, monkeypatch, command, text,
                                           expected, message, options):
     scenario, out_dir = tmp_path / "scenario.yaml", tmp_path / "out"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -834,6 +835,46 @@ def test_a_control_that_raises_in_a_run_raises_where_the_loop_does(case):
     else:
         assert runs[integrate_repdyn].insolvable.time == 36 * 0.01
         assert failing in counts and max(counts.values()) == 1
+
+
+@pytest.mark.parametrize("value, got", [
+    ([[0.5, 2.0]], "shape (1, 2)"), (0.5, "shape ()"), ([0.5, 2.0], "2 components")],
+    ids=["row", "scalar", "too-long"])
+def test_a_control_not_of_the_declared_shape_is_a_configuration_error(value, got):
+    # A row would broadcast over the tuple's columns, and a scalar has no length.
+    spec = RepDynSpec(symbols=(WeylSymbol((T(1.0, [0], 0),)),), n=2, control_dim=1,
+                      presentation=AlgebraPresentation("free", 1))
+    start = np.diag([1.0, 2.0])[None].astype(complex)
+    with pytest.raises(ConfigurationError) as info:
+        integrate_repdyn(spec, lambda t: value, 0.0, 0.1, 0.01, start)
+    assert str(info.value) == f"control schedule returns {got}, spec declares 1"
+
+
+class WeakList(list):
+    """A control value that a weak reference can follow."""
+
+
+def test_the_control_memo_holds_at_most_a_run_of_stage_times():
+    # No relations, so every step is clean and runs grow to the longest.  A value returned at
+    # a half-step time is no sample's control, so only the memo can keep it alive.
+    n, dt = 8, 1 / 64
+    longest = tactica.repdyn.BATCH_ENTRIES // n ** 2    # one generator, no relation words
+    n_steps = 4 * longest
+    spec = RepDynSpec(symbols=(WeylSymbol((T(1.0, [0], 0),)),), n=n, control_dim=1,
+                      presentation=AlgebraPresentation("free", 1))
+    off_grid, live = [], []
+
+    def control(t):
+        value = WeakList([0.1 * math.sin(t)])
+        if t / dt % 1:
+            off_grid.append(weakref.ref(value))
+        live.append(sum(ref() is not None for ref in off_grid))
+        return value
+
+    result = integrate_repdyn(spec, control, 0.0, n_steps * dt, dt,
+                              np.eye(n, dtype=complex)[None])
+    assert len(result.times) == n_steps + 1 and len(off_grid) == n_steps
+    assert max(live) <= 2 * longest
 
 
 def test_a_projecting_step_evaluates_the_relations_twice(monkeypatch):

@@ -80,6 +80,25 @@ def test_parse_error_carries_line_and_column(tmp_path, loader, text, position, p
     assert ("^" in message) == (loader == "pure")    # only the pure parser quotes the source
 
 
+# Texts only one parser reads: libyaml takes a tab after a comma in a flow collection, and
+# rejects an unknown directive that the pure-Python parser skips.
+@pytest.mark.parametrize("text, rejected", [
+    (MINIMAL.replace("t0: 0.0, t1", "t0: 0.0,\tt1"), {"pure": "line 4, column 15"}),
+    ("%FOO bar\n---" + MINIMAL, {"libyaml": "line 1, column 5"}),
+], ids=["tab-after-flow-comma", "unknown-directive"])
+def test_the_loaders_differ_on_a_flow_tab_and_an_unknown_directive(tmp_path, capsys, loader,
+                                                                     text, rejected):
+    from tactica.cli import EXIT_OK, EXIT_VALIDATION, main
+    path = write(tmp_path, text)
+    code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if loader in rejected:
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"validation: {path}: parse error: {rejected[loader]}: ")
+    else:
+        assert code == EXIT_OK and err == ""
+
+
 def test_unresolved_class_label_is_named(tmp_path):
     path = write(tmp_path, """
     schema: 1
