@@ -59,6 +59,10 @@ def main(argv=None) -> int:
         print("error: --scenario or --batch is required", file=sys.stderr)
         return EXIT_VALIDATION
     if args.batch is not None:
+        if args.scenario is not None:
+            print("validation: --batch: runs its own scenario files; drop --scenario",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
         paths = [p.strip() for p in args.batch.split(",") if p.strip()]
         if not paths:
             print("validation: --batch: no scenario files given", file=sys.stderr)

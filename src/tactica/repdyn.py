@@ -32,6 +32,7 @@ from .verbalization import WindowRecord
 # amplifies rounding noise so the residual stalls above the tolerance.
 PROJECTION_RCOND = 1e-12
 PROJECTION_CAP = 50                 # Gauss-Newton iterations per projection
+PROJECTION_CONTRACTION = 0.1        # the residual cut a kept-factor step must make
 MAX_TRANSITIONS_PER_WINDOW = 8      # more in one window: the scenario does not settle
 # Complex entries per batch of Jacobian outer products, and per stacked temporary of a run's
 # relation check (64 KiB).  Larger temporaries pass glibc's default mmap threshold and are
@@ -152,18 +153,43 @@ def _relation_jacobian(pres: AlgebraPresentation, stacked: np.ndarray,
 
 
 def project_to_variety(pres: AlgebraPresentation, stacked: np.ndarray, tolerance: float,
-                       values: tuple[np.ndarray, float] | None = None
-                       ) -> tuple[np.ndarray, float, bool]:
+                       values: tuple[np.ndarray, float] | None = None,
+                       anchor: list | None = None) -> tuple[np.ndarray, float, bool]:
     """Gauss-Newton projection of an ``(m, n, n)`` tuple onto the relation variety.
 
     Returns (projected tuple, residual, converged).  Each iteration takes the
     minimum-norm least-squares step of the linearized relations in all tuple
     entries.  An iterate with a non-finite residual stops it unconverged.
     ``values`` is ``relation_values(pres, stacked)`` when the caller holds it.
+
+    ``anchor`` is a list a run keeps over its projections: the simplified Newton
+    iteration of projection methods (Hairer, Lubich and Wanner, *Geometric Numerical
+    Integration*, section IV.4).  The least-squares iteration leaves in it
+    ``[result, None]`` when the tuple it returned has a residual within
+    ``PROJECTION_RCOND``, so that the Jacobian's numerically-zero singular values fall
+    below the cutoff there, and empties it otherwise.  A later projection builds the
+    pseudo-inverse of the Jacobian there in place of ``None`` and first takes kept steps
+    with it, at most ``PROJECTION_CAP``, each accepted only if it cuts the residual to
+    ``PROJECTION_CONTRACTION`` of the last.  Kept steps that reach ``tolerance`` are the
+    projection.  At the first that does not contract, the least-squares iteration projects
+    ``stacked`` as it does without an anchor.
     """
     m, n = stacked.shape[0], stacked.shape[1]
     scale = max(1.0, float(np.max(np.abs(stacked))))
     residual_vec, residual = relation_values(pres, stacked) if values is None else values
+    if anchor and residual > tolerance:
+        if anchor[1] is None:
+            anchor[1] = np.linalg.pinv(_relation_jacobian(pres, anchor[0], m, n),
+                                       rcond=PROJECTION_RCOND)
+        kept, kept_vec, kept_residual = stacked, residual_vec, residual
+        for _ in range(PROJECTION_CAP):
+            step = kept - (anchor[1] @ kept_vec).reshape(m, n, n)
+            step_vec, step_residual = relation_values(pres, step)
+            if not step_residual <= PROJECTION_CONTRACTION * kept_residual:
+                break
+            kept, kept_vec, kept_residual = step, step_vec, step_residual
+            if kept_residual <= tolerance:
+                return kept, kept_residual, True
     for _ in range(PROJECTION_CAP):
         if residual <= tolerance or not math.isfinite(residual):
             break
@@ -173,16 +199,21 @@ def project_to_variety(pres: AlgebraPresentation, stacked: np.ndarray, tolerance
             break
         stacked = stacked + delta.reshape(m, n, n)
         residual_vec, residual = relation_values(pres, stacked)
+        if anchor is not None:
+            anchor[:] = (stacked, None) if residual <= PROJECTION_RCOND else ()
     return stacked, residual, residual <= tolerance
 
 
 def _settle(pres: AlgebraPresentation, stacked: np.ndarray, tolerance: float,
-            values: tuple[np.ndarray, float], t: float) -> tuple[np.ndarray, float, bool]:
+            values: tuple[np.ndarray, float], t: float,
+            anchor: list | None = None) -> tuple[np.ndarray, float, bool]:
     """(tuple, residual, converged): ``stacked`` if its relation ``values`` are within
-    ``tolerance``, else its projection, which raises at a non-finite (say NaN) residual."""
+    ``tolerance``, else its projection (with the run's ``anchor``), which raises at a
+    non-finite (say NaN) residual."""
     if values[1] <= tolerance:
         return stacked, values[1], True
-    stacked, residual, converged = project_to_variety(pres, stacked, tolerance, values=values)
+    stacked, residual, converged = project_to_variety(pres, stacked, tolerance, values=values,
+                                                      anchor=anchor)
     if not math.isfinite(residual):
         raise SimulationError(f"relation residual turned non-finite in presentation "
                               f"{pres.label!r} at t={t!r}")
@@ -190,7 +221,8 @@ def _settle(pres: AlgebraPresentation, stacked: np.ndarray, tolerance: float,
 
 
 def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float]] | None,
-                     t0: float, t1: float, dt: float, start: np.ndarray) -> RepDynResult:
+                     t0: float, t1: float, dt: float, start: np.ndarray,
+                     memo: dict | None = None) -> RepDynResult:
     """Fixed-step 4th-order integration with per-step projection.
 
     The run starts from ``start``, an ``(m, n, n)`` tuple on the variety.  On
@@ -198,7 +230,9 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     the signal; the failing step is not applied.  The control is evaluated once
     per stage time: a memo maps each stage time from the current step's on to the
     value the control returned there and its complex vector, and a sample keeps the
-    value of its step's first stage.
+    value of its step's first stage.  A caller passes its own ``memo`` to carry it
+    into the next integration with the same control, whose first step starts at the
+    last sample's time.
 
     Raw steps are taken in runs, each from the last, and one stacked evaluation
     checks a run's candidates against the relations.  The candidates before the
@@ -222,7 +256,8 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     # The longest run: its largest stacked temporary, the words' products, is one batch.
     longest = BATCH_ENTRIES // (max(len(presentation.plan.coeffs), presentation.generators)
                                 * spec.n ** 2)
-    seen = {}   # stage time -> (the control's value as returned, its complex vector)
+    seen = {} if memo is None else memo  # stage time -> (the value as returned, its vector)
+    anchor = []     # the projections' kept factor: see project_to_variety
 
     def evaluate_control(t: float) -> tuple:
         entry = seen.get(t)
@@ -307,7 +342,8 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
             return result(InsolvableSignal(
                 time=t_next, residual=raw[1],
                 reason="raw step residual exceeded the insolvability threshold"))
-        stacked, residual, converged = _settle(presentation, candidate, tolerance, raw, t_next)
+        stacked, residual, converged = _settle(presentation, candidate, tolerance, raw, t_next,
+                                               anchor)
         if not converged:
             return result(InsolvableSignal(
                 time=t_next, residual=residual,
@@ -649,6 +685,7 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
     transitions: list[TransitionEvent] = []
     windows: list[WindowRecord] = []
 
+    memo = {}       # one control memo: a window's first step reads its last sample's time
     for n in range(1, len(window_grid)):
         t_a, t_b = float(window_grid[n - 1]), float(window_grid[n])
         t_cursor, fired = t_a, 0
@@ -656,7 +693,7 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
         while True:
             try:
                 result = integrate_repdyn(game.specs[label], game.control, t_cursor, t_b, dt,
-                                          stacked)
+                                          stacked, memo)
             except SimulationError as exc:
                 raise SimulationError(f"class {label!r}: {exc}") from None
             start = 1 if all_times and result.times[0] == all_times[-1] else 0

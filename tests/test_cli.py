@@ -452,6 +452,9 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
     ("simulate", SYSTEM.format(dynamics="0.0", extra=""), EXIT_VALIDATION,
      "validation: --batch: a/x.yaml and b/x.yaml both write into ",
      {"argv": ["--batch", "a/x.yaml,b/x.yaml"]}),
+    ("simulate", SYSTEM.format(dynamics="0.0", extra=""), EXIT_VALIDATION,
+     "validation: --batch: runs its own scenario files; drop --scenario",
+     {"argv": ["--scenario", "scenario.yaml", "--batch", "a.yaml"]}),
     # Only tactics feeds lambda (its comment) when no system.slow schedule does.
     ("simulate", "\n".join(line for line in (SCENARIOS / "tactics_commented.yaml").read_text()
                            .splitlines() if "slow:" not in line), EXIT_VALIDATION,
@@ -537,6 +540,7 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
         "tactical-stage-overflow", "stage-time", "non-finite-eps", "complex-power",
         "tolerance-env-text", "tolerance-env-nan", "tolerance-env-negative", "scenario-directory",
         "scenario-not-utf8", "out-is-a-file", "empty-batch", "batch-shared-directory",
+        "batch-with-scenario",
         "slow-schedule-missing", "slow-steps-unequal", "complex-dynamics", "complex-comment",
         "complex-slow-schedule", "complex-repdyn-control", "complex-recurrence",
         "non-finite-lambda", "signal-domain", "slow-domain", "rule-domain", "recurrence-domain",
