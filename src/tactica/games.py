@@ -42,13 +42,21 @@ class DivergenceError(SimulationError):
 _EMPTY = np.zeros(0)
 
 
-def real_array(values, leaf: str, t: float | None = None) -> np.ndarray:
-    """``np.asarray(values, dtype=float)``; a complex value is a :class:`SimulationError`
-    naming ``leaf`` (and the time ``t``, if given) instead of passing as its real part."""
-    arr = np.asarray(values)
+def _unreal(arr: np.ndarray) -> str:
+    """Why ``arr``, whose dtype is not bool, integer or float, is not real numeric."""
     if arr.dtype.kind == "c":
+        return f"complex value {arr.tolist()!r}"
+    return f"value {arr.tolist()!r} is not real numeric"
+
+
+def real_array(values, leaf: str, t: float | None = None) -> np.ndarray:
+    """``np.asarray(values, dtype=float)`` of a real numeric value; any other (complex, a
+    string, an object array) is a :class:`SimulationError` naming ``leaf`` (and the time
+    ``t``, if given) in :func:`_numeric`'s words, not its real part or a parsed number."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
         at = "" if t is None else f" at t={float(t)!r}"
-        raise SimulationError(f"{leaf}: complex value {arr.tolist()!r}{at}")
+        raise SimulationError(f"{leaf}: {_unreal(arr)}{at}")
     return arr.astype(float, copy=False)
 
 
@@ -227,6 +235,10 @@ class SlowControl:
             steps = [s for s, _ in self.schedule]
             if any(b <= a for a, b in zip(steps, steps[1:])):
                 raise ConfigurationError("discrete schedule step indices must be strictly increasing")
+            for step, values in self.schedule:
+                arr = np.asarray(values)
+                if arr.dtype.kind not in "biuf":
+                    raise ConfigurationError(f"slow schedule step {step}: {_unreal(arr)}")
 
     def value(self, t: float, step: int) -> np.ndarray:
         if callable(self.schedule):
@@ -329,40 +341,27 @@ def _floats(vectors, leaves=(), t=0.0) -> np.ndarray:
         return np.concatenate(vectors, dtype=float)
     except TypeError:
         for vector, leaf in zip(vectors, leaves):
-            if np.iscomplexobj(vector):
-                real_array(vector, leaf, t)
+            real_array(vector, leaf, t)
         raise
-
-
-def _record(row: np.ndarray, vector) -> None:
-    """``np.copyto(row, vector, casting="same_kind")``, outside the stage for the reason
-    :func:`_floats` is."""
-    np.copyto(row, vector, casting="same_kind")
 
 
 def _real(values, leaves: Sequence[str]) -> np.ndarray:
     """``np.asarray(values, dtype=float)`` for a derivative that is not float64 already.  A
-    complex value is a TypeError naming its leaf: an inlined vector's first complex
-    component, or the one leaf of a callable's whole derivative.  So is a string or object
-    array, which only a callable returns."""
+    callable's derivative has passed :func:`_numeric`, so only an inlined vector can be
+    complex here: that is a TypeError naming its first complex component's leaf."""
     arr = np.asarray(values)
     if arr.dtype.kind in "biuf":
         return np.asarray(arr, dtype=float)
-    if not np.iscomplexobj(arr):
-        raise TypeError(f"{leaves[0]}: value {arr.tolist()!r} is not real numeric")
-    if arr.shape != (len(leaves),):     # a callable's whole derivative, of any shape
-        raise TypeError(f"{leaves[0]}: complex value {arr.tolist()!r}")
     k = next(i for i, x in enumerate(values) if np.iscomplexobj(x))
     raise TypeError(f"{leaves[k]}: complex value {complex(values[k])!r}")
 
 
 def _numeric(value):
-    """A library callable's ``value``, unless it is complex, a string or an object array."""
+    """A library callable's ``value`` if it is real numeric (bool, integer or float), else a
+    TypeError worded as :func:`real_array` words it."""
     arr = np.asarray(value)
-    if arr.dtype.kind == "c":
-        raise TypeError(f"complex value {arr.tolist()!r}")
     if arr.dtype.kind not in "biuf":
-        raise TypeError(f"value {arr.tolist()!r} is not real numeric")
+        raise TypeError(_unreal(arr))
     return value
 
 
@@ -395,14 +394,13 @@ class _StageSource(Emitter):
     namespace, :meth:`ref` and :meth:`function` are those of :class:`expr.Emitter`.
 
     A scenario leaf (a :class:`VectorExpression`) is inlined one component per line,
-    its grammar variables read from locals; any other callable is called by name.  The
-    body reads ``t``, ``lam`` and the state: each element of ``phi`` on a line of its own,
-    and ``phi`` whole where a callable reads it.  ``check`` names the function each
-    callable's value passes through, if any.
+    its grammar variables read from locals; any other callable is called by name, and its
+    value passes :func:`_numeric` on the line that called it.  The body reads ``t``,
+    ``lam`` and the state: each element of ``phi`` on a line of its own, and ``phi`` whole
+    where a callable reads it.
     """
 
-    def __init__(self, check: str = ""):
-        self.check = check
+    def __init__(self):
         self.body: list[str] = []
         self.leaves: dict[int, str] = {}        # body line -> "path 'source'"
         self.state: dict[int, int] = {}         # body line -> the phi element it reads
@@ -411,7 +409,7 @@ class _StageSource(Emitter):
                          _F64D=np.dtype(float), _real=_real, _EMPTY=_EMPTY,
                          _faults=(ArithmeticError, IndexError, TypeError, ValueError),
                          _fault=_fault, _array=np.array, _isfinite=math.isfinite,
-                         _record=_record, _numeric=_numeric, _diverged=DivergenceError,
+                         _numeric=_numeric, _diverged=DivergenceError,
                          range=range)
 
     def line(self, stem: str, value: str, leaf: str = "") -> str:
@@ -446,7 +444,7 @@ class _StageSource(Emitter):
         return _Vector(None, items, leaves, leaf.path)
 
     def call(self, stem: str, fn, arguments: str, leaf: str) -> _Vector:
-        return _Vector(self.line(stem, f"{self.check}({self.ref(fn)}({arguments}))", leaf),
+        return _Vector(self.line(stem, f"_numeric({self.ref(fn)}({arguments}))", leaf),
                        leaf=leaf)
 
     def whole(self, vector: _Vector) -> str:
@@ -531,8 +529,8 @@ class _StageSource(Emitter):
 
     def real(self, values: _Vector) -> str:
         """The derivative: ``np.asarray(values, dtype=float)``, checked by dtype identity; a
-        complex element fails naming its leaf."""
-        listed, leaves = _listed(values), tuple(values.leaves) or (values.leaf,)
+        complex element of an inlined vector fails naming its leaf."""
+        listed, leaves = _listed(values), tuple(values.leaves)
         name = self.line("d", f"_asarray({listed})", values.leaf)
         self.body.append(f"if {name}.dtype is not _F64D: "
                          f"{name} = _real({listed}, {self.ref(leaves)})")
@@ -565,8 +563,7 @@ class _StageSource(Emitter):
         y, z = [f"y_{i}" for i in range(dim)], [f"z_{i}" for i in range(dim)]
         k1, k2, k3, k4 = ([f"k{j}_{i}" for i in range(dim)] for j in range(1, 5))
         # One record row: t, phi, dphi, the u0, eps and u blocks, lambda; each write with the
-        # leaf a fault on it names.  A callable's vector is cast as same_kind, so a complex
-        # or string value fails instead of losing its imaginary part or being parsed.
+        # leaf a fault on it names, such as a callable's vector of another width.
         writes = [(f"R[b + {c}] = {x}", "") for c, x in enumerate(["t", *y, *k1])]
         leaves = {"dphi": values.leaves or [values.leaf] * dim}
         columns = {"t": 0, "phi": slice(1, 1 + dim), "dphi": slice(1 + dim, 1 + 2 * dim)}
@@ -578,7 +575,7 @@ class _StageSource(Emitter):
                     writes += [(f"R[b + {col + i}] = {x}", "")
                                for i, x in enumerate(vector.items)]
                 elif width:
-                    writes.append((f"_record(R[b + {col}:b + {col + width}], {vector.name})",
+                    writes.append((f"R[b + {col}:b + {col + width}] = {vector.name}",
                                    vector.leaf))
                 leaves[name] += vector.leaves or [vector.leaf] * width
                 col += width
@@ -654,11 +651,11 @@ def compile_stage(system: InteractiveSystem, use_coalitions: bool = False) -> Ca
     An ``ArithmeticError``, ``IndexError`` (a ``lambda`` element the run does not feed),
     ``TypeError`` or ``ValueError`` (a math domain error, say) is raised as a
     :class:`SimulationError` naming the leaf and the stage time; so is a complex
-    derivative, and a library callable's value that is not real numeric.  A run
-    evaluates it once, at its initial point; :func:`compile_step` inlines the same body,
-    without those value checks, four times per step.
+    derivative, and a library callable's value that is not real numeric (:func:`_numeric`,
+    on the line that called it).  A run evaluates it once, at its initial point;
+    :func:`compile_step` inlines the same body, with the same checks, four times per step.
     """
-    out = _StageSource("_numeric")
+    out = _StageSource()
     blocks, values = _chain(out, system, use_coalitions)
     dphi = out.real(values)
     listed = (", ".join(map(_listed, block)) for block in blocks)
@@ -686,9 +683,9 @@ def compile_step(system: InteractiveSystem, use_coalitions: bool,
     ``lam_at(stage time, step index)`` and, when a tape is given, appends its time and its
     hidden parameters.  A non-finite state raises :class:`DivergenceError` at the step's
     start; a stage fault is named as in the stage, and a complex recorded control or hidden
-    parameter is a :class:`SimulationError` at the sample time.  A callable's whole vector
-    is recorded by a same_kind cast, so one that is complex, a string or an object array
-    is such an error too, naming the callable.
+    parameter is a :class:`SimulationError` at the sample time.  Each stage checks a library
+    callable's value as the probe does, and a callable's whole vector is recorded by a
+    slice write, which names the callable if its width has changed since the probe.
     """
     out = _StageSource()
     blocks, values = _chain(out, system, use_coalitions)

@@ -225,14 +225,14 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
                      memo: dict | None = None) -> RepDynResult:
     """Fixed-step 4th-order integration with per-step projection.
 
-    The run starts from ``start``, an ``(m, n, n)`` tuple on the variety.  On
-    an insolvable step the result carries the samples accepted so far plus
-    the signal; the failing step is not applied.  The control is evaluated once
-    per stage time: a memo maps each stage time from the current step's on to the
-    value the control returned there and its complex vector, and a sample keeps the
-    value of its step's first stage.  A caller passes its own ``memo`` to carry it
-    into the next integration with the same control, whose first step starts at the
-    last sample's time.
+    The run starts from ``start``, an ``(m, n, n)`` tuple on the variety.  On an insolvable
+    step the result carries the samples accepted so far plus the signal; the failing step
+    is not applied.  The control is evaluated once per stage time: a memo maps each stage
+    time from the current step's on to the value the control returned there and its
+    complex vector, and a sample keeps the value of its step's first stage; a value that
+    is not numbers, or not of the declared shape, is a :class:`ConfigurationError`.  A
+    caller passes its own ``memo`` to carry it into the next integration with the same
+    control, whose first step starts at the last sample's time.
 
     Raw steps are taken in runs, each from the last, and one stacked evaluation
     checks a run's candidates against the relations.  The candidates before the
@@ -265,12 +265,15 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
             value = control(t)
             if isinstance(control, VectorExpression):   # a scenario's control is real
                 value = real_array(value, control.path, t)
-            vector = np.asarray(value, dtype=complex)
+            vector = np.asarray(value)
+            if vector.dtype.kind not in "biufc":        # not parsed from strings
+                raise ConfigurationError(f"control schedule returns {vector.tolist()!r}, "
+                                         "which is not numeric")
             if vector.shape != (control_dim,):
                 got = f"{len(vector)} components" if vector.ndim == 1 else f"shape {vector.shape}"
                 raise ConfigurationError(f"control schedule returns {got}, spec declares "
                                          f"{control_dim}")
-            entry = seen[t] = value, vector
+            entry = seen[t] = value, vector.astype(complex, copy=False)
         return entry
 
     def rhs(t: float, stacked: np.ndarray) -> np.ndarray:
@@ -688,15 +691,16 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
     memo = {}       # one control memo: a window's first step reads its last sample's time
     for n in range(1, len(window_grid)):
         t_a, t_b = float(window_grid[n - 1]), float(window_grid[n])
-        t_cursor, fired = t_a, 0
+        fired = 0
         window_res, window_norms, window_a = [], [], []
         while True:
+            # Each integration after the first starts at the last accepted sample, its first.
+            start = 1 if all_times else 0
             try:
-                result = integrate_repdyn(game.specs[label], game.control, t_cursor, t_b, dt,
-                                          stacked, memo)
+                result = integrate_repdyn(game.specs[label], game.control,
+                                          all_times[-1] if start else t_a, t_b, dt, stacked, memo)
             except SimulationError as exc:
                 raise SimulationError(f"class {label!r}: {exc}") from None
-            start = 1 if all_times and result.times[0] == all_times[-1] else 0
             all_times.extend(float(t) for t in result.times[start:])
             all_residuals.extend(float(r) for r in result.residuals[start:])
             all_labels.extend([label] * (len(result.times) - start))
@@ -719,8 +723,7 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
                 raise StrandedClassError(label, n, result.insolvable.time)
             stacked, eta, label = _apply_transition(
                 game, rule, stacked, eta, result.insolvable, transitions, n)
-            t_cursor = float(result.times[-1])
-            if t_cursor >= t_b:
+            if all_times[-1] >= t_b:
                 break
         omega_n = np.array([float(np.max(window_res)), float(np.mean(window_norms))])
         v_n = np.mean(window_a, axis=0) if window_a else np.zeros(0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,12 @@ import pytest
 from conftest import linear_decay_system, logistic_system, make_player
 from tactica.games import (Coalition, ConfigurationError, DivergenceError,
                            EpsilonProcess, FeedbackCoupling, InteractiveSystem,
-                           InvariantConstraint, Player, SlowControl,
+                           InvariantConstraint, Player, SimulationError, SlowControl,
                            associated_ordinary_game, check_indeterminate_invariants,
                            coalition_simulate, replay_with_recorded_eps, simulate)
+from tactica.repdyn import solve_inverse_problem
+from tactica.tactics import SynthesisRule
+from tactica.verbalization import RecurrenceMap
 
 # Fine-step (dt=1e-5) reference for the logistic run with u0=1, eps=0,
 # phi(0)=0.1, t1=5; the closed form 1/(1+9e^-5) agrees to 6e-15.
@@ -92,6 +96,42 @@ def test_slow_control_discrete_schedule():
     assert schedule.value(0.0, 5)[0] == 2.0
     with pytest.raises(ConfigurationError):
         SlowControl(schedule=((5, (1.0,)), (5, (2.0,))))
+
+
+@pytest.mark.parametrize("values, shown", [(("0.5",), "['0.5']"), ((1j,), "[1j]"),
+                                           (np.array([0.5], dtype=object), "[0.5]")],
+                         ids=["str", "complex", "object"])
+def test_a_slow_step_schedule_that_is_not_real_numeric_is_a_configuration_error(values, shown):
+    # Each held vector is checked when the schedule is built, not parsed at each stage.
+    with pytest.raises(ConfigurationError, match=r"^slow schedule step 5: .*value "
+                       rf"{re.escape(shown)}"):
+        SlowControl(schedule=((0, (1.0,)), (5, values)))
+
+
+# Each library boundary that converts a callable's value to a float array, and the name
+# its fault gives: a string or an object array is refused there as a complex value is.
+_BOUNDARIES = {
+    "slow-schedule": (lambda value: SlowControl(lambda t: value).value(0.25, 0),
+                      "slow", " at t=0.25"),
+    "synthesis-form": (lambda value: SynthesisRule(
+        forms=(lambda thetas, omegas, vs: value,), masks=(frozenset({0}),)).value(
+            0, [np.zeros(1)], [np.zeros(2)], [np.zeros(1)]), "synthesis form 0", ""),
+    "recurrence": (lambda value: RecurrenceMap("declared", form=lambda omega, v: value).apply(
+        [0.0, 0.0], [0.0]), "recurrence", ""),
+    "invert-control": (lambda value: solve_inverse_problem(
+        ["u1*x1"], x0=[1.0], matrix_dim=2).control_schedule(lambda t: value)(0.25),
+                       "invert.control", " at t=0.25")}
+
+
+@pytest.mark.parametrize("value, shown", [(["0.5"], "['0.5']"), ("0.5", "'0.5'"),
+                                          (np.array([0.5], dtype=object), "[0.5]")],
+                         ids=["str-list", "str", "object"])
+@pytest.mark.parametrize("boundary", sorted(_BOUNDARIES))
+def test_a_string_at_a_library_boundary_is_named(boundary, value, shown):
+    call, leaf, at = _BOUNDARIES[boundary]
+    with pytest.raises(SimulationError, match=rf"^{re.escape(leaf)}: value {re.escape(shown)} "
+                       rf"is not real numeric{re.escape(at)}$"):
+        call(value)
 
 
 # ---------------------------------------------------------------------------

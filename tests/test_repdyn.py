@@ -851,6 +851,21 @@ def test_a_control_not_of_the_declared_shape_is_a_configuration_error(value, got
     assert str(info.value) == f"control schedule returns {got}, spec declares 1"
 
 
+@pytest.mark.parametrize("value, shown", [(["0.5"], "['0.5']"),
+                                          (np.array([0.5], dtype=object), "[0.5]")],
+                         ids=["str", "object"])
+def test_a_control_that_is_not_numbers_is_a_configuration_error(value, shown):
+    # np.asarray(..., dtype=complex) would parse "0.5"; a complex control stays allowed.
+    spec = RepDynSpec(symbols=(WeylSymbol((T(1.0, [0], 0),)),), n=2, control_dim=1,
+                      presentation=AlgebraPresentation("free", 1))
+    start = np.diag([1.0, 2.0])[None].astype(complex)
+    with pytest.raises(ConfigurationError) as info:
+        integrate_repdyn(spec, lambda t: value, 0.0, 0.1, 0.01, start)
+    assert str(info.value) == f"control schedule returns {shown}, which is not numeric"
+    result = integrate_repdyn(spec, lambda t: [0.5j], 0.0, 0.1, 0.01, start)
+    assert result.controls == [[0.5j]] * 11
+
+
 class WeakList(list):
     """A control value that a weak reference can follow."""
 
@@ -1411,25 +1426,47 @@ def test_an_insolvable_segment_keeps_one_control_per_sample():
     assert result.controls == [[1.0 + t] for t in result.times]
 
 
+def _drifting_commutative(control):
+    """A commutative pair under a controlled drift that never leaves the variety."""
+    return TacticalRepDyn(
+        registry=default_registry(), initial_class="commutative",
+        class_dynamics={"commutative": ClassDynamics(symbols=(
+            WeylSymbol((WeylTerm(1.0, (0,), control=0),)), WeylSymbol((WeylTerm(-0.2, (1,)),))))},
+        initial=np.stack((np.diag([1.0, 2.0]), np.diag([0.5, 0.2]))).astype(complex),
+        eta0=np.zeros(1), delta=DialecticalObject(label="noop"), control_dim=1, control=control)
+
+
 def test_a_tactical_run_reads_the_control_once_per_stage_time():
     # Ten windows of ten steps: each window's first step starts at the last sample of the
-    # window before, whose control the run's one memo holds.  One of the nine boundaries,
-    # 0.6, differs from that sample's time in the last bit and is another stage time.
+    # window before, whose control the run's one memo holds, so no boundary is a stage
+    # time of its own.
     times = []
 
     def control(t):
         times.append(t)
         return [0.5 + t]
 
-    game = TacticalRepDyn(
-        registry=default_registry(), initial_class="commutative",
-        class_dynamics={"commutative": ClassDynamics(symbols=(
-            WeylSymbol((WeylTerm(1.0, (0,), control=0),)), WeylSymbol((WeylTerm(-0.2, (1,)),))))},
-        initial=np.stack((np.diag([1.0, 2.0]), np.diag([0.5, 0.2]))).astype(complex),
-        eta0=np.zeros(1), delta=DialecticalObject(label="noop"), control_dim=1, control=control)
-    result = run_tactical_repdyn(game, np.linspace(0.0, 1.0, 11), 0.01)
+    result = run_tactical_repdyn(_drifting_commutative(control), np.linspace(0.0, 1.0, 11), 0.01)
     assert len(result.windows) == 10 and not result.transitions
-    assert len(times) == 218 and len(set(times)) == len(times)      # 226 with a memo per window
+    assert len(times) == 217 and len(set(times)) == len(times)      # 226 with a memo per window
+
+
+def test_each_window_starts_at_the_last_sample_of_the_window_before(monkeypatch):
+    # The grid's 0.6 is 0.6000000000000001, one bit above 0.6, the time of the sixth
+    # window's last sample; the seventh window starts at that sample, so no two samples
+    # are a bit apart.
+    runs = []
+
+    def recorded(*args):
+        runs.append(integrate_repdyn(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(tactica.repdyn, "integrate_repdyn", recorded)
+    result = run_tactical_repdyn(_drifting_commutative(lambda t: [0.5 + t]),
+                                 np.linspace(0.0, 1.0, 11), 0.01)
+    assert len(runs) == 10 and all(len(run.times) == 11 for run in runs)
+    assert all(b.times[0] == a.times[-1] for a, b in zip(runs, runs[1:]))
+    assert len(result.times) == 101 and np.all(np.diff(result.times) > 0)
 
 
 def test_an_uncontrolled_run_keeps_no_controls():

@@ -16,6 +16,7 @@ import ast
 import math
 import re
 import tracemalloc
+from decimal import Decimal
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
@@ -30,9 +31,10 @@ from tactica.algebra import WeylSymbol, WeylTerm, compile_symbols
 from tactica.expr import VectorExpression, compile_expression, compile_vector
 from tactica.games import (Coalition, ConfigurationError, EpsilonProcess, FeedbackCoupling,
                            InteractiveSystem, OrdinaryDynamics, Player, SimulationError,
-                           SlowControl, StageTape, associated_ordinary_game, compile_stage,
-                           compile_step, identity_coupling, replay_with_recorded_eps, rk4_step,
-                           simulate, step_count, zero_epsilon)
+                           SlowControl, StageTape, associated_ordinary_game, coalition_simulate,
+                           compile_stage, compile_step, identity_coupling,
+                           replay_with_recorded_eps, rk4_step, simulate, step_count,
+                           zero_epsilon)
 from tactica.prediction import strategic_pipeline
 from tactica.repdyn import _compile_coefficient_map
 from tactica.scenario import load_scenario
@@ -442,21 +444,24 @@ def test_a_complex_recorded_hidden_parameter_is_a_simulation_error():
         simulate(system, [1.0], 0.0, 0.1, 0.01)
 
 
-@pytest.mark.parametrize("value, dtype", [(np.array([0.1 + 1j]), "complex128"),
-                                          (["0.1"], "<U3"), (np.array(["0.1"]), "<U3"),
-                                          (np.array([0.1], dtype=object), "O")])
+@pytest.mark.parametrize("value, shown", [(np.array([0.1 + 1j]), "complex value [(0.1+1j)]"),
+                                          (["0.1"], "value ['0.1'] is not real numeric"),
+                                          (np.array(["0.1"]), "value ['0.1'] is not real numeric"),
+                                          (np.array([0.1], dtype=object),
+                                           "value [0.1] is not real numeric")],
+                         ids=["complex128", "str-list", "str-array", "object"])
 @pytest.mark.parametrize("slot", ["signal", "epsilon"])
-def test_a_library_vector_that_is_not_real_numeric_is_named_at_its_sample(value, dtype, slot):
+def test_a_library_vector_that_is_not_real_numeric_is_named_at_its_sample(value, shown, slot):
     # A complex array is no longer recorded by its real part, nor a string parsed as a number;
-    # the fault comes at the first sample whose value is bad.
+    # the fault comes at the first sample whose value is bad, worded as the probe words it.
     def bad(t, *_):
         return value if t > 0.015 else [0.1]
 
     player = (make_player(bad) if slot == "signal" else
               make_player(lambda t: [0.1], eps_form=bad, eps_dim=1))
     system = InteractiveSystem(dim=1, dynamics=lambda t, phi, u, lam: [0.0], players=(player,))
-    with pytest.raises(SimulationError, match=rf"^players\[0\]\.{slot}: Cannot cast array data "
-                       rf"from dtype\('{re.escape(dtype)}'\) .* at t=0\.02$"):
+    with pytest.raises(SimulationError,
+                       match=rf"^players\[0\]\.{slot}: {re.escape(shown)} at t=0\.02$"):
         simulate(system, [1.0], 0.0, 0.1, 0.01)
 
 
@@ -586,6 +591,82 @@ def test_a_library_constant_runs_as_its_float_array_or_fails_naming_its_slot(slo
         real = None
     if real is None or outcome != _ending(slot, real):
         assert failed and outcome[1] == _LIBRARY_LEAVES[slot], outcome
+
+
+# Values of a slot's width, or 0-d, whose dtype is not real numeric.
+_NOT_REAL = [[0.1 + 1j], np.array([1j]), np.complex128(0.5), [complex(0.5)], ["0.1"],
+             np.array(["0.1"]), "0.1", np.array([b"0.1"]), np.array([0.1], dtype=object),
+             [Decimal("0.1")]]
+
+
+def _turning_system(slot, use_coalitions, value, after):
+    """phi' = u - phi under u = u0 + eps, eps = phi/4 and u0 = 1/2, in a player's slot or
+    in a one-member coalition's, with the callable of ``slot`` returning ``value`` at every
+    stage time above ``after``."""
+    callables = {"signal": lambda t: np.array([0.5]),
+                 "epsilon": lambda t, u0, phi: np.array([0.25 * phi[0]]),
+                 "coupling": lambda t, u0, phi, derivs, eps, lam: np.array(
+                     [np.ravel(u0)[0] + eps[0]]),
+                 "dynamics": lambda t, phi, u, lam: [u[0][0] - phi[0]]}
+    good = callables[slot]
+    callables[slot] = lambda t, *args: value if t > after else good(t, *args)
+    slot_forms = {"known_form": callables["coupling"], "eps_form": callables["epsilon"],
+                  "eps_dim": 1}
+    if not use_coalitions:
+        return InteractiveSystem(dim=1, dynamics=callables["dynamics"],
+                                 players=(make_player(callables["signal"], **slot_forms),))
+    coalition = Coalition((1,), FeedbackCoupling(callables["coupling"]),
+                          EpsilonProcess(callables["epsilon"], 1))
+    return InteractiveSystem(dim=1, dynamics=callables["dynamics"],
+                             players=(make_player(callables["signal"]),),
+                             coalitions=(coalition,))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(slot=st.sampled_from(sorted(_LIBRARY_LEAVES)), use_coalitions=st.booleans(),
+       value=st.sampled_from(_NOT_REAL), k=st.integers(0, 2),
+       stage=st.sampled_from(["k2", "k4"]), dt=st.sampled_from([0.01, 0.25]))
+def test_a_library_value_turning_bad_at_an_inner_stage_is_named_by_its_callable(
+        slot, use_coalitions, value, k, stage, dt):
+    # The value is first returned at the k2 stage (t + dt/2) or the k4 stage (t + dt) of
+    # step k, which no probe and no record sees; every stage checks it where it is returned.
+    tk = 0.0 + k * dt
+    after, t_bad = (tk + dt / 4, tk + dt / 2.0) if stage == "k2" else (tk + 3 * dt / 4, tk + dt)
+    system = _turning_system(slot, use_coalitions, value, after)
+    leaf = ("players[0].signal" if slot == "signal" else "dynamics" if slot == "dynamics"
+            else f"{'coalitions' if use_coalitions else 'players'}[0].{slot}")
+    integrate = coalition_simulate if use_coalitions else simulate
+    with pytest.raises(SimulationError) as info:
+        integrate(system, [1.0], 0.0, 3 * dt, dt, record_tape=False)
+    assert re.fullmatch(rf"{re.escape(leaf)}: (complex value .*|value .* is not real numeric) "
+                        rf"at t={re.escape(repr(t_bad))}", str(info.value)), str(info.value)
+
+
+def test_every_library_call_in_the_stage_and_the_step_is_checked(monkeypatch):
+    # A call of a bound object (_o<n>) is a library callable's: every one, at the probe and
+    # at each of the step's four stages, is wrapped in _numeric on a line naming its slot.
+    compiled, function = [], expr.Emitter.function
+
+    def recording(self, lines):
+        compiled.append(list(lines))
+        return function(self, lines)
+
+    monkeypatch.setattr(expr.Emitter, "function", recording)
+    for use_coalitions in (False, True):
+        for slot in _LIBRARY_LEAVES:
+            system = _turning_system(slot, use_coalitions, [0.5], math.inf)
+            (coalition_simulate if use_coalitions else simulate)(system, [1.0], 0.0, 0.02, 0.01)
+    ordinary = associated_ordinary_game(_turning_system("signal", False, [0.5], math.inf),
+                                        eps_policies=[lambda t: [0.1]])
+    simulate(ordinary, [1.0], 0.0, 0.02, 0.01)
+    calls = {"stage": 0, "step": 0}
+    for lines in compiled:
+        name = lines[0][0].split()[1].partition("(")[0]
+        for text, leaf in lines:
+            for match in re.finditer(r"(\S*)\b_o\d+\(", text):
+                assert match.group(1).endswith("_numeric(") and leaf, (name, text, leaf)
+                calls[name] += 1
+    assert calls == {"stage": 36, "step": 4 * 36}, calls     # four callables in each of 9 systems
 
 
 # ---------------------------------------------------------------------------

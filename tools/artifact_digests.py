@@ -20,6 +20,17 @@ script in two checkouts and diffing the outputs shows whether a change moved
 any output byte or exit code::
 
     python tools/artifact_digests.py > digests.txt
+
+With ``--generated`` the script runs the same matrix and prints, instead, one line
+per function that ``expr.Emitter.function`` compiles during each run, in the order
+they are compiled::
+
+    <scenario> <command> <function> <sha256>
+
+The digest covers each line of the function's source with the leaf its faults name.
+The ``_o<n>`` names the emitter binds objects to are renumbered in order of first
+use, so two checkouts whose emitters bind a different number of objects print the
+same line for the same code.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -36,7 +48,7 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from tactica import cli  # noqa: E402
+from tactica import cli, expr  # noqa: E402
 from tactica.scenario import ScenarioError, load_scenario  # noqa: E402
 
 
@@ -53,8 +65,25 @@ REPDYN_PROJECTING = {
     "symbols": [[{"coeff": 1.0, "word": [f"x{x}"], "control": c} for x, c in pairs]
                 for pairs in ([(1, 0), (2, 1)], [(1, 2), (2, 3)], [(3, 0), (3, 3)])]}
 
+BOUND = re.compile(r"\b_o\d+\b")     # a name expr.Emitter.ref binds
 
-def digests(scenario: Path, commands=None) -> list[str]:
+
+def function_digest(lines) -> tuple[str, str]:
+    """The name of the function ``lines`` define, each ``(source, leaf)``, and the sha256
+    of its lines with their leaves, its ``_o<n>`` names renumbered in order of first use."""
+    names: dict[str, str] = {}
+
+    def renumber(match: re.Match) -> str:
+        return names.setdefault(match.group(), f"_o{len(names)}")
+
+    text = "\n".join(f"{BOUND.sub(renumber, source)}\t{leaf}" for source, leaf in lines)
+    return lines[0][0].split()[1].partition("(")[0], hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(scenario: Path, commands=None, generated: list | None = None) -> list[str]:
+    """The artifact lines of ``scenario`` under ``commands`` (its supported commands by
+    default); with ``generated``, the list the emitter appends each function's lines to,
+    the function lines instead."""
     if commands is None:
         try:
             commands = load_scenario(scenario).supported_commands()
@@ -65,8 +94,14 @@ def digests(scenario: Path, commands=None) -> list[str]:
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
             sink = io.StringIO()
+            if generated is not None:
+                generated.clear()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = cli.main([command, "--scenario", str(scenario), "--out", str(out)])
+            if generated is not None:
+                lines += [f"{scenario.stem} {command} {' '.join(function_digest(function))}"
+                          for function in generated]
+                continue
             files = sorted(p for p in out.rglob("*") if p.is_file()) if out.exists() else []
             for path in files:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -77,9 +112,21 @@ def digests(scenario: Path, commands=None) -> list[str]:
     return lines
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    generated = None
+    if argv == ["--generated"]:
+        generated, function = [], expr.Emitter.function
+
+        def recording(self, lines):
+            generated.append(list(lines))
+            return function(self, lines)
+
+        expr.Emitter.function = recording
+    elif argv:
+        print("usage: artifact_digests.py [--generated]", file=sys.stderr)
+        return 2
     for scenario in sorted((ROOT / "scenarios").glob("*.yaml")):
-        for line in digests(scenario):
+        for line in digests(scenario, generated=generated):
             print(line, flush=True)
     variants = [("two_player", "two_player_pipeline", "predict",
                  {"prediction": {"pipeline": PIPELINE}}),
@@ -92,10 +139,10 @@ def main() -> int:
             doc = yaml.safe_load((ROOT / "scenarios" / f"{source}.yaml").read_text())
             scenario = Path(tmp) / f"{name}.yaml"
             scenario.write_text(yaml.safe_dump({**doc, **changes}))
-            for line in digests(scenario, [command]):
+            for line in digests(scenario, [command], generated):
                 print(line, flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
