@@ -163,14 +163,14 @@ def _run_simulate(scenario: Scenario, out: Path, tolerance: float, report: dict)
     system, _, _ = scenario.build_system()
     traj = scenario.simulate()
     chunks = exports.write_trajectory_csv(traj, out / "trajectory.csv")
-    exports.write_trajectory_json(traj, out / "trajectory.json", chunks)
+    exports.write_trajectory_json(chunks, out / "trajectory.json")
     report["summaries"]["final_state"] = traj.phi[-1]
     report["summaries"]["samples"] = len(traj.t)
     if system.invariant_constraints:
-        drifts = check_indeterminate_invariants(traj, system.invariant_constraints,
-                                                tol=tolerance)
+        drifts = check_indeterminate_invariants(traj, system.invariant_constraints)
         report["summaries"]["invariants"] = [
-            {"label": d.label, "drift": d.drift, "violated": d.violated} for d in drifts]
+            {"label": d.label, "drift": d.drift, "violated": d.drift > tolerance}
+            for d in drifts]
         for d in drifts:
             _add_check(report, f"invariant {d.label}", d.drift, tolerance)
     return EXIT_OK
@@ -190,10 +190,9 @@ def _run_verbalize(scenario: Scenario, out: Path, tolerance: float, report: dict
         report["summaries"]["transitions"] = transitions
     tol = plan.recurrence_tol
     if plan.recurrence is not None:
-        result = verify_recurrence(records, plan.recurrence)
-        report["summaries"]["recurrence"] = {
-            "family": "declared", "residuals": result.residuals}
-        _add_check(report, "recurrence residual", result.max_residual, tol)
+        residuals = verify_recurrence(records, plan.recurrence)
+        report["summaries"]["recurrence"] = {"family": "declared", "residuals": residuals}
+        _add_check(report, "recurrence residual", np.max(residuals), tol)
     if plan.fit_windows is not None:
         k = plan.fit_windows
         fitted = fit_recurrence(records[:k])
@@ -205,9 +204,9 @@ def _run_verbalize(scenario: Scenario, out: Path, tolerance: float, report: dict
             "intercept": fitted.intercept,
             "rank_deficient": fitted.rank_deficient,
             "fit_residual": fitted.fit_residual,
-            "holdout_residuals": holdout.residuals,
+            "holdout_residuals": holdout,
         }
-        _add_check(report, "recurrence holdout residual", holdout.max_residual, tol)
+        _add_check(report, "recurrence holdout residual", np.max(holdout), tol)
     return EXIT_OK
 
 

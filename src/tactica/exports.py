@@ -118,25 +118,16 @@ def write_float_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) 
             fh.write(_float_chunks(chunk, ",")[0] + "\n")
 
 
-def _trajectory_blocks(traj: StateTrajectory) -> dict[str, np.ndarray]:
-    return {"t": traj.t[:, None], "phi": traj.phi, "u": traj.u, "eps": traj.eps,
-            "u0": traj.u0, "lambda": traj.lam}
-
-
-def _trajectory_chunks(traj: StateTrajectory) -> dict[str, list[str]]:
-    """Each trajectory block's :func:`_float_chunks`, its cells joined by commas.  A
-    non-finite value raises for the first one in the CSV's row order."""
-    blocks = _trajectory_blocks(traj)
-    if not all(np.isfinite(b).all() for b in blocks.values()):
-        _check_finite(np.hstack(list(blocks.values())))
-    return {name: _float_chunks(block, ",") for name, block in blocks.items()}
-
-
 def write_trajectory_csv(traj: StateTrajectory, path) -> dict[str, list[str]]:
     """The trajectory as CSV, one row per sample: t, then the phi, u, eps, u0 and lambda
-    columns.  Return the formatted chunks of each block, for :func:`write_trajectory_json`."""
-    blocks = _trajectory_blocks(traj)
-    chunks = _trajectory_chunks(traj)
+    columns.  A non-finite value raises for the first one in the CSV's row order.  Return
+    each block's :func:`_float_chunks`, its cells joined by commas, for
+    :func:`write_trajectory_json`."""
+    blocks = {"t": traj.t[:, None], "phi": traj.phi, "u": traj.u, "eps": traj.eps,
+              "u0": traj.u0, "lambda": traj.lam}
+    if not all(np.isfinite(b).all() for b in blocks.values()):
+        _check_finite(np.hstack(list(blocks.values())))
+    chunks = {name: _float_chunks(block, ",") for name, block in blocks.items()}
     header = ["t"] + [f"{name}_{i}" for name, b in list(blocks.items())[1:]
                       for i in range(b.shape[1])]
     written = [chunks[name] for name, b in blocks.items() if b.shape[1]]
@@ -148,12 +139,10 @@ def write_trajectory_csv(traj: StateTrajectory, path) -> dict[str, list[str]]:
     return chunks
 
 
-def write_trajectory_json(traj: StateTrajectory, path,
-                          chunks: dict[str, list[str]] | None = None) -> None:
+def write_trajectory_json(chunks: dict[str, list[str]], path) -> None:
     """The trajectory as one JSON object of its t, phi, u, eps, u0 and lambda blocks, from
-    the ``chunks`` :func:`write_trajectory_csv` returned for it, or formatted afresh."""
-    if chunks is None:
-        chunks = _trajectory_chunks(traj)
+    the ``chunks`` :func:`write_trajectory_csv` returned for it; no value is formatted or
+    checked again."""
     t = "\n".join(chunks["t"]).replace("\n", ", ")
     blocks = ", ".join(f'"{name}": {_nested([c.replace(",", ", ") for c in chunks[name]])}'
                        for name in ("phi", "u", "eps", "u0", "lambda"))

@@ -170,23 +170,10 @@ def parse(src: str):
 
 
 def variables(src: str) -> set[tuple[str, int | None]]:
-    """Return the set of (name, index) variable references used by ``src``."""
+    """Return the set of (name, index) variable references used by ``src``: those
+    :func:`_emit` reads through its ``read`` callback."""
     found: set[tuple[str, int | None]] = set()
-
-    def walk(node):
-        kind = node[0]
-        if kind == "var":
-            found.add((node[1], node[2]))
-        elif kind == "neg":
-            walk(node[1])
-        elif kind == "bin":
-            walk(node[2])
-            walk(node[3])
-        elif kind == "call":
-            for a in node[2]:
-                walk(a)
-
-    walk(parse(src))
+    _emit(parse(src), lambda name, index: found.add((name, index)) or "")
     return found
 
 

@@ -356,12 +356,15 @@ def _real(values, leaves: Sequence[str]) -> np.ndarray:
     raise TypeError(f"{leaves[k]}: complex value {complex(values[k])!r}")
 
 
-def _numeric(value):
+def _numeric(value, shapes=()):
     """A library callable's ``value`` if it is real numeric (bool, integer or float), else a
-    TypeError worded as :func:`real_array` words it."""
+    TypeError worded as :func:`real_array` words it; and, when ``shapes`` are given, if its
+    shape is one of them, else a ValueError naming its shape and the first."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "biuf":
         raise TypeError(_unreal(arr))
+    if shapes and arr.shape not in shapes:
+        raise ValueError(f"returned shape {arr.shape}, not {shapes[0]}")
     return value
 
 
@@ -395,12 +398,14 @@ class _StageSource(Emitter):
 
     A scenario leaf (a :class:`VectorExpression`) is inlined one component per line,
     its grammar variables read from locals; any other callable is called by name, and its
-    value passes :func:`_numeric` on the line that called it.  The body reads ``t``,
+    value passes :func:`_numeric` on the line that called it, against the shapes
+    ``shapes`` holds for its leaf, if any.  The body reads ``t``,
     ``lam`` and the state: each element of ``phi`` on a line of its own, and ``phi`` whole
     where a callable reads it.
     """
 
-    def __init__(self):
+    def __init__(self, shapes: dict[str, tuple] | None = None):
+        self.shapes = shapes or {}              # leaf -> the shapes its callable may return
         self.body: list[str] = []
         self.leaves: dict[int, str] = {}        # body line -> "path 'source'"
         self.state: dict[int, int] = {}         # body line -> the phi element it reads
@@ -444,7 +449,8 @@ class _StageSource(Emitter):
         return _Vector(None, items, leaves, leaf.path)
 
     def call(self, stem: str, fn, arguments: str, leaf: str) -> _Vector:
-        return _Vector(self.line(stem, f"_numeric({self.ref(fn)}({arguments}))", leaf),
+        shapes = f", {self.shapes[leaf]}" if leaf in self.shapes else ""
+        return _Vector(self.line(stem, f"_numeric({self.ref(fn)}({arguments}){shapes})", leaf),
                        leaf=leaf)
 
     def whole(self, vector: _Vector) -> str:
@@ -558,13 +564,10 @@ class _StageSource(Emitter):
                                 for x in values.items) or "True"
             derivative = (f"({''.join(x + ', ' for x in values.items)}) if {fast} else "
                           f"_real({_listed(values)}, {self.ref(tuple(values.leaves))})")
-        # A callable's value can change shape after the probe; its unpack names it.
-        unpacked = values.leaf if values.items is None else ""
         y, z = [f"y_{i}" for i in range(dim)], [f"z_{i}" for i in range(dim)]
         k1, k2, k3, k4 = ([f"k{j}_{i}" for i in range(dim)] for j in range(1, 5))
-        # One record row: t, phi, dphi, the u0, eps and u blocks, lambda; each write with the
-        # leaf a fault on it names, such as a callable's vector of another width.
-        writes = [(f"R[b + {c}] = {x}", "") for c, x in enumerate(["t", *y, *k1])]
+        # One record row: t, phi, dphi, the u0, eps and u blocks, lambda.
+        writes = [f"R[b + {c}] = {x}" for c, x in enumerate(["t", *y, *k1])]
         leaves = {"dphi": values.leaves or [values.leaf] * dim}
         columns = {"t": 0, "phi": slice(1, 1 + dim), "dphi": slice(1 + dim, 1 + 2 * dim)}
         col = 1 + 2 * dim
@@ -572,17 +575,15 @@ class _StageSource(Emitter):
             start, leaves[name] = col, []
             for vector, width in zip(block, widths):
                 if vector.items is not None:
-                    writes += [(f"R[b + {col + i}] = {x}", "")
-                               for i, x in enumerate(vector.items)]
+                    writes += [f"R[b + {col + i}] = {x}" for i, x in enumerate(vector.items)]
                 elif width:
-                    writes.append((f"R[b + {col}:b + {col + width}] = {vector.name}",
-                                   vector.leaf))
+                    writes.append(f"R[b + {col}:b + {col + width}] = {vector.name}")
                 leaves[name] += vector.leaves or [vector.leaf] * width
                 col += width
             columns[name] = slice(start, col)
         columns["lambda"] = slice(col, col + dims[3])
         if dims[3]:
-            writes.insert(1 + 2 * dim, (f"R[b + {col}:b + {col + dims[3]}] = lam", ""))
+            writes.insert(1 + 2 * dim, f"R[b + {col}:b + {col + dims[3]}] = lam")
         tape = "".join(f"{_listed(e)}, " for e in blocks[1])
         # A callable, or an element beyond the state, reads phi whole.
         reads_phi = any(re.search(r"\bphi\b", text) for text, _ in self.lines("", y))
@@ -591,7 +592,7 @@ class _StageSource(Emitter):
             return [(f"        t = {t}", ""), ("        lam = lam_at(t, k)", ""),
                     *[(f"        phi = _array([{', '.join(state)}])", "")] * reads_phi,
                     ("        try:", ""), *self.lines(" " * 12, state),
-                    (f"            [{', '.join(k)}] = {derivative}", unpacked),
+                    (f"            [{', '.join(k)}] = {derivative}", ""),
                     ("        except _faults as exc:", ""),
                     ("            raise _fault(exc, t, _leaves) from exc", ""),
                     (f"        if tape is not None: tape_t(t); tape_v(({tape}))", "")]
@@ -611,7 +612,7 @@ class _StageSource(Emitter):
             (f"        b = k * {col + dims[3]}", ""),
             ("        tk = t0 + k * dt", ""),
             *stage(y, k1, "tk"),
-            ("        try:", ""), *((f"            {w}", leaf) for w, leaf in writes),
+            ("        try:", ""), *((f"            {w}", "") for w in writes),
             ("        except _faults as exc:", ""),
             ("            raise _fault(exc, t, _leaves) from exc", ""),
             ("        if k == n: return", ""),
@@ -684,10 +685,19 @@ def compile_step(system: InteractiveSystem, use_coalitions: bool,
     hidden parameters.  A non-finite state raises :class:`DivergenceError` at the step's
     start; a stage fault is named as in the stage, and a complex recorded control or hidden
     parameter is a :class:`SimulationError` at the sample time.  Each stage checks a library
-    callable's value as the probe does, and a callable's whole vector is recorded by a
-    slice write, which names the callable if its width has changed since the probe.
+    callable's value as the probe does and, on the same line, checks its shape: a recorded
+    vector has its probe width (a scalar passes where that is 1) and a derivative is the
+    state's shape.  So a callable's whole vector, recorded by a slice write, always fits.
     """
-    out = _StageSource()
+    kind = "coalitions" if use_coalitions else "players"
+    widths = {f"players[{k}].signal": w for k, w in enumerate(dims[0])}
+    for j, (slot, eps, u) in enumerate(zip(getattr(system, kind), dims[1], dims[2])):
+        widths[f"{kind}[{j}].epsilon"] = eps
+        # An identity coupling is not called; an ordinary game's inner couplings use its leaf.
+        if slot.coupling.known_form is not _identity:
+            widths[f"{kind}[{j}].coupling"] = u
+    out = _StageSource({"dynamics": ((system.dim,),), **{
+        leaf: ((w,), ()) if w == 1 else ((w,),) for leaf, w in widths.items()}})
     blocks, values = _chain(out, system, use_coalitions)
     return out.step(system.dim, blocks, values, dims)
 
@@ -819,31 +829,48 @@ def replay_with_recorded_eps(system: InteractiveSystem, recorded: StateTrajector
 class InvariantDrift:
     label: str
     drift: float
-    violated: bool
+
+
+def _invariant_value(c: InvariantConstraint, value, t) -> float:
+    """``c``'s value at ``t`` as a float if it is one finite real numeric value (a scalar or
+    a one-element vector), else a :class:`SimulationError` naming its label, leaf and ``t``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:      # a ragged sequence
+        arr = np.asarray(value, dtype=object)
+    if arr.size != 1 or arr.ndim > 1:
+        problem = f"returned shape {arr.shape}, not one value"
+    elif (arr := arr.reshape(())).dtype.kind not in "biuf":
+        problem = _unreal(arr)
+    elif not math.isfinite(arr):
+        problem = f"non-finite value {float(arr)!r}"
+    else:
+        return float(arr)
+    leaf = f" ({c.fn.leaves[0]})" if isinstance(c.fn, VectorExpression) else ""
+    raise SimulationError(f"invariant {c.label!r}{leaf}: {problem} at t={float(t)!r}")
 
 
 def check_indeterminate_invariants(trajectory: StateTrajectory,
-                                   constraints: Sequence[InvariantConstraint],
-                                   tol: float = 1e-9) -> list[InvariantDrift]:
+                                   constraints: Sequence[InvariantConstraint]
+                                   ) -> list[InvariantDrift]:
     """Maximum drift of each declared time-independent quantity over the run.
 
-    A non-finite or complex value is a :class:`SimulationError` naming the invariant's
-    label, its leaf and the first such sample's time.
+    Each value must be one real numeric value, a scalar or a one-element vector.  One
+    ``np.asarray`` checks a quantity's whole column; only when it fails are the samples
+    searched, and the first bad one (not one value, not real numeric, or non-finite) is
+    a :class:`SimulationError` naming the invariant's label, its leaf and the time.
     """
-    results = []
+    n, results = len(trajectory.t), []
     for c in constraints:
-        values = np.empty((len(trajectory.t), 1), dtype=complex)  # row k: fn's scalar or [scalar]
-        for k in range(len(values)):
-            values[k] = c.fn(trajectory.t[k], trajectory.u[k], trajectory.u0[k],
-                             trajectory.eps[k], trajectory.phi[k], trajectory.dphi[k])
-        bad = np.flatnonzero(~np.isfinite(values) | (values.imag != 0))
-        if len(bad):
-            v, leaf = values[bad[0], 0], ""
-            if isinstance(c.fn, VectorExpression):
-                leaf = f" ({c.fn.leaves[0]})"
-            raise SimulationError(
-                f"invariant {c.label!r}{leaf}: {'complex' if v.imag else 'non-finite'} value "
-                f"{complex(v) if v.imag else float(v.real)!r} at t={float(trajectory.t[bad[0]])!r}")
-        drift = float(np.max(np.abs(values.real - values.real[0])))
-        results.append(InvariantDrift(label=c.label, drift=drift, violated=drift > tol))
+        raw = [c.fn(*row) for row in zip(trajectory.t, trajectory.u, trajectory.u0,
+                                         trajectory.eps, trajectory.phi, trajectory.dphi)]
+        try:
+            values = np.asarray(raw)
+        except ValueError:      # values of unequal shapes
+            values = _EMPTY
+        if values.dtype.kind not in "biuf" or values.shape not in ((n,), (n, 1)) \
+                or not np.isfinite(values).all():
+            values = np.array([_invariant_value(c, v, t) for v, t in zip(raw, trajectory.t)])
+        values = values.astype(float, copy=False)
+        results.append(InvariantDrift(c.label, float(np.max(np.abs(values - values[0])))))
     return results

@@ -744,9 +744,9 @@ def _apply_transition(game: TacticalRepDyn, rule: TransitionRule, stacked: np.nd
     if rule.tuple_map is not None:
         stacked = rule.tuple_map(stacked)
     if rule.eta_update is not None:
-        eta = np.atleast_1d(np.asarray(
+        eta = np.atleast_1d(real_array(
             rule.eta_update(eta, {"time": signal.time, "residual": signal.residual}),
-            dtype=float))
+            f"transition {rule.from_class!r} -> {rule.to_class!r}: eta_update", signal.time))
     spec = game.specs[rule.to_class]
     try:
         stacked, residual, converged = _settle(spec.presentation, stacked, spec.tolerance,

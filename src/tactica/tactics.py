@@ -179,17 +179,21 @@ def interaction_as_synthesis(update1: Callable, update2: Callable, term12: Calla
     """The synthesis rule of two comment recursions coupled additively.
 
     Game 1's next comment is ``update1(theta1, omega1, v1) + term12(theta1, theta2,
-    omega1, v1)``, and game 2's the same with the roles exchanged.
+    omega1, v1)``, and game 2's the same with the roles exchanged.  Each value must be real
+    numeric (:func:`real_array`); any other is a :class:`SimulationError` naming the
+    callable's path, or else its parameter (``update1``, ``term12``, ...).
     """
-    def coupled(update, term, own, other):
+    def coupled(update, term, own, other, names):
         def form(thetas, omegas, vs):
-            return (np.atleast_1d(np.asarray(update(thetas[own], omegas[own], vs[own])))
-                    + np.atleast_1d(np.asarray(term(thetas[own], thetas[other], omegas[own],
-                                                    vs[own]))))
+            return (np.atleast_1d(real_array(update(thetas[own], omegas[own], vs[own]),
+                                             getattr(update, "path", names[0])))
+                    + np.atleast_1d(real_array(term(thetas[own], thetas[other], omegas[own],
+                                                    vs[own]), getattr(term, "path", names[1]))))
         return form
 
     both = frozenset({0, 1})
-    return SynthesisRule(forms=(coupled(update1, term12, 0, 1), coupled(update2, term21, 1, 0)),
+    return SynthesisRule(forms=(coupled(update1, term12, 0, 1, ("update1", "term12")),
+                                coupled(update2, term21, 1, 0, ("update2", "term21"))),
                          masks=(both, both))
 
 

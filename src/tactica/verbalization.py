@@ -306,18 +306,10 @@ class RecurrenceMap:
         return self.coeff_omega @ omega_prev + self.coeff_v @ v + self.intercept
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
-    residuals: np.ndarray
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(self.residuals)) if len(self.residuals) else 0.0
-
-
-def verify_recurrence(windows: Sequence[WindowRecord], rmap: RecurrenceMap) -> RecurrenceReport:
-    """Per-window residual of the recurrence against the recorded summaries.  A
-    non-finite prediction is a :class:`SimulationError` naming the form and the window."""
+def verify_recurrence(windows: Sequence[WindowRecord], rmap: RecurrenceMap) -> np.ndarray:
+    """The residual of the recurrence against the recorded summaries, one per window after
+    the first.  A non-finite prediction is a :class:`SimulationError` naming the form and
+    the window."""
     if len(windows) < 2:
         raise ConfigurationError("verification needs at least two windows")
     residuals = []
@@ -327,7 +319,7 @@ def verify_recurrence(windows: Sequence[WindowRecord], rmap: RecurrenceMap) -> R
             raise SimulationError(f"{getattr(rmap.form, 'path', 'recurrence')}: non-finite "
                                   f"value {predicted.tolist()!r} predicting window {cur.index}")
         residuals.append(float(np.linalg.norm(cur.omega - predicted)))
-    return RecurrenceReport(residuals=np.array(residuals))
+    return np.array(residuals)
 
 
 def fit_recurrence(windows: Sequence[WindowRecord]) -> RecurrenceMap:
@@ -424,7 +416,7 @@ def simulate_dialogue(dialogue: DialogueSpec, t_grid: Sequence[float],
     residuals = verify_recurrence(
         [WindowRecord(index=0, t_start=float(t_grid[0]), t_end=float(t_grid[0]), omega=phi0,
                       v=np.zeros(0)), *windows],
-        RecurrenceMap("declared", form=dialogue.step_map)).residuals
+        RecurrenceMap("declared", form=dialogue.step_map))
     diagnostics = [f"window {w.index}: functional state deviates from the step map by "
                    f"{r:.3e}; not a dialogue under the declared maps"
                    for w, r in zip(windows, residuals) if r > tol]

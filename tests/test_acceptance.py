@@ -107,8 +107,8 @@ def test_criterion_04_recurrence_identification():
         assert abs(fitted.coeff_v[0, 0] - 1.0) <= 1e-9
         assert abs(fitted.intercept[0]) <= 1e-9
         holdout = verify_recurrence(windows[8:], fitted)
-        assert len(holdout.residuals) == 4
-        assert holdout.max_residual <= 1e-6
+        assert len(holdout) == 4
+        assert np.max(holdout) <= 1e-6
 
 
 def _coupled_pair(grid):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 import weakref
 from collections import Counter
@@ -1361,6 +1362,25 @@ def test_commutativity_breaking_transition_fires_once():
     assert [c.class_label for c in result.class_stream] == ["heisenberg"] * 3
     # eta update recorded the transition time
     assert result.class_stream[0].eta[0] == pytest.approx(event.time)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (["0.5"], "value ['0.5'] is not real numeric"),
+    (np.array([0.5 + 1j]), "complex value [(0.5+1j)]"), ([1j, 2j], "complex value [1j, 2j]")],
+    ids=["str-list", "complex-array", "complex-list"])
+def test_an_eta_update_that_is_not_real_numeric_is_named_at_the_signal_time(value, shown):
+    # Not parsed, cut to its real part or a bare TypeError.
+    rule = _transition_delta().transitions[0]
+    game = TacticalRepDyn(
+        registry=default_registry(),
+        class_dynamics={"commutative": _drift_dynamics(), "heisenberg": _scaling_dynamics()},
+        initial_class="commutative", initial=_zero_pair(), eta0=np.zeros(1),
+        delta=DialecticalObject(label="enlarge", transitions=(TransitionRule(
+            rule.from_class, rule.trigger, rule.to_class, lambda eta, diag: value,
+            rule.tuple_map),)), insolvable_threshold=1e-6)
+    with pytest.raises(SimulationError, match=rf"^transition 'commutative' -> 'heisenberg': "
+                       rf"eta_update: {re.escape(shown)} at t=0\.002$"):
+        run_tactical_repdyn(game, [0.0, 1.0, 2.0, 3.0], 1e-3)
 
 
 def _enlarge_then_free(control):

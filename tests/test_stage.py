@@ -599,47 +599,57 @@ _NOT_REAL = [[0.1 + 1j], np.array([1j]), np.complex128(0.5), [complex(0.5)], ["0
              [Decimal("0.1")]]
 
 
-def _turning_system(slot, use_coalitions, value, after):
-    """phi' = u - phi under u = u0 + eps, eps = phi/4 and u0 = 1/2, in a player's slot or
-    in a one-member coalition's, with the callable of ``slot`` returning ``value`` at every
-    stage time above ``after``."""
-    callables = {"signal": lambda t: np.array([0.5]),
-                 "epsilon": lambda t, u0, phi: np.array([0.25 * phi[0]]),
-                 "coupling": lambda t, u0, phi, derivs, eps, lam: np.array(
-                     [np.ravel(u0)[0] + eps[0]]),
-                 "dynamics": lambda t, phi, u, lam: [u[0][0] - phi[0]]}
+def _turning_system(slot, use_coalitions, value, after, width=1):
+    """phi' = u - phi under u = u0 + eps, eps = phi/4 and u0 = 1/2, every vector of
+    ``width`` elements, in a player's slot or in a one-member coalition's, with the callable
+    of ``slot`` returning ``value`` at every stage time above ``after``."""
+    callables = {"signal": lambda t: np.full(width, 0.5),
+                 "epsilon": lambda t, u0, phi: 0.25 * phi,
+                 "coupling": lambda t, u0, phi, derivs, eps, lam: np.ravel(u0) + eps,
+                 "dynamics": lambda t, phi, u, lam: u[0] - phi}
     good = callables[slot]
     callables[slot] = lambda t, *args: value if t > after else good(t, *args)
     slot_forms = {"known_form": callables["coupling"], "eps_form": callables["epsilon"],
-                  "eps_dim": 1}
+                  "eps_dim": width}
     if not use_coalitions:
-        return InteractiveSystem(dim=1, dynamics=callables["dynamics"],
+        return InteractiveSystem(dim=width, dynamics=callables["dynamics"],
                                  players=(make_player(callables["signal"], **slot_forms),))
     coalition = Coalition((1,), FeedbackCoupling(callables["coupling"]),
-                          EpsilonProcess(callables["epsilon"], 1))
-    return InteractiveSystem(dim=1, dynamics=callables["dynamics"],
+                          EpsilonProcess(callables["epsilon"], width))
+    return InteractiveSystem(dim=width, dynamics=callables["dynamics"],
                              players=(make_player(callables["signal"]),),
                              coalitions=(coalition,))
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+# Real values of a shape other than the probe's width: wider, narrower, 0-d where the width
+# is 2 or more, and 2-d.
+_MISSHAPEN = {1: [[0.5, 0.5], [], [[0.5]]], 2: [[0.5] * 3, [0.5], 0.5, [[0.5, 0.5]]]}
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(slot=st.sampled_from(sorted(_LIBRARY_LEAVES)), use_coalitions=st.booleans(),
-       value=st.sampled_from(_NOT_REAL), k=st.integers(0, 2),
-       stage=st.sampled_from(["k2", "k4"]), dt=st.sampled_from([0.01, 0.25]))
+       width=st.sampled_from([1, 2]), bad=st.integers(0, len(_NOT_REAL) + 3),
+       k=st.integers(0, 2), stage=st.sampled_from(["k2", "k4"]), dt=st.sampled_from([0.01, 0.25]))
 def test_a_library_value_turning_bad_at_an_inner_stage_is_named_by_its_callable(
-        slot, use_coalitions, value, k, stage, dt):
+        slot, use_coalitions, width, bad, k, stage, dt):
     # The value is first returned at the k2 stage (t + dt/2) or the k4 stage (t + dt) of
-    # step k, which no probe and no record sees; every stage checks it where it is returned.
+    # step k, which no probe and no record sees; every stage checks it where it is returned,
+    # before another callable reads it.
+    values = _NOT_REAL + _MISSHAPEN[width]
+    bad %= len(values)
+    value = values[bad]
     tk = 0.0 + k * dt
     after, t_bad = (tk + dt / 4, tk + dt / 2.0) if stage == "k2" else (tk + 3 * dt / 4, tk + dt)
-    system = _turning_system(slot, use_coalitions, value, after)
+    system = _turning_system(slot, use_coalitions, value, after, width)
     leaf = ("players[0].signal" if slot == "signal" else "dynamics" if slot == "dynamics"
             else f"{'coalitions' if use_coalitions else 'players'}[0].{slot}")
+    fault = ("complex value .*|value .* is not real numeric" if bad < len(_NOT_REAL) else
+             rf"returned shape {re.escape(str(np.shape(value)))}, not \({width},\)")
     integrate = coalition_simulate if use_coalitions else simulate
     with pytest.raises(SimulationError) as info:
-        integrate(system, [1.0], 0.0, 3 * dt, dt, record_tape=False)
-    assert re.fullmatch(rf"{re.escape(leaf)}: (complex value .*|value .* is not real numeric) "
-                        rf"at t={re.escape(repr(t_bad))}", str(info.value)), str(info.value)
+        integrate(system, [1.0] * width, 0.0, 3 * dt, dt, record_tape=False)
+    assert re.fullmatch(rf"{re.escape(leaf)}: ({fault}) at t={re.escape(repr(t_bad))}",
+                        str(info.value)), str(info.value)
 
 
 def test_every_library_call_in_the_stage_and_the_step_is_checked(monkeypatch):

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_player
-from tactica.games import (ConfigurationError, InteractiveSystem, SlowControl, simulate)
+from tactica.games import (ConfigurationError, InteractiveSystem, SimulationError, SlowControl,
+                           simulate)
 from tactica.tactics import (CommentedGame, SynthesisRule, commented_as_synthesis,
                              interaction_as_synthesis, run_synthesized)
 from tactica.verbalization import WindowFunctional, evaluate_functionals
@@ -142,6 +144,18 @@ def test_linear_coupling_matches_matrix_power():
         theta = matrix @ theta
         assert abs(runs[0].comments[n].vector[0] - theta[0]) < 1e-12
         assert abs(runs[1].comments[n].vector[0] - theta[1]) < 1e-12
+
+
+@pytest.mark.parametrize("slot", ["update1", "update2", "term12", "term21"])
+@pytest.mark.parametrize("value, shown", [(["0.5"], "value ['0.5'] is not real numeric"),
+                                          ([1j], "complex value [1j]")], ids=["str", "complex"])
+def test_an_interaction_value_that_is_not_real_numeric_names_its_callable(slot, value, shown):
+    # Not numpy's bare error from the sum of update and term, nor the sum's.
+    forms = {"update1": lambda th, om, v: th, "update2": lambda th, om, v: th,
+             "term12": zero_term, "term21": zero_term}
+    forms[slot] = lambda *args: value
+    with pytest.raises(SimulationError, match=rf"^{slot}: {re.escape(shown)}$"):
+        run_synthesized(list(_pair([1.0], [2.0])), interaction_as_synthesis(**forms))
 
 
 def test_mismatched_window_grids_rejected():
