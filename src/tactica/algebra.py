@@ -12,12 +12,12 @@ add.  A presentation compiles its relations into a level-batched
 :class:`RelationPlan` when it is built: one stacked product per letter
 position drives the relation values and the projection Jacobian alike, and
 each relation sums its terms through slices of the word products.
-``compile_symbols`` generates one straight-line evaluator per symbol tuple:
-level j adds the j-th term of every symbol, its
-linear terms as one broadcast product and each higher term's orderings as
-one stacked product per letter position.  Unknown slots, unknown constants
-and missing control components are rejected there, once, not during
-evaluation.
+``weyl_source`` emits the straight-line level sums of a symbol tuple, which
+``compile_symbols`` generates as one evaluator: level j adds the j-th term of
+every symbol, its linear terms as one broadcast product and each higher
+term's orderings as one stacked product per letter position.  Unknown slots,
+unknown constants and missing control components are rejected there, once,
+not during evaluation.
 """
 
 from __future__ import annotations
@@ -307,12 +307,14 @@ class WeylSymbol:
         return {l for t in self.terms for l in t.word if isinstance(l, str)}
 
 
-def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
-                    constants: Mapping[str, np.ndarray] | None = None,
-                    control_dim: int = 0) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
-    """Generate ``evaluate(stacked, a)``, the straight-line evaluator of ``symbols``, through
-    :class:`expr.Emitter`: it maps an ``(m, n, n)`` tuple and the control vector to one
-    ``(n, n)`` value per symbol.
+def weyl_source(symbols: Sequence[WeylSymbol], m: int, n: int,
+                constants: Mapping[str, np.ndarray] | None = None,
+                control_dim: int = 0) -> tuple[Emitter, list[str], list[str]]:
+    """The straight-line Weyl level sums of ``symbols``: the :class:`expr.Emitter` whose
+    namespace they read, the expressions of their control-dependent scalars over the complex
+    control vector ``a``, and the body lines.  The body reads an ``(m, n, n)`` tuple from the
+    local ``x`` and scalar j from the local ``s<j>``, and leaves one ``(n, n)`` value per
+    symbol in ``out``.
 
     Raises ConfigurationError for a slot beyond the tuple, an unknown or wrongly
     sized constant, or a control component beyond ``control_dim``.  Letters are
@@ -351,9 +353,16 @@ def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
     emit = Emitter(array=np.array, concatenate=np.concatenate, zeros=np.zeros,
                    complex=complex, zero=np.zeros((), dtype=complex))
     shape, sizes = (len(symbols), n, n), {"x": m, "p": m + len(fixed), "out": len(symbols)}
+    scalars: list[str] = []
 
     def scalar(coeff, control) -> str:
         return emit.ref(coeff) if control is None else f"{emit.ref(coeff)}*a[{control}]"
+
+    def local(value: str) -> str:      # a control-dependent scalar is read from its local
+        if "a[" not in value:
+            return value
+        scalars.append(value)
+        return f"s{len(scalars) - 1}"
 
     def rows(array: str, idx: Sequence[int]) -> str:     # one, all, a slice or a gather
         if len(idx) == 1 and (sizes[array] > 1 or sizes["out"] > 1):
@@ -391,7 +400,7 @@ def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
                 total = " + ".join(["zero", *("P" if len(unique) == 1 else f"P[{unique.index(o)}]"
                                               for o in orderings)])
                 scale = emit.ref(coeff / len(orderings)) if control is None \
-                    else f"({scalar(coeff, control)})/{len(orderings)}"
+                    else local(f"({scalar(coeff, control)})/{len(orderings)}")
                 body.append(f"P = {' @ '.join(factors)}")
                 add(rows("out", [s]), f"{scale} * ({total})")
                 reads_fixed |= pool == "p"
@@ -399,17 +408,25 @@ def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
             at, values = zip(*folded)
             add(rows("out", at), emit.ref(np.stack(values) if len(values) > 1 else values[0]))
         if linear:
-            at, scalars, letters = zip(*linear)
-            scale = scalars[0] if len(linear) == 1 \
-                else f"array([{', '.join(scalars)}])[:, None, None]"
+            at, terms, letters = zip(*linear)
+            scale = local(terms[0] if len(linear) == 1
+                          else f"array([{', '.join(terms)}])[:, None, None]")
             add(rows("out", at), f"({scale}) * {rows('p' if max(letters) >= m else 'x', letters)}")
-    lines = ["def evaluate(x, a):"]
-    if reads_fixed:
-        lines.append(f"p = concatenate((x, {emit.ref(np.stack(fixed))}))")
+    head = [f"p = concatenate((x, {emit.ref(np.stack(fixed))}))"] if reads_fixed else []
     if added[:1] != ["out"]:
-        lines.append(f"out = zeros({shape}, complex)")
-    lines += [*body, "return out"]
-    return emit.function([(lines[0], ""), *((f"    {line}", "") for line in lines[1:])])[0]
+        head.append(f"out = zeros({shape}, complex)")
+    return emit, scalars, head + body
+
+
+def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
+                    constants: Mapping[str, np.ndarray] | None = None,
+                    control_dim: int = 0) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
+    """Generate ``evaluate(stacked, a)``, the straight-line evaluator of ``symbols``
+    (:func:`weyl_source`): it maps an ``(m, n, n)`` tuple and the control vector to one
+    ``(n, n)`` value per symbol, computing the control scalars first."""
+    emit, scalars, body = weyl_source(symbols, m, n, constants, control_dim)
+    lines = [*(f"s{j} = {value}" for j, value in enumerate(scalars)), *body, "return out"]
+    return emit.function([("def evaluate(x, a):", ""), *((f"    {line}", "") for line in lines)])[0]
 
 
 def weyl_eval_tuple(evaluate: Callable, stacked: np.ndarray,

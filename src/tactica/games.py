@@ -98,6 +98,24 @@ def rk4_step(f: Callable, t: float, y: np.ndarray, dt: float, k1: np.ndarray) ->
     return y + sixth * (k1 + two * k2 + two * k3 + k4)
 
 
+def rk4_source(indent: str, y: Sequence[str], z: Sequence[str], k: Sequence[Sequence[str]],
+               stage: Callable) -> list[tuple[str, str]]:
+    """The generated source of a classical RK4 step after its first stage, in
+    :func:`rk4_step`'s operation order, over the state's element locals ``y``.  Before inner
+    stage j it advances ``z = y + weight * k[j - 1]`` (the 0-d or np.float64 locals ``half``
+    and ``full``), and ``stage(z, k[j], time)`` evaluates the stage into ``k[j]`` at
+    ``time``: ``"tm = tk + dt / 2.0"``, then ``"tm"`` (the time before), then ``"tk + dt"``,
+    ``tk`` being the step's start.  The combination then rebinds each ``y`` to
+    ``y + sixth * (k1 + two * k2 + two * k3 + k4)``."""
+    lines = []
+    for weight, before, after, time in zip(("half", "half", "full"), k, k[1:],
+                                           ("tm = tk + dt / 2.0", "tm", "tk + dt")):
+        lines += [(f"{indent}{s} = {x} + {weight} * {d}", "") for s, x, d in zip(z, y, before)]
+        lines += stage(z, after, time)
+    return lines + [(f"{indent}{x} = {x} + sixth * ({a} + two * {b} + two * {c} + {d})", "")
+                    for x, a, b, c, d in zip(y, *k)]
+
+
 @dataclass(frozen=True)
 class EpsilonProcess:
     """Hidden feedback parameter as a function of pure control and state.
@@ -597,9 +615,6 @@ class _StageSource(Emitter):
                     ("            raise _fault(exc, t, _leaves) from exc", ""),
                     (f"        if tape is not None: tape_t(t); tape_v(({tape}))", "")]
 
-        def advance(weight, k):
-            return [(f"        {s} = {x} + {weight} * {d}", "") for s, x, d in zip(z, y, k)]
-
         finite = " and ".join(f"_isfinite({x})" for x in y) or "True"
         return self.function([
             ("def step(y, t0, dt, n, lam_at, R, tape):", ""),
@@ -616,11 +631,7 @@ class _StageSource(Emitter):
             ("        except _faults as exc:", ""),
             ("            raise _fault(exc, t, _leaves) from exc", ""),
             ("        if k == n: return", ""),
-            *advance("half", k1), *stage(z, k2, "tm = tk + dt / 2.0"),
-            *advance("half", k2), *stage(z, k3, "tm"),
-            *advance("full", k3), *stage(z, k4, "tk + dt"),
-            *((f"        {x} = {x} + sixth * ({a} + two * {b} + two * {c} + {d})", "")
-              for x, a, b, c, d in zip(y, k1, k2, k3, k4)),
+            *rk4_source(" " * 8, y, z, (k1, k2, k3, k4), stage),
             (f"        if not ({finite}): raise _diverged(tk)", "")])[0], columns, leaves
 
 

@@ -19,18 +19,17 @@ import numpy as np
 from .algebra import (AlgebraClassRegistry, AlgebraPresentation, LabeledInterval, WeylSymbol,
                       WeylTerm, commutative_presentation, compile_symbols,
                       equivalence_partition, identity, relation_values, stack_tuple,
-                      weyl_eval_tuple)
+                      weyl_eval_tuple, weyl_source)
 from .expr import Emitter, NCPoly, VectorExpression, _tokenize, nc_evaluate, validate
-from .games import (ConfigurationError, InteractiveSystem, Player, SimulationError,
-                    identity_coupling, real_array, rk4_step, simulate, step_count, zero_epsilon)
+from .games import (ConfigurationError, InteractiveSystem, Player, SimulationError, _rk4_weights,
+                    identity_coupling, real_array, rk4_source, rk4_step, simulate, step_count,
+                    zero_epsilon)
 from .tactics import CommentState, DialecticalObject, TransitionRule
 from .verbalization import WindowRecord
 
-# Relative singular-value cutoff of the projection's least-squares step.  Relation
-# Jacobians are rank-deficient (83 of 108 on conjugated dim-6 Heisenberg tuples); numpy's
-# default cutoff keeps their numerically-zero singular values, whose minimum-norm step
-# amplifies rounding noise so the residual stalls above the tolerance.
-PROJECTION_RCOND = 1e-12
+# A least-squares result whose residual is within this becomes the kept factor's anchor:
+# there the Jacobian's numerically-zero singular values fall below every cutoff.
+ANCHOR_RESIDUAL = 1e-12
 PROJECTION_CAP = 50                 # Gauss-Newton iterations per projection
 PROJECTION_CONTRACTION = 0.1        # the residual cut a kept-factor step must make
 MAX_TRANSITIONS_PER_WINDOW = 8      # more in one window: the scenario does not settle
@@ -39,6 +38,7 @@ MAX_TRANSITIONS_PER_WINDOW = 8      # more in one window: the scenario does not 
 # faulted in afresh on every call: at n = 6 one batch per level took up to twice the time
 # of the per-word loop.
 BATCH_ENTRIES = 4096
+_F64 = np.dtype(float)
 
 
 class StrandedClassError(SimulationError):
@@ -60,6 +60,63 @@ class InsolvableSignal:
     reason: str
 
 
+def compile_run(symbols: Sequence[WeylSymbol], m: int, n: int,
+                constants: Mapping[str, np.ndarray], control_dim: int) -> tuple[Callable, Callable]:
+    """Generate ``run(states, k, end, t0, dt, get, read, swallow)`` and ``scalars(a)`` for
+    ``symbols``, in one source through :class:`expr.Emitter`.
+
+    ``scalars(a)`` is the tuple of the symbols' control-dependent scalars at the complex
+    control vector ``a`` (:func:`weyl_source`).  ``run`` takes RK4 steps ``k`` to
+    ``end - 1`` of ``y' = evaluate(y, a(t))`` from ``states[k]``, writing the state after
+    step s into ``states[s + 1]``; step s starts at ``t0 + s * dt``.  Each stage inlines
+    the level sums of :func:`compile_symbols` from the same body lines, and the combination
+    is :func:`games.rk4_source`'s, with :func:`rk4_step`'s 0-d weights, so a step is
+    :func:`rk4_step` of that evaluator bit for bit.  Each distinct stage time's memo entry
+    ``(value, vector, scalars)`` is ``get(t)``, or ``read(t)`` where that is None; the
+    k3 stage reuses the k2 stage's scalars, and a step whose start equals the step end
+    before reuses that end's.  ``run`` returns ``end``; an exception in step s is raised,
+    or with ``swallow`` ends the run there, returning s.
+    """
+    emit, scalars, body = weyl_source(symbols, m, n, constants, control_dim)
+    emit.namespace.update(_weights=_rk4_weights, range=range, Exception=Exception)
+    unpack = [f"{''.join(f's{j}, ' for j in range(len(scalars)))}= e[2]"] * bool(scalars)
+    indent = " " * 12
+
+    def stage(x, k, time):
+        """The stage at ``time`` from the tuple ``x[0]`` into ``k[0]``; a time of its own
+        reads its memo entry first."""
+        name, _, value = time.rpartition(" = ")
+        read = []
+        if name or not value.isidentifier():    # not the stage before's time
+            name = name or "te"
+            read = [f"{name} = {value}", f"e = get({name}) or read({name})", *unpack]
+        return [(indent + line, "") for line in
+                (*read, *(f"x = {x[0]}",) * (x[0] != "x"), *body, f"{k[0]} = out")]
+
+    lines = [
+        ("def run(states, k, end, t0, dt, get, read, swallow):", ""),
+        ("    half, full, two, sixth = _weights(dt)", ""),
+        ("    y, te = states[k], None", ""),
+        ("    try:", ""),
+        ("        for s in range(k, end):", ""),
+        ("            tk = t0 + s * dt", ""),
+        ("            if tk != te:", ""),
+        ("                e = get(tk) or read(tk)", ""),
+        *((f"                {line}", "") for line in unpack),
+        *stage(["y"], ["k1"], "tk"),
+        *rk4_source(indent, ["y"], ["x"], (["k1"], ["k2"], ["k3"], ["k4"]), stage),
+        ("            states[s + 1] = y", ""),
+        ("    except Exception:", ""),
+        ("        if swallow:", ""),
+        ("            return s", ""),
+        ("        raise", ""),
+        ("    return end", ""),
+        ("def scalars(a):", ""),
+        (f"    return ({''.join(f'{value}, ' for value in scalars)})", "")]
+    run = emit.function(lines)[0]
+    return run, emit.namespace["scalars"]
+
+
 @dataclass(frozen=True)
 class RepDynSpec:
     """One algebra class's dynamics: Weyl symbols and the representation constraint.
@@ -69,7 +126,8 @@ class RepDynSpec:
     may produce before the run is declared insolvable in the current class;
     the projection itself must reach ``tolerance``.  ``plan`` is the symbols'
     evaluator (:func:`compile_symbols`) for the tuple shape, the constants and
-    ``control_dim``.
+    ``control_dim``; ``run`` and ``scalars`` are its generated RK4 run and control
+    scalars (:func:`compile_run`).
     """
 
     symbols: tuple[WeylSymbol, ...]
@@ -80,6 +138,8 @@ class RepDynSpec:
     tolerance: float = 1e-9
     insolvable_threshold: float = 1e-5
     plan: Callable = field(init=False, repr=False, compare=False)
+    run: Callable = field(init=False, repr=False, compare=False)
+    scalars: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "constants",
@@ -91,6 +151,9 @@ class RepDynSpec:
                                      f"{self.presentation.label!r} has {m} generators")
         object.__setattr__(self, "plan", compile_symbols(
             self.symbols, m, self.n, self.constants, self.control_dim))
+        run, scalars = compile_run(self.symbols, m, self.n, self.constants, self.control_dim)
+        object.__setattr__(self, "run", run)
+        object.__setattr__(self, "scalars", scalars)
 
 
 def check_start(spec: RepDynSpec, stacked: np.ndarray) -> float:
@@ -162,25 +225,37 @@ def project_to_variety(pres: AlgebraPresentation, stacked: np.ndarray, tolerance
     entries.  An iterate with a non-finite residual stops it unconverged.
     ``values`` is ``relation_values(pres, stacked)`` when the caller holds it.
 
+    The step treats as zero the singular values of the relation Jacobian below
+    ``tolerance * scale`` of the largest, ``scale`` being the tuple's largest entry modulus
+    (at least 1).  On the variety the Jacobian is zero along the variety's tangent
+    directions; off it, and through rounding, those singular values are lifted (to 1.9e-9,
+    3e-10 of the largest, on a conjugated Heisenberg tuple of scale 4).  Cancelling the
+    residual along a lifted direction slides the tuple along the variety, by up to 54,000
+    times its residual under a fixed 1e-12 cutoff: no projection moves that way (Hairer,
+    Lubich and Wanner, *Geometric Numerical Integration*, 2nd ed., section IV.4, project
+    along the normal directions).  The rule draws the line at the tolerance, the size to
+    which the relations must be cancelled, for a tuple of unit scale, and raises it with
+    larger entries, whose products the relations carry with proportionally more rounding.
+    The normal directions keep singular values of order one relative to the largest (0.08
+    at the smallest on those tuples), far above the line.
+
     ``anchor`` is a list a run keeps over its projections: the simplified Newton
-    iteration of projection methods (Hairer, Lubich and Wanner, *Geometric Numerical
-    Integration*, section IV.4).  The least-squares iteration leaves in it
+    iteration of projection methods (ibid.).  The least-squares iteration leaves in it
     ``[result, None]`` when the tuple it returned has a residual within
-    ``PROJECTION_RCOND``, so that the Jacobian's numerically-zero singular values fall
-    below the cutoff there, and empties it otherwise.  A later projection builds the
-    pseudo-inverse of the Jacobian there in place of ``None`` and first takes kept steps
-    with it, at most ``PROJECTION_CAP``, each accepted only if it cuts the residual to
-    ``PROJECTION_CONTRACTION`` of the last.  Kept steps that reach ``tolerance`` are the
-    projection.  At the first that does not contract, the least-squares iteration projects
-    ``stacked`` as it does without an anchor.
+    ``ANCHOR_RESIDUAL``, and empties it otherwise.  A later projection builds the
+    pseudo-inverse of the Jacobian there, with the same cutoff, in place of ``None`` and
+    first takes kept steps with it, at most ``PROJECTION_CAP``, each accepted only if it
+    cuts the residual to ``PROJECTION_CONTRACTION`` of the last.  Kept steps that reach
+    ``tolerance`` are the projection.  At the first that does not contract, the
+    least-squares iteration projects ``stacked`` as it does without an anchor.
     """
     m, n = stacked.shape[0], stacked.shape[1]
     scale = max(1.0, float(np.max(np.abs(stacked))))
+    cutoff = tolerance * scale
     residual_vec, residual = relation_values(pres, stacked) if values is None else values
     if anchor and residual > tolerance:
         if anchor[1] is None:
-            anchor[1] = np.linalg.pinv(_relation_jacobian(pres, anchor[0], m, n),
-                                       rcond=PROJECTION_RCOND)
+            anchor[1] = np.linalg.pinv(_relation_jacobian(pres, anchor[0], m, n), rcond=cutoff)
         kept, kept_vec, kept_residual = stacked, residual_vec, residual
         for _ in range(PROJECTION_CAP):
             step = kept - (anchor[1] @ kept_vec).reshape(m, n, n)
@@ -194,13 +269,13 @@ def project_to_variety(pres: AlgebraPresentation, stacked: np.ndarray, tolerance
         if residual <= tolerance or not math.isfinite(residual):
             break
         jac = _relation_jacobian(pres, stacked, m, n)
-        delta, _, _, _ = np.linalg.lstsq(jac, -residual_vec, rcond=PROJECTION_RCOND)
+        delta, _, _, _ = np.linalg.lstsq(jac, -residual_vec, rcond=cutoff)
         if float(np.max(np.abs(delta))) < 1e-16 * scale:
             break
         stacked = stacked + delta.reshape(m, n, n)
         residual_vec, residual = relation_values(pres, stacked)
         if anchor is not None:
-            anchor[:] = (stacked, None) if residual <= PROJECTION_RCOND else ()
+            anchor[:] = (stacked, None) if residual <= ANCHOR_RESIDUAL else ()
     return stacked, residual, residual <= tolerance
 
 
@@ -228,12 +303,18 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     The run starts from ``start``, an ``(m, n, n)`` tuple on the variety.  On an insolvable
     step the result carries the samples accepted so far plus the signal; the failing step
     is not applied.  The control is evaluated once per stage time: a memo maps each stage
-    time from the current step's on to the value the control returned there and its
-    complex vector, and a sample keeps the value of its step's first stage; a value that
-    is not numbers, or not of the declared shape, is a :class:`ConfigurationError`.  A
-    caller passes its own ``memo`` to carry it into the next integration with the same
-    control, whose first step starts at the last sample's time.
+    time from the current step's on to the value the control returned there, its complex
+    vector and the spec's control scalars of that vector (``spec.scalars``), and a sample
+    keeps the value of its step's first stage; a value that is not numbers, or not of the
+    declared shape, is a :class:`ConfigurationError`.  A scenario's control (a
+    :class:`VectorExpression` of the declared width) is read through its compiled function;
+    a value whose array is float64, as :func:`real_array` makes it, is taken as it is, and
+    any other value, or a fault, is read again through the checked call, which names the
+    fault.  A caller passes its own ``memo`` to carry it into the next integration with the
+    same control, whose first step starts at the last sample's time; the scalars it holds
+    are made again for the spec at hand.
 
+    Steps are taken by ``spec.run`` (:func:`compile_run`): a lone step is a run of one.
     Raw steps are taken in runs, each from the last, and one stacked evaluation
     checks a run's candidates against the relations.  The candidates before the
     first that is non-finite or beyond ``tolerance`` are accepted as they are; that
@@ -247,21 +328,34 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     a control that raises there ends the run before that step: a step the lone-step
     loop would not take warns of nothing and raises nothing, and the failing step is
     taken or checked again alone, where it does.  The result is the lone-step loop's
-    bit for bit.
+    bit for bit.  The control scalars of a stage time are computed once, at its first
+    read, so they warn there or, in a run, not at all.
     """
     n_steps = step_count(t0, t1, dt)
-    plan, control_dim, presentation = spec.plan, spec.control_dim, spec.presentation
+    run, control_dim, presentation = spec.run, spec.control_dim, spec.presentation
     if control is None and control_dim:
         raise ConfigurationError("spec declares controls but no schedule given")
     # The longest run: its largest stacked temporary, the words' products, is one batch.
     longest = BATCH_ENTRIES // (max(len(presentation.plan.coeffs), presentation.generators)
                                 * spec.n ** 2)
-    seen = {} if memo is None else memo  # stage time -> (the value as returned, its vector)
+    seen = {} if memo is None else memo     # stage time -> (value, vector, scalars)
+    scalars = spec.scalars
+    for t, (value, vector, _) in seen.items():
+        seen[t] = value, vector, scalars(vector)
     anchor = []     # the projections' kept factor: see project_to_variety
+    fast = control._compiled[0] if isinstance(control, VectorExpression) \
+        and control.dim == control_dim else None
 
-    def evaluate_control(t: float) -> tuple:
-        entry = seen.get(t)
-        if entry is None:
+    def read(t: float) -> tuple:
+        value = None
+        if fast is not None:
+            try:
+                value = np.array(fast(t))
+            except (ArithmeticError, TypeError, ValueError):  # the call names it
+                pass
+        if value is not None and value.dtype is _F64:   # as real_array makes it
+            vector = value
+        else:
             value = control(t)
             if isinstance(control, VectorExpression):   # a scenario's control is real
                 value = real_array(value, control.path, t)
@@ -273,11 +367,14 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
                 got = f"{len(vector)} components" if vector.ndim == 1 else f"shape {vector.shape}"
                 raise ConfigurationError(f"control schedule returns {got}, spec declares "
                                          f"{control_dim}")
-            entry = seen[t] = value, vector.astype(complex, copy=False)
+        vector = vector.astype(complex, copy=False)
+        entry = seen[t] = value, vector, scalars(vector)
         return entry
 
-    def rhs(t: float, stacked: np.ndarray) -> np.ndarray:
-        return weyl_eval_tuple(plan, stacked, None if control is None else evaluate_control(t)[1])
+    get = seen.get if control is not None else lambda t: (None, None, ())    # reads nothing
+
+    def at(t: float) -> tuple:
+        return get(t) or read(t)
 
     residuals = [check_start(spec, start)]
     states = np.empty((n_steps + 1,) + start.shape, dtype=complex)
@@ -290,28 +387,21 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
                             residuals=np.array(residuals), insolvable=insolvable,
                             controls=controls)
 
-    k, streak, stacked = 0, 0, start      # streak: the clean steps since the last projection
+    k, streak = 0, 0      # streak: the clean steps since the last projection
     tolerance = spec.tolerance
     while k < n_steps:
         t = t0 + k * dt
-        first = rhs(t, stacked)
+        run(states, k, k + 1, t0, dt, get, read, False)
         if control is not None:     # the sample keeps its step's first control
             controls.append(seen[t][0])
             for s in [s for s in seen if s < t]:    # the memo holds at most a run's times
                 del seen[s]
-        candidate = rk4_step(rhs, t, stacked, dt, first)
         raw, end = None, k + 1
         if streak > 1:
             end = k + min(streak, longest, n_steps - k)
         if end > k + 1:     # a run: more steps, each from the last
-            states[k + 1] = candidate
             with np.errstate(all="ignore"):
-                try:
-                    for s in range(k + 1, end):
-                        t = t0 + s * dt
-                        states[s + 1] = rk4_step(rhs, t, states[s], dt, rhs(t, states[s]))
-                except Exception:       # raised again when step s is taken alone
-                    end = s
+                end = run(states, k + 1, end, t0, dt, get, read, True)  # ends before a fault
                 values, norms = relation_values(presentation, states[k + 1:end + 1])
             finite = np.isfinite(states[k + 1:end + 1]).all(axis=(1, 2, 3))
             clean = (finite & (norms <= tolerance)).tolist()
@@ -321,19 +411,18 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
             if control is not None:
                 controls.extend(seen[t0 + s * dt][0] for s in range(k + 1, min(k + j + 1, end)))
             k += j
-            stacked = states[k]
             if j == len(clean):     # all clean; a step that raised is retaken alone
                 streak += j
                 continue
-            candidate = states[k + 1]   # the steps after it are discarded
             if finite[j] and math.isfinite(norms[j]):    # else checked again, alone
                 raw = values[j], float(norms[j])
         # A lone step, or the run's first that is not clean: checked as a lone step is.
-        t_next = t0 + (k + 1) * dt
+        candidate, t_next = states[k + 1], t0 + (k + 1) * dt
         if not np.isfinite(candidate).all():
             stages = []     # the step retaken, each stage's time and symbol values kept
-            keep = lambda s, y: stages.append((s, rhs(s, y))) or stages[-1][1]  # noqa: E731
-            rk4_step(keep, t0 + k * dt, stacked, dt, keep(t0 + k * dt, stacked))
+            keep = lambda s, y: stages.append(  # noqa: E731
+                (s, weyl_eval_tuple(spec.plan, y, at(s)[1]))) or stages[-1][1]
+            rk4_step(keep, t0 + k * dt, states[k], dt, keep(t0 + k * dt, states[k]))
             bad = np.argwhere(~np.isfinite([v for _, v in stages]).all(axis=(2, 3)))
             symbol = "".join(f": symbols[{s}] (the dynamics of x{s + 1}) non-finite at stage "
                              f"time t={stages[i][0]!r}" for i, s in bad[:1])
@@ -345,19 +434,19 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
             return result(InsolvableSignal(
                 time=t_next, residual=raw[1],
                 reason="raw step residual exceeded the insolvability threshold"))
-        stacked, residual, converged = _settle(presentation, candidate, tolerance, raw, t_next,
+        settled, residual, converged = _settle(presentation, candidate, tolerance, raw, t_next,
                                                anchor)
         if not converged:
             return result(InsolvableSignal(
                 time=t_next, residual=residual,
                 reason="projection did not converge within the iteration cap"))
         times.append(t_next)
-        states[k + 1] = stacked
+        states[k + 1] = settled
         residuals.append(residual)
         k += 1
         streak = streak + 1 if raw[1] <= tolerance else 0
     if control is not None:     # the last stage's time can differ from t_next in its last bit
-        controls.append(evaluate_control(times[-1])[0])
+        controls.append(at(times[-1])[0])
     return result()
 
 

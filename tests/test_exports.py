@@ -210,10 +210,12 @@ def test_trajectory_csv_and_json_hold_the_same_cells(tmp_path, make, n):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("block", ["phi", "eps", "lam"])
-def test_a_non_finite_trajectory_cell_raises_the_same_message_from_both_writers(
+def test_the_csv_writer_raises_at_a_non_finite_trajectory_cell_before_it_writes(
         tmp_path, bad, block):
+    # The cell is in the second chunk; every block is checked before the file is opened.
     traj = _block_trajectory(CHUNK_ROWS + 3)
     getattr(traj, block)[CHUNK_ROWS + 1, -1] = bad
     message = f"^non-finite value {re.escape(repr(bad))} cannot be exported$"
     with pytest.raises(ValueError, match=message):
         write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    assert not (tmp_path / "trajectory.csv").exists()
