@@ -13,11 +13,11 @@ add.  A presentation compiles its relations into a level-batched
 position drives the relation values and the projection Jacobian alike, and
 each relation sums its terms through slices of the word products.
 ``weyl_source`` emits the straight-line level sums of a symbol tuple, which
-``compile_symbols`` generates as one evaluator: level j adds the j-th term of
-every symbol, its linear terms as one broadcast product and each higher
-term's orderings as one stacked product per letter position.  Unknown slots,
-unknown constants and missing control components are rejected there, once,
-not during evaluation.
+``repdyn.compile_run`` generates, with the RK4 run that inlines them, in one
+source: level j adds the j-th term of every symbol, its linear terms as one
+broadcast product and each higher term's orderings as one stacked product per
+letter position.  Unknown slots, unknown constants and missing control
+components are rejected there, once, not during evaluation.
 """
 
 from __future__ import annotations
@@ -321,9 +321,10 @@ def weyl_source(symbols: Sequence[WeylSymbol], m: int, n: int,
     sorted canonically and index the pool ``[*tuple, *constants, identity]``.
     Every symbol starts at +0.0; level j adds the j-th term of every symbol that
     has one: its terms of degree <= 1 as one broadcast product of their scalars
-    (``coefficient * a[control]``, gathered by ``array``) with their letters, each
-    term of degree d >= 2 as ``scalar / d!`` times ``0 + P1 + P2 ...`` over the d!
-    orderings in permutation order, one stacked matmul per letter position.  A
+    (``coefficient * a[control]``, gathered by ``array``, or one constant array when none
+    reads a control) with their letters, each term of degree d >= 2 as ``scalar / d!``
+    times ``0 + P1 + P2 ...`` over the d! orderings in permutation order, one stacked
+    matmul per letter position.  A
     term reading neither the tuple nor a control is a constant computed here.
     """
     constants = constants or {}
@@ -391,7 +392,7 @@ def weyl_source(symbols: Sequence[WeylSymbol], m: int, n: int,
                 with np.errstate(all="ignore"):     # an overflow shows when the run diverges
                     folded.append((s, coeff * fixed[letters[0] - m]))
             elif len(letters) == 1:
-                linear.append((s, scalar(coeff, control), letters[0]))
+                linear.append((s, coeff, control, letters[0]))
                 reads_fixed |= pool == "p"
             else:
                 orderings = list(itertools.permutations(letters))
@@ -408,9 +409,13 @@ def weyl_source(symbols: Sequence[WeylSymbol], m: int, n: int,
             at, values = zip(*folded)
             add(rows("out", at), emit.ref(np.stack(values) if len(values) > 1 else values[0]))
         if linear:
-            at, terms, letters = zip(*linear)
-            scale = local(terms[0] if len(linear) == 1
-                          else f"array([{', '.join(terms)}])[:, None, None]")
+            at, coeffs, controls, letters = zip(*linear)
+            if len(linear) > 1 and controls == (None,) * len(linear):   # a constant array
+                scale = emit.ref(np.array(coeffs)[:, None, None])
+            else:
+                terms = list(map(scalar, coeffs, controls))
+                scale = local(terms[0] if len(linear) == 1
+                              else f"array([{', '.join(terms)}])[:, None, None]")
             add(rows("out", at), f"({scale}) * {rows('p' if max(letters) >= m else 'x', letters)}")
     head = [f"p = concatenate((x, {emit.ref(np.stack(fixed))}))"] if reads_fixed else []
     if added[:1] != ["out"]:
@@ -418,21 +423,10 @@ def weyl_source(symbols: Sequence[WeylSymbol], m: int, n: int,
     return emit, scalars, head + body
 
 
-def compile_symbols(symbols: Sequence[WeylSymbol], m: int, n: int,
-                    constants: Mapping[str, np.ndarray] | None = None,
-                    control_dim: int = 0) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
-    """Generate ``evaluate(stacked, a)``, the straight-line evaluator of ``symbols``
-    (:func:`weyl_source`): it maps an ``(m, n, n)`` tuple and the control vector to one
-    ``(n, n)`` value per symbol, computing the control scalars first."""
-    emit, scalars, body = weyl_source(symbols, m, n, constants, control_dim)
-    lines = [*(f"s{j} = {value}" for j, value in enumerate(scalars)), *body, "return out"]
-    return emit.function([("def evaluate(x, a):", ""), *((f"    {line}", "") for line in lines)])[0]
-
-
 def weyl_eval_tuple(evaluate: Callable, stacked: np.ndarray,
                     a: np.ndarray | None = None) -> np.ndarray:
-    """Symmetrized evaluation of every symbol of a :func:`compile_symbols` evaluator at an
-    ``(m, n, n)`` tuple.
+    """Symmetrized evaluation of every symbol of an ``evaluate`` that
+    :func:`repdyn.compile_run` generates in its one source, at an ``(m, n, n)`` tuple.
 
     Each monomial averages the products over all orderings of its letters;
     ``a`` holds the control components the terms scale by.

@@ -17,9 +17,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .algebra import (AlgebraClassRegistry, AlgebraPresentation, LabeledInterval, WeylSymbol,
-                      WeylTerm, commutative_presentation, compile_symbols,
-                      equivalence_partition, identity, relation_values, stack_tuple,
-                      weyl_eval_tuple, weyl_source)
+                      WeylTerm, commutative_presentation, equivalence_partition, identity,
+                      relation_values, stack_tuple, weyl_eval_tuple, weyl_source)
 from .expr import Emitter, NCPoly, VectorExpression, _tokenize, nc_evaluate, validate
 from .games import (ConfigurationError, InteractiveSystem, Player, SimulationError, _rk4_weights,
                     identity_coupling, real_array, rk4_source, rk4_step, simulate, step_count,
@@ -61,17 +60,20 @@ class InsolvableSignal:
 
 
 def compile_run(symbols: Sequence[WeylSymbol], m: int, n: int,
-                constants: Mapping[str, np.ndarray], control_dim: int) -> tuple[Callable, Callable]:
-    """Generate ``run(states, k, end, t0, dt, get, read, swallow)`` and ``scalars(a)`` for
-    ``symbols``, in one source through :class:`expr.Emitter`.
+                constants: Mapping[str, np.ndarray] | None = None,
+                control_dim: int = 0) -> tuple[Callable, Callable, Callable]:
+    """Generate ``evaluate(x, a)``, ``run(states, k, end, t0, dt, get, read, swallow)`` and
+    ``scalars(a)`` for ``symbols``, in one source through :class:`expr.Emitter`.
 
     ``scalars(a)`` is the tuple of the symbols' control-dependent scalars at the complex
-    control vector ``a`` (:func:`weyl_source`).  ``run`` takes RK4 steps ``k`` to
-    ``end - 1`` of ``y' = evaluate(y, a(t))`` from ``states[k]``, writing the state after
-    step s into ``states[s + 1]``; step s starts at ``t0 + s * dt``.  Each stage inlines
-    the level sums of :func:`compile_symbols` from the same body lines, and the combination
-    is :func:`games.rk4_source`'s, with :func:`rk4_step`'s 0-d weights, so a step is
-    :func:`rk4_step` of that evaluator bit for bit.  Each distinct stage time's memo entry
+    control vector ``a``, and ``evaluate`` maps an ``(m, n, n)`` tuple and ``a`` to one
+    ``(n, n)`` value per symbol: the level sums of :func:`weyl_source`, over
+    ``scalars(a)``.  ``run`` takes RK4 steps ``k`` to ``end - 1`` of
+    ``y' = evaluate(y, a(t))`` from ``states[k]``, writing the state after step s into
+    ``states[s + 1]``; step s starts at ``t0 + s * dt``.  Each stage inlines the level
+    sums from the same body lines, and the combination is :func:`games.rk4_source`'s, with
+    :func:`rk4_step`'s 0-d weights, so a step is :func:`rk4_step` of ``evaluate`` bit for
+    bit.  Each distinct stage time's memo entry
     ``(value, vector, scalars)`` is ``get(t)``, or ``read(t)`` where that is None; the
     k3 stage reuses the k2 stage's scalars, and a step whose start equals the step end
     before reuses that end's.  ``run`` returns ``end``; an exception in step s is raised,
@@ -79,7 +81,8 @@ def compile_run(symbols: Sequence[WeylSymbol], m: int, n: int,
     """
     emit, scalars, body = weyl_source(symbols, m, n, constants, control_dim)
     emit.namespace.update(_weights=_rk4_weights, range=range, Exception=Exception)
-    unpack = [f"{''.join(f's{j}, ' for j in range(len(scalars)))}= e[2]"] * bool(scalars)
+    targets = "".join(f"s{j}, " for j in range(len(scalars)))
+    unpack = [f"{targets}= e[2]"] * bool(scalars)
     indent = " " * 12
 
     def stage(x, k, time):
@@ -94,6 +97,9 @@ def compile_run(symbols: Sequence[WeylSymbol], m: int, n: int,
                 (*read, *(f"x = {x[0]}",) * (x[0] != "x"), *body, f"{k[0]} = out")]
 
     lines = [
+        ("def evaluate(x, a):", ""),
+        *((f"    {line}", "") for line in
+          (*[f"{targets}= scalars(a)"] * bool(scalars), *body, "return out")),
         ("def run(states, k, end, t0, dt, get, read, swallow):", ""),
         ("    half, full, two, sixth = _weights(dt)", ""),
         ("    y, te = states[k], None", ""),
@@ -113,8 +119,7 @@ def compile_run(symbols: Sequence[WeylSymbol], m: int, n: int,
         ("    return end", ""),
         ("def scalars(a):", ""),
         (f"    return ({''.join(f'{value}, ' for value in scalars)})", "")]
-    run = emit.function(lines)[0]
-    return run, emit.namespace["scalars"]
+    return emit.function(lines)[0], emit.namespace["run"], emit.namespace["scalars"]
 
 
 @dataclass(frozen=True)
@@ -124,10 +129,9 @@ class RepDynSpec:
     The tuple has one ``n x n`` matrix per generator of ``presentation``.
     ``insolvable_threshold`` bounds the raw (pre-projection) residual a step
     may produce before the run is declared insolvable in the current class;
-    the projection itself must reach ``tolerance``.  ``plan`` is the symbols'
-    evaluator (:func:`compile_symbols`) for the tuple shape, the constants and
-    ``control_dim``; ``run`` and ``scalars`` are its generated RK4 run and control
-    scalars (:func:`compile_run`).
+    the projection itself must reach ``tolerance``.  ``plan``, ``run`` and ``scalars``
+    are the symbols' evaluator, RK4 run and control scalars for the tuple shape, the
+    constants and ``control_dim``, generated in :func:`compile_run`'s one source.
     """
 
     symbols: tuple[WeylSymbol, ...]
@@ -149,11 +153,9 @@ class RepDynSpec:
         if len(self.symbols) != m:
             raise ConfigurationError(f"{len(self.symbols)} symbols declared, presentation "
                                      f"{self.presentation.label!r} has {m} generators")
-        object.__setattr__(self, "plan", compile_symbols(
-            self.symbols, m, self.n, self.constants, self.control_dim))
-        run, scalars = compile_run(self.symbols, m, self.n, self.constants, self.control_dim)
-        object.__setattr__(self, "run", run)
-        object.__setattr__(self, "scalars", scalars)
+        for name, value in zip(("plan", "run", "scalars"), compile_run(
+                self.symbols, m, self.n, self.constants, self.control_dim)):
+            object.__setattr__(self, name, value)
 
 
 def check_start(spec: RepDynSpec, stacked: np.ndarray) -> float:
@@ -305,14 +307,13 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     is not applied.  The control is evaluated once per stage time: a memo maps each stage
     time from the current step's on to the value the control returned there, its complex
     vector and the spec's control scalars of that vector (``spec.scalars``), and a sample
-    keeps the value of its step's first stage; a value that is not numbers, or not of the
-    declared shape, is a :class:`ConfigurationError`.  A scenario's control (a
-    :class:`VectorExpression` of the declared width) is read through its compiled function;
-    a value whose array is float64, as :func:`real_array` makes it, is taken as it is, and
-    any other value, or a fault, is read again through the checked call, which names the
-    fault.  A caller passes its own ``memo`` to carry it into the next integration with the
-    same control, whose first step starts at the last sample's time; the scalars it holds
-    are made again for the spec at hand.
+    keeps the value of its step's first stage.  A value whose array is a float64 vector of
+    the declared width is taken as it is, and only any other is checked: a scenario's
+    control (a :class:`VectorExpression`) must be real (:func:`real_array`), and a value
+    that is not numbers, or not of the declared shape, is a :class:`ConfigurationError`.
+    A scenario's sample keeps the float64 array.  A caller passes its own ``memo`` to carry
+    it into the next integration with the same control, whose first step starts at the
+    last sample's time; the scalars it holds are made again for the spec at hand.
 
     Steps are taken by ``spec.run`` (:func:`compile_run`): a lone step is a run of one.
     Raw steps are taken in runs, each from the last, and one stacked evaluation
@@ -343,23 +344,14 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     for t, (value, vector, _) in seen.items():
         seen[t] = value, vector, scalars(vector)
     anchor = []     # the projections' kept factor: see project_to_variety
-    fast = control._compiled[0] if isinstance(control, VectorExpression) \
-        and control.dim == control_dim else None
+    real = isinstance(control, VectorExpression)    # a scenario's control
 
     def read(t: float) -> tuple:
-        value = None
-        if fast is not None:
-            try:
-                value = np.array(fast(t))
-            except (ArithmeticError, TypeError, ValueError):  # the call names it
-                pass
-        if value is not None and value.dtype is _F64:   # as real_array makes it
-            vector = value
-        else:
-            value = control(t)
-            if isinstance(control, VectorExpression):   # a scenario's control is real
-                value = real_array(value, control.path, t)
-            vector = np.asarray(value)
+        value = control(t)
+        vector = np.asarray(value)
+        if vector.dtype is not _F64 or vector.shape != (control_dim,):
+            if real:
+                vector = real_array(vector, control.path, t)
             if vector.dtype.kind not in "biufc":        # not parsed from strings
                 raise ConfigurationError(f"control schedule returns {vector.tolist()!r}, "
                                          "which is not numeric")
@@ -367,6 +359,8 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
                 got = f"{len(vector)} components" if vector.ndim == 1 else f"shape {vector.shape}"
                 raise ConfigurationError(f"control schedule returns {got}, spec declares "
                                          f"{control_dim}")
+        if real:    # its sample keeps the float64 array
+            value = vector
         vector = vector.astype(complex, copy=False)
         entry = seen[t] = value, vector, scalars(vector)
         return entry

@@ -1,8 +1,9 @@
 import numpy as np
 
-from tactica.algebra import compile_symbols, weyl_eval_tuple
+from tactica.algebra import weyl_eval_tuple
 from tactica.games import (EpsilonProcess, FeedbackCoupling, InteractiveSystem, Player,
                            zero_epsilon)
+from tactica.repdyn import compile_run
 
 
 def make_player(signal, known_form=None, eps_form=None, eps_dim=0, derivative_order=0):
@@ -45,5 +46,5 @@ def logistic_system(eps_form=None, eps_dim=0):
 
 def weyl_value(symbol, X, constants=None, a=None):
     """Symmetrized value of one Weyl symbol at the matrix tuple ``X``."""
-    plan = compile_symbols((symbol,), *X.shape[:2], constants, 0 if a is None else len(a))
+    plan = compile_run((symbol,), *X.shape[:2], constants, 0 if a is None else len(a))[0]
     return weyl_eval_tuple(plan, X, a)[0]

@@ -5,15 +5,17 @@ import warnings
 import weakref
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tactica.algebra
+import tactica.expr
 import tactica.repdyn
 from tactica.algebra import (AlgebraClassRegistry, AlgebraPresentation, WeylSymbol, WeylTerm,
-                             commutative_presentation, compile_symbols, default_registry,
+                             commutative_presentation, default_registry,
                              equivalence_partition, heisenberg_presentation, parse_relation,
                              poly_eval, relation_values, stack_tuple, weyl_eval_tuple)
 from conftest import weyl_value
@@ -23,7 +25,7 @@ from tactica.games import (ConfigurationError, DivergenceError, SimulationError,
 from tactica.repdyn import (ClassDynamics, InsolvableSignal, RepDynResult, RepDynSpec,
                             StrandedClassError, TacticalRepDyn, _apply_transition,
                             _parse_polynomial_rhs, _relation_jacobian, _settle, check_start,
-                            integrate_repdyn,
+                            compile_run, integrate_repdyn,
                             integrate_scalar_reference,
                             project_to_variety, run_tactical_repdyn,
                             solve_inverse_problem, tuple_map)
@@ -195,7 +197,7 @@ def test_compiled_weyl_matches_permutation_average_bitwise(case):
         for x in (stacked, *constants.values(), a):
             mask = rng.random(x.shape) < 0.15
             x[mask] = rng.choice([np.inf, -np.inf, np.nan], mask.sum())
-    plan = compile_symbols(symbols, m, n, constants, control_dim)
+    plan = compile_run(symbols, m, n, constants, control_dim)[0]
     with np.errstate(all="ignore"):
         got = weyl_eval_tuple(plan, stacked, a)
         expected = np.stack([weyl_reference(sym.terms, stacked, constants, a, n)
@@ -208,11 +210,11 @@ def test_compiled_weyl_matches_permutation_average_bitwise(case):
 def test_compile_rejects_unknown_slot_constant_and_control():
     X = stack_tuple((np.eye(2, dtype=complex),))
     with pytest.raises(ConfigurationError, match="slot 2, tuple has 1"):
-        compile_symbols((WeylSymbol((WeylTerm(1.0, (1,)),)),), 1, 2)
+        compile_run((WeylSymbol((WeylTerm(1.0, (1,)),)),), 1, 2)
     with pytest.raises(ConfigurationError, match="unknown constant 'C'"):
-        compile_symbols((WeylSymbol((WeylTerm(1.0, ("C",)),)),), 1, 2, {"D": X[0]})
+        compile_run((WeylSymbol((WeylTerm(1.0, ("C",)),)),), 1, 2, {"D": X[0]})
     with pytest.raises(ConfigurationError, match="control component 1, control dimension is 1"):
-        compile_symbols((WeylSymbol((WeylTerm(1.0, (0,), control=1),)),), 1, 2, None, 1)
+        compile_run((WeylSymbol((WeylTerm(1.0, (0,), control=1),)),), 1, 2, None, 1)
 
 
 def test_symbol_degree_cap():
@@ -1719,7 +1721,6 @@ def test_tactical_run_compiles_and_looks_up_nothing(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a class was compiled or looked up during the run")
 
-    monkeypatch.setattr(tactica.repdyn, "compile_symbols", fail)
     monkeypatch.setattr(tactica.repdyn, "compile_run", fail)
     monkeypatch.setattr(Emitter, "function", fail)
     monkeypatch.setattr(AlgebraClassRegistry, "presentation", fail)
@@ -1749,3 +1750,59 @@ def test_an_integration_compiles_nothing(monkeypatch, stem):
                         lambda self, lines: compiled.append(lines[0]) or function(self, lines))
     result = integrate_repdyn(spec, control, run.t0, run.t1, run.dt, start)
     assert result.insolvable is None and compiled == []
+
+
+def recorded_sources(build):
+    """``build()`` and the ``(source, leaf)`` lines of each function ``Emitter.function``
+    compiles while it runs."""
+    sources, function = [], Emitter.function
+    with mock.patch.object(Emitter, "function",
+                           lambda self, lines: sources.append(lines) or function(self, lines)):
+        return build(), sources
+
+
+def test_building_a_spec_compiles_one_source():
+    # The evaluator, the run and the scalars come from one emitter, in one call.
+    symbols = tuple(MIXED_SYMBOLS[:4])
+    constants = {"C": E(1, 2, 2), "D": E(2, 1, 2)}
+    spec, sources = recorded_sources(lambda: RepDynSpec(
+        symbols=symbols, presentation=commutative_presentation(4), n=2,
+        constants=constants, control_dim=2))
+    assert len(sources) == 1 and sources[0][0][0] == "def evaluate(x, a):"
+    assert spec.plan.__globals__ is spec.run.__globals__ is spec.scalars.__globals__
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(weyl_cases())
+@example((3, 3, 0, [WeylSymbol((T(0.5, [0]),)), WeylSymbol((T(-0.5, [1]),)),
+                    WeylSymbol((T(0.2, [2]), T(0.1, [2])))], 0, False))
+def test_a_generated_line_gathers_scalars_only_where_it_reads_the_control(case):
+    # A level whose linear terms read no control scales by one constant array, made when the
+    # run is compiled, not gathered at every stage.
+    m, n, control_dim, symbols, seed, _ = case
+    rng = np.random.default_rng(seed)
+    constants = {"C": entries(rng, (n, n)), "D": entries(rng, (n, n))}
+    _, (lines,) = recorded_sources(lambda: compile_run(symbols, m, n, constants, control_dim))
+    assert [text for text, _ in lines if "array([" in text and "a[" not in text] == []
+
+
+@pytest.mark.parametrize("source, error, message", [
+    ("1/(abs(t) - 0.05)", ValueError,
+     "repdyn.control[0] '1/(abs(t) - 0.05)': float division by zero at t=0.05"),
+    ("(0.04 - abs(t)) ^ 0.5", SimulationError,
+     "repdyn.control: complex value [(6.123233995736766e-18+0.1j)] at t=0.05")],
+    ids=["raises", "complex"])
+def test_a_failing_scenario_control_is_read_once_at_its_stage_time(monkeypatch, source,
+                                                                   error, message):
+    # The control's vector calls the counting abs once per evaluation.
+    times, absolute = [], abs
+    monkeypatch.setitem(tactica.expr._FUNC_NS, "_f_abs",
+                        lambda x: times.append(x) or absolute(x))
+    control = compile_vector([source], ("t",), path="repdyn.control")
+    spec = RepDynSpec(symbols=(WeylSymbol((T(1.0, [0], 0),)),), n=2, control_dim=1,
+                      presentation=AlgebraPresentation("free", 1))
+    start = np.diag([1.0, 2.0])[None].astype(complex)
+    with pytest.raises(error) as info:
+        integrate_repdyn(spec, control, 0.0, 0.2, 0.1, start)
+    assert str(info.value) == message
+    assert times == [0.0, 0.05]

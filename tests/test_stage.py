@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from test_expr import _grammar
 
 from tactica import expr, games
-from tactica.algebra import WeylSymbol, WeylTerm, compile_symbols
+from tactica.algebra import WeylSymbol, WeylTerm
 from tactica.expr import VectorExpression, compile_expression, compile_vector
 from tactica.games import (Coalition, ConfigurationError, EpsilonProcess, FeedbackCoupling,
                            InteractiveSystem, OrdinaryDynamics, Player, SimulationError,
@@ -36,7 +36,7 @@ from tactica.games import (Coalition, ConfigurationError, EpsilonProcess, Feedba
                            replay_with_recorded_eps, rk4_step, simulate, step_count,
                            zero_epsilon)
 from tactica.prediction import strategic_pipeline
-from tactica.repdyn import _compile_coefficient_map
+from tactica.repdyn import _compile_coefficient_map, compile_run
 from tactica.scenario import load_scenario
 from tactica.tactics import run_synthesized
 
@@ -784,6 +784,6 @@ def test_every_generated_function_runs_from_the_one_emitter():
     dims = (*(tuple(map(np.size, block)) for block in values), 0)
     functions = [compile_expression("sin(t)", ("t",)), compile_vector(["t"], ("t",))._compiled[0],
                  stage, compile_step(system, False, dims)[0],
-                 compile_symbols((WeylSymbol((WeylTerm(1.0, (0,)),)),), 1, 2),
+                 compile_run((WeylSymbol((WeylTerm(1.0, (0,)),)),), 1, 2)[0],
                  _compile_coefficient_map([(0, (), [(1.0, (0,))])])]
     assert [f.__globals__["__builtins__"] for f in functions] == [{}] * 6

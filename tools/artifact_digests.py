@@ -64,6 +64,13 @@ REPDYN_PROJECTING = {
                 "0.3*sin(1.3*t)"],
     "symbols": [[{"coeff": 1.0, "word": [f"x{x}"], "control": c} for x, c in pairs]
                 for pairs in ([(1, 0), (2, 1)], [(1, 2), (2, 3)], [(3, 0), (3, 3)])]}
+# (shipped scenario, variant name, command, the top-level sections the variant replaces)
+VARIANTS = [("two_player", "two_player_pipeline", "predict",
+             {"prediction": {"pipeline": PIPELINE}}),
+            ("invert_logistic", "invert_two_state", "invert",
+             {"run": {"t0": 0.0, "t1": 2.0, "dt": 0.001}, "invert": INVERT_TWO_STATE}),
+            ("repdyn_heisenberg", "repdyn_projecting", "repdyn",
+             {"run": {"t0": 0.0, "t1": 10.0, "dt": 0.05}, "repdyn": REPDYN_PROJECTING})]
 
 BOUND = re.compile(r"\b_o\d+\b")     # a name expr.Emitter.ref binds
 
@@ -78,6 +85,15 @@ def function_digest(lines) -> tuple[str, str]:
 
     text = "\n".join(f"{BOUND.sub(renumber, source)}\t{leaf}" for source, leaf in lines)
     return lines[0][0].split()[1].partition("(")[0], hashlib.sha256(text.encode()).hexdigest()
+
+
+def write_variant(directory: Path, source: str, name: str, changes: dict) -> Path:
+    """The scenario file ``name`` in ``directory``: the shipped ``source`` with the
+    sections of ``changes`` in place of its own."""
+    doc = yaml.safe_load((ROOT / "scenarios" / f"{source}.yaml").read_text())
+    scenario = directory / f"{name}.yaml"
+    scenario.write_text(yaml.safe_dump({**doc, **changes}))
+    return scenario
 
 
 def digests(scenario: Path, commands=None, generated: list | None = None) -> list[str]:
@@ -128,17 +144,9 @@ def main(argv: list[str]) -> int:
     for scenario in sorted((ROOT / "scenarios").glob("*.yaml")):
         for line in digests(scenario, generated=generated):
             print(line, flush=True)
-    variants = [("two_player", "two_player_pipeline", "predict",
-                 {"prediction": {"pipeline": PIPELINE}}),
-                ("invert_logistic", "invert_two_state", "invert",
-                 {"run": {"t0": 0.0, "t1": 2.0, "dt": 0.001}, "invert": INVERT_TWO_STATE}),
-                ("repdyn_heisenberg", "repdyn_projecting", "repdyn",
-                 {"run": {"t0": 0.0, "t1": 10.0, "dt": 0.05}, "repdyn": REPDYN_PROJECTING})]
-    for source, name, command, changes in variants:
+    for source, name, command, changes in VARIANTS:
         with tempfile.TemporaryDirectory() as tmp:
-            doc = yaml.safe_load((ROOT / "scenarios" / f"{source}.yaml").read_text())
-            scenario = Path(tmp) / f"{name}.yaml"
-            scenario.write_text(yaml.safe_dump({**doc, **changes}))
+            scenario = write_variant(Path(tmp), source, name, changes)
             for line in digests(scenario, [command], generated):
                 print(line, flush=True)
     return 0
