@@ -301,8 +301,7 @@ def _run_invert(scenario: Scenario, out: Path, tolerance: float, report: dict) -
         plan.rhs, plan.x0, control_dim=plan.control_dim, matrix_dim=plan.matrix_dim,
         designated_slot=plan.designated_slot, lift_constants=plan.lift_constants,
         tolerance=tolerance)
-    schedule = construction.control_schedule(plan.u_schedule)
-    result = integrate_repdyn(construction.spec, schedule, run.t0, run.t1, run.dt,
+    result = integrate_repdyn(construction.spec, plan.u_schedule, run.t0, run.t1, run.dt,
                               construction.start)
     times, reference = integrate_scalar_reference(plan.rhs, plan.x0, plan.u_schedule,
                                                   run.t0, run.t1, run.dt,

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import (AlgebraClassRegistry, AlgebraPresentation, LabeledInterval, WeylSymbol,
                       WeylTerm, commutative_presentation, equivalence_partition, identity,
                       relation_values, stack_tuple, weyl_eval_tuple, weyl_source)
-from .expr import Emitter, NCPoly, VectorExpression, _tokenize, nc_evaluate, validate
+from .expr import NCPoly, VectorExpression, _tokenize, nc_evaluate, validate
 from .games import (ConfigurationError, InteractiveSystem, Player, SimulationError, _rk4_weights,
                     identity_coupling, real_array, rk4_source, rk4_step, simulate, step_count,
                     zero_epsilon)
@@ -61,25 +61,36 @@ class InsolvableSignal:
 
 def compile_run(symbols: Sequence[WeylSymbol], m: int, n: int,
                 constants: Mapping[str, np.ndarray] | None = None,
-                control_dim: int = 0) -> tuple[Callable, Callable, Callable]:
+                control_dim: int = 0, coefficients: Sequence | None = None
+                ) -> tuple[Callable, Callable, Callable]:
     """Generate ``evaluate(x, a)``, ``run(states, k, end, t0, dt, get, read, swallow)`` and
     ``scalars(a)`` for ``symbols``, in one source through :class:`expr.Emitter`.
 
     ``scalars(a)`` is the tuple of the symbols' control-dependent scalars at the complex
-    control vector ``a``, and ``evaluate`` maps an ``(m, n, n)`` tuple and ``a`` to one
-    ``(n, n)`` value per symbol: the level sums of :func:`weyl_source`, over
-    ``scalars(a)``.  ``run`` takes RK4 steps ``k`` to ``end - 1`` of
-    ``y' = evaluate(y, a(t))`` from ``states[k]``, writing the state after step s into
-    ``states[s + 1]``; step s starts at ``t0 + s * dt``.  Each stage inlines the level
-    sums from the same body lines, and the combination is :func:`games.rk4_source`'s, with
-    :func:`rk4_step`'s 0-d weights, so a step is :func:`rk4_step` of ``evaluate`` bit for
-    bit.  Each distinct stage time's memo entry
+    control vector ``a``; with ``coefficients`` ``a`` is ``u``, and ``scalars`` first makes
+    that vector, entry k ``0j + c1*u[i]*u[j] + c2 ...`` over ``coefficients[k]`` in order.
+    ``evaluate`` maps an ``(m, n, n)`` tuple and ``a`` to one ``(n, n)`` value per symbol:
+    the level sums of :func:`weyl_source`, over ``scalars(a)``.  ``run`` takes RK4 steps
+    ``k`` to ``end - 1`` of ``y' = evaluate(y, a(t))`` from ``states[k]``, writing the state
+    after step s into ``states[s + 1]``; step s starts at ``t0 + s * dt``.  Each stage
+    inlines the level sums from the same body lines, and the combination is
+    :func:`games.rk4_source`'s, with :func:`rk4_step`'s 0-d weights, so a step is
+    :func:`rk4_step` of ``evaluate`` bit for bit.  Each distinct stage time's memo entry
     ``(value, vector, scalars)`` is ``get(t)``, or ``read(t)`` where that is None; the
     k3 stage reuses the k2 stage's scalars, and a step whose start equals the step end
     before reuses that end's.  ``run`` returns ``end``; an exception in step s is raised,
     or with ``swallow`` ends the run there, returning s.
     """
-    emit, scalars, body = weyl_source(symbols, m, n, constants, control_dim)
+    for j in {j for entry in coefficients or () for _, u_word in entry for j in u_word}:
+        if not 0 <= j < control_dim:
+            raise ConfigurationError(f"coefficient needs control component {j}, "
+                                     f"control dimension is {control_dim}")
+    emit, scalars, body = weyl_source(symbols, m, n, constants, control_dim
+                                      if coefficients is None else len(coefficients))
+    entries = [" + ".join(["0j", *("*".join([emit.ref(complex(c)), *(f"u[{j}]" for j in u_word)])
+                                 for c, u_word in entry)]) for entry in coefficients or ()]
+    mapped = [] if coefficients is None else [
+        "u = a.tolist()", f"a = array([{', '.join(entries)}], dtype=complex)"]
     emit.namespace.update(_weights=_rk4_weights, range=range, Exception=Exception)
     targets = "".join(f"s{j}, " for j in range(len(scalars)))
     unpack = [f"{targets}= e[2]"] * bool(scalars)
@@ -118,6 +129,7 @@ def compile_run(symbols: Sequence[WeylSymbol], m: int, n: int,
         ("        raise", ""),
         ("    return end", ""),
         ("def scalars(a):", ""),
+        *((f"    {line}", "") for line in mapped),
         (f"    return ({''.join(f'{value}, ' for value in scalars)})", "")]
     return emit.function(lines)[0], emit.namespace["run"], emit.namespace["scalars"]
 
@@ -131,7 +143,9 @@ class RepDynSpec:
     may produce before the run is declared insolvable in the current class;
     the projection itself must reach ``tolerance``.  ``plan``, ``run`` and ``scalars``
     are the symbols' evaluator, RK4 run and control scalars for the tuple shape, the
-    constants and ``control_dim``, generated in :func:`compile_run`'s one source.
+    constants, ``control_dim`` and ``coefficients``, generated in :func:`compile_run`'s one
+    source.  ``coefficients`` (an inverse construction's) holds each entry of the symbols'
+    control vector as ``(coefficient, u indices)`` pairs; the control then gives ``u``.
     """
 
     symbols: tuple[WeylSymbol, ...]
@@ -141,6 +155,7 @@ class RepDynSpec:
     control_dim: int = 0
     tolerance: float = 1e-9
     insolvable_threshold: float = 1e-5
+    coefficients: tuple | None = None
     plan: Callable = field(init=False, repr=False, compare=False)
     run: Callable = field(init=False, repr=False, compare=False)
     scalars: Callable = field(init=False, repr=False, compare=False)
@@ -154,7 +169,7 @@ class RepDynSpec:
             raise ConfigurationError(f"{len(self.symbols)} symbols declared, presentation "
                                      f"{self.presentation.label!r} has {m} generators")
         for name, value in zip(("plan", "run", "scalars"), compile_run(
-                self.symbols, m, self.n, self.constants, self.control_dim)):
+                self.symbols, m, self.n, self.constants, self.control_dim, self.coefficients)):
             object.__setattr__(self, name, value)
 
 
@@ -309,9 +324,10 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     vector and the spec's control scalars of that vector (``spec.scalars``), and a sample
     keeps the value of its step's first stage.  A value whose array is a float64 vector of
     the declared width is taken as it is, and only any other is checked: a scenario's
-    control (a :class:`VectorExpression`) must be real (:func:`real_array`), and a value
+    control (a :class:`VectorExpression`) and a spec's ``u`` (with ``coefficients``) must
+    be real (:func:`real_array`, named by its ``path`` or ``invert.control``), and a value
     that is not numbers, or not of the declared shape, is a :class:`ConfigurationError`.
-    A scenario's sample keeps the float64 array.  A caller passes its own ``memo`` to carry
+    Their samples keep the float64 array.  A caller passes its own ``memo`` to carry
     it into the next integration with the same control, whose first step starts at the
     last sample's time; the scalars it holds are made again for the spec at hand.
 
@@ -334,7 +350,7 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     """
     n_steps = step_count(t0, t1, dt)
     run, control_dim, presentation = spec.run, spec.control_dim, spec.presentation
-    if control is None and control_dim:
+    if control is None and (control_dim or spec.coefficients):     # the map reads u
         raise ConfigurationError("spec declares controls but no schedule given")
     # The longest run: its largest stacked temporary, the words' products, is one batch.
     longest = BATCH_ENTRIES // (max(len(presentation.plan.coeffs), presentation.generators)
@@ -344,14 +360,15 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     for t, (value, vector, _) in seen.items():
         seen[t] = value, vector, scalars(vector)
     anchor = []     # the projections' kept factor: see project_to_variety
-    real = isinstance(control, VectorExpression)    # a scenario's control
+    real = isinstance(control, VectorExpression) or spec.coefficients is not None
+    path = getattr(control, "path", "invert.control")
 
     def read(t: float) -> tuple:
         value = control(t)
         vector = np.asarray(value)
         if vector.dtype is not _F64 or vector.shape != (control_dim,):
             if real:
-                vector = real_array(vector, control.path, t)
+                vector = real_array(vector, path, t)
             if vector.dtype.kind not in "biufc":        # not parsed from strings
                 raise ConfigurationError(f"control schedule returns {vector.tolist()!r}, "
                                          "which is not numeric")
@@ -474,19 +491,14 @@ def _parse_polynomial_rhs(sources: Sequence[str], state_dim: int,
 
 @dataclass(frozen=True)
 class InverseConstruction:
-    """Representative dynamics realizing a polynomial controlled system."""
+    """Representative dynamics realizing a polynomial controlled system; ``spec`` reads the
+    system's ``u`` schedule as it is, and ``control_names[k]`` names its ``coefficients[k]``."""
 
     spec: RepDynSpec
     start: np.ndarray   # the (m, n, n) diagonal tuple carrying x0
     control_names: tuple[str, ...]
-    coefficient_map: Callable  # a(u) -> control vector for the symbols
     designated_slot: int
     symbolic_match: bool
-
-    def control_schedule(self, u_schedule: Callable[[float], Sequence[float]]
-                         ) -> Callable[[float], np.ndarray]:
-        """The symbols' control vector at ``t``; a complex ``u`` is a SimulationError."""
-        return lambda t: self.coefficient_map(real_array(u_schedule(t), "invert.control", t))
 
 
 def solve_inverse_problem(rhs: Sequence[str], x0: Sequence[float], control_dim: int = 1,
@@ -498,9 +510,10 @@ def solve_inverse_problem(rhs: Sequence[str], x0: Sequence[float], control_dim: 
 
     Each state component rides the designated diagonal slot of one diagonal
     matrix; the symbol coefficients are the (control-dependent) polynomial
-    coefficients of the right-hand side, exposed through ``coefficient_map``.
-    With ``lift_constants`` the control-free constant term of each component
-    becomes a constant matrix letter instead of a coefficient.
+    coefficients of the right-hand side, which the spec's ``coefficients`` make of ``u``
+    in its one generated source (:func:`compile_run`).  With ``lift_constants`` the
+    control-free constant term of each component becomes a constant matrix letter instead
+    of a coefficient.
     """
     state_dim = len(rhs)
     x0 = np.asarray(x0, dtype=float)
@@ -543,28 +556,13 @@ def solve_inverse_problem(rhs: Sequence[str], x0: Sequence[float], control_dim: 
     initial = stack_tuple([np.diag(diagonals[i]) for i in range(state_dim)])
 
     spec = RepDynSpec(symbols=tuple(symbols), presentation=commutative_presentation(state_dim),
-                      n=initial.shape[1], constants=constants, control_dim=len(control_entries),
-                      tolerance=tolerance)
+                      n=initial.shape[1], constants=constants, control_dim=control_dim,
+                      tolerance=tolerance,
+                      coefficients=tuple(entry for _, _, entry in control_entries))
     symbolic_match = _verify_symbolic(parsed, symbols, control_entries, constants)
     return InverseConstruction(spec=spec, start=initial, control_names=tuple(names),
-                               coefficient_map=_compile_coefficient_map(control_entries),
                                designated_slot=designated_slot,
                                symbolic_match=symbolic_match)
-
-
-def _compile_coefficient_map(control_entries) -> Callable[[Sequence[float]], np.ndarray]:
-    """The symbols' control vector as one generated function of ``u``: entry k is
-    ``0j + c1*u[i]*u[j] + c2 ...`` over its contributions, each product and sum in order."""
-    emit = Emitter(asarray=np.asarray, array=np.array, complex=complex)
-    entries = []
-    for _, _, contributions in control_entries:
-        terms = ["0j"]
-        for coeff, u_word in contributions:
-            terms.append("*".join([emit.ref(complex(coeff)), *(f"u[{j}]" for j in u_word)]))
-        entries.append(" + ".join(terms))
-    return emit.function([("def coefficient_map(u):", ""),
-                          ("    u = asarray(u, dtype=complex).ravel().tolist()", ""),
-                          (f"    return array([{', '.join(entries)}], dtype=complex)", "")])[0]
 
 
 def _by_u_word(contributions) -> dict[tuple, complex]:

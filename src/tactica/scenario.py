@@ -688,7 +688,9 @@ def _repdyn(spec: dict, ctx: _Context, check: _Check) -> RepdynPlan | None:
         dynamics, pres = _dynamics(spec, "repdyn", control_dim, check), None
         decl = spec.get("presentation")
         if "presentation" in spec:
-            label = decl.get("label", "scenario") if isinstance(decl, dict) else None
+            label = decl.get("label", "scenario") if isinstance(decl, dict) else ""
+            check.require("repdyn.presentation.label", isinstance(label, str),
+                          f"expected a string label, got {label!r}")
             pres = _presentation(decl, "repdyn.presentation", label, check)
         elif check.require("repdyn", "class" in spec,
                            "integrate mode needs a presentation or class") and initial is not None:
@@ -716,10 +718,13 @@ def _repdyn(spec: dict, ctx: _Context, check: _Check) -> RepdynPlan | None:
            if run is not None and not whole_steps(a, b, run.dt)]
     check.require("repdyn.windows", not bad, f"windows {bad} do not span whole steps of dt "
                   f"{run and run.dt!r}")
+    delta_label = spec.get("delta_label", "scenario")
+    check.require("repdyn.delta_label", isinstance(delta_label, str),
+                  f"expected a string label, got {delta_label!r}")
     if len(check.errors) > start:
         return None
-    delta = check.build("repdyn.transitions", DialecticalObject,
-                        label=spec.get("delta_label", "scenario"), transitions=transitions)
+    delta = check.build("repdyn.transitions", DialecticalObject, label=delta_label,
+                        transitions=transitions)
     game = delta and check.build(
         "repdyn", TacticalRepDyn, registry=registry, class_dynamics=class_dynamics,
         initial_class=spec.get("initial_class"), initial=initial, delta=delta,
@@ -823,6 +828,9 @@ def _invert(spec: dict, ctx: _Context, check: _Check) -> InvertPlan | None:
         if check.expression(f"invert.rhs[{k}]", src, scalars=scalars):
             check.build(f"invert.rhs[{k}]", _parse_polynomial_rhs, [src], len(rhs), control_dim)
     check.vector("invert.x0", spec.get("x0"), len(rhs))
+    lift = spec.get("lift_constants", False)
+    check.require("invert.lift_constants", isinstance(lift, bool),
+                  f"expected true or false, got {lift!r}")
     vec = None
     # An autonomous system (control_dim 0) needs no control schedule: its control is empty.
     if control_dim or "control" in spec:
@@ -840,7 +848,7 @@ def _invert(spec: dict, ctx: _Context, check: _Check) -> InvertPlan | None:
         return None
     return InvertPlan(rhs=tuple(rhs), x0=tuple(float(x) for x in spec["x0"]),
                       control_dim=control_dim, matrix_dim=matrix_dim, designated_slot=slot,
-                      lift_constants=bool(spec.get("lift_constants", False)),
+                      lift_constants=lift,
                       u_schedule=vec or expr.compile_vector((), ("t",), path="invert.control"))
 
 

@@ -216,9 +216,8 @@ def test_criterion_08_inverse_problem_fidelity():
                 plan.rhs, plan.x0, control_dim=plan.control_dim,
                 matrix_dim=plan.matrix_dim, lift_constants=plan.lift_constants)
             assert construction.symbolic_match
-            schedule = construction.control_schedule(plan.u_schedule)
             run = scenario.run
-            result = integrate_repdyn(construction.spec, schedule, run.t0, run.t1,
+            result = integrate_repdyn(construction.spec, plan.u_schedule, run.t0, run.t1,
                                       run.dt, construction.start)
             _, reference = integrate_scalar_reference(
                 plan.rhs, plan.x0, plan.u_schedule, run.t0, run.t1, run.dt,

@@ -566,6 +566,18 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
     ("tactics", COMMENTED.replace('u[0]"]', 'u[0] + 1e300*max(t - 2.5, 0)*1e300"]'),
      EXIT_RUNTIME, "runtime: commented-setpoint: state diverged; last finite state at t=2.5",
      {}),
+    # Labels are strings, checked at load: a NaN label ran the whole integration before
+    # its comments could not be exported, and a number went into comments.jsonl as one.
+    ("repdyn", (SCENARIOS / "repdyn_transition.yaml").read_text()
+     + "  delta_label: .nan\n", EXIT_VALIDATION,
+     "validation: scenario.yaml: repdyn.delta_label: expected a string label, got nan", {}),
+    ("repdyn", (SCENARIOS / "repdyn_transition.yaml").read_text()
+     + "  delta_label: 5\n", EXIT_VALIDATION,
+     "validation: scenario.yaml: repdyn.delta_label: expected a string label, got 5", {}),
+    ("repdyn", DRIFT.replace("  class: commutative\n", "  presentation: {label: 5, generators: "
+                             "2, relations: [\"x1*x2 - x2*x1\"]}\n"), EXIT_VALIDATION,
+     "validation: scenario.yaml: repdyn.presentation.label: expected a string label, got 5",
+     {}),
     # lambda is as wide as the comment; no key widens it.
     ("tactics", COMMENTED.replace("lambda[0] - phi[0]", "lambda[1] - phi[0]").replace(
         "  slow:", "  lambda_dim: 2\n  slow:"), EXIT_VALIDATION,
@@ -581,7 +593,8 @@ COMMENT_RULE = "0.5*theta[0] + 0.5*omega[0] + v[0]"
         "non-finite-lambda", "signal-domain", "slow-domain", "rule-domain", "recurrence-domain",
         "repdyn-control-zero-division", "invert-control-zero-division", "complex-invert-control",
         "invariant-non-finite", "invariant-complex", "invariant-range", "recurrence-non-finite",
-        "window-time", "lambda-wider-than-comment"])
+        "window-time", "delta-label-nan", "delta-label-number", "presentation-label-number",
+        "lambda-wider-than-comment"])
 def test_exit_codes_end_without_traceback(tmp_path, capsys, recwarn, monkeypatch, command, text,
                                           expected, message, options):
     scenario, out_dir = tmp_path / "scenario.yaml", tmp_path / "out"

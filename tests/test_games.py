@@ -10,7 +10,7 @@ from tactica.games import (Coalition, ConfigurationError, DivergenceError,
                            InvariantConstraint, Player, SimulationError, SlowControl,
                            associated_ordinary_game, check_indeterminate_invariants,
                            coalition_simulate, replay_with_recorded_eps, simulate)
-from tactica.repdyn import solve_inverse_problem
+from tactica.repdyn import integrate_repdyn, solve_inverse_problem
 from tactica.tactics import SynthesisRule
 from tactica.verbalization import RecurrenceMap
 
@@ -118,9 +118,9 @@ _BOUNDARIES = {
             0, [np.zeros(1)], [np.zeros(2)], [np.zeros(1)]), "synthesis form 0", ""),
     "recurrence": (lambda value: RecurrenceMap("declared", form=lambda omega, v: value).apply(
         [0.0, 0.0], [0.0]), "recurrence", ""),
-    "invert-control": (lambda value: solve_inverse_problem(
-        ["u1*x1"], x0=[1.0], matrix_dim=2).control_schedule(lambda t: value)(0.25),
-                       "invert.control", " at t=0.25")}
+    "invert-control": (lambda value: integrate_repdyn(
+        (c := solve_inverse_problem(["u1*x1"], x0=[1.0], matrix_dim=2)).spec, lambda t: value,
+        0.25, 0.5, 0.25, c.start), "invert.control", " at t=0.25")}
 
 
 @pytest.mark.parametrize("value, shown", [(["0.5"], "['0.5']"), ("0.5", "'0.5'"),

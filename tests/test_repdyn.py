@@ -215,6 +215,13 @@ def test_compile_rejects_unknown_slot_constant_and_control():
         compile_run((WeylSymbol((WeylTerm(1.0, ("C",)),)),), 1, 2, {"D": X[0]})
     with pytest.raises(ConfigurationError, match="control component 1, control dimension is 1"):
         compile_run((WeylSymbol((WeylTerm(1.0, (0,), control=1),)),), 1, 2, None, 1)
+    # With coefficients a term's control indexes an entry, and an entry's u word indexes u.
+    reads_entry_1 = (WeylSymbol((WeylTerm(1.0, (0,), control=1),)),)
+    with pytest.raises(ConfigurationError, match="control component 1, control dimension is 1"):
+        compile_run(reads_entry_1, 1, 2, None, 2, coefficients=(((1.0, (0,)),),))
+    with pytest.raises(ConfigurationError, match="^coefficient needs control component 2, "
+                       "control dimension is 2$"):
+        compile_run(reads_entry_1, 1, 2, None, 2, coefficients=((), ((1.0, (0, 2)),)))
 
 
 def test_symbol_degree_cap():
@@ -1244,7 +1251,7 @@ def test_inverse_linear_scalar_closed_form():
     construction = solve_inverse_problem(["u1*x1"], x0=[1.0], control_dim=1,
                                          matrix_dim=2)
     assert construction.symbolic_match
-    schedule = construction.control_schedule(lambda t: [0.7])
+    schedule = lambda t: [0.7]  # noqa: E731
     result = integrate_repdyn(construction.spec, schedule, 0.0, 2.0, 1e-3, construction.start)
     slot = result.states[-1, 0, 0, 0].real
     assert abs(slot - math.exp(0.7 * 2.0)) < 1e-9
@@ -1253,7 +1260,7 @@ def test_inverse_linear_scalar_closed_form():
 def test_inverse_logistic_matches_direct_integration():
     construction = solve_inverse_problem(["u1*(x1 - x1*x1)"], x0=[0.1],
                                          control_dim=1, matrix_dim=2)
-    schedule = construction.control_schedule(lambda t: [1.0])
+    schedule = lambda t: [1.0]  # noqa: E731
     result = integrate_repdyn(construction.spec, schedule, 0.0, 5.0, 1e-3, construction.start)
     _, ref = integrate_scalar_reference(["u1*(x1 - x1*x1)"], [0.1],
                                         lambda t: [1.0], 0.0, 5.0, 1e-3)
@@ -1267,7 +1274,7 @@ def test_inverse_constant_lift():
     assert "C0" in construction.spec.constants
     assert np.array_equal(construction.spec.constants["C0"],
                           0.5 * np.eye(2, dtype=complex))
-    schedule = construction.control_schedule(lambda t: [0.3])
+    schedule = lambda t: [0.3]  # noqa: E731
     result = integrate_repdyn(construction.spec, schedule, 0.0, 2.0, 1e-3, construction.start)
     _, ref = integrate_scalar_reference(["0.5 + u1*x1"], [1.0], lambda t: [0.3],
                                         0.0, 2.0, 1e-3)
@@ -1279,7 +1286,7 @@ def test_inverse_parallel_initial_data():
     construction = solve_inverse_problem(
         ["u1*(x1 - x1*x1)"], x0=[0.1], control_dim=1, matrix_dim=3,
         parallel_initial=[[0.1, 0.3, 0.6]])
-    schedule = construction.control_schedule(lambda t: [1.0])
+    schedule = lambda t: [1.0]  # noqa: E731
     result = integrate_repdyn(construction.spec, schedule, 0.0, 1.0, 1e-3, construction.start)
     for slot, x0 in enumerate([0.1, 0.3, 0.6]):
         _, ref = integrate_scalar_reference(["u1*(x1 - x1*x1)"], [x0],
@@ -1324,14 +1331,22 @@ def polynomial_systems(draw):
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(polynomial_systems(), st.booleans())
-def test_compiled_coefficient_map_equals_the_loop_bitwise(system, lift_constants):
+def test_the_spec_scalars_of_u_are_those_of_the_loop_coefficients_bitwise(system,
+                                                                          lift_constants):
+    # The coefficients the spec's scalars make of u are the loop's, bit for bit: the scalars
+    # of a spec without coefficients, read at the loop's vector, are the same.
     rhs, control_dim, u = system
     construction = solve_inverse_problem(rhs, x0=[0.5] * len(rhs), control_dim=control_dim,
                                          lift_constants=lift_constants)
     assert construction.symbolic_match
-    expected = loop_coefficients(rhs, control_dim, u, lift_constants)
-    assert np.array_equal(bits(construction.coefficient_map(u)), bits(expected))
-    assert np.array_equal(bits(construction.coefficient_map(np.array(u))), bits(expected))
+    spec = construction.spec
+    plain = compile_run(spec.symbols, len(rhs), spec.n, spec.constants,
+                        len(spec.coefficients))[2]
+    expected = plain(loop_coefficients(rhs, control_dim, u, lift_constants))
+    got = spec.scalars(np.array(u, dtype=complex))
+    assert len(got) == len(expected)
+    for value, want in zip(got, expected):
+        assert np.array_equal(bits(np.asarray(value)), bits(np.asarray(want)))
 
 
 def test_inverse_rejects_non_polynomial_rhs():
@@ -1348,7 +1363,7 @@ def test_inverse_two_dimensional_system():
     rhs = ["u1*x2", "-u1*x1"]
     construction = solve_inverse_problem(rhs, x0=[1.0, 0.0], control_dim=1,
                                          matrix_dim=2)
-    schedule = construction.control_schedule(lambda t: [1.0])
+    schedule = lambda t: [1.0]  # noqa: E731
     result = integrate_repdyn(construction.spec, schedule, 0.0, 2.0, 1e-3, construction.start)
     _, ref = integrate_scalar_reference(rhs, [1.0, 0.0], lambda t: [1.0],
                                         0.0, 2.0, 1e-3)
@@ -1742,7 +1757,7 @@ def test_an_integration_compiles_nothing(monkeypatch, stem):
         plan = scenario.invert_plan()
         construction = solve_inverse_problem(plan.rhs, plan.x0, control_dim=plan.control_dim)
         spec, start = construction.spec, construction.start
-        control = construction.control_schedule(plan.u_schedule)
+        control = plan.u_schedule
     control(run.t0)
     compiled = []
     function = Emitter.function
@@ -1770,6 +1785,14 @@ def test_building_a_spec_compiles_one_source():
         constants=constants, control_dim=2))
     assert len(sources) == 1 and sources[0][0][0] == "def evaluate(x, a):"
     assert spec.plan.__globals__ is spec.run.__globals__ is spec.scalars.__globals__
+
+
+def test_solving_an_inverse_problem_compiles_one_source():
+    # The coefficients are entries of the spec's one source, not a function of their own.
+    construction, sources = recorded_sources(lambda: solve_inverse_problem(
+        ["u1*(x1 - x1*x1) + u2", "0.5 + x1*x2"], x0=[0.1, 0.2], control_dim=2))
+    assert len(sources) == 1 and sources[0][0][0] == "def evaluate(x, a):"
+    assert construction.spec.coefficients is not None
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

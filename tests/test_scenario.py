@@ -454,6 +454,9 @@ EPSILON = MINIMAL.replace('coupling: ["u0[0]"]',
      "repdyn.tuple: matrix 1 has shape (3, 3), expected (2, 2)"),
     (REPDYN.format(tuple=[[[int(i == j) for j in range(7)] for i in range(7)]]), [],
      "repdyn.tuple: matrix dimension 7 exceeds the desk-scale cap 6"),
+    # A quoted "false" is a string, not the boolean, and would lift the constant.
+    (INVERT.format(rhs="0.5 + x1") + '  lift_constants: "false"\n', [],
+     "invert.lift_constants: expected true or false, got 'false'"),
 ], ids=["coalition-not-mapping", "slow-not-mapping", "dt-off-interval", "window-off-grid",
         "dt-override-off-interval", "family-index-out-of-range", "invert-rhs-not-polynomial",
         "invert-rhs-degree-above-cap", "declared-recurrence-one-window",
@@ -462,7 +465,7 @@ EPSILON = MINIMAL.replace('coupling: ["u0[0]"]',
         "cells-wider-than-eps", "cell-condition-domain", "cells-box-reversed",
         "invert-rhs-above-generator-cap",
         "lowpass-cutoff-above-nyquist", "repdyn-tuple-mixed-sizes",
-        "repdyn-tuple-above-dimension-cap"])
+        "repdyn-tuple-above-dimension-cap", "invert-lift-constants-not-boolean"])
 def test_malformed_inputs_exit_1_naming_the_path(tmp_path, capsys, text, argv, message):
     from tactica.cli import EXIT_VALIDATION, main
     path = write(tmp_path, text)

@@ -36,7 +36,7 @@ from tactica.games import (Coalition, ConfigurationError, EpsilonProcess, Feedba
                            replay_with_recorded_eps, rk4_step, simulate, step_count,
                            zero_epsilon)
 from tactica.prediction import strategic_pipeline
-from tactica.repdyn import _compile_coefficient_map, compile_run
+from tactica.repdyn import compile_run
 from tactica.scenario import load_scenario
 from tactica.tactics import run_synthesized
 
@@ -785,5 +785,6 @@ def test_every_generated_function_runs_from_the_one_emitter():
     functions = [compile_expression("sin(t)", ("t",)), compile_vector(["t"], ("t",))._compiled[0],
                  stage, compile_step(system, False, dims)[0],
                  compile_run((WeylSymbol((WeylTerm(1.0, (0,)),)),), 1, 2)[0],
-                 _compile_coefficient_map([(0, (), [(1.0, (0,))])])]
+                 compile_run((WeylSymbol((WeylTerm(1.0, (), 0),)),), 1, 2, control_dim=1,
+                             coefficients=(((1.0, (0,)),),))[2]]
     assert [f.__globals__["__builtins__"] for f in functions] == [{}] * 6
