@@ -311,10 +311,10 @@ def weyl_source(symbols: Sequence[WeylSymbol], m: int, n: int,
                 constants: Mapping[str, np.ndarray] | None = None,
                 control_dim: int = 0) -> tuple[Emitter, list[str], list[str]]:
     """The straight-line Weyl level sums of ``symbols``: the :class:`expr.Emitter` whose
-    namespace they read, the expressions of their control-dependent scalars over the complex
-    control vector ``a``, and the body lines.  The body reads an ``(m, n, n)`` tuple from the
-    local ``x`` and scalar j from the local ``s<j>``, and leaves one ``(n, n)`` value per
-    symbol in ``out``.
+    namespace they read, the expressions of their control-dependent scalars over the control
+    vector ``a`` (a complex array, or a list of floats), and the body lines.  The body reads
+    an ``(m, n, n)`` tuple from the local ``x`` and scalar j from the local ``s<j>``, and
+    leaves one ``(n, n)`` value per symbol in ``out``.
 
     Raises ConfigurationError for a slot beyond the tuple, an unknown or wrongly
     sized constant, or a control component beyond ``control_dim``.  Letters are
@@ -324,7 +324,8 @@ def weyl_source(symbols: Sequence[WeylSymbol], m: int, n: int,
     (``coefficient * a[control]``, gathered by ``array``, or one constant array when none
     reads a control) with their letters, each term of degree d >= 2 as ``scalar / d!``
     times ``0 + P1 + P2 ...`` over the d! orderings in permutation order, one stacked
-    matmul per letter position.  A
+    matmul per letter position.  A control-dependent ``scalar / d!`` divides a
+    ``complex128``: numpy multiplies by the reciprocal where Python's complex divides.  A
     term reading neither the tuple nor a control is a constant computed here.
     """
     constants = constants or {}
@@ -352,7 +353,7 @@ def weyl_source(symbols: Sequence[WeylSymbol], m: int, n: int,
     compiled = [[compile_term(t) for t in sym.terms] for sym in symbols]
     # ``zero``: added like the scalar 0, without numpy's slower path for Python scalars
     emit = Emitter(array=np.array, concatenate=np.concatenate, zeros=np.zeros,
-                   complex=complex, zero=np.zeros((), dtype=complex))
+                   complex=complex, complex128=np.complex128, zero=np.zeros((), dtype=complex))
     shape, sizes = (len(symbols), n, n), {"x": m, "p": m + len(fixed), "out": len(symbols)}
     scalars: list[str] = []
 
@@ -401,7 +402,7 @@ def weyl_source(symbols: Sequence[WeylSymbol], m: int, n: int,
                 total = " + ".join(["zero", *("P" if len(unique) == 1 else f"P[{unique.index(o)}]"
                                               for o in orderings)])
                 scale = emit.ref(coeff / len(orderings)) if control is None \
-                    else local(f"({scalar(coeff, control)})/{len(orderings)}")
+                    else local(f"complex128({scalar(coeff, control)})/{len(orderings)}")
                 body.append(f"P = {' @ '.join(factors)}")
                 add(rows("out", [s]), f"{scale} * ({total})")
                 reads_fixed |= pool == "p"

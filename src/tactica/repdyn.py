@@ -66,9 +66,13 @@ def compile_run(symbols: Sequence[WeylSymbol], m: int, n: int,
     """Generate ``evaluate(x, a)``, ``run(states, k, end, t0, dt, get, read, swallow)`` and
     ``scalars(a)`` for ``symbols``, in one source through :class:`expr.Emitter`.
 
-    ``scalars(a)`` is the tuple of the symbols' control-dependent scalars at the complex
-    control vector ``a``; with ``coefficients`` ``a`` is ``u``, and ``scalars`` first makes
-    that vector, entry k ``0j + c1*u[i]*u[j] + c2 ...`` over ``coefficients[k]`` in order.
+    ``scalars(a)`` is the tuple of the symbols' control-dependent scalars at the control
+    vector ``a``, a complex array or a list of Python floats; with ``coefficients`` ``a`` is
+    ``u``, and ``scalars`` first makes that vector as a list, entry k ``0j + c1*u[i]*u[j] +
+    c2 ...`` over ``coefficients[k]`` in order.  A list of floats gives the scalars of its
+    complex array bit for bit on CPython 3.11, whose product of a complex and a float is
+    the complex product with ``complex(f, 0.0)``, as numpy's complex128 product is; a
+    divided scalar is a numpy division either way (:func:`weyl_source`).
     ``evaluate`` maps an ``(m, n, n)`` tuple and ``a`` to one ``(n, n)`` value per symbol:
     the level sums of :func:`weyl_source`, over ``scalars(a)``.  ``run`` takes RK4 steps
     ``k`` to ``end - 1`` of ``y' = evaluate(y, a(t))`` from ``states[k]``, writing the state
@@ -90,8 +94,8 @@ def compile_run(symbols: Sequence[WeylSymbol], m: int, n: int,
     entries = [" + ".join(["0j", *("*".join([emit.ref(complex(c)), *(f"u[{j}]" for j in u_word)])
                                  for c, u_word in entry)]) for entry in coefficients or ()]
     mapped = [] if coefficients is None else [
-        "u = a.tolist()", f"a = array([{', '.join(entries)}], dtype=complex)"]
-    emit.namespace.update(_weights=_rk4_weights, range=range, Exception=Exception)
+        "u = a if a.__class__ is list else a.tolist()", f"a = [{', '.join(entries)}]"]
+    emit.namespace.update(_weights=_rk4_weights, range=range, Exception=Exception, list=list)
     targets = "".join(f"s{j}, " for j in range(len(scalars)))
     unpack = [f"{targets}= e[2]"] * bool(scalars)
     indent = " " * 12
@@ -320,16 +324,19 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     The run starts from ``start``, an ``(m, n, n)`` tuple on the variety.  On an insolvable
     step the result carries the samples accepted so far plus the signal; the failing step
     is not applied.  The control is evaluated once per stage time: a memo maps each stage
-    time from the current step's on to the value the control returned there, its complex
-    vector and the spec's control scalars of that vector (``spec.scalars``), and a sample
-    keeps the value of its step's first stage.  A value whose array is a float64 vector of
-    the declared width is taken as it is, and only any other is checked: a scenario's
-    control (a :class:`VectorExpression`) and a spec's ``u`` (with ``coefficients``) must
-    be real (:func:`real_array`, named by its ``path`` or ``invert.control``), and a value
-    that is not numbers, or not of the declared shape, is a :class:`ConfigurationError`.
-    Their samples keep the float64 array.  A caller passes its own ``memo`` to carry
-    it into the next integration with the same control, whose first step starts at the
-    last sample's time; the scalars it holds are made again for the spec at hand.
+    time from the current step's on to the value the control returned there, its vector
+    and the spec's control scalars of that vector (``spec.scalars``), and a sample keeps
+    the value of its step's first stage.  A list of ``control_dim`` Python floats, as every
+    :class:`VectorExpression` returns, is its own vector; any other value's vector is its
+    complex array.  A value whose array is a float64 vector of the declared width is taken
+    as it is, and only any other is checked: a scenario's control (a
+    :class:`VectorExpression`) and a spec's ``u`` (with ``coefficients``) must be real
+    (:func:`real_array`, named by its ``path`` or ``invert.control``), and a value that is
+    not numbers, or not of the declared shape, is a :class:`ConfigurationError`.  Their
+    samples are float64 arrays, made once per accepted sample.  A caller passes its own
+    ``memo`` to carry it into the next integration with the same control, whose first step
+    starts at the last sample's time; the scalars it holds are made again for the spec at
+    hand.
 
     Steps are taken by ``spec.run`` (:func:`compile_run`): a lone step is a run of one.
     Raw steps are taken in runs, each from the last, and one stacked evaluation
@@ -362,23 +369,29 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     anchor = []     # the projections' kept factor: see project_to_variety
     real = isinstance(control, VectorExpression) or spec.coefficients is not None
     path = getattr(control, "path", "invert.control")
+    floats = [float] * control_dim      # the classes of a scenario control's value
+    sample = np.array if real else lambda value: value      # a real control's: float64
 
     def read(t: float) -> tuple:
         value = control(t)
-        vector = np.asarray(value)
-        if vector.dtype is not _F64 or vector.shape != (control_dim,):
-            if real:
-                vector = real_array(vector, path, t)
-            if vector.dtype.kind not in "biufc":        # not parsed from strings
-                raise ConfigurationError(f"control schedule returns {vector.tolist()!r}, "
-                                         "which is not numeric")
-            if vector.shape != (control_dim,):
-                got = f"{len(vector)} components" if vector.ndim == 1 else f"shape {vector.shape}"
-                raise ConfigurationError(f"control schedule returns {got}, spec declares "
-                                         f"{control_dim}")
-        if real:    # its sample keeps the float64 array
-            value = vector
-        vector = vector.astype(complex, copy=False)
+        if value.__class__ is list and [*map(type, value)] == floats:
+            vector = value      # ``scalars`` indexes the floats themselves
+        else:
+            vector = np.asarray(value)
+            if vector.dtype is not _F64 or vector.shape != (control_dim,):
+                if real:
+                    vector = real_array(vector, path, t)
+                if vector.dtype.kind not in "biufc":        # not parsed from strings
+                    raise ConfigurationError(f"control schedule returns {vector.tolist()!r}, "
+                                             "which is not numeric")
+                if vector.shape != (control_dim,):
+                    got = (f"{len(vector)} components" if vector.ndim == 1
+                           else f"shape {vector.shape}")
+                    raise ConfigurationError(f"control schedule returns {got}, spec declares "
+                                             f"{control_dim}")
+            if real:    # its sample is the float64 array
+                value = vector
+            vector = vector.astype(complex, copy=False)
         entry = seen[t] = value, vector, scalars(vector)
         return entry
 
@@ -404,7 +417,7 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
         t = t0 + k * dt
         run(states, k, k + 1, t0, dt, get, read, False)
         if control is not None:     # the sample keeps its step's first control
-            controls.append(seen[t][0])
+            controls.append(sample(seen[t][0]))
             for s in [s for s in seen if s < t]:    # the memo holds at most a run's times
                 del seen[s]
         raw, end = None, k + 1
@@ -420,7 +433,8 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
             times.extend(t0 + (s + 1) * dt for s in range(k, k + j))
             residuals.extend(norms[:j].tolist())
             if control is not None:
-                controls.extend(seen[t0 + s * dt][0] for s in range(k + 1, min(k + j + 1, end)))
+                controls.extend(sample(seen[t0 + s * dt][0])
+                                for s in range(k + 1, min(k + j + 1, end)))
             k += j
             if j == len(clean):     # all clean; a step that raised is retaken alone
                 streak += j
@@ -457,7 +471,7 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
         k += 1
         streak = streak + 1 if raw[1] <= tolerance else 0
     if control is not None:     # the last stage's time can differ from t_next in its last bit
-        controls.append(at(times[-1])[0])
+        controls.append(sample(at(times[-1])[0]))
     return result()
 
 
@@ -727,6 +741,13 @@ class TacticalRepDyn:
         object.__setattr__(self, "specs", specs)
 
 
+def tuple_norms(states: np.ndarray) -> np.ndarray:
+    """The norm of each tuple of a ``(K, m, n, n)`` stack, :func:`np.linalg.norm`'s bit for
+    bit: the root of its flattened real parts' and imaginary parts' dot products."""
+    flat = states.reshape(len(states), math.prod(states.shape[1:]))
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
 @dataclass(frozen=True)
 class TransitionEvent:
     time: float
@@ -787,7 +808,7 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
             all_labels.extend([label] * (len(result.times) - start))
             own = 1 if fired else 0     # a restart's first sample repeats the last one's time
             window_res.extend(result.residuals[own:].tolist())
-            window_norms.extend(float(np.linalg.norm(state)) for state in result.states[own:])
+            window_norms.extend(tuple_norms(result.states[own:]).tolist())
             window_a.extend(np.atleast_1d(real_array(
                 a, getattr(game.control, "path", "control"), t))
                 for t, a in zip(result.times[own:], result.controls[own:]))

@@ -114,6 +114,10 @@ class _Check:
             return False
         return not positive or self.require(path, value > 0, f"must be positive, got {value!r}")
 
+    def label(self, path: str, value) -> bool:
+        return self.require(path, isinstance(value, str),
+                            f"expected a string label, got {value!r}")
+
     def integer(self, path: str, value, low=1) -> bool:
         kind = "positive" if low == 1 else "nonnegative"
         return self.require(path, isinstance(value, int) and not isinstance(value, bool)
@@ -689,8 +693,7 @@ def _repdyn(spec: dict, ctx: _Context, check: _Check) -> RepdynPlan | None:
         decl = spec.get("presentation")
         if "presentation" in spec:
             label = decl.get("label", "scenario") if isinstance(decl, dict) else ""
-            check.require("repdyn.presentation.label", isinstance(label, str),
-                          f"expected a string label, got {label!r}")
+            check.label("repdyn.presentation.label", label)
             pres = _presentation(decl, "repdyn.presentation", label, check)
         elif check.require("repdyn", "class" in spec,
                            "integrate mode needs a presentation or class") and initial is not None:
@@ -708,8 +711,9 @@ def _repdyn(spec: dict, ctx: _Context, check: _Check) -> RepdynPlan | None:
     for label, decl in declared.items() if check.mapping("repdyn.class_dynamics",
                                                          declared) else ():
         path = f"repdyn.class_dynamics.{label}"
-        check.require(path, label in registry.labels(), "unresolved class label")
-        class_dynamics[label] = _dynamics(decl, path, control_dim, check)
+        if check.label(path, label):
+            check.require(path, label in registry.labels(), "unresolved class label")
+            class_dynamics[label] = _dynamics(decl, path, control_dim, check)
     transitions = _transitions(spec.get("transitions", []), check)
     eta0, run = spec.get("eta0", [0.0]), ctx.run
     check.vector("repdyn.eta0", eta0)
@@ -719,8 +723,7 @@ def _repdyn(spec: dict, ctx: _Context, check: _Check) -> RepdynPlan | None:
     check.require("repdyn.windows", not bad, f"windows {bad} do not span whole steps of dt "
                   f"{run and run.dt!r}")
     delta_label = spec.get("delta_label", "scenario")
-    check.require("repdyn.delta_label", isinstance(delta_label, str),
-                  f"expected a string label, got {delta_label!r}")
+    check.label("repdyn.delta_label", delta_label)
     if len(check.errors) > start:
         return None
     delta = check.build("repdyn.transitions", DialecticalObject, label=delta_label,
@@ -736,9 +739,12 @@ def _registry(spec, check: _Check) -> AlgebraClassRegistry:
     """The builtin algebra classes plus the scenario's own; a malformed class is left out."""
     classes = dict(default_registry().classes)
     for label, decl in spec.items() if check.mapping("repdyn.classes", spec) else ():
+        path = f"repdyn.classes.{label}"
+        if not check.label(path, label):
+            continue
         if decl == "builtin":
-            check.require(f"repdyn.classes.{label}", label in classes, "not a builtin class")
-        elif pres := _presentation(decl, f"repdyn.classes.{label}", label, check):
+            check.require(path, label in classes, "not a builtin class")
+        elif pres := _presentation(decl, path, label, check):
             classes[label] = (pres,)
     return AlgebraClassRegistry(classes=classes)
 

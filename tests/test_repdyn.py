@@ -28,7 +28,7 @@ from tactica.repdyn import (ClassDynamics, InsolvableSignal, RepDynResult, RepDy
                             compile_run, integrate_repdyn,
                             integrate_scalar_reference,
                             project_to_variety, run_tactical_repdyn,
-                            solve_inverse_problem, tuple_map)
+                            solve_inverse_problem, tuple_map, tuple_norms)
 from tactica.scenario import load_scenario
 from tactica.tactics import DialecticalObject, TransitionRule
 
@@ -1829,3 +1829,115 @@ def test_a_failing_scenario_control_is_read_once_at_its_stage_time(monkeypatch, 
         integrate_repdyn(spec, control, 0.0, 0.2, 0.1, start)
     assert str(info.value) == message
     assert times == [0.0, 0.05]
+
+
+CONTROL_FLOATS = st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308]) \
+    | st.floats()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(weyl_cases(), st.lists(CONTROL_FLOATS, min_size=2, max_size=2))
+@example((2, 2, 2, [WeylSymbol((T(1.0 + 2j, [0, 0, 1], 1), T(-0.5, [0, 1], 0))),
+                    WeylSymbol((T(2.0, [1], 1),))], 0, False), [0.3, 0.7])
+@example((2, 3, 2, [WeylSymbol((T(1.0, [0, "C", 1], 1),)), WeylSymbol((T(2.0, [0], 0),))], 1,
+          False), [-0.0, 1e308])
+def test_the_scalars_of_a_list_of_floats_are_those_of_its_complex_array_bitwise(case, values):
+    """A scenario control's list of floats gives the scalars of its complex array, bit for
+    bit.  This relies on CPython 3.11's mixed complex/float arithmetic: ``c * f`` is the
+    complex product with ``complex(f, 0.0)``, as numpy's complex128 product is.  Python 3.14
+    multiplies ``f`` into each part instead, which differs at signed zeros, infinities and
+    NaN (``inf * 0.0``).  A divided scalar (``/2``, ``/6``) is numpy's division either way:
+    numpy multiplies by the reciprocal where Python's complex divides."""
+    m, n, control_dim, symbols, seed, _ = case
+    values = values[:control_dim]
+    rng = np.random.default_rng(seed)
+    constants = {"C": entries(rng, (n, n)), "D": entries(rng, (n, n))}
+    scalars = compile_run(symbols, m, n, constants, control_dim)[2]
+    with np.errstate(all="ignore"):
+        got, expected = scalars(values), scalars(np.array(values, dtype=complex))
+    assert len(got) == len(expected)
+    for value, want in zip(got, expected):
+        assert np.array_equal(bits(np.asarray(value)), bits(np.asarray(want)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polynomial_systems(), st.lists(CONTROL_FLOATS, min_size=2, max_size=2), st.booleans())
+def test_the_scalars_of_u_as_floats_are_those_of_its_complex_array_bitwise(system, values,
+                                                                            lift_constants):
+    # As above, for a spec whose coefficients make its control vector of u.
+    rhs, control_dim, _ = system
+    spec = solve_inverse_problem(rhs, x0=[0.5] * len(rhs), control_dim=control_dim,
+                                 lift_constants=lift_constants).spec
+    u = values[:control_dim]
+    with np.errstate(all="ignore"):
+        got, expected = spec.scalars(u), spec.scalars(np.array(u, dtype=complex))
+    assert len(got) == len(expected)
+    for value, want in zip(got, expected):
+        assert np.array_equal(bits(np.asarray(value)), bits(np.asarray(want)))
+
+
+def counting_numpy(monkeypatch, calls):
+    """Put a numpy into ``tactica.repdyn`` whose ``asarray`` records each call in ``calls``,
+    and a ``real_array`` that does the same."""
+    counted = type(np)("numpy")
+    counted.__getattr__ = lambda name: getattr(np, name)
+    counted.asarray = lambda *args, **kwargs: calls.append("asarray") or np.asarray(*args,
+                                                                                    **kwargs)
+    monkeypatch.setattr(tactica.repdyn, "np", counted)
+    monkeypatch.setattr(tactica.repdyn, "real_array", lambda *args: calls.append("real_array")
+                        or real_array(*args))
+
+
+def test_a_scenario_control_is_read_without_an_array(monkeypatch):
+    # repdyn_heisenberg's control returns a list of Python floats: read as it is, with no
+    # np.asarray or real_array per stage time; each sample is still a float64 array.
+    plan = load_scenario(SCENARIOS / "repdyn_heisenberg.yaml").plans["repdyn"]
+    calls = []
+    counting_numpy(monkeypatch, calls)
+    result = integrate_repdyn(plan.spec, plan.control, 0.0, 1.0, 1e-3, plan.start)
+    assert calls == [] and len(result.times) == 1001
+    assert all(a.dtype == np.float64 for a in result.controls)
+    assert [a.tolist() for a in result.controls] == [plan.control(t) for t in result.times]
+
+
+@pytest.mark.parametrize("retype", [lambda value: [value[0], int(value[1])],
+                                    lambda value: [np.float64(x) for x in value]],
+                         ids=["int-entry", "float64-entries"])
+def test_a_control_of_other_numbers_takes_the_checked_path_to_the_same_run(monkeypatch,
+                                                                           retype):
+    plan = load_scenario(SCENARIOS / "repdyn_heisenberg.yaml").plans["repdyn"]
+    control = compile_vector(["0.1*sin(t)", "1.0"], ("t",), path="repdyn.control")
+    reads = []
+
+    class Retyped(VectorExpression):
+        def __call__(self, t):
+            reads.append(t)
+            return retype(super().__call__(t))
+
+    lists = integrate_repdyn(plan.spec, control, 0.0, 0.5, 1e-3, plan.start)
+    calls = []
+    counting_numpy(monkeypatch, calls)
+    retyped = Retyped(control.sources, control.arguments, control.path)
+    checked = integrate_repdyn(plan.spec, retyped, 0.0, 0.5, 1e-3, plan.start)
+    assert len(reads) > 1000 and calls == ["asarray"] * len(reads)
+    assert np.array_equal(bits(checked.states), bits(lists.states))
+    assert np.array_equal(checked.residuals, lists.residuals)
+    assert all(a.dtype == b.dtype == np.float64 and np.array_equal(a, b)
+               for a, b in zip(checked.controls, lists.controls, strict=True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 4), st.integers(1, 4), st.sampled_from([1, 2, 3, 6]),
+       st.integers(0, 2 ** 31 - 1), st.sampled_from([1e-5, 1.0, 1e5]), st.booleans())
+def test_tuple_norms_are_numpy_norms_bitwise(k, m, n, seed, scale, special):
+    # A window's mean tuple norm comes from one stacked call; each norm is np.linalg.norm's.
+    rng = np.random.default_rng(seed)
+    states = scale * entries(rng, (k, m, n, n))
+    if special:     # signed zeros, subnormals and entries whose squares overflow
+        for part in (states.real, states.imag):
+            mask = rng.random(part.shape) < 0.2
+            part[mask] = rng.choice([-0.0, 5e-324, -2.5e-320, 1e300, -1e300], mask.sum())
+    with np.errstate(over="ignore"):
+        got = tuple_norms(states)
+        expected = np.array([np.linalg.norm(state) for state in states]).reshape(k)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))

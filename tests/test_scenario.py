@@ -457,6 +457,13 @@ EPSILON = MINIMAL.replace('coupling: ["u0[0]"]',
     # A quoted "false" is a string, not the boolean, and would lift the constant.
     (INVERT.format(rhs="0.5 + x1") + '  lift_constants: "false"\n', [],
      "invert.lift_constants: expected true or false, got 'false'"),
+    # YAML reads these keys as numbers, which ``repdyn.class: 5`` would never find.
+    (REPDYN.format(tuple="[[[1, 0], [0, 1]], [[1, 0], [0, 1]]]").replace(
+        "class: commutative", "class: 5\n  classes: {5: {generators: 2, relations: []}}"), [],
+     "repdyn.classes.5: expected a string label, got 5"),
+    ((SCENARIOS / "repdyn_transition.yaml").read_text().replace(
+        "    heisenberg:\n      symbols:", "    5:\n      symbols:"), [],
+     "repdyn.class_dynamics.5: expected a string label, got 5"),
 ], ids=["coalition-not-mapping", "slow-not-mapping", "dt-off-interval", "window-off-grid",
         "dt-override-off-interval", "family-index-out-of-range", "invert-rhs-not-polynomial",
         "invert-rhs-degree-above-cap", "declared-recurrence-one-window",
@@ -465,7 +472,8 @@ EPSILON = MINIMAL.replace('coupling: ["u0[0]"]',
         "cells-wider-than-eps", "cell-condition-domain", "cells-box-reversed",
         "invert-rhs-above-generator-cap",
         "lowpass-cutoff-above-nyquist", "repdyn-tuple-mixed-sizes",
-        "repdyn-tuple-above-dimension-cap", "invert-lift-constants-not-boolean"])
+        "repdyn-tuple-above-dimension-cap", "invert-lift-constants-not-boolean",
+        "repdyn-class-label-number", "repdyn-class-dynamics-label-number"])
 def test_malformed_inputs_exit_1_naming_the_path(tmp_path, capsys, text, argv, message):
     from tactica.cli import EXIT_VALIDATION, main
     path = write(tmp_path, text)
