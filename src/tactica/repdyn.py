@@ -37,7 +37,6 @@ MAX_TRANSITIONS_PER_WINDOW = 8      # more in one window: the scenario does not 
 # faulted in afresh on every call: at n = 6 one batch per level took up to twice the time
 # of the per-word loop.
 BATCH_ENTRIES = 4096
-_F64 = np.dtype(float)
 
 
 class StrandedClassError(SimulationError):
@@ -70,9 +69,10 @@ def compile_run(symbols: Sequence[WeylSymbol], m: int, n: int,
     vector ``a``, a complex array or a list of Python floats; with ``coefficients`` ``a`` is
     ``u``, and ``scalars`` first makes that vector as a list, entry k ``0j + c1*u[i]*u[j] +
     c2 ...`` over ``coefficients[k]`` in order.  A list of floats gives the scalars of its
-    complex array bit for bit on CPython 3.11, whose product of a complex and a float is
-    the complex product with ``complex(f, 0.0)``, as numpy's complex128 product is; a
-    divided scalar is a numpy division either way (:func:`weyl_source`).
+    complex array bit for bit on CPython 3.10 to 3.13 (``requires-python``), whose product
+    of a complex and a float is the complex product with ``complex(f, 0.0)``, as numpy's
+    complex128 product is; a divided scalar is a numpy division either way
+    (:func:`weyl_source`).
     ``evaluate`` maps an ``(m, n, n)`` tuple and ``a`` to one ``(n, n)`` value per symbol:
     the level sums of :func:`weyl_source`, over ``scalars(a)``.  ``run`` takes RK4 steps
     ``k`` to ``end - 1`` of ``y' = evaluate(y, a(t))`` from ``states[k]``, writing the state
@@ -326,17 +326,16 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
     is not applied.  The control is evaluated once per stage time: a memo maps each stage
     time from the current step's on to the value the control returned there, its vector
     and the spec's control scalars of that vector (``spec.scalars``), and a sample keeps
-    the value of its step's first stage.  A list of ``control_dim`` Python floats, as every
-    :class:`VectorExpression` returns, is its own vector; any other value's vector is its
-    complex array.  A value whose array is a float64 vector of the declared width is taken
-    as it is, and only any other is checked: a scenario's control (a
-    :class:`VectorExpression`) and a spec's ``u`` (with ``coefficients``) must be real
-    (:func:`real_array`, named by its ``path`` or ``invert.control``), and a value that is
-    not numbers, or not of the declared shape, is a :class:`ConfigurationError`.  Their
-    samples are float64 arrays, made once per accepted sample.  A caller passes its own
-    ``memo`` to carry it into the next integration with the same control, whose first step
-    starts at the last sample's time; the scalars it holds are made again for the spec at
-    hand.
+    the value of its step's first stage.  A list of ``control_dim`` Python floats, as a
+    :class:`VectorExpression` whose components evaluate to floats returns, is its own
+    vector.  Any other value (a complex or int entry, numpy numbers, an array) is checked,
+    and its vector is its complex array: a scenario's control (a :class:`VectorExpression`)
+    and a spec's ``u`` (with ``coefficients``) must be real (:func:`real_array`, named by
+    its ``path`` or ``invert.control``), and a value that is not numbers, or not of the
+    declared shape, is a :class:`ConfigurationError`.  Their samples are float64 arrays,
+    made once per accepted sample.  A caller passes its own ``memo`` to carry it into the
+    next integration with the same control, whose first step starts at the last sample's
+    time; the scalars it holds are made again for the spec at hand.
 
     Steps are taken by ``spec.run`` (:func:`compile_run`): a lone step is a run of one.
     Raw steps are taken in runs, each from the last, and one stacked evaluation
@@ -378,17 +377,15 @@ def integrate_repdyn(spec: RepDynSpec, control: Callable[[float], Sequence[float
             vector = value      # ``scalars`` indexes the floats themselves
         else:
             vector = np.asarray(value)
-            if vector.dtype is not _F64 or vector.shape != (control_dim,):
-                if real:
-                    vector = real_array(vector, path, t)
-                if vector.dtype.kind not in "biufc":        # not parsed from strings
-                    raise ConfigurationError(f"control schedule returns {vector.tolist()!r}, "
-                                             "which is not numeric")
-                if vector.shape != (control_dim,):
-                    got = (f"{len(vector)} components" if vector.ndim == 1
-                           else f"shape {vector.shape}")
-                    raise ConfigurationError(f"control schedule returns {got}, spec declares "
-                                             f"{control_dim}")
+            if real:
+                vector = real_array(vector, path, t)
+            if vector.dtype.kind not in "biufc":        # not parsed from strings
+                raise ConfigurationError(f"control schedule returns {vector.tolist()!r}, "
+                                         "which is not numeric")
+            if vector.shape != (control_dim,):
+                got = f"{len(vector)} components" if vector.ndim == 1 else f"shape {vector.shape}"
+                raise ConfigurationError(f"control schedule returns {got}, spec declares "
+                                         f"{control_dim}")
             if real:    # its sample is the float64 array
                 value = vector
             vector = vector.astype(complex, copy=False)
@@ -741,13 +738,6 @@ class TacticalRepDyn:
         object.__setattr__(self, "specs", specs)
 
 
-def tuple_norms(states: np.ndarray) -> np.ndarray:
-    """The norm of each tuple of a ``(K, m, n, n)`` stack, :func:`np.linalg.norm`'s bit for
-    bit: the root of its flattened real parts' and imaginary parts' dot products."""
-    flat = states.reshape(len(states), math.prod(states.shape[1:]))
-    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
-
-
 @dataclass(frozen=True)
 class TransitionEvent:
     time: float
@@ -808,7 +798,7 @@ def run_tactical_repdyn(game: TacticalRepDyn, window_grid: Sequence[float],
             all_labels.extend([label] * (len(result.times) - start))
             own = 1 if fired else 0     # a restart's first sample repeats the last one's time
             window_res.extend(result.residuals[own:].tolist())
-            window_norms.extend(tuple_norms(result.states[own:]).tolist())
+            window_norms.extend(float(np.linalg.norm(state)) for state in result.states[own:])
             window_a.extend(np.atleast_1d(real_array(
                 a, getattr(game.control, "path", "control"), t))
                 for t, a in zip(result.times[own:], result.controls[own:]))
